@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check vet staticcheck lint-obslog build test race chaos bench-chaos bench-observability bench-tuplepath bench-statsplane bench-engineobs bench-migration bench-latency bench-recovery bench-engine bench-adaptation bench
+.PHONY: check vet staticcheck lint-obslog build test race chaos bench-harness bench-chaos bench-observability bench-tuplepath bench-statsplane bench-engineobs bench-migration bench-latency bench-recovery bench-adaptation bench
 
-check: vet staticcheck lint-obslog build chaos bench-tuplepath bench-statsplane bench-engineobs bench-migration bench-latency bench-recovery bench-engine bench-adaptation
+check: vet staticcheck lint-obslog build bench-harness chaos bench-tuplepath bench-statsplane bench-engineobs bench-migration bench-latency bench-recovery bench-adaptation
 
 vet:
 	$(GO) vet ./...
@@ -49,12 +49,18 @@ build:
 test:
 	$(GO) test ./...
 
-# The differential suite (Engine vs. MiniEngine vs. ShardEngine result
-# equivalence) runs once more explicitly: it is the engine-swap proof
-# obligation and must never be skipped by test caching.
+# The differential suite (ShardEngine at 1, 2 and 4 shards against the
+# MiniEngine oracle) runs once more explicitly: it is the engine-swap
+# proof obligation and must never be skipped by test caching.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -run 'TestShardEngine' ./internal/engine/
+
+# benchmark/ is a nested module, so ./... above never compiles it: vet
+# and test it here, or an engine API change breaks the end-to-end
+# benchmark (BENCHMARK.json) unseen.
+bench-harness:
+	$(GO) vet -C benchmark ./... && $(GO) test -C benchmark ./...
 
 # Chaos gate: the tier-1 suite under -race plus the seeded chaos bench,
 # which fails if any tuple is silently lost after the federation
@@ -109,13 +115,6 @@ bench-latency:
 # the outage traffic.
 bench-recovery:
 	$(GO) run ./cmd/sspd-bench -recovery BENCH_recovery.json
-
-# Regenerates BENCH_engine.json: the shard-per-core vectorized engine
-# against the asynchronous baseline on an identical 16-query quote
-# workload (per-tuple busy cost, wall-clock tuples/sec, shard scaling
-# sweep). Fails if the throughput speedup drops below the 5x bar.
-bench-engine:
-	$(GO) run ./cmd/sspd-bench -engine BENCH_engine.json
 
 # Regenerates BENCH_adaptation.json: tuple-routed downstream selection
 # (the Adaptation Module loop) against the static-ordering baseline

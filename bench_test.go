@@ -163,12 +163,6 @@ func BenchmarkEngineIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulingPolicy regenerates E9 (extension: waiting time vs
-// scheduling policy).
-func BenchmarkSchedulingPolicy(b *testing.B) {
-	benchTable(b, experiments.E9SchedulingPolicy)
-}
-
 // BenchmarkInterestAggregation regenerates E10 (extension: interest
 // aggregation cap trade-off).
 func BenchmarkInterestAggregation(b *testing.B) {

@@ -26,13 +26,12 @@ var runners = map[string]func() experiments.Table{
 	"e6":  experiments.E6OperatorPlacement,
 	"e7":  experiments.E7AdaptiveOrdering,
 	"e8":  experiments.E8CouplingTradeoff,
-	"e9":  experiments.E9SchedulingPolicy,
 	"e10": experiments.E10InterestAggregation,
 	"e11": experiments.E11TreeReorganization,
 	"e12": experiments.E12AdaptiveRouting,
 }
 
-var order = []string{"f1", "t1", "f2", "f3", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12"}
+var order = []string{"f1", "t1", "f2", "f3", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e10", "e11", "e12"}
 
 func main() {
 	list := flag.Bool("list", false, "list experiment IDs and exit")
@@ -45,7 +44,6 @@ func main() {
 	migration := flag.String("migration", "", "run the live-migration bench and write its JSON report to this file (non-zero exit on tuple loss or pause over budget)")
 	latencyOut := flag.String("latency", "", "run the latency-attribution bench (tuple-path overhead + federated-P99 accuracy) and write its JSON report to this file")
 	recoveryOut := flag.String("recovery", "", "run the checkpoint/crash-recovery bench (hard kill, quorum restore, bounded replay) and write its JSON report to this file (non-zero exit on committed-result loss or budget breach)")
-	engineOut := flag.String("engine", "", "run the shard-engine bench (vectorized shard engine vs. asynchronous baseline, shard scaling sweep) and write its JSON report to this file (non-zero exit below the 5x speedup bar)")
 	adaptationOut := flag.String("adaptation", "", "run the adaptation-module bench (tuple-routed vs. static downstream selection under a selectivity-drifting workload) and write its JSON report to this file (non-zero exit on tuple loss or when routing misses the noise-calibrated margin)")
 	flag.Parse()
 	if *list {
@@ -105,13 +103,6 @@ func main() {
 	}
 	if *recoveryOut != "" {
 		if err := runRecoveryBench(*recoveryOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *engineOut != "" {
-		if err := runEngineBench(*engineOut); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -40,7 +40,7 @@ func main() {
 	maxPrint := flag.Int("print", 5, "max results printed per query per second")
 	httpAddr := flag.String("http", "", "also serve the JSON API on this address (e.g. :8080)")
 	traceEvery := flag.Int("trace", 0, "trace 1 in N published tuples (0 disables; spans at GET /traces)")
-	engineKind := flag.String("engine", "", `engine for all entities: "async" (default), "mini", "sched", or "shard"`)
+	engineKind := flag.String("engine", "", `engine for all entities: "shard" (the default: shard-per-core, vectorized) or "mini" (synchronous oracle)`)
 	profDir := flag.String("profdir", "", "store continuous-profiling pprof captures in this directory (serves GET /profiles)")
 	route := flag.Bool("route", false, "enable Adaptation Module tuple routing: queries split into 3 fragments with replicated middle stages (table at GET /routing; pair with -trace for measured delays)")
 	flag.Parse()

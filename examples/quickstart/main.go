@@ -76,7 +76,7 @@ func main() {
 		}
 	}
 	net.Quiesce(2 * time.Second)
-	time.Sleep(100 * time.Millisecond) // let the async engine drain
+	time.Sleep(100 * time.Millisecond) // let the engine's shard drain
 
 	mu.Lock()
 	total := results

@@ -57,13 +57,13 @@ type EntityStats struct {
 	Seq      uint64 `json:"seq"`
 	UnixNano int64  `json:"unix_nano"`
 
-	Load       float64                `json:"load"`
-	Queries    int                    `json:"queries"`
-	PRMax      float64                `json:"pr_max"`
-	PRSpark    []float64              `json:"pr_spark,omitempty"`
-	QueryLoads map[string]float64     `json:"query_loads,omitempty"`
+	Load       float64            `json:"load"`
+	Queries    int                `json:"queries"`
+	PRMax      float64            `json:"pr_max"`
+	PRSpark    []float64          `json:"pr_spark,omitempty"`
+	QueryLoads map[string]float64 `json:"query_loads,omitempty"`
 	// QueryDrops counts tuples dropped per query by the hosting
-	// engines' full input queues or shard rings — the per-query drop
+	// engines' full shard rings — the per-query drop
 	// attribution the `query`-labeled cluster metric is built from.
 	// Queries whose engines never drop (e.g. MiniEngine) are absent.
 	QueryDrops map[string]int64       `json:"query_drops,omitempty"`

@@ -24,7 +24,9 @@ import (
 
 // Options configures a federation.
 type Options struct {
-	// Strategy selects the dissemination-tree shape (default Locality).
+	// Strategy selects the dissemination-tree shape. The zero value is
+	// SourceDirect (a star under the source); Locality builds the
+	// paper's distance-aware tree.
 	Strategy dissemination.Strategy
 	// Fanout bounds dissemination-tree children per node (default 4).
 	Fanout int
@@ -65,9 +67,8 @@ type Options struct {
 	AdaptationHysteresis float64
 	// Engine names the engine implementation entities compile queries
 	// with when AddEntity/JoinEntity receive a nil factory: "" or
-	// "async" (the per-query-goroutine Engine), "mini" (synchronous),
-	// "sched" (single scheduler goroutine), or "shard" (the
-	// shard-per-core vectorized engine, DESIGN.md §13). An explicit
+	// "shard" (the production shard-per-core vectorized engine,
+	// DESIGN.md §13) or "mini" (the synchronous oracle). An explicit
 	// factory always wins.
 	Engine string
 	// EnableTupleRouting activates the Adaptation Module's per-tuple
@@ -89,25 +90,19 @@ type Options struct {
 }
 
 // engineFactoryFor resolves an Options.Engine kind to a factory; nil
-// with no error means the entity default (the asynchronous Engine).
+// with no error means the entity default (the production engine).
 func engineFactoryFor(kind string) (entity.EngineFactory, error) {
 	switch kind {
-	case "", "async":
+	case "", "shard":
 		return nil, nil
 	case "mini":
 		return func(name string, cat *stream.Catalog) engine.Processor {
 			return engine.NewMini(name, cat)
 		}, nil
-	case "sched":
-		return func(name string, cat *stream.Catalog) engine.Processor {
-			return engine.NewSched(name, cat, engine.PolicyFIFO)
-		}, nil
-	case "shard":
-		return func(name string, cat *stream.Catalog) engine.Processor {
-			return engine.NewShard(name, cat, 0)
-		}, nil
+	case "async", "sched":
+		return nil, fmt.Errorf("core: engine kind %q was removed; use \"shard\" (the default) or \"mini\"", kind)
 	default:
-		return nil, fmt.Errorf("core: unknown engine kind %q (valid: async, mini, sched, shard)", kind)
+		return nil, fmt.Errorf("core: unknown engine kind %q (valid: shard, mini)", kind)
 	}
 }
 
@@ -155,7 +150,12 @@ type Federation struct {
 	ledger   *Ledger
 	rates    map[string]StreamRate
 	queries  map[string]*fedQuery
-	results  map[string]func(stream.Tuple)
+	// results maps a query ID to its subscriber, a func(stream.Tuple).
+	// deliverResult reads it from inside engine emit callbacks, so it
+	// must not sit under mu: the federation reads engine loads with mu
+	// held (RouteQuery, collectMetrics), and an emit waiting for mu
+	// would close the cycle entity.go's lock-order rule describes.
+	results sync.Map
 	// relayIndex locates any relay (entity or source) by endpoint, for
 	// refreshing interests after dynamic tree rewires.
 	relayIndex map[simnet.NodeID]*dissemination.Relay
@@ -289,7 +289,6 @@ func New(transport simnet.Transport, catalog *stream.Catalog, opts Options) (*Fe
 		ledger:     NewLedger(opts.Clock),
 		rates:      make(map[string]StreamRate),
 		queries:    make(map[string]*fedQuery),
-		results:    make(map[string]func(stream.Tuple)),
 		relayIndex: make(map[simnet.NodeID]*dissemination.Relay),
 		registry:   metrics.NewRegistry(),
 		logger:     opts.Logger,
@@ -622,7 +621,7 @@ func (f *Federation) placeOn(entityID string, spec engine.QuerySpec, onResult fu
 	f.mu.Lock()
 	f.queries[spec.ID] = &fedQuery{spec: spec, entity: entityID}
 	if onResult != nil {
-		f.results[spec.ID] = onResult
+		f.results.Store(spec.ID, onResult)
 	}
 	f.mu.Unlock()
 	if err := f.ledger.Start(spec.ID, entityID); err != nil {
@@ -654,7 +653,7 @@ func (f *Federation) RemoveQuery(id string) error {
 	}
 	f.mu.Lock()
 	delete(f.queries, id)
-	delete(f.results, id)
+	f.results.Delete(id)
 	f.mu.Unlock()
 	if p := f.ckptRef(); p != nil {
 		p.forgetQuery(id)
@@ -691,11 +690,8 @@ func (f *Federation) refreshInterests(entityID string, streams []string) error {
 
 // deliverResult routes a final result tuple to its query's subscriber.
 func (f *Federation) deliverResult(queryID string, t stream.Tuple) {
-	f.mu.Lock()
-	fn := f.results[queryID]
-	f.mu.Unlock()
-	if fn != nil {
-		fn(t)
+	if fn, ok := f.results.Load(queryID); ok {
+		fn.(func(stream.Tuple))(t)
 	}
 }
 
@@ -1013,9 +1009,12 @@ func (f *Federation) FailEntity(id string) (int, error) {
 	var orphans []orphanQuery
 	for q, fq := range f.queries {
 		if fq.entity == id {
-			orphans = append(orphans, orphanQuery{spec: fq.spec, onResult: f.results[q]})
+			o := orphanQuery{spec: fq.spec}
+			if fn, ok := f.results.LoadAndDelete(q); ok {
+				o.onResult = fn.(func(stream.Tuple))
+			}
+			orphans = append(orphans, o)
 			delete(f.queries, q)
-			delete(f.results, q)
 		}
 	}
 	sort.Slice(orphans, func(i, j int) bool { return orphans[i].spec.ID < orphans[j].spec.ID })

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -342,7 +343,7 @@ func TestFederationQueryGraphAndRebalance(t *testing.T) {
 }
 
 func TestFederationWithHeterogeneousEngines(t *testing.T) {
-	// Half the entities run the full engine, half the mini engine — the
+	// Half the entities run the production engine, half the mini engine — the
 	// loose coupling means the federation cannot tell the difference.
 	net := simnet.NewSim(nil)
 	defer net.Close()
@@ -384,7 +385,7 @@ func TestFederationWithHeterogeneousEngines(t *testing.T) {
 	if !net.Quiesce(2 * time.Second) {
 		t.Fatal("quiesce")
 	}
-	// The async engine needs a moment to drain.
+	// The production engine needs a moment to drain.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		mu.Lock()
@@ -397,6 +398,36 @@ func TestFederationWithHeterogeneousEngines(t *testing.T) {
 			t.Fatalf("counts = full:%d mini:%d, want 30/30", f, m)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestOptionsEngineKinds: Options.Engine accepts exactly "", "shard"
+// and "mini"; the two retired kinds are refused with an error that says
+// where they went.
+func TestOptionsEngineKinds(t *testing.T) {
+	add := func(kind string) (*Federation, error) {
+		net := simnet.NewSim(nil)
+		t.Cleanup(func() { net.Close() })
+		fed, err := New(net, workload.Catalog(10, 2), Options{Engine: kind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(fed.Close)
+		return fed, fed.AddEntity("e", simnet.Point{X: 10}, 1, nil)
+	}
+	for kind, want := range map[string]string{"": "*engine.ShardEngine", "shard": "*engine.ShardEngine", "mini": "*engine.MiniEngine"} {
+		fed, err := add(kind)
+		if err != nil {
+			t.Fatalf("Engine %q: %v", kind, err)
+		}
+		if got := fmt.Sprintf("%T", fed.entities["e"].ent.Proc(0)); got != want {
+			t.Errorf("Engine %q built %s, want %s", kind, got, want)
+		}
+	}
+	for kind, want := range map[string]string{"async": "removed", "sched": "removed", "turbo": "unknown"} {
+		if _, err := add(kind); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Engine %q: err = %v, want one saying %q", kind, err, want)
+		}
 	}
 }
 

@@ -274,14 +274,14 @@ func (f *Federation) recoverGroup(p *ckptPlane, failedID, target string,
 		f.mu.Lock()
 		f.queries[pr.o.spec.ID] = &fedQuery{spec: pr.o.spec, entity: target}
 		if pr.o.onResult != nil {
-			f.results[pr.o.spec.ID] = pr.o.onResult
+			f.results.Store(pr.o.spec.ID, pr.o.onResult)
 		}
 		f.mu.Unlock()
 		n, dropped, err := en.ent.CommitQuery(pr.o.spec.ID, nil)
 		if err != nil {
 			f.mu.Lock()
 			delete(f.queries, pr.o.spec.ID)
-			delete(f.results, pr.o.spec.ID)
+			f.results.Delete(pr.o.spec.ID)
 			f.mu.Unlock()
 			pr.rec.Outcome, pr.rec.Reason = "failed", "commit: "+err.Error()
 			f.recordRecovery(pr.rec)

@@ -495,7 +495,7 @@ func (p *statsPlane) fold(id string) coordinator.EntityStats {
 		}
 	}
 
-	// Per-query drop attribution (full engine queues / shard rings).
+	// Per-query drop attribution (full shard rings).
 	for _, q := range qids {
 		if dropped, ok := en.ent.QueryDrops(q); ok {
 			if row.QueryDrops == nil {
@@ -634,7 +634,7 @@ func (p *statsPlane) collect(emit func(metrics.Sample)) {
 		sort.Strings(dqids)
 		for _, q := range dqids {
 			counter("sspd_cluster_query_dropped_total",
-				"Tuples dropped per query by full engine queues or shard rings.",
+				"Tuples dropped per query by full shard rings.",
 				float64(row.QueryDrops[q]), le, metrics.L("query", q))
 		}
 		streams := make([]string, 0, len(row.Streams))

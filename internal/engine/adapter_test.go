@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // shiftSpec has two filters whose useful order flips with the workload.
 func shiftSpec(id string) QuerySpec {
@@ -17,117 +14,27 @@ func shiftSpec(id string) QuerySpec {
 	}
 }
 
-func TestMiniEngineAdaptOrdering(t *testing.T) {
-	e := NewMini("m", testCatalog(t))
-	defer e.Close()
-	if err := e.Register(shiftSpec("q"), nil); err != nil {
-		t.Fatal(err)
-	}
-	// Feed a workload where the second filter is the selective one.
-	for i := 0; i < 300; i++ {
-		e.Ingest(quote(uint64(i), "ibm", 500, 500)) // volume filter rejects
-	}
-	if n := e.AdaptOrdering(0); n != 1 {
-		t.Fatalf("adapted %d queries, want 1", n)
-	}
-	// Second sweep: already optimal, nothing to do.
-	if n := e.AdaptOrdering(0); n != 0 {
-		t.Fatalf("re-adapted %d queries, want 0", n)
-	}
-}
-
-func TestSchedEngineAdaptOrdering(t *testing.T) {
-	e := NewSched("s", testCatalog(t), PolicyFIFO)
-	defer e.Close()
-	if err := e.Register(shiftSpec("q"), nil); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 300; i++ {
-		e.Ingest(quote(uint64(i), "ibm", 500, 500))
-	}
-	if !e.Drain(2 * time.Second) {
-		t.Fatal("drain")
-	}
-	if n := e.AdaptOrdering(0); n != 1 {
-		t.Fatalf("adapted %d, want 1", n)
-	}
-}
-
-func TestEngineAdaptOrderingAsync(t *testing.T) {
-	e := New("e", testCatalog(t))
-	defer e.Close()
-	if err := e.Register(shiftSpec("q"), nil); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 300; i++ {
-		e.Ingest(quote(uint64(i), "ibm", 500, 500))
-	}
-	if !e.Drain(2 * time.Second) {
-		t.Fatal("drain")
-	}
-	// AdaptOrdering waits for the control item and reports APPLIED
-	// reorders — the same semantics as every other engine.
-	if n := e.AdaptOrdering(0); n != 1 {
-		t.Fatalf("applied %d adaptations, want 1", n)
-	}
-	if got := e.AdaptationsApplied(); got != 1 {
-		t.Fatalf("AdaptationsApplied = %d, want 1", got)
-	}
-	q, _ := e.Query("q")
-	sels := q.FilterSelectivities()
-	if len(sels) != 2 || sels[0] > sels[1] {
-		t.Fatalf("selective filter not first after adaptation: %v", sels)
-	}
-	// Processing keeps working after the reorder.
-	var got int
-	e2 := New("e2", testCatalog(t))
-	defer e2.Close()
-	_ = e2
-	e.Ingest(quote(999, "ibm", 500, 5)) // passes both filters
-	if !e.Drain(2 * time.Second) {
-		t.Fatal("drain")
-	}
-	m, _ := e.Metrics("q")
-	if m.Results != 1 {
-		t.Fatalf("results after adapt = %d, want 1", m.Results)
-	}
-	_ = got
-}
-
 // TestAdaptOrderingAppliedSemantics pins the cross-engine contract: a
 // first sweep on a misordered query applies exactly one reorder, and an
-// immediately repeated sweep applies zero — for EVERY engine kind, so
-// entity- and federation-level sweeps sum comparable numbers.
+// immediately repeated sweep applies zero — on both engines, so entity-
+// and federation-level sweeps sum comparable numbers.
 func TestAdaptOrderingAppliedSemantics(t *testing.T) {
-	engines := map[string]func() Processor{
-		"mini":  func() Processor { return NewMini("m", testCatalog(t)) },
-		"sched": func() Processor { return NewSched("s", testCatalog(t), PolicyFIFO) },
-		"async": func() Processor { return New("a", testCatalog(t)) },
-		"shard": func() Processor { return NewShard("h", testCatalog(t), 0) },
-	}
-	for name, mk := range engines {
-		t.Run(name, func(t *testing.T) {
-			e := mk()
+	for _, kind := range engineKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			e := kind.mk("e", testCatalog(t))
 			defer e.Close()
 			if err := e.Register(shiftSpec("q"), nil); err != nil {
 				t.Fatal(err)
 			}
+			// A workload where the second filter is the selective one.
 			for i := 0; i < 300; i++ {
 				e.Ingest(quote(uint64(i), "ibm", 500, 500))
 			}
-			if d, ok := e.(interface{ Drain(time.Duration) bool }); ok {
-				if !d.Drain(2 * time.Second) {
-					t.Fatal("drain")
-				}
-			}
-			a, ok := e.(Adapter)
-			if !ok {
-				t.Fatalf("%s does not implement Adapter", name)
-			}
-			if n := a.AdaptOrdering(0); n != 1 {
+			drainEngine(t, e)
+			if n := e.AdaptOrdering(0); n != 1 {
 				t.Fatalf("first sweep applied %d, want 1", n)
 			}
-			if n := a.AdaptOrdering(0); n != 0 {
+			if n := e.AdaptOrdering(0); n != 0 {
 				t.Fatalf("second sweep applied %d, want 0 (already optimal)", n)
 			}
 		})
@@ -135,12 +42,16 @@ func TestAdaptOrderingAppliedSemantics(t *testing.T) {
 }
 
 func TestAdaptOrderingNoFilters(t *testing.T) {
-	e := NewMini("m", testCatalog(t))
-	defer e.Close()
-	if err := e.Register(QuerySpec{ID: "q", Source: "quotes"}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if n := e.AdaptOrdering(0); n != 0 {
-		t.Fatalf("filterless query adapted: %d", n)
+	for _, kind := range engineKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			e := kind.mk("e", testCatalog(t))
+			defer e.Close()
+			if err := e.Register(QuerySpec{ID: "q", Source: "quotes"}, nil); err != nil {
+				t.Fatal(err)
+			}
+			if n := e.AdaptOrdering(0); n != 0 {
+				t.Fatalf("filterless query adapted: %d", n)
+			}
+		})
 	}
 }

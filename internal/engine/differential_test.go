@@ -11,11 +11,12 @@ import (
 	"sspd/internal/stream"
 )
 
-// The differential suite drives identical workloads through Engine,
-// MiniEngine, and ShardEngine and asserts byte-identical (ordering-
-// normalized) result sets across every stateful operator kind. It is
-// the proof obligation of the loose-coupling contract: swapping the
-// vectorized shard engine in must be invisible to the federation.
+// The differential suite drives identical workloads through MiniEngine
+// (the oracle) and ShardEngine at 1, 2 and 4 shards and asserts
+// byte-identical (ordering-normalized) result sets across every
+// stateful operator kind. It is the proof obligation of the
+// loose-coupling contract: which engine an entity runs must be
+// invisible to the federation.
 
 func diffCatalog(t *testing.T) *stream.Catalog {
 	t.Helper()
@@ -110,8 +111,6 @@ func (s *resultSink) sorted() []string {
 	return out
 }
 
-type drainable interface{ Drain(time.Duration) bool }
-
 // runWorkload feeds the tuples through one engine in same-stream waves
 // (draining at every stream switch so cross-stream arrival order is
 // deterministic — window joins are order-sensitive) and returns the
@@ -126,13 +125,7 @@ func runWorkload(t *testing.T, eng Processor, specs []QuerySpec, tuples []stream
 			t.Fatalf("%s: register %s: %v", eng.EngineName(), spec.ID, err)
 		}
 	}
-	drain := func() {
-		if d, ok := eng.(drainable); ok {
-			if !d.Drain(5 * time.Second) {
-				t.Fatalf("%s: drain timed out", eng.EngineName())
-			}
-		}
-	}
+	drain := func() { drainEngine(t, eng) }
 	const wave = 256 // well under every queue bound: no engine may drop
 	for start := 0; start < len(tuples); {
 		end := start + 1
@@ -146,7 +139,7 @@ func runWorkload(t *testing.T, eng Processor, specs []QuerySpec, tuples []stream
 		start = end
 	}
 	drain()
-	if dr, ok := eng.(DropReporter); ok {
+	if dr, ok := eng.(Reporter); ok {
 		for _, spec := range specs {
 			if n := dr.Dropped(spec.ID); n != 0 {
 				t.Fatalf("%s: query %s dropped %d tuples; differential run must be lossless", eng.EngineName(), spec.ID, n)
@@ -165,23 +158,24 @@ func TestShardEngineDifferential(t *testing.T) {
 	specs := diffSpecs()
 	tuples := diffTuples(4000)
 
-	ref := New("ref", cat)
+	ref := NewMini("ref", cat)
 	defer ref.Close()
-	mini := NewMini("mini", cat)
-	defer mini.Close()
-	shard := NewShard("shard", cat, 4)
-	defer shard.Close()
-
 	want := runWorkload(t, ref, specs, tuples)
-	gotMini := runWorkload(t, mini, specs, tuples)
-	gotShard := runWorkload(t, shard, specs, tuples)
-
 	for _, spec := range specs {
 		if len(want[spec.ID]) == 0 {
 			t.Fatalf("reference engine produced no results for %s; workload too weak", spec.ID)
 		}
-		assertSameResults(t, spec.ID, "MiniEngine", want[spec.ID], gotMini[spec.ID])
-		assertSameResults(t, spec.ID, "ShardEngine", want[spec.ID], gotShard[spec.ID])
+	}
+	for _, n := range []int{1, 2, 4} {
+		name := fmt.Sprintf("ShardEngine/%d", n)
+		t.Run(name, func(t *testing.T) {
+			shard := NewShard("shard", cat, n)
+			defer shard.Close()
+			got := runWorkload(t, shard, specs, tuples)
+			for _, spec := range specs {
+				assertSameResults(t, spec.ID, name, want[spec.ID], got[spec.ID])
+			}
+		})
 	}
 }
 
@@ -199,8 +193,8 @@ func assertSameResults(t *testing.T, query, engine string, want, got []string) {
 
 // TestShardEngineSnapshotRestoreMidStream cuts a live shard mid-stream:
 // results before the snapshot plus results after restoring into a fresh
-// ShardEngine must equal an uninterrupted reference run — the engine-
-// level half of migration (PR 5) and checkpoint recovery (PR 7).
+// ShardEngine must equal an uninterrupted run on the oracle — the
+// engine-level half of migration (PR 5) and checkpoint recovery (PR 7).
 func TestShardEngineSnapshotRestoreMidStream(t *testing.T) {
 	cat := diffCatalog(t)
 	spec := QuerySpec{ID: "d-agg", Source: "quotes",
@@ -214,13 +208,21 @@ func TestShardEngineSnapshotRestoreMidStream(t *testing.T) {
 			quotes = append(quotes, tu)
 		}
 	}
-	half := len(quotes) / 2
 
-	ref := New("ref", cat)
+	ref := NewMini("ref", cat)
 	defer ref.Close()
 	want := runWorkload(t, ref, []QuerySpec{spec}, quotes)[spec.ID]
 
-	first := NewShard("shard-a", cat, 2)
+	for _, n := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("%d shards", n), func(t *testing.T) {
+			snapshotRestoreMidStream(t, cat, spec, quotes, want, n)
+		})
+	}
+}
+
+func snapshotRestoreMidStream(t *testing.T, cat *stream.Catalog, spec QuerySpec, quotes []stream.Tuple, want []string, nShards int) {
+	half := len(quotes) / 2
+	first := NewShard("shard-a", cat, nShards)
 	defer first.Close()
 	sinkA := &resultSink{}
 	if err := first.Register(spec, sinkA.emit); err != nil {
@@ -240,7 +242,7 @@ func TestShardEngineSnapshotRestoreMidStream(t *testing.T) {
 		t.Fatalf("QueryStateBytes = %d, %v; want live state", n, ok)
 	}
 
-	second := NewShard("shard-b", cat, 2)
+	second := NewShard("shard-b", cat, nShards)
 	defer second.Close()
 	sinkB := &resultSink{}
 	if err := second.Register(spec, sinkB.emit); err != nil {
@@ -269,8 +271,8 @@ func TestShardEngineSnapshotRestoreMidStream(t *testing.T) {
 func TestShardEngineAdaptOrdering(t *testing.T) {
 	cat := diffCatalog(t)
 	spec := QuerySpec{ID: "d-adapt", Source: "quotes", Filters: []FilterSpec{
-		{Field: "price", Lo: 0, Hi: 100, Cost: 5},               // passes nearly everything, expensive
-		{KeyField: "symbol", Keys: []string{"ibm"}, Cost: 1},    // highly selective, cheap
+		{Field: "price", Lo: 0, Hi: 100, Cost: 5},            // passes nearly everything, expensive
+		{KeyField: "symbol", Keys: []string{"ibm"}, Cost: 1}, // highly selective, cheap
 	}}
 	eng := NewShard("shard", cat, 1)
 	defer eng.Close()

@@ -1,12 +1,6 @@
 package engine
 
 import (
-	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
-
 	"sspd/internal/metrics"
 	"sspd/internal/stream"
 )
@@ -14,9 +8,36 @@ import (
 // Processor is the interface every per-entity processing engine
 // implements. The inter-entity layer depends only on this interface plus
 // QuerySpec — the embodiment of the paper's loose coupling: an entity can
-// swap or upgrade its engine without any other entity noticing.
+// swap or upgrade its engine without any other entity noticing. Two
+// engines implement it: ShardEngine (production, built by New) and
+// MiniEngine (the synchronous oracle "of a different make").
+//
+// The contract every implementation keeps, and every caller may assume:
+//
+//  1. Order: tuples one goroutine hands to one query (through Ingest,
+//     FeedQuery or FeedQueryBatch) are processed by that query in the
+//     order handed over. Nothing is promised across producers or across
+//     queries.
+//  2. Ownership: the engine owns a tuple once it is handed over and may
+//     hold it after the call returns; tuples are never mutated in place.
+//     A batch's backing slice stays the caller's — the engine copies what
+//     it keeps, so the caller may reuse the slice.
+//  3. Never block: no ingest call waits for processing. An engine that
+//     cannot take a tuple drops it and counts the drop (Reporter exposes
+//     the counts); a synchronous engine never drops.
+//  4. End of stream: everything handed over before Unregister(id) is
+//     called is still processed, and its results emitted, before
+//     Unregister returns. Close does the same for every query.
+//  5. Close is idempotent; Register after Close fails.
+//  6. emit runs on an engine goroutine (or inline in the feed call, in
+//     a synchronous engine) with no engine lock held, so it may feed
+//     this or another engine. An asynchronous engine's control calls
+//     (Register, Unregister, state snapshots, Drain) wait for that
+//     goroutine, so emit must not wait for a lock that a caller holds
+//     across a call into an engine — in particular no entity lock (see
+//     the rule at the top of entity.go).
 type Processor interface {
-	// EngineName identifies the engine implementation.
+	// EngineName identifies the engine instance.
 	EngineName() string
 	// Register compiles and starts a query; emit receives its results.
 	Register(spec QuerySpec, emit func(stream.Tuple)) error
@@ -26,7 +47,12 @@ type Processor interface {
 	// Ingest delivers one tuple to every registered query that
 	// consumes its stream.
 	Ingest(t stream.Tuple)
-	// QueryIDs lists the registered queries.
+	// FeedQuery and FeedQueryBatch deliver to one query by ID, which is
+	// how an entity's delegation fan-out and fragment chains drive it.
+	// They fail only for an unknown ID.
+	DirectFeeder
+	BatchFeeder
+	// QueryIDs lists the registered queries, sorted.
 	QueryIDs() []string
 	// Load reports the engine's current abstract load estimate.
 	Load() float64
@@ -34,57 +60,39 @@ type Processor interface {
 	Close()
 }
 
-// DirectFeeder is the optional capability of delivering a tuple to one
-// specific query. Engines that support it can host chained query
-// fragments (the intra-entity placement scheme needs addressed
-// delivery); both Engine and MiniEngine implement it.
+// DirectFeeder delivers a tuple to one specific query, bypassing stream
+// routing; chained query fragments need this addressed delivery.
 type DirectFeeder interface {
 	FeedQuery(id string, t stream.Tuple) error
 }
 
-// BatchIngester is the optional capability of ingesting a whole batch
-// with one routing/synchronization round instead of one per tuple. The
-// batch's tuples are owned by the engine once handed over; the slice
-// itself must not be retained. Entities type-assert on it so the relay's
-// batch delivery stays batched all the way into the engine.
-type BatchIngester interface {
-	IngestBatch(b stream.Batch)
-}
-
-// BatchFeeder is the batch counterpart of DirectFeeder: one query
-// lookup for the whole batch. Same ownership rules as BatchIngester.
+// BatchFeeder is DirectFeeder for a whole batch: one query lookup and
+// one synchronization round instead of one per tuple.
 type BatchFeeder interface {
 	FeedQueryBatch(id string, b stream.Batch) error
 }
 
-// MetricsReporter is the optional capability of reporting per-query
-// performance. Engine and SchedEngine implement it; MiniEngine (no
-// latency instrumentation) does not. The federation's metrics collector
-// type-asserts on it at scrape time.
-type MetricsReporter interface {
+// Reporter is the optional capability of an instrumented engine: the
+// per-query measurements placement and the stats plane read, the drop
+// accounting of contract point 3, and the telemetry snapshot of the
+// introspection plane (DESIGN.md §14). ShardEngine implements it;
+// MiniEngine, which neither queues nor measures, does not.
+type Reporter interface {
 	// Metrics returns one query's measured performance; ok is false for
 	// unknown IDs.
 	Metrics(id string) (QueryMetrics, bool)
-	// AllMetrics returns the metrics of every registered query.
-	AllMetrics() []QueryMetrics
-	// PRMax returns the largest Performance Ratio across registered
-	// queries (0 when none has measured yet) — the engine's contribution
-	// to the federation-wide PR_max trigger of Section 4.1.
-	PRMax() float64
-}
-
-// DropReporter is the optional capability of reporting per-query
-// dropped-tuple counts (full input queue or shard ring). The stats
-// plane type-asserts on it so drops become attributable per query in
-// /cluster/metrics.
-type DropReporter interface {
-	// Dropped returns the number of tuples dropped for the query so
-	// far; 0 for unknown IDs.
+	// Dropped returns the tuples dropped for one registered query; 0 for
+	// unknown IDs.
 	Dropped(id string) int64
+	// TotalDropped returns the engine-lifetime dropped total, including
+	// queries since unregistered.
+	TotalDropped() int64
+	// EngineStats returns the per-shard telemetry snapshot.
+	EngineStats() EngineStats
 }
 
 // QueryMetrics summarizes one query's measured performance inside an
-// Engine: d (total delay), p (processing time), and the paper's
+// engine: d (total delay), p (processing time), and the paper's
 // Performance Ratio PR = d/p.
 type QueryMetrics struct {
 	ID         string
@@ -95,435 +103,8 @@ type QueryMetrics struct {
 	PR float64
 }
 
-// Engine is the full asynchronous engine: each query runs on its own
-// goroutine behind a buffered input queue, so queue wait time is a real
-// component of result delay, exactly as in the paper's delay model
-// d = processing + waiting + transfer.
-type Engine struct {
-	name    string
-	catalog *stream.Catalog
-
-	mu      sync.RWMutex
-	queries map[string]*runningQuery
-	byInput map[string][]*runningQuery
-	closed  bool
-
-	// droppedTotal is the engine-lifetime dropped-tuple count across all
-	// queries — unlike the per-query counters it survives Unregister, so
-	// entity-level drop attribution never loses history.
-	droppedTotal metrics.Counter
-	// adaptApplied counts filter reorders actually applied by query
-	// goroutines (AdaptOrdering control items). Engine-lifetime, so it
-	// surfaces async applies even for since-unregistered queries.
-	adaptApplied metrics.Counter
-}
-
-type runningQuery struct {
-	q       *Query
-	in      chan feedItem
-	done    chan struct{}
-	results metrics.Counter
-	delay   metrics.Histogram
-	proc    metrics.Histogram
-	dropped metrics.Counter
-	// drops points at the owning engine's lifetime counter (counters must
-	// not be copied, so the backref is a pointer set at Register).
-	drops *metrics.Counter
-	// adapts points at the owning engine's lifetime applied-reorder
-	// counter (same backref pattern as drops).
-	adapts *metrics.Counter
-	// pending counts items from enqueue until their processing
-	// returns, so Drain observes true idleness (an empty queue with a
-	// handler mid-item is not idle).
-	pending atomic.Int64
-}
-
-// enqueue submits an item, keeping the pending count accurate; a full
-// queue drops and counts.
-func (rq *runningQuery) enqueue(item feedItem) bool {
-	rq.pending.Add(1)
-	select {
-	case rq.in <- item:
-		return true
-	default:
-		rq.pending.Add(-1)
-		rq.dropped.Inc()
-		if rq.drops != nil {
-			rq.drops.Inc()
-		}
-		return false
-	}
-}
-
-type feedItem struct {
-	streamName string
-	t          stream.Tuple
-	arrived    time.Time
-	// adaptGain > 0 marks a control item: instead of feeding a tuple,
-	// the query goroutine re-evaluates its operator ordering.
-	adaptGain float64
-	// adaptDone, when set on an adaptation control item, receives
-	// whether the reorder was applied (buffered so the query goroutine
-	// never blocks on it).
-	adaptDone chan bool
-	// ctl, when set, marks a synchronous state control item
-	// (snapshot/restore/size); see state.go.
-	ctl *stateCtl
-}
-
-// queueDepth bounds each query's input queue. Overflow drops tuples (and
-// counts them) rather than blocking the ingest path — head-of-line
-// blocking across queries would corrupt the delay measurements the
-// placement scheme depends on.
-const queueDepth = 1024
-
-// New returns an Engine reading schemas from catalog.
-func New(name string, catalog *stream.Catalog) *Engine {
-	return &Engine{
-		name:    name,
-		catalog: catalog,
-		queries: make(map[string]*runningQuery),
-		byInput: make(map[string][]*runningQuery),
-	}
-}
-
-// EngineName implements Processor.
-func (e *Engine) EngineName() string { return e.name }
-
-// Register implements Processor.
-func (e *Engine) Register(spec QuerySpec, emit func(stream.Tuple)) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return fmt.Errorf("engine %s: closed", e.name)
-	}
-	if _, dup := e.queries[spec.ID]; dup {
-		return fmt.Errorf("engine %s: query %s already registered", e.name, spec.ID)
-	}
-	rq := &runningQuery{
-		in:     make(chan feedItem, queueDepth),
-		done:   make(chan struct{}),
-		drops:  &e.droppedTotal,
-		adapts: &e.adaptApplied,
-	}
-	q, err := Compile(spec, e.catalog, func(t stream.Tuple) {
-		rq.results.Inc()
-		if emit != nil {
-			emit(t)
-		}
-	})
-	if err != nil {
-		return err
-	}
-	rq.q = q
-	e.queries[spec.ID] = rq
-	for _, s := range spec.Streams() {
-		e.byInput[s] = append(e.byInput[s], rq)
-	}
-	go rq.run()
-	return nil
-}
-
-func (rq *runningQuery) run() {
-	defer close(rq.done)
-	for item := range rq.in {
-		if item.ctl != nil {
-			c := item.ctl
-			switch c.op {
-			case ctlSnapshot:
-				c.snap = snapshotQuery(rq.q)
-			case ctlRestore:
-				c.err = restoreQuery(rq.q, c.restore)
-			case ctlBytes:
-				c.bytes = queryStateBytes(rq.q)
-			}
-			close(c.done)
-			rq.pending.Add(-1)
-			continue
-		}
-		if item.adaptGain > 0 {
-			changed := MaybeReorder(rq.q, item.adaptGain)
-			if changed && rq.adapts != nil {
-				rq.adapts.Inc()
-			}
-			if item.adaptDone != nil {
-				item.adaptDone <- changed
-			}
-			rq.pending.Add(-1)
-			continue
-		}
-		start := time.Now()
-		rq.q.Feed(item.streamName, item.t)
-		end := time.Now()
-		rq.proc.Observe(end.Sub(start).Seconds())
-		rq.delay.Observe(end.Sub(item.arrived).Seconds())
-		rq.pending.Add(-1)
-	}
-}
-
-// Unregister implements Processor.
-func (e *Engine) Unregister(id string) (QuerySpec, error) {
-	e.mu.Lock()
-	rq, ok := e.queries[id]
-	if !ok {
-		e.mu.Unlock()
-		return QuerySpec{}, fmt.Errorf("engine %s: unknown query %s", e.name, id)
-	}
-	delete(e.queries, id)
-	for _, s := range rq.q.Spec().Streams() {
-		e.byInput[s] = removeQuery(e.byInput[s], rq)
-		if len(e.byInput[s]) == 0 {
-			delete(e.byInput, s)
-		}
-	}
-	e.mu.Unlock()
-	close(rq.in)
-	<-rq.done
-	return rq.q.Spec(), nil
-}
-
-func removeQuery(list []*runningQuery, rq *runningQuery) []*runningQuery {
-	for i := range list {
-		if list[i] == rq {
-			return append(list[:i], list[i+1:]...)
-		}
-	}
-	return list
-}
-
-// Ingest implements Processor. It never blocks: a full query queue drops
-// the tuple for that query and counts the drop.
-func (e *Engine) Ingest(t stream.Tuple) {
-	e.mu.RLock()
-	targets := e.byInput[t.Stream]
-	if len(targets) == 0 {
-		e.mu.RUnlock()
-		return
-	}
-	// Copy under lock; sends happen outside it.
-	snapshot := make([]*runningQuery, len(targets))
-	copy(snapshot, targets)
-	e.mu.RUnlock()
-
-	item := feedItem{streamName: t.Stream, t: t, arrived: time.Now()}
-	for _, rq := range snapshot {
-		rq.enqueue(item)
-	}
-}
-
-// IngestBatch implements BatchIngester: one routing lookup and one
-// timestamp per (stream, batch) instead of per tuple. Mixed-stream
-// batches split into contiguous same-stream runs, so the RWMutex read
-// lock is taken once per run, never per tuple.
-func (e *Engine) IngestBatch(b stream.Batch) {
-	if len(b) == 0 {
-		return
-	}
-	now := time.Now()
-	start := 0
-	for i := 1; i <= len(b); i++ {
-		if i < len(b) && b[i].Stream == b[start].Stream {
-			continue
-		}
-		e.ingestRun(b[start:i], now)
-		start = i
-	}
-}
-
-// ingestRun enqueues one same-stream run with a single routing lookup.
-func (e *Engine) ingestRun(run stream.Batch, now time.Time) {
-	e.mu.RLock()
-	targets := e.byInput[run[0].Stream]
-	if len(targets) == 0 {
-		e.mu.RUnlock()
-		return
-	}
-	snapshot := make([]*runningQuery, len(targets))
-	copy(snapshot, targets)
-	e.mu.RUnlock()
-
-	for i := range run {
-		item := feedItem{streamName: run[i].Stream, t: run[i], arrived: now}
-		for _, rq := range snapshot {
-			rq.enqueue(item)
-		}
-	}
-}
-
-// FeedQueryBatch implements BatchFeeder: one query lookup for the whole
-// batch.
-func (e *Engine) FeedQueryBatch(id string, b stream.Batch) error {
-	if len(b) == 0 {
-		return nil
-	}
-	e.mu.RLock()
-	rq, ok := e.queries[id]
-	e.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("engine %s: unknown query %s", e.name, id)
-	}
-	now := time.Now()
-	for i := range b {
-		rq.enqueue(feedItem{streamName: b[i].Stream, t: b[i], arrived: now})
-	}
-	return nil
-}
-
-// FeedQuery delivers a tuple to exactly one registered query, bypassing
-// stream-based routing. The intra-entity layer uses it to drive a query
-// fragment with its upstream fragment's output (which keeps the original
-// stream name). A full queue drops the tuple and counts it.
-func (e *Engine) FeedQuery(id string, t stream.Tuple) error {
-	e.mu.RLock()
-	rq, ok := e.queries[id]
-	e.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("engine %s: unknown query %s", e.name, id)
-	}
-	rq.enqueue(feedItem{streamName: t.Stream, t: t, arrived: time.Now()})
-	return nil
-}
-
-// QueryIDs implements Processor.
-func (e *Engine) QueryIDs() []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([]string, 0, len(e.queries))
-	for id := range e.queries {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Load implements Processor: the sum of registered queries' estimated
-// loads plus current queue backlog pressure.
-func (e *Engine) Load() float64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	load := 0.0
-	for _, rq := range e.queries {
-		load += rq.q.Spec().EstimatedLoad()
-		load += float64(len(rq.in)) / queueDepth
-	}
-	return load
-}
-
-// Metrics returns the measured performance of one query. ok is false for
-// unknown IDs.
-func (e *Engine) Metrics(id string) (QueryMetrics, bool) {
-	e.mu.RLock()
-	rq, ok := e.queries[id]
-	e.mu.RUnlock()
-	if !ok {
-		return QueryMetrics{}, false
-	}
-	m := QueryMetrics{
-		ID:         id,
-		Results:    rq.results.Value(),
-		Delay:      rq.delay.Snapshot(),
-		Processing: rq.proc.Snapshot(),
-	}
-	if m.Processing.Mean > 0 {
-		m.PR = m.Delay.Mean / m.Processing.Mean
-	}
-	return m, true
-}
-
-// AllMetrics returns the measured performance of every registered query.
-func (e *Engine) AllMetrics() []QueryMetrics {
-	out := make([]QueryMetrics, 0, len(e.QueryIDs()))
-	for _, id := range e.QueryIDs() {
-		if m, ok := e.Metrics(id); ok {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// PRMax returns the largest PR across registered queries (0 when no
-// query has measured processing time yet).
-func (e *Engine) PRMax() float64 {
-	max := 0.0
-	for _, m := range e.AllMetrics() {
-		if m.PR > max {
-			max = m.PR
-		}
-	}
-	return max
-}
-
-// TotalDropped implements TotalDropReporter: the engine-lifetime dropped
-// total across all queries, including since-unregistered ones.
-func (e *Engine) TotalDropped() int64 { return e.droppedTotal.Value() }
-
-// AdaptationsApplied returns the engine-lifetime count of filter
-// reorders applied by query goroutines (AdaptOrdering control items),
-// including those of since-unregistered queries.
-func (e *Engine) AdaptationsApplied() int64 { return e.adaptApplied.Value() }
-
-// Dropped reports the number of tuples dropped by one query's full queue.
-func (e *Engine) Dropped(id string) int64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if rq, ok := e.queries[id]; ok {
-		return rq.dropped.Value()
-	}
-	return 0
-}
-
-// Drain blocks until every query's input queue is empty and processed,
-// or the timeout elapses. Tests and benchmarks use it to observe
-// steady-state results.
-func (e *Engine) Drain(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for {
-		e.mu.RLock()
-		pending := int64(0)
-		for _, rq := range e.queries {
-			pending += rq.pending.Load()
-		}
-		e.mu.RUnlock()
-		if pending == 0 {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// Query exposes the compiled query for adaptation hooks (the Adaptation
-// Module re-orders filters through it). The caller must not invoke Feed
-// concurrently with the engine; use Pause-style coordination in tests.
-func (e *Engine) Query(id string) (*Query, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	rq, ok := e.queries[id]
-	if !ok {
-		return nil, false
-	}
-	return rq.q, true
-}
-
-// Close implements Processor.
-func (e *Engine) Close() {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
-	e.closed = true
-	qs := make([]*runningQuery, 0, len(e.queries))
-	for _, rq := range e.queries {
-		qs = append(qs, rq)
-	}
-	e.queries = make(map[string]*runningQuery)
-	e.byInput = make(map[string][]*runningQuery)
-	e.mu.Unlock()
-	for _, rq := range qs {
-		close(rq.in)
-		<-rq.done
-	}
+// New returns the production engine: a ShardEngine with one shard per
+// CPU. Use NewShard for an explicit shard count.
+func New(name string, catalog *stream.Catalog) *ShardEngine {
+	return NewShard(name, catalog, 0)
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,109 +19,239 @@ func simpleSpec(id string) QuerySpec {
 	}
 }
 
-func TestEngineRegisterIngest(t *testing.T) {
-	e := New("test", testCatalog(t))
-	defer e.Close()
+// shippedEngine is what both shipped engines offer: the Processor
+// contract plus the two optional capabilities both happen to have.
+type shippedEngine interface {
+	Processor
+	Adapter
+	StateSnapshotter
+}
 
-	var mu sync.Mutex
-	var got []stream.Tuple
-	if err := e.Register(simpleSpec("q1"), func(t stream.Tuple) {
-		mu.Lock()
-		got = append(got, t)
-		mu.Unlock()
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if e.EngineName() != "test" {
-		t.Errorf("name = %q", e.EngineName())
-	}
-	e.Ingest(quote(1, "ibm", 50, 1))
-	e.Ingest(quote(2, "ibm", 500, 1)) // filtered
-	e.Ingest(trade(3, "ibm", 10))     // not subscribed
-	if !e.Drain(time.Second) {
-		t.Fatal("drain timed out")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 1 || got[0].Seq != 1 {
-		t.Fatalf("results = %v", got)
+// engineKinds is the table every contract test runs over: the
+// production engine and the oracle.
+var engineKinds = []struct {
+	name string
+	mk   func(name string, c *stream.Catalog) shippedEngine
+}{
+	{"production", func(n string, c *stream.Catalog) shippedEngine { return New(n, c) }},
+	{"mini", func(n string, c *stream.Catalog) shippedEngine { return NewMini(n, c) }},
+}
+
+type drainable interface{ Drain(time.Duration) bool }
+
+// drainEngine waits for an asynchronous engine to go idle; a synchronous
+// one has nothing to wait for.
+func drainEngine(t *testing.T, p Processor) {
+	t.Helper()
+	if d, ok := p.(drainable); ok && !d.Drain(5*time.Second) {
+		t.Fatalf("%s: drain timed out", p.EngineName())
 	}
 }
 
-func TestEngineDuplicateRegister(t *testing.T) {
-	e := New("test", testCatalog(t))
-	defer e.Close()
-	if err := e.Register(simpleSpec("q1"), nil); err != nil {
-		t.Fatal(err)
+// TestEngineContract holds both engines to the Processor contract.
+func TestEngineContract(t *testing.T) {
+	type mkFn = func(name string, c *stream.Catalog) shippedEngine
+	cases := []struct {
+		name string
+		run  func(t *testing.T, mk mkFn)
+	}{
+		{"register and ingest", func(t *testing.T, mk mkFn) {
+			e := mk("test", testCatalog(t))
+			defer e.Close()
+			var mu sync.Mutex
+			var got []stream.Tuple
+			if err := e.Register(simpleSpec("q1"), func(t stream.Tuple) {
+				mu.Lock()
+				got = append(got, t)
+				mu.Unlock()
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if e.EngineName() != "test" {
+				t.Errorf("name = %q", e.EngineName())
+			}
+			e.Ingest(quote(1, "ibm", 50, 1))
+			e.Ingest(quote(2, "ibm", 500, 1)) // filtered
+			e.Ingest(trade(3, "ibm", 10))     // not subscribed
+			drainEngine(t, e)
+			mu.Lock()
+			defer mu.Unlock()
+			if len(got) != 1 || got[0].Seq != 1 {
+				t.Fatalf("results = %v", got)
+			}
+		}},
+		{"addressed feed", func(t *testing.T, mk mkFn) {
+			e := mk("test", testCatalog(t))
+			defer e.Close()
+			var a, b atomic.Int64
+			if err := e.Register(simpleSpec("a"), func(stream.Tuple) { a.Add(1) }); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Register(simpleSpec("b"), func(stream.Tuple) { b.Add(1) }); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.FeedQuery("a", quote(1, "ibm", 50, 1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.FeedQueryBatch("a", stream.Batch{quote(2, "ibm", 50, 1), quote(3, "ibm", 50, 1)}); err != nil {
+				t.Fatal(err)
+			}
+			drainEngine(t, e)
+			if a.Load() != 3 || b.Load() != 0 {
+				t.Fatalf("a=%d b=%d, want 3 and 0: addressed delivery reaches one query", a.Load(), b.Load())
+			}
+			if err := e.FeedQuery("nope", quote(4, "ibm", 50, 1)); err == nil {
+				t.Error("FeedQuery to unknown query accepted")
+			}
+			if err := e.FeedQueryBatch("nope", stream.Batch{quote(5, "ibm", 50, 1)}); err == nil {
+				t.Error("FeedQueryBatch to unknown query accepted")
+			}
+		}},
+		{"emit feeds the same engine", func(t *testing.T, mk mkFn) {
+			// Two chained fragments on one processor: the first one's
+			// emit is a FeedQuery into the engine that is calling it
+			// (contract point 6).
+			e := mk("test", testCatalog(t))
+			defer e.Close()
+			var n atomic.Int64
+			if err := e.Register(simpleSpec("tail"), func(stream.Tuple) { n.Add(1) }); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Register(simpleSpec("head"), func(tu stream.Tuple) { _ = e.FeedQuery("tail", tu) }); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 5; i++ {
+				if err := e.FeedQuery("head", quote(uint64(i), "ibm", 50, 1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The chain's second hop is enqueued by the first, so one
+			// drain can return between the two.
+			deadline := time.Now().Add(5 * time.Second)
+			for n.Load() != 5 && time.Now().Before(deadline) {
+				drainEngine(t, e)
+			}
+			if n.Load() != 5 {
+				t.Fatalf("chain delivered %d of 5", n.Load())
+			}
+		}},
+		{"duplicate register", func(t *testing.T, mk mkFn) {
+			e := mk("test", testCatalog(t))
+			defer e.Close()
+			if err := e.Register(simpleSpec("q1"), nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Register(simpleSpec("q1"), nil); err == nil {
+				t.Fatal("duplicate register accepted")
+			}
+		}},
+		{"bad spec", func(t *testing.T, mk mkFn) {
+			e := mk("test", testCatalog(t))
+			defer e.Close()
+			if err := e.Register(QuerySpec{ID: "q", Source: "nope"}, nil); err == nil {
+				t.Fatal("bad spec accepted")
+			}
+		}},
+		{"unregister returns the spec after processing what was ingested", func(t *testing.T, mk mkFn) {
+			e := mk("test", testCatalog(t))
+			defer e.Close()
+			var n atomic.Int64
+			if err := e.Register(simpleSpec("q1"), func(stream.Tuple) { n.Add(1) }); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 10; i++ {
+				e.Ingest(quote(uint64(i), "ibm", 50, 1))
+			}
+			got, err := e.Unregister("q1") // no drain: contract point 4
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n.Load() != 10 {
+				t.Fatalf("%d results by the time Unregister returned, want 10", n.Load())
+			}
+			if got.ID != "q1" || got.Source != "quotes" {
+				t.Fatalf("returned spec = %+v", got)
+			}
+			if ids := e.QueryIDs(); len(ids) != 0 {
+				t.Fatalf("queries after unregister = %v", ids)
+			}
+			if _, err := e.Unregister("q1"); err == nil {
+				t.Fatal("double unregister accepted")
+			}
+			// Re-register elsewhere (migration round-trip).
+			e2 := mk("other", testCatalog(t))
+			defer e2.Close()
+			if err := e2.Register(got, nil); err != nil {
+				t.Fatalf("re-register migrated spec: %v", err)
+			}
+		}},
+		{"sorted IDs", func(t *testing.T, mk mkFn) {
+			e := mk("test", testCatalog(t))
+			defer e.Close()
+			for _, id := range []string{"b", "a", "c"} {
+				if err := e.Register(simpleSpec(id), nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ids := e.QueryIDs()
+			if len(ids) != 3 || ids[0] != "a" || ids[1] != "b" || ids[2] != "c" {
+				t.Fatalf("ids = %v", ids)
+			}
+		}},
+		{"load", func(t *testing.T, mk mkFn) {
+			e := mk("test", testCatalog(t))
+			defer e.Close()
+			if e.Load() != 0 {
+				t.Error("empty engine has load")
+			}
+			spec := simpleSpec("q1")
+			spec.Load = 10
+			if err := e.Register(spec, nil); err != nil {
+				t.Fatal(err)
+			}
+			if got := e.Load(); got < 10 {
+				t.Errorf("load = %v, want >= 10", got)
+			}
+		}},
+		{"close twice", func(t *testing.T, mk mkFn) {
+			e := mk("test", testCatalog(t))
+			if err := e.Register(simpleSpec("q1"), nil); err != nil {
+				t.Fatal(err)
+			}
+			e.Close()
+			e.Close()
+			if err := e.Register(simpleSpec("q2"), nil); err == nil {
+				t.Fatal("register after close accepted")
+			}
+		}},
+		{"concurrent ingest", func(t *testing.T, mk mkFn) {
+			e := mk("test", testCatalog(t))
+			defer e.Close()
+			var count atomic.Int64
+			if err := e.Register(simpleSpec("q1"), func(stream.Tuple) { count.Add(1) }); err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < 50; i++ {
+						e.Ingest(quote(uint64(w*100+i), "ibm", 50, 1))
+					}
+				}(w)
+			}
+			wg.Wait()
+			drainEngine(t, e)
+			if count.Load() != 200 {
+				t.Fatalf("results = %d, want 200", count.Load())
+			}
+		}},
 	}
-	if err := e.Register(simpleSpec("q1"), nil); err == nil {
-		t.Fatal("duplicate register accepted")
-	}
-}
-
-func TestEngineRegisterBadSpec(t *testing.T) {
-	e := New("test", testCatalog(t))
-	defer e.Close()
-	if err := e.Register(QuerySpec{ID: "q", Source: "nope"}, nil); err == nil {
-		t.Fatal("bad spec accepted")
-	}
-}
-
-func TestEngineUnregisterReturnsSpec(t *testing.T) {
-	e := New("test", testCatalog(t))
-	defer e.Close()
-	spec := simpleSpec("q1")
-	if err := e.Register(spec, nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := e.Unregister("q1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ID != "q1" || got.Source != "quotes" {
-		t.Fatalf("returned spec = %+v", got)
-	}
-	if ids := e.QueryIDs(); len(ids) != 0 {
-		t.Fatalf("queries after unregister = %v", ids)
-	}
-	if _, err := e.Unregister("q1"); err == nil {
-		t.Fatal("double unregister accepted")
-	}
-	// Re-register elsewhere (migration round-trip).
-	e2 := New("other", testCatalog(t))
-	defer e2.Close()
-	if err := e2.Register(got, nil); err != nil {
-		t.Fatalf("re-register migrated spec: %v", err)
-	}
-}
-
-func TestEngineQueryIDsSorted(t *testing.T) {
-	e := New("test", testCatalog(t))
-	defer e.Close()
-	for _, id := range []string{"b", "a", "c"} {
-		if err := e.Register(simpleSpec(id), nil); err != nil {
-			t.Fatal(err)
+	for _, kind := range engineKinds {
+		for _, c := range cases {
+			t.Run(kind.name+"/"+c.name, func(t *testing.T) { c.run(t, kind.mk) })
 		}
-	}
-	ids := e.QueryIDs()
-	if len(ids) != 3 || ids[0] != "a" || ids[1] != "b" || ids[2] != "c" {
-		t.Fatalf("ids = %v", ids)
-	}
-}
-
-func TestEngineLoad(t *testing.T) {
-	e := New("test", testCatalog(t))
-	defer e.Close()
-	if e.Load() != 0 {
-		t.Error("empty engine has load")
-	}
-	spec := simpleSpec("q1")
-	spec.Load = 10
-	if err := e.Register(spec, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.Load(); got < 10 {
-		t.Errorf("load = %v, want >= 10", got)
 	}
 }
 
@@ -155,90 +286,50 @@ func TestEngineMetricsAndPR(t *testing.T) {
 	}
 }
 
-func TestEngineDroppedCounting(t *testing.T) {
-	e := New("test", testCatalog(t))
-	defer e.Close()
-	// A slow query: the filter predicate sleeps, so the queue fills.
-	spec := QuerySpec{
-		ID:     "slow",
-		Source: "quotes",
-		Filters: []FilterSpec{
-			{Field: "price", Lo: 0, Hi: 1000},
-		},
+// TestEngineIdleCostsNothing: an engine that hosts no query has no
+// ring and no goroutine, and a query starts exactly the shard it hashes
+// onto — an entity's spare processors must cost nothing.
+func TestEngineIdleCostsNothing(t *testing.T) {
+	e := NewShard("idle", testCatalog(t), 4)
+	if e.flushDone != nil {
+		t.Fatal("flusher started before any single-tuple ingest")
 	}
-	if err := e.Register(spec, func(stream.Tuple) {
-		time.Sleep(time.Millisecond)
-	}); err != nil {
-		t.Fatal(err)
+	for _, sh := range e.shards {
+		if sh.ring != nil || sh.done != nil {
+			t.Fatalf("shard %d started before any Register", sh.idx)
+		}
 	}
-	for i := 0; i < queueDepth*3; i++ {
-		e.Ingest(quote(uint64(i), "ibm", 1, 1))
+	// Every read-side entry point works on an engine with no shard up.
+	if !e.Drain(time.Second) {
+		t.Fatal("idle engine does not drain")
 	}
-	if e.Dropped("slow") == 0 {
-		t.Error("overloaded queue dropped nothing")
+	if n := e.AdaptOrdering(0); n != 0 {
+		t.Fatalf("AdaptOrdering on an idle engine = %d", n)
 	}
-	if e.Dropped("missing") != 0 {
-		t.Error("unknown query reports drops")
+	if st := e.EngineStats(); len(st.Shards) != 4 || st.Totals().Offered != 0 {
+		t.Fatalf("idle EngineStats = %+v, want 4 all-zero rows", st)
 	}
-}
+	e.Ingest(quote(1, "ibm", 50, 1)) // no consumer: dropped on the floor
+	if !e.Drain(time.Second) {
+		t.Fatal("engine with no consumer does not drain")
+	}
 
-func TestEngineCloseIdempotent(t *testing.T) {
-	e := New("test", testCatalog(t))
 	if err := e.Register(simpleSpec("q1"), nil); err != nil {
 		t.Fatal(err)
 	}
-	e.Close()
-	e.Close()
-	if err := e.Register(simpleSpec("q2"), nil); err == nil {
-		t.Fatal("register after close accepted")
-	}
-}
-
-func TestEngineQueryAccessor(t *testing.T) {
-	e := New("test", testCatalog(t))
-	defer e.Close()
-	if err := e.Register(simpleSpec("q1"), nil); err != nil {
-		t.Fatal(err)
-	}
-	if q, ok := e.Query("q1"); !ok || q.ID() != "q1" {
-		t.Error("Query accessor failed")
-	}
-	if _, ok := e.Query("nope"); ok {
-		t.Error("Query for unknown id")
-	}
-}
-
-func TestEngineConcurrentIngest(t *testing.T) {
-	e := New("test", testCatalog(t))
-	defer e.Close()
-	var count int64
-	var mu sync.Mutex
-	if err := e.Register(simpleSpec("q1"), func(stream.Tuple) {
-		mu.Lock()
-		count++
-		mu.Unlock()
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				e.Ingest(quote(uint64(w*100+i), "ibm", 50, 1))
+	started := 0
+	for _, sh := range e.shards {
+		if sh.ring != nil {
+			started++
+			if sh != e.shardFor("q1") {
+				t.Fatalf("shard %d started, but q1 hashes onto shard %d", sh.idx, e.shardFor("q1").idx)
 			}
-		}(w)
+		}
 	}
-	wg.Wait()
-	if !e.Drain(2 * time.Second) {
-		t.Fatal("drain timed out")
+	if started != 1 {
+		t.Fatalf("%d shards started by one query, want 1", started)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if count != 200 {
-		t.Fatalf("results = %d, want 200", count)
-	}
+	e.Close() // must not wait for shards that never ran
 }
 
 func TestMiniEngineParity(t *testing.T) {
@@ -283,38 +374,5 @@ func TestMiniEngineParity(t *testing.T) {
 	}
 	if mini.Results("q") != 21 {
 		t.Fatalf("mini Results = %d", mini.Results("q"))
-	}
-}
-
-func TestMiniEngineLifecycle(t *testing.T) {
-	m := NewMini("m", testCatalog(t))
-	if m.EngineName() != "m" {
-		t.Errorf("name = %q", m.EngineName())
-	}
-	if err := m.Register(simpleSpec("a"), nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Register(simpleSpec("a"), nil); err == nil {
-		t.Error("duplicate accepted")
-	}
-	if err := m.Register(QuerySpec{ID: "bad", Source: "nope"}, nil); err == nil {
-		t.Error("bad spec accepted")
-	}
-	if got := m.Load(); got <= 0 {
-		t.Errorf("load = %v", got)
-	}
-	if ids := m.QueryIDs(); len(ids) != 1 || ids[0] != "a" {
-		t.Errorf("ids = %v", ids)
-	}
-	spec, err := m.Unregister("a")
-	if err != nil || spec.ID != "a" {
-		t.Fatalf("unregister = %+v, %v", spec, err)
-	}
-	if _, err := m.Unregister("a"); err == nil {
-		t.Error("double unregister accepted")
-	}
-	m.Close()
-	if err := m.Register(simpleSpec("b"), nil); err == nil {
-		t.Error("register after close accepted")
 	}
 }

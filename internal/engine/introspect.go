@@ -212,32 +212,16 @@ func OccP99(hist []int64, ringCap int64) float64 {
 	return 1
 }
 
-// Introspector is the optional engine capability of exposing a
-// telemetry snapshot (ring occupancy, kernel split, control latency).
-// Entities merge it across processors; the introspection plane
-// federates the merged rows up the coordinator tree.
-type Introspector interface {
-	EngineStats() EngineStats
-}
-
-// TotalDropReporter is the optional capability of reporting the
-// engine-lifetime dropped-tuple total across all queries — including
-// queries since unregistered, which the per-query DropReporter counters
-// forget. The entity-level sspd_cluster_entity_dropped_total metric is
-// built from it.
-type TotalDropReporter interface {
-	TotalDropped() int64
-}
-
-// EngineStats implements Introspector: a racy-consistent walk of every
-// shard's atomics, no barrier with the shard goroutines.
+// EngineStats implements Reporter: a racy-consistent walk of every
+// shard's atomics, no barrier with the shard goroutines. A shard that
+// has not hosted a query yet reports an all-zero row, so the view always
+// shows the engine's full width.
 func (e *ShardEngine) EngineStats() EngineStats {
 	e.mu.RLock()
-	nq := len(e.queries)
-	e.mu.RUnlock()
+	defer e.mu.RUnlock()
 	out := EngineStats{
 		Engine:  e.name,
-		Queries: nq,
+		Queries: len(e.queries),
 		Dropped: e.droppedTotal.Value(),
 		Shards:  make([]ShardStat, 0, len(e.shards)),
 	}
@@ -246,8 +230,7 @@ func (e *ShardEngine) EngineStats() EngineStats {
 		row := ShardStat{
 			Shard:        sh.idx,
 			Queries:      st.queries.Load(),
-			RingCap:      int64(sh.ring.mask + 1),
-			Occupancy:    int64(sh.ring.occupancy()),
+			RingCap:      shardRingDepth,
 			HighWater:    st.highWater.Load(),
 			Offered:      st.offered.Load(),
 			Dropped:      st.dropped.Load(),
@@ -260,6 +243,9 @@ func (e *ShardEngine) EngineStats() EngineStats {
 			CtlItems:     st.ctlItems.Load(),
 			CtlWaitNs:    st.ctlWaitNs.Load(),
 		}
+		if sh.ring != nil {
+			row.Occupancy = int64(sh.ring.occupancy())
+		}
 		hist := make([]int64, OccBuckets)
 		for i := range st.occ {
 			hist[i] = st.occ[i].Load()
@@ -270,12 +256,5 @@ func (e *ShardEngine) EngineStats() EngineStats {
 	return out
 }
 
-// TotalDropped implements TotalDropReporter.
+// TotalDropped implements Reporter.
 func (e *ShardEngine) TotalDropped() int64 { return e.droppedTotal.Value() }
-
-var (
-	_ Introspector      = (*ShardEngine)(nil)
-	_ TotalDropReporter = (*ShardEngine)(nil)
-	_ TotalDropReporter = (*Engine)(nil)
-	_ TotalDropReporter = (*SchedEngine)(nil)
-)

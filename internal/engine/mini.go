@@ -9,11 +9,13 @@ import (
 )
 
 // MiniEngine is a deliberately different engine implementation: fully
-// synchronous (Ingest runs queries inline under one mutex), with no
-// queues and no latency instrumentation. It stands in for the "different
+// synchronous (Ingest runs queries inline under one mutex and emits
+// their results before it returns), with no queues and no latency
+// instrumentation. It stands in for the "different
 // processing engine from a different vendor" the paper's loose-coupling
-// argument hinges on: the federation treats Engine and MiniEngine
-// identically because both speak QuerySpec.
+// argument hinges on — the federation treats ShardEngine and MiniEngine
+// identically because both speak QuerySpec — and it is the oracle the
+// differential suite holds the production engine against.
 type MiniEngine struct {
 	name    string
 	catalog *stream.Catalog
@@ -23,6 +25,28 @@ type MiniEngine struct {
 	byInput map[string][]*Query
 	results map[string]int64
 	closed  bool
+	// out collects the results of the feed in progress. They are emitted
+	// once mu is released (unlockAndEmit), still before the feed call
+	// returns, so an emit may feed this engine again — two chained
+	// fragments on one processor do — and may wait for a lock whose
+	// holder is calling into this engine.
+	out []miniResult
+}
+
+type miniResult struct {
+	emit func(stream.Tuple)
+	t    stream.Tuple
+}
+
+// unlockAndEmit ends a feed: it releases mu and emits, in order, what
+// the feed produced.
+func (m *MiniEngine) unlockAndEmit() {
+	out := m.out
+	m.out = nil
+	m.mu.Unlock()
+	for _, r := range out {
+		r.emit(r.t)
+	}
 }
 
 // NewMini returns a MiniEngine reading schemas from catalog.
@@ -53,7 +77,7 @@ func (m *MiniEngine) Register(spec QuerySpec, emit func(stream.Tuple)) error {
 	q, err := Compile(spec, m.catalog, func(t stream.Tuple) {
 		m.results[id]++
 		if emit != nil {
-			emit(t)
+			m.out = append(m.out, miniResult{emit, t})
 		}
 	})
 	if err != nil {
@@ -94,20 +118,19 @@ func (m *MiniEngine) Unregister(id string) (QuerySpec, error) {
 // Ingest implements Processor: queries run inline, synchronously.
 func (m *MiniEngine) Ingest(t stream.Tuple) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	defer m.unlockAndEmit()
 	for _, q := range m.byInput[t.Stream] {
 		q.Feed(t.Stream, t)
 	}
 }
 
-// IngestBatch implements BatchIngester: one lock round for the whole
-// batch.
+// IngestBatch is Ingest for a whole batch under one lock round.
 func (m *MiniEngine) IngestBatch(b stream.Batch) {
 	if len(b) == 0 {
 		return
 	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	defer m.unlockAndEmit()
 	for i := range b {
 		for _, q := range m.byInput[b[i].Stream] {
 			q.Feed(b[i].Stream, b[i])
@@ -119,7 +142,7 @@ func (m *MiniEngine) IngestBatch(b stream.Batch) {
 // the whole batch.
 func (m *MiniEngine) FeedQueryBatch(id string, b stream.Batch) error {
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	defer m.unlockAndEmit()
 	q, ok := m.queries[id]
 	if !ok {
 		return fmt.Errorf("miniengine %s: unknown query %s", m.name, id)
@@ -134,7 +157,7 @@ func (m *MiniEngine) FeedQueryBatch(id string, b stream.Batch) error {
 // stream-based routing.
 func (m *MiniEngine) FeedQuery(id string, t stream.Tuple) error {
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	defer m.unlockAndEmit()
 	q, ok := m.queries[id]
 	if !ok {
 		return fmt.Errorf("miniengine %s: unknown query %s", m.name, id)
@@ -182,5 +205,8 @@ func (m *MiniEngine) Close() {
 	m.byInput = make(map[string][]*Query)
 }
 
-var _ Processor = (*Engine)(nil)
-var _ Processor = (*MiniEngine)(nil)
+var (
+	_ Processor        = (*MiniEngine)(nil)
+	_ Adapter          = (*MiniEngine)(nil)
+	_ StateSnapshotter = (*MiniEngine)(nil)
+)

@@ -42,7 +42,7 @@ func ExpectedFilterCost(costs, sels []float64, perm []int) float64 {
 // the expected per-tuple cost by at least minGain (relative). It returns
 // whether a reorder happened. The caller must own q (no concurrent
 // Feed). It is the single source of truth for the reorder decision:
-// every engine's AdaptOrdering and the entity-level AM delegate here.
+// both engines' AdaptOrdering and the entity-level AM delegate here.
 func MaybeReorder(q *Query, minGain float64) bool {
 	sels := q.FilterSelectivities()
 	costs := q.FilterCosts()
@@ -91,62 +91,3 @@ func (m *MiniEngine) AdaptOrdering(minGain float64) int {
 	}
 	return n
 }
-
-// AdaptOrdering implements Adapter for SchedEngine: adaptation is
-// deferred to the scheduler goroutine (which owns every Feed call) and
-// applied before the next tuple is served.
-func (e *SchedEngine) AdaptOrdering(minGain float64) int {
-	minGain = normalizeGain(minGain)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	// The scheduler loop is the only feeder, but it acquires e.mu
-	// between feeds — holding it here means no Feed is in flight.
-	n := 0
-	for _, sq := range e.queries {
-		if MaybeReorder(sq.q, minGain) {
-			n++
-		}
-	}
-	return n
-}
-
-// AdaptOrdering implements Adapter for Engine: each query adapts on its
-// own goroutine via a control message through its input queue, so the
-// reorder is serialized with Feed. It waits for every accepted control
-// item and returns the number of queries whose plan actually CHANGED —
-// the same applied-count semantics as Mini/Sched/Shard, so entity- and
-// federation-level sweeps sum comparable numbers. A query whose full
-// input queue rejects the control item is skipped (counted as a drop
-// like any other overflow); applies are also surfaced engine-lifetime
-// via AdaptationsApplied.
-func (e *Engine) AdaptOrdering(minGain float64) int {
-	minGain = normalizeGain(minGain)
-	// Enqueue under the read lock so no Unregister can close a queue
-	// mid-loop (enqueue never blocks), but wait OUTSIDE it: a query
-	// goroutine's emit may re-enter this engine under mu.RLock, and
-	// blocking here with a writer queued behind us would deadlock.
-	// Items already enqueued are drained even if the queue closes, so
-	// every accepted control item eventually answers.
-	e.mu.RLock()
-	pending := make([]chan bool, 0, len(e.queries))
-	for _, rq := range e.queries {
-		done := make(chan bool, 1)
-		if rq.enqueue(feedItem{adaptGain: minGain, adaptDone: done}) {
-			pending = append(pending, done)
-		}
-	}
-	e.mu.RUnlock()
-	n := 0
-	for _, done := range pending {
-		if <-done {
-			n++
-		}
-	}
-	return n
-}
-
-var (
-	_ Adapter = (*Engine)(nil)
-	_ Adapter = (*MiniEngine)(nil)
-	_ Adapter = (*SchedEngine)(nil)
-)

@@ -1,22 +1,25 @@
 // ShardEngine: the shard-per-core vectorized engine (DESIGN.md §13).
 //
-// Where Engine runs one goroutine per query behind a buffered channel,
-// ShardEngine runs one goroutine per CPU shard behind a bounded ring
-// queue whose slots carry whole batches. Queries are hash-partitioned
-// across shards, so a shard owns its queries outright: query state,
-// routing tables, and operator pipelines are goroutine-confined and
-// touched without locks. Producers accumulate single tuples into
-// batches, ship batches into the owning shards' rings (drop-and-count
-// on overflow — the never-block contract is unchanged), and everything
-// per-tuple inside a shard runs over columnar batches: filters are
-// vectorized kernels that only shrink a selection vector, and the
-// stateful tail runs one virtual dispatch + one stats lock per batch
-// instead of per tuple.
+// ShardEngine is the production engine (engine.New builds it). It runs
+// one goroutine per CPU shard behind a bounded ring queue whose slots
+// carry whole batches. Queries are hash-partitioned across shards, so a
+// shard owns its queries outright: query state, routing tables, and
+// operator pipelines are goroutine-confined and touched without locks.
+// Producers accumulate single tuples into batches, ship batches into
+// the owning shards' rings (drop-and-count on overflow — the Processor
+// contract's never-block rule), and everything per-tuple inside a shard
+// runs over columnar batches: filters are vectorized kernels that only
+// shrink a selection vector, and the stateful tail runs one virtual
+// dispatch + one stats lock per batch instead of per tuple.
 //
 // Control operations (register/unregister, snapshot/restore for live
 // migration and checkpoints, adaptation) travel through the same ring
 // as data with a blocking enqueue, so they serialize with tuple
-// processing in FIFO order exactly like Engine's control items.
+// processing in FIFO order.
+//
+// A shard costs nothing until it hosts a query: its ring (~100 KB) is
+// allocated and its goroutine started by the first Register that hashes
+// onto it, so an entity's idle processors stay idle.
 package engine
 
 import (
@@ -41,15 +44,12 @@ const (
 	// shardFlushEvery bounds how long a trickling stream's tuples wait
 	// in an accumulator before being force-flushed.
 	shardFlushEvery = time.Millisecond
-	// shardSpin is how many empty polls a shard makes (yielding each
-	// time) before parking on its wake channel.
-	shardSpin = 64
 )
 
 // shardQuery is one query owned by one shard.
 type shardQuery struct {
-	sh  *shard
-	q   *Query
+	sh *shard
+	q  *Query
 	// vec is the compiled vectorized pipeline; nil for join queries,
 	// which fall back to per-tuple Feed inside the batch loop.
 	vec     *vecPipeline
@@ -67,7 +67,7 @@ type streamRoute struct {
 }
 
 // accKey addresses one producer-side accumulator: plain stream ingest
-// uses frag == "", addressed (DirectFeeder) delivery sets it. Keeping
+// uses frag == "", addressed (FeedQuery) delivery sets it. Keeping
 // the key a struct avoids per-tuple string concatenation.
 type accKey struct {
 	frag   string
@@ -86,10 +86,9 @@ type accum struct {
 }
 
 // ShardEngine is the shard-per-core engine. It implements Processor,
-// DirectFeeder, BatchIngester, BatchFeeder, MetricsReporter,
-// StateSnapshotter, Adapter, and DropReporter, so entities host it
-// interchangeably with Engine — migration and checkpoint choreography
-// included.
+// Reporter, StateSnapshotter and Adapter, so entities host it
+// interchangeably with MiniEngine — migration and checkpoint
+// choreography included.
 type ShardEngine struct {
 	name    string
 	catalog *stream.Catalog
@@ -110,6 +109,9 @@ type ShardEngine struct {
 	accMu      sync.Mutex
 	acc        map[accKey]*accum
 	accPending atomic.Int64
+	// flushDone is nil until the first accumulator exists: an engine fed
+	// only whole batches never starts the flusher. Guarded by accMu.
+	flushDone chan struct{}
 
 	// droppedTotal is the engine-lifetime dropped-tuple count across all
 	// queries — unlike the per-query counters it survives Unregister, so
@@ -117,14 +119,16 @@ type ShardEngine struct {
 	droppedTotal metrics.Counter
 
 	stopFlush chan struct{}
-	flushDone chan struct{}
 }
 
 // shard is one per-core processing lane: a ring, a goroutine, and the
 // goroutine-confined query state.
 type shard struct {
-	eng  *ShardEngine
-	idx  int
+	eng *ShardEngine
+	idx int
+	// ring is nil until start. It is written under eng.mu before any
+	// route or query entry names the shard, so producers — which reach a
+	// shard only through those tables — never see it nil.
 	ring *shardRing
 	wake chan struct{}
 	stop chan struct{}
@@ -158,25 +162,36 @@ func NewShard(name string, catalog *stream.Catalog, nShards int) *ShardEngine {
 		routes:    make(map[string][]streamRoute),
 		acc:       make(map[accKey]*accum),
 		stopFlush: make(chan struct{}),
-		flushDone: make(chan struct{}),
 	}
 	for i := 0; i < nShards; i++ {
-		sh := &shard{
-			eng:     e,
-			idx:     i,
-			ring:    newShardRing(shardRingDepth),
-			wake:    make(chan struct{}, 1),
-			stop:    make(chan struct{}),
-			done:    make(chan struct{}),
-			queries: make(map[string]*shardQuery),
-			byInput: make(map[string][]*shardQuery),
-			cb:      stream.NewColBatch(),
-		}
-		e.shards = append(e.shards, sh)
-		go sh.run()
+		e.shards = append(e.shards, &shard{eng: e, idx: i})
 	}
-	go e.flusher()
 	return e
+}
+
+// start allocates the shard's ring and query tables and starts its
+// goroutine. Caller holds eng.mu for writing.
+func (sh *shard) start() {
+	sh.ring = newShardRing(shardRingDepth)
+	sh.wake = make(chan struct{}, 1)
+	sh.stop = make(chan struct{})
+	sh.done = make(chan struct{})
+	sh.queries = make(map[string]*shardQuery)
+	sh.byInput = make(map[string][]*shardQuery)
+	sh.cb = stream.NewColBatch()
+	go sh.run()
+}
+
+// started lists the shards that have hosted a query. Caller holds
+// eng.mu.
+func (e *ShardEngine) started() []*shard {
+	out := make([]*shard, 0, len(e.shards))
+	for _, sh := range e.shards {
+		if sh.ring != nil {
+			out = append(out, sh)
+		}
+	}
+	return out
 }
 
 // EngineName implements Processor.
@@ -230,21 +245,24 @@ func (e *ShardEngine) Register(spec QuerySpec, emit func(stream.Tuple)) error {
 		return fmt.Errorf("engine %s: query %s already registered", e.name, spec.ID)
 	}
 	sq.sh = e.shardFor(spec.ID)
+	if sq.sh.ring == nil {
+		sq.sh.start()
+	}
 	e.queries[spec.ID] = sq
 	e.rebuildRoutes()
 	e.mu.Unlock()
-	// Install on the owning shard. Tuples dispatched between publish
+	// Install on the owning shard, without waiting for it: the ring is
+	// FIFO, so every tuple and control item handed over after Register
+	// returns trails the install item. Tuples dispatched between publish
 	// and install are skipped by the shard — indistinguishable from
 	// arriving just before registration.
-	c := &shardCtl{op: shardCtlInstall, sq: sq}
-	sq.sh.enqueueCtl(c)
-	<-c.done
-	return c.err
+	sq.sh.enqueueCtl(&shardCtl{op: shardCtlInstall, sq: sq})
+	return nil
 }
 
 // Unregister implements Processor. The uninstall control item trails
-// every previously enqueued data item through the ring, so — like
-// Engine — tuples ingested before Unregister are still processed.
+// every previously enqueued data item through the ring, so tuples
+// ingested before Unregister are still processed (contract point 4).
 func (e *ShardEngine) Unregister(id string) (QuerySpec, error) {
 	e.ctlMu.Lock()
 	defer e.ctlMu.Unlock()
@@ -308,6 +326,12 @@ func (e *ShardEngine) accumulate(key accKey, t stream.Tuple) {
 	if a == nil {
 		a = &accum{buf: make(stream.Batch, 0, shardAccBatch)}
 		e.acc[key] = a
+		if e.flushDone == nil {
+			// After Close stopFlush is closed and the flusher returns
+			// at once.
+			e.flushDone = make(chan struct{})
+			go e.flusher(e.flushDone)
+		}
 	}
 	e.accMu.Unlock()
 	a.mu.Lock()
@@ -354,7 +378,7 @@ func (e *ShardEngine) dispatch(key accKey, b stream.Batch, arrived time.Time) {
 	}
 }
 
-// IngestBatch implements BatchIngester. The handed-over tuples are
+// IngestBatch is Ingest for a whole batch. The handed-over tuples are
 // copied once into an engine-owned slice (the engine retains batches
 // asynchronously, and the caller may reuse its slice), then contiguous
 // same-stream runs dispatch with one routing lookup each.
@@ -379,7 +403,7 @@ func (e *ShardEngine) IngestBatch(b stream.Batch) {
 	}
 }
 
-// FeedQuery implements DirectFeeder: addressed single tuples accumulate
+// FeedQuery implements Processor: addressed single tuples accumulate
 // per (query, stream) and ship to the owning shard.
 func (e *ShardEngine) FeedQuery(id string, t stream.Tuple) error {
 	e.mu.RLock()
@@ -392,7 +416,7 @@ func (e *ShardEngine) FeedQuery(id string, t stream.Tuple) error {
 	return nil
 }
 
-// FeedQueryBatch implements BatchFeeder: one lookup, one copy, one
+// FeedQueryBatch implements Processor: one lookup, one copy, one
 // enqueue per same-stream run.
 func (e *ShardEngine) FeedQueryBatch(id string, b stream.Batch) error {
 	if len(b) == 0 {
@@ -423,9 +447,10 @@ func (e *ShardEngine) FeedQueryBatch(id string, b stream.Batch) error {
 }
 
 // flusher force-flushes accumulators so trickling streams never stall
-// behind the batch threshold.
-func (e *ShardEngine) flusher() {
-	defer close(e.flushDone)
+// behind the batch threshold. With nothing pending a tick costs one
+// atomic load.
+func (e *ShardEngine) flusher(done chan struct{}) {
+	defer close(done)
 	tick := time.NewTicker(shardFlushEvery)
 	defer tick.Stop()
 	for {
@@ -433,7 +458,9 @@ func (e *ShardEngine) flusher() {
 		case <-e.stopFlush:
 			return
 		case <-tick.C:
-			e.flushAll()
+			if e.accPending.Load() > 0 {
+				e.flushAll()
+			}
 		}
 	}
 }
@@ -491,7 +518,7 @@ func (e *ShardEngine) Load() float64 {
 	return load
 }
 
-// Metrics implements MetricsReporter.
+// Metrics implements Reporter.
 func (e *ShardEngine) Metrics(id string) (QueryMetrics, bool) {
 	e.mu.RLock()
 	sq, ok := e.queries[id]
@@ -511,29 +538,7 @@ func (e *ShardEngine) Metrics(id string) (QueryMetrics, bool) {
 	return m, true
 }
 
-// AllMetrics implements MetricsReporter.
-func (e *ShardEngine) AllMetrics() []QueryMetrics {
-	out := make([]QueryMetrics, 0, 8)
-	for _, id := range e.QueryIDs() {
-		if m, ok := e.Metrics(id); ok {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// PRMax implements MetricsReporter.
-func (e *ShardEngine) PRMax() float64 {
-	max := 0.0
-	for _, m := range e.AllMetrics() {
-		if m.PR > max {
-			max = m.PR
-		}
-	}
-	return max
-}
-
-// Dropped implements DropReporter: tuples dropped on full shard rings,
+// Dropped implements Reporter: tuples dropped on full shard rings,
 // attributed per query.
 func (e *ShardEngine) Dropped(id string) int64 {
 	e.mu.RLock()
@@ -564,18 +569,6 @@ func (e *ShardEngine) Drain(timeout time.Duration) bool {
 	}
 }
 
-// Query exposes the compiled query for adaptation hooks, with the same
-// caveat as Engine.Query: the caller must not race the owning shard.
-func (e *ShardEngine) Query(id string) (*Query, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	sq, ok := e.queries[id]
-	if !ok {
-		return nil, false
-	}
-	return sq.q, true
-}
-
 // AdaptOrdering implements Adapter: each shard re-evaluates its
 // queries' filter ordering on its own goroutine (serialized with
 // feeds) and resyncs the vectorized pipelines to the new chain order.
@@ -584,15 +577,16 @@ func (e *ShardEngine) AdaptOrdering(minGain float64) int {
 	// Check closed under the lock, but enqueue without it: emit callbacks
 	// on shard goroutines re-enter the engine under mu.RLock, so spinning
 	// on a full ring while holding mu (with a writer queued) would
-	// deadlock the whole engine. e.shards is immutable after NewShard.
+	// deadlock the whole engine. A shard started after this snapshot has
+	// no query with statistics to adapt from yet.
 	e.mu.RLock()
-	closed := e.closed
+	closed, shards := e.closed, e.started()
 	e.mu.RUnlock()
 	if closed {
 		return 0
 	}
-	ctls := make([]*shardCtl, 0, len(e.shards))
-	for _, sh := range e.shards {
+	ctls := make([]*shardCtl, 0, len(shards))
+	for _, sh := range shards {
 		c := &shardCtl{op: shardCtlAdapt, minGain: minGain}
 		sh.enqueueCtl(c)
 		ctls = append(ctls, c)
@@ -664,18 +658,20 @@ func (e *ShardEngine) Close() {
 		return
 	}
 	e.closed = true
+	shards := e.started() // closed: no Register can start another
 	e.mu.Unlock()
 	close(e.stopFlush)
-	<-e.flushDone
-	e.flushAll()
-	for _, sh := range e.shards {
-		close(sh.stop)
-		select {
-		case sh.wake <- struct{}{}:
-		default:
-		}
+	e.accMu.Lock()
+	flushDone := e.flushDone
+	e.accMu.Unlock()
+	if flushDone != nil {
+		<-flushDone
 	}
-	for _, sh := range e.shards {
+	e.flushAll()
+	for _, sh := range shards {
+		close(sh.stop)
+	}
+	for _, sh := range shards {
 		<-sh.done
 	}
 	e.mu.Lock()
@@ -770,18 +766,18 @@ func (sh *shard) wakeup() {
 	}
 }
 
-// run is the shard goroutine: drain the ring, spin briefly when empty,
-// then park until a producer wakes it. On stop it drains what remains
-// (Engine parity: tuples enqueued before Close are processed).
+// run is the shard goroutine: drain the ring, then park until a
+// producer wakes it — polling an empty ring first cost more CPU across
+// an entity's mostly idle shards than the wake-ups it saved. On stop it
+// drains what remains (contract point 4: tuples enqueued before Close
+// are processed).
 func (sh *shard) run() {
 	defer close(sh.done)
-	idle := 0
 	for {
 		item, ok := sh.ring.dequeue()
 		if ok {
 			sh.process(item)
 			sh.pending.Add(-1)
-			idle = 0
 			continue
 		}
 		select {
@@ -796,15 +792,9 @@ func (sh *shard) run() {
 			}
 		default:
 		}
-		if idle < shardSpin {
-			idle++
-			runtime.Gosched()
-			continue
-		}
 		sh.sleeping.Store(true)
 		if !sh.ring.empty() {
 			sh.sleeping.Store(false)
-			idle = 0
 			continue
 		}
 		select {
@@ -812,7 +802,6 @@ func (sh *shard) run() {
 		case <-sh.stop:
 		}
 		sh.sleeping.Store(false)
-		idle = 0
 	}
 }
 
@@ -945,13 +934,7 @@ func (sh *shard) processCtl(c *shardCtl) {
 
 var (
 	_ Processor        = (*ShardEngine)(nil)
-	_ DirectFeeder     = (*ShardEngine)(nil)
-	_ BatchIngester    = (*ShardEngine)(nil)
-	_ BatchFeeder      = (*ShardEngine)(nil)
-	_ MetricsReporter  = (*ShardEngine)(nil)
-	_ StateSnapshotter = (*ShardEngine)(nil)
+	_ Reporter         = (*ShardEngine)(nil)
 	_ Adapter          = (*ShardEngine)(nil)
-	_ DropReporter     = (*ShardEngine)(nil)
-	_ DropReporter     = (*Engine)(nil)
-	_ DropReporter     = (*SchedEngine)(nil)
+	_ StateSnapshotter = (*ShardEngine)(nil)
 )

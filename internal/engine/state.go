@@ -85,74 +85,6 @@ func queryStateBytes(q *Query) int {
 	return n
 }
 
-// stateCtl ops.
-const (
-	ctlSnapshot = iota + 1
-	ctlRestore
-	ctlBytes
-)
-
-// stateCtl is a synchronous control item handled inside the query
-// goroutine, so state access is serialized with tuple processing without
-// any extra locking on the operators.
-type stateCtl struct {
-	op      int
-	restore QueryState
-	snap    QueryState
-	bytes   int
-	err     error
-	done    chan struct{}
-}
-
-// control submits a control item with a blocking send — unlike tuple
-// feeds, state operations are never dropped — and waits for the query
-// goroutine to execute it.
-func (rq *runningQuery) control(c *stateCtl) {
-	c.done = make(chan struct{})
-	rq.pending.Add(1)
-	rq.in <- feedItem{ctl: c}
-	<-c.done
-}
-
-// SnapshotQueryState implements StateSnapshotter.
-func (e *Engine) SnapshotQueryState(id string) (QueryState, error) {
-	e.mu.RLock()
-	rq, ok := e.queries[id]
-	e.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("engine %s: unknown query %s", e.name, id)
-	}
-	c := &stateCtl{op: ctlSnapshot}
-	rq.control(c)
-	return c.snap, c.err
-}
-
-// RestoreQueryState implements StateSnapshotter.
-func (e *Engine) RestoreQueryState(id string, st QueryState) error {
-	e.mu.RLock()
-	rq, ok := e.queries[id]
-	e.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("engine %s: unknown query %s", e.name, id)
-	}
-	c := &stateCtl{op: ctlRestore, restore: st}
-	rq.control(c)
-	return c.err
-}
-
-// QueryStateBytes implements StateSnapshotter.
-func (e *Engine) QueryStateBytes(id string) (int, bool) {
-	e.mu.RLock()
-	rq, ok := e.queries[id]
-	e.mu.RUnlock()
-	if !ok {
-		return 0, false
-	}
-	c := &stateCtl{op: ctlBytes}
-	rq.control(c)
-	return c.bytes, true
-}
-
 // SnapshotQueryState implements StateSnapshotter. MiniEngine is
 // synchronous, so the mutex alone serializes state access.
 func (m *MiniEngine) SnapshotQueryState(id string) (QueryState, error) {
@@ -186,8 +118,3 @@ func (m *MiniEngine) QueryStateBytes(id string) (int, bool) {
 	}
 	return queryStateBytes(q), true
 }
-
-var (
-	_ StateSnapshotter = (*Engine)(nil)
-	_ StateSnapshotter = (*MiniEngine)(nil)
-)

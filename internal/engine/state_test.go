@@ -3,7 +3,6 @@ package engine
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"sspd/internal/operator"
 	"sspd/internal/stream"
@@ -31,9 +30,8 @@ func feedQuotes(t *testing.T, p Processor, from, n uint64) {
 // engineStateRoundtrip warms a query on src, snapshots it, restores into
 // an identical fresh query on dst, then asserts both emit identical
 // results for an identical suffix.
-func engineStateRoundtrip(t *testing.T, src, dst Processor) {
+func engineStateRoundtrip(t *testing.T, src, dst shippedEngine) {
 	t.Helper()
-	type drainable interface{ Drain(time.Duration) bool }
 
 	var mu sync.Mutex
 	results := map[string][]stream.Tuple{}
@@ -48,15 +46,12 @@ func engineStateRoundtrip(t *testing.T, src, dst Processor) {
 	}
 	register(src, "src-warm")
 	feedQuotes(t, src, 0, 100)
-	if d, ok := src.(drainable); ok && !d.Drain(time.Second) {
-		t.Fatal("drain timed out")
-	}
+	drainEngine(t, src)
 
-	ss := src.(StateSnapshotter)
-	if n, ok := ss.QueryStateBytes("q1"); !ok || n <= 0 {
+	if n, ok := src.QueryStateBytes("q1"); !ok || n <= 0 {
 		t.Fatalf("QueryStateBytes = %d,%v", n, ok)
 	}
-	st, err := ss.SnapshotQueryState("q1")
+	st, err := src.SnapshotQueryState("q1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +60,7 @@ func engineStateRoundtrip(t *testing.T, src, dst Processor) {
 	}
 
 	register(dst, "dst")
-	if err := dst.(StateSnapshotter).RestoreQueryState("q1", st); err != nil {
+	if err := dst.RestoreQueryState("q1", st); err != nil {
 		t.Fatal(err)
 	}
 
@@ -78,11 +73,8 @@ func engineStateRoundtrip(t *testing.T, src, dst Processor) {
 	warmLen := len(results["src-warm"])
 	feedQuotes(t, src, 1000, 50)
 	feedQuotes(t, dst, 1000, 50)
-	for _, p := range []Processor{src, dst} {
-		if d, ok := p.(drainable); ok && !d.Drain(time.Second) {
-			t.Fatal("drain timed out")
-		}
-	}
+	drainEngine(t, src)
+	drainEngine(t, dst)
 	mu.Lock()
 	defer mu.Unlock()
 	srcSuffix := results["src-warm"][warmLen:]
@@ -99,42 +91,37 @@ func engineStateRoundtrip(t *testing.T, src, dst Processor) {
 	}
 }
 
+// TestEngineStateRoundtrip covers every source × destination pairing:
+// state snapshotted on one engine restores into the other — the
+// loosely-coupled heterogeneity story.
 func TestEngineStateRoundtrip(t *testing.T) {
-	src := New("src", testCatalog(t))
-	dst := New("dst", testCatalog(t))
-	defer src.Close()
-	defer dst.Close()
-	engineStateRoundtrip(t, src, dst)
-}
-
-func TestMiniEngineStateRoundtrip(t *testing.T) {
-	src := NewMini("src", testCatalog(t))
-	dst := NewMini("dst", testCatalog(t))
-	defer src.Close()
-	defer dst.Close()
-	engineStateRoundtrip(t, src, dst)
-}
-
-// Cross-engine: state snapshotted from the asynchronous engine restores
-// into the synchronous one — the loosely-coupled heterogeneity story.
-func TestCrossEngineStateRoundtrip(t *testing.T) {
-	src := New("src", testCatalog(t))
-	dst := NewMini("dst", testCatalog(t))
-	defer src.Close()
-	defer dst.Close()
-	engineStateRoundtrip(t, src, dst)
+	for _, from := range engineKinds {
+		for _, to := range engineKinds {
+			t.Run(from.name+" to "+to.name, func(t *testing.T) {
+				src := from.mk("src", testCatalog(t))
+				dst := to.mk("dst", testCatalog(t))
+				defer src.Close()
+				defer dst.Close()
+				engineStateRoundtrip(t, src, dst)
+			})
+		}
+	}
 }
 
 func TestEngineStateUnknownQuery(t *testing.T) {
-	e := New("e", testCatalog(t))
-	defer e.Close()
-	if _, err := e.SnapshotQueryState("nope"); err == nil {
-		t.Error("snapshot of unknown query accepted")
-	}
-	if err := e.RestoreQueryState("nope", nil); err == nil {
-		t.Error("restore into unknown query accepted")
-	}
-	if _, ok := e.QueryStateBytes("nope"); ok {
-		t.Error("state bytes for unknown query reported ok")
+	for _, kind := range engineKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			e := kind.mk("e", testCatalog(t))
+			defer e.Close()
+			if _, err := e.SnapshotQueryState("nope"); err == nil {
+				t.Error("snapshot of unknown query accepted")
+			}
+			if err := e.RestoreQueryState("nope", nil); err == nil {
+				t.Error("restore into unknown query accepted")
+			}
+			if _, ok := e.QueryStateBytes("nope"); ok {
+				t.Error("state bytes for unknown query reported ok")
+			}
+		})
 	}
 }

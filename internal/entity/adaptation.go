@@ -66,7 +66,7 @@ func (am *AM) Feed(streamName string, t stream.Tuple) int {
 }
 
 // maybeReorder delegates the reorder decision to engine.MaybeReorder —
-// the single source of truth every engine's AdaptOrdering also uses —
+// the single source of truth both engines' AdaptOrdering also use —
 // and counts applied reorders.
 func (am *AM) maybeReorder() {
 	if engine.MaybeReorder(am.q, am.minGain) {

@@ -1,3 +1,20 @@
+// Lock order. An engine runs emit callbacks on its own goroutines, and
+// its control calls (Register, Unregister, state snapshots, Drain) wait
+// for those goroutines; the entity calls into engines from many paths.
+// So the two sides must never wait for each other:
+//
+//   - never call into an engine with Entity.mu held — copy what the call
+//     needs under the lock, release it, then call;
+//   - never take Entity.mu from an engine callback — the result sink is
+//     an atomic pointer for exactly this reason.
+//
+// Breaking both at once wedged a /metrics scrape (Load under Entity.mu,
+// waiting for the engine) against a result tuple (emit inside the
+// engine, waiting for Entity.mu), and a placement (a shard control item
+// enqueued under Entity.mu) against the shard loop's emit. With the
+// emit closure off the mutex both cycles are gone; the first half of
+// the rule also keeps a slow engine from stalling Ingest.
+
 package entity
 
 import (
@@ -5,6 +22,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"sspd/internal/engine"
 	"sspd/internal/metrics"
@@ -40,12 +59,20 @@ type Entity struct {
 	transport simnet.Transport
 	catalog   *stream.Catalog
 
+	// procs is immutable after New, so it is read without mu.
+	procs []*procNode
+
+	// placeMu serializes placements, so placeWith can register fragments
+	// with their engines outside mu and still publish a query atomically.
+	placeMu sync.Mutex
+
 	mu      sync.Mutex
-	procs   []*procNode
 	deleg   map[string]int // stream name -> processor index
 	queries map[string]*placedQuery
-	// results receives (queryID, tuple) for every final result.
-	results func(string, stream.Tuple)
+
+	// results receives (queryID, tuple) for every final result. Engine
+	// emit callbacks load it, so it is not guarded by mu.
+	results atomic.Pointer[func(string, stream.Tuple)]
 
 	// dedup seeds new ingest gates' (stream, seq) high-water filtering
 	// (see SetIngestDedup).
@@ -63,11 +90,16 @@ type Entity struct {
 }
 
 type procNode struct {
-	idx    int
-	id     simnet.NodeID
-	eng    engine.Processor
-	feeder engine.DirectFeeder
-	entity *Entity
+	idx int
+	id  simnet.NodeID
+	eng engine.Processor
+	// Optional engine capabilities, asserted once in New; nil when the
+	// engine lacks one.
+	reporter engine.Reporter
+	adapter  engine.Adapter
+	state    engine.StateSnapshotter
+	drainer  drainer
+	entity   *Entity
 	// routes maps a fragment ID hosted elsewhere to its processor, for
 	// forwarding fragment output.
 	mu     sync.Mutex
@@ -126,9 +158,13 @@ type RouteBinding struct {
 	Chooser *DownstreamChooser
 }
 
+// drainer is the optional capability of waiting until an asynchronous
+// engine has processed everything handed to it.
+type drainer interface{ Drain(time.Duration) bool }
+
 // New creates an entity with nProcs processors, each running an engine
-// built by factory (nil uses the full engine.New). Processor endpoints
-// are registered on the transport as "<id>/p<i>".
+// built by factory (nil uses the production engine, engine.New).
+// Processor endpoints are registered on the transport as "<id>/p<i>".
 func New(id string, transport simnet.Transport, catalog *stream.Catalog,
 	nProcs int, factory EngineFactory) (*Entity, error) {
 	if id == "" || transport == nil || catalog == nil {
@@ -151,21 +187,18 @@ func New(id string, transport simnet.Transport, catalog *stream.Catalog,
 	}
 	for i := 0; i < nProcs; i++ {
 		eng := factory(fmt.Sprintf("%s/p%d", id, i), catalog)
-		feeder, ok := eng.(engine.DirectFeeder)
-		if !ok {
-			eng.Close()
-			e.Close()
-			return nil, fmt.Errorf("entity: engine %T cannot host fragments (no FeedQuery)", eng)
-		}
 		p := &procNode{
 			idx:    i,
 			id:     simnet.NodeID(fmt.Sprintf("%s/p%d", id, i)),
 			eng:    eng,
-			feeder: feeder,
 			entity: e,
 			routes: make(map[string]simnet.NodeID),
 			fanout: make(map[string][]fanoutTarget),
 		}
+		p.reporter, _ = eng.(engine.Reporter)
+		p.adapter, _ = eng.(engine.Adapter)
+		p.state, _ = eng.(engine.StateSnapshotter)
+		p.drainer, _ = eng.(drainer)
 		if err := transport.Register(p.id, p.handle); err != nil {
 			eng.Close()
 			e.Close()
@@ -189,9 +222,11 @@ func (e *Entity) Proc(i int) engine.Processor { return e.procs[i].eng }
 
 // SetResultHandler installs the sink for final query results.
 func (e *Entity) SetResultHandler(fn func(queryID string, t stream.Tuple)) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.results = fn
+	if fn == nil {
+		e.results.Store(nil)
+		return
+	}
+	e.results.Store(&fn)
 }
 
 // Delegation returns the endpoint of the processor delegated for a
@@ -374,6 +409,11 @@ type placeConfig struct {
 // is registered on `replicas` processors under ordinal instance IDs
 // ("q#1@r0"), and each upstream stage routes every output tuple through
 // the boundary's shared DownstreamChooser.
+//
+// Fragments register with their engines outside e.mu (the lock-order
+// rule at the top of this file); placeMu keeps a second placement of
+// the same ID from slipping in between the duplicate check and the
+// publication at the end.
 func (e *Entity) placeWith(spec engine.QuerySpec, nFrags int, cfg placeConfig) error {
 	if err := spec.Validate(); err != nil {
 		return err
@@ -384,12 +424,16 @@ func (e *Entity) placeWith(spec engine.QuerySpec, nFrags int, cfg placeConfig) e
 	if cfg.explore <= 0 {
 		cfg.explore = 32
 	}
+	e.placeMu.Lock()
+	defer e.placeMu.Unlock()
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
+	closed := e.closed
+	_, dup := e.queries[spec.ID]
+	e.mu.Unlock()
+	if closed {
 		return fmt.Errorf("entity %s: closed", e.id)
 	}
-	if _, dup := e.queries[spec.ID]; dup {
+	if dup {
 		return fmt.Errorf("entity %s: query %s already placed", e.id, spec.ID)
 	}
 	if cfg.replicas > len(e.procs) {
@@ -400,12 +444,13 @@ func (e *Entity) placeWith(spec engine.QuerySpec, nFrags int, cfg placeConfig) e
 	// that order, reusing processors round-robin when instances
 	// outnumber them. Middle fragments take `replicas` consecutive
 	// processors.
+	loads := e.ProcLoads()
 	order := make([]int, len(e.procs))
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool {
-		la, lb := e.procs[order[a]].eng.Load(), e.procs[order[b]].eng.Load()
+		la, lb := loads[order[a]], loads[order[b]]
 		if la != lb {
 			return la < lb
 		}
@@ -435,7 +480,7 @@ func (e *Entity) placeWith(spec engine.QuerySpec, nFrags int, cfg placeConfig) e
 		}
 	}
 
-	pq := &placedQuery{spec: spec, gate: &ingestGate{paused: cfg.paused, dedup: e.dedup}}
+	pq := &placedQuery{spec: spec, gate: &ingestGate{paused: cfg.paused}}
 	queryID := spec.ID
 
 	// One shared chooser per routed boundary (keyed by downstream
@@ -462,11 +507,8 @@ func (e *Entity) placeWith(spec engine.QuerySpec, nFrags int, cfg placeConfig) e
 			return func(t stream.Tuple) {
 				e.Delivered.Inc()
 				trace.Record(trace.SpanID(t.Span), trace.StageResult, queryID)
-				e.mu.Lock()
-				fn := e.results
-				e.mu.Unlock()
-				if fn != nil {
-					fn(queryID, t)
+				if fn := e.results.Load(); fn != nil {
+					(*fn)(queryID, t)
 				}
 			}, nil
 		}
@@ -476,8 +518,8 @@ func (e *Entity) placeWith(spec engine.QuerySpec, nFrags int, cfg placeConfig) e
 			nextProc := e.procs[next[0].proc]
 			if nextProc == from {
 				// Same processor: feed directly, no network hop.
-				feeder := from.feeder
-				return func(t stream.Tuple) { _ = feeder.FeedQuery(nextFrag, t) }, nil
+				eng := from.eng
+				return func(t stream.Tuple) { _ = eng.FeedQuery(nextFrag, t) }, nil
 			}
 			fromID, to, tr := from.id, nextProc.id, e.transport
 			return func(t stream.Tuple) {
@@ -511,7 +553,7 @@ func (e *Entity) placeWith(spec engine.QuerySpec, nFrags int, cfg placeConfig) e
 			}
 			trace.Record(trace.SpanID(t.Span), trace.StageOperator, pick)
 			if target == fromNode {
-				_ = fromNode.feeder.FeedQuery(pick, t)
+				_ = fromNode.eng.FeedQuery(pick, t)
 				return
 			}
 			_ = tr.Send(fromNode.id, target.id, KindFeed, encodeFeed(pick, t))
@@ -544,6 +586,14 @@ func (e *Entity) placeWith(spec engine.QuerySpec, nFrags int, cfg placeConfig) e
 			registered = append(registered, reg{proc: inst.proc, id: inst.spec.ID})
 		}
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		// Closed while the fragments registered; Close is closing the
+		// engines, which unregisters them.
+		return fmt.Errorf("entity %s: closed", e.id)
+	}
+	pq.gate.dedup = e.dedup // nothing else can reach the gate yet
 	// Delegation fan-out: fragment 0's single instance consumes the
 	// source stream(s) through the query's gate.
 	head := stages[0][0]
@@ -655,19 +705,11 @@ func (e *Entity) QueryPlacement(id string) ([]int, bool) {
 // metrics collector divides the two into the paper's per-query
 // Performance Ratio PR_k = d_k / p_k.
 func (e *Entity) QueryPerf(id string) (d, p float64, ok bool) {
-	e.mu.Lock()
-	pq, found := e.queries[id]
-	if !found {
-		e.mu.Unlock()
+	pq, procs, err := e.lookupQuery(id)
+	if err != nil {
 		return 0, 0, false
 	}
-	frags := pq.frags
-	stages := pq.stages
-	procs := make([]*procNode, len(pq.frags))
-	for i := range pq.frags {
-		procs[i] = e.procs[pq.procs[i]]
-	}
-	e.mu.Unlock()
+	frags, stages := pq.frags, pq.stages
 	nStages := 0
 	for _, s := range stages {
 		if s+1 > nStages {
@@ -679,11 +721,10 @@ func (e *Entity) QueryPerf(id string) (d, p float64, ok bool) {
 	pSum := make([]float64, nStages)
 	pCount := make([]float64, nStages)
 	for i, frag := range frags {
-		rep, isRep := procs[i].eng.(engine.MetricsReporter)
-		if !isRep {
+		if procs[i].reporter == nil {
 			return 0, 0, false
 		}
-		m, has := rep.Metrics(frag.ID)
+		m, has := procs[i].reporter.Metrics(frag.ID)
 		if !has {
 			return 0, 0, false
 		}
@@ -712,24 +753,15 @@ func (e *Entity) QueryPerf(id string) (d, p float64, ok bool) {
 // false when the query is unknown or its engines expose no metrics
 // (e.g. MiniEngine) — callers then fall back to the spec's estimate.
 func (e *Entity) QueryWork(id string) (busySeconds float64, results int64, ok bool) {
-	e.mu.Lock()
-	pq, found := e.queries[id]
-	if !found {
-		e.mu.Unlock()
+	pq, procs, err := e.lookupQuery(id)
+	if err != nil {
 		return 0, 0, false
 	}
-	frags := pq.frags
-	procs := make([]*procNode, len(pq.frags))
-	for i := range pq.frags {
-		procs[i] = e.procs[pq.procs[i]]
-	}
-	e.mu.Unlock()
-	for i, frag := range frags {
-		rep, isRep := procs[i].eng.(engine.MetricsReporter)
-		if !isRep {
+	for i, frag := range pq.frags {
+		if procs[i].reporter == nil {
 			return 0, 0, false
 		}
-		m, has := rep.Metrics(frag.ID)
+		m, has := procs[i].reporter.Metrics(frag.ID)
 		if !has {
 			return 0, 0, false
 		}
@@ -741,28 +773,19 @@ func (e *Entity) QueryWork(id string) (busySeconds float64, results int64, ok bo
 }
 
 // QueryDrops reports the tuples dropped for a placed query by its
-// hosting engines' full input queues or shard rings, summed over
-// fragments. ok is false when the query is unknown or no hosting
-// engine reports drops (e.g. MiniEngine, which never drops).
+// hosting engines' full shard rings, summed over fragments. ok is false
+// when the query is unknown or no hosting engine reports drops (e.g.
+// MiniEngine, which never drops).
 func (e *Entity) QueryDrops(id string) (dropped int64, ok bool) {
-	e.mu.Lock()
-	pq, found := e.queries[id]
-	if !found {
-		e.mu.Unlock()
+	pq, procs, err := e.lookupQuery(id)
+	if err != nil {
 		return 0, false
 	}
-	frags := pq.frags
-	procs := make([]*procNode, len(pq.frags))
-	for i := range pq.frags {
-		procs[i] = e.procs[pq.procs[i]]
-	}
-	e.mu.Unlock()
-	for i, frag := range frags {
-		rep, isRep := procs[i].eng.(engine.DropReporter)
-		if !isRep {
+	for i, frag := range pq.frags {
+		if procs[i].reporter == nil {
 			continue
 		}
-		dropped += rep.Dropped(frag.ID)
+		dropped += procs[i].reporter.Dropped(frag.ID)
 		ok = true
 	}
 	return dropped, ok
@@ -772,18 +795,13 @@ func (e *Entity) QueryDrops(id string) (dropped int64, ok bool) {
 // whose engine exposes one (DESIGN.md §14). ok is false when no engine
 // does (e.g. an entity running only MiniEngines).
 func (e *Entity) EngineTelemetry() (engine.EngineStats, bool) {
-	e.mu.Lock()
-	procs := make([]*procNode, len(e.procs))
-	copy(procs, e.procs)
-	e.mu.Unlock()
 	var out engine.EngineStats
 	var ok bool
-	for _, pn := range procs {
-		in, isIn := pn.eng.(engine.Introspector)
-		if !isIn {
+	for _, pn := range e.procs {
+		if pn.reporter == nil {
 			continue
 		}
-		out.Merge(in.EngineStats())
+		out.Merge(pn.reporter.EngineStats())
 		ok = true
 	}
 	return out, ok
@@ -793,14 +811,10 @@ func (e *Entity) EngineTelemetry() (engine.EngineStats, bool) {
 // entity's processors — unlike QueryDrops it includes drops charged to
 // queries that have since been unregistered or migrated away.
 func (e *Entity) DroppedTotal() int64 {
-	e.mu.Lock()
-	procs := make([]*procNode, len(e.procs))
-	copy(procs, e.procs)
-	e.mu.Unlock()
 	var total int64
-	for _, pn := range procs {
-		if rep, isRep := pn.eng.(engine.TotalDropReporter); isRep {
-			total += rep.TotalDropped()
+	for _, pn := range e.procs {
+		if pn.reporter != nil {
+			total += pn.reporter.TotalDropped()
 		}
 	}
 	return total
@@ -837,8 +851,6 @@ func (e *Entity) Interest(streamName string) []stream.Interest {
 // Load returns the entity's total engine load — the vertex weight its
 // queries contribute to the federation's query graph.
 func (e *Entity) Load() float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	sum := 0.0
 	for _, p := range e.procs {
 		sum += p.eng.Load()
@@ -848,8 +860,6 @@ func (e *Entity) Load() float64 {
 
 // ProcLoads returns each processor's current load.
 func (e *Entity) ProcLoads() []float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	out := make([]float64, len(e.procs))
 	for i, p := range e.procs {
 		out[i] = p.eng.Load()
@@ -878,22 +888,20 @@ func (e *Entity) RebalanceOnce(threshold float64, nFrags int) (bool, error) {
 	if threshold < 1 {
 		threshold = 1.5
 	}
-	e.mu.Lock()
-	loads := make([]float64, len(e.procs))
+	loads := e.ProcLoads()
 	sum := 0.0
 	hot := 0
-	for i, p := range e.procs {
-		loads[i] = p.eng.Load()
+	for i := range loads {
 		sum += loads[i]
 		if loads[i] > loads[hot] {
 			hot = i
 		}
 	}
-	mean := sum / float64(len(e.procs))
+	mean := sum / float64(len(loads))
 	if mean == 0 || loads[hot]/mean < threshold {
-		e.mu.Unlock()
 		return false, nil
 	}
+	e.mu.Lock()
 	// Lightest query with a fragment on the hot processor.
 	victim := ""
 	victimLoad := 0.0
@@ -933,17 +941,13 @@ func (e *Entity) RebalanceOnce(threshold float64, nFrags int) (bool, error) {
 // engine.Adapter capability) to re-order its queries' commutable
 // operators from observed statistics — the entity-wide Adaptation Module
 // sweep. It returns the number of queries whose plan actually changed
-// (every engine's AdaptOrdering reports applied reorders, so the sum is
+// (both engines' AdaptOrdering report applied reorders, so the sum is
 // comparable across engine kinds).
 func (e *Entity) AdaptOrdering(minGain float64) int {
-	e.mu.Lock()
-	procs := make([]*procNode, len(e.procs))
-	copy(procs, e.procs)
-	e.mu.Unlock()
 	n := 0
-	for _, p := range procs {
-		if a, ok := p.eng.(engine.Adapter); ok {
-			n += a.AdaptOrdering(minGain)
+	for _, p := range e.procs {
+		if p.adapter != nil {
+			n += p.adapter.AdaptOrdering(minGain)
 		}
 	}
 	return n
@@ -957,9 +961,8 @@ func (e *Entity) Close() {
 		return
 	}
 	e.closed = true
-	procs := e.procs
 	e.mu.Unlock()
-	for _, p := range procs {
+	for _, p := range e.procs {
 		_ = e.transport.Deregister(p.id)
 		p.eng.Close()
 	}
@@ -980,7 +983,6 @@ func (p *procNode) ingest(b stream.Batch) {
 	targets := make([]fanoutTarget, len(p.fanout[b[0].Stream]))
 	copy(targets, p.fanout[b[0].Stream])
 	p.mu.Unlock()
-	bf, batchFeed := p.feeder.(engine.BatchFeeder)
 	for _, tgt := range targets {
 		out := b
 		if tgt.gate != nil {
@@ -995,13 +997,7 @@ func (p *procNode) ingest(b stream.Batch) {
 			for _, t := range out {
 				trace.Record(trace.SpanID(t.Span), trace.StageOperator, tgt.frag)
 			}
-			if batchFeed {
-				_ = bf.FeedQueryBatch(tgt.frag, out)
-			} else {
-				for _, t := range out {
-					_ = p.feeder.FeedQuery(tgt.frag, t)
-				}
-			}
+			_ = p.eng.FeedQueryBatch(tgt.frag, out)
 			continue
 		}
 		// One addressed message per remote fragment, not one per tuple.
@@ -1021,7 +1017,7 @@ func (p *procNode) handle(m simnet.Message) {
 			return
 		}
 		trace.Record(trace.SpanID(t.Span), trace.StageOperator, frag)
-		_ = p.feeder.FeedQuery(frag, t)
+		_ = p.eng.FeedQuery(frag, t)
 	case KindFeedBatch:
 		frag, batch, err := decodeFeedBatch(m.Payload)
 		if err != nil {
@@ -1030,13 +1026,7 @@ func (p *procNode) handle(m simnet.Message) {
 		for _, t := range batch {
 			trace.Record(trace.SpanID(t.Span), trace.StageOperator, frag)
 		}
-		if bf, ok := p.feeder.(engine.BatchFeeder); ok {
-			_ = bf.FeedQueryBatch(frag, batch)
-		} else {
-			for _, t := range batch {
-				_ = p.feeder.FeedQuery(frag, t)
-			}
-		}
+		_ = p.eng.FeedQueryBatch(frag, batch)
 	case KindIngest:
 		batch, _, err := stream.DecodeBatch(m.Payload)
 		if err != nil {

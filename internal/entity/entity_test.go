@@ -297,7 +297,7 @@ func TestEntityWithFullEngine(t *testing.T) {
 	// The same scenario through the asynchronous engine implementation.
 	net := simnet.NewSim(nil)
 	defer net.Close()
-	e, err := New("e1", net, testCatalog(t), 2, nil) // default full engine
+	e, err := New("e1", net, testCatalog(t), 2, nil) // default production engine
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,8 +25,7 @@ import (
 const maxPauseBuffer = 1 << 16
 
 // replayChunk bounds how many buffered tuples are fed between engine
-// drains on resume, so replay cannot overflow the engine's input queue
-// (queueDepth = 1024).
+// drains on resume, so replay cannot overflow a shard's ring.
 const replayChunk = 512
 
 // ingestGate sits between the delegation fan-out and a query's head
@@ -295,8 +294,6 @@ func (e *Entity) headFeeder(pq *placedQuery, procs []*procNode) func(stream.Batc
 	head := pq.frags[0].ID
 	p := procs[0]
 	return func(b stream.Batch) {
-		type drainer interface{ Drain(time.Duration) bool }
-		bf, batchFeed := p.feeder.(engine.BatchFeeder)
 		for len(b) > 0 {
 			n := replayChunk
 			if len(b) < n {
@@ -304,17 +301,9 @@ func (e *Entity) headFeeder(pq *placedQuery, procs []*procNode) func(stream.Batc
 			}
 			chunk := b[:n]
 			b = b[n:]
-			if batchFeed {
-				_ = bf.FeedQueryBatch(head, chunk)
-			} else {
-				for _, t := range chunk {
-					_ = p.feeder.FeedQuery(head, t)
-				}
-			}
-			if len(b) > 0 {
-				if d, ok := p.eng.(drainer); ok {
-					d.Drain(time.Second)
-				}
+			_ = p.eng.FeedQueryBatch(head, chunk)
+			if len(b) > 0 && p.drainer != nil {
+				p.drainer.Drain(time.Second)
 			}
 		}
 	}
@@ -328,11 +317,10 @@ func (e *Entity) DrainQuery(id string, timeout time.Duration) error {
 	if err != nil {
 		return err
 	}
-	type drainer interface{ Drain(time.Duration) bool }
 	drained := false
 	for _, p := range procs {
-		if d, ok := p.eng.(drainer); ok {
-			d.Drain(timeout)
+		if p.drainer != nil {
+			p.drainer.Drain(timeout)
 			drained = true
 		}
 	}
@@ -353,11 +341,10 @@ func (e *Entity) SnapshotQuery(id string) (st map[string]engine.QueryState, byte
 	}
 	st = make(map[string]engine.QueryState, len(pq.frags))
 	for i, frag := range pq.frags {
-		ss, can := procs[i].eng.(engine.StateSnapshotter)
-		if !can {
+		if procs[i].state == nil {
 			return nil, 0, false, nil
 		}
-		qs, err := ss.SnapshotQueryState(frag.ID)
+		qs, err := procs[i].state.SnapshotQueryState(frag.ID)
 		if err != nil {
 			return nil, 0, false, err
 		}
@@ -380,11 +367,10 @@ func (e *Entity) RestoreQuery(id string, st map[string]engine.QueryState) error 
 		if !has {
 			continue
 		}
-		ss, can := procs[i].eng.(engine.StateSnapshotter)
-		if !can {
+		if procs[i].state == nil {
 			return fmt.Errorf("entity %s: engine for fragment %s cannot restore state", e.id, frag.ID)
 		}
-		if err := ss.RestoreQueryState(frag.ID, qs); err != nil {
+		if err := procs[i].state.RestoreQueryState(frag.ID, qs); err != nil {
 			return err
 		}
 	}
@@ -401,11 +387,10 @@ func (e *Entity) QueryStateBytes(id string) (int, bool) {
 	}
 	total := 0
 	for i, frag := range pq.frags {
-		ss, can := procs[i].eng.(engine.StateSnapshotter)
-		if !can {
+		if procs[i].state == nil {
 			return 0, false
 		}
-		n, has := ss.QueryStateBytes(frag.ID)
+		n, has := procs[i].state.QueryStateBytes(frag.ID)
 		if !has {
 			return 0, false
 		}

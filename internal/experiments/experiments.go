@@ -98,7 +98,6 @@ func All() []Table {
 		E6OperatorPlacement(),
 		E7AdaptiveOrdering(),
 		E8CouplingTradeoff(),
-		E9SchedulingPolicy(),
 		E10InterestAggregation(),
 		E11TreeReorganization(),
 		E12AdaptiveRouting(),

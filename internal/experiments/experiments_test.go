@@ -257,22 +257,6 @@ func TestE8CouplingTradeoff(t *testing.T) {
 	}
 }
 
-func TestE9SchedulingPolicy(t *testing.T) {
-	tab := E9SchedulingPolicy()
-	renderNonEmpty(t, tab)
-	// Rows: fifo, round-robin, longest-queue. Round-robin must give the
-	// light query a far better light/heavy ratio than both others.
-	fifoRatio := cell(t, tab, 0, 3)
-	rrRatio := cell(t, tab, 1, 3)
-	lqRatio := cell(t, tab, 2, 3)
-	if rrRatio*5 > fifoRatio {
-		t.Errorf("round-robin ratio %v not well below fifo %v", rrRatio, fifoRatio)
-	}
-	if rrRatio >= lqRatio {
-		t.Errorf("round-robin ratio %v not below longest-queue %v", rrRatio, lqRatio)
-	}
-}
-
 func TestE10InterestAggregation(t *testing.T) {
 	tab := E10InterestAggregation()
 	renderNonEmpty(t, tab)

@@ -6,9 +6,14 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"sspd/internal/engine"
+	"sspd/internal/entity"
+	"sspd/internal/simnet"
+	"sspd/internal/stream"
 	"sspd/internal/trace"
 	"sspd/internal/workload"
 )
@@ -144,6 +149,93 @@ func TestMetricsScrapeWhileIngesting(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	close(stop)
 	wg.Wait()
+}
+
+// TestScrapePlaceMigrateIngestStress is the lock-order rule's test
+// (entity.go): /metrics scrapes, query placement and removal, live
+// migration and ingest all run at once, on each engine, and every
+// goroutine must come back. A cycle between Entity.mu and an engine
+// shows up as a hang (the package timeout), a missed lock as a -race
+// report.
+func TestScrapePlaceMigrateIngestStress(t *testing.T) {
+	engines := map[string]entity.EngineFactory{
+		"production": nil,
+		"mini": func(name string, c *stream.Catalog) engine.Processor {
+			return engine.NewMini(name, c)
+		},
+	}
+	for name, factory := range engines {
+		t.Run(name, func(t *testing.T) {
+			ts, fed, net := newTestServerWith(t, factory)
+			if resp, _ := postJSON(t, ts.URL+"/queries", map[string]string{
+				"id": "q1", "query": "FROM quotes WHERE price < 900"}); resp.StatusCode != http.StatusCreated {
+				t.Fatalf("post query: %d", resp.StatusCode)
+			}
+			if !net.Quiesce(2 * time.Second) {
+				t.Fatal("quiesce after submit")
+			}
+
+			var wg sync.WaitGroup
+			stop := make(chan struct{})
+			loop := func(body func(i int)) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; ; i++ {
+						select {
+						case <-stop:
+							return
+						default:
+							body(i)
+						}
+					}
+				}()
+			}
+			tick := workload.NewTicker(1, 100, 1.2)
+			loop(func(int) { _ = fed.Publish("quotes", tick.Batch(5)) })
+			for g := 0; g < 2; g++ {
+				loop(func(i int) {
+					resp, err := http.Get(ts.URL + "/metrics")
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					body, err := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if err != nil || resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "sspd_pr_max") {
+						t.Errorf("scrape %d: status %d, err %v", i, resp.StatusCode, err)
+					}
+				})
+			}
+			loop(func(i int) {
+				id := fmt.Sprintf("churn%d", i)
+				spec := engine.QuerySpec{ID: id, Source: "quotes",
+					Filters: []engine.FilterSpec{{Field: "price", Lo: 0, Hi: 500}}}
+				if _, err := fed.SubmitQuery(spec, simnet.Point{X: 25}, nil); err != nil {
+					t.Errorf("place %s: %v", id, err)
+					return
+				}
+				if err := fed.RemoveQuery(id); err != nil {
+					t.Errorf("remove %s: %v", id, err)
+				}
+			})
+			ids := fed.EntityIDs()
+			var moved atomic.Int64
+			loop(func(i int) {
+				// Round-robin over the entities; a hop onto the current
+				// host is refused, which is fine.
+				if fed.MigrateQuery("q1", ids[i%len(ids)]) == nil {
+					moved.Add(1)
+				}
+			})
+			time.Sleep(150 * time.Millisecond)
+			close(stop)
+			wg.Wait()
+			if moved.Load() == 0 {
+				t.Error("no migration completed while the other loops ran")
+			}
+		})
+	}
 }
 
 // TestTracesEndpoint drives a traced tuple end to end and reads its span

@@ -14,12 +14,22 @@ import (
 
 	"sspd/internal/core"
 	"sspd/internal/engine"
+	"sspd/internal/entity"
 	"sspd/internal/simnet"
 	"sspd/internal/stream"
 	"sspd/internal/workload"
 )
 
 func newTestServer(t *testing.T) (*httptest.Server, *core.Federation, *simnet.SimNet) {
+	t.Helper()
+	return newTestServerWith(t, func(name string, c *stream.Catalog) engine.Processor {
+		return engine.NewMini(name, c)
+	})
+}
+
+// newTestServerWith builds the three-entity test federation on the
+// given engine; a nil factory means the production engine.
+func newTestServerWith(t *testing.T, factory entity.EngineFactory) (*httptest.Server, *core.Federation, *simnet.SimNet) {
 	t.Helper()
 	net := simnet.NewSim(nil)
 	t.Cleanup(func() { net.Close() })
@@ -33,12 +43,9 @@ func newTestServer(t *testing.T) (*httptest.Server, *core.Federation, *simnet.Si
 		core.StreamRate{TuplesPerSec: 100, BytesPerTuple: 60}); err != nil {
 		t.Fatal(err)
 	}
-	mini := func(name string, c *stream.Catalog) engine.Processor {
-		return engine.NewMini(name, c)
-	}
 	for i := 0; i < 3; i++ {
 		if err := fed.AddEntity(fmt.Sprintf("e%02d", i),
-			simnet.Point{X: float64(10 + i*20)}, 2, mini); err != nil {
+			simnet.Point{X: float64(10 + i*20)}, 2, factory); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -115,6 +115,36 @@ func TestDecomposeMissingStages(t *testing.T) {
 	assertTelescoping(t, bd)
 }
 
+// TestDecomposeOutOfOrderAnchors: hops are stamped before they are
+// appended, so another query's operator hop can sit before this result
+// in the list with a later time (and a delegate hop with an earlier one
+// than the deliver hop before it). No stage may go negative and the
+// stages must still sum to E2E exactly.
+func TestDecomposeOutOfOrderAnchors(t *testing.T) {
+	s := mkSpan(
+		[2]any{trace.StagePublish, 0},
+		[2]any{trace.StageRelay, 5},
+		[2]any{trace.StageDeliver, 12},
+		[2]any{trace.StageDelegate, 10}, // stamped before the deliver hop
+		[2]any{trace.StageOperator, 20}, // q1's fragment
+		[2]any{trace.StageOperator, 47}, // q2's fragment, stamped after q1's result
+		[2]any{trace.StageResult, 40},   // q1
+	)
+	bd, ok := Decompose(s, 6)
+	if !ok {
+		t.Fatal("Decompose rejected the chain")
+	}
+	for st, v := range bd.Stage {
+		if v < 0 {
+			t.Errorf("%s = %g, negative", st, v)
+		}
+	}
+	if math.Abs(bd.E2E-0.040) > 1e-9 {
+		t.Errorf("e2e = %g, want 0.040", bd.E2E)
+	}
+	assertTelescoping(t, bd)
+}
+
 func TestDecomposeRejects(t *testing.T) {
 	s := mkSpan([2]any{trace.StagePublish, 0}, [2]any{trace.StageRelay, 5})
 	if _, ok := Decompose(s, 1); ok {

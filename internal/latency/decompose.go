@@ -56,6 +56,14 @@ type Breakdown struct {
 // with no hop on the chain (e.g. no relay on a loopback delivery)
 // contributes a zero delta and its time flows into the next present
 // segment, keeping the telescoping sum intact.
+//
+// Hops are stamped before they are appended, and the walk can anchor on
+// a hop of another query's fan-out, so an anchor's time may fall before
+// the previous anchor's or after the result's. Such an anchor is pulled
+// into [previous anchor, result] — treated like a missing one — rather
+// than having its negative delta cut to zero on its own, which would
+// leave the neighbouring stage's matching surplus in and make the
+// stages sum to more than E2E.
 func Decompose(s trace.Span, hop int) (Breakdown, bool) {
 	if hop < 0 || hop >= len(s.Hops) || s.Hops[hop].Stage != trace.StageResult {
 		return Breakdown{}, false
@@ -65,6 +73,9 @@ func Decompose(s trace.Span, hop int) (Breakdown, bool) {
 	}
 	pub := s.Hops[0].At
 	res := s.Hops[hop].At
+	if res.Before(pub) {
+		res = pub
+	}
 
 	// Backward walk: anchor each pipeline stage at the latest matching
 	// hop before the previously anchored one.
@@ -82,11 +93,15 @@ func Decompose(s trace.Span, hop int) (Breakdown, bool) {
 	}
 
 	// Fill forward: a missing anchor inherits the previous stage's time,
-	// zeroing its delta without breaking the telescoping sum.
+	// zeroing its delta without breaking the telescoping sum; a present
+	// one moves time forward, never back and never past the result.
 	prev := pub
 	at := func(st string) time.Time {
-		if t, ok := anchor[st]; ok {
+		if t, ok := anchor[st]; ok && t.After(prev) {
 			prev = t
+			if prev.After(res) {
+				prev = res
+			}
 		}
 		return prev
 	}
@@ -95,13 +110,7 @@ func Decompose(s trace.Span, hop int) (Breakdown, bool) {
 	delegate := at(trace.StageDelegate)
 	operator := at(trace.StageOperator)
 
-	d := func(from, to time.Time) float64 {
-		v := to.Sub(from).Seconds()
-		if v < 0 {
-			return 0
-		}
-		return v
-	}
+	d := func(from, to time.Time) float64 { return to.Sub(from).Seconds() }
 	return Breakdown{
 		Query:  s.Hops[hop].Node,
 		Stream: s.Stream,

@@ -149,24 +149,27 @@ type (
 	HybridRepartitioner = querygraph.HybridRepartitioner
 )
 
-// Engine constructors: the bundled engine implementations.
+// Engine constructors: the two bundled engine implementations.
 var (
-	// NewEngine builds the full asynchronous engine.
+	// NewEngine builds the production engine: the shard-per-core
+	// vectorized engine with one shard per CPU.
 	NewEngine = engine.New
-	// NewMiniEngine builds the synchronous reference engine.
-	NewMiniEngine = engine.NewMini
-	// NewShardEngine builds the shard-per-core vectorized engine
+	// NewShardEngine is NewEngine with an explicit shard count
 	// (nShards 0 picks GOMAXPROCS).
 	NewShardEngine = engine.NewShard
+	// NewMiniEngine builds the synchronous reference engine, the oracle
+	// the production engine is tested against.
+	NewMiniEngine = engine.NewMini
 )
 
-// Shard-engine surface: the per-core vectorized engine and the optional
-// drop-attribution capability engines with bounded queues implement.
+// Engine surface: the production engine and the optional measurement
+// capability an instrumented engine implements.
 type (
 	// ShardEngine is the shard-per-core vectorized engine.
 	ShardEngine = engine.ShardEngine
-	// DropReporter exposes per-query drop counts from bounded queues.
-	DropReporter = engine.DropReporter
+	// EngineReporter exposes per-query performance, drop counts and the
+	// per-shard telemetry snapshot.
+	EngineReporter = engine.Reporter
 )
 
 // Workload generators.
@@ -202,25 +205,6 @@ func ParseQuery(id, src string) (QuerySpec, error) { return sspdql.Parse(id, src
 
 // FormatQuery renders a spec back to sspdql text.
 func FormatQuery(spec QuerySpec) string { return sspdql.Format(spec) }
-
-// Scheduler-engine surface: the third bundled engine, a single-threaded
-// shared scheduler with pluggable policies.
-type (
-	// SchedEngine is the shared-scheduler engine implementation.
-	SchedEngine = engine.SchedEngine
-	// SchedPolicy selects its scheduling policy.
-	SchedPolicy = engine.Policy
-)
-
-// Scheduling policies for NewSchedEngine.
-const (
-	PolicyFIFO         = engine.PolicyFIFO
-	PolicyRoundRobin   = engine.PolicyRoundRobin
-	PolicyLongestQueue = engine.PolicyLongestQueue
-)
-
-// NewSchedEngine builds the scheduler engine.
-var NewSchedEngine = engine.NewSched
 
 // Query-graph partitioners, exposed for standalone optimization studies.
 var (
@@ -304,12 +288,6 @@ type (
 	// EngineShardStat is one shard's telemetry row: ring occupancy and
 	// high-water, drops, kernel-vs-interpreted split, control latency.
 	EngineShardStat = engine.ShardStat
-	// EngineIntrospector is the optional engine capability of exposing a
-	// telemetry snapshot.
-	EngineIntrospector = engine.Introspector
-	// TotalDropReporter is the optional engine capability of reporting
-	// the engine-lifetime dropped-tuple total.
-	TotalDropReporter = engine.TotalDropReporter
 	// ClusterEngineView is the cluster engine view: every entity's shard
 	// telemetry plus the backpressure watchdog's windowed readings.
 	ClusterEngineView = core.ClusterEngineView
