@@ -240,15 +240,9 @@ func TestLatencyChaosJitterDriftAndSLO(t *testing.T) {
 	// Phase 1 — healthy baseline.
 	publish(30)
 	att := waitLatencyCount(t, fed, 60)
-	// Per query: the span-measured PR and the drift between it and the
-	// engine's own estimate (what sspd_pr_drift exports), while healthy.
-	healthyPR, healthyDrift := map[string]float64{}, map[string]float64{}
-	for _, q := range att.Queries {
-		est, ok := fed.QueryPR(q.Query)
-		if q.PRMeasured <= 0 || !ok {
-			t.Fatalf("no measured/estimated PR for %s after healthy traffic", q.Query)
-		}
-		healthyPR[q.Query], healthyDrift[q.Query] = q.PRMeasured, q.PRMeasured/est
+	healthyPR, _ := fed.PRMeasuredMax()
+	if healthyPR <= 0 {
+		t.Fatal("no measured PR after healthy traffic")
 	}
 	healthyCount := att.E2E.Count
 	for _, v := range fed.SLOStatus() {
@@ -272,16 +266,11 @@ func TestLatencyChaosJitterDriftAndSLO(t *testing.T) {
 	}
 	// The measured ratio must diverge hard from the estimate: jitter
 	// lands in the span but not in the engine's queue-to-result clock.
-	// The two are compared by how far apart they move, not by their
-	// levels: the estimate's level is the engine's own business (the
-	// shard engine charges every tuple its whole batch's delay, so on
-	// these 30-tuple batches it reads ~30 whatever the network does).
-	if drift := jitterPR / estPR; drift < healthyDrift[prQuery]*3 {
-		t.Fatalf("measured/estimated PR %.3g/%.3g = %.3g under jitter, %.3g while healthy: did not diverge",
-			jitterPR, estPR, drift, healthyDrift[prQuery])
+	if jitterPR < estPR*3 {
+		t.Fatalf("measured PR %.3g did not diverge from estimated %.3g under jitter", jitterPR, estPR)
 	}
-	if jitterPR < healthyPR[prQuery]*2 {
-		t.Fatalf("measured PR %.3g barely moved from healthy %.3g under 80ms jitter", jitterPR, healthyPR[prQuery])
+	if jitterPR < healthyPR*2 {
+		t.Fatalf("measured PR %.3g barely moved from healthy %.3g under 80ms jitter", jitterPR, healthyPR)
 	}
 
 	breaches := fed.Journal().Since(0, "slo.breach")

@@ -28,7 +28,9 @@ import (
 //  4. End of stream: everything handed over before Unregister(id) is
 //     called is still processed, and its results emitted, before
 //     Unregister returns. Close does the same for every query.
-//  5. Close is idempotent; Register after Close fails.
+//  5. Close is idempotent; Register after Close fails, and a control
+//     call that races Close returns (with an error where it has one) —
+//     it never waits for an engine that has stopped.
 //  6. emit runs on an engine goroutine (or inline in the feed call, in
 //     a synchronous engine) with no engine lock held, so it may feed
 //     this or another engine. An asynchronous engine's control calls
@@ -95,11 +97,19 @@ type Reporter interface {
 // engine: d (total delay), p (processing time), and the paper's
 // Performance Ratio PR = d/p.
 type QueryMetrics struct {
-	ID         string
-	Results    int64
-	Delay      metrics.Snapshot
+	ID      string
+	Results int64
+	// Delay is per tuple: handed to the engine until its results are out.
+	Delay metrics.Snapshot
+	// Processing is per tuple, at the grain the engine serves tuples at:
+	// the run time of the batch the tuple travelled in, i.e. its delay
+	// had nothing been waiting.
 	Processing metrics.Snapshot
-	// PR is mean delay over mean processing time (Section 4.1).
+	// Busy is the engine time spent on the query, in seconds (each batch
+	// run counted once).
+	Busy float64
+	// PR is mean delay over mean processing time (Section 4.1): 1 means
+	// no tuple waited.
 	PR float64
 }
 

@@ -56,6 +56,7 @@ type shardQuery struct {
 	results metrics.Counter
 	delay   metrics.Histogram
 	proc    metrics.Histogram
+	busyNs  metrics.Counter
 	dropped metrics.Counter
 }
 
@@ -109,16 +110,19 @@ type ShardEngine struct {
 	accMu      sync.Mutex
 	acc        map[accKey]*accum
 	accPending atomic.Int64
-	// flushDone is nil until the first accumulator exists: an engine fed
-	// only whole batches never starts the flusher. Guarded by accMu.
-	flushDone chan struct{}
 
 	// droppedTotal is the engine-lifetime dropped-tuple count across all
 	// queries — unlike the per-query counters it survives Unregister, so
 	// the entity-level drop attribution never loses history.
 	droppedTotal metrics.Counter
 
+	// The flusher starts with the first accumulator: an engine that is
+	// idle or fed only whole batches has no goroutine waking every
+	// millisecond. flushOnce is spent by that start or by Close,
+	// whichever comes first.
+	flushOnce sync.Once
 	stopFlush chan struct{}
+	flushDone chan struct{}
 }
 
 // shard is one per-core processing lane: a ring, a goroutine, and the
@@ -162,6 +166,7 @@ func NewShard(name string, catalog *stream.Catalog, nShards int) *ShardEngine {
 		routes:    make(map[string][]streamRoute),
 		acc:       make(map[accKey]*accum),
 		stopFlush: make(chan struct{}),
+		flushDone: make(chan struct{}),
 	}
 	for i := 0; i < nShards; i++ {
 		e.shards = append(e.shards, &shard{eng: e, idx: i})
@@ -196,9 +201,6 @@ func (e *ShardEngine) started() []*shard {
 
 // EngineName implements Processor.
 func (e *ShardEngine) EngineName() string { return e.name }
-
-// NumShards returns the number of per-core shards.
-func (e *ShardEngine) NumShards() int { return len(e.shards) }
 
 // shardFor hash-partitions a query ID onto a shard (FNV-1a, inlined so
 // assignment allocates nothing).
@@ -251,13 +253,11 @@ func (e *ShardEngine) Register(spec QuerySpec, emit func(stream.Tuple)) error {
 	e.queries[spec.ID] = sq
 	e.rebuildRoutes()
 	e.mu.Unlock()
-	// Install on the owning shard, without waiting for it: the ring is
-	// FIFO, so every tuple and control item handed over after Register
-	// returns trails the install item. Tuples dispatched between publish
-	// and install are skipped by the shard — indistinguishable from
-	// arriving just before registration.
-	sq.sh.enqueueCtl(&shardCtl{op: shardCtlInstall, sq: sq})
-	return nil
+	// Install on the owning shard. Tuples dispatched between publish and
+	// install are skipped by the shard — indistinguishable from arriving
+	// just before registration. A shard that stopped under us means Close
+	// won the race; it clears the tables itself.
+	return sq.sh.do(&shardCtl{op: shardCtlInstall, sq: sq})
 }
 
 // Unregister implements Processor. The uninstall control item trails
@@ -281,9 +281,9 @@ func (e *ShardEngine) Unregister(id string) (QuerySpec, error) {
 	delete(e.queries, id)
 	e.rebuildRoutes()
 	e.mu.Unlock()
-	c := &shardCtl{op: shardCtlUninstall, id: id}
-	sq.sh.enqueueCtl(c)
-	<-c.done
+	if err := sq.sh.do(&shardCtl{op: shardCtlUninstall, id: id}); err != nil {
+		return QuerySpec{}, err
+	}
 	return sq.q.Spec(), nil
 }
 
@@ -326,12 +326,7 @@ func (e *ShardEngine) accumulate(key accKey, t stream.Tuple) {
 	if a == nil {
 		a = &accum{buf: make(stream.Batch, 0, shardAccBatch)}
 		e.acc[key] = a
-		if e.flushDone == nil {
-			// After Close stopFlush is closed and the flusher returns
-			// at once.
-			e.flushDone = make(chan struct{})
-			go e.flusher(e.flushDone)
-		}
+		e.flushOnce.Do(func() { go e.flusher() })
 	}
 	e.accMu.Unlock()
 	a.mu.Lock()
@@ -449,8 +444,8 @@ func (e *ShardEngine) FeedQueryBatch(id string, b stream.Batch) error {
 // flusher force-flushes accumulators so trickling streams never stall
 // behind the batch threshold. With nothing pending a tick costs one
 // atomic load.
-func (e *ShardEngine) flusher(done chan struct{}) {
-	defer close(done)
+func (e *ShardEngine) flusher() {
+	defer close(e.flushDone)
 	tick := time.NewTicker(shardFlushEvery)
 	defer tick.Stop()
 	for {
@@ -531,6 +526,7 @@ func (e *ShardEngine) Metrics(id string) (QueryMetrics, bool) {
 		Results:    sq.results.Value(),
 		Delay:      sq.delay.Snapshot(),
 		Processing: sq.proc.Snapshot(),
+		Busy:       float64(sq.busyNs.Value()) / 1e9,
 	}
 	if m.Processing.Mean > 0 {
 		m.PR = m.Delay.Mean / m.Processing.Mean
@@ -585,16 +581,16 @@ func (e *ShardEngine) AdaptOrdering(minGain float64) int {
 	if closed {
 		return 0
 	}
-	ctls := make([]*shardCtl, 0, len(shards))
-	for _, sh := range shards {
-		c := &shardCtl{op: shardCtlAdapt, minGain: minGain}
-		sh.enqueueCtl(c)
-		ctls = append(ctls, c)
+	ctls := make([]*shardCtl, len(shards))
+	for i, sh := range shards {
+		ctls[i] = &shardCtl{op: shardCtlAdapt, minGain: minGain}
+		sh.enqueueCtl(ctls[i])
 	}
 	n := 0
-	for _, c := range ctls {
-		<-c.done
-		n += c.changed
+	for i, sh := range shards {
+		if sh.wait(ctls[i]) == nil {
+			n += ctls[i].changed
+		}
 	}
 	return n
 }
@@ -608,9 +604,8 @@ func (e *ShardEngine) SnapshotQueryState(id string) (QueryState, error) {
 	}
 	e.flushAll()
 	c := &shardCtl{op: shardCtlSnapshot, id: id}
-	sq.sh.enqueueCtl(c)
-	<-c.done
-	return c.snap, c.err
+	err = sq.sh.do(c)
+	return c.snap, err
 }
 
 // RestoreQueryState implements StateSnapshotter.
@@ -619,10 +614,7 @@ func (e *ShardEngine) RestoreQueryState(id string, st QueryState) error {
 	if err != nil {
 		return err
 	}
-	c := &shardCtl{op: shardCtlRestore, id: id, restore: st}
-	sq.sh.enqueueCtl(c)
-	<-c.done
-	return c.err
+	return sq.sh.do(&shardCtl{op: shardCtlRestore, id: id, restore: st})
 }
 
 // QueryStateBytes implements StateSnapshotter.
@@ -632,8 +624,9 @@ func (e *ShardEngine) QueryStateBytes(id string) (int, bool) {
 		return 0, false
 	}
 	c := &shardCtl{op: shardCtlBytes, id: id}
-	sq.sh.enqueueCtl(c)
-	<-c.done
+	if sq.sh.do(c) != nil {
+		return 0, false
+	}
 	return c.bytes, true
 }
 
@@ -660,13 +653,9 @@ func (e *ShardEngine) Close() {
 	e.closed = true
 	shards := e.started() // closed: no Register can start another
 	e.mu.Unlock()
+	e.flushOnce.Do(func() { close(e.flushDone) }) // never started
 	close(e.stopFlush)
-	e.accMu.Lock()
-	flushDone := e.flushDone
-	e.accMu.Unlock()
-	if flushDone != nil {
-		<-flushDone
-	}
+	<-e.flushDone
 	e.flushAll()
 	for _, sh := range shards {
 		close(sh.stop)
@@ -735,9 +724,37 @@ func (sh *shard) enqueueData(item ringItem) bool {
 	return true
 }
 
+// do runs one control item on the shard goroutine and waits for its
+// answer. A shard that has stopped answers with an error instead — a
+// control call racing Close returns, it never hangs.
+func (sh *shard) do(c *shardCtl) error {
+	sh.enqueueCtl(c)
+	return sh.wait(c)
+}
+
+// wait blocks until the shard has executed c or has stopped without
+// doing so.
+func (sh *shard) wait(c *shardCtl) error {
+	select {
+	case <-c.done:
+		return c.err
+	case <-sh.done:
+	}
+	// The shard drains its ring before it exits, so whether c was
+	// executed is settled by now.
+	select {
+	case <-c.done:
+		return c.err
+	default:
+		sh.pending.Add(-1) // published after the last drain: orphaned
+		return fmt.Errorf("engine %s: shard %d stopped", sh.eng.name, sh.idx)
+	}
+}
+
 // enqueueCtl publishes a control item with a blocking (spinning)
 // enqueue — control is never dropped. The consumer keeps draining, so
-// the spin terminates unless the shard has already stopped.
+// the spin terminates unless the shard has already stopped, which
+// answers c with an error.
 func (sh *shard) enqueueCtl(c *shardCtl) {
 	c.done = make(chan struct{})
 	c.enq = time.Now()
@@ -834,7 +851,11 @@ func (sh *shard) process(item ringItem) {
 // vectorized pipeline when compiled, per-tuple Feed otherwise (joins).
 // Exactly two timestamps are taken per (query, batch) — the rule the
 // kernels rely on — and the per-tuple delay/processing histograms are
-// updated with one weighted observation each.
+// updated with one weighted observation each. Both are charged at the
+// grain a tuple is served at, the batch: d is arrival to the end of the
+// batch's run, p is that run alone — the soonest a tuple of the batch
+// could have come out — so PR = d/p is 1 with no waiting, whatever the
+// batch size. The engine time the run cost goes to busyNs once.
 func (sh *shard) feedBatch(sq *shardQuery, item ringItem, fresh bool) {
 	b := item.b
 	n := int64(len(b))
@@ -861,8 +882,9 @@ func (sh *shard) feedBatch(sq *shardQuery, item ringItem, fresh bool) {
 	st.batches.Add(1)
 	st.tuples.Add(n)
 	end := time.Now()
-	el := end.Sub(start).Seconds()
-	sq.proc.ObserveN(el/float64(n), n)
+	el := end.Sub(start)
+	sq.busyNs.Add(el.Nanoseconds())
+	sq.proc.ObserveN(el.Seconds(), n)
 	sq.delay.ObserveN(end.Sub(item.arrived).Seconds(), n)
 }
 

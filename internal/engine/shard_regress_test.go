@@ -251,3 +251,50 @@ func TestShardEngineAdaptRingFullWriterQueuedNoDeadlock(t *testing.T) {
 	}
 	eng.Close()
 }
+
+// TestShardEngineControlOnStoppedShardReturns: a control call that finds
+// its query in the tables just before Close stops the shards used to
+// publish its control item into the dead shard's (non-full) ring and
+// wait for an answer forever. The state between "shards stopped" and
+// "tables cleared" is rebuilt by stopping the shard by hand; every
+// control call must come back, with an error where it has one.
+func TestShardEngineControlOnStoppedShardReturns(t *testing.T) {
+	eng := NewShard("regress", regressCatalog(t), 1)
+	if err := eng.Register(QuerySpec{ID: "q", Source: "events"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	sh := eng.shardFor("q")
+	close(sh.stop)
+	<-sh.done
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if _, err := eng.SnapshotQueryState("q"); err == nil {
+			t.Error("snapshot on a stopped shard succeeded")
+		}
+		if err := eng.RestoreQueryState("q", nil); err == nil {
+			t.Error("restore on a stopped shard succeeded")
+		}
+		if _, ok := eng.QueryStateBytes("q"); ok {
+			t.Error("state size on a stopped shard reported")
+		}
+		if n := eng.AdaptOrdering(0.5); n != 0 {
+			t.Errorf("adapt on a stopped shard changed %d queries", n)
+		}
+		if err := eng.Register(QuerySpec{ID: "late", Source: "events"}, nil); err == nil {
+			t.Error("register onto a stopped shard succeeded")
+		}
+		if _, err := eng.Unregister("q"); err == nil {
+			t.Error("unregister on a stopped shard succeeded")
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a control call is waiting for a stopped shard")
+	}
+	if n := sh.pending.Load(); n != 0 {
+		t.Errorf("orphaned control items left pending = %d", n)
+	}
+}

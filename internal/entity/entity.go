@@ -765,7 +765,7 @@ func (e *Entity) QueryWork(id string) (busySeconds float64, results int64, ok bo
 		if !has {
 			return 0, 0, false
 		}
-		busySeconds += m.Processing.Sum
+		busySeconds += m.Busy
 		results += m.Results
 		ok = true
 	}

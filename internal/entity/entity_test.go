@@ -293,8 +293,40 @@ func TestEntityCloseStopsIngest(t *testing.T) {
 	}
 }
 
+// TestPlaceQueryRacingClose: placement registers fragments outside
+// Entity.mu, so Close can stop the engines between two fragments'
+// registrations. The placement then fails and rolls back against
+// engines that are closing or closed; it must return, not wait for a
+// stopped shard.
+func TestPlaceQueryRacingClose(t *testing.T) {
+	for iter := 0; iter < 100; iter++ {
+		net := simnet.NewSim(nil)
+		e, err := New("e1", net, testCatalog(t), 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; ; i++ {
+				if e.PlaceQuery(filterSpec(fmt.Sprintf("q%d", i), 0, 100), 2) != nil {
+					return
+				}
+			}
+		}()
+		time.Sleep(time.Duration(iter%10) * 50 * time.Microsecond)
+		e.Close()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("iteration %d: PlaceQuery never returned after Close", iter)
+		}
+		net.Close()
+	}
+}
+
 func TestEntityWithFullEngine(t *testing.T) {
-	// The same scenario through the asynchronous engine implementation.
+	// The same scenario through the production engine.
 	net := simnet.NewSim(nil)
 	defer net.Close()
 	e, err := New("e1", net, testCatalog(t), 2, nil) // default production engine

@@ -154,9 +154,10 @@ func TestMetricsScrapeWhileIngesting(t *testing.T) {
 // TestScrapePlaceMigrateIngestStress is the lock-order rule's test
 // (entity.go): /metrics scrapes, query placement and removal, live
 // migration and ingest all run at once, on each engine, and every
-// goroutine must come back. A cycle between Entity.mu and an engine
-// shows up as a hang (the package timeout), a missed lock as a -race
-// report.
+// goroutine must come back — also when Federation.Close lands in the
+// middle of them. A cycle between Entity.mu and an engine, or a control
+// call left waiting for a stopped shard, shows up as a hang (the package
+// timeout), a missed lock as a -race report.
 func TestScrapePlaceMigrateIngestStress(t *testing.T) {
 	engines := map[string]entity.EngineFactory{
 		"production": nil,
@@ -176,6 +177,7 @@ func TestScrapePlaceMigrateIngestStress(t *testing.T) {
 			}
 
 			var wg sync.WaitGroup
+			var closing atomic.Bool // calls may fail from here on
 			stop := make(chan struct{})
 			loop := func(body func(i int)) {
 				wg.Add(1)
@@ -202,6 +204,9 @@ func TestScrapePlaceMigrateIngestStress(t *testing.T) {
 					}
 					body, err := io.ReadAll(resp.Body)
 					resp.Body.Close()
+					if closing.Load() {
+						return
+					}
 					if err != nil || resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "sspd_pr_max") {
 						t.Errorf("scrape %d: status %d, err %v", i, resp.StatusCode, err)
 					}
@@ -212,10 +217,12 @@ func TestScrapePlaceMigrateIngestStress(t *testing.T) {
 				spec := engine.QuerySpec{ID: id, Source: "quotes",
 					Filters: []engine.FilterSpec{{Field: "price", Lo: 0, Hi: 500}}}
 				if _, err := fed.SubmitQuery(spec, simnet.Point{X: 25}, nil); err != nil {
-					t.Errorf("place %s: %v", id, err)
+					if !closing.Load() {
+						t.Errorf("place %s: %v", id, err)
+					}
 					return
 				}
-				if err := fed.RemoveQuery(id); err != nil {
+				if err := fed.RemoveQuery(id); err != nil && !closing.Load() {
 					t.Errorf("remove %s: %v", id, err)
 				}
 			})
@@ -229,11 +236,14 @@ func TestScrapePlaceMigrateIngestStress(t *testing.T) {
 				}
 			})
 			time.Sleep(150 * time.Millisecond)
-			close(stop)
-			wg.Wait()
 			if moved.Load() == 0 {
 				t.Error("no migration completed while the other loops ran")
 			}
+			closing.Store(true)
+			fed.Close()
+			time.Sleep(20 * time.Millisecond)
+			close(stop)
+			wg.Wait()
 		})
 	}
 }
