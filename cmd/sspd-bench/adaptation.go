@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"sspd/internal/core"
@@ -155,7 +153,7 @@ func runAdaptationOnce(routed bool, seed int64) (adaptRun, error) {
 	if _, err := fed.EnableTracing(4, 8192); err != nil {
 		return out, err
 	}
-	if err := fed.EnableLatencyAttribution(0); err != nil {
+	if err := fed.EnableLatencyAttribution(); err != nil {
 		return out, err
 	}
 	results := 0
@@ -281,11 +279,7 @@ func runAdaptationBench(path string) error {
 		rep.Improvement = staticA.prMax / routed.prMax
 	}
 
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
+	if err := writeReport(path, rep); err != nil {
 		return err
 	}
 	fmt.Printf("adaptation bench: PR_max static=%.3g/%.3g routed=%.3g (%.2fx, bar %.2fx) mean delay static=%.3gs routed=%.3gs\n",

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -298,12 +296,7 @@ func runChaosBench(specStr, path string) error {
 	rep.ControlRetries, _ = fed.ControlStats()
 	rep.ControlGiveUps = fed.ControlGiveUps()
 
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
+	if err := writeReport(path, rep); err != nil {
 		return err
 	}
 	fmt.Printf("chaos bench (drop=%.2f dup=%.2f crash=%d seed=%d):\n",

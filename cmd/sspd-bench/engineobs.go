@@ -2,16 +2,12 @@ package main
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
 	"time"
 
 	"sspd/internal/core"
 	"sspd/internal/engine"
-	"sspd/internal/obslog"
 	"sspd/internal/simnet"
 	"sspd/internal/stream"
-	"sspd/internal/workload"
 )
 
 // engineobsReport is appended into BENCH_observability.json: the cost
@@ -22,8 +18,9 @@ import (
 // delta isolates the introspection plane alone.
 type engineobsReport struct {
 	// NsPerTupleEngineObsOff / On are end-to-end publish->result costs
-	// per tuple with the engine introspection plane disabled and enabled
-	// (50ms watchdog period), stats plane on in both cases.
+	// per tuple with the engine introspection plane disabled and enabled,
+	// stats plane (50ms digest period, the watchdog's clock) on in both
+	// cases.
 	NsPerTupleEngineObsOff float64 `json:"ns_per_tuple_engineobs_off"`
 	NsPerTupleEngineObsOn  float64 `json:"ns_per_tuple_engineobs_on"`
 	// EngineObsOverheadPct is the on/off delta; the acceptance bar is
@@ -40,102 +37,23 @@ func runEngineobsBench(path string) error {
 	var rep engineobsReport
 
 	// End-to-end tuple path through shard engines (the instrumented
-	// path), engine introspection off vs on. Same topology and
-	// interleaved best-of-N discipline as the stats-plane bench.
-	const (
-		nEntities = 4
-		nTuples   = 100_000
-		batchSize = 100
-		rounds    = 5
-	)
-	runOnce := func(plane bool) (float64, error) {
-		net := simnet.NewSim(nil)
-		defer net.Close()
-		catalog := workload.Catalog(100, 20)
-		fed, err := core.New(net, catalog, core.Options{Fanout: 3,
-			Logger: obslog.New(obslog.NewJournal(obslog.DefaultJournalCapacity), nil)})
-		if err != nil {
-			return 0, err
-		}
-		defer fed.Close()
-		if err := fed.AddSource("quotes", simnet.Point{},
-			core.StreamRate{TuplesPerSec: 1000, BytesPerTuple: 60}); err != nil {
-			return 0, err
-		}
-		shard := func(name string, c *stream.Catalog) engine.Processor {
-			return engine.NewShard(name, c, 2)
-		}
-		for i := 0; i < nEntities; i++ {
-			if err := fed.AddEntity(fmt.Sprintf("e%02d", i),
-				simnet.Point{X: float64(10 + i*20)}, 2, shard); err != nil {
-				return 0, err
-			}
-		}
-		if err := fed.Start(); err != nil {
-			return 0, err
-		}
-		for q := 0; q < nEntities; q++ {
-			spec := engine.QuerySpec{
-				ID: fmt.Sprintf("q%d", q), Source: "quotes",
-				Filters: []engine.FilterSpec{{Field: "price", Lo: 0, Hi: 1000, Cost: 1}},
-				Load:    5,
-			}
-			if _, err := fed.SubmitQuery(spec, simnet.Point{X: float64(15 + q*20)}, nil); err != nil {
-				return 0, err
-			}
-		}
-		net.Quiesce(2 * time.Second)
-		if err := fed.EnableStatsPlane(50 * time.Millisecond); err != nil {
-			return 0, err
-		}
-		if plane {
-			if err := fed.EnableEngineIntrospection(50 * time.Millisecond); err != nil {
-				return 0, err
-			}
-		}
-		tick := workload.NewTicker(1, 100, 1.2)
-		if err := fed.Publish("quotes", tick.Batch(batchSize)); err != nil {
-			return 0, err
-		}
-		net.Quiesce(2 * time.Second)
-		start := time.Now()
-		for sent := 0; sent < nTuples; sent += batchSize {
-			if err := fed.Publish("quotes", tick.Batch(batchSize)); err != nil {
-				return 0, err
-			}
-		}
-		net.Quiesce(10 * time.Second)
-		return float64(time.Since(start).Nanoseconds()) / float64(nTuples), nil
+	// path), engine introspection off vs on; the stats plane — which
+	// clocks the watchdog, 50ms period — runs on both sides.
+	shard := func(name string, c *stream.Catalog) engine.Processor {
+		return engine.NewShard(name, c, 2)
 	}
-	var offs, ons []float64
-	measure := func(plane bool) error {
-		runtime.GC()
-		ns, err := runOnce(plane)
-		if err != nil {
-			return err
-		}
-		if plane {
-			ons = append(ons, ns)
-		} else {
-			offs = append(offs, ns)
-		}
-		return nil
+	cost, err := planeCost(
+		func() (*core.Federation, *simnet.SimNet, error) {
+			return benchFederation(quietOptions(3), 4, shard, func(fed *core.Federation) error {
+				return fed.EnableStatsPlane(50 * time.Millisecond)
+			})
+		},
+		func(fed *core.Federation) error { return fed.EnableEngineIntrospection() })
+	if err != nil {
+		return err
 	}
-	for r := 0; r < rounds; r++ {
-		first := r%2 == 1
-		if err := measure(first); err != nil {
-			return err
-		}
-		if err := measure(!first); err != nil {
-			return err
-		}
-	}
-	sort.Float64s(offs)
-	sort.Float64s(ons)
-	rep.NsPerTupleEngineObsOff = offs[0]
-	rep.NsPerTupleEngineObsOn = ons[0]
-	rep.EngineObsNoisePct = 100 * ((offs[len(offs)/2] - offs[0]) + (ons[len(ons)/2] - ons[0])) / offs[0]
-	rep.EngineObsOverheadPct = 100 * (rep.NsPerTupleEngineObsOn - rep.NsPerTupleEngineObsOff) / rep.NsPerTupleEngineObsOff
+	rep.NsPerTupleEngineObsOff, rep.NsPerTupleEngineObsOn = cost.Off, cost.On
+	rep.EngineObsNoisePct, rep.EngineObsOverheadPct = cost.NoisePct, cost.OverheadPct
 
 	if err := appendReport(path, rep); err != nil {
 		return err

@@ -1,18 +1,13 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"time"
 
 	"sspd/internal/core"
-	"sspd/internal/engine"
 	"sspd/internal/latency"
-	"sspd/internal/obslog"
 	"sspd/internal/simnet"
-	"sspd/internal/stream"
 	"sspd/internal/trace"
 	"sspd/internal/workload"
 )
@@ -48,142 +43,45 @@ const (
 	latencySampleEvery = 1024
 )
 
-// latencyFederation builds the standard bench topology. Callers own the
-// returned federation and transport.
-func latencyFederation(nEntities, fanout int) (*core.Federation, *simnet.SimNet, error) {
-	net := simnet.NewSim(nil)
-	catalog := workload.Catalog(100, 20)
-	fed, err := core.New(net, catalog, core.Options{Fanout: fanout,
-		Logger: obslog.New(obslog.NewJournal(obslog.DefaultJournalCapacity), nil)})
-	if err != nil {
-		net.Close()
-		return nil, nil, err
-	}
-	if err := fed.AddSource("quotes", simnet.Point{},
-		core.StreamRate{TuplesPerSec: 1000, BytesPerTuple: 60}); err != nil {
-		fed.Close()
-		net.Close()
-		return nil, nil, err
-	}
-	mini := func(name string, c *stream.Catalog) engine.Processor {
-		return engine.NewMini(name, c)
-	}
-	for i := 0; i < nEntities; i++ {
-		if err := fed.AddEntity(fmt.Sprintf("e%02d", i),
-			simnet.Point{X: float64(10 + i*20)}, 2, mini); err != nil {
-			fed.Close()
-			net.Close()
-			return nil, nil, err
-		}
-	}
-	if err := fed.Start(); err != nil {
-		fed.Close()
-		net.Close()
-		return nil, nil, err
-	}
-	for q := 0; q < nEntities; q++ {
-		spec := engine.QuerySpec{
-			ID: fmt.Sprintf("q%d", q), Source: "quotes",
-			Filters: []engine.FilterSpec{{Field: "price", Lo: 0, Hi: 1000, Cost: 1}},
-			Load:    5,
-		}
-		if _, err := fed.SubmitQuery(spec, simnet.Point{X: float64(15 + q*20)}, nil); err != nil {
-			fed.Close()
-			net.Close()
-			return nil, nil, err
-		}
-	}
-	net.Quiesce(2 * time.Second)
-	return fed, net, nil
-}
-
 func runLatencyBench(path string) error {
 	rep := latencyReport{SampleEvery: latencySampleEvery}
 
-	// Part 1 — tuple-path overhead. Both runs sample 1/1024; only the
-	// second attaches the completion hook, decomposition, and watchdog.
-	const (
-		nEntities = 4
-		nTuples   = 100_000
-		batchSize = 100
-		rounds    = 3
-	)
-	runOnce := func(plane bool) (float64, error) {
-		fed, net, err := latencyFederation(nEntities, 3)
-		if err != nil {
-			return 0, err
-		}
-		defer net.Close()
-		defer fed.Close()
-		defer trace.SetActive(nil)
-		if _, err := fed.EnableTracing(latencySampleEvery, 4096); err != nil {
-			return 0, err
-		}
-		// The stats plane runs in both configurations (its own cost is
-		// gated by bench-statsplane); the delta here isolates the latency
-		// plane: completion hook, decomposition, histograms, watchdog.
-		if plane {
-			if err := fed.EnableLatencyAttribution(0); err != nil {
-				return 0, err
-			}
-		}
-		if err := fed.EnableStatsPlane(50 * time.Millisecond); err != nil {
-			return 0, err
-		}
-		tick := workload.NewTicker(1, 100, 1.2)
-		if err := fed.Publish("quotes", tick.Batch(batchSize)); err != nil {
-			return 0, err
-		}
-		net.Quiesce(2 * time.Second)
-		start := time.Now()
-		for sent := 0; sent < nTuples; sent += batchSize {
-			if err := fed.Publish("quotes", tick.Batch(batchSize)); err != nil {
-				return 0, err
-			}
-		}
-		net.Quiesce(10 * time.Second)
-		return float64(time.Since(start).Nanoseconds()) / float64(nTuples), nil
-	}
-	run := func(plane bool) (float64, error) {
-		best := 0.0
-		for r := 0; r < rounds; r++ {
-			ns, err := runOnce(plane)
-			if err != nil {
-				return 0, err
-			}
-			if best == 0 || ns < best {
-				best = ns
-			}
-		}
-		return best, nil
-	}
-	var err error
-	if rep.NsPerTuplePlaneOff, err = run(false); err != nil {
+	// Part 1 — tuple-path overhead. Both sides sample 1/1024 and run the
+	// stats plane (its own cost is gated by bench-statsplane); only the
+	// on side attaches the completion hook, decomposition, histograms and
+	// the SLO watchdog the stats period clocks.
+	cost, err := planeCost(
+		func() (*core.Federation, *simnet.SimNet, error) {
+			return benchFederation(quietOptions(3), 4, miniFactory, func(fed *core.Federation) error {
+				if _, err := fed.EnableTracing(latencySampleEvery, 4096); err != nil {
+					return err
+				}
+				return fed.EnableStatsPlane(50 * time.Millisecond)
+			})
+		},
+		func(fed *core.Federation) error { return fed.EnableLatencyAttribution() })
+	if err != nil {
 		return err
 	}
-	if rep.NsPerTuplePlaneOn, err = run(true); err != nil {
-		return err
-	}
-	rep.OverheadPct = 100 * (rep.NsPerTuplePlaneOn - rep.NsPerTuplePlaneOff) / rep.NsPerTuplePlaneOff
+	rep.NsPerTuplePlaneOff, rep.NsPerTuplePlaneOn, rep.OverheadPct = cost.Off, cost.On, cost.OverheadPct
 
 	// Part 2 — merge accuracy. Every tuple sampled on a 3-entity
 	// federation; the federated P99 (per-entity histograms merged
 	// through the stats rows) must land within one log-bucket of the
 	// exact P99 computed from the raw spans themselves.
 	if err := func() error {
-		fed, net, err := latencyFederation(3, 2)
+		fed, net, err := benchFederation(quietOptions(2), 3, miniFactory, nil)
 		if err != nil {
 			return err
 		}
 		defer net.Close()
 		defer fed.Close()
-		defer trace.SetActive(nil)
 		const oracleTuples = 2000
 		tr, err := fed.EnableTracing(1, 2*oracleTuples)
 		if err != nil {
 			return err
 		}
-		if err := fed.EnableLatencyAttribution(0); err != nil {
+		if err := fed.EnableLatencyAttribution(); err != nil {
 			return err
 		}
 		if err := fed.EnableStatsPlane(0); err != nil {
@@ -255,11 +153,7 @@ func runLatencyBench(path string) error {
 		return err
 	}
 
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
+	if err := writeReport(path, rep); err != nil {
 		return err
 	}
 	fmt.Printf("latency bench: tuple off=%.0fns on=%.0fns (%+.2f%% @1/%d) fed p99=%.3gs oracle p99=%.3gs (bucket distance %d over %d spans)\n",

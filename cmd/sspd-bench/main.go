@@ -52,64 +52,25 @@ func main() {
 		}
 		return
 	}
-	if *obs != "" {
-		if err := runObservabilityBench(*obs); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	// A report flag selects one gate/bench mode instead of the tables.
+	for _, mode := range []struct {
+		out *string
+		run func(path string) error
+	}{
+		{obs, runObservabilityBench},
+		{tuplepath, runTuplepathBench},
+		{statsplane, runStatsplaneBench},
+		{engineobs, runEngineobsBench},
+		{chaos, func(spec string) error { return runChaosBench(spec, *chaosOut) }},
+		{migration, runMigrationBench},
+		{latencyOut, runLatencyBench},
+		{recoveryOut, runRecoveryBench},
+		{adaptationOut, runAdaptationBench},
+	} {
+		if *mode.out == "" {
+			continue
 		}
-		return
-	}
-	if *tuplepath != "" {
-		if err := runTuplepathBench(*tuplepath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *statsplane != "" {
-		if err := runStatsplaneBench(*statsplane); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *engineobs != "" {
-		if err := runEngineobsBench(*engineobs); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *chaos != "" {
-		if err := runChaosBench(*chaos, *chaosOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *migration != "" {
-		if err := runMigrationBench(*migration); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *latencyOut != "" {
-		if err := runLatencyBench(*latencyOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *recoveryOut != "" {
-		if err := runRecoveryBench(*recoveryOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *adaptationOut != "" {
-		if err := runAdaptationBench(*adaptationOut); err != nil {
+		if err := mode.run(*mode.out); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -184,11 +182,7 @@ func runMigrationBench(path string) error {
 	rep.Pass = rep.Lost == 0 && rep.Duplicated == 0 && rep.Rollbacks == 0 &&
 		rep.Commits == hopCount && rep.PauseMaxMs <= migrationPauseBudgetMs
 
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := writeReport(path, rep); err != nil {
 		return err
 	}
 	fmt.Printf("migration bench: %d hops, %d/%d delivered (%d lost, %d dup), "+

@@ -1,16 +1,12 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"sspd/internal/core"
 	"sspd/internal/dissemination"
-	"sspd/internal/engine"
 	"sspd/internal/simnet"
-	"sspd/internal/stream"
 	"sspd/internal/trace"
 	"sspd/internal/workload"
 )
@@ -55,118 +51,32 @@ type observabilityReport struct {
 const instrumentedHopsPerTuple = 8
 
 func runObservabilityBench(path string) error {
-	const (
-		nEntities = 4
-		nTuples   = 20000
-		batchSize = 100
-	)
+	const nEntities = 4
 	setup := func() (*core.Federation, *simnet.SimNet, error) {
-		net := simnet.NewSim(nil)
-		catalog := workload.Catalog(100, 20)
-		fed, err := core.New(net, catalog, core.Options{Strategy: dissemination.Locality, Fanout: 3})
-		if err != nil {
-			net.Close()
-			return nil, nil, err
+		return benchFederation(core.Options{Strategy: dissemination.Locality, Fanout: 3},
+			nEntities, miniFactory, nil)
+	}
+	tracing := func(every int) func(*core.Federation) error {
+		return func(fed *core.Federation) error {
+			_, err := fed.EnableTracing(every, 4096)
+			return err
 		}
-		if err := fed.AddSource("quotes", simnet.Point{},
-			core.StreamRate{TuplesPerSec: 1000, BytesPerTuple: 60}); err != nil {
-			fed.Close()
-			net.Close()
-			return nil, nil, err
-		}
-		mini := func(name string, c *stream.Catalog) engine.Processor {
-			return engine.NewMini(name, c)
-		}
-		for i := 0; i < nEntities; i++ {
-			if err := fed.AddEntity(fmt.Sprintf("e%02d", i),
-				simnet.Point{X: float64(10 + i*20)}, 2, mini); err != nil {
-				fed.Close()
-				net.Close()
-				return nil, nil, err
-			}
-		}
-		if err := fed.Start(); err != nil {
-			fed.Close()
-			net.Close()
-			return nil, nil, err
-		}
-		for q := 0; q < nEntities; q++ {
-			spec := engine.QuerySpec{
-				ID:     fmt.Sprintf("q%d", q),
-				Source: "quotes",
-				Filters: []engine.FilterSpec{
-					{Field: "price", Lo: 0, Hi: 1000, Cost: 1},
-				},
-				Load: 5,
-			}
-			if _, err := fed.SubmitQuery(spec, simnet.Point{X: float64(15 + q*20)}, nil); err != nil {
-				fed.Close()
-				net.Close()
-				return nil, nil, err
-			}
-		}
-		net.Quiesce(2 * time.Second)
-		return fed, net, nil
 	}
 
-	runOnce := func(every int) (float64, error) {
-		fed, net, err := setup()
-		if err != nil {
-			return 0, err
-		}
-		defer net.Close()
-		defer fed.Close()
-		if every > 0 {
-			if _, err := fed.EnableTracing(every, 4096); err != nil {
-				return 0, err
-			}
-			defer trace.SetActive(nil)
-		}
-		tick := workload.NewTicker(1, 100, 1.2)
-		// Warmup.
-		if err := fed.Publish("quotes", tick.Batch(batchSize)); err != nil {
-			return 0, err
-		}
-		net.Quiesce(2 * time.Second)
-		start := time.Now()
-		for sent := 0; sent < nTuples; sent += batchSize {
-			if err := fed.Publish("quotes", tick.Batch(batchSize)); err != nil {
-				return 0, err
-			}
-		}
-		net.Quiesce(10 * time.Second)
-		return float64(time.Since(start).Nanoseconds()) / float64(nTuples), nil
-	}
-
-	// Each configuration runs three times on a fresh federation and
-	// keeps the fastest — SimNet scheduling noise dominates single runs.
-	run := func(every int) (float64, error) {
-		best := 0.0
-		for round := 0; round < 3; round++ {
-			ns, err := runOnce(every)
-			if err != nil {
-				return 0, err
-			}
-			if best == 0 || ns < best {
-				best = ns
-			}
-		}
-		return best, nil
-	}
-
-	rep := observabilityReport{Tuples: nTuples, Entities: nEntities, Queries: nEntities}
-	var err error
-	if rep.NsPerTupleOff, err = run(0); err != nil {
+	// Each tracing rate is compared against its own interleaved untraced
+	// runs; the reported off figure is the sampled comparison's.
+	rep := observabilityReport{Tuples: planeCostTuples, Entities: nEntities, Queries: nEntities}
+	sampled, err := planeCost(setup, tracing(1024))
+	if err != nil {
 		return err
 	}
-	if rep.NsPerTupleSampled, err = run(1024); err != nil {
+	traced, err := planeCost(setup, tracing(1))
+	if err != nil {
 		return err
 	}
-	if rep.NsPerTupleTraced, err = run(1); err != nil {
-		return err
-	}
-	rep.SampledOverheadPct = 100 * (rep.NsPerTupleSampled - rep.NsPerTupleOff) / rep.NsPerTupleOff
-	rep.TracedOverheadPct = 100 * (rep.NsPerTupleTraced - rep.NsPerTupleOff) / rep.NsPerTupleOff
+	rep.NsPerTupleOff = sampled.Off
+	rep.NsPerTupleSampled, rep.SampledOverheadPct = sampled.On, sampled.OverheadPct
+	rep.NsPerTupleTraced, rep.TracedOverheadPct = traced.On, traced.OverheadPct
 
 	// Microbench the disabled record path: id == 0 returns before any
 	// shared-state access, so this is the entire per-hop cost with
@@ -188,7 +98,7 @@ func runObservabilityBench(path string) error {
 	defer net.Close()
 	defer fed.Close()
 	tick := workload.NewTicker(1, 100, 1.2)
-	if err := fed.Publish("quotes", tick.Batch(batchSize)); err != nil {
+	if err := fed.Publish("quotes", tick.Batch(planeCostBatch)); err != nil {
 		return err
 	}
 	net.Quiesce(2 * time.Second)
@@ -201,12 +111,7 @@ func runObservabilityBench(path string) error {
 	}
 	rep.NsPerScrape = float64(time.Since(start).Nanoseconds()) / float64(scrapeIters)
 
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
+	if err := writeReport(path, rep); err != nil {
 		return err
 	}
 	fmt.Printf("observability bench: off=%.0fns/tuple sampled=%.0fns (%+.1f%%) traced=%.0fns (%+.1f%%)\n",

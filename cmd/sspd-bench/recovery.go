@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -243,11 +241,7 @@ func runRecoveryBench(path string) error {
 		rep.ReplayRatio <= recoveryReplayBudget &&
 		rep.FailErrors == 0
 
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := writeReport(path, rep); err != nil {
 		return err
 	}
 	fmt.Printf("recovery bench: %d queries restored in %.1fms, %d/%d delivered "+

@@ -4,17 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
-	"sort"
 	"time"
 
 	"sspd/internal/coordinator"
 	"sspd/internal/core"
-	"sspd/internal/engine"
 	"sspd/internal/obslog"
 	"sspd/internal/simnet"
-	"sspd/internal/stream"
-	"sspd/internal/workload"
 )
 
 // statsplaneReport is appended into BENCH_observability.json: the cost
@@ -94,107 +89,17 @@ func runStatsplaneBench(path string) error {
 	}
 	rep.NsPerJournalAppend = float64(time.Since(start).Nanoseconds()) / float64(appendIters)
 
-	// End-to-end tuple path, plane off vs plane on. Same topology and
-	// best-of-N discipline as the observability bench, but a longer run:
-	// the drain-phase Quiesce polls in 1ms steps, so a stray digest push
-	// during the drain costs a fixed few milliseconds that must be
-	// amortized over enough tuples to not masquerade as per-tuple cost.
-	const (
-		nEntities = 4
-		nTuples   = 100_000
-		batchSize = 100
-		rounds    = 5
-	)
-	runOnce := func(plane bool) (float64, error) {
-		net := simnet.NewSim(nil)
-		defer net.Close()
-		catalog := workload.Catalog(100, 20)
-		fed, err := core.New(net, catalog, core.Options{Fanout: 3,
-			Logger: obslog.New(obslog.NewJournal(obslog.DefaultJournalCapacity), nil)})
-		if err != nil {
-			return 0, err
-		}
-		defer fed.Close()
-		if err := fed.AddSource("quotes", simnet.Point{},
-			core.StreamRate{TuplesPerSec: 1000, BytesPerTuple: 60}); err != nil {
-			return 0, err
-		}
-		mini := func(name string, c *stream.Catalog) engine.Processor {
-			return engine.NewMini(name, c)
-		}
-		for i := 0; i < nEntities; i++ {
-			if err := fed.AddEntity(fmt.Sprintf("e%02d", i),
-				simnet.Point{X: float64(10 + i*20)}, 2, mini); err != nil {
-				return 0, err
-			}
-		}
-		if err := fed.Start(); err != nil {
-			return 0, err
-		}
-		for q := 0; q < nEntities; q++ {
-			spec := engine.QuerySpec{
-				ID: fmt.Sprintf("q%d", q), Source: "quotes",
-				Filters: []engine.FilterSpec{{Field: "price", Lo: 0, Hi: 1000, Cost: 1}},
-				Load:    5,
-			}
-			if _, err := fed.SubmitQuery(spec, simnet.Point{X: float64(15 + q*20)}, nil); err != nil {
-				return 0, err
-			}
-		}
-		net.Quiesce(2 * time.Second)
-		if plane {
-			if err := fed.EnableStatsPlane(50 * time.Millisecond); err != nil {
-				return 0, err
-			}
-		}
-		tick := workload.NewTicker(1, 100, 1.2)
-		if err := fed.Publish("quotes", tick.Batch(batchSize)); err != nil {
-			return 0, err
-		}
-		net.Quiesce(2 * time.Second)
-		start := time.Now()
-		for sent := 0; sent < nTuples; sent += batchSize {
-			if err := fed.Publish("quotes", tick.Batch(batchSize)); err != nil {
-				return 0, err
-			}
-		}
-		net.Quiesce(10 * time.Second)
-		return float64(time.Since(start).Nanoseconds()) / float64(nTuples), nil
+	// End-to-end tuple path, plane off vs plane on (50ms digest period).
+	cost, err := planeCost(
+		func() (*core.Federation, *simnet.SimNet, error) {
+			return benchFederation(quietOptions(3), 4, miniFactory, nil)
+		},
+		func(fed *core.Federation) error { return fed.EnableStatsPlane(50 * time.Millisecond) })
+	if err != nil {
+		return err
 	}
-	// Rounds interleave off/on — alternating which side goes first and
-	// levelling the heap between runs — so slow machine-level drift (CPU
-	// frequency, container neighbors, accumulated garbage) hits both
-	// sides equally instead of landing wholesale in the delta; each side
-	// keeps its best round.
-	var offs, ons []float64
-	measure := func(plane bool) error {
-		runtime.GC()
-		ns, err := runOnce(plane)
-		if err != nil {
-			return err
-		}
-		if plane {
-			ons = append(ons, ns)
-		} else {
-			offs = append(offs, ns)
-		}
-		return nil
-	}
-	for r := 0; r < rounds; r++ {
-		first := r%2 == 1
-		if err := measure(first); err != nil {
-			return err
-		}
-		if err := measure(!first); err != nil {
-			return err
-		}
-	}
-	sort.Float64s(offs)
-	sort.Float64s(ons)
-	rep.NsPerTuplePlaneOff = offs[0]
-	rep.NsPerTuplePlaneOn = ons[0]
-	rep.PlaneNoisePct = 100 * ((offs[len(offs)/2] - offs[0]) + (ons[len(ons)/2] - ons[0])) / offs[0]
-	rep.PlaneOverheadPct = 100 * (rep.NsPerTuplePlaneOn - rep.NsPerTuplePlaneOff) / rep.NsPerTuplePlaneOff
+	rep.NsPerTuplePlaneOff, rep.NsPerTuplePlaneOn = cost.Off, cost.On
+	rep.PlaneNoisePct, rep.PlaneOverheadPct = cost.NoisePct, cost.OverheadPct
 
 	if err := appendReport(path, rep); err != nil {
 		return err
@@ -233,7 +138,12 @@ func appendReport(path string, rep any) error {
 	for k, v := range fields {
 		merged[k] = v
 	}
-	out, err := json.MarshalIndent(merged, "", "  ")
+	return writeReport(path, merged)
+}
+
+// writeReport (re)writes path as rep's indented JSON.
+func writeReport(path string, rep any) error {
+	out, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
 	}

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
@@ -277,12 +275,7 @@ func runTuplepathBench(path string) error {
 	rep.RelayInterpretedAllocsPerTuple = allocsPerRun(200, interpreted) / batchSize
 	rep.RelayCompiledAllocsPerTuple = allocsPerRun(200, compiledHop) / batchSize
 
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
+	if err := writeReport(path, rep); err != nil {
 		return err
 	}
 	fmt.Printf("tuplepath bench: relay %.0f -> %.0f ns/tuple (%.1fx), allocs/tuple %.2f -> %.3f\n",

@@ -96,10 +96,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		// Latency attribution rides the sampled spans and the stats
-		// ticks; interval 0 means the SLO watchdog evaluates once per
-		// stats period (enabled below).
-		if err := fed.EnableLatencyAttribution(0); err != nil {
+		// Latency attribution rides the sampled spans; its SLO watchdog
+		// evaluates once per stats period (the plane enabled below).
+		if err := fed.EnableLatencyAttribution(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -147,8 +146,9 @@ func main() {
 		os.Exit(1)
 	}
 	// The engine introspection plane powers \engine, /cluster/engine,
-	// and the backpressure watchdog; it rides the stats ticks.
-	if err := fed.EnableEngineIntrospection(statsPeriod); err != nil {
+	// and the backpressure watchdog, which the stats plane clocks: one
+	// evaluation per digest period, nothing else.
+	if err := fed.EnableEngineIntrospection(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

@@ -2,7 +2,8 @@ package coordinator
 
 // Stats federation over the coordinator tree (DESIGN.md §9). Each
 // entity runs a StatsNode: a small soft-state aggregator registered at
-// "<entity>/stats" on the shared transport. On every tick the node folds
+// "<entity>/stats" on the shared transport. On every Tick (the owner
+// clocks it: core's StatsTick, once per digest period) the node folds
 // its local registry into an EntityStats row, merges it into its table,
 // and pushes the whole table one hop up the tree (Tree.StatsParent).
 // Interior coordinators merge child digests row-by-row (newest sequence
@@ -163,10 +164,6 @@ type StatsNode struct {
 	mu   sync.Mutex
 	rows map[string]EntityStats
 	seq  uint64
-
-	loopMu sync.Mutex
-	stop   chan struct{}
-	done   chan struct{}
 }
 
 // NewStatsNode registers a stats endpoint for id on the transport. The
@@ -201,9 +198,8 @@ func (n *StatsNode) handle(m simnet.Message) {
 
 // Tick runs one federation period: fold the local row, expire stale
 // foreign rows, and push the merged table to the current parent (if
-// any). Safe to call manually in tests instead of Start. The Fold and
-// Parent closures run outside the node's lock, so they may take the
-// federation's own locks freely.
+// any). The Fold and Parent closures run outside the node's lock, so
+// they may take the federation's own locks freely.
 func (n *StatsNode) Tick() {
 	var row EntityStats
 	if n.Fold != nil {
@@ -254,47 +250,7 @@ func (n *StatsNode) Snapshot() map[string]EntityStats {
 	return out
 }
 
-// Start launches the periodic tick loop. Stop (or Close) ends it.
-func (n *StatsNode) Start(interval time.Duration) {
-	if interval <= 0 {
-		return
-	}
-	n.loopMu.Lock()
-	defer n.loopMu.Unlock()
-	if n.stop != nil {
-		return
-	}
-	n.stop = make(chan struct{})
-	n.done = make(chan struct{})
-	go func(stop, done chan struct{}) {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				n.Tick()
-			}
-		}
-	}(n.stop, n.done)
-}
-
-// Stop ends the periodic loop (idempotent; Tick stays usable).
-func (n *StatsNode) Stop() {
-	n.loopMu.Lock()
-	stop, done := n.stop, n.done
-	n.stop, n.done = nil, nil
-	n.loopMu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
-}
-
-// Close stops the loop and deregisters the endpoint.
+// Close deregisters the endpoint.
 func (n *StatsNode) Close() error {
-	n.Stop()
 	return n.net.Deregister(n.endpoint)
 }

@@ -158,26 +158,6 @@ func TestStatsNodeExpiresStaleRows(t *testing.T) {
 	}
 }
 
-func TestStatsNodeStartStop(t *testing.T) {
-	net := simnet.NewSim(nil)
-	defer net.Close()
-	n, err := NewStatsNode("e0", net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	n.Start(time.Millisecond)
-	deadline := time.Now().Add(2 * time.Second)
-	for n.Snapshot()["e0"].Seq == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("loop never ticked")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	n.Stop()
-	n.Stop() // idempotent
-}
-
 func TestTreeEventSink(t *testing.T) {
 	tr := NewTree(2)
 	var ops []string

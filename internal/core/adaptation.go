@@ -1,4 +1,4 @@
-// The adaptation controller: the background loop that closes the
+// The adaptation controller: the control-clock job that closes the
 // paper's adaptive-repartitioning cycle (Section 3.2.2). Each period it
 // feeds the *measured* query graph (stats-plane rates and loads) into
 // the Hybrid repartitioner, weighs every proposed move against the cost
@@ -36,47 +36,30 @@ func (f *Federation) StartAdaptation() error {
 }
 
 func (f *Federation) startAdaptationLocked(interval time.Duration) error {
-	if f.adaptStop != nil {
+	if f.adaptCancel != nil {
 		return fmt.Errorf("core: adaptation already running")
 	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	f.adaptStop = stop
-	f.adaptDone = done
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				_, _ = f.AdaptOnce()
-			case <-stop:
-				return
-			}
-		}
-	}()
+	f.adaptCancel = f.every(interval, func() { _, _ = f.AdaptOnce() })
 	return nil
 }
 
-// StopAdaptation halts the controller loop (idempotent).
+// StopAdaptation takes the controller off the clock, waiting for a
+// round in flight (idempotent).
 func (f *Federation) StopAdaptation() {
 	f.mu.Lock()
-	stop, done := f.adaptStop, f.adaptDone
-	f.adaptStop = nil
-	f.adaptDone = nil
+	cancel := f.adaptCancel
+	f.adaptCancel = nil
 	f.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
+	if cancel != nil {
+		cancel()
 	}
 }
 
 // AdaptationMoves reports the total queries moved by the controller.
 func (f *Federation) AdaptationMoves() int64 { return f.adaptMoves.Value() }
 
-// AdaptOnce runs one controller decision round synchronously (the loop
-// calls it on every tick; tests call it directly for determinism). It
+// AdaptOnce runs one controller decision round synchronously (the clock
+// calls it every period; tests call it directly for determinism). It
 // returns how many queries were migrated.
 func (f *Federation) AdaptOnce() (int, error) {
 	g := f.MeasuredQueryGraph(0)

@@ -163,55 +163,38 @@ func (p *amPlane) observe(rt amRoute, candidate string, delaySeconds float64) {
 
 // collect renders the sspd_am_* routing families.
 func (p *amPlane) collect(emit func(metrics.Sample)) {
-	counter := func(name, help string, v float64, labels ...metrics.Label) {
-		emit(metrics.Sample{Name: name, Help: help, Kind: metrics.KindCounter, Labels: labels, Value: v})
-	}
-	gauge := func(name, help string, v float64, labels ...metrics.Label) {
-		emit(metrics.Sample{Name: name, Help: help, Kind: metrics.KindGauge, Labels: labels, Value: v})
-	}
-	counter("sspd_am_reports_total", "Per-candidate delay observations fed into downstream choosers.",
+	metrics.EmitCounter(emit, "sspd_am_reports_total", "Per-candidate delay observations fed into downstream choosers.",
 		float64(p.reports.Value()))
-	counter("sspd_am_route_switches_total", "Preferred-downstream-candidate changes across routed boundaries.",
+	metrics.EmitCounter(emit, "sspd_am_route_switches_total", "Preferred-downstream-candidate changes across routed boundaries.",
 		float64(p.switches.Value()))
 
 	m := p.route.Load()
 	if m == nil {
 		return
 	}
-	ids := make([]string, 0, len(*m))
-	for id := range *m {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
 	var routed, explored int64
 	seen := make(map[*entity.DownstreamChooser]bool)
-	for _, id := range ids {
-		rt := (*m)[id]
+	for id, rt := range *m {
 		if !seen[rt.chooser] {
 			seen[rt.chooser] = true
 			routed += rt.chooser.RoutedCount()
 			explored += rt.chooser.ExploredCount()
 		}
-		gauge("sspd_am_candidate_delay_seconds", "Smoothed observed delay per downstream candidate.",
+		metrics.EmitGauge(emit, "sspd_am_candidate_delay_seconds", "Smoothed observed delay per downstream candidate.",
 			rt.chooser.Score(id),
 			metrics.L("query", rt.query), metrics.L("boundary", rt.boundary), metrics.L("candidate", id))
 	}
-	counter("sspd_am_routed_total", "Per-tuple downstream routing decisions made.", float64(routed))
-	counter("sspd_am_explored_total", "Routing decisions that probed a non-best candidate.", float64(explored))
+	metrics.EmitCounter(emit, "sspd_am_routed_total", "Per-tuple downstream routing decisions made.", float64(routed))
+	metrics.EmitCounter(emit, "sspd_am_explored_total", "Routing decisions that probed a non-best candidate.", float64(explored))
 }
 
-// amCollectInto emits the Adaptation Module families: reorder totals
-// always (AdaptOrdering sweeps work without tuple routing), routing
-// families when the plane is live. Registered on the federation
-// registry and re-driven from the stats plane so GET /metrics and
+// collectAM emits the Adaptation Module families: reorder totals always
+// (AdaptOrdering sweeps work without tuple routing), routing families
+// when the plane is live. Registered cluster-wide, so GET /metrics and
 // GET /cluster/metrics agree.
-func (f *Federation) amCollectInto(emit func(metrics.Sample)) {
-	emit(metrics.Sample{
-		Name:  "sspd_am_reorders_total",
-		Help:  "Operator reorders applied by AdaptOrdering sweeps.",
-		Kind:  metrics.KindCounter,
-		Value: float64(f.amReorders.Value()),
-	})
+func (f *Federation) collectAM(emit func(metrics.Sample)) {
+	metrics.EmitCounter(emit, "sspd_am_reorders_total", "Operator reorders applied by AdaptOrdering sweeps.",
+		float64(f.amReorders.Value()))
 	if f.am != nil {
 		f.am.collect(emit)
 	}

@@ -6,9 +6,9 @@
 // rings trimmed by quorum acks, and the fetch protocol that locates the
 // newest surviving record after an entity dies.
 //
-// Follows the plane idiom (statsplane.go): EnableCheckpoints with a
-// non-positive interval starts no background loop — tests and benches
-// drive CheckpointTick deterministically.
+// Follows the plane idiom (statsplane.go): a positive interval puts the
+// sweep on the control clock (clock.go); with a non-positive interval
+// tests and benches drive CheckpointTick deterministically.
 //
 // Lock order: f.mu before p.mu, never the reverse. Replica callbacks
 // (quorum, fetch responses) run on transport goroutines and take only
@@ -52,10 +52,9 @@ func ckptID(owner string) simnet.NodeID {
 }
 
 type ckptPlane struct {
-	f        *Federation
-	k        int // replicas per checkpoint
-	quorum   int // distinct acks before a checkpoint counts as durable
-	interval time.Duration
+	f      *Federation
+	k      int // replicas per checkpoint
+	quorum int // distinct acks before a checkpoint counts as durable
 
 	mu       sync.Mutex
 	replicas map[string]*checkpoint.Replica // entity -> replica
@@ -70,8 +69,6 @@ type ckptPlane struct {
 	streamsOf  map[string][]string
 	rings      map[string]*replayRing // stream -> replay ring
 	fetches    map[string]*fetchWait  // query -> in-flight recovery fetch
-	stop       chan struct{}
-	done       chan struct{}
 
 	writes  metrics.Counter // sspd_checkpoints_total
 	bytes   metrics.Counter // sspd_checkpoint_bytes_total
@@ -139,10 +136,10 @@ func (r *replayRing) size() int {
 
 // EnableCheckpoints starts the durable-checkpoint plane after Start:
 // every stateful query is checkpointed each interval and replicated to
-// k peer entities (quorum = k/2+1 acks make it durable). A
-// non-positive interval starts no background loop; call CheckpointTick
-// to drive the plane deterministically. Ingest dedup is switched on
-// across all entities so recovery replay is idempotent.
+// k peer entities (quorum = k/2+1 acks make it durable). A positive
+// interval runs the sweep on the control clock; with a non-positive one
+// call CheckpointTick to drive the plane deterministically. Ingest dedup
+// is switched on across all entities so recovery replay is idempotent.
 func (f *Federation) EnableCheckpoints(interval time.Duration, k int) error {
 	f.mu.Lock()
 	if !f.started {
@@ -167,7 +164,6 @@ func (f *Federation) EnableCheckpoints(interval time.Duration, k int) error {
 		f:          f,
 		k:          k,
 		quorum:     k/2 + 1,
-		interval:   interval,
 		replicas:   make(map[string]*checkpoint.Replica),
 		seqs:       make(map[string]uint64),
 		written:    make(map[string]bool),
@@ -228,12 +224,10 @@ func (f *Federation) EnableCheckpoints(interval time.Duration, k int) error {
 	}
 	p.mu.Lock()
 	p.portal = portal
-	if interval > 0 {
-		p.stop = make(chan struct{})
-		p.done = make(chan struct{})
-		go p.loop(p.stop, p.done)
-	}
 	p.mu.Unlock()
+	if interval > 0 {
+		f.every(interval, p.tick)
+	}
 	f.logger.Info("ckpt.enable", "", "durable checkpoints enabled",
 		"interval", interval.String(), "replicas", k, "quorum", p.quorum)
 	return nil
@@ -295,20 +289,6 @@ func (p *ckptPlane) observePublish(streamName string, b stream.Batch) {
 	p.mu.Unlock()
 	if r != nil {
 		r.append(b)
-	}
-}
-
-func (p *ckptPlane) loop(stop, done chan struct{}) {
-	defer close(done)
-	ticker := time.NewTicker(p.interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			p.tick()
-		case <-stop:
-			return
-		}
 	}
 }
 
@@ -747,11 +727,10 @@ func (p *ckptPlane) noteFetchResponse(query string) {
 	p.mu.Unlock()
 }
 
-// close tears the plane down (Federation.Close).
+// close tears the plane down (Federation.Close, after the clock
+// stopped).
 func (p *ckptPlane) close() {
 	p.mu.Lock()
-	stop, done := p.stop, p.done
-	p.stop, p.done = nil, nil
 	reps := make([]*checkpoint.Replica, 0, len(p.replicas)+1)
 	for _, r := range p.replicas {
 		reps = append(reps, r)
@@ -762,10 +741,6 @@ func (p *ckptPlane) close() {
 		p.portal = nil
 	}
 	p.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
 	for _, r := range reps {
 		_ = r.Close()
 	}

@@ -286,49 +286,3 @@ func TestFederationAdaptOrdering(t *testing.T) {
 		t.Fatalf("federation adapted %d queries, want 1 (q1)", n)
 	}
 }
-
-func TestAutoRebalance(t *testing.T) {
-	fed, _ := newTestFederation(t, 3)
-	if err := fed.StartAutoRebalance(0, querygraph.HybridRepartitioner{}); err == nil {
-		t.Error("zero interval accepted")
-	}
-	if err := fed.StartAutoRebalance(time.Hour, nil); err == nil {
-		t.Error("nil repartitioner accepted")
-	}
-	// Pile queries on one entity; the loop should spread them.
-	for i := 0; i < 6; i++ {
-		if err := fed.SubmitQueryTo(priceQuery(fmt.Sprintf("q%d", i), 0, 500), "e00", nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fed.StartAutoRebalance(20*time.Millisecond, querygraph.HybridRepartitioner{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := fed.StartAutoRebalance(time.Hour, querygraph.HybridRepartitioner{}); err == nil {
-		t.Error("double start accepted")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for fed.AutoRebalanceMoves() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("auto-rebalance never moved a query")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	fed.StopAutoRebalance()
-	fed.StopAutoRebalance() // idempotent
-	// Consistency after the loop.
-	if fed.NumQueries() != 6 {
-		t.Fatalf("queries = %d", fed.NumQueries())
-	}
-	hostCounts := map[string]int{}
-	for i := 0; i < 6; i++ {
-		host, ok := fed.QueryEntity(fmt.Sprintf("q%d", i))
-		if !ok {
-			t.Fatalf("q%d lost", i)
-		}
-		hostCounts[host]++
-	}
-	if hostCounts["e00"] == 6 {
-		t.Error("nothing moved off e00")
-	}
-}

@@ -5,7 +5,9 @@ package core
 // watchdog reusing the SLO rule machinery over windowed engine-level
 // quantities (drop rate, p99 ring occupancy), and sspd_engine_* metric
 // families rendered on both the local and the cluster registry. The
-// watchdog journals engine.saturated / engine.recovered transitions
+// watchdog is clocked by the stats digest period — one evaluation per
+// StatsTick, so its window is exactly one period — and journals
+// engine.saturated / engine.recovered transitions
 // and, when continuous profiling is enabled, triggers a capture on the
 // saturation edge — so the profile ring holds the flame graph of the
 // overload, not of the quiet aftermath.
@@ -63,8 +65,11 @@ type ClusterEngineView struct {
 // enginePlane owns the backpressure watchdog's differencing state and
 // the sspd_engine_* collector.
 type enginePlane struct {
-	f        *Federation
-	watchdog *latency.Watchdog
+	f *Federation
+	// rules is the backpressure watchdog's bookkeeping (verdicts,
+	// saturation counts, engine.saturated / engine.recovered journaling,
+	// sspd_engine_saturat* rendering).
+	rules *ruleWatch
 
 	mu sync.Mutex
 	// prevOffered/prevDropped/prevHist are the cumulative cluster totals
@@ -78,22 +83,15 @@ type enginePlane struct {
 	// the gauges re-serve them between ticks).
 	lastDropRate float64
 	lastOcc      float64
-	breaches     map[string]int64 // rule → saturation transitions
-	state        map[string]bool  // rule → currently breached
-	verdicts     []latency.Verdict
-
-	loopMu sync.Mutex
-	stop   chan struct{}
-	done   chan struct{}
 }
 
-// EnableEngineIntrospection starts the engine introspection plane.
-// interval > 0 runs a background watchdog loop; interval <= 0 leaves
-// evaluation to StatsTick (and EngineTick), the deterministic path
-// tests drive. rules are backpressure rule lines (drop_rate,
-// ring_occupancy_p99; see latency.ParseRule); none installs
-// DefaultEngineRules.
-func (f *Federation) EnableEngineIntrospection(interval time.Duration, rules ...string) error {
+// EnableEngineIntrospection starts the engine introspection plane. rules
+// are backpressure rule lines (drop_rate, ring_occupancy_p99; see
+// latency.ParseRule); none installs DefaultEngineRules. The watchdog has
+// no clock of its own: it evaluates once per stats digest period
+// (StatsTick, manual or on the stats plane's background period), or on
+// an explicit EngineTick.
+func (f *Federation) EnableEngineIntrospection(rules ...string) error {
 	if len(rules) == 0 {
 		rules = DefaultEngineRules
 	}
@@ -111,39 +109,31 @@ func (f *Federation) EnableEngineIntrospection(interval time.Duration, rules ...
 		return fmt.Errorf("core: engine introspection already enabled")
 	}
 	p := &enginePlane{
-		f:        f,
-		watchdog: latency.NewWatchdog(parsed),
-		breaches: make(map[string]int64, len(parsed)),
-		state:    make(map[string]bool, len(parsed)),
-	}
-	for _, r := range parsed {
-		p.breaches[r.Raw] = 0
-		p.state[r.Raw] = false
+		f: f,
+		rules: newRuleWatch(parsed, f.logger, ruleNames{
+			breachKind: "engine.saturated", breachMsg: "engine backpressure rule breached",
+			clearKind: "engine.recovered", clearMsg: "engine backpressure rule recovered",
+			stateMetric: "sspd_engine_saturated", stateHelp: "1 while the backpressure rule is in breach.",
+			totalMetric: "sspd_engine_saturations_total", totalHelp: "Saturation transitions per backpressure rule.",
+		}),
 	}
 	f.eng = p
 	f.mu.Unlock()
 
-	f.registry.RegisterCollector(p.collect)
-	if interval > 0 {
-		p.start(interval)
-	}
+	// Cluster-wide: /cluster/metrics serves the same sspd_engine_*
+	// families as /metrics.
+	f.addCollector(p.collect, true)
 	f.logger.Info("engine.watch", "", "engine introspection plane enabled",
-		"rules", len(parsed), "interval", interval)
+		"rules", len(parsed))
 	return nil
-}
-
-// EngineIntrospectionEnabled reports whether the plane is running.
-func (f *Federation) EngineIntrospectionEnabled() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.eng != nil
 }
 
 // EngineTick runs one backpressure watchdog evaluation over the window
 // since the previous tick, journaling saturation transitions (and
 // triggering a profile capture on the saturation edge). StatsTick calls
-// this automatically; exposed for tests and manual federation. Returns
-// the per-rule verdicts (nil when the plane is disabled).
+// this once per digest period; exposed for a federation without the
+// stats plane. Returns the per-rule verdicts (nil when the plane is
+// disabled).
 func (f *Federation) EngineTick() []latency.Verdict {
 	f.mu.Lock()
 	p := f.eng
@@ -152,20 +142,6 @@ func (f *Federation) EngineTick() []latency.Verdict {
 		return nil
 	}
 	return p.eval()
-}
-
-// EngineWatchStatus returns the verdicts of the most recent watchdog
-// tick.
-func (f *Federation) EngineWatchStatus() []latency.Verdict {
-	f.mu.Lock()
-	p := f.eng
-	f.mu.Unlock()
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]latency.Verdict(nil), p.verdicts...)
 }
 
 // ClusterEngine returns the cluster engine view. Entities federated
@@ -209,13 +185,8 @@ func (f *Federation) ClusterEngine() (ClusterEngineView, bool) {
 	p.mu.Lock()
 	view.DropRate = p.lastDropRate
 	view.RingOccP99 = p.lastOcc
-	for _, b := range p.state {
-		if b {
-			view.Saturated = true
-		}
-	}
-	view.Verdicts = append([]latency.Verdict(nil), p.verdicts...)
 	p.mu.Unlock()
+	view.Verdicts, view.Saturated = p.rules.status()
 	return view, true
 }
 
@@ -304,89 +275,28 @@ func (p *enginePlane) eval() []latency.Verdict {
 		o.DropRate = float64(winDrop) / float64(winOff)
 		o.RingOccP99 = engine.OccP99(winHist, ringCap)
 	}
-	vs := p.watchdog.Eval(o)
-
-	p.mu.Lock()
 	if o.EngineWindow {
+		p.mu.Lock()
 		p.lastDropRate, p.lastOcc = o.DropRate, o.RingOccP99
+		p.mu.Unlock()
 	}
-	p.verdicts = vs
-	for _, v := range vs {
-		if v.Evaluated {
-			p.state[v.Rule.Raw] = v.Breached
-		}
-		if v.Transition && v.Breached {
-			p.breaches[v.Rule.Raw]++
-		}
-	}
-	p.mu.Unlock()
-
-	prof := f.Profiler()
-	for _, v := range vs {
-		if !v.Transition {
-			continue
-		}
-		if v.Breached {
-			f.logger.Warn("engine.saturated", "", "engine backpressure rule breached",
-				"rule", v.Rule.Raw, "value", fmt.Sprintf("%.6g", v.Value))
-			if prof != nil {
+	vs := p.rules.eval(o)
+	if prof := f.Profiler(); prof != nil {
+		for _, v := range vs {
+			if v.Transition && v.Breached {
 				// Capture the overload while it is happening.
 				prof.Trigger(v.Rule.Raw)
 			}
-		} else {
-			f.logger.Info("engine.recovered", "", "engine backpressure rule recovered",
-				"rule", v.Rule.Raw, "value", fmt.Sprintf("%.6g", v.Value))
 		}
 	}
 	return vs
 }
 
-func (p *enginePlane) start(interval time.Duration) {
-	p.loopMu.Lock()
-	defer p.loopMu.Unlock()
-	if p.stop != nil {
-		return
-	}
-	p.stop = make(chan struct{})
-	p.done = make(chan struct{})
-	go func(stop, done chan struct{}) {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				p.eval()
-			}
-		}
-	}(p.stop, p.done)
-}
-
-func (p *enginePlane) close() {
-	p.loopMu.Lock()
-	stop, done := p.stop, p.done
-	p.stop, p.done = nil, nil
-	p.loopMu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
-}
-
-// collect renders the plane as sspd_engine_* Prometheus families. It is
-// registered on the federation registry (GET /metrics) and re-emitted
-// by the stats plane's cluster collector (GET /cluster/metrics), so
-// both endpoints serve the same families.
+// collect renders the plane as sspd_engine_* Prometheus families, on
+// both the federation registry (GET /metrics) and the cluster registry
+// (GET /cluster/metrics).
 func (p *enginePlane) collect(emit func(metrics.Sample)) {
 	f := p.f
-	gauge := func(name, help string, v float64, labels ...metrics.Label) {
-		emit(metrics.Sample{Name: name, Help: help, Kind: metrics.KindGauge, Labels: labels, Value: v})
-	}
-	counter := func(name, help string, v float64, labels ...metrics.Label) {
-		emit(metrics.Sample{Name: name, Help: help, Kind: metrics.KindCounter, Labels: labels, Value: v})
-	}
 
 	view, ok := f.ClusterEngine()
 	if !ok {
@@ -395,87 +305,63 @@ func (p *enginePlane) collect(emit func(metrics.Sample)) {
 	for _, ee := range view.Entities {
 		le := metrics.L("entity", ee.Entity)
 		t := ee.Stats.Totals()
-		gauge("sspd_engine_queries", "Queries installed across the entity's shard engines.",
+		metrics.EmitGauge(emit, "sspd_engine_queries", "Queries installed across the entity's shard engines.",
 			float64(ee.Stats.Queries), le)
-		counter("sspd_engine_offered_total", "Tuples offered to shard rings per entity.",
+		metrics.EmitCounter(emit, "sspd_engine_offered_total", "Tuples offered to shard rings per entity.",
 			float64(t.Offered), le)
-		counter("sspd_engine_dropped_total",
+		metrics.EmitCounter(emit, "sspd_engine_dropped_total",
 			"Engine-lifetime tuples dropped per entity, including since-unregistered queries.",
 			float64(ee.Dropped), le)
-		counter("sspd_engine_batches_total", "(query, batch) feeds executed per entity.",
+		metrics.EmitCounter(emit, "sspd_engine_batches_total", "(query, batch) feeds executed per entity.",
 			float64(t.Batches), le)
-		counter("sspd_engine_tuples_total", "Tuples processed per entity by execution path.",
+		metrics.EmitCounter(emit, "sspd_engine_tuples_total", "Tuples processed per entity by execution path.",
 			float64(t.KernelTuples), le, metrics.L("path", "kernel"))
-		counter("sspd_engine_tuples_total", "Tuples processed per entity by execution path.",
+		metrics.EmitCounter(emit, "sspd_engine_tuples_total", "Tuples processed per entity by execution path.",
 			float64(t.InterpTuples), le, metrics.L("path", "interpreted"))
-		gauge("sspd_engine_kernel_selectivity",
+		metrics.EmitGauge(emit, "sspd_engine_kernel_selectivity",
 			"Fraction of rows entering the filter kernels that survive into the stateful tail.",
 			t.Selectivity(), le)
-		gauge("sspd_engine_kernel_share",
+		metrics.EmitGauge(emit, "sspd_engine_kernel_share",
 			"Fraction of processed tuples that took the vectorized kernel path.",
 			t.KernelShare(), le)
-		counter("sspd_engine_ctl_total", "Control items processed by shard goroutines per entity.",
+		metrics.EmitCounter(emit, "sspd_engine_ctl_total", "Control items processed by shard goroutines per entity.",
 			float64(t.CtlItems), le)
-		counter("sspd_engine_ctl_wait_seconds_total",
+		metrics.EmitCounter(emit, "sspd_engine_ctl_wait_seconds_total",
 			"Cumulative control-item ring queueing latency per entity.",
 			float64(t.CtlWaitNs)/1e9, le)
 		for _, sh := range ee.Stats.Shards {
 			ls := []metrics.Label{le, metrics.L("engine", sh.Engine),
 				metrics.L("shard", fmt.Sprintf("%d", sh.Shard))}
-			gauge("sspd_engine_shard_occupancy", "Instantaneous shard-ring depth.",
+			metrics.EmitGauge(emit, "sspd_engine_shard_occupancy", "Instantaneous shard-ring depth.",
 				float64(sh.Occupancy), ls...)
-			gauge("sspd_engine_shard_high_water", "Worst shard-ring occupancy any enqueue observed.",
+			metrics.EmitGauge(emit, "sspd_engine_shard_high_water", "Worst shard-ring occupancy any enqueue observed.",
 				float64(sh.HighWater), ls...)
-			counter("sspd_engine_shard_dropped_total", "Tuples refused by the full shard ring.",
+			metrics.EmitCounter(emit, "sspd_engine_shard_dropped_total", "Tuples refused by the full shard ring.",
 				float64(sh.Dropped), ls...)
 		}
 	}
 
-	gauge("sspd_engine_drop_rate", "Dropped/offered ratio of the last watchdog window.",
+	metrics.EmitGauge(emit, "sspd_engine_drop_rate", "Dropped/offered ratio of the last watchdog window.",
 		view.DropRate)
-	gauge("sspd_engine_ring_occupancy_p99",
+	metrics.EmitGauge(emit, "sspd_engine_ring_occupancy_p99",
 		"p99 enqueue-time ring occupancy (fraction of capacity) of the last watchdog window.",
 		view.RingOccP99)
 
-	p.mu.Lock()
-	rules := make([]string, 0, len(p.breaches))
-	for r := range p.breaches {
-		rules = append(rules, r)
-	}
-	sort.Strings(rules)
-	for _, r := range rules {
-		lr := metrics.L("rule", r)
-		gauge("sspd_engine_saturated", "1 while the backpressure rule is in breach.",
-			b2f(p.state[r]), lr)
-		counter("sspd_engine_saturations_total", "Saturation transitions per backpressure rule.",
-			float64(p.breaches[r]), lr)
-	}
-	p.mu.Unlock()
+	p.rules.collect(emit)
 
 	var captures float64
 	if prof := f.Profiler(); prof != nil {
 		captures = float64(prof.Total())
 	}
-	counter("sspd_engine_profile_captures_total", "Profiles stored by the continuous profiling ring.",
+	metrics.EmitCounter(emit, "sspd_engine_profile_captures_total", "Profiles stored by the continuous profiling ring.",
 		captures)
-}
-
-// engineCollectInto re-emits the sspd_engine_* families into another
-// collector (the cluster registry), so /metrics and /cluster/metrics
-// serve the same engine families.
-func (f *Federation) engineCollectInto(emit func(metrics.Sample)) {
-	f.mu.Lock()
-	p := f.eng
-	f.mu.Unlock()
-	if p != nil {
-		p.collect(emit)
-	}
 }
 
 // EnableProfiling starts the continuous profiling hook: periodic CPU
 // and heap captures into a bounded on-disk ring under dir, served at
-// GET /profiles. period <= 0 disables the periodic loop — captures then
-// happen only when the backpressure watchdog triggers them. Every
+// GET /profiles. A positive period runs the capture round on the control
+// clock; with period <= 0 captures happen only when the backpressure
+// watchdog triggers them. Every
 // stored capture is journaled as profile.captured.
 func (f *Federation) EnableProfiling(dir string, period time.Duration) error {
 	f.mu.Lock()
@@ -488,7 +374,7 @@ func (f *Federation) EnableProfiling(dir string, period time.Duration) error {
 		return fmt.Errorf("core: profiling already enabled")
 	}
 	f.mu.Unlock()
-	rec, err := profile.NewRecorder(profile.Options{Dir: dir, Period: period})
+	rec, err := profile.NewRecorder(profile.Options{Dir: dir})
 	if err != nil {
 		return err
 	}
@@ -505,7 +391,9 @@ func (f *Federation) EnableProfiling(dir string, period time.Duration) error {
 	}
 	f.prof = rec
 	f.mu.Unlock()
-	rec.Start()
+	if period > 0 {
+		f.every(period, func() { rec.Trigger("periodic") })
+	}
 	f.logger.Info("profile.enable", "", "continuous profiling enabled",
 		"dir", dir, "period", period)
 	return nil

@@ -52,10 +52,10 @@ func TestEngineSaturationChaos(t *testing.T) {
 	// Only the drop-rate rule: the occupancy rule would also trip here,
 	// but its recovery depends on how fast the drain happens, and this
 	// test wants a deterministic breach→recover pair.
-	if err := fed.EnableEngineIntrospection(0, "drop_rate < 1%"); err != nil {
+	if err := fed.EnableEngineIntrospection("drop_rate < 1%"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fed.EnableEngineIntrospection(0); err == nil {
+	if err := fed.EnableEngineIntrospection(); err == nil {
 		t.Fatal("double enable must fail")
 	}
 	if err := fed.EnableProfiling(t.TempDir(), 0); err != nil {
@@ -223,7 +223,7 @@ func TestEngineViewFederatesRemoteRows(t *testing.T) {
 	if err := fed.EnableStatsPlane(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := fed.EnableEngineIntrospection(0); err != nil {
+	if err := fed.EnableEngineIntrospection(); err != nil {
 		t.Fatal(err)
 	}
 	if err := fed.SubmitQueryTo(priceQuery("q0", 0, 1000), "e00", nil); err != nil {

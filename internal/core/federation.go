@@ -52,9 +52,9 @@ type Options struct {
 	// stderr, every event recorded in a bounded journal served at
 	// GET /events.
 	Logger *obslog.Logger
-	// EnableAdaptation starts the background adaptation controller at
-	// Start: it periodically feeds the measured query graph into the
-	// Hybrid repartitioner and executes the moves that clear the
+	// EnableAdaptation puts the adaptation controller on the control
+	// clock at Start: it periodically feeds the measured query graph into
+	// the Hybrid repartitioner and executes the moves that clear the
 	// migration-cost hysteresis check through live migration
 	// (DESIGN.md §10).
 	EnableAdaptation bool
@@ -162,15 +162,14 @@ type Federation struct {
 	// monitor is the portal-side failure detector (nil until
 	// EnableFailureDetection).
 	monitor *coordinator.Detector
-	// rebalanceStop/Done manage the auto-rebalance loop.
-	rebalanceStop  chan struct{}
-	rebalanceDone  chan struct{}
+	// clock runs every periodic job (clock.go).
+	clock clock
+	// rebalanceMoves counts queries moved by Rebalance calls.
 	rebalanceMoves metrics.Counter
-	// adaptStop/Done manage the adaptation-controller loop; the
-	// migration counters and history ring back sspd_migrations_total
-	// and the /cluster migration table.
-	adaptStop     chan struct{}
-	adaptDone     chan struct{}
+	// adaptCancel takes the adaptation controller off the clock (nil
+	// while it is not running); the migration counters and history ring
+	// back sspd_migrations_total and the /cluster migration table.
+	adaptCancel   func()
 	adaptMoves    metrics.Counter
 	migCommits    metrics.Counter
 	migRollbacks  metrics.Counter
@@ -185,6 +184,10 @@ type Federation struct {
 	// it at GET /metrics. Derived gauges (PR_k, PR_max, edge cut) are
 	// computed by a collector at scrape time, never on the hot path.
 	registry *metrics.Registry
+	// cluster is the registry serving sspd_cluster_* and the
+	// cluster-wide plane families at GET /cluster/metrics once the stats
+	// plane is enabled (ClusterRegistry hides it until then).
+	cluster *metrics.Registry
 	// tracer is the per-tuple trace sampler (nil until EnableTracing).
 	tracer *trace.Tracer
 	// logger is the structured event sink (never nil); its journal
@@ -291,8 +294,10 @@ func New(transport simnet.Transport, catalog *stream.Catalog, opts Options) (*Fe
 		queries:    make(map[string]*fedQuery),
 		relayIndex: make(map[simnet.NodeID]*dissemination.Relay),
 		registry:   metrics.NewRegistry(),
+		cluster:    metrics.NewRegistry(),
 		logger:     opts.Logger,
 	}
+	f.clock.stop = make(chan struct{})
 	if f.logger == nil {
 		f.logger = obslog.NewText(os.Stderr, obslog.LevelWarn, obslog.DefaultJournalCapacity)
 	}
@@ -302,11 +307,11 @@ func New(transport simnet.Transport, catalog *stream.Catalog, opts Options) (*Fe
 	f.coord.SetEventSink(func(op string, leader coordinator.MemberID, level int) {
 		f.logger.Info("coordinator."+op, string(leader), "coordinator tree "+op, "level", level)
 	})
-	f.registry.RegisterCollector(f.collectMetrics)
+	f.addCollector(f.collectMetrics, false)
 	if opts.EnableTupleRouting {
 		f.am = newAMPlane(f)
 	}
-	f.registry.RegisterCollector(f.amCollectInto)
+	f.addCollector(f.collectAM, true)
 	// A fault-injecting transport exports its injection counters through
 	// the federation's registry.
 	if fp, ok := transport.(interface {
@@ -409,15 +414,28 @@ func (f *Federation) AddEntity(id string, pos simnet.Point, nProcs int, factory 
 	if _, dup := f.entities[id]; dup {
 		return fmt.Errorf("core: entity %q already added", id)
 	}
+	en, err := f.newEntityNodeLocked(id, pos, nProcs, factory)
+	if err != nil {
+		return err
+	}
+	f.entities[id] = en
+	f.logger.Info("entity.join", id, "entity added", "procs", nProcs)
+	return nil
+}
+
+// newEntityNodeLocked builds an entity with its heartbeat responder and
+// joins it to the coordinator tree; the caller wires its relays.
+func (f *Federation) newEntityNodeLocked(id string, pos simnet.Point, nProcs int,
+	factory entity.EngineFactory) (*entityNode, error) {
 	if factory == nil {
-		var ferr error
-		if factory, ferr = engineFactoryFor(f.opts.Engine); ferr != nil {
-			return ferr
+		var err error
+		if factory, err = engineFactoryFor(f.opts.Engine); err != nil {
+			return nil, err
 		}
 	}
 	ent, err := entity.New(id, f.transport, f.catalog, nProcs, factory)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ent.SetResultHandler(f.deliverResult)
 	if f.opts.EnableTupleRouting {
@@ -426,22 +444,15 @@ func (f *Federation) AddEntity(id string, pos simnet.Point, nProcs int, factory 
 	hb, err := coordinator.NewDetector(f.transport, hbID(id), time.Second, 3, nil)
 	if err != nil {
 		ent.Close()
-		return err
+		return nil, err
 	}
 	if _, err := f.coord.Join(coordinator.MemberID(id), pos); err != nil {
 		_ = hb.Close()
 		ent.Close()
-		return err
+		return nil, err
 	}
-	f.entities[id] = &entityNode{
-		id:     id,
-		pos:    pos,
-		ent:    ent,
-		relays: make(map[string]*dissemination.Relay),
-		hb:     hb,
-	}
-	f.logger.Info("entity.join", id, "entity added", "procs", nProcs)
-	return nil
+	return &entityNode{id: id, pos: pos, ent: ent,
+		relays: make(map[string]*dissemination.Relay), hb: hb}, nil
 }
 
 // Start builds one dissemination tree per source stream over all
@@ -571,18 +582,11 @@ func (f *Federation) SubmitQuery(spec engine.QuerySpec, origin simnet.Point,
 		f.mu.Unlock()
 		return "", fmt.Errorf("core: query %s already submitted", spec.ID)
 	}
-	load := func(m coordinator.MemberID) float64 {
-		if en, ok := f.entities[string(m)]; ok {
-			return en.ent.Load()
-		}
-		return 0
-	}
-	member, _, err := f.coord.RouteQuery(origin, load)
 	f.mu.Unlock()
+	entityID, err := f.route(origin)
 	if err != nil {
 		return "", err
 	}
-	entityID := string(member)
 	if err := f.placeOn(entityID, spec, onResult); err != nil {
 		return "", err
 	}
@@ -604,6 +608,20 @@ func (f *Federation) SubmitQueryTo(spec engine.QuerySpec, entityID string,
 	}
 	f.mu.Unlock()
 	return f.placeOn(entityID, spec, onResult)
+}
+
+// route descends the coordinator tree from pos to the least-loaded
+// entity of the closest leaf cluster, by live engine load.
+func (f *Federation) route(pos simnet.Point) (string, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	member, _, err := f.coord.RouteQuery(pos, func(m coordinator.MemberID) float64 {
+		if en, ok := f.entities[string(m)]; ok {
+			return en.ent.Load()
+		}
+		return 0
+	})
+	return string(member), err
 }
 
 func (f *Federation) placeOn(entityID string, spec engine.QuerySpec, onResult func(stream.Tuple)) error {
@@ -697,13 +715,21 @@ func (f *Federation) deliverResult(queryID string, t stream.Tuple) {
 
 // QueryGraph builds the current query graph from all active queries.
 func (f *Federation) QueryGraph(minEdge float64) *querygraph.Graph {
+	specs, rates := f.graphInputs()
+	return BuildQueryGraph(specs, f.catalog, rates, 0)
+}
+
+// graphInputs copies what a query graph is built from: the active
+// specs in query-ID order and the nominal stream rates.
+func (f *Federation) graphInputs() ([]engine.QuerySpec, map[string]StreamRate) {
 	f.mu.Lock()
-	specs := make([]engine.QuerySpec, 0, len(f.queries))
+	defer f.mu.Unlock()
 	ids := make([]string, 0, len(f.queries))
 	for id := range f.queries {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
+	specs := make([]engine.QuerySpec, 0, len(ids))
 	for _, id := range ids {
 		specs = append(specs, f.queries[id].spec)
 	}
@@ -711,8 +737,7 @@ func (f *Federation) QueryGraph(minEdge float64) *querygraph.Graph {
 	for s, r := range f.rates {
 		rates[s] = r
 	}
-	f.mu.Unlock()
-	return BuildQueryGraph(specs, f.catalog, rates, 0)
+	return specs, rates
 }
 
 // Assignment returns the current query→entity allocation as a
@@ -783,6 +808,7 @@ func (f *Federation) Rebalance(r querygraph.Repartitioner) (int, error) {
 		moved++
 	}
 	if moved > 0 {
+		f.rebalanceMoves.Add(int64(moved))
 		f.logger.Info("migration.decide", "", "rebalance migrated queries",
 			"moves", moved, "edge_cut", fmt.Sprintf("%.1f", g.EdgeCut(res.Assignment)))
 	}
@@ -802,31 +828,10 @@ func (f *Federation) JoinEntity(id string, pos simnet.Point, nProcs int, factory
 	if _, dup := f.entities[id]; dup {
 		return fmt.Errorf("core: entity %q already present", id)
 	}
-	if factory == nil {
-		var ferr error
-		if factory, ferr = engineFactoryFor(f.opts.Engine); ferr != nil {
-			return ferr
-		}
-	}
-	ent, err := entity.New(id, f.transport, f.catalog, nProcs, factory)
+	en, err := f.newEntityNodeLocked(id, pos, nProcs, factory)
 	if err != nil {
 		return err
 	}
-	ent.SetResultHandler(f.deliverResult)
-	if f.opts.EnableTupleRouting {
-		ent.SetTupleRouting(f.opts.RoutingReplicas, f.opts.RoutingExplore)
-	}
-	hb, err := coordinator.NewDetector(f.transport, hbID(id), time.Second, 3, nil)
-	if err != nil {
-		ent.Close()
-		return err
-	}
-	if _, err := f.coord.Join(coordinator.MemberID(id), pos); err != nil {
-		_ = hb.Close()
-		ent.Close()
-		return err
-	}
-	en := &entityNode{id: id, pos: pos, ent: ent, relays: make(map[string]*dissemination.Relay), hb: hb}
 	for _, s := range f.streamNamesLocked() {
 		src := f.sources[s]
 		rid := relayID(id, s)
@@ -837,7 +842,7 @@ func (f *Federation) JoinEntity(id string, pos simnet.Point, nProcs int, factory
 		}
 		schema, _ := f.catalog.Lookup(s)
 		opts := f.relayOptions()
-		opts.DeliverBatch = ent.IngestBatch
+		opts.DeliverBatch = en.ent.IngestBatch
 		relay, err := dissemination.NewRelayWith(src.tree, rid, schema, f.transport, nil, opts)
 		if err != nil {
 			_, _ = src.tree.RemoveMember(rid, f.opts.Fanout)
@@ -854,7 +859,7 @@ func (f *Federation) JoinEntity(id string, pos simnet.Point, nProcs int, factory
 		f.stats.addNode(id)
 	}
 	if f.ckpt != nil {
-		f.ckpt.addNode(id, ent)
+		f.ckpt.addNode(id, en.ent)
 	}
 	return nil
 }
@@ -911,19 +916,11 @@ func (f *Federation) LeaveEntity(id string) (int, error) {
 	// picks for the departing entity's locality.
 	migrated := 0
 	for _, q := range hosted {
-		f.mu.Lock()
-		load := func(m coordinator.MemberID) float64 {
-			if target, ok := f.entities[string(m)]; ok && string(m) != id {
-				return target.ent.Load()
-			}
-			return 0
-		}
-		member, _, err := f.coord.RouteQuery(pos, load)
-		f.mu.Unlock()
+		target, err := f.route(pos)
 		if err != nil {
 			return migrated, err
 		}
-		if err := f.MigrateQuery(q, string(member)); err != nil {
+		if err := f.MigrateQuery(q, target); err != nil {
 			return migrated, err
 		}
 		migrated++
@@ -1086,22 +1083,14 @@ func (f *Federation) FailEntity(id string) (int, error) {
 	replaced := 0
 	for _, o := range orphans {
 		_ = f.ledger.Stop(o.spec.ID) // the dead entity's accrual ends
-		f.mu.Lock()
-		load := func(m coordinator.MemberID) float64 {
-			if target, ok := f.entities[string(m)]; ok {
-				return target.ent.Load()
-			}
-			return 0
-		}
-		member, _, err := f.coord.RouteQuery(pos, load)
-		f.mu.Unlock()
+		target, err := f.route(pos)
 		if err != nil {
 			return replaced, err
 		}
-		if err := f.placeOn(string(member), o.spec, o.onResult); err != nil {
+		if err := f.placeOn(target, o.spec, o.onResult); err != nil {
 			return replaced, err
 		}
-		f.logger.Info("migration.place", string(member), "orphaned query re-placed",
+		f.logger.Info("migration.place", target, "orphaned query re-placed",
 			"query", o.spec.ID, "failed", id)
 		replaced++
 	}
@@ -1259,67 +1248,6 @@ func (f *Federation) ReorganizeTrees() (int, error) {
 	return total, nil
 }
 
-// StartAutoRebalance launches a background loop that re-runs the given
-// repartitioner every interval — the federation's continuous adaptation
-// to workload drift. Stop it with StopAutoRebalance (or Close).
-func (f *Federation) StartAutoRebalance(interval time.Duration, r querygraph.Repartitioner) error {
-	if interval <= 0 {
-		return fmt.Errorf("core: auto-rebalance needs a positive interval")
-	}
-	if r == nil {
-		return fmt.Errorf("core: auto-rebalance needs a repartitioner")
-	}
-	f.mu.Lock()
-	if !f.started {
-		f.mu.Unlock()
-		return fmt.Errorf("core: federation not started")
-	}
-	if f.rebalanceStop != nil {
-		f.mu.Unlock()
-		return fmt.Errorf("core: auto-rebalance already running")
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	f.rebalanceStop = stop
-	f.rebalanceDone = done
-	f.mu.Unlock()
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				if n, err := f.Rebalance(r); err == nil && n > 0 {
-					f.rebalanceMoves.Add(int64(n))
-				}
-			case <-stop:
-				return
-			}
-		}
-	}()
-	return nil
-}
-
-// StopAutoRebalance halts the loop (idempotent).
-func (f *Federation) StopAutoRebalance() {
-	f.mu.Lock()
-	stop, done := f.rebalanceStop, f.rebalanceDone
-	f.rebalanceStop = nil
-	f.rebalanceDone = nil
-	f.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
-}
-
-// AutoRebalanceMoves reports the total queries moved by the background
-// loop so far.
-func (f *Federation) AutoRebalanceMoves() int64 {
-	return f.rebalanceMoves.Value()
-}
-
 // Settle waits for in-flight control traffic (interest registrations) to
 // drain: on transports that support quiescence detection (SimNet) it
 // waits exactly as long as needed; on others (TCP) it sleeps briefly.
@@ -1400,27 +1328,27 @@ func (f *Federation) DisseminationTree(streamName string) *dissemination.Tree {
 	return nil
 }
 
-// Close shuts everything down.
+// Close shuts everything down. The clock stops first — one call ends
+// every periodic job and waits for the ones in flight — so no plane is
+// torn down under its own tick.
 func (f *Federation) Close() {
-	f.StopAdaptation()
-	f.StopAutoRebalance()
+	f.clock.halt()
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
 		return
 	}
 	f.closed = true
+	f.adaptCancel = nil
 	entities := f.entities
 	sources := f.sources
 	tracer := f.tracer
 	f.tracer = nil
 	stats := f.stats
 	f.stats = nil
-	lat := f.lat
 	f.lat = nil
 	ckpt := f.ckpt
 	f.ckpt = nil
-	eng := f.eng
 	f.eng = nil
 	prof := f.prof
 	f.prof = nil
@@ -1428,15 +1356,10 @@ func (f *Federation) Close() {
 	if prof != nil {
 		prof.Close()
 	}
-	if eng != nil {
-		eng.close()
-	}
 	if ckpt != nil {
 		ckpt.close()
 	}
-	if lat != nil {
-		lat.close()
-	}
+	f.spanLat.Store(nil) // detach the latency plane from the span dispatcher
 	if stats != nil {
 		stats.close()
 	}

@@ -9,18 +9,17 @@ package core
 // per-stage percentiles by exact bucket-wise merge. On top of the
 // merged view the plane derives each query's *measured* performance
 // ratio (span delay over span-measured evaluation time, vs. the
-// engine-estimated d_k/p_k) and evaluates declarative SLO rules every
-// stats tick, journaling slo.breach / slo.clear transitions.
+// engine-estimated d_k/p_k) and evaluates declarative SLO rules once
+// per stats digest period, journaling slo.breach / slo.clear
+// transitions.
 //
 // Everything here is driven by completed spans and periodic ticks; the
 // unsampled tuple path is untouched.
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"sspd/internal/latency"
 	"sspd/internal/metrics"
@@ -39,8 +38,10 @@ var DefaultSLORules = []string{
 // latencyPlane owns the per-entity recorders, the query→recorder
 // routing table the completion hook reads, and the SLO watchdog state.
 type latencyPlane struct {
-	f        *Federation
-	watchdog *latency.Watchdog
+	f *Federation
+	// rules is the SLO watchdog's bookkeeping (verdicts, breach counts,
+	// slo.breach / slo.clear journaling, sspd_slo_* rendering).
+	rules *ruleWatch
 
 	// route maps query ID → hosting entity's recorder. Copy-on-write:
 	// the completion hook (called from tuple-path goroutines) only loads
@@ -49,8 +50,6 @@ type latencyPlane struct {
 
 	mu        sync.Mutex
 	recorders map[string]*latency.Recorder // entity → recorder
-	breaches  map[string]int64             // rule → breach transitions
-	verdicts  []latency.Verdict            // last watchdog evaluation
 
 	// leftover records breakdowns for queries not yet in the routing
 	// table (placed after the last refresh) plus incomplete-span
@@ -59,19 +58,15 @@ type latencyPlane struct {
 	leftover *latency.Recorder
 	// Unrouted counts breakdowns that fell through to leftover.
 	Unrouted metrics.Counter
-
-	loopMu sync.Mutex
-	stop   chan struct{}
-	done   chan struct{}
 }
 
 // EnableLatencyAttribution starts the latency attribution plane.
 // Tracing must be enabled first: the plane consumes the tracer's span
-// completion hook. interval > 0 runs a background watchdog evaluation
-// loop; interval <= 0 leaves evaluation to StatsTick (and SLOTick), the
-// deterministic path tests drive. rules are SLO rule lines (see
-// latency.ParseRule); none installs DefaultSLORules.
-func (f *Federation) EnableLatencyAttribution(interval time.Duration, rules ...string) error {
+// completion hook. rules are SLO rule lines (see latency.ParseRule); none
+// installs DefaultSLORules. The SLO watchdog has no clock of its own: it
+// evaluates once per stats digest period (StatsTick, manual or on the
+// stats plane's background period), or on an explicit SLOTick.
+func (f *Federation) EnableLatencyAttribution(rules ...string) error {
 	if len(rules) == 0 {
 		rules = DefaultSLORules
 	}
@@ -93,10 +88,14 @@ func (f *Federation) EnableLatencyAttribution(interval time.Duration, rules ...s
 		return fmt.Errorf("core: latency attribution already enabled")
 	}
 	p := &latencyPlane{
-		f:         f,
-		watchdog:  latency.NewWatchdog(parsed),
+		f: f,
+		rules: newRuleWatch(parsed, f.logger, ruleNames{
+			breachKind: "slo.breach", breachMsg: "SLO rule breached",
+			clearKind: "slo.clear", clearMsg: "SLO rule recovered",
+			stateMetric: "sspd_slo_breached", stateHelp: "1 while the SLO rule is in breach.",
+			totalMetric: "sspd_slo_breaches_total", totalHelp: "SLO breach transitions per rule.",
+		}),
 		recorders: make(map[string]*latency.Recorder),
-		breaches:  make(map[string]int64),
 		leftover:  latency.NewRecorder(),
 	}
 	f.lat = p
@@ -108,12 +107,9 @@ func (f *Federation) EnableLatencyAttribution(interval time.Duration, rules ...s
 	// copy-on-write pointer routes completions here without the tuple
 	// path ever taking f.mu.
 	f.spanLat.Store(p)
-	f.registry.RegisterCollector(p.collect)
-	if interval > 0 {
-		p.start(interval)
-	}
+	f.addCollector(p.collect, false)
 	f.logger.Info("slo.watch", "", "latency attribution plane enabled",
-		"rules", len(parsed), "interval", interval)
+		"rules", len(parsed))
 	return nil
 }
 
@@ -180,8 +176,8 @@ func (f *Federation) PRMeasuredMax() (pr float64, query string) {
 }
 
 // SLOTick runs one watchdog evaluation against the current cluster
-// view, journaling breach/clear transitions. StatsTick calls this
-// automatically; exposed for tests and callers that federate manually.
+// view, journaling breach/clear transitions. StatsTick calls this once
+// per digest period; exposed for a federation without the stats plane.
 // Returns the per-rule verdicts (nil when the plane is disabled).
 func (f *Federation) SLOTick() []latency.Verdict {
 	f.mu.Lock()
@@ -201,9 +197,8 @@ func (f *Federation) SLOStatus() []latency.Verdict {
 	if p == nil {
 		return nil
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]latency.Verdict(nil), p.verdicts...)
+	vs, _ := p.rules.status()
+	return vs
 }
 
 // latencyRoutesChanged refreshes the attribution plane's query routing
@@ -313,69 +308,11 @@ func (p *latencyPlane) eval() []latency.Verdict {
 			prMax = q.PRMeasured
 		}
 	}
-	vs := p.watchdog.Eval(latency.Observation{
+	return p.rules.eval(latency.Observation{
 		E2E:    att.E2E,
 		Stages: att.Stages,
 		PRMax:  prMax,
 	})
-	p.mu.Lock()
-	p.verdicts = vs
-	for _, v := range vs {
-		if v.Transition && v.Breached {
-			p.breaches[v.Rule.Raw]++
-		}
-	}
-	p.mu.Unlock()
-	for _, v := range vs {
-		if !v.Transition {
-			continue
-		}
-		if v.Breached {
-			f.logger.Warn("slo.breach", "", "SLO rule breached",
-				"rule", v.Rule.Raw, "value", fmt.Sprintf("%.6g", v.Value))
-		} else {
-			f.logger.Info("slo.clear", "", "SLO rule recovered",
-				"rule", v.Rule.Raw, "value", fmt.Sprintf("%.6g", v.Value))
-		}
-	}
-	return vs
-}
-
-func (p *latencyPlane) start(interval time.Duration) {
-	p.loopMu.Lock()
-	defer p.loopMu.Unlock()
-	if p.stop != nil {
-		return
-	}
-	p.stop = make(chan struct{})
-	p.done = make(chan struct{})
-	go func(stop, done chan struct{}) {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				p.eval()
-			}
-		}
-	}(p.stop, p.done)
-}
-
-// close stops the loop and detaches the plane from the federation's
-// span-completion dispatcher.
-func (p *latencyPlane) close() {
-	p.loopMu.Lock()
-	stop, done := p.stop, p.done
-	p.stop, p.done = nil, nil
-	p.loopMu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
-	p.f.spanLat.Store(nil)
 }
 
 // collect renders the plane as Prometheus families on the federation
@@ -388,12 +325,6 @@ func (p *latencyPlane) collect(emit func(metrics.Sample)) {
 	if !ok {
 		return
 	}
-	gauge := func(name, help string, v float64, labels ...metrics.Label) {
-		emit(metrics.Sample{Name: name, Help: help, Kind: metrics.KindGauge, Labels: labels, Value: v})
-	}
-	counter := func(name, help string, v float64, labels ...metrics.Label) {
-		emit(metrics.Sample{Name: name, Help: help, Kind: metrics.KindCounter, Labels: labels, Value: v})
-	}
 	hist := func(name, help string, s latency.HistSnapshot, labels ...metrics.Label) {
 		if s.Count == 0 || len(s.Counts) == 0 {
 			return
@@ -404,49 +335,25 @@ func (p *latencyPlane) collect(emit func(metrics.Sample)) {
 	}
 
 	hist("sspd_latency_e2e_seconds", "End-to-end publish-to-result latency of sampled tuples.", att.E2E)
-	stages := make([]string, 0, len(att.Stages))
-	for st := range att.Stages {
-		stages = append(stages, st)
-	}
-	sort.Strings(stages)
-	for _, st := range stages {
+	for st, h := range att.Stages {
 		hist("sspd_latency_stage_seconds", "Per-stage latency of sampled tuples.",
-			att.Stages[st], metrics.L("stage", st))
+			h, metrics.L("stage", st))
 	}
 
 	for _, q := range att.Queries {
 		lq := metrics.L("query", q.Query)
-		gauge("sspd_pr_measured", "Measured Performance Ratio per query (span delay over span eval time).",
+		metrics.EmitGauge(emit, "sspd_pr_measured", "Measured Performance Ratio per query (span delay over span eval time).",
 			q.PRMeasured, lq)
 		if est, ok := f.QueryPR(q.Query); ok {
-			gauge("sspd_pr_drift", "Measured minus estimated Performance Ratio per query.",
+			metrics.EmitGauge(emit, "sspd_pr_drift", "Measured minus estimated Performance Ratio per query.",
 				q.PRMeasured-est, lq)
 		}
 	}
 
-	counter("sspd_latency_incomplete_total", "Sampled spans evicted before reaching a result.",
+	metrics.EmitCounter(emit, "sspd_latency_incomplete_total", "Sampled spans evicted before reaching a result.",
 		float64(att.Incomplete))
-	counter("sspd_latency_unrouted_total", "Breakdowns recorded for queries absent from the routing table.",
+	metrics.EmitCounter(emit, "sspd_latency_unrouted_total", "Breakdowns recorded for queries absent from the routing table.",
 		float64(p.Unrouted.Value()))
 
-	p.mu.Lock()
-	verdicts := append([]latency.Verdict(nil), p.verdicts...)
-	breaches := make(map[string]int64, len(p.breaches))
-	for r, n := range p.breaches {
-		breaches[r] = n
-	}
-	p.mu.Unlock()
-	for _, v := range verdicts {
-		gauge("sspd_slo_breached", "1 while the SLO rule is in breach.",
-			b2f(v.Breached), metrics.L("rule", v.Rule.Raw))
-	}
-	rules := make([]string, 0, len(breaches))
-	for r := range breaches {
-		rules = append(rules, r)
-	}
-	sort.Strings(rules)
-	for _, r := range rules {
-		counter("sspd_slo_breaches_total", "SLO breach transitions per rule.",
-			float64(breaches[r]), metrics.L("rule", r))
-	}
+	p.rules.collect(emit)
 }

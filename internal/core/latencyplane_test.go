@@ -65,23 +65,23 @@ func TestLatencyAttributionFederation(t *testing.T) {
 	}
 
 	// The plane needs the tracer's completion hook.
-	if err := fed.EnableLatencyAttribution(0); err == nil {
+	if err := fed.EnableLatencyAttribution(); err == nil {
 		t.Fatal("EnableLatencyAttribution without tracing accepted")
 	}
 	if _, err := fed.EnableTracing(1, 1024); err != nil {
 		t.Fatal(err)
 	}
 	defer trace.SetActive(nil)
-	if err := fed.EnableLatencyAttribution(0); err != nil {
+	if err := fed.EnableLatencyAttribution(); err != nil {
 		t.Fatal(err)
 	}
-	if err := fed.EnableLatencyAttribution(0); err == nil {
+	if err := fed.EnableLatencyAttribution(); err == nil {
 		t.Fatal("double enable accepted")
 	}
 	if !fed.LatencyEnabled() {
 		t.Fatal("LatencyEnabled = false after enable")
 	}
-	if err := fed.EnableLatencyAttribution(0, "nonsense rule"); err == nil {
+	if err := fed.EnableLatencyAttribution("nonsense rule"); err == nil {
 		t.Fatal("bad rule accepted")
 	}
 
@@ -212,7 +212,7 @@ func TestLatencyChaosJitterDriftAndSLO(t *testing.T) {
 	}
 	defer trace.SetActive(nil)
 	rule := "p99_end_to_end < 30ms"
-	if err := fed.EnableLatencyAttribution(0, rule); err != nil {
+	if err := fed.EnableLatencyAttribution(rule); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {

@@ -19,6 +19,17 @@ import (
 // serves it at GET /metrics.
 func (f *Federation) MetricsRegistry() *metrics.Registry { return f.registry }
 
+// addCollector registers a plane's collector — once — on the federation
+// registry and, when its families are cluster-wide, on the cluster
+// registry too, so GET /metrics and GET /cluster/metrics serve the same
+// series from the same code.
+func (f *Federation) addCollector(c metrics.Collector, clusterWide bool) {
+	f.registry.RegisterCollector(c)
+	if clusterWide {
+		f.cluster.RegisterCollector(c)
+	}
+}
+
 // EnableTracing installs a per-tuple tracer sampling one in `every`
 // published tuples (every <= 0 disables; 1 traces everything), keeping
 // the most recent `capacity` spans (<= 0 uses trace.DefaultCapacity).
@@ -176,15 +187,8 @@ func (f *Federation) collectMetrics(emit func(metrics.Sample)) {
 		}
 	}
 
-	gauge := func(name, help string, v float64, labels ...metrics.Label) {
-		emit(metrics.Sample{Name: name, Help: help, Kind: metrics.KindGauge, Labels: labels, Value: v})
-	}
-	counter := func(name, help string, v float64, labels ...metrics.Label) {
-		emit(metrics.Sample{Name: name, Help: help, Kind: metrics.KindCounter, Labels: labels, Value: v})
-	}
-
-	gauge("sspd_entities", "Number of entities in the federation.", float64(len(entityIDs)))
-	gauge("sspd_queries", "Number of active queries.", float64(len(queryIDs)))
+	metrics.EmitGauge(emit, "sspd_entities", "Number of entities in the federation.", float64(len(entityIDs)))
+	metrics.EmitGauge(emit, "sspd_queries", "Number of active queries.", float64(len(queryIDs)))
 
 	// Per-query d_k, p_k, PR_k and the federation PR_max. Every active
 	// query gets a PR series (0 until its engines have measured), so
@@ -204,110 +208,100 @@ func (f *Federation) collectMetrics(emit func(metrics.Sample)) {
 			prMax = pr
 		}
 		lq := metrics.L("query", id)
-		gauge("sspd_query_delay_seconds", "Mean result delay d_k per query.", d, lq)
-		gauge("sspd_query_processing_seconds", "Mean processing time p_k per query.", p, lq)
-		gauge("sspd_pr_ratio", "Performance Ratio PR_k = d_k / p_k per query.", pr, lq)
+		metrics.EmitGauge(emit, "sspd_query_delay_seconds", "Mean result delay d_k per query.", d, lq)
+		metrics.EmitGauge(emit, "sspd_query_processing_seconds", "Mean processing time p_k per query.", p, lq)
+		metrics.EmitGauge(emit, "sspd_pr_ratio", "Performance Ratio PR_k = d_k / p_k per query.", pr, lq)
 	}
-	gauge("sspd_pr_max", "Federation-wide maximum Performance Ratio max_k(d_k/p_k).", prMax)
+	metrics.EmitGauge(emit, "sspd_pr_max", "Federation-wide maximum Performance Ratio max_k(d_k/p_k).", prMax)
 
 	for i, id := range entityIDs {
-		gauge("sspd_entity_load", "Entity engine load (query-graph vertex weight).",
+		metrics.EmitGauge(emit, "sspd_entity_load", "Entity engine load (query-graph vertex weight).",
 			entities[i].ent.Load(), metrics.L("entity", id))
 	}
 
-	counter("sspd_coordinator_events_total", "Coordinator-tree maintenance operations by type.",
+	metrics.EmitCounter(emit, "sspd_coordinator_events_total", "Coordinator-tree maintenance operations by type.",
 		float64(coordEvents.Joins), metrics.L("event", "join"))
-	counter("sspd_coordinator_events_total", "Coordinator-tree maintenance operations by type.",
+	metrics.EmitCounter(emit, "sspd_coordinator_events_total", "Coordinator-tree maintenance operations by type.",
 		float64(coordEvents.Leaves), metrics.L("event", "leave"))
-	counter("sspd_coordinator_events_total", "Coordinator-tree maintenance operations by type.",
+	metrics.EmitCounter(emit, "sspd_coordinator_events_total", "Coordinator-tree maintenance operations by type.",
 		float64(coordEvents.Fails), metrics.L("event", "fail"))
-	counter("sspd_coordinator_events_total", "Coordinator-tree maintenance operations by type.",
+	metrics.EmitCounter(emit, "sspd_coordinator_events_total", "Coordinator-tree maintenance operations by type.",
 		float64(coordEvents.Splits), metrics.L("event", "split"))
-	counter("sspd_coordinator_events_total", "Coordinator-tree maintenance operations by type.",
+	metrics.EmitCounter(emit, "sspd_coordinator_events_total", "Coordinator-tree maintenance operations by type.",
 		float64(coordEvents.Merges), metrics.L("event", "merge"))
-	counter("sspd_coordinator_events_total", "Coordinator-tree maintenance operations by type.",
+	metrics.EmitCounter(emit, "sspd_coordinator_events_total", "Coordinator-tree maintenance operations by type.",
 		float64(coordEvents.Recenters), metrics.L("event", "recenter"))
 
 	for _, s := range streams {
 		st := perStream[s]
 		ls := metrics.L("stream", s)
-		counter("sspd_relay_delivered_total", "Tuples delivered to local entities per stream.",
+		metrics.EmitCounter(emit, "sspd_relay_delivered_total", "Tuples delivered to local entities per stream.",
 			float64(st.delivered), ls)
-		counter("sspd_relay_relayed_total", "Tuples forwarded on downstream links per stream.",
+		metrics.EmitCounter(emit, "sspd_relay_relayed_total", "Tuples forwarded on downstream links per stream.",
 			float64(st.relayed), ls)
-		counter("sspd_relay_suppressed_total", "Tuples early filtering kept off downstream links per stream.",
+		metrics.EmitCounter(emit, "sspd_relay_suppressed_total", "Tuples early filtering kept off downstream links per stream.",
 			float64(st.suppressed), ls)
-		counter("sspd_relay_link_bytes_total", "Encoded bytes sent on dissemination links per stream.",
+		metrics.EmitCounter(emit, "sspd_relay_link_bytes_total", "Encoded bytes sent on dissemination links per stream.",
 			float64(st.bytes), ls)
-		counter("sspd_relay_link_messages_total", "Messages sent on dissemination links per stream.",
+		metrics.EmitCounter(emit, "sspd_relay_link_messages_total", "Messages sent on dissemination links per stream.",
 			float64(st.messages), ls)
 	}
 
-	counter("sspd_rebalance_moves_total", "Queries migrated by the auto-rebalance loop.",
+	metrics.EmitCounter(emit, "sspd_rebalance_moves_total", "Queries migrated by Rebalance calls.",
 		float64(f.rebalanceMoves.Value()))
 
-	counter("sspd_migrations_total", "Live migrations by outcome.",
+	metrics.EmitCounter(emit, "sspd_migrations_total", "Live migrations by outcome.",
 		float64(f.migCommits.Value()), metrics.L("outcome", "commit"))
-	counter("sspd_migrations_total", "Live migrations by outcome.",
+	metrics.EmitCounter(emit, "sspd_migrations_total", "Live migrations by outcome.",
 		float64(f.migRollbacks.Value()), metrics.L("outcome", "rollback"))
-	counter("sspd_migration_state_bytes_total", "Serialized operator-state bytes transferred by live migrations.",
+	metrics.EmitCounter(emit, "sspd_migration_state_bytes_total", "Serialized operator-state bytes transferred by live migrations.",
 		float64(f.migStateBytes.Value()))
-	counter("sspd_migration_replayed_total", "Buffered tuples replayed at migration destinations.",
+	metrics.EmitCounter(emit, "sspd_migration_replayed_total", "Buffered tuples replayed at migration destinations.",
 		float64(f.migReplayed.Value()))
-	counter("sspd_adaptation_moves_total", "Queries migrated by the adaptation controller.",
+	metrics.EmitCounter(emit, "sspd_adaptation_moves_total", "Queries migrated by the adaptation controller.",
 		float64(f.adaptMoves.Value()))
 
 	// Durability and crash-recovery signals (checkpoint plane; the
 	// write/byte counters stay zero until EnableCheckpoints).
 	ck := f.Checkpoints()
-	counter("sspd_checkpoints_total", "Checkpoint records written and replicated.",
+	metrics.EmitCounter(emit, "sspd_checkpoints_total", "Checkpoint records written and replicated.",
 		float64(ck.Writes))
-	counter("sspd_checkpoint_bytes_total", "Encoded checkpoint bytes shipped to replicas.",
+	metrics.EmitCounter(emit, "sspd_checkpoint_bytes_total", "Encoded checkpoint bytes shipped to replicas.",
 		float64(ck.WireBytes))
-	counter("sspd_checkpoint_quorum_total", "Checkpoints acknowledged by a replica quorum.",
+	metrics.EmitCounter(emit, "sspd_checkpoint_quorum_total", "Checkpoints acknowledged by a replica quorum.",
 		float64(ck.QuorumAcked))
-	counter("sspd_checkpoint_errors_total", "Checkpoint attempts that failed before replication.",
+	metrics.EmitCounter(emit, "sspd_checkpoint_errors_total", "Checkpoint attempts that failed before replication.",
 		float64(ck.Errors))
-	counter("sspd_checkpoint_corrupt_total", "Checkpoint records rejected as corrupt (CRC or torn chunks).",
+	metrics.EmitCounter(emit, "sspd_checkpoint_corrupt_total", "Checkpoint records rejected as corrupt (CRC or torn chunks).",
 		float64(ck.Corrupt))
-	counter("sspd_checkpoint_stale_total", "Checkpoint records rejected as stale (older sequence).",
+	metrics.EmitCounter(emit, "sspd_checkpoint_stale_total", "Checkpoint records rejected as stale (older sequence).",
 		float64(ck.StaleDrops))
-	counter("sspd_recoveries_total", "Crash-recovered queries by outcome.",
+	metrics.EmitCounter(emit, "sspd_recoveries_total", "Crash-recovered queries by outcome.",
 		float64(f.recRestored.Value()), metrics.L("outcome", "restored"))
-	counter("sspd_recoveries_total", "Crash-recovered queries by outcome.",
+	metrics.EmitCounter(emit, "sspd_recoveries_total", "Crash-recovered queries by outcome.",
 		float64(f.recStateless.Value()), metrics.L("outcome", "stateless"))
-	counter("sspd_recoveries_total", "Crash-recovered queries by outcome.",
+	metrics.EmitCounter(emit, "sspd_recoveries_total", "Crash-recovered queries by outcome.",
 		float64(f.recFailed.Value()), metrics.L("outcome", "failed"))
-	counter("sspd_recovery_replayed_total", "Tuples replayed through recovered queries' gates.",
+	metrics.EmitCounter(emit, "sspd_recovery_replayed_total", "Tuples replayed through recovered queries' gates.",
 		float64(f.recReplayed.Value()))
-	counter("sspd_recovery_replay_fetched_total", "Tuples fetched from the upstream replay rings during recoveries.",
+	metrics.EmitCounter(emit, "sspd_recovery_replay_fetched_total", "Tuples fetched from the upstream replay rings during recoveries.",
 		float64(f.recReplayFetched.Value()))
-	counter("sspd_entity_fail_errors_total", "Detector-confirmed expulsions whose FailEntity call failed.",
+	metrics.EmitCounter(emit, "sspd_entity_fail_errors_total", "Detector-confirmed expulsions whose FailEntity call failed.",
 		float64(f.entityFailErrors.Value()))
 
-	links := make([]string, 0, len(sendErrs))
-	for l := range sendErrs {
-		links = append(links, l)
+	for l, n := range sendErrs {
+		metrics.EmitCounter(emit, "sspd_relay_send_errors_total", "Transport sends a relay could not complete, by destination link.",
+			float64(n), metrics.L("link", l))
 	}
-	sort.Strings(links)
-	for _, l := range links {
-		counter("sspd_relay_send_errors_total", "Transport sends a relay could not complete, by destination link.",
-			float64(sendErrs[l]), metrics.L("link", l))
+	for k, n := range decodeErrs {
+		metrics.EmitCounter(emit, "sspd_relay_decode_errors_total", "Payloads relays dropped as undecodable, by message kind.",
+			float64(n), metrics.L("kind", k))
 	}
-	kinds := make([]string, 0, len(decodeErrs))
-	for k := range decodeErrs {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	for _, k := range kinds {
-		counter("sspd_relay_decode_errors_total", "Payloads relays dropped as undecodable, by message kind.",
-			float64(decodeErrs[k]), metrics.L("kind", k))
-	}
-	counter("sspd_control_giveups_total", "Control-plane deliveries abandoned after exhausting retries.",
+	metrics.EmitCounter(emit, "sspd_control_giveups_total", "Control-plane deliveries abandoned after exhausting retries.",
 		float64(f.controlGiveUps.Value()))
-	counter("sspd_control_retries_total", "Control-plane delivery retries by the reliable endpoints.",
+	metrics.EmitCounter(emit, "sspd_control_retries_total", "Control-plane delivery retries by the reliable endpoints.",
 		float64(relRetries))
-	counter("sspd_control_suppressed_total", "Stale or duplicate control messages suppressed by receivers.",
+	metrics.EmitCounter(emit, "sspd_control_suppressed_total", "Stale or duplicate control messages suppressed by receivers.",
 		float64(relSuppressed))
 
 	// Edge cut of the live allocation: query-graph edge weight crossing
@@ -316,21 +310,21 @@ func (f *Federation) collectMetrics(emit func(metrics.Sample)) {
 	if started && len(queryIDs) > 0 {
 		g := f.QueryGraph(0)
 		p, _ := f.Assignment()
-		gauge("sspd_edge_cut", "Query-graph edge weight (bytes/sec) crossing entity boundaries.",
+		metrics.EmitGauge(emit, "sspd_edge_cut", "Query-graph edge weight (bytes/sec) crossing entity boundaries.",
 			g.EdgeCut(p))
 	}
 
 	if tracer != nil {
-		gauge("sspd_trace_sample_every", "Trace sampling divisor (0 = disabled).",
+		metrics.EmitGauge(emit, "sspd_trace_sample_every", "Trace sampling divisor (0 = disabled).",
 			float64(tracer.SampleEvery()))
-		gauge("sspd_trace_spans", "Trace spans currently buffered.", float64(tracer.Len()))
-		counter("sspd_trace_sampled_total", "Tuples sampled into trace spans.",
+		metrics.EmitGauge(emit, "sspd_trace_spans", "Trace spans currently buffered.", float64(tracer.Len()))
+		metrics.EmitCounter(emit, "sspd_trace_sampled_total", "Tuples sampled into trace spans.",
 			float64(tracer.Sampled.Value()))
-		counter("sspd_trace_hops_total", "Hops recorded across all spans.",
+		metrics.EmitCounter(emit, "sspd_trace_hops_total", "Hops recorded across all spans.",
 			float64(tracer.Hops.Value()))
-		counter("sspd_trace_evicted_total", "Spans evicted by ring wraparound.",
+		metrics.EmitCounter(emit, "sspd_trace_evicted_total", "Spans evicted by ring wraparound.",
 			float64(tracer.Evicted.Value()))
-		counter("sspd_trace_dropped_hops_total", "Hops dropped (span evicted or hop cap hit).",
+		metrics.EmitCounter(emit, "sspd_trace_dropped_hops_total", "Hops dropped (span evicted or hop cap hit).",
 			float64(tracer.DroppedHops.Value()))
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"sspd/internal/checkpoint"
-	"sspd/internal/coordinator"
 	"sspd/internal/engine"
 	"sspd/internal/simnet"
 	"sspd/internal/stream"
@@ -105,15 +104,7 @@ func (f *Federation) recoverOrphans(p *ckptPlane, failedID string, pos simnet.Po
 	var firstErr error
 	for _, o := range orphans {
 		_ = f.ledger.Stop(o.spec.ID) // the dead entity's accrual ends
-		f.mu.Lock()
-		load := func(m coordinator.MemberID) float64 {
-			if target, ok := f.entities[string(m)]; ok {
-				return target.ent.Load()
-			}
-			return 0
-		}
-		member, _, err := f.coord.RouteQuery(pos, load)
-		f.mu.Unlock()
+		target, err := f.route(pos)
 		if err != nil {
 			f.recordRecovery(RecoveryRecord{Query: o.spec.ID, Failed: failedID,
 				Outcome: "failed", Reason: "route: " + err.Error(), Time: time.Now()})
@@ -122,7 +113,7 @@ func (f *Federation) recoverOrphans(p *ckptPlane, failedID string, pos simnet.Po
 			}
 			continue
 		}
-		groups[string(member)] = append(groups[string(member)], o)
+		groups[target] = append(groups[target], o)
 	}
 	targets := make([]string, 0, len(groups))
 	for t := range groups {
@@ -270,9 +261,12 @@ func (f *Federation) recoverGroup(p *ckptPlane, failedID, target string,
 	for _, pr := range pendings {
 		// Wire the result route before the commit: the flush delivers
 		// the replayed suffix's results immediately, and an unrouted
-		// result is a lost result.
+		// result is a lost result. The query stays marked migrating until
+		// its gate is open, so a checkpoint sweep on the clock cannot
+		// pause-and-reopen the staged gate ahead of the commit.
+		fq := &fedQuery{spec: pr.o.spec, entity: target, migrating: true}
 		f.mu.Lock()
-		f.queries[pr.o.spec.ID] = &fedQuery{spec: pr.o.spec, entity: target}
+		f.queries[pr.o.spec.ID] = fq
 		if pr.o.onResult != nil {
 			f.results.Store(pr.o.spec.ID, pr.o.onResult)
 		}
@@ -294,6 +288,9 @@ func (f *Federation) recoverGroup(p *ckptPlane, failedID, target string,
 			f.logger.Warn("recovery.restore", target, "recovery pause buffer overflowed",
 				"query", pr.o.spec.ID, "dropped", dropped)
 		}
+		f.mu.Lock()
+		fq.migrating = false
+		f.mu.Unlock()
 		pr.rec.Replayed = n
 		f.recReplayed.Add(int64(n))
 		if err := f.ledger.Start(pr.o.spec.ID, target); err != nil {

@@ -19,6 +19,20 @@ import (
 // must show every published tuple exactly once with window contents
 // carried across the crash.
 func TestHardKillRecoveryZeroLoss(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// interval 0 drives the sweep by hand (CheckpointTick); a positive
+		// one leaves it to the control clock, the mode README advertises.
+		interval time.Duration
+	}{
+		{"manual", 0},
+		{"periodic", 20 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) { hardKillRecoveryZeroLoss(t, tc.interval) })
+	}
+}
+
+func hardKillRecoveryZeroLoss(t *testing.T, interval time.Duration) {
 	const window = 64
 	fed, _ := newTestFederation(t, 4)
 
@@ -29,7 +43,7 @@ func TestHardKillRecoveryZeroLoss(t *testing.T) {
 	if err := fed.SubmitQueryTo(symbolJoinQuery("join"), "e01", joinLog.observe); err != nil {
 		t.Fatal(err)
 	}
-	if err := fed.EnableCheckpoints(0, 2); err != nil {
+	if err := fed.EnableCheckpoints(interval, 2); err != nil {
 		t.Fatal(err)
 	}
 	fed.Settle(2 * time.Second)
@@ -56,12 +70,23 @@ func TestHardKillRecoveryZeroLoss(t *testing.T) {
 		}
 	}
 
-	// Warm the windows past one full turn, then take a durable cut.
+	// Warm the windows past one full turn, then wait for a durable cut
+	// that covers the warm-up: both queries quorum-acked at a mark no
+	// older than the last warm-up quote.
 	publish(100)
 	fed.Settle(2 * time.Second)
-	fed.CheckpointTick()
-	waitUntil(t, 2*time.Second, "checkpoint quorum", func() bool {
-		return fed.Checkpoints().QuorumAcked >= 2 // agg + join
+	if interval <= 0 {
+		fed.CheckpointTick()
+	}
+	warm := quotes[0][len(quotes[0])-1].Seq
+	durable := func(query string) bool {
+		p := fed.ckptRef()
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.ackedMarks[query]["quotes"] >= warm
+	}
+	waitUntil(t, 5*time.Second, "checkpoint quorum", func() bool {
+		return fed.Checkpoints().QuorumAcked >= 2 && durable("agg") && durable("join")
 	})
 	fed.Settle(2 * time.Second)
 
@@ -119,11 +144,19 @@ func TestHardKillRecoveryZeroLoss(t *testing.T) {
 
 	// Zero committed-result loss, zero duplication: every published
 	// quote produced its aggregate result exactly once, across the
-	// crash, the replay, and the post-recovery traffic.
-	aggCounts, aggValues := aggLog.snapshot()
+	// crash, the replay, and the post-recovery traffic. (A periodic sweep
+	// in flight holds the query's gate paused past Settle, so wait for
+	// the results rather than for the network.)
 	published := 0
 	for _, b := range quotes {
 		published += len(b)
+	}
+	waitUntil(t, 5*time.Second, "post-recovery results", func() bool {
+		_, values := aggLog.snapshot()
+		return len(values) >= published
+	})
+	aggCounts, aggValues := aggLog.snapshot()
+	for _, b := range quotes {
 		for _, tu := range b {
 			switch aggCounts[tu.Seq] {
 			case 1:
@@ -152,8 +185,12 @@ func TestHardKillRecoveryZeroLoss(t *testing.T) {
 	for _, b := range quotes {
 		oracle.IngestBatch(b)
 	}
-	joinCounts, _ := joinLog.snapshot()
 	wantJoin, _ := oracleJoin.snapshot()
+	waitUntil(t, 5*time.Second, "post-recovery join results", func() bool {
+		counts, _ := joinLog.snapshot()
+		return len(counts) >= len(wantJoin)
+	})
+	joinCounts, _ := joinLog.snapshot()
 	if len(joinCounts) != len(wantJoin) {
 		t.Fatalf("join produced results for %d seqs, oracle %d", len(joinCounts), len(wantJoin))
 	}

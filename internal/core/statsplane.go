@@ -1,15 +1,18 @@
 package core
 
-// The cluster stats plane (DESIGN.md §9): every entity runs a
-// coordinator.StatsNode that periodically folds its local registry —
-// measured query loads, per-stream link byte rates, PR_max with a short
-// history, send/decode error counters — into an EntityStats row and
-// pushes it up the coordinator tree. Interior nodes merge child digests,
+// The cluster stats plane (DESIGN.md §9): every entity has a
+// coordinator.StatsNode that once per digest period folds its local
+// registry — measured query loads, per-stream link byte rates, PR_max
+// with a short history, send/decode error counters — into an
+// EntityStats row and pushes it up the coordinator tree. Interior nodes merge child digests,
 // so the tree's root holds the cluster view that backs GET
 // /cluster/metrics, GET /cluster/health, the portal's ops page, and the
 // querygraph.StatsSource hook feeding measured weights to the adaptive
-// repartitioner. Folds are periodic and ride the control transport; the
-// per-tuple hot path is untouched.
+// repartitioner. One digest period is one StatsTick — called by hand, or
+// by the control clock (clock.go) in background mode — and it also
+// clocks the SLO and backpressure watchdogs, so their window is exactly
+// one period. Digests ride the control transport; the per-tuple hot path
+// is untouched.
 
 import (
 	"fmt"
@@ -18,7 +21,6 @@ import (
 	"time"
 
 	"sspd/internal/coordinator"
-	"sspd/internal/engine"
 	"sspd/internal/metrics"
 	"sspd/internal/querygraph"
 	"sspd/internal/simnet"
@@ -29,13 +31,6 @@ import (
 type statsPlane struct {
 	f        *Federation
 	interval time.Duration
-	registry *metrics.Registry
-
-	// stop/done wire the background SLO ticker (interval > 0 only): the
-	// stats nodes run their own push loops, so without this the watchdog
-	// would only ever be clocked by manual StatsTick calls.
-	stop chan struct{}
-	done chan struct{}
 
 	mu    sync.Mutex
 	nodes map[string]*coordinator.StatsNode
@@ -61,9 +56,10 @@ type foldState struct {
 }
 
 // EnableStatsPlane starts the cluster stats federation. interval is the
-// digest period; interval <= 0 starts no background loops — tests then
-// drive the plane deterministically with StatsTick. Safe to call once,
-// after Start.
+// digest period: interval > 0 puts StatsTick on the control clock
+// (background mode is manual mode on a timer); interval <= 0 registers
+// nothing — tests then drive the plane deterministically with StatsTick.
+// Safe to call once, after Start.
 func (f *Federation) EnableStatsPlane(interval time.Duration) error {
 	f.mu.Lock()
 	if !f.started {
@@ -77,13 +73,12 @@ func (f *Federation) EnableStatsPlane(interval time.Duration) error {
 	p := &statsPlane{
 		f:        f,
 		interval: interval,
-		registry: metrics.NewRegistry(),
 		nodes:    make(map[string]*coordinator.StatsNode),
 		folds:    make(map[string]*foldState),
 		srcPrev:  make(map[string]int64),
 		srcRate:  make(map[string]float64),
 	}
-	p.registry.RegisterCollector(p.collect)
+	f.cluster.RegisterCollector(p.collect)
 	f.stats = p
 	ids := f.entityIDsLocked()
 	f.mu.Unlock()
@@ -91,25 +86,7 @@ func (f *Federation) EnableStatsPlane(interval time.Duration) error {
 		p.addNode(id)
 	}
 	if interval > 0 {
-		// Background mode: the stats nodes push on their own loops and
-		// StatsTick is never called, so the SLO watchdog needs its own
-		// clock at the same digest period.
-		p.stop = make(chan struct{})
-		p.done = make(chan struct{})
-		go func(stop, done chan struct{}) {
-			defer close(done)
-			t := time.NewTicker(interval)
-			defer t.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					f.SLOTick()
-					f.EngineTick()
-				}
-			}
-		}(p.stop, p.done)
+		f.every(interval, f.StatsTick)
 	}
 	f.logger.Info("stats.enable", "", "cluster stats plane enabled",
 		"interval", interval, "entities", len(ids))
@@ -132,13 +109,14 @@ func (f *Federation) ClusterRegistry() *metrics.Registry {
 	if f.stats == nil {
 		return nil
 	}
-	return f.stats.registry
+	return f.cluster
 }
 
-// StatsTick runs one manual digest period: every entity's stats node
-// folds and pushes once, in sorted entity order. Call Settle afterwards
-// to let the pushed digests land. Root coverage of an h-level tree needs
-// h ticks; two suffice for typical federations.
+// StatsTick runs one digest period: every entity's stats node folds and
+// pushes once, in sorted entity order, then each watchdog evaluates
+// once. In manual mode call Settle afterwards to let the pushed digests
+// land. Root coverage of an h-level tree needs h ticks; two suffice for
+// typical federations.
 func (f *Federation) StatsTick() {
 	f.mu.Lock()
 	p := f.stats
@@ -298,31 +276,19 @@ func (f *Federation) MeasuredQueryGraph(minEdge float64) *querygraph.Graph {
 	if p == nil {
 		return f.QueryGraph(minEdge)
 	}
-	measured := f.StreamRates()
-	f.mu.Lock()
-	ids := make([]string, 0, len(f.queries))
-	for id := range f.queries {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	specs := make([]engine.QuerySpec, 0, len(ids))
-	for _, id := range ids {
-		specs = append(specs, f.queries[id].spec)
-	}
-	rates := make(map[string]StreamRate, len(f.rates))
-	for s, r := range f.rates {
-		if tps, ok := measured[s]; ok && tps > 0 {
+	specs, rates := f.graphInputs()
+	for s, tps := range f.StreamRates() {
+		if r, ok := rates[s]; ok && tps > 0 {
 			r.TuplesPerSec = tps
+			rates[s] = r
 		}
-		rates[s] = r
 	}
-	f.mu.Unlock()
 	g := BuildQueryGraph(specs, f.catalog, rates, minEdge)
 	querygraph.ApplyLoads(g, f.QueryLoads())
 	return g
 }
 
-// addNode creates and starts the stats node of one entity.
+// addNode creates the stats node of one entity.
 func (p *statsPlane) addNode(id string) {
 	f := p.f
 	n, err := coordinator.NewStatsNode(coordinator.MemberID(id), f.transport)
@@ -350,12 +316,9 @@ func (p *statsPlane) addNode(id string) {
 		prevBytes: make(map[string]int64),
 	}
 	p.mu.Unlock()
-	n.Start(p.interval)
 }
 
-// removeNode closes an entity's stats node. Must be called WITHOUT
-// f.mu held: Close waits for the node's loop, which may be folding
-// (and folding takes f.mu).
+// removeNode closes an entity's stats node.
 func (p *statsPlane) removeNode(id string) {
 	p.mu.Lock()
 	n := p.nodes[id]
@@ -367,12 +330,9 @@ func (p *statsPlane) removeNode(id string) {
 	}
 }
 
-// close shuts every node down (same locking caveat as removeNode).
+// close deregisters every node (Federation.Close, after the clock
+// stopped).
 func (p *statsPlane) close() {
-	if p.stop != nil {
-		close(p.stop)
-		<-p.done
-	}
 	p.mu.Lock()
 	nodes := make([]*coordinator.StatsNode, 0, len(p.nodes))
 	for _, n := range p.nodes {
@@ -573,83 +533,53 @@ type relayRef struct {
 
 // collect is the cluster registry's collector: it renders the root
 // digest as sspd_cluster_* Prometheus families, every per-entity series
-// labeled with `entity`.
+// labeled with `entity`. Maps are ranged as they come: the registry
+// orders series at render time.
 func (p *statsPlane) collect(emit func(metrics.Sample)) {
 	f := p.f
-	rows, root, ok := f.ClusterStats()
+	rows, _, ok := f.ClusterStats()
 	health := f.ClusterHealth()
 
-	gauge := func(name, help string, v float64, labels ...metrics.Label) {
-		emit(metrics.Sample{Name: name, Help: help, Kind: metrics.KindGauge, Labels: labels, Value: v})
-	}
-	counter := func(name, help string, v float64, labels ...metrics.Label) {
-		emit(metrics.Sample{Name: name, Help: help, Kind: metrics.KindCounter, Labels: labels, Value: v})
-	}
-
-	gauge("sspd_cluster_digest_ok", "1 when the tree root serves a merged digest.", b2f(ok))
+	metrics.EmitGauge(emit, "sspd_cluster_digest_ok", "1 when the tree root serves a merged digest.", b2f(ok))
 	if !ok {
 		return
 	}
-	_ = root
-
-	ids := make([]string, 0, len(rows))
-	for id := range rows {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
 
 	now := time.Now()
 	prMax := 0.0
 	queries := 0
-	for _, id := range ids {
-		row := rows[id]
+	for id, row := range rows {
 		le := metrics.L("entity", id)
-		gauge("sspd_cluster_entity_load", "Entity engine load from the cluster digest.", row.Load, le)
-		gauge("sspd_cluster_entity_queries", "Queries hosted per entity from the cluster digest.",
+		metrics.EmitGauge(emit, "sspd_cluster_entity_load", "Entity engine load from the cluster digest.", row.Load, le)
+		metrics.EmitGauge(emit, "sspd_cluster_entity_queries", "Queries hosted per entity from the cluster digest.",
 			float64(row.Queries), le)
-		gauge("sspd_cluster_entity_pr_max", "Entity-local maximum Performance Ratio from the cluster digest.",
+		metrics.EmitGauge(emit, "sspd_cluster_entity_pr_max", "Entity-local maximum Performance Ratio from the cluster digest.",
 			row.PRMax, le)
-		gauge("sspd_cluster_digest_age_seconds", "Age of the entity's digest row at the root.",
+		metrics.EmitGauge(emit, "sspd_cluster_digest_age_seconds", "Age of the entity's digest row at the root.",
 			row.Age(now).Seconds(), le)
-		counter("sspd_cluster_entity_dropped_total",
+		metrics.EmitCounter(emit, "sspd_cluster_entity_dropped_total",
 			"Engine-lifetime tuples dropped per entity, including drops charged to since-unregistered queries.",
 			float64(row.Dropped), le)
-		counter("sspd_cluster_send_errors_total", "Relay send errors per entity from the cluster digest.",
+		metrics.EmitCounter(emit, "sspd_cluster_send_errors_total", "Relay send errors per entity from the cluster digest.",
 			float64(row.SendErrors), le)
-		counter("sspd_cluster_decode_errors_total", "Relay decode errors per entity from the cluster digest.",
+		metrics.EmitCounter(emit, "sspd_cluster_decode_errors_total", "Relay decode errors per entity from the cluster digest.",
 			float64(row.DecodeErrors), le)
-		qids := make([]string, 0, len(row.QueryLoads))
-		for q := range row.QueryLoads {
-			qids = append(qids, q)
+		for q, load := range row.QueryLoads {
+			metrics.EmitGauge(emit, "sspd_cluster_query_load", "Measured query load from the cluster digest.",
+				load, le, metrics.L("query", q))
 		}
-		sort.Strings(qids)
-		for _, q := range qids {
-			gauge("sspd_cluster_query_load", "Measured query load from the cluster digest.",
-				row.QueryLoads[q], le, metrics.L("query", q))
-		}
-		dqids := make([]string, 0, len(row.QueryDrops))
-		for q := range row.QueryDrops {
-			dqids = append(dqids, q)
-		}
-		sort.Strings(dqids)
-		for _, q := range dqids {
-			counter("sspd_cluster_query_dropped_total",
+		for q, dropped := range row.QueryDrops {
+			metrics.EmitCounter(emit, "sspd_cluster_query_dropped_total",
 				"Tuples dropped per query by full shard rings.",
-				float64(row.QueryDrops[q]), le, metrics.L("query", q))
+				float64(dropped), le, metrics.L("query", q))
 		}
-		streams := make([]string, 0, len(row.Streams))
-		for s := range row.Streams {
-			streams = append(streams, s)
-		}
-		sort.Strings(streams)
-		for _, s := range streams {
-			ss := row.Streams[s]
+		for s, ss := range row.Streams {
 			ls := metrics.L("stream", s)
-			counter("sspd_cluster_stream_bytes_total", "Dissemination bytes per entity and stream.",
+			metrics.EmitCounter(emit, "sspd_cluster_stream_bytes_total", "Dissemination bytes per entity and stream.",
 				float64(ss.Bytes), le, ls)
-			counter("sspd_cluster_stream_messages_total", "Dissemination messages per entity and stream.",
+			metrics.EmitCounter(emit, "sspd_cluster_stream_messages_total", "Dissemination messages per entity and stream.",
 				float64(ss.Messages), le, ls)
-			gauge("sspd_cluster_stream_bytes_per_sec", "Measured dissemination byte rate per entity and stream.",
+			metrics.EmitGauge(emit, "sspd_cluster_stream_bytes_per_sec", "Measured dissemination byte rate per entity and stream.",
 				ss.BytesPerSec, le, ls)
 		}
 		if row.PRMax > prMax {
@@ -657,34 +587,20 @@ func (p *statsPlane) collect(emit func(metrics.Sample)) {
 		}
 		queries += row.Queries
 	}
-	gauge("sspd_cluster_entities", "Entities covered by the root digest.", float64(len(ids)))
-	gauge("sspd_cluster_queries", "Queries covered by the root digest.", float64(queries))
-	gauge("sspd_cluster_pr_max", "Cluster-wide maximum Performance Ratio from the root digest.", prMax)
+	metrics.EmitGauge(emit, "sspd_cluster_entities", "Entities covered by the root digest.", float64(len(rows)))
+	metrics.EmitGauge(emit, "sspd_cluster_queries", "Queries covered by the root digest.", float64(queries))
+	metrics.EmitGauge(emit, "sspd_cluster_pr_max", "Cluster-wide maximum Performance Ratio from the root digest.", prMax)
 
 	for _, h := range health {
-		gauge("sspd_cluster_entity_up", "1 when the entity is a live, freshly-reporting member.",
+		metrics.EmitGauge(emit, "sspd_cluster_entity_up", "1 when the entity is a live, freshly-reporting member.",
 			b2f(h.Healthy), metrics.L("entity", h.Entity))
 	}
 
 	// Measured source rates (the StatsSource feed).
-	rates := f.StreamRates()
-	streams := make([]string, 0, len(rates))
-	for s := range rates {
-		streams = append(streams, s)
+	for s, rate := range f.StreamRates() {
+		metrics.EmitGauge(emit, "sspd_cluster_stream_tuples_per_sec", "Measured arrival rate at the stream source.",
+			rate, metrics.L("stream", s))
 	}
-	sort.Strings(streams)
-	for _, s := range streams {
-		gauge("sspd_cluster_stream_tuples_per_sec", "Measured arrival rate at the stream source.",
-			rates[s], metrics.L("stream", s))
-	}
-
-	// The engine introspection families are re-emitted here so
-	// /cluster/metrics serves the same sspd_engine_* families as
-	// /metrics (no-op while the plane is disabled).
-	f.engineCollectInto(emit)
-	// Likewise the Adaptation Module families (sspd_am_*), so both
-	// endpoints agree on routing state.
-	f.amCollectInto(emit)
 }
 
 func b2f(b bool) float64 {

@@ -97,7 +97,7 @@ func TestClusterEngineEndpoint(t *testing.T) {
 		t.Fatalf("GET /profiles before enable: %d, want 404", resp.StatusCode)
 	}
 
-	if err := fed.EnableEngineIntrospection(0); err != nil {
+	if err := fed.EnableEngineIntrospection(); err != nil {
 		t.Fatal(err)
 	}
 	if err := fed.EnableProfiling(t.TempDir(), 0); err != nil {

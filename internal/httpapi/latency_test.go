@@ -64,7 +64,7 @@ func TestClusterLatencyEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer trace.SetActive(nil)
-	if err := fed.EnableLatencyAttribution(0); err != nil {
+	if err := fed.EnableLatencyAttribution(); err != nil {
 		t.Fatal(err)
 	}
 

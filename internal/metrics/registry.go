@@ -85,6 +85,16 @@ type HistSample struct {
 // calls the collector.
 type Collector func(emit func(Sample))
 
+// EmitGauge emits one gauge sample from inside a Collector.
+func EmitGauge(emit func(Sample), name, help string, v float64, labels ...Label) {
+	emit(Sample{Name: name, Help: help, Kind: KindGauge, Labels: labels, Value: v})
+}
+
+// EmitCounter emits one counter sample from inside a Collector.
+func EmitCounter(emit func(Sample), name, help string, v float64, labels ...Label) {
+	emit(Sample{Name: name, Help: help, Kind: KindCounter, Labels: labels, Value: v})
+}
+
 // Registry is a named, labeled metric registry with a lock-cheap hot
 // path: the instruments themselves (Counter, Gauge, ...) are atomics, so
 // after a one-time get-or-create the recording side never touches the

@@ -53,9 +53,6 @@ type Capture struct {
 type Options struct {
 	// Dir is the capture directory; created if missing.
 	Dir string
-	// Period between periodic capture rounds; 0 disables the periodic
-	// loop (triggered captures still work).
-	Period time.Duration
 	// CPUDuration is the CPU profile sampling window (default 1s).
 	CPUDuration time.Duration
 	// MaxCaptures bounds the on-disk ring (default 32); the oldest
@@ -88,10 +85,7 @@ type Recorder struct {
 
 	total atomic.Int64 // lifetime captures stored
 
-	loopMu sync.Mutex
-	stop   chan struct{}
-	done   chan struct{}
-	wg     sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 // NewRecorder creates the capture directory and returns a Recorder.
@@ -124,36 +118,10 @@ func (r *Recorder) SetOnCapture(fn func(Capture)) {
 // Total returns the lifetime number of stored captures.
 func (r *Recorder) Total() int64 { return r.total.Load() }
 
-// Start launches the periodic capture loop (no-op when Period is 0).
-func (r *Recorder) Start() {
-	if r.opts.Period <= 0 {
-		return
-	}
-	r.loopMu.Lock()
-	defer r.loopMu.Unlock()
-	if r.stop != nil {
-		return
-	}
-	r.stop = make(chan struct{})
-	r.done = make(chan struct{})
-	go func(stop, done chan struct{}) {
-		defer close(done)
-		t := time.NewTicker(r.opts.Period)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				r.Trigger("periodic")
-			}
-		}
-	}(r.stop, r.done)
-}
-
 // Trigger captures a heap profile synchronously and starts an
 // asynchronous CPU capture (skipped if one is already sampling).
-// reason labels the captures ("periodic", or the breached rule).
+// reason labels the captures ("periodic" — the owner clocks those — or
+// the breached rule).
 func (r *Recorder) Trigger(reason string) {
 	r.mu.Lock()
 	if r.closed {
@@ -289,17 +257,9 @@ func (r *Recorder) Dir() string { return r.opts.Dir }
 // a test convenience.
 func (r *Recorder) WaitIdle() { r.wg.Wait() }
 
-// Close stops the periodic loop and waits for in-flight captures.
-// Stored files stay on disk for post-mortem use.
+// Close waits for in-flight captures and refuses new ones. Stored
+// files stay on disk for post-mortem use.
 func (r *Recorder) Close() {
-	r.loopMu.Lock()
-	stop, done := r.stop, r.done
-	r.stop, r.done = nil, nil
-	r.loopMu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
 	r.wg.Wait()
 	r.mu.Lock()
 	r.closed = true

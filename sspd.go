@@ -242,6 +242,7 @@ var NewObsLogger = obslog.NewText
 // Latency-attribution surface (DESIGN.md §11): span-derived stage
 // histograms, the measured performance ratio, and SLO watchdogs,
 // enabled on a federation with Federation.EnableLatencyAttribution
+// (rules only — the watchdog evaluates once per stats digest period)
 // after EnableTracing and queried via Federation.ClusterLatency,
 // Federation.SLOStatus, and GET /cluster/latency.
 type (
@@ -278,7 +279,8 @@ var ParseSLORule = latency.ParseRule
 
 // Engine-introspection surface (DESIGN.md §14): per-shard telemetry,
 // the backpressure watchdog, and continuous profiling, enabled with
-// Federation.EnableEngineIntrospection / Federation.EnableProfiling and
+// Federation.EnableEngineIntrospection (rules only — the watchdog is
+// clocked by the stats digest period) / Federation.EnableProfiling and
 // queried via Federation.ClusterEngine, GET /cluster/engine, and
 // GET /profiles.
 type (
