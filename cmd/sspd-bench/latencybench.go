@@ -22,8 +22,11 @@ type latencyReport struct {
 	// vs. enabled (span decomposition + histograms + SLO watchdog).
 	NsPerTuplePlaneOff float64 `json:"ns_per_tuple_latency_off"`
 	NsPerTuplePlaneOn  float64 `json:"ns_per_tuple_latency_on"`
-	// OverheadPct is the on/off delta; the acceptance bar is <= 1.
+	// OverheadPct is the on/off delta; the acceptance bar is <= 1 plus
+	// NoisePct, the run's own within-side spread (see planeCostResult) —
+	// the same gate as the stats-plane and engine-introspection benches.
 	OverheadPct float64 `json:"latency_overhead_pct"`
+	NoisePct    float64 `json:"latency_noise_pct"`
 
 	// FederatedP99 is the cluster-wide end-to-end P99 answered by the
 	// merged per-entity histograms; OracleP99 is the exact P99 computed
@@ -36,12 +39,8 @@ type latencyReport struct {
 	P99BucketDistance int     `json:"p99_bucket_distance"`
 }
 
-const (
-	// maxLatencyOverheadPct gates the tuple-path cost of the plane.
-	maxLatencyOverheadPct = 1.0
-	// latencySampleEvery is the sampling rate for the overhead runs.
-	latencySampleEvery = 1024
-)
+// latencySampleEvery is the sampling rate for the overhead runs.
+const latencySampleEvery = 1024
 
 func runLatencyBench(path string) error {
 	rep := latencyReport{SampleEvery: latencySampleEvery}
@@ -63,7 +62,8 @@ func runLatencyBench(path string) error {
 	if err != nil {
 		return err
 	}
-	rep.NsPerTuplePlaneOff, rep.NsPerTuplePlaneOn, rep.OverheadPct = cost.Off, cost.On, cost.OverheadPct
+	rep.NsPerTuplePlaneOff, rep.NsPerTuplePlaneOn = cost.Off, cost.On
+	rep.OverheadPct, rep.NoisePct = cost.OverheadPct, cost.NoisePct
 
 	// Part 2 — merge accuracy. Every tuple sampled on a 3-entity
 	// federation; the federated P99 (per-entity histograms merged
@@ -156,13 +156,13 @@ func runLatencyBench(path string) error {
 	if err := writeReport(path, rep); err != nil {
 		return err
 	}
-	fmt.Printf("latency bench: tuple off=%.0fns on=%.0fns (%+.2f%% @1/%d) fed p99=%.3gs oracle p99=%.3gs (bucket distance %d over %d spans)\n",
-		rep.NsPerTuplePlaneOff, rep.NsPerTuplePlaneOn, rep.OverheadPct, rep.SampleEvery,
+	fmt.Printf("latency bench: tuple off=%.0fns on=%.0fns (%+.2f%%, noise %.2f%% @1/%d) fed p99=%.3gs oracle p99=%.3gs (bucket distance %d over %d spans)\n",
+		rep.NsPerTuplePlaneOff, rep.NsPerTuplePlaneOn, rep.OverheadPct, rep.NoisePct, rep.SampleEvery,
 		rep.FederatedP99, rep.OracleP99, rep.P99BucketDistance, rep.OracleSpans)
 	fmt.Printf("  wrote %s\n", path)
-	if rep.OverheadPct > maxLatencyOverheadPct {
-		return fmt.Errorf("latency plane adds %.2f%% to the tuple path (bar: %.1f%%)",
-			rep.OverheadPct, maxLatencyOverheadPct)
+	if bar := maxPlaneOverheadPct + rep.NoisePct; rep.OverheadPct > bar {
+		return fmt.Errorf("latency plane adds %.2f%% to the tuple path (bar: %.1f%% + %.2f%% measured noise)",
+			rep.OverheadPct, maxPlaneOverheadPct, rep.NoisePct)
 	}
 	if rep.P99BucketDistance > 1 {
 		return fmt.Errorf("federated P99 is %d buckets from the oracle (bar: 1)", rep.P99BucketDistance)

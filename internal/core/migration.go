@@ -167,7 +167,9 @@ func (f *Federation) MigrateQuery(id, toEntity string) error {
 		return fmt.Errorf("core: migrate %s: pause: %w", id, err)
 	}
 	f.Settle(migrateSettle)
-	_ = from.ent.DrainQuery(id, migrateDrain)
+	if err := from.ent.DrainQuery(id, migrateDrain); err != nil {
+		return rollback("drain", err)
+	}
 
 	// 4. OVERLAP: the destination's interests go live while the
 	// source's stay registered; both sides buffer from here on.

@@ -15,13 +15,14 @@ import (
 // The contract every implementation keeps, and every caller may assume:
 //
 //  1. Order: tuples one goroutine hands to one query (through Ingest,
-//     FeedQuery or FeedQueryBatch) are processed by that query in the
-//     order handed over. Nothing is promised across producers or across
-//     queries.
+//     FeedQuery, FeedQueryBatch or a GroupFeeder's FeedGroupBatch) are
+//     processed by that query in the order handed over. Nothing is
+//     promised across producers or across queries.
 //  2. Ownership: the engine owns a tuple once it is handed over and may
 //     hold it after the call returns; tuples are never mutated in place.
-//     A batch's backing slice stays the caller's — the engine copies what
-//     it keeps, so the caller may reuse the slice.
+//     A batch's backing slice — and the id list of a grouped feed — stays
+//     the caller's: the engine copies what it keeps, so the caller may
+//     reuse both.
 //  3. Never block: no ingest call waits for processing. An engine that
 //     cannot take a tuple drops it and counts the drop (Reporter exposes
 //     the counts); a synchronous engine never drops.
@@ -72,6 +73,35 @@ type DirectFeeder interface {
 // one synchronization round instead of one per tuple.
 type BatchFeeder interface {
 	FeedQueryBatch(id string, b stream.Batch) error
+}
+
+// GroupFeeder is the optional capability of taking one batch for several
+// queries at once — how a delegation processor feeds every head fragment
+// an engine hosts: the engine keeps one copy, not one per query. The ids
+// are distinct and stay the caller's; one that is not registered (a
+// removal raced the feed) is skipped and the rest are still fed.
+// Contract points 1 to 4 hold per named query; FeedQueryBatch is the
+// call for a list of one. Both engines implement it.
+type GroupFeeder interface {
+	FeedGroupBatch(ids []string, b stream.Batch)
+}
+
+// perQuery feeds a group one FeedQueryBatch at a time.
+type perQuery struct{ BatchFeeder }
+
+func (f perQuery) FeedGroupBatch(ids []string, b stream.Batch) {
+	for _, id := range ids {
+		_ = f.FeedQueryBatch(id, b) // unknown ids are skipped
+	}
+}
+
+// GroupFeederOf returns p's grouped feed, or the per-query loop over
+// FeedQueryBatch for an engine without the capability.
+func GroupFeederOf(p Processor) GroupFeeder {
+	if g, ok := p.(GroupFeeder); ok {
+		return g
+	}
+	return perQuery{p}
 }
 
 // Reporter is the optional capability of an instrumented engine: the

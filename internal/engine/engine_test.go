@@ -22,9 +22,10 @@ func simpleSpec(id string) QuerySpec {
 }
 
 // shippedEngine is what both shipped engines offer: the Processor
-// contract plus the two optional capabilities both happen to have.
+// contract plus the optional capabilities both happen to have.
 type shippedEngine interface {
 	Processor
+	GroupFeeder
 	Adapter
 	StateSnapshotter
 }
@@ -136,6 +137,110 @@ func TestEngineContract(t *testing.T) {
 			}
 			if n.Load() != 5 {
 				t.Fatalf("chain delivered %d of 5", n.Load())
+			}
+		}},
+		{"grouped feed keeps per-query order and borrows nothing", func(t *testing.T, mk mkFn) {
+			e := mk("test", testCatalog(t))
+			defer e.Close()
+			names := []string{"a", "b", "c", "d", "e"}
+			var mu sync.Mutex
+			got := make(map[string][]uint64)
+			for _, id := range names {
+				id := id
+				if err := e.Register(simpleSpec(id), func(tu stream.Tuple) {
+					mu.Lock()
+					got[id] = append(got[id], tu.Seq)
+					mu.Unlock()
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// One id slice and one batch slice, overwritten after every
+			// call: the engine may read neither once the call returns
+			// (the shard reads its work asynchronously). "ghost" is not
+			// registered and is skipped; the rest are still fed.
+			ids := make([]string, len(names)+1)
+			b := make(stream.Batch, 4)
+			const batches = 50
+			for k := 0; k < batches; k++ {
+				copy(ids, names[:2])
+				ids[2] = "ghost"
+				copy(ids[3:], names[2:])
+				for i := range b {
+					b[i] = quote(uint64(k*len(b)+i), "ibm", 50, 1)
+				}
+				e.FeedGroupBatch(ids, b)
+				for i := range ids {
+					ids[i] = "ghost"
+				}
+				for i := range b {
+					b[i] = quote(1<<40, "ibm", 50, 1)
+				}
+			}
+			drainEngine(t, e)
+			mu.Lock()
+			defer mu.Unlock()
+			for _, id := range names {
+				if len(got[id]) != batches*len(b) {
+					t.Fatalf("query %s got %d results, want %d", id, len(got[id]), batches*len(b))
+				}
+				for i, seq := range got[id] {
+					if seq != uint64(i) {
+						t.Fatalf("query %s result %d has seq %d: out of order or a borrowed slice", id, i, seq)
+					}
+				}
+			}
+			if len(got["ghost"]) != 0 {
+				t.Fatal("results for an unregistered id")
+			}
+		}},
+		{"grouped feed is processed before unregister and close return", func(t *testing.T, mk mkFn) {
+			e := mk("test", testCatalog(t))
+			var a, b atomic.Int64
+			if err := e.Register(simpleSpec("a"), func(stream.Tuple) { a.Add(1) }); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Register(simpleSpec("b"), func(stream.Tuple) { b.Add(1) }); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 20; i++ {
+				e.FeedGroupBatch([]string{"a", "b"}, stream.Batch{quote(uint64(i), "ibm", 50, 1)})
+			}
+			if _, err := e.Unregister("a"); err != nil { // no drain: contract point 4
+				t.Fatal(err)
+			}
+			if a.Load() != 20 {
+				t.Fatalf("a had %d results when Unregister returned, want 20", a.Load())
+			}
+			e.FeedGroupBatch([]string{"a", "b"}, stream.Batch{quote(20, "ibm", 50, 1)}) // a is skipped
+			e.Close()
+			if a.Load() != 20 || b.Load() != 21 {
+				t.Fatalf("a=%d b=%d when Close returned, want 20 and 21", a.Load(), b.Load())
+			}
+		}},
+		{"emit makes a grouped feed", func(t *testing.T, mk mkFn) {
+			e := mk("test", testCatalog(t))
+			defer e.Close()
+			var n atomic.Int64
+			for _, id := range []string{"t1", "t2"} {
+				if err := e.Register(simpleSpec(id), func(stream.Tuple) { n.Add(1) }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := e.Register(simpleSpec("head"), func(tu stream.Tuple) {
+				e.FeedGroupBatch([]string{"t1", "t2"}, stream.Batch{tu})
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 5; i++ {
+				e.FeedGroupBatch([]string{"head"}, stream.Batch{quote(uint64(i), "ibm", 50, 1)})
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for n.Load() != 10 && time.Now().Before(deadline) {
+				drainEngine(t, e)
+			}
+			if n.Load() != 10 {
+				t.Fatalf("tails got %d of 10", n.Load())
 			}
 		}},
 		{"duplicate register", func(t *testing.T, mk mkFn) {

@@ -166,6 +166,66 @@ func TestShardEngineTotalDroppedSurvivesUnregister(t *testing.T) {
 	}
 }
 
+// TestShardEngineGroupedFeedDropAccounting: a grouped feed refused by a
+// full ring drops the batch for every query it names, and the shard and
+// engine totals are the sum of the per-query counts.
+func TestShardEngineGroupedFeedDropAccounting(t *testing.T) {
+	eng := NewShard("intro", regressCatalog(t), 1)
+	defer eng.Close()
+	gate := make(chan struct{})
+	var once sync.Once
+	ids := []string{"q0", "q1", "q2"}
+	for _, id := range ids {
+		if err := eng.Register(QuerySpec{ID: id, Source: "events"}, func(stream.Tuple) {
+			once.Do(func() { <-gate })
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := time.Unix(1754000000, 0).UTC()
+	b := make(stream.Batch, 8)
+	for i := range b {
+		b[i] = stream.NewTuple("events", uint64(i), base, stream.Int(0), stream.Int(int64(i)))
+	}
+	// Stall the one shard behind the gate, fill its ring, then feed ten
+	// batches it must refuse. With ringDepth+1 feeds made, every later
+	// one is a drop: the shard holds at most one item outside the ring.
+	for i := 0; i <= shardRingDepth; i++ {
+		eng.FeedGroupBatch(ids, b)
+	}
+	before := make(map[string]int64)
+	for _, id := range ids {
+		before[id] = eng.Dropped(id)
+	}
+	const refused = 10
+	for i := 0; i < refused; i++ {
+		eng.FeedGroupBatch(ids, b)
+	}
+	var sum int64
+	for _, id := range ids {
+		if got := eng.Dropped(id) - before[id]; got != refused*int64(len(b)) {
+			t.Errorf("query %s: Dropped grew by %d over %d refused batches of %d, want %d",
+				id, got, refused, len(b), refused*len(b))
+		}
+		sum += eng.Dropped(id)
+	}
+	if sum == 0 {
+		t.Fatal("no drops after overrunning the ring")
+	}
+	st := eng.EngineStats()
+	if eng.TotalDropped() != sum || st.Dropped != sum || st.Totals().Dropped != sum {
+		t.Fatalf("engine/stats/shard drop totals = %d/%d/%d, want the per-query sum %d",
+			eng.TotalDropped(), st.Dropped, st.Totals().Dropped, sum)
+	}
+	if off := st.Totals().Offered; off < sum {
+		t.Fatalf("Offered = %d below Dropped = %d", off, sum)
+	}
+	close(gate)
+	if !eng.Drain(10 * time.Second) {
+		t.Fatal("drain timed out")
+	}
+}
+
 func TestOccHistogramEstimators(t *testing.T) {
 	if got := OccBucketBound(0); got != 0 {
 		t.Fatalf("OccBucketBound(0) = %d, want 0", got)

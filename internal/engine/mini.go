@@ -153,6 +153,20 @@ func (m *MiniEngine) FeedQueryBatch(id string, b stream.Batch) error {
 	return nil
 }
 
+// FeedGroupBatch implements GroupFeeder: one lock round for the whole
+// group, the batch run through each registered id in turn.
+func (m *MiniEngine) FeedGroupBatch(ids []string, b stream.Batch) {
+	m.mu.Lock()
+	defer m.unlockAndEmit()
+	for _, id := range ids {
+		if q, ok := m.queries[id]; ok {
+			for i := range b {
+				q.Feed(b[i].Stream, b[i])
+			}
+		}
+	}
+}
+
 // FeedQuery delivers a tuple to exactly one registered query, bypassing
 // stream-based routing.
 func (m *MiniEngine) FeedQuery(id string, t stream.Tuple) error {
@@ -207,6 +221,7 @@ func (m *MiniEngine) Close() {
 
 var (
 	_ Processor        = (*MiniEngine)(nil)
+	_ GroupFeeder      = (*MiniEngine)(nil)
 	_ Adapter          = (*MiniEngine)(nil)
 	_ StateSnapshotter = (*MiniEngine)(nil)
 )

@@ -35,9 +35,11 @@ type ringItem struct {
 	// b is a same-stream data batch. Read-only once enqueued; shards
 	// sharing a batch never mutate tuples in place (the Tuple contract).
 	b stream.Batch
-	// frag, when non-empty, addresses the batch to exactly one query
-	// (DirectFeeder/BatchFeeder delivery) instead of stream routing.
-	frag string
+	// qs lists the queries to run the batch through, all owned by the
+	// shard the item is enqueued on: a stream route's queries, the group
+	// of a grouped feed, or a query's list of one. Read-only once
+	// enqueued.
+	qs []*shardQuery
 	// arrived is the enqueue timestamp the delay measurement starts from.
 	arrived time.Time
 	// ctl marks a control item (register/unregister/state/adapt).
@@ -49,7 +51,7 @@ type ringSlot struct {
 	item ringItem
 	// Pad the slot so neighbouring slots' seq words do not share a
 	// cache line under concurrent enqueue/dequeue.
-	_ [24]byte
+	_ [16]byte
 }
 
 // newShardRing returns a ring with the given power-of-two capacity.

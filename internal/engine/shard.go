@@ -25,6 +25,7 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -50,6 +51,13 @@ const (
 type shardQuery struct {
 	sh *shard
 	q  *Query
+	// self is the list of one naming this query: what a single-query
+	// feed puts in its ring item, so it allocates no list.
+	self []*shardQuery
+	// installed is owned by the shard goroutine: the install control item
+	// sets it and uninstall clears it, and a ring item naming a query
+	// that is not installed skips that query.
+	installed bool
 	// vec is the compiled vectorized pipeline; nil for join queries,
 	// which fall back to per-tuple Feed inside the batch loop.
 	vec     *vecPipeline
@@ -58,13 +66,6 @@ type shardQuery struct {
 	proc    metrics.Histogram
 	busyNs  metrics.Counter
 	dropped metrics.Counter
-}
-
-// streamRoute is the producer-side routing entry for one (stream,
-// shard) pair: enqueue once per shard, attribute drops per query.
-type streamRoute struct {
-	sh *shard
-	qs []*shardQuery
 }
 
 // accKey addresses one producer-side accumulator: plain stream ingest
@@ -104,8 +105,9 @@ type ShardEngine struct {
 
 	mu      sync.RWMutex
 	queries map[string]*shardQuery
-	routes  map[string][]streamRoute
-	closed  bool
+	// routes lists each stream's queries, grouped by owning shard.
+	routes map[string][]*shardQuery
+	closed bool
 
 	accMu      sync.Mutex
 	acc        map[accKey]*accum
@@ -149,8 +151,11 @@ type shard struct {
 
 	// Owned by the shard goroutine; mutated only via control items.
 	queries map[string]*shardQuery
-	byInput map[string][]*shardQuery
 	cb      *stream.ColBatch
+	// cbStale is set at the start of every data item: the first query of
+	// the item that runs kernels columnarizes the batch, the rest share
+	// the columns and only reset the selection.
+	cbStale bool
 }
 
 // NewShard returns a ShardEngine with nShards per-core shards; nShards
@@ -163,7 +168,7 @@ func NewShard(name string, catalog *stream.Catalog, nShards int) *ShardEngine {
 		name:      name,
 		catalog:   catalog,
 		queries:   make(map[string]*shardQuery),
-		routes:    make(map[string][]streamRoute),
+		routes:    make(map[string][]*shardQuery),
 		acc:       make(map[accKey]*accum),
 		stopFlush: make(chan struct{}),
 		flushDone: make(chan struct{}),
@@ -182,7 +187,6 @@ func (sh *shard) start() {
 	sh.stop = make(chan struct{})
 	sh.done = make(chan struct{})
 	sh.queries = make(map[string]*shardQuery)
-	sh.byInput = make(map[string][]*shardQuery)
 	sh.cb = stream.NewColBatch()
 	go sh.run()
 }
@@ -220,6 +224,7 @@ func (e *ShardEngine) Register(spec QuerySpec, emit func(stream.Tuple)) error {
 	e.ctlMu.Lock()
 	defer e.ctlMu.Unlock()
 	sq := &shardQuery{}
+	sq.self = []*shardQuery{sq}
 	q, err := Compile(spec, e.catalog, func(t stream.Tuple) {
 		sq.results.Inc()
 		if emit != nil {
@@ -291,23 +296,14 @@ func (e *ShardEngine) Unregister(id string) (QuerySpec, error) {
 // Caller holds e.mu. Route slices are immutable once published, so
 // producers may read them after dropping the lock.
 func (e *ShardEngine) rebuildRoutes() {
-	routes := make(map[string][]streamRoute)
+	routes := make(map[string][]*shardQuery)
 	for _, sq := range e.queries {
 		for _, s := range sq.q.Spec().Streams() {
-			list := routes[s]
-			found := false
-			for i := range list {
-				if list[i].sh == sq.sh {
-					list[i].qs = append(list[i].qs, sq)
-					found = true
-					break
-				}
-			}
-			if !found {
-				list = append(list, streamRoute{sh: sq.sh, qs: []*shardQuery{sq}})
-			}
-			routes[s] = list
+			routes[s] = append(routes[s], sq)
 		}
+	}
+	for _, qs := range routes {
+		slices.SortFunc(qs, byShard)
 	}
 	e.routes = routes
 }
@@ -348,36 +344,39 @@ func (e *ShardEngine) accumulate(key accKey, t stream.Tuple) {
 // shard when key.frag is set, otherwise to every shard hosting a query
 // of the stream.
 func (e *ShardEngine) dispatch(key accKey, b stream.Batch, arrived time.Time) {
-	if key.frag != "" {
-		e.mu.RLock()
-		sq := e.queries[key.frag]
-		e.mu.RUnlock()
-		if sq == nil {
-			return
-		}
-		if !sq.sh.enqueueData(ringItem{b: b, frag: key.frag, arrived: arrived}) {
-			sq.dropped.Add(int64(len(b)))
-		}
-		return
-	}
 	e.mu.RLock()
-	rts := e.routes[key.stream]
-	e.mu.RUnlock()
-	for i := range rts {
-		rt := &rts[i]
-		if !rt.sh.enqueueData(ringItem{b: b, arrived: arrived}) {
-			for _, sq := range rt.qs {
-				sq.dropped.Add(int64(len(b)))
-			}
+	qs := e.routes[key.stream]
+	if key.frag != "" {
+		qs = nil
+		if sq := e.queries[key.frag]; sq != nil {
+			qs = sq.self
 		}
+	}
+	e.mu.RUnlock()
+	enqueueGroups(qs, b, arrived)
+}
+
+// byShard orders queries so that each shard's form one run.
+func byShard(a, b *shardQuery) int { return a.sh.idx - b.sh.idx }
+
+// enqueueGroups publishes b once per owning shard of qs, which is
+// sorted byShard: each ring item names its shard's queries.
+func enqueueGroups(qs []*shardQuery, b stream.Batch, arrived time.Time) {
+	for lo := 0; lo < len(qs); {
+		hi := lo + 1
+		for hi < len(qs) && qs[hi].sh == qs[lo].sh {
+			hi++
+		}
+		qs[lo].sh.enqueueData(ringItem{b: b, qs: qs[lo:hi], arrived: arrived})
+		lo = hi
 	}
 }
 
-// IngestBatch is Ingest for a whole batch. The handed-over tuples are
-// copied once into an engine-owned slice (the engine retains batches
-// asynchronously, and the caller may reuse its slice), then contiguous
-// same-stream runs dispatch with one routing lookup each.
-func (e *ShardEngine) IngestBatch(b stream.Batch) {
+// ship is every whole-batch feed: one engine-owned copy of b (the engine
+// retains batches asynchronously, and the caller may reuse its slice),
+// then each same-stream run enqueued once per owning shard of the
+// queries qsFor names for the run's stream.
+func (e *ShardEngine) ship(b stream.Batch, qsFor func(streamName string) []*shardQuery) {
 	if len(b) == 0 {
 		return
 	}
@@ -392,10 +391,19 @@ func (e *ShardEngine) IngestBatch(b stream.Batch) {
 	start := 0
 	for i := 1; i <= len(own); i++ {
 		if i == len(own) || own[i].Stream != own[start].Stream {
-			e.dispatch(accKey{stream: own[start].Stream}, own[start:i], arrived)
+			enqueueGroups(qsFor(own[start].Stream), own[start:i], arrived)
 			start = i
 		}
 	}
+}
+
+// IngestBatch is Ingest for a whole batch.
+func (e *ShardEngine) IngestBatch(b stream.Batch) {
+	e.ship(b, func(streamName string) []*shardQuery {
+		e.mu.RLock()
+		defer e.mu.RUnlock()
+		return e.routes[streamName]
+	})
 }
 
 // FeedQuery implements Processor: addressed single tuples accumulate
@@ -411,34 +419,36 @@ func (e *ShardEngine) FeedQuery(id string, t stream.Tuple) error {
 	return nil
 }
 
-// FeedQueryBatch implements Processor: one lookup, one copy, one
-// enqueue per same-stream run.
+// FeedQueryBatch implements Processor: FeedGroupBatch for a list of one.
 func (e *ShardEngine) FeedQueryBatch(id string, b stream.Batch) error {
-	if len(b) == 0 {
-		return nil
-	}
 	e.mu.RLock()
 	sq, ok := e.queries[id]
 	e.mu.RUnlock()
 	if !ok {
 		return fmt.Errorf("engine %s: unknown query %s", e.name, id)
 	}
-	if e.accPending.Load() > 0 {
-		e.flushAll()
+	e.ship(b, func(string) []*shardQuery { return sq.self })
+	return nil
+}
+
+// FeedGroupBatch implements GroupFeeder: the ids are resolved and
+// grouped by owning shard here, on the caller, so the shard never reads
+// the caller's slice.
+func (e *ShardEngine) FeedGroupBatch(ids []string, b stream.Batch) {
+	if len(ids) == 1 {
+		_ = e.FeedQueryBatch(ids[0], b) // an unknown id is skipped
+		return
 	}
-	own := make(stream.Batch, len(b))
-	copy(own, b)
-	arrived := time.Now()
-	start := 0
-	for i := 1; i <= len(own); i++ {
-		if i == len(own) || own[i].Stream != own[start].Stream {
-			if !sq.sh.enqueueData(ringItem{b: own[start:i], frag: id, arrived: arrived}) {
-				sq.dropped.Add(int64(i - start))
-			}
-			start = i
+	qs := make([]*shardQuery, 0, len(ids))
+	e.mu.RLock()
+	for _, id := range ids {
+		if sq, ok := e.queries[id]; ok {
+			qs = append(qs, sq)
 		}
 	}
-	return nil
+	e.mu.RUnlock()
+	slices.SortFunc(qs, byShard)
+	e.ship(b, func(string) []*shardQuery { return qs })
 }
 
 // flusher force-flushes accumulators so trickling streams never stall
@@ -665,7 +675,7 @@ func (e *ShardEngine) Close() {
 	}
 	e.mu.Lock()
 	e.queries = make(map[string]*shardQuery)
-	e.routes = make(map[string][]streamRoute)
+	e.routes = make(map[string][]*shardQuery)
 	e.mu.Unlock()
 }
 
@@ -700,28 +710,32 @@ type shardCtl struct {
 	enq time.Time
 }
 
-// enqueueData publishes a data item; false means the ring was full and
-// the caller must count the drop (per query — the shard- and
-// engine-level totals are counted here, where the batch size is known).
-func (sh *shard) enqueueData(item ringItem) bool {
+// enqueueData publishes a data item. A full ring refuses it, and every
+// tuple of the batch is counted as dropped once per query the item
+// names — per query, per shard and for the engine, so the totals are the
+// sum of the per-query counts.
+func (sh *shard) enqueueData(item ringItem) {
 	n := int64(len(item.b))
+	total := n * int64(len(item.qs))
 	// One occupancy sample per enqueue = batch granularity: two atomic
 	// loads and one histogram bump, no clock read (lint-obslog holds the
 	// ring publish path to the same clock-free rule as the kernels).
 	sh.stats.observeOcc(sh.ring.occupancy())
-	sh.stats.offered.Add(n)
+	sh.stats.offered.Add(total)
 	// Count before publishing: if the consumer could dequeue and
 	// decrement before our increment, pending would dip negative and
 	// Drain could sum a spurious zero across shards while work remains.
 	sh.pending.Add(1)
 	if !sh.ring.enqueue(item) {
 		sh.pending.Add(-1)
-		sh.stats.dropped.Add(n)
-		sh.eng.droppedTotal.Add(n)
-		return false
+		for _, sq := range item.qs {
+			sq.dropped.Add(n)
+		}
+		sh.stats.dropped.Add(total)
+		sh.eng.droppedTotal.Add(total)
+		return
 	}
 	sh.wakeup()
-	return true
 }
 
 // do runs one control item on the shard goroutine and waits for its
@@ -828,22 +842,11 @@ func (sh *shard) process(item ringItem) {
 		sh.processCtl(item.ctl)
 		return
 	}
-	if len(item.b) == 0 {
-		return
-	}
-	if item.frag != "" {
-		if sq, ok := sh.queries[item.frag]; ok {
-			sh.feedBatch(sq, item, true)
+	sh.cbStale = true
+	for _, sq := range item.qs {
+		if sq.installed {
+			sh.feedBatch(sq, item)
 		}
-		return
-	}
-	targets := sh.byInput[item.b[0].Stream]
-	if len(targets) == 0 {
-		return
-	}
-	sh.cb.Reset(item.b)
-	for _, sq := range targets {
-		sh.feedBatch(sq, item, false)
 	}
 }
 
@@ -856,15 +859,16 @@ func (sh *shard) process(item ringItem) {
 // batch's run, p is that run alone — the soonest a tuple of the batch
 // could have come out — so PR = d/p is 1 with no waiting, whatever the
 // batch size. The engine time the run cost goes to busyNs once.
-func (sh *shard) feedBatch(sq *shardQuery, item ringItem, fresh bool) {
+func (sh *shard) feedBatch(sq *shardQuery, item ringItem) {
 	b := item.b
 	n := int64(len(b))
 	st := &sh.stats
 	start := time.Now()
 	if sq.vec != nil && b[0].Stream == sq.q.spec.Source {
 		cb := sh.cb
-		if fresh {
+		if sh.cbStale {
 			cb.Reset(b)
+			sh.cbStale = false
 		} else {
 			cb.ResetSel()
 		}
@@ -900,10 +904,8 @@ func (sh *shard) processCtl(c *shardCtl) {
 		sq := c.sq
 		id := sq.q.ID()
 		sh.queries[id] = sq
+		sq.installed = true
 		sh.stats.queries.Add(1)
-		for _, s := range sq.q.Spec().Streams() {
-			sh.byInput[s] = append(sh.byInput[s], sq)
-		}
 	case shardCtlUninstall:
 		sq, ok := sh.queries[c.id]
 		if !ok {
@@ -911,19 +913,8 @@ func (sh *shard) processCtl(c *shardCtl) {
 			return
 		}
 		delete(sh.queries, c.id)
+		sq.installed = false
 		sh.stats.queries.Add(-1)
-		for _, s := range sq.q.Spec().Streams() {
-			list := sh.byInput[s]
-			for i := range list {
-				if list[i] == sq {
-					sh.byInput[s] = append(list[:i], list[i+1:]...)
-					break
-				}
-			}
-			if len(sh.byInput[s]) == 0 {
-				delete(sh.byInput, s)
-			}
-		}
 	case shardCtlSnapshot:
 		if sq, ok := sh.queries[c.id]; ok {
 			c.snap = snapshotQuery(sq.q)
@@ -956,6 +947,7 @@ func (sh *shard) processCtl(c *shardCtl) {
 
 var (
 	_ Processor        = (*ShardEngine)(nil)
+	_ GroupFeeder      = (*ShardEngine)(nil)
 	_ Reporter         = (*ShardEngine)(nil)
 	_ Adapter          = (*ShardEngine)(nil)
 	_ StateSnapshotter = (*ShardEngine)(nil)

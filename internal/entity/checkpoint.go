@@ -102,8 +102,9 @@ func (e *Entity) CheckpointQuery(id string) (st map[string]engine.QueryState,
 	if q, can := e.transport.(interface{ Quiesce(time.Duration) bool }); can {
 		q.Quiesce(checkpointSettle)
 	}
-	_ = e.DrainQuery(id, checkpointDrain)
-	st, stateBytes, ok, err = e.SnapshotQuery(id)
+	if err = e.DrainQuery(id, checkpointDrain); err == nil {
+		st, stateBytes, ok, err = e.SnapshotQuery(id)
+	}
 	if err != nil || !ok {
 		resume()
 		return nil, nil, 0, ok, err

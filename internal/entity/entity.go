@@ -20,6 +20,8 @@ package entity
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -37,10 +39,10 @@ const (
 	// KindFeed carries an addressed tuple: a query-fragment ID followed
 	// by one encoded tuple.
 	KindFeed = "ent.feed"
-	// KindFeedBatch carries an addressed batch: a query-fragment ID
-	// followed by one encoded batch (the delegation fan-out uses it so a
-	// relay batch stays one message per remote fragment, not one per
-	// tuple).
+	// KindFeedBatch carries an addressed batch: the IDs of the query
+	// fragments it feeds followed by one encoded batch (the delegation
+	// fan-out uses it so a relay batch stays one message per remote
+	// processor, not one per fragment or tuple).
 	KindFeedBatch = "ent.feedb"
 	// KindIngest carries a batch for a stream's delegation processor.
 	KindIngest = "ent.ingest"
@@ -99,23 +101,58 @@ type procNode struct {
 	adapter  engine.Adapter
 	state    engine.StateSnapshotter
 	drainer  drainer
-	entity   *Entity
-	// routes maps a fragment ID hosted elsewhere to its processor, for
-	// forwarding fragment output.
-	mu     sync.Mutex
-	routes map[string]simnet.NodeID
-	// streams lists fragment IDs to feed per incoming stream batch
-	// (fragment 0 of each query whose source is that stream, when this
-	// processor is the stream's delegation processor: it fans out).
-	fanout map[string][]fanoutTarget
+	// group is the engine's grouped feed, or the per-query loop for an
+	// engine without the capability.
+	group  engine.GroupFeeder
+	entity *Entity
+	// fanout lists, per stream delegated to this processor, the head
+	// fragments (fragment 0 of each query consuming it) to feed, grouped
+	// by hosting processor. A published table is immutable: ingest loads
+	// it without a lock, and the writers (placeWith and RemoveQuery, both
+	// under Entity.mu) store a fresh one through setTarget.
+	fanout atomic.Pointer[map[string][]fanoutGroup]
 }
 
-type fanoutTarget struct {
-	frag string
-	node simnet.NodeID
-	// gate intercepts delivery while the owning query is paused for
-	// live migration (see migration.go).
-	gate *ingestGate
+// fanoutGroup lists the head fragments one processor hosts for one
+// stream. frags is what the hosting engine is handed; gates[i] is the
+// ingest gate of frags[i]'s query (see migration.go).
+type fanoutGroup struct {
+	node  simnet.NodeID
+	frags []string
+	gates []*ingestGate
+}
+
+// setTarget publishes a fresh table in which stream s feeds head
+// fragment frag on node through gate or, with a nil gate, no longer
+// feeds it; no slice of a published table is written to.
+func (p *procNode) setTarget(s, frag string, node simnet.NodeID, gate *ingestGate) {
+	old := *p.fanout.Load()
+	tbl := make(map[string][]fanoutGroup, len(old)+1)
+	for k, v := range old {
+		tbl[k] = v
+	}
+	groups := make([]fanoutGroup, 0, len(old[s])+1)
+	for _, g := range old[s] { // g is a copy; a group left alone shares its lists
+		if i := slices.Index(g.frags, frag); i >= 0 {
+			g.frags = slices.Delete(slices.Clone(g.frags), i, i+1)
+			g.gates = slices.Delete(slices.Clone(g.gates), i, i+1)
+		}
+		if gate != nil && g.node == node {
+			g.frags = append(g.frags[:len(g.frags):len(g.frags)], frag)
+			g.gates = append(g.gates[:len(g.gates):len(g.gates)], gate)
+			gate = nil
+		}
+		if len(g.frags) > 0 {
+			groups = append(groups, g)
+		}
+	}
+	if gate != nil {
+		groups = append(groups, fanoutGroup{node: node, frags: []string{frag}, gates: []*ingestGate{gate}})
+	}
+	if tbl[s] = groups; len(groups) == 0 {
+		delete(tbl, s)
+	}
+	p.fanout.Store(&tbl)
 }
 
 type placedQuery struct {
@@ -192,9 +229,9 @@ func New(id string, transport simnet.Transport, catalog *stream.Catalog,
 			id:     simnet.NodeID(fmt.Sprintf("%s/p%d", id, i)),
 			eng:    eng,
 			entity: e,
-			routes: make(map[string]simnet.NodeID),
-			fanout: make(map[string][]fanoutTarget),
+			group:  engine.GroupFeederOf(eng),
 		}
+		p.fanout.Store(&map[string][]fanoutGroup{})
 		p.reporter, _ = eng.(engine.Reporter)
 		p.adapter, _ = eng.(engine.Adapter)
 		p.state, _ = eng.(engine.StateSnapshotter)
@@ -599,11 +636,7 @@ func (e *Entity) placeWith(spec engine.QuerySpec, nFrags int, cfg placeConfig) e
 	head := stages[0][0]
 	headProc := e.procs[head.proc]
 	for _, s := range head.spec.Streams() {
-		di := e.delegationLocked(s)
-		dp := e.procs[di]
-		dp.mu.Lock()
-		dp.fanout[s] = append(dp.fanout[s], fanoutTarget{frag: head.spec.ID, node: headProc.id, gate: pq.gate})
-		dp.mu.Unlock()
+		e.procs[e.delegationLocked(s)].setTarget(s, head.spec.ID, headProc.id, pq.gate)
 	}
 	// Flatten instances into the (fragment, processor, stage) triples
 	// the removal/snapshot/metrics paths iterate.
@@ -643,17 +676,7 @@ func (e *Entity) RemoveQuery(id string) (engine.QuerySpec, error) {
 	head := pq.frags[0]
 	for _, s := range head.Streams() {
 		if di, ok := e.deleg[s]; ok {
-			dp := e.procs[di]
-			dp.mu.Lock()
-			targets := dp.fanout[s]
-			kept := targets[:0]
-			for _, tgt := range targets {
-				if tgt.frag != head.ID {
-					kept = append(kept, tgt)
-				}
-			}
-			dp.fanout[s] = kept
-			dp.mu.Unlock()
+			e.procs[di].setTarget(s, head.ID, "", nil)
 		}
 	}
 	procs := make([]*procNode, len(pq.frags))
@@ -968,44 +991,93 @@ func (e *Entity) Close() {
 	}
 }
 
-// ingest routes a same-stream batch: deliver to local fragment-0
-// consumers and forward addressed copies to remote ones.
+// ingest routes a same-stream batch: every processor hosting head
+// fragments of the stream gets the batch once, with the list of the
+// fragments it feeds — the local engine by a grouped feed, a remote
+// processor by one addressed frame. Only a target whose gate returned
+// the batch unchanged shares it; a paused gate took it, and a
+// dedup-filtered copy is fed to its one fragment alone.
 func (p *procNode) ingest(b stream.Batch) {
 	if len(b) == 0 {
 		return
 	}
-	self := string(p.id)
-	for _, t := range b {
-		// Free for untraced tuples (Span == 0 fast path).
-		trace.Record(trace.SpanID(t.Span), trace.StageDelegate, self)
+	traced := hasSpan(b)
+	if traced {
+		self := string(p.id)
+		for _, t := range b {
+			trace.Record(trace.SpanID(t.Span), trace.StageDelegate, self)
+		}
 	}
-	p.mu.Lock()
-	targets := make([]fanoutTarget, len(p.fanout[b[0].Stream]))
-	copy(targets, p.fanout[b[0].Stream])
-	p.mu.Unlock()
-	for _, tgt := range targets {
-		out := b
-		if tgt.gate != nil {
-			// admit buffers (paused) or dedup-filters per target; each
-			// query's gate sees the full batch and keeps its own view.
-			out = tgt.gate.admit(b)
-			if len(out) == 0 {
+	for _, g := range (*p.fanout.Load())[b[0].Stream] {
+		// With every gate open and nothing stale the published lists are
+		// the shared lists, and nothing is allocated here.
+		frags, gates := g.frags, g.gates
+		split := false
+		for i, gate := range g.gates {
+			out := gate.admit(b)
+			if len(out) == len(b) {
+				if split {
+					frags, gates = append(frags, g.frags[i]), append(gates, gate)
+				}
 				continue
 			}
-		}
-		if tgt.node == p.id {
-			for _, t := range out {
-				trace.Record(trace.SpanID(t.Span), trace.StageOperator, tgt.frag)
+			if !split {
+				split = true
+				frags = append([]string(nil), g.frags[:i]...)
+				gates = append([]*ingestGate(nil), g.gates[:i]...)
 			}
-			_ = p.eng.FeedQueryBatch(tgt.frag, out)
-			continue
+			if len(out) > 0 {
+				p.feed(g.node, g.frags[i:i+1], out, traced)
+				gate.unfed.Add(-1)
+			}
 		}
-		// One addressed message per remote fragment, not one per tuple.
-		buf := stream.GetEncodeBuffer()
-		*buf = encodeFeedBatch((*buf)[:0], tgt.frag, out)
-		_ = p.entity.transport.Send(p.id, tgt.node, KindFeedBatch, *buf)
-		stream.PutEncodeBuffer(buf)
+		if len(frags) > 0 {
+			p.feed(g.node, frags, b, traced)
+			for _, gate := range gates {
+				gate.unfed.Add(-1)
+			}
+		}
 	}
+}
+
+// feed hands an admitted batch to the head fragments frags on node.
+func (p *procNode) feed(node simnet.NodeID, frags []string, b stream.Batch, traced bool) {
+	if node == p.id {
+		p.feedLocal(frags, b, traced)
+		return
+	}
+	buf := stream.GetEncodeBuffer()
+	for len(frags) > 0 {
+		n := min(len(frags), math.MaxUint16) // the frame counts fragments in a uint16
+		*buf = encodeFeedBatch((*buf)[:0], frags[:n], b)
+		_ = p.entity.transport.Send(p.id, node, KindFeedBatch, *buf)
+		frags = frags[n:]
+	}
+	stream.PutEncodeBuffer(buf)
+}
+
+// feedLocal is the grouped feed into this processor's engine; sampled
+// tuples get one operator hop per fragment first.
+func (p *procNode) feedLocal(frags []string, b stream.Batch, traced bool) {
+	if traced {
+		for _, frag := range frags {
+			for _, t := range b {
+				trace.Record(trace.SpanID(t.Span), trace.StageOperator, frag)
+			}
+		}
+	}
+	p.group.FeedGroupBatch(frags, b)
+}
+
+// hasSpan reports whether any tuple of b is sampled, so the untraced
+// fan-out skips its per-(fragment, tuple) Record loops with one pass.
+func hasSpan(b stream.Batch) bool {
+	for i := range b {
+		if b[i].Span != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // handle is the processor's transport callback.
@@ -1019,14 +1091,11 @@ func (p *procNode) handle(m simnet.Message) {
 		trace.Record(trace.SpanID(t.Span), trace.StageOperator, frag)
 		_ = p.eng.FeedQuery(frag, t)
 	case KindFeedBatch:
-		frag, batch, err := decodeFeedBatch(m.Payload)
+		frags, batch, err := decodeFeedBatch(m.Payload)
 		if err != nil {
 			return
 		}
-		for _, t := range batch {
-			trace.Record(trace.SpanID(t.Span), trace.StageOperator, frag)
-		}
-		_ = p.eng.FeedQueryBatch(frag, batch)
+		p.feedLocal(frags, batch, hasSpan(batch))
 	case KindIngest:
 		batch, _, err := stream.DecodeBatch(m.Payload)
 		if err != nil {
@@ -1044,27 +1113,47 @@ func encodeFeed(frag string, t stream.Tuple) []byte {
 }
 
 // encodeFeedBatch frames an addressed batch onto dst:
-// uint16 len(frag) | frag | batch.
-func encodeFeedBatch(dst []byte, frag string, b stream.Batch) []byte {
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(frag)))
-	dst = append(dst, frag...)
+// uint16 n | n × (uint16 len(frag) | frag) | batch.
+func encodeFeedBatch(dst []byte, frags []string, b stream.Batch) []byte {
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(frags)))
+	for _, frag := range frags {
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(frag)))
+		dst = append(dst, frag...)
+	}
 	return stream.AppendBatch(dst, b)
 }
 
-func decodeFeedBatch(payload []byte) (string, stream.Batch, error) {
+// decodeFeedBatch walks the ID section once to check every length
+// against the bytes that are left, and only then sizes anything from the
+// count. The IDs share one string, so decoding allocates the same number
+// of objects for any count.
+func decodeFeedBatch(payload []byte) ([]string, stream.Batch, error) {
 	if len(payload) < 2 {
-		return "", nil, fmt.Errorf("entity: truncated feed-batch frame")
+		return nil, nil, fmt.Errorf("entity: truncated feed-batch frame")
 	}
 	n := int(binary.LittleEndian.Uint16(payload))
-	if len(payload) < 2+n {
-		return "", nil, fmt.Errorf("entity: truncated feed-batch fragment id")
+	end := 2
+	for i := 0; i < n; i++ {
+		if len(payload)-end < 2 {
+			return nil, nil, fmt.Errorf("entity: truncated feed-batch fragment list")
+		}
+		end += 2 + int(binary.LittleEndian.Uint16(payload[end:]))
+		if end > len(payload) {
+			return nil, nil, fmt.Errorf("entity: truncated feed-batch fragment id")
+		}
 	}
-	frag := string(payload[2 : 2+n])
-	b, _, err := stream.DecodeBatch(payload[2+n:])
+	ids := string(payload[2:end])
+	frags := make([]string, n)
+	for i, off := 0, 0; i < n; i++ {
+		l := int(binary.LittleEndian.Uint16(payload[2+off:]))
+		frags[i] = ids[off+2 : off+2+l]
+		off += 2 + l
+	}
+	b, _, err := stream.DecodeBatch(payload[end:])
 	if err != nil {
-		return "", nil, err
+		return nil, nil, err
 	}
-	return frag, b, nil
+	return frags, b, nil
 }
 
 func decodeFeed(payload []byte) (string, stream.Tuple, error) {

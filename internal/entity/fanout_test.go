@@ -1,0 +1,487 @@
+package entity
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"sync"
+	"testing"
+	"time"
+
+	"sspd/internal/engine"
+	"sspd/internal/simnet"
+	"sspd/internal/stream"
+	"sspd/internal/trace"
+)
+
+// Tests of the delegation fan-out (DESIGN.md §13): one batch per hosting
+// processor, shared by the head fragments whose gates let it through
+// unchanged.
+
+// perQueryEngine hides every optional capability of the engine it wraps
+// except Drain, so the entity serves it with the per-query loop: one
+// FeedQueryBatch per head fragment — the fan-out's reference behaviour.
+type perQueryEngine struct {
+	engine.Processor
+	drain func(time.Duration) bool
+}
+
+func (e perQueryEngine) Drain(d time.Duration) bool { return e.drain(d) }
+
+func perQueryFactory(name string, c *stream.Catalog) engine.Processor {
+	sh := engine.NewShard(name, c, 2)
+	return perQueryEngine{Processor: sh, drain: sh.Drain}
+}
+
+func groupedFactory(name string, c *stream.Catalog) engine.Processor {
+	return engine.NewShard(name, c, 2)
+}
+
+// loopNet delivers synchronously on the sender's goroutine.
+type loopNet struct {
+	mu       sync.RWMutex
+	handlers map[simnet.NodeID]simnet.Handler
+	traffic  *simnet.Traffic
+}
+
+func newLoopNet() *loopNet {
+	return &loopNet{handlers: make(map[simnet.NodeID]simnet.Handler), traffic: simnet.NewTraffic()}
+}
+
+func (n *loopNet) Register(id simnet.NodeID, h simnet.Handler) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.handlers[id] = h
+	return nil
+}
+
+func (n *loopNet) Deregister(id simnet.NodeID) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	delete(n.handlers, id)
+	return nil
+}
+
+func (n *loopNet) Send(from, to simnet.NodeID, kind string, payload []byte) error {
+	n.mu.RLock()
+	h := n.handlers[to]
+	n.mu.RUnlock()
+	if h == nil {
+		return simnet.ErrUnknownNode{ID: to}
+	}
+	h(simnet.Message{From: from, To: to, Kind: kind, Payload: payload})
+	return nil
+}
+
+func (n *loopNet) Traffic() *simnet.Traffic { return n.traffic }
+func (n *loopNet) Close() error             { return nil }
+
+// seqLog records every result's sequence number per query.
+type seqLog struct {
+	mu  sync.Mutex
+	got map[string][]uint64
+}
+
+func (l *seqLog) handle(q string, t stream.Tuple) {
+	l.mu.Lock()
+	if l.got == nil {
+		l.got = make(map[string][]uint64)
+	}
+	l.got[q] = append(l.got[q], t.Seq)
+	l.mu.Unlock()
+}
+
+// multisets returns each query's results as a sorted multiset.
+func (l *seqLog) multisets() map[string][]uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := make(map[string][]uint64, len(l.got))
+	for q, seqs := range l.got {
+		s := append([]uint64(nil), seqs...)
+		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+		out[q] = s
+	}
+	return out
+}
+
+func newFanoutEntity(t *testing.T, nProcs int, factory EngineFactory) (*Entity, *seqLog) {
+	t.Helper()
+	e, err := New("e1", newLoopNet(), testCatalog(t), nProcs, factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	log := &seqLog{}
+	e.SetResultHandler(log.handle)
+	return e, log
+}
+
+// settle drains every processor until a fragment chain's last hop has
+// landed (a drain can return between two hops of a chain).
+func settle(t *testing.T, e *Entity) {
+	t.Helper()
+	for round := 0; round < 3; round++ {
+		for _, p := range e.procs {
+			if p.drainer != nil && !p.drainer.Drain(10*time.Second) {
+				t.Fatal("engine drain timed out")
+			}
+		}
+	}
+}
+
+// seededBatches returns n batches of 16 quotes with dense sequence
+// numbers from 1 and seeded prices.
+func seededBatches(seed int64, n int) []stream.Batch {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]stream.Batch, n)
+	seq := uint64(1)
+	for i := range out {
+		b := make(stream.Batch, 16)
+		for j := range b {
+			b[j] = quote(seq, fmt.Sprintf("S%02d", rng.Intn(20)), float64(rng.Intn(1000)), int64(rng.Intn(1000)))
+			seq++
+		}
+		out[i] = b
+	}
+	return out
+}
+
+// runFanoutScenario drives one seeded stream through an entity: six
+// plain queries, one paused for the middle third of the stream and
+// reopened, and one under dedup, with stale tuples replayed — whole
+// stale batches (the gate returns nil) and half-stale ones (a filtered
+// copy) — so every way a gate can answer admit is on the path.
+func runFanoutScenario(t *testing.T, nProcs, nFrags int, factory EngineFactory) map[string][]uint64 {
+	t.Helper()
+	e, log := newFanoutEntity(t, nProcs, factory)
+	for i := 0; i < 6; i++ {
+		if err := e.PlaceQuery(filterSpec(fmt.Sprintf("q%d", i), float64(i*100), float64(i*100+400)), nFrags); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []string{"paused", "dedup"} {
+		if err := e.PlaceQuery(filterSpec(id, 0, 700), nFrags); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pq, _, err := e.lookupQuery("dedup")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq.gate.setDedup(true)
+
+	batches := seededBatches(7, 90)
+	for i, b := range batches {
+		switch i {
+		case 30:
+			if err := e.PauseQuery("paused"); err != nil {
+				t.Fatal(err)
+			}
+		case 60:
+			if _, err := e.ResumeQuery("paused"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i%10 == 9 {
+			e.IngestBatch(batches[i-5]) // stale for the dedup query
+			// Half stale, half new: the second half of the last batch
+			// and the first half of this one, which makes the first
+			// half of this one stale when it arrives whole below.
+			mixed := append(append(stream.Batch(nil), batches[i-1][8:]...), b[:8]...)
+			e.IngestBatch(mixed)
+		}
+		e.IngestBatch(b)
+	}
+	settle(t, e)
+	if d := e.DroppedTotal(); d != 0 {
+		t.Fatalf("engines dropped %d tuples; the differential run must be lossless", d)
+	}
+	got := log.multisets()
+	// The dedup query saw every tuple at most once, the paused one
+	// missed nothing, and both filter like q-less twins of each other.
+	for i := 1; i < len(got["dedup"]); i++ {
+		if got["dedup"][i] == got["dedup"][i-1] {
+			t.Fatalf("dedup query processed seq %d twice", got["dedup"][i])
+		}
+	}
+	if len(got["paused"]) <= len(got["dedup"]) {
+		t.Fatalf("paused query has %d results, dedup twin %d: the replays should add to the first",
+			len(got["paused"]), len(got["dedup"]))
+	}
+	return got
+}
+
+// TestFanoutDifferential: the grouped fan-out gives every query the
+// result multiset the per-query loop gives it.
+func TestFanoutDifferential(t *testing.T) {
+	for _, nProcs := range []int{1, 2} {
+		for _, nFrags := range []int{1, 2} {
+			t.Run(fmt.Sprintf("procs=%d/frags=%d", nProcs, nFrags), func(t *testing.T) {
+				want := runFanoutScenario(t, nProcs, nFrags, perQueryFactory)
+				got := runFanoutScenario(t, nProcs, nFrags, groupedFactory)
+				if len(want) != 8 {
+					t.Fatalf("reference run has results for %d of 8 queries", len(want))
+				}
+				for q, w := range want {
+					if !reflect.DeepEqual(got[q], w) {
+						t.Errorf("query %s: grouped fan-out delivered %d results, per-query loop %d (or other seqs)",
+							q, len(got[q]), len(w))
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestFanoutPlacementRacesIngest: queries placed and removed while
+// batches flow never cost a standing query a tuple — a fan-out snapshot
+// that still names a removed fragment skips it and feeds the rest.
+func TestFanoutPlacementRacesIngest(t *testing.T) {
+	batches := seededBatches(11, 300)
+	run := func(factory EngineFactory, churn bool) map[string][]uint64 {
+		e, log := newFanoutEntity(t, 2, factory)
+		for i := 0; i < 4; i++ {
+			if err := e.PlaceQuery(filterSpec(fmt.Sprintf("q%d", i), float64(i*100), float64(i*100+500)), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		if churn {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := 0; ; k++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					id := fmt.Sprintf("churn%d", k%3)
+					if err := e.PlaceQuery(filterSpec(id, 0, 1000), 1); err != nil {
+						t.Error(err)
+						return
+					}
+					if _, err := e.RemoveQuery(id); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		for _, b := range batches {
+			e.IngestBatch(b)
+		}
+		close(stop)
+		wg.Wait()
+		settle(t, e)
+		if d := e.DroppedTotal(); d != 0 {
+			t.Fatalf("engines dropped %d tuples", d)
+		}
+		got := log.multisets()
+		for q := range got {
+			if q[0] != 'q' {
+				delete(got, q)
+			}
+		}
+		return got
+	}
+	want := run(perQueryFactory, false)
+	got := run(groupedFactory, true)
+	if len(want) != 4 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("standing queries' results differ under churn: %d queries, want the reference's %d", len(got), len(want))
+	}
+}
+
+// TestFanoutTableIsCopyOnWrite: a table ingest has loaded never changes
+// under it, whatever is placed or removed meanwhile (RemoveQuery used to
+// compact the live slice in place).
+func TestFanoutTableIsCopyOnWrite(t *testing.T) {
+	e, _ := newFanoutEntity(t, 2, miniFactory)
+	for i := 0; i < 4; i++ {
+		if err := e.PlaceQuery(filterSpec(fmt.Sprintf("q%d", i), 0, 100), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dp := e.procs[0] // the first stream is delegated to processor 0
+	loaded := *dp.fanout.Load()
+	var before [][]string
+	for _, g := range loaded["quotes"] {
+		before = append(before, append([]string(nil), g.frags...))
+	}
+	if len(before) != 2 || len(before[0])+len(before[1]) != 4 {
+		t.Fatalf("table groups = %v, want 4 head fragments on 2 processors", before)
+	}
+	if _, err := e.RemoveQuery("q0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.PlaceQuery(filterSpec("q4", 0, 100), 1); err != nil {
+		t.Fatal(err)
+	}
+	for i, g := range loaded["quotes"] {
+		if !reflect.DeepEqual(g.frags, before[i]) || len(g.gates) != len(before[i]) {
+			t.Fatalf("loaded table changed: group %d is %v, was %v", i, g.frags, before[i])
+		}
+	}
+	now := (*dp.fanout.Load())["quotes"]
+	n := 0
+	for _, g := range now {
+		for _, f := range g.frags {
+			if f == "q0#0" {
+				t.Fatal("removed fragment still published")
+			}
+			n++
+		}
+	}
+	if n != 4 {
+		t.Fatalf("published table lists %d head fragments, want 4", n)
+	}
+	if _, err := e.RemoveQuery("q4"); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"q1", "q2", "q3"} {
+		if _, err := e.RemoveQuery(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(*dp.fanout.Load()) != 0 {
+		t.Fatalf("table after removing every query = %v, want empty", *dp.fanout.Load())
+	}
+}
+
+// blockingEngine parks every grouped feed until released, standing in
+// for the moment between a gate admitting a batch and the engine having
+// it.
+type blockingEngine struct {
+	*engine.MiniEngine
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (e *blockingEngine) FeedGroupBatch(ids []string, b stream.Batch) {
+	e.entered <- struct{}{}
+	<-e.release
+	e.MiniEngine.FeedGroupBatch(ids, b)
+}
+
+// TestDrainQueryWaitsForAdmittedBatches: a batch the gate admitted
+// before PauseQuery, and the fan-out has not handed to the engine yet,
+// is in neither the engine nor the pause buffer. DrainQuery must not
+// report the query drained while one exists, or the snapshot that
+// follows misses it and the migration loses it.
+func TestDrainQueryWaitsForAdmittedBatches(t *testing.T) {
+	var eng *blockingEngine
+	e, log := newFanoutEntity(t, 1, func(name string, c *stream.Catalog) engine.Processor {
+		eng = &blockingEngine{MiniEngine: engine.NewMini(name, c),
+			entered: make(chan struct{}), release: make(chan struct{})}
+		return eng
+	})
+	if err := e.PlaceQuery(filterSpec("q1", 0, 100), 1); err != nil {
+		t.Fatal(err)
+	}
+	fed := make(chan struct{})
+	go func() {
+		defer close(fed)
+		e.IngestBatch(stream.Batch{quote(1, "ibm", 50, 1), quote(2, "ibm", 60, 1)})
+	}()
+	<-eng.entered // admitted by the open gate, not yet in the engine
+	if err := e.PauseQuery("q1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.DrainQuery("q1", 20*time.Millisecond); err == nil {
+		t.Fatal("DrainQuery reported a drained query while an admitted batch was unfed")
+	}
+	close(eng.release)
+	<-fed
+	if err := e.DrainQuery("q1", 10*time.Second); err != nil {
+		t.Fatalf("DrainQuery after the batch was fed: %v", err)
+	}
+	if got := len(log.multisets()["q1"]); got != 2 {
+		t.Fatalf("drained query has %d results, want the admitted batch's 2", got)
+	}
+	_, buffered, err := e.CompleteMigration("q1")
+	if err != nil || len(buffered) != 0 {
+		t.Fatalf("pause buffer = %d tuples (err %v), want 0: the batch went to the engine", len(buffered), err)
+	}
+}
+
+// rejectAll is a filter no test tuple passes, so the engines allocate
+// nothing for results.
+func rejectAll(id string) engine.QuerySpec { return filterSpec(id, -2, -1) }
+
+// TestIngestAllocations: what one delivered batch allocates does not
+// grow with the number of queries it feeds.
+func TestIngestAllocations(t *testing.T) {
+	b := seededBatches(3, 1)[0]
+	measure := func(nProcs, nQueries int) float64 {
+		e, _ := newFanoutEntity(t, nProcs, groupedFactory)
+		for i := 0; i < nQueries; i++ {
+			if err := e.PlaceQuery(rejectAll(fmt.Sprintf("q%d", i)), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dp := e.procs[0]
+		drain := func() {
+			for _, p := range e.procs {
+				p.drainer.Drain(10 * time.Second)
+			}
+		}
+		// Until a query's delay and processing histograms have filled
+		// their 4096-sample reservoirs, the reservoirs' growth shows up
+		// as a fraction of an allocation per query and batch.
+		for i := 0; i < 4200; i++ {
+			dp.ingest(b)
+			if i%256 == 0 {
+				drain()
+			}
+		}
+		return testing.AllocsPerRun(200, func() {
+			dp.ingest(b)
+			drain()
+		})
+	}
+	if got := measure(1, 1); got != 1 {
+		t.Errorf("one local target: %v allocations per batch, want 1 (the engine's copy of the batch)", got)
+	}
+	few, many := measure(2, 8), measure(2, 32)
+	if few != many {
+		t.Errorf("2 processors: %v allocations per batch for 8 queries, %v for 32; want the same", few, many)
+	}
+}
+
+// TestFanoutTraceHops: a sampled tuple still gets one delegate hop and
+// one operator hop per head fragment, local or remote; an unsampled
+// batch records nothing.
+func TestFanoutTraceHops(t *testing.T) {
+	tr := trace.New(1, 64)
+	trace.SetActive(tr)
+	defer trace.SetActive(nil)
+	e, _ := newFanoutEntity(t, 2, miniFactory)
+	for i := 0; i < 4; i++ {
+		if err := e.PlaceQuery(filterSpec(fmt.Sprintf("q%d", i), 0, 100), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sampled := quote(1, "ibm", 50, 1)
+	id := tr.Sample("quotes", 1, "src")
+	sampled.Span = uint64(id)
+	e.IngestBatch(stream.Batch{quote(2, "ibm", 50, 1)})
+	e.IngestBatch(stream.Batch{quote(3, "ibm", 50, 1), sampled})
+	span, ok := tr.Get(id)
+	if !ok {
+		t.Fatal("sampled tuple left no span")
+	}
+	hops := map[string]int{}
+	for _, h := range span.Hops {
+		hops[h.Stage+" "+h.Node]++
+	}
+	want := map[string]int{trace.StagePublish + " src": 1, trace.StageDelegate + " e1/p0": 1}
+	for i := 0; i < 4; i++ {
+		want[fmt.Sprintf("%s q%d#0", trace.StageOperator, i)] = 1
+		want[fmt.Sprintf("%s q%d", trace.StageResult, i)] = 1
+	}
+	if !reflect.DeepEqual(hops, want) {
+		t.Fatalf("hops = %v, want %v", hops, want)
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sspd/internal/engine"
@@ -45,15 +46,26 @@ type ingestGate struct {
 	dedup bool
 	marks map[string]uint64
 	stale int64
+	// unfed counts the batches admit let through that the fan-out has
+	// not handed to an engine (or sent to its processor) yet. admit counts
+	// under mu, so once pause returns it only falls; DrainQuery waits for
+	// zero: such a batch is in neither the engine nor the pause buffer.
+	unfed atomic.Int32
 }
 
 // admit returns the sub-batch the caller should deliver: the input
 // unchanged on the open fast path, a filtered copy when dedup dropped
 // stale tuples, or nil when the gate consumed everything (paused, or
-// fully stale).
-func (g *ingestGate) admit(b stream.Batch) stream.Batch {
+// fully stale). Every non-empty return is counted in unfed until the
+// caller has handed the sub-batch over.
+func (g *ingestGate) admit(b stream.Batch) (out stream.Batch) {
 	g.mu.Lock()
-	defer g.mu.Unlock()
+	defer func() {
+		if len(out) > 0 {
+			g.unfed.Add(1)
+		}
+		g.mu.Unlock()
+	}()
 	if g.paused {
 		room := maxPauseBuffer - len(g.buf)
 		if room <= 0 {
@@ -313,9 +325,15 @@ func (e *Entity) headFeeder(pq *placedQuery, procs []*procNode) func(stream.Batc
 // snapshot taken afterwards includes every tuple delivered before the
 // pause. Engines without a Drain degrade to a short grace sleep.
 func (e *Entity) DrainQuery(id string, timeout time.Duration) error {
-	_, procs, err := e.lookupQuery(id)
+	pq, procs, err := e.lookupQuery(id)
 	if err != nil {
 		return err
+	}
+	// An engine cannot drain what it has not been given yet.
+	for deadline := time.Now().Add(timeout); pq.gate.unfed.Load() > 0; time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("entity %s: query %s: admitted batches still unfed after %v", e.id, id, timeout)
+		}
 	}
 	drained := false
 	for _, p := range procs {
