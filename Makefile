@@ -28,9 +28,10 @@ lint-obslog:
 		exit 1; \
 	fi
 	@echo "lint-obslog: clean"
-	@bad=$$(grep -rnE 'time\.Now\(' internal/engine/kernels.go internal/stream/colbatch.go internal/engine/ring.go || true); \
+	@bad=$$(grep -rnE 'time\.Now\(' internal/engine/kernels.go internal/engine/query.go internal/stream/colbatch.go internal/engine/ring.go \
+		internal/operator/tail.go internal/operator/aggregate.go internal/operator/topk.go || true); \
 	if [ -n "$$bad" ]; then \
-		echo "lint-obslog: no clock reads inside vectorized kernel inner loops or the shard ring publish path (one timestamp per batch, taken by the shard loop):"; \
+		echo "lint-obslog: no clock reads inside vectorized kernel inner loops, the batch tail (Query.runTail and the operators' ProcessBatch) or the shard ring publish path (one timestamp pair per (query, batch), taken by the shard loop):"; \
 		echo "$$bad"; \
 		exit 1; \
 	fi
@@ -53,11 +54,15 @@ test:
 # MiniEngine oracle) runs once more explicitly: it is the engine-swap
 # proof obligation and must never be skipped by test caching. So does
 # the fan-out differential (grouped feed against one feed per query,
-# with placements racing ingest): the same obligation one layer up.
+# with placements racing ingest): the same obligation one layer up. And
+# so do the tail's references (rebuild-and-sort top-k, rescanning
+# min/max, recorded snapshots) and its allocation gate: the benchmark's
+# oracle shares the operators, so only these tests can see them slip.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -run 'TestShardEngine' ./internal/engine/
 	$(GO) test -race -count=1 -run 'TestFanout' ./internal/entity/
+	$(GO) test -race -count=1 -run 'TestTopK|TestTail' ./internal/operator/ ./internal/engine/
 
 # benchmark/ is a nested module, so ./... above never compiles it: vet
 # and test it here, or an engine API change breaks the end-to-end

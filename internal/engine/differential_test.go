@@ -67,11 +67,14 @@ func diffTuples(n int) []stream.Tuple {
 	return out
 }
 
-// diffSpecs covers all five stateful operator kinds.
+// diffSpecs covers all five stateful operator kinds, two queries whose
+// tails chain two of them, and a time window.
 func diffSpecs() []QuerySpec {
 	w8 := stream.CountWindow(8)
 	w16 := stream.CountWindow(16)
 	return []QuerySpec{
+		diffChainSpec(),
+		diffTimeSpec(),
 		{ID: "d-filter", Source: "quotes", Filters: []FilterSpec{
 			{Field: "price", Lo: 20, Hi: 80},
 			{KeyField: "symbol", Keys: []string{"ibm", "goog", "nvda"}},
@@ -88,6 +91,28 @@ func diffSpecs() []QuerySpec {
 		{ID: "d-topk", Source: "quotes",
 			TopK: &TopKSpec{K: 3, ValueField: "price", KeyField: "symbol", Window: w16}},
 	}
+}
+
+// diffChainSpec chains distinct → aggregate behind a filter, so the
+// second stage of the batch tail consumes the first stage's batch. (A
+// spec may not carry both an aggregate and a top-k; the three-stage
+// chain is driven directly in TestTailThreeStageChain.)
+func diffChainSpec() QuerySpec {
+	return QuerySpec{ID: "d-chain", Source: "quotes",
+		Filters:  []FilterSpec{{Field: "price", Lo: 5, Hi: 95}},
+		Distinct: &DistinctSpec{Field: "symbol", Window: stream.CountWindow(3)},
+		Agg:      &AggSpec{Fn: operator.AggMax, ValueField: "price", GroupField: "symbol", Window: stream.CountWindow(6)}}
+}
+
+// diffTimeSpec is distinct → top-k over event time: quotes are 1–2 ms
+// apart and some are filtered or suppressed, so a push into the top-k
+// window evicts none, one or several tuples.
+func diffTimeSpec() QuerySpec {
+	return QuerySpec{ID: "d-time", Source: "quotes",
+		Filters:  []FilterSpec{{Field: "size", Lo: 0, Hi: 800}},
+		Distinct: &DistinctSpec{Field: "symbol", Window: stream.CountWindow(2)},
+		TopK: &TopKSpec{K: 3, ValueField: "price", KeyField: "symbol",
+			Window: stream.TimeWindow(20 * time.Millisecond)}}
 }
 
 // resultSink collects rendered result tuples; safe for concurrent emit.
@@ -197,10 +222,14 @@ func assertSameResults(t *testing.T, query, engine string, want, got []string) {
 // engine-level half of migration (PR 5) and checkpoint recovery (PR 7).
 func TestShardEngineSnapshotRestoreMidStream(t *testing.T) {
 	cat := diffCatalog(t)
-	spec := QuerySpec{ID: "d-agg", Source: "quotes",
-		Filters: []FilterSpec{{Field: "price", Lo: 10, Hi: 90}},
-		Agg: &AggSpec{Fn: operator.AggSum, ValueField: "price", GroupField: "symbol",
-			Window: stream.CountWindow(16)}}
+	specs := []QuerySpec{
+		{ID: "d-agg", Source: "quotes",
+			Filters: []FilterSpec{{Field: "price", Lo: 10, Hi: 90}},
+			Agg: &AggSpec{Fn: operator.AggSum, ValueField: "price", GroupField: "symbol",
+				Window: stream.CountWindow(16)}},
+		diffChainSpec(),
+		diffTimeSpec(),
+	}
 	all := diffTuples(3000)
 	var quotes []stream.Tuple
 	for _, tu := range all {
@@ -211,12 +240,17 @@ func TestShardEngineSnapshotRestoreMidStream(t *testing.T) {
 
 	ref := NewMini("ref", cat)
 	defer ref.Close()
-	want := runWorkload(t, ref, []QuerySpec{spec}, quotes)[spec.ID]
+	want := runWorkload(t, ref, specs, quotes)
 
-	for _, n := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("%d shards", n), func(t *testing.T) {
-			snapshotRestoreMidStream(t, cat, spec, quotes, want, n)
-		})
+	for _, spec := range specs {
+		if len(want[spec.ID]) == 0 {
+			t.Fatalf("reference engine produced no results for %s; workload too weak", spec.ID)
+		}
+		for _, n := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/%d shards", spec.ID, n), func(t *testing.T) {
+				snapshotRestoreMidStream(t, cat, spec, quotes, want[spec.ID], n)
+			})
+		}
 	}
 }
 

@@ -1,13 +1,17 @@
 // Vectorized kernel compilation for ShardEngine (DESIGN.md §13): a
 // non-join query's operator chain compiles into a flat pipeline of
 // batch kernels. Filter steps become stream.VecFilter kernels that scan
-// columns and shrink the batch's selection vector; the stateful tail
-// (distinct/aggregate/top-k) runs per surviving row through the
-// already-compiled chain with one stats-lock amortization per batch.
+// columns and shrink the batch's selection vector; the surviving rows
+// are gathered once into a buffer the Query reuses and the stateful
+// tail (distinct/aggregate/top-k) runs over them a stage at a time,
+// each operator's ProcessBatch consuming the previous stage's batch:
+// one virtual dispatch and one stats lock per (operator, batch).
+// Aggregate and top-k cut their results' Values from one slab per
+// batch, which is never reused — results escape to user callbacks.
 //
 // Kernels never read the clock: the shard takes exactly one timestamp
 // pair per (query, batch) around the whole pipeline (lint-obslog
-// enforces the rule for this file).
+// enforces the rule for this file and for the tail's).
 package engine
 
 import (
@@ -29,8 +33,8 @@ type vecFilter struct {
 // vecPipeline is a query's compiled batch pipeline.
 type vecPipeline struct {
 	filters []vecFilter
-	// nFilters is the chain prefix length the filters cover; survivors
-	// enter the chain at this index.
+	// nFilters is the chain prefix length the filters cover; the tail is
+	// the rest of the chain.
 	nFilters int
 }
 
@@ -43,7 +47,7 @@ func compileVecPipeline(spec QuerySpec, catalog *stream.Catalog, q *Query) (*vec
 	if !ok {
 		return nil, fmt.Errorf("engine: query %s: unknown stream %q", spec.ID, spec.Source)
 	}
-	p := &vecPipeline{nFilters: len(q.chain) - q.tailOps}
+	p := &vecPipeline{nFilters: len(q.chain) - len(q.tail)}
 	if p.nFilters != len(spec.Filters) {
 		return nil, fmt.Errorf("engine: query %s: %d chain filters vs %d spec filters", spec.ID, p.nFilters, len(spec.Filters))
 	}
@@ -87,8 +91,9 @@ func filterFieldIndexes(f FilterSpec, sc *stream.Schema) (rIdx, kIdx int, err er
 
 // run pushes one columnar batch through the pipeline: each filter
 // kernel shrinks the selection vector (recording batch-granularity
-// stats on its chain operator), then survivors enter the stateful tail.
-// It returns the number of result tuples.
+// stats on its chain operator), then the survivors are gathered and go
+// through the stateful tail as one batch. It returns the number of
+// result tuples.
 func (p *vecPipeline) run(cb *stream.ColBatch, q *Query) int {
 	for i := range p.filters {
 		in := cb.Len()
@@ -98,11 +103,8 @@ func (p *vecPipeline) run(cb *stream.ColBatch, q *Query) int {
 		out := p.filters[i].vf.Apply(cb)
 		p.filters[i].op.Stats().RecordBatch(in, out)
 	}
-	results := 0
-	for _, row := range cb.Sel() {
-		results += q.runChain(p.nFilters, cb.Row(row))
-	}
-	return results
+	q.buf[0] = cb.Gather(q.buf[0][:0])
+	return q.runTail()
 }
 
 // resync realigns the vec filter order with q.chain's (possibly

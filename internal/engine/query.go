@@ -17,11 +17,22 @@ type Query struct {
 	join *operator.WindowJoin
 	// chain is the ordered unary pipeline after the (optional) join.
 	chain []operator.Operator
-	// tailOps counts the non-commutable operators at the end of chain
-	// (distinct/aggregate/top-k); the filters before them may reorder.
-	tailOps int
+	// tail is the non-commutable end of chain (distinct/aggregate/
+	// top-k) by its batch entry; the filters before it may reorder.
+	tail []tailOp
+	// buf is the batch tail's pair of row buffers: stage i reads buf[i%2]
+	// and appends to the other. They are reused from batch to batch —
+	// rows are copied in, results are copied out by emit — and so keep
+	// the last batch's rows reachable until the next one.
+	buf [2][]stream.Tuple
 	// emit receives result tuples.
 	emit func(stream.Tuple)
+}
+
+// tailOp is a stateful tail operator: ProcessBatch consumes rows in
+// order and appends their results to dst, returning it.
+type tailOp interface {
+	ProcessBatch(rows, dst []stream.Tuple) []stream.Tuple
 }
 
 // Compile turns a spec into a runnable Query against the global schema
@@ -71,7 +82,7 @@ func Compile(spec QuerySpec, catalog *stream.Catalog, emit func(stream.Tuple)) (
 			return nil, err
 		}
 		q.chain = append(q.chain, d)
-		q.tailOps++
+		q.tail = append(q.tail, d)
 	}
 	if spec.Agg != nil {
 		a, err := operator.NewAggregate(spec.ID+"/agg", cur, spec.Agg.Fn,
@@ -80,7 +91,7 @@ func Compile(spec QuerySpec, catalog *stream.Catalog, emit func(stream.Tuple)) (
 			return nil, err
 		}
 		q.chain = append(q.chain, a)
-		q.tailOps++
+		q.tail = append(q.tail, a)
 	}
 	if spec.TopK != nil {
 		vf, err := resolveField(spec.ID+"/topk", spec.TopK.ValueField, cur)
@@ -97,7 +108,7 @@ func Compile(spec QuerySpec, catalog *stream.Catalog, emit func(stream.Tuple)) (
 			return nil, err
 		}
 		q.chain = append(q.chain, tk)
-		q.tailOps++
+		q.tail = append(q.tail, tk)
 	}
 	return q, nil
 }
@@ -234,12 +245,33 @@ func (q *Query) runChain(from int, t stream.Tuple) int {
 	return len(cur)
 }
 
+// runTail drives the rows in buf[0] through the tail a batch at a time
+// and emits what comes out of the last stage, in order. It returns the
+// number of result tuples.
+func (q *Query) runTail() int {
+	cur := 0
+	for _, op := range q.tail {
+		if len(q.buf[cur]) == 0 {
+			return 0
+		}
+		q.buf[1-cur] = op.ProcessBatch(q.buf[cur], q.buf[1-cur][:0])
+		cur = 1 - cur
+	}
+	out := q.buf[cur]
+	if q.emit != nil {
+		for i := range out {
+			q.emit(out[i])
+		}
+	}
+	return len(out)
+}
+
 // ReorderFilters permutes the filter sub-chain according to perm, a
 // permutation of the current filter indexes (aggregates stay terminal,
 // joins stay at the head). It is the hook the Adaptation Module uses to
 // change operator ordering at runtime.
 func (q *Query) ReorderFilters(perm []int) error {
-	nFilters := len(q.chain) - q.tailOps
+	nFilters := len(q.chain) - len(q.tail)
 	if len(perm) != nFilters {
 		return fmt.Errorf("engine: query %s: permutation length %d, want %d", q.spec.ID, len(perm), nFilters)
 	}
@@ -260,7 +292,7 @@ func (q *Query) ReorderFilters(perm []int) error {
 // FilterSelectivities reports the observed selectivity of each filter in
 // current chain order.
 func (q *Query) FilterSelectivities() []float64 {
-	nFilters := len(q.chain) - q.tailOps
+	nFilters := len(q.chain) - len(q.tail)
 	out := make([]float64, nFilters)
 	for i := 0; i < nFilters; i++ {
 		out[i] = q.chain[i].Stats().Selectivity()
@@ -271,7 +303,7 @@ func (q *Query) FilterSelectivities() []float64 {
 // FilterCosts reports each filter's abstract per-tuple cost in current
 // chain order.
 func (q *Query) FilterCosts() []float64 {
-	nFilters := len(q.chain) - q.tailOps
+	nFilters := len(q.chain) - len(q.tail)
 	out := make([]float64, nFilters)
 	for i := 0; i < nFilters; i++ {
 		out[i] = q.chain[i].Cost()

@@ -54,9 +54,10 @@ type shardQuery struct {
 	// self is the list of one naming this query: what a single-query
 	// feed puts in its ring item, so it allocates no list.
 	self []*shardQuery
-	// installed is owned by the shard goroutine: the install control item
-	// sets it and uninstall clears it, and a ring item naming a query
-	// that is not installed skips that query.
+	// installed is the query's membership of its shard, owned by the
+	// shard goroutine: the install control item sets it and uninstall
+	// clears it, and a ring item — data or control — naming a query that
+	// is not installed skips or refuses it.
 	installed bool
 	// vec is the compiled vectorized pipeline; nil for join queries,
 	// which fall back to per-tuple Feed inside the batch loop.
@@ -149,9 +150,8 @@ type shard struct {
 	// atomics only, updated by producers and the shard goroutine.
 	stats shardStats
 
-	// Owned by the shard goroutine; mutated only via control items.
-	queries map[string]*shardQuery
-	cb      *stream.ColBatch
+	// Owned by the shard goroutine.
+	cb *stream.ColBatch
 	// cbStale is set at the start of every data item: the first query of
 	// the item that runs kernels columnarizes the batch, the rest share
 	// the columns and only reset the selection.
@@ -179,14 +179,13 @@ func NewShard(name string, catalog *stream.Catalog, nShards int) *ShardEngine {
 	return e
 }
 
-// start allocates the shard's ring and query tables and starts its
-// goroutine. Caller holds eng.mu for writing.
+// start allocates the shard's ring and starts its goroutine. Caller
+// holds eng.mu for writing.
 func (sh *shard) start() {
 	sh.ring = newShardRing(shardRingDepth)
 	sh.wake = make(chan struct{}, 1)
 	sh.stop = make(chan struct{})
 	sh.done = make(chan struct{})
-	sh.queries = make(map[string]*shardQuery)
 	sh.cb = stream.NewColBatch()
 	go sh.run()
 }
@@ -223,18 +222,12 @@ func (e *ShardEngine) shardFor(id string) *shard {
 func (e *ShardEngine) Register(spec QuerySpec, emit func(stream.Tuple)) error {
 	e.ctlMu.Lock()
 	defer e.ctlMu.Unlock()
-	sq := &shardQuery{}
-	sq.self = []*shardQuery{sq}
-	q, err := Compile(spec, e.catalog, func(t stream.Tuple) {
-		sq.results.Inc()
-		if emit != nil {
-			emit(t)
-		}
-	})
+	q, err := Compile(spec, e.catalog, emit)
 	if err != nil {
 		return err
 	}
-	sq.q = q
+	sq := &shardQuery{q: q}
+	sq.self = []*shardQuery{sq}
 	if spec.Join == nil {
 		vec, verr := compileVecPipeline(spec, e.catalog, q)
 		if verr != nil {
@@ -286,7 +279,7 @@ func (e *ShardEngine) Unregister(id string) (QuerySpec, error) {
 	delete(e.queries, id)
 	e.rebuildRoutes()
 	e.mu.Unlock()
-	if err := sq.sh.do(&shardCtl{op: shardCtlUninstall, id: id}); err != nil {
+	if err := sq.sh.do(&shardCtl{op: shardCtlUninstall, sq: sq}); err != nil {
 		return QuerySpec{}, err
 	}
 	return sq.q.Spec(), nil
@@ -583,23 +576,28 @@ func (e *ShardEngine) AdaptOrdering(minGain float64) int {
 	// Check closed under the lock, but enqueue without it: emit callbacks
 	// on shard goroutines re-enter the engine under mu.RLock, so spinning
 	// on a full ring while holding mu (with a writer queued) would
-	// deadlock the whole engine. A shard started after this snapshot has
-	// no query with statistics to adapt from yet.
+	// deadlock the whole engine. A query registered after this snapshot
+	// has no statistics to adapt from yet.
+	ctls := make(map[*shard]*shardCtl)
 	e.mu.RLock()
-	closed, shards := e.closed, e.started()
-	e.mu.RUnlock()
-	if closed {
-		return 0
+	if !e.closed {
+		for _, sq := range e.queries {
+			c := ctls[sq.sh]
+			if c == nil {
+				c = &shardCtl{op: shardCtlAdapt, minGain: minGain}
+				ctls[sq.sh] = c
+			}
+			c.sqs = append(c.sqs, sq)
+		}
 	}
-	ctls := make([]*shardCtl, len(shards))
-	for i, sh := range shards {
-		ctls[i] = &shardCtl{op: shardCtlAdapt, minGain: minGain}
-		sh.enqueueCtl(ctls[i])
+	e.mu.RUnlock()
+	for sh, c := range ctls {
+		sh.enqueueCtl(c)
 	}
 	n := 0
-	for i, sh := range shards {
-		if sh.wait(ctls[i]) == nil {
-			n += ctls[i].changed
+	for sh, c := range ctls {
+		if sh.wait(c) == nil {
+			n += c.changed
 		}
 	}
 	return n
@@ -613,7 +611,7 @@ func (e *ShardEngine) SnapshotQueryState(id string) (QueryState, error) {
 		return nil, err
 	}
 	e.flushAll()
-	c := &shardCtl{op: shardCtlSnapshot, id: id}
+	c := &shardCtl{op: shardCtlSnapshot, sq: sq}
 	err = sq.sh.do(c)
 	return c.snap, err
 }
@@ -624,7 +622,7 @@ func (e *ShardEngine) RestoreQueryState(id string, st QueryState) error {
 	if err != nil {
 		return err
 	}
-	return sq.sh.do(&shardCtl{op: shardCtlRestore, id: id, restore: st})
+	return sq.sh.do(&shardCtl{op: shardCtlRestore, sq: sq, restore: st})
 }
 
 // QueryStateBytes implements StateSnapshotter.
@@ -633,7 +631,7 @@ func (e *ShardEngine) QueryStateBytes(id string) (int, bool) {
 	if err != nil {
 		return 0, false
 	}
-	c := &shardCtl{op: shardCtlBytes, id: id}
+	c := &shardCtl{op: shardCtlBytes, sq: sq}
 	if sq.sh.do(c) != nil {
 		return 0, false
 	}
@@ -694,9 +692,11 @@ const (
 // shardCtl is a control item executed on the shard goroutine, FIFO
 // with data items (it travels through the same ring).
 type shardCtl struct {
-	op      int
-	sq      *shardQuery // install
-	id      string      // uninstall/snapshot/restore/bytes
+	op int
+	// sq is the query the item is about; an adapt item instead lists in
+	// sqs the queries the engine routed to the shard when it was made.
+	sq      *shardQuery
+	sqs     []*shardQuery
 	restore QueryState
 	snap    QueryState
 	bytes   int
@@ -872,15 +872,16 @@ func (sh *shard) feedBatch(sq *shardQuery, item ringItem) {
 		} else {
 			cb.ResetSel()
 		}
-		sq.vec.run(cb, sq.q)
+		sq.results.Add(int64(sq.vec.run(cb, sq.q)))
 		st.kernelTuples.Add(n)
 		st.kernelIn.Add(n)
 		st.kernelOut.Add(int64(cb.Len()))
 	} else {
-		streamName := b[0].Stream
+		streamName, results := b[0].Stream, 0
 		for i := range b {
-			sq.q.Feed(streamName, b[i])
+			results += sq.q.Feed(streamName, b[i])
 		}
+		sq.results.Add(int64(results))
 		st.interpTuples.Add(n)
 	}
 	st.batches.Add(1)
@@ -899,49 +900,37 @@ func (sh *shard) processCtl(c *shardCtl) {
 	if !c.enq.IsZero() {
 		sh.stats.ctlWaitNs.Add(time.Since(c.enq).Nanoseconds())
 	}
-	switch c.op {
-	case shardCtlInstall:
-		sq := c.sq
-		id := sq.q.ID()
-		sh.queries[id] = sq
-		sq.installed = true
-		sh.stats.queries.Add(1)
-	case shardCtlUninstall:
-		sq, ok := sh.queries[c.id]
-		if !ok {
-			c.err = fmt.Errorf("engine %s: unknown query %s", sh.eng.name, c.id)
-			return
-		}
-		delete(sh.queries, c.id)
-		sq.installed = false
-		sh.stats.queries.Add(-1)
-	case shardCtlSnapshot:
-		if sq, ok := sh.queries[c.id]; ok {
-			c.snap = snapshotQuery(sq.q)
-		} else {
-			c.err = fmt.Errorf("engine %s: unknown query %s", sh.eng.name, c.id)
-		}
-	case shardCtlRestore:
-		if sq, ok := sh.queries[c.id]; ok {
-			c.err = restoreQuery(sq.q, c.restore)
-		} else {
-			c.err = fmt.Errorf("engine %s: unknown query %s", sh.eng.name, c.id)
-		}
-	case shardCtlBytes:
-		if sq, ok := sh.queries[c.id]; ok {
-			c.bytes = queryStateBytes(sq.q)
-		} else {
-			c.err = fmt.Errorf("engine %s: unknown query %s", sh.eng.name, c.id)
-		}
-	case shardCtlAdapt:
-		for _, sq := range sh.queries {
-			if MaybeReorder(sq.q, c.minGain) {
+	if c.op == shardCtlAdapt {
+		for _, sq := range c.sqs {
+			if sq.installed && MaybeReorder(sq.q, c.minGain) {
 				if sq.vec != nil {
 					sq.vec.resync(sq.q)
 				}
 				c.changed++
 			}
 		}
+		return
+	}
+	sq := c.sq
+	if c.op == shardCtlInstall {
+		sq.installed = true
+		sh.stats.queries.Add(1)
+		return
+	}
+	if !sq.installed {
+		c.err = fmt.Errorf("engine %s: unknown query %s", sh.eng.name, sq.q.ID())
+		return
+	}
+	switch c.op {
+	case shardCtlUninstall:
+		sq.installed = false
+		sh.stats.queries.Add(-1)
+	case shardCtlSnapshot:
+		c.snap = snapshotQuery(sq.q)
+	case shardCtlRestore:
+		c.err = restoreQuery(sq.q, c.restore)
+	case shardCtlBytes:
+		c.bytes = queryStateBytes(sq.q)
 	}
 }
 

@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"sspd/internal/operator"
@@ -147,5 +150,133 @@ func TestReorderWithMultipleTailOps(t *testing.T) {
 	if ops[len(ops)-1].Name() != "q/agg" || ops[len(ops)-2].Name() != "q/distinct" {
 		t.Fatalf("tail order broken: %s, %s",
 			ops[len(ops)-2].Name(), ops[len(ops)-1].Name())
+	}
+}
+
+// tailBatches is a pool of 64-tuple quote batches over 100 zipf-popular
+// symbols with random-walking prices — the shape the end-to-end
+// benchmark's ticker feeds the tail.
+func tailBatches(n int) []stream.Batch {
+	rng := rand.New(rand.NewSource(16))
+	zipf := rand.NewZipf(rng, 1.2, 1, 99)
+	price := make([]float64, 100)
+	for i := range price {
+		price[i] = 100 + rng.Float64()*800
+	}
+	out := make([]stream.Batch, n)
+	seq := uint64(0)
+	for b := range out {
+		for j := 0; j < 64; j++ {
+			i := zipf.Uint64()
+			price[i] += (rng.Float64() - 0.5) * 10
+			seq++
+			out[b] = append(out[b], quote(seq, fmt.Sprintf("S%04d", i), price[i], int64(rng.Intn(1e6))))
+		}
+	}
+	return out
+}
+
+// compileTail compiles spec with its vectorized pipeline, as Register
+// does, emitting into sink.
+func compileTail(t *testing.T, spec QuerySpec, sink func(stream.Tuple)) (*Query, *vecPipeline) {
+	t.Helper()
+	c := testCatalog(t)
+	q, err := Compile(spec, c, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vec, err := compileVecPipeline(spec, c, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q, vec
+}
+
+// TestTailThreeStageChain drives distinct → aggregate → top-k — one
+// stage more than a spec can ask for, so the third stage lands back in
+// the first buffer — a batch at a time, against the same chain fed a
+// row at a time.
+func TestTailThreeStageChain(t *testing.T) {
+	spec := QuerySpec{ID: "q", Source: "quotes",
+		Filters:  []FilterSpec{{Field: "volume", Lo: 0, Hi: 8e5}},
+		Distinct: &DistinctSpec{Field: "symbol", Window: stream.CountWindow(2)},
+		Agg:      &AggSpec{Fn: operator.AggMax, ValueField: "price", GroupField: "symbol", Window: stream.CountWindow(32)}}
+	var batched, rowwise []string
+	build := func(got *[]string) (*Query, *vecPipeline) {
+		q, vec := compileTail(t, spec, func(tu stream.Tuple) { *got = append(*got, tu.String()) })
+		// The aggregate's (group, value) sit where quotes has (symbol, price).
+		src, _ := testCatalog(t).Lookup("quotes")
+		tk, err := operator.NewTopK("q/topk", src, 3, "price", "symbol", stream.CountWindow(16), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.chain, q.tail = append(q.chain, tk), append(q.tail, tk)
+		return q, vec
+	}
+	bq, vec := build(&batched)
+	rq, _ := build(&rowwise)
+	cb := stream.NewColBatch()
+	for _, b := range tailBatches(40) {
+		cb.Reset(b)
+		n := vec.run(cb, bq)
+		for _, tu := range b {
+			n -= rq.Feed("quotes", tu)
+		}
+		if n != 0 {
+			t.Fatalf("result counts differ by %d", n)
+		}
+	}
+	if len(batched) < 100 || !slices.Equal(batched, rowwise) {
+		t.Fatalf("batch tail emitted %d results, row-at-a-time chain %d, or they differ", len(batched), len(rowwise))
+	}
+}
+
+// TestTailAllocsPerBatch is the allocation gate of the shard engine's
+// tail path: once buffers, maps and free lists have grown, running a
+// 64-tuple batch through filter kernels and tail allocates nothing for
+// distinct, however many rows survive the filter, and one slab of result
+// Values for an aggregate or a top-k (none when nothing is emitted).
+func TestTailAllocsPerBatch(t *testing.T) {
+	half := []FilterSpec{{Field: "volume", Lo: 0, Hi: 5e5}}
+	cases := []struct {
+		name string
+		spec QuerySpec
+		max  float64
+	}{
+		{"distinct/all rows", QuerySpec{
+			Distinct: &DistinctSpec{Field: "symbol", Window: stream.CountWindow(256)}}, 0},
+		{"distinct/half the rows", QuerySpec{Filters: half,
+			Distinct: &DistinctSpec{Field: "symbol", Window: stream.CountWindow(256)}}, 0},
+		{"sum", QuerySpec{Filters: half,
+			Agg: &AggSpec{Fn: operator.AggSum, ValueField: "price", GroupField: "symbol", Window: stream.CountWindow(64)}}, 1},
+		{"min", QuerySpec{Filters: half,
+			Agg: &AggSpec{Fn: operator.AggMin, ValueField: "price", GroupField: "symbol", Window: stream.CountWindow(64)}}, 1},
+		{"top-k", QuerySpec{Filters: half,
+			TopK: &TopKSpec{K: 5, ValueField: "price", KeyField: "symbol", Window: stream.CountWindow(32)}}, 1},
+		{"distinct → top-k", QuerySpec{Filters: half,
+			Distinct: &DistinctSpec{Field: "symbol", Window: stream.CountWindow(4)},
+			TopK:     &TopKSpec{K: 5, ValueField: "price", KeyField: "symbol", Window: stream.CountWindow(32)}}, 1},
+	}
+	pool := tailBatches(128)
+	for _, c := range cases {
+		c.spec.ID, c.spec.Source = "q", "quotes"
+		results := 0
+		q, vec := compileTail(t, c.spec, func(stream.Tuple) { results++ })
+		cb, next := stream.NewColBatch(), 0
+		run := func() {
+			cb.Reset(pool[next%len(pool)])
+			next++
+			vec.run(cb, q)
+		}
+		for range pool {
+			run() // warm-up: one pass over every key the pool holds
+		}
+		results = 0
+		if got := testing.AllocsPerRun(len(pool), run); got > c.max {
+			t.Errorf("%s: %.2f allocations per batch, want at most %v", c.name, got, c.max)
+		}
+		if results == 0 {
+			t.Errorf("%s: no results: gate measured nothing", c.name)
+		}
 	}
 }

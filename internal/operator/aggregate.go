@@ -2,7 +2,6 @@ package operator
 
 import (
 	"fmt"
-	"math"
 
 	"sspd/internal/stream"
 )
@@ -40,7 +39,13 @@ func (f AggFunc) String() string {
 // Aggregate computes a windowed aggregate of one numeric field, grouped
 // by an optional key field. For every input tuple it emits the updated
 // aggregate value of the input's group — the eager re-evaluation model
-// common to continuous queries over sliding windows.
+// common to continuous queries over sliding windows. Every function is
+// maintained incrementally: count, sum and avg subtract on evict, min
+// and max keep a monotonic deque per group (tail.go), so the cost of a
+// tuple does not depend on the window size.
+//
+// Min and max ignore NaN while the group holds a number; a group
+// holding only NaN yields NaN.
 //
 // Output schema: (group:string, value:float) on a stream named after the
 // operator. When no group field is set, group is "".
@@ -49,14 +54,24 @@ type Aggregate struct {
 	fn       AggFunc
 	valueIdx int
 	groupIdx int // -1 when ungrouped
-	win      *stream.Window
-	groups   map[string]*aggState
-	scratch  []stream.Tuple
+	// sign turns the group's maxDeque into the function's extremum: +1
+	// for max, -1 for min (the minimum is minus the maximum of the
+	// negated values, bit for bit), 0 when fn keeps no deque.
+	sign   float64
+	win    *stream.Window
+	groups map[string]*aggState
+	free   []*aggState // states of groups that left the window, for reuse
+	// next and oldest are the insertion ordinals of the next tuple to
+	// enter the window and of the oldest one in it.
+	next, oldest uint64
+	scratch      []stream.Tuple
+	staged       []stream.Value
 }
 
 type aggState struct {
 	count int64
 	sum   float64
+	ext   maxDeque
 }
 
 // NewAggregate builds a windowed aggregate. groupField may be empty for a
@@ -92,41 +107,77 @@ func NewAggregate(name string, in *stream.Schema, fn AggFunc, valueField, groupF
 	if err != nil {
 		return nil, err
 	}
-	return &Aggregate{
+	a := &Aggregate{
 		base:     newBase(name, 1, cost, out),
 		fn:       fn,
 		valueIdx: vi,
 		groupIdx: gi,
 		win:      stream.NewWindow(spec),
 		groups:   make(map[string]*aggState),
-	}, nil
+	}
+	switch fn {
+	case AggMax:
+		a.sign = 1
+	case AggMin:
+		a.sign = -1
+	}
+	return a, nil
 }
 
-// Process implements Operator.
+// Process implements Operator: the one-row form of ProcessBatch.
 func (a *Aggregate) Process(port int, t stream.Tuple) []stream.Tuple {
 	if port != 0 {
 		panic(badPort(a.name, port, 1))
 	}
-	a.scratch = a.win.PushCollect(t, a.scratch[:0])
-	for _, old := range a.scratch {
-		a.remove(old)
-	}
-	a.add(t)
+	return a.ProcessBatch([]stream.Tuple{t}, nil)
+}
 
-	group := a.groupOf(t)
-	val, ok := a.valueOf(group)
-	if !ok {
-		a.stats.record(0)
-		return nil
+// ProcessBatch consumes rows in order and appends each row's result —
+// the updated aggregate of its group — to dst, which it returns. The
+// results' Values share one slab allocated by this call.
+func (a *Aggregate) ProcessBatch(rows, dst []stream.Tuple) []stream.Tuple {
+	base := len(dst)
+	a.staged = a.staged[:0]
+	for i := range rows {
+		group, st := a.insert(rows[i])
+		val, ok := a.valueOf(st)
+		if !ok {
+			continue
+		}
+		dst = append(dst, stream.Tuple{Stream: a.name, Seq: rows[i].Seq, Ts: rows[i].Ts})
+		a.staged = append(a.staged, stream.String(group), stream.Float(val))
 	}
-	out := stream.Tuple{
-		Stream: a.name,
-		Seq:    t.Seq,
-		Ts:     t.Ts,
-		Values: []stream.Value{stream.String(group), stream.Float(val)},
+	sealValues(dst[base:], a.staged, 2)
+	a.stats.RecordBatch(len(rows), len(dst)-base)
+	return dst
+}
+
+// insert pushes t into the window, takes what the push evicts out of
+// the group accumulators, then adds t (evictions first: sums round
+// differently the other way round). It returns t's group and its state.
+func (a *Aggregate) insert(t stream.Tuple) (string, *aggState) {
+	a.scratch = a.win.PushCollect(t, a.scratch[:0])
+	for i := range a.scratch {
+		a.remove(a.scratch[i])
 	}
-	a.stats.record(1)
-	return []stream.Tuple{out}
+	g := a.groupOf(t)
+	st := a.groups[g]
+	if st == nil {
+		if n := len(a.free); n > 0 {
+			st, a.free = a.free[n-1], a.free[:n-1]
+		} else {
+			st = &aggState{}
+		}
+		a.groups[g] = st
+	}
+	v := t.Value(a.valueIdx).AsFloat()
+	st.count++
+	st.sum += v
+	if a.sign != 0 {
+		st.ext.push(a.next, a.sign*v)
+	}
+	a.next++
+	return g, st
 }
 
 func (a *Aggregate) groupOf(t stream.Tuple) string {
@@ -136,18 +187,10 @@ func (a *Aggregate) groupOf(t stream.Tuple) string {
 	return t.Value(a.groupIdx).String()
 }
 
-func (a *Aggregate) add(t stream.Tuple) {
-	g := a.groupOf(t)
-	st := a.groups[g]
-	if st == nil {
-		st = &aggState{}
-		a.groups[g] = st
-	}
-	st.count++
-	st.sum += t.Value(a.valueIdx).AsFloat()
-}
-
+// remove takes the window's oldest tuple out of its group.
 func (a *Aggregate) remove(t stream.Tuple) {
+	ord := a.oldest
+	a.oldest++
 	g := a.groupOf(t)
 	st := a.groups[g]
 	if st == nil {
@@ -155,19 +198,24 @@ func (a *Aggregate) remove(t stream.Tuple) {
 	}
 	st.count--
 	st.sum -= t.Value(a.valueIdx).AsFloat()
+	st.ext.evict(ord)
 	if st.count <= 0 {
 		delete(a.groups, g)
+		*st = aggState{ext: maxDeque{buf: st.ext.buf}}
+		a.free = append(a.free, st)
 	}
 }
 
-// valueOf computes the current aggregate for a group. Min and max are not
-// maintainable incrementally under eviction, so they scan the window —
-// acceptable because windows bound state.
-func (a *Aggregate) valueOf(group string) (float64, bool) {
-	st := a.groups[group]
-	if st == nil || st.count == 0 {
-		return 0, false
-	}
+// reset empties the window and every group, for RestoreState's replay.
+func (a *Aggregate) reset() {
+	a.win.Clear()
+	clear(a.groups)
+	a.next, a.oldest = 0, 0
+}
+
+// valueOf computes the current aggregate of a group that holds at least
+// one tuple.
+func (a *Aggregate) valueOf(st *aggState) (float64, bool) {
 	switch a.fn {
 	case AggCount:
 		return float64(st.count), true
@@ -176,23 +224,7 @@ func (a *Aggregate) valueOf(group string) (float64, bool) {
 	case AggAvg:
 		return st.sum / float64(st.count), true
 	case AggMin, AggMax:
-		best := math.Inf(1)
-		if a.fn == AggMax {
-			best = math.Inf(-1)
-		}
-		found := false
-		a.win.Each(func(t stream.Tuple) bool {
-			if a.groupOf(t) != group {
-				return true
-			}
-			v := t.Value(a.valueIdx).AsFloat()
-			if a.fn == AggMin && v < best || a.fn == AggMax && v > best {
-				best = v
-			}
-			found = true
-			return true
-		})
-		return best, found
+		return a.sign * st.ext.max(), true
 	default:
 		return 0, false
 	}

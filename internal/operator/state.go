@@ -14,9 +14,10 @@ import (
 // the operator's Stats so learned selectivities survive a move (the
 // Adaptation Module's re-ordering decisions keep their history), and
 // window contents are restored by replaying the snapshotted tuples
-// through the operator's own insertion path, so every derived structure
-// (group accumulators, join hash indexes, distinct counts) is rebuilt
-// consistently.
+// through the operator's own insert — the same function its process
+// path uses — so every derived structure (group accumulators and
+// extremum deques, join hash indexes, distinct counts, the top-k
+// ranking) is rebuilt consistently.
 //
 // Snapshot and Restore follow the same single-threaded contract as
 // Process: the owning engine serializes them with tuple processing.
@@ -93,6 +94,17 @@ func windowBytes(w *stream.Window) int {
 	return n
 }
 
+// decodeWindowState decodes the snapshot of a one-window operator: its
+// stats block, imported into s, then the window's tuples oldest first.
+func decodeWindowState(data []byte, s *Stats) (stream.Batch, error) {
+	n, err := decodeStats(data, s)
+	if err != nil {
+		return nil, err
+	}
+	b, _, err := stream.DecodeBatch(data[n:])
+	return b, err
+}
+
 // Compile-time capability checks: every stateful operator in the
 // library implements Stateful.
 var (
@@ -122,24 +134,15 @@ func (a *Aggregate) SnapshotState() []byte {
 }
 
 // RestoreState implements Stateful: the window is replayed through the
-// aggregate's own add path, rebuilding the group accumulators.
+// aggregate's own insert, rebuilding the group accumulators.
 func (a *Aggregate) RestoreState(data []byte) error {
-	n, err := decodeStats(data, a.stats)
+	b, err := decodeWindowState(data, a.stats)
 	if err != nil {
 		return err
 	}
-	b, _, err := stream.DecodeBatch(data[n:])
-	if err != nil {
-		return err
-	}
-	a.win.Clear()
-	a.groups = make(map[string]*aggState)
+	a.reset()
 	for _, t := range b {
-		a.scratch = a.win.PushCollect(t, a.scratch[:0])
-		for _, old := range a.scratch {
-			a.remove(old)
-		}
-		a.add(t)
+		a.insert(t)
 	}
 	return nil
 }
@@ -188,29 +191,17 @@ func (d *Distinct) SnapshotState() []byte {
 	return appendWindow(appendStats(nil, d.stats), d.win)
 }
 
-// RestoreState implements Stateful: replaying the window rebuilds the
-// per-key counts.
+// RestoreState implements Stateful: replaying the window through insert
+// rebuilds the per-key counts.
 func (d *Distinct) RestoreState(data []byte) error {
-	n, err := decodeStats(data, d.stats)
-	if err != nil {
-		return err
-	}
-	b, _, err := stream.DecodeBatch(data[n:])
+	b, err := decodeWindowState(data, d.stats)
 	if err != nil {
 		return err
 	}
 	d.win.Clear()
-	d.counts = make(map[string]int)
+	clear(d.counts)
 	for _, t := range b {
-		d.scratch = d.win.PushCollect(t, d.scratch[:0])
-		for _, old := range d.scratch {
-			ok := old.Value(d.keyIdx).String()
-			d.counts[ok]--
-			if d.counts[ok] <= 0 {
-				delete(d.counts, ok)
-			}
-		}
-		d.counts[t.Value(d.keyIdx).String()]++
+		d.insert(t)
 	}
 	return nil
 }
@@ -223,20 +214,16 @@ func (t *TopK) SnapshotState() []byte {
 	return appendWindow(appendStats(nil, t.stats), t.win)
 }
 
-// RestoreState implements Stateful. TopK derives ranks from the window
-// on every call, so restoring the window restores everything.
+// RestoreState implements Stateful: replaying the window through insert
+// rebuilds the per-key deques and the ranking.
 func (t *TopK) RestoreState(data []byte) error {
-	n, err := decodeStats(data, t.stats)
+	b, err := decodeWindowState(data, t.stats)
 	if err != nil {
 		return err
 	}
-	b, _, err := stream.DecodeBatch(data[n:])
-	if err != nil {
-		return err
-	}
-	t.win.Clear()
+	t.reset()
 	for _, tu := range b {
-		t.scratch = t.win.PushCollect(tu, t.scratch[:0])
+		t.insert(tu)
 	}
 	return nil
 }

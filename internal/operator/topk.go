@@ -2,7 +2,6 @@ package operator
 
 import (
 	"fmt"
-	"sort"
 
 	"sspd/internal/stream"
 )
@@ -36,41 +35,78 @@ func NewDistinct(name string, in *stream.Schema, keyField string, spec stream.Wi
 	}, nil
 }
 
-// Process implements Operator.
+// Process implements Operator: the one-row form of ProcessBatch.
 func (d *Distinct) Process(port int, t stream.Tuple) []stream.Tuple {
 	if port != 0 {
 		panic(badPort(d.name, port, 1))
 	}
-	key := t.Value(d.keyIdx).String()
+	return d.ProcessBatch([]stream.Tuple{t}, nil)
+}
+
+// ProcessBatch consumes rows in order and appends those that pass,
+// unchanged, to dst, which it returns. It allocates nothing itself.
+func (d *Distinct) ProcessBatch(rows, dst []stream.Tuple) []stream.Tuple {
+	base := len(dst)
+	for i := range rows {
+		if !d.insert(rows[i]) {
+			dst = append(dst, rows[i])
+		}
+	}
+	d.stats.RecordBatch(len(rows), len(dst)-base)
+	return dst
+}
+
+// insert pushes t into the window, uncounts what the push evicts, and
+// reports whether t's key was already in the window.
+func (d *Distinct) insert(t stream.Tuple) (seen bool) {
 	d.scratch = d.win.PushCollect(t, d.scratch[:0])
-	for _, old := range d.scratch {
-		ok := old.Value(d.keyIdx).String()
-		d.counts[ok]--
-		if d.counts[ok] <= 0 {
+	for i := range d.scratch {
+		ok := d.scratch[i].Value(d.keyIdx).String()
+		if n := d.counts[ok] - 1; n > 0 {
+			d.counts[ok] = n
+		} else {
 			delete(d.counts, ok)
 		}
 	}
-	seen := d.counts[key] > 0
-	d.counts[key]++
-	if seen {
-		d.stats.record(0)
-		return nil
-	}
-	d.stats.record(1)
-	return []stream.Tuple{t}
+	key := t.Value(d.keyIdx).String()
+	n := d.counts[key]
+	d.counts[key] = n + 1
+	return n > 0
 }
 
 // TopK maintains the current top-k tuples by a numeric field over a
 // sliding window, grouped globally. For every input it emits the updated
 // rank of the input's key when the input enters the top k (otherwise
 // nothing) — the "leaders board" query of sports and financial tickers.
+//
+// The ranking is kept, not recomputed: beside the window there is one
+// monotonic deque per key (its window maximum, tail.go) and one slice of
+// every key ordered by (maximum descending, key ascending), which moves
+// an entry only when that key's maximum changes. A tuple costs a push,
+// its evictions and a binary search, whatever the window holds. NaN
+// ranks below every number (beats); keys whose window holds only NaN
+// tie, in key order.
 type TopK struct {
 	base
 	k        int
 	valueIdx int
 	keyIdx   int
 	win      *stream.Window
-	scratch  []stream.Tuple
+	keys     map[string]*maxDeque
+	rank     []rankEnt
+	free     []*maxDeque // deques of keys that left the window, for reuse
+	// next and oldest are the insertion ordinals of the next tuple to
+	// enter the window and of the oldest one in it.
+	next, oldest uint64
+	scratch      []stream.Tuple
+	staged       []stream.Value
+}
+
+// rankEnt is one key's place in the ranking. max duplicates the front
+// of the key's deque so that a search touches the slice alone.
+type rankEnt struct {
+	max float64
+	key string
 }
 
 // NewTopK builds a top-k operator: rank keys by the maximum of
@@ -109,60 +145,136 @@ func NewTopK(name string, in *stream.Schema, k int, valueField, keyField string,
 		valueIdx: vi,
 		keyIdx:   ki,
 		win:      stream.NewWindow(spec),
+		keys:     make(map[string]*maxDeque),
 	}, nil
 }
 
-// Process implements Operator.
+// Process implements Operator: the one-row form of ProcessBatch.
 func (t *TopK) Process(port int, tu stream.Tuple) []stream.Tuple {
 	if port != 0 {
 		panic(badPort(t.name, port, 1))
 	}
-	t.scratch = t.win.PushCollect(tu, t.scratch[:0])
-	// Rank keys by their max value in the window.
-	best := make(map[string]float64)
-	t.win.Each(func(w stream.Tuple) bool {
-		k := w.Value(t.keyIdx).String()
-		v := w.Value(t.valueIdx).AsFloat()
-		if cur, ok := best[k]; !ok || v > cur {
-			best[k] = v
+	return t.ProcessBatch([]stream.Tuple{tu}, nil)
+}
+
+// ProcessBatch consumes rows in order and, for each row whose key ranks
+// in the top k once the row is in the window, appends (key, the key's
+// window maximum, 1-based rank) to dst, which it returns. The results'
+// Values share one slab allocated by this call.
+func (t *TopK) ProcessBatch(rows, dst []stream.Tuple) []stream.Tuple {
+	base := len(dst)
+	t.staged = t.staged[:0]
+	for i := range rows {
+		key, dq := t.insert(rows[i])
+		if dq.n == 0 {
+			continue // the window kept nothing of the row
 		}
-		return true
-	})
-	type kv struct {
-		key string
-		val float64
-	}
-	ranked := make([]kv, 0, len(best))
-	for k, v := range best {
-		ranked = append(ranked, kv{k, v})
-	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].val != ranked[j].val {
-			return ranked[i].val > ranked[j].val
+		m := dq.max()
+		if r := t.find(m, key, min(t.k, len(t.rank))); r < t.k {
+			dst = append(dst, stream.Tuple{Stream: t.name, Seq: rows[i].Seq, Ts: rows[i].Ts})
+			t.staged = append(t.staged, stream.String(key), stream.Float(m), stream.Int(int64(r+1)))
 		}
-		return ranked[i].key < ranked[j].key
-	})
+	}
+	sealValues(dst[base:], t.staged, 3)
+	t.stats.RecordBatch(len(rows), len(dst)-base)
+	return dst
+}
+
+// insert enters tu into its key's deque and the window, then takes what
+// the window evicts out of theirs, moving a key in the ranking whenever
+// its maximum changed. It returns tu's key and that key's deque.
+func (t *TopK) insert(tu stream.Tuple) (string, *maxDeque) {
 	key := tu.Value(t.keyIdx).String()
-	for rank, r := range ranked {
-		if rank >= t.k {
-			break
+	v := tu.Value(t.valueIdx).AsFloat()
+	dq := t.keys[key]
+	if dq == nil {
+		if n := len(t.free); n > 0 {
+			dq, t.free = t.free[n-1], t.free[:n-1]
+		} else {
+			dq = &maxDeque{}
 		}
-		if r.key == key {
-			t.stats.record(1)
-			return []stream.Tuple{{
-				Stream: t.name,
-				Seq:    tu.Seq,
-				Ts:     tu.Ts,
-				Values: []stream.Value{
-					stream.String(r.key),
-					stream.Float(r.val),
-					stream.Int(int64(rank + 1)),
-				},
-			}}
+		t.keys[key] = dq
+		dq.push(t.next, v)
+		at := t.find(v, key, len(t.rank))
+		t.rank = append(t.rank, rankEnt{})
+		copy(t.rank[at+1:], t.rank[at:])
+		t.rank[at] = rankEnt{v, key}
+	} else {
+		old := dq.max()
+		dq.push(t.next, v)
+		if beats(v, old) {
+			t.rerank(key, old, v)
 		}
 	}
-	t.stats.record(0)
-	return nil
+	t.next++
+	t.scratch = t.win.PushCollect(tu, t.scratch[:0])
+	for i := range t.scratch {
+		t.evict(t.scratch[i].Value(t.keyIdx).String())
+	}
+	return key, dq
+}
+
+// evict takes the window's oldest tuple, of the given key, out of the
+// index.
+func (t *TopK) evict(key string) {
+	ord := t.oldest
+	t.oldest++
+	dq := t.keys[key]
+	was := dq.max()
+	if !dq.evict(ord) {
+		return // a later, better value of the key had displaced it
+	}
+	if dq.n == 0 {
+		at := t.find(was, key, len(t.rank))
+		t.rank = append(t.rank[:at], t.rank[at+1:]...)
+		delete(t.keys, key)
+		dq.head = 0
+		t.free = append(t.free, dq)
+	} else if now := dq.max(); beats(was, now) {
+		t.rerank(key, was, now)
+	}
+}
+
+// find returns how many of the first n ranking entries come before
+// (max, key): the entry's own index when it is among them, else where
+// it would be inserted.
+func (t *TopK) find(max float64, key string, n int) int {
+	lo, hi := 0, n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		e := &t.rank[mid]
+		if beats(e.max, max) || !beats(max, e.max) && e.key < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// rerank moves key's entry from where maximum old put it to where now
+// puts it, shifting only the entries in between. The searches for now
+// run while the stale entry is still in place: it sorts after (now, key)
+// when the key moved up and before it when the key moved down, so the
+// slice is ordered either way and only the second count includes it.
+func (t *TopK) rerank(key string, old, now float64) {
+	from := t.find(old, key, len(t.rank))
+	to := t.find(now, key, len(t.rank))
+	if to <= from {
+		copy(t.rank[to+1:from+1], t.rank[to:from])
+	} else {
+		to--
+		copy(t.rank[from:to], t.rank[from+1:to+1])
+	}
+	t.rank[to] = rankEnt{now, key}
+}
+
+// reset empties the window and the index, for RestoreState's replay.
+func (t *TopK) reset() {
+	t.win.Clear()
+	clear(t.keys)
+	t.rank = t.rank[:0]
+	t.next, t.oldest = 0, 0
 }
 
 // WindowLen reports the number of tuples currently held.

@@ -1,8 +1,14 @@
 package operator
 
 import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"sspd/internal/stream"
 )
@@ -191,4 +197,237 @@ func TestTopKErrors(t *testing.T) {
 		}
 	}()
 	tk.Process(1, quote(1, "a", 1, 1))
+}
+
+// refTopK is the top-k this package shipped before the incremental
+// index: on every input it rebuilds each key's window maximum from a
+// scan of the window and sorts the keys. It is kept here, verbatim but
+// for ordering values with beats (which pins where NaN goes; the
+// shipped code left that to an unstable sort), as the reference the
+// incremental operator is held against — the benchmark's oracle runs
+// the same operators as the system, so it cannot catch a slip in them.
+type refTopK struct {
+	name                string
+	k, valueIdx, keyIdx int
+	win                 *stream.Window
+	stats               *Stats
+}
+
+func newRefTopK(name string, k int, spec stream.WindowSpec) *refTopK {
+	return &refTopK{name: name, k: k, valueIdx: 1, keyIdx: 0, win: stream.NewWindow(spec), stats: newStats()}
+}
+
+func (t *refTopK) Process(tu stream.Tuple) []stream.Tuple {
+	t.win.Push(tu)
+	best := make(map[string]float64)
+	t.win.Each(func(w stream.Tuple) bool {
+		k := w.Value(t.keyIdx).String()
+		v := w.Value(t.valueIdx).AsFloat()
+		if cur, ok := best[k]; !ok || beats(v, cur) {
+			best[k] = v
+		}
+		return true
+	})
+	type kv struct {
+		key string
+		val float64
+	}
+	ranked := make([]kv, 0, len(best))
+	for k, v := range best {
+		ranked = append(ranked, kv{k, v})
+	}
+	sort.Slice(ranked, func(i, j int) bool {
+		if beats(ranked[i].val, ranked[j].val) {
+			return true
+		}
+		if beats(ranked[j].val, ranked[i].val) {
+			return false
+		}
+		return ranked[i].key < ranked[j].key
+	})
+	key := tu.Value(t.keyIdx).String()
+	for rank, r := range ranked {
+		if rank >= t.k {
+			break
+		}
+		if r.key == key {
+			t.stats.record(1)
+			return []stream.Tuple{{
+				Stream: t.name,
+				Seq:    tu.Seq,
+				Ts:     tu.Ts,
+				Values: []stream.Value{
+					stream.String(r.key),
+					stream.Float(r.val),
+					stream.Int(int64(rank + 1)),
+				},
+			}}
+		}
+	}
+	t.stats.record(0)
+	return nil
+}
+
+func (t *refTopK) SnapshotState() []byte {
+	return appendWindow(appendStats(nil, t.stats), t.win)
+}
+
+// tailStream generates the randomized input of the tail differentials:
+// keys drawn from card symbols, values from a 20-value domain so that
+// ties (broken by key order) and repeated maxima are the rule, with the
+// occasional -0 and NaN. Event time advances 0–3 ms per tuple and now
+// and then jumps 40 ms, so a time window sees pushes that evict nothing,
+// several tuples, and everything but the new tuple; Seq repeats and
+// skips, since the operators must not address anything by it.
+type tailStream struct {
+	rng  *rand.Rand
+	syms []string
+	n    uint64
+	now  time.Time
+}
+
+func newTailStream(seed int64, card int) *tailStream {
+	s := &tailStream{rng: rand.New(rand.NewSource(seed)), now: time.Unix(1_000_000, 0).UTC()}
+	for i := 0; i < card; i++ {
+		s.syms = append(s.syms, fmt.Sprintf("s%02d", i))
+	}
+	return s
+}
+
+func (s *tailStream) next() stream.Tuple {
+	v := float64(s.rng.Intn(20))
+	switch s.rng.Intn(100) {
+	case 0:
+		v = math.NaN()
+	case 1:
+		v = math.Copysign(0, -1)
+	}
+	step := time.Duration(s.rng.Intn(4)) * time.Millisecond
+	if s.rng.Intn(50) == 0 {
+		step = 40 * time.Millisecond
+	}
+	s.now = s.now.Add(step)
+	s.n++
+	return stream.NewTuple("quotes", s.n/3*2, s.now,
+		stream.String(s.syms[s.rng.Intn(len(s.syms))]), stream.Float(v), stream.Int(int64(s.n)))
+}
+
+// sameOutputs compares result tuples bit for bit (NaN equals NaN, 0
+// differs from -0).
+func sameOutputs(a, b []stream.Tuple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Stream != b[i].Stream || a[i].Seq != b[i].Seq || !a[i].Ts.Equal(b[i].Ts) ||
+			len(a[i].Values) != len(b[i].Values) {
+			return false
+		}
+		for j, v := range a[i].Values {
+			w := b[i].Values[j]
+			if v.Kind() != w.Kind() || v.AsInt() != w.AsInt() || v.AsString() != w.AsString() ||
+				math.Float64bits(v.AsFloat()) != math.Float64bits(w.AsFloat()) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestTopKMatchesRebuildAndSort holds the incremental top-k against the
+// rebuild-and-sort reference, output for output and snapshot byte for
+// snapshot byte, over {count, time} windows × k × key cardinality. At
+// random cuts the reference's snapshot — the format and content the
+// previous implementation wrote — is restored into a fresh operator
+// that carries on in place of the old one.
+func TestTopKMatchesRebuildAndSort(t *testing.T) {
+	n := 100_000
+	if testing.Short() {
+		n = 5_000
+	}
+	s := quotesSchema(t)
+	windows := map[string]stream.WindowSpec{
+		"count": stream.CountWindow(16),
+		"time":  stream.TimeWindow(16 * time.Millisecond),
+	}
+	seed := int64(0)
+	for wname, spec := range windows {
+		for _, k := range []int{1, 5, 10, 200} {
+			for _, card := range []int{1, 3, 100} {
+				seed++
+				seed := seed
+				t.Run(fmt.Sprintf("%s/k=%d/keys=%d", wname, k, card), func(t *testing.T) {
+					t.Parallel()
+					newTop := func() *TopK {
+						tk, err := NewTopK("top", s, k, "price", "symbol", spec, 1)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return tk
+					}
+					in := newTailStream(seed, card)
+					cuts := rand.New(rand.NewSource(-seed))
+					ref, top := newRefTopK("top", k, spec), newTop()
+					emitted := 0
+					for i := 0; i < n; i++ {
+						tu := in.next()
+						want, got := ref.Process(tu), top.Process(0, tu)
+						if !sameOutputs(want, got) {
+							t.Fatalf("input %d %v: got %v, reference %v", i, tu, got, want)
+						}
+						emitted += len(got)
+						if cuts.Intn(n/20) != 0 {
+							continue
+						}
+						snap := ref.SnapshotState()
+						if !bytes.Equal(top.SnapshotState(), snap) {
+							t.Fatalf("input %d: snapshot differs from the reference's", i)
+						}
+						top = newTop()
+						if err := top.RestoreState(snap); err != nil {
+							t.Fatalf("input %d: restore: %v", i, err)
+						}
+					}
+					if emitted == 0 {
+						t.Fatalf("%d of %d inputs emitted: cell too weak", emitted, n)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestTopKNaN pins where NaN goes: below every number, never a key's
+// maximum while the key has a number in the window, and in key order
+// among keys that hold nothing else.
+func TestTopKNaN(t *testing.T) {
+	s := quotesSchema(t)
+	tk, err := NewTopK("top", s, 2, "price", "symbol", stream.CountWindow(4), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan := math.NaN()
+	steps := []struct {
+		sym   string
+		price float64
+		want  string // "" = nothing emitted
+	}{
+		{"b", nan, "top#1[b NaN 1]"},
+		{"a", nan, "top#2[a NaN 1]"}, // NaN ties with NaN: key order
+		{"c", -5, "top#3[c -5 1]"},   // any number beats NaN
+		{"b", 1, "top#4[b 1 1]"},     // b's maximum is now 1, not its NaN
+		{"b", nan, "top#5[b 1 1]"},   // evicts b's first NaN; a later NaN does not displace 1
+		{"d", nan, ""},               // evicts a; b(1) c(-5) d(NaN): d is third of two
+		{"a", nan, "top#7[a NaN 2]"}, // evicts c; b(1) a(NaN) d(NaN)
+	}
+	for i, st := range steps {
+		out := tk.Process(0, quote(uint64(i+1), st.sym, st.price, 1))
+		got := ""
+		if len(out) == 1 {
+			got = out[0].String()
+		}
+		if got != st.want {
+			t.Fatalf("step %d (%s %v): got %q, want %q", i+1, st.sym, st.price, got, st.want)
+		}
+	}
 }

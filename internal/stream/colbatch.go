@@ -5,9 +5,9 @@ package stream
 // (extracted lazily, only for the fields a pipeline actually touches)
 // plus a selection vector of surviving row indexes. Vectorized filter
 // kernels scan a primitive column and shrink the selection vector in
-// place; surviving rows are read back as the *original* tuples, so the
-// columnar form never materializes new tuples and stays zero-copy with
-// respect to the source batch.
+// place; surviving rows are read back (Gather) as the *original* tuples,
+// so the columnar form never materializes new tuples and stays zero-copy
+// with respect to the source batch's values.
 //
 // A ColBatch is owned by one shard goroutine and reused across batches
 // (Reset) and across the queries sharing a batch (ResetSel): in steady
@@ -70,12 +70,15 @@ func (cb *ColBatch) Len() int { return len(cb.sel) }
 // Src returns the number of rows in the underlying source batch.
 func (cb *ColBatch) Src() int { return len(cb.src) }
 
-// Sel returns the live selection vector (batch-ordered row indexes).
-// The slice is invalidated by the next Reset/ResetSel/filter call.
-func (cb *ColBatch) Sel() []int32 { return cb.sel }
-
-// Row returns the original tuple at source row i. No copy is made.
-func (cb *ColBatch) Row(i int32) Tuple { return cb.src[i] }
+// Gather appends the surviving rows — the original tuples, in batch
+// order — to dst and returns it: the one point where a pipeline's
+// row-oriented tail materializes the selection.
+func (cb *ColBatch) Gather(dst []Tuple) []Tuple {
+	for _, i := range cb.sel {
+		dst = append(dst, cb.src[i])
+	}
+	return dst
+}
 
 // growCols ensures the column caches cover field index idx.
 func (cb *ColBatch) growCols(idx int) {

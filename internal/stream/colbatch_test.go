@@ -40,8 +40,8 @@ func TestColBatchColumnsMatchRows(t *testing.T) {
 			t.Fatalf("out-of-range column row %d = %v, want 0", i, zeros[i])
 		}
 	}
-	if got := cb.Row(5); got.Seq != 5 {
-		t.Fatalf("Row(5).Seq = %d, want 5 (zero-copy view of the source)", got.Seq)
+	if got := cb.Gather(nil); len(got) != len(b) || got[5].Seq != 5 {
+		t.Fatalf("Gather = %d rows, row 5 Seq %d; want the source batch in order", len(got), got[5].Seq)
 	}
 }
 
@@ -73,8 +73,8 @@ func TestVecFilterMatchesEngineSemantics(t *testing.T) {
 		}
 	}
 	var got []uint64
-	for _, i := range cb.Sel() {
-		got = append(got, cb.Row(i).Seq)
+	for _, tu := range cb.Gather(nil) {
+		got = append(got, tu.Seq)
 	}
 	if len(want) == 0 || len(want) == len(b) {
 		t.Fatalf("degenerate selectivity %d/%d", len(want), len(b))
@@ -107,9 +107,9 @@ func TestVecFilterSingleKeyFastPath(t *testing.T) {
 	if n != 10 {
 		t.Fatalf("single-key filter kept %d of 40, want 10", n)
 	}
-	for _, i := range cb.Sel() {
-		if cb.Row(i).Value(0).AsString() != "msft" {
-			t.Fatalf("row %d survived a msft-only filter", i)
+	for _, tu := range cb.Gather(nil) {
+		if tu.Value(0).AsString() != "msft" {
+			t.Fatalf("row %d survived a msft-only filter", tu.Seq)
 		}
 	}
 }
