@@ -36,7 +36,6 @@ var order = []string{"f1", "t1", "f2", "f3", "e1", "e2", "e3", "e4", "e5", "e6",
 func main() {
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	obs := flag.String("observability", "", "run the observability overhead bench and write its JSON report to this file")
-	tuplepath := flag.String("tuplepath", "", "run the hot-tuple-path bench (codec/match/relay) and write its JSON report to this file")
 	statsplane := flag.String("statsplane", "", "run the stats-plane overhead bench and append its results into this JSON report (typically BENCH_observability.json)")
 	engineobs := flag.String("engineobs", "", "run the engine-introspection overhead bench and append its results into this JSON report (typically BENCH_observability.json)")
 	chaos := flag.String("chaos", "", "run the chaos/recovery bench with this fault spec, e.g. drop=0.05,dup=0.02,partition=500ms,crash=1,seed=7")
@@ -58,7 +57,6 @@ func main() {
 		run func(path string) error
 	}{
 		{obs, runObservabilityBench},
-		{tuplepath, runTuplepathBench},
 		{statsplane, runStatsplaneBench},
 		{engineobs, runEngineobsBench},
 		{chaos, func(spec string) error { return runChaosBench(spec, *chaosOut) }},

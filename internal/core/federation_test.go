@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -9,6 +12,7 @@ import (
 
 	"sspd/internal/dissemination"
 	"sspd/internal/engine"
+	"sspd/internal/entity"
 	"sspd/internal/querygraph"
 	"sspd/internal/simnet"
 	"sspd/internal/stream"
@@ -158,6 +162,89 @@ func TestFederationEndToEnd(t *testing.T) {
 	// Charges accrue to the hosting entity.
 	if fed.Ledger().Charge(entityID) <= 0 {
 		t.Error("no charge accrued")
+	}
+}
+
+// TestFederationMatchesBareEngineOnNaN: the relay's early filter and the
+// engine's own filter are one compiled predicate, so a federation
+// delivers exactly what a bare engine fed the same batch does — also when
+// a range-filtered field holds NaN or ±Inf. (While they were separate
+// evaluators the relay put NaN in no range and the engine let it through
+// every range: on four quotes, one priced NaN, a bare engine returned 4
+// results and a one-entity federation 3.)
+func TestFederationMatchesBareEngineOnNaN(t *testing.T) {
+	spec := priceQuery("q", 0, 1000)
+	at := time.Unix(1754000000, 0).UTC()
+	var batch stream.Batch
+	for i, price := range []float64{10, math.NaN(), 500, math.Inf(1), 990, math.Inf(-1), 1001} {
+		batch = append(batch, stream.NewTuple("quotes", uint64(i+1), at,
+			stream.String("S0000"), stream.Float(price), stream.Int(100)))
+	}
+	for name, factory := range map[string]entity.EngineFactory{"production": fullFactory, "mini": miniFactory} {
+		t.Run(name, func(t *testing.T) {
+			catalog := workload.Catalog(100, 20)
+			var mu sync.Mutex
+			collect := func(into *[]string) func(stream.Tuple) {
+				return func(tu stream.Tuple) {
+					mu.Lock()
+					*into = append(*into, tu.String())
+					mu.Unlock()
+				}
+			}
+			// Unregister returns once everything handed over is
+			// processed and emitted (Processor contract, point 4).
+			var want, got []string
+			bare := factory("bare", catalog)
+			defer bare.Close()
+			if err := bare.Register(spec, collect(&want)); err != nil {
+				t.Fatal(err)
+			}
+			for _, tu := range batch {
+				bare.Ingest(tu)
+			}
+			if _, err := bare.Unregister(spec.ID); err != nil {
+				t.Fatal(err)
+			}
+
+			net := simnet.NewSim(nil)
+			defer net.Close()
+			fed, err := New(net, catalog, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fed.Close()
+			if err := fed.AddSource("quotes", simnet.Point{}, StreamRate{TuplesPerSec: 1000, BytesPerTuple: 60}); err != nil {
+				t.Fatal(err)
+			}
+			if err := fed.AddEntity("e00", simnet.Point{X: 10}, 1, factory); err != nil {
+				t.Fatal(err)
+			}
+			if err := fed.Start(); err != nil {
+				t.Fatal(err)
+			}
+			if err := fed.SubmitQueryTo(spec, "e00", collect(&got)); err != nil {
+				t.Fatal(err)
+			}
+			fed.Settle(2 * time.Second)
+			if err := fed.Publish("quotes", batch); err != nil {
+				t.Fatal(err)
+			}
+			fed.Settle(2 * time.Second)
+			if err := fed.RemoveQuery(spec.ID); err != nil {
+				t.Fatal(err)
+			}
+
+			mu.Lock()
+			defer mu.Unlock()
+			sort.Strings(want)
+			sort.Strings(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("federation delivered %v, a bare engine %v", got, want)
+			}
+			if len(want) != 3 {
+				t.Fatalf("both returned %v; want the three finite prices in [0,1000]", want)
+			}
+		})
 	}
 }
 

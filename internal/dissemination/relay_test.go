@@ -260,6 +260,28 @@ func TestInterestSetCodecRoundTrip(t *testing.T) {
 	if _, err := decodeInterestSet([]byte("{"), "quotes"); err == nil {
 		t.Error("corrupt payload accepted")
 	}
+	// A query whose filter steps exclude each other registers an empty
+	// range or an empty key set. Both must arrive at the parent as they
+	// left — still constraints, still matching nothing — or the parent
+	// would forward the whole stream for a query that wants none of it.
+	none := stream.NewInterestSet("quotes")
+	none.Add(stream.NewInterest("quotes").WithRange("price", 60, 50))
+	none.Add(stream.NewInterest("quotes").WithKeys("symbol"))
+	if payload, err = encodeInterestSet(none); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = decodeInterestSet(payload, "quotes"); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Terms) != 2 || !got.Terms[0].Ranges["price"].Empty() || got.Terms[1].Unconstrained() || len(got.Terms[1].Keys["symbol"]) != 0 {
+		t.Fatalf("empty constraints decoded as %v", got.Terms)
+	}
+	compiled := stream.CompileSet(got, sc)
+	for _, tu := range []stream.Tuple{quote(1, "a", 55), quote(2, "", 50), quote(3, "b", 60)} {
+		if got.Matches(sc, tu) || compiled.Matches(tu) {
+			t.Errorf("empty interest matches %v after the round trip", tu)
+		}
+	}
 }
 
 func TestAggregateIncludesChildren(t *testing.T) {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"testing"
@@ -42,7 +43,15 @@ func diffCatalog(t *testing.T) *stream.Catalog {
 var diffSymbols = []string{"ibm", "msft", "goog", "amzn", "aapl", "orcl", "nvda", "amd"}
 
 // diffTuples generates a deterministic interleaved workload: quotes
-// with an occasional trades tuple, fixed event timestamps.
+// with an occasional trades tuple, fixed event timestamps. A quote that
+// would be priced under 1.5 (one in 67) is priced NaN, +Inf or -Inf
+// instead: both engines evaluate one predicate, in which NaN is in no
+// range and ±Inf in none of the finite ones here, and the tails behind
+// size filters rank and de-duplicate them. Every price filter here
+// rejected the prices these replace, so the range-filtered queries see
+// the input they saw before — the sum query's snapshot-restore cut
+// compares a running sum with a rebuilt one to the last bit, which holds
+// for this input and not for every other.
 func diffTuples(n int) []stream.Tuple {
 	base := time.Unix(1754000000, 0).UTC()
 	rng := uint64(0x2545F4914F6CDD1D)
@@ -61,8 +70,12 @@ func diffTuples(n int) []stream.Tuple {
 				stream.String(sym), stream.Int(int64(next()%500))))
 			continue
 		}
+		price := float64(next()%10000) / 100
+		if price < 1.5 {
+			price = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[i%3]
+		}
 		out = append(out, stream.NewTuple("quotes", uint64(i), ts,
-			stream.String(sym), stream.Float(float64(next()%10000)/100), stream.Int(int64(next()%1000))))
+			stream.String(sym), stream.Float(price), stream.Int(int64(next()%1000))))
 	}
 	return out
 }
@@ -182,6 +195,22 @@ func TestShardEngineDifferential(t *testing.T) {
 	cat := diffCatalog(t)
 	specs := diffSpecs()
 	tuples := diffTuples(4000)
+	var nan, posInf, negInf int
+	for _, tu := range tuples {
+		if tu.Stream == "quotes" {
+			switch p := tu.Value(1).AsFloat(); {
+			case math.IsNaN(p):
+				nan++
+			case math.IsInf(p, 1):
+				posInf++
+			case math.IsInf(p, -1):
+				negInf++
+			}
+		}
+	}
+	if nan < 5 || posInf < 5 || negInf < 5 {
+		t.Fatalf("workload has %d NaN, %d +Inf and %d -Inf prices; want several of each", nan, posInf, negInf)
+	}
 
 	ref := NewMini("ref", cat)
 	defer ref.Close()
@@ -300,8 +329,10 @@ func snapshotRestoreMidStream(t *testing.T, cat *stream.Catalog, spec QuerySpec,
 }
 
 // TestShardEngineAdaptOrdering exercises the Adapter hook: skewed
-// selectivities must trigger a reorder and results must stay correct
-// afterwards (the vec pipeline resyncs to the new chain order).
+// selectivities must trigger a reorder mid-stream, and the batch run —
+// which reads the one filter list the reorder permuted — must go on
+// producing exactly the oracle's results and feeding each filter's own
+// Stats, a batch at a time, in the new order.
 func TestShardEngineAdaptOrdering(t *testing.T) {
 	cat := diffCatalog(t)
 	spec := QuerySpec{ID: "d-adapt", Source: "quotes", Filters: []FilterSpec{
@@ -314,31 +345,51 @@ func TestShardEngineAdaptOrdering(t *testing.T) {
 	if err := eng.Register(spec, sink.emit); err != nil {
 		t.Fatal(err)
 	}
-	tuples := diffTuples(2000)
-	for _, tu := range tuples {
+	var quotes []stream.Tuple
+	for _, tu := range diffTuples(2000) {
 		if tu.Stream == "quotes" {
-			eng.Ingest(tu)
+			quotes = append(quotes, tu)
 		}
 	}
-	if !eng.Drain(5 * time.Second) {
-		t.Fatal("drain timed out")
+	feed := func() {
+		for _, tu := range quotes {
+			eng.Ingest(tu)
+		}
+		if !eng.Drain(5 * time.Second) {
+			t.Fatal("drain timed out")
+		}
+	}
+	// filterIn reads each filter's consumed count by operator name, on
+	// the shard goroutine's query between drains.
+	filterIn := func() map[string]int64 {
+		eng.mu.RLock()
+		defer eng.mu.RUnlock()
+		in := make(map[string]int64)
+		for _, f := range eng.queries[spec.ID].q.filters {
+			in[f.Name()] = f.Stats().In()
+		}
+		return in
+	}
+	feed()
+	first := filterIn()
+	if first["d-adapt/f0"] != int64(len(quotes)) || first["d-adapt/f1"] >= first["d-adapt/f0"] {
+		t.Fatalf("filter inputs before the reorder = %v; want f0 to see all %d quotes and f1 its survivors", first, len(quotes))
 	}
 	if n := eng.AdaptOrdering(0.05); n != 1 {
 		t.Fatalf("AdaptOrdering = %d, want 1 (cheap selective filter should move first)", n)
 	}
-	before := len(sink.sorted())
-	for _, tu := range tuples {
-		if tu.Stream == "quotes" {
-			eng.Ingest(tu)
-		}
+	feed()
+	second := filterIn()
+	if got := second["d-adapt/f1"] - first["d-adapt/f1"]; got != int64(len(quotes)) {
+		t.Fatalf("after the reorder f1 consumed %d tuples, want all %d: the batch run did not follow the new order", got, len(quotes))
 	}
-	if !eng.Drain(5 * time.Second) {
-		t.Fatal("drain timed out")
+	if got := second["d-adapt/f0"] - first["d-adapt/f0"]; got <= 0 || got >= int64(len(quotes))/2 {
+		t.Fatalf("after the reorder f0 consumed %d tuples, want only f1's survivors", got)
 	}
-	after := len(sink.sorted())
-	if after <= before {
-		t.Fatalf("no results after reorder: before=%d after=%d", before, after)
-	}
+	ref := NewMini("ref", cat)
+	defer ref.Close()
+	want := runWorkload(t, ref, []QuerySpec{spec}, append(quotes[:len(quotes):len(quotes)], quotes...))
+	assertSameResults(t, spec.ID, "ShardEngine(reordered mid-stream)", want[spec.ID], sink.sorted())
 	got, ok := eng.Metrics(spec.ID)
 	if !ok || got.Results == 0 || got.Processing.Count == 0 {
 		t.Fatalf("Metrics = %+v, %v; want live counters", got, ok)

@@ -30,7 +30,7 @@ type shardStats struct {
 	occ          [OccBuckets]atomic.Int64
 	batches      atomic.Int64 // (query, batch) feeds executed
 	tuples       atomic.Int64
-	kernelTuples atomic.Int64 // tuples through the vectorized pipeline
+	kernelTuples atomic.Int64 // tuples through the columnar batch run
 	interpTuples atomic.Int64 // tuples through per-tuple Feed (joins)
 	kernelIn     atomic.Int64 // rows entering the filter kernels
 	kernelOut    atomic.Int64 // rows surviving into the stateful tail

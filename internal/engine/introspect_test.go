@@ -63,7 +63,7 @@ func TestShardEngineStatsAccounting(t *testing.T) {
 	if tot.Tuples != n {
 		t.Fatalf("Tuples = %d, want %d", tot.Tuples, n)
 	}
-	// A pure filter query compiles to the vectorized pipeline: every
+	// A pure filter query takes the columnar batch run: every
 	// tuple takes the kernel path, and the all-pass filter keeps
 	// selectivity at 1.
 	if tot.KernelTuples != n || tot.InterpTuples != 0 {

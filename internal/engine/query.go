@@ -1,3 +1,18 @@
+// A compiled query and its two ways of running (DESIGN.md §13): Feed
+// pushes one tuple through the operators a row at a time (MiniEngine,
+// join queries), runBatch pushes one columnar batch through them a stage
+// at a time (the shard engine) — the same operator instances either
+// way. In a batch each filter scans columns and shrinks the selection
+// vector; the surviving rows are gathered once into a buffer the Query
+// reuses and the stateful tail (distinct/aggregate/top-k) runs over
+// them, each operator's ProcessBatch consuming the previous stage's
+// batch: one virtual dispatch and one stats lock per (operator, batch).
+// Aggregate and top-k cut their results' Values from one slab per
+// batch, which is never reused — results escape to user callbacks.
+//
+// Nothing here reads the clock: the shard takes exactly one timestamp
+// pair per (query, batch) around the whole run (lint-obslog enforces the
+// rule for this file, the evaluators' and the tail's).
 package engine
 
 import (
@@ -15,10 +30,12 @@ type Query struct {
 	// join, when present, heads the pipeline. Port 0 consumes Source,
 	// port 1 consumes Join.Stream.
 	join *operator.WindowJoin
-	// chain is the ordered unary pipeline after the (optional) join.
-	chain []operator.Operator
-	// tail is the non-commutable end of chain (distinct/aggregate/
-	// top-k) by its batch entry; the filters before it may reorder.
+	// filters is the commutable head of the unary pipeline after the
+	// (optional) join, in execution order — the only list of them:
+	// ReorderFilters permutes it and both Feed and runBatch read it.
+	filters []*operator.Filter
+	// tail is the non-commutable rest (distinct/aggregate/top-k), in
+	// execution order.
 	tail []tailOp
 	// buf is the batch tail's pair of row buffers: stage i reads buf[i%2]
 	// and appends to the other. They are reused from batch to batch —
@@ -32,6 +49,7 @@ type Query struct {
 // tailOp is a stateful tail operator: ProcessBatch consumes rows in
 // order and appends their results to dst, returning it.
 type tailOp interface {
+	operator.Operator
 	ProcessBatch(rows, dst []stream.Tuple) []stream.Tuple
 }
 
@@ -68,7 +86,7 @@ func Compile(spec QuerySpec, catalog *stream.Catalog, emit func(stream.Tuple)) (
 		if err != nil {
 			return nil, err
 		}
-		q.chain = append(q.chain, op)
+		q.filters = append(q.filters, op)
 	}
 
 	if spec.Distinct != nil {
@@ -81,7 +99,6 @@ func Compile(spec QuerySpec, catalog *stream.Catalog, emit func(stream.Tuple)) (
 		if err != nil {
 			return nil, err
 		}
-		q.chain = append(q.chain, d)
 		q.tail = append(q.tail, d)
 	}
 	if spec.Agg != nil {
@@ -90,7 +107,6 @@ func Compile(spec QuerySpec, catalog *stream.Catalog, emit func(stream.Tuple)) (
 		if err != nil {
 			return nil, err
 		}
-		q.chain = append(q.chain, a)
 		q.tail = append(q.tail, a)
 	}
 	if spec.TopK != nil {
@@ -107,14 +123,14 @@ func Compile(spec QuerySpec, catalog *stream.Catalog, emit func(stream.Tuple)) (
 		if err != nil {
 			return nil, err
 		}
-		q.chain = append(q.chain, tk)
 		q.tail = append(q.tail, tk)
 	}
 	return q, nil
 }
 
 // resolveField maps a spec field name onto the current schema, trying
-// the join prefixes for post-join schemas.
+// the join prefixes for post-join schemas (a source-stream field is
+// l_-prefixed after a join). It is the only place they are tried.
 func resolveField(op, field string, sc *stream.Schema) (string, error) {
 	if _, ok := sc.FieldIndex(field); ok {
 		return field, nil
@@ -128,57 +144,23 @@ func resolveField(op, field string, sc *stream.Schema) (string, error) {
 }
 
 // compileFilter builds the filter operator for one step against the
-// schema at that point in the pipeline. A field the schema lacks (e.g. a
-// source-stream field post-join where fields are l_-prefixed) is resolved
-// with the join prefixes before failing.
-func compileFilter(name string, f FilterSpec, sc *stream.Schema) (operator.Operator, error) {
-	resolve := func(field string) (string, error) {
-		if field == "" {
-			return "", nil
+// schema at that point in the pipeline: the step's field names are
+// resolved first — a name the schema lacks is an error here, never a
+// filter that matches nothing — and the step's interest under the
+// resolved names is the predicate.
+func compileFilter(name string, f FilterSpec, sc *stream.Schema) (*operator.Filter, error) {
+	var err error
+	if f.Field != "" {
+		if f.Field, err = resolveField(name, f.Field, sc); err != nil {
+			return nil, err
 		}
-		if _, ok := sc.FieldIndex(field); ok {
-			return field, nil
+	}
+	if f.KeyField != "" {
+		if f.KeyField, err = resolveField(name, f.KeyField, sc); err != nil {
+			return nil, err
 		}
-		for _, pre := range []string{"l_", "r_"} {
-			if _, ok := sc.FieldIndex(pre + field); ok {
-				return pre + field, nil
-			}
-		}
-		return "", fmt.Errorf("engine: %s: schema %s has no field %q", name, sc.Name(), field)
 	}
-	rangeField, err := resolve(f.Field)
-	if err != nil {
-		return nil, err
-	}
-	keyField, err := resolve(f.KeyField)
-	if err != nil {
-		return nil, err
-	}
-	var rIdx, kIdx = -1, -1
-	if rangeField != "" {
-		rIdx, _ = sc.FieldIndex(rangeField)
-	}
-	if keyField != "" {
-		kIdx, _ = sc.FieldIndex(keyField)
-	}
-	keys := make(map[string]bool, len(f.Keys))
-	for _, k := range f.Keys {
-		keys[k] = true
-	}
-	lo, hi := f.Lo, f.Hi
-	pred := func(t stream.Tuple) bool {
-		if rIdx >= 0 {
-			v := t.Value(rIdx).AsFloat()
-			if v < lo || v > hi {
-				return false
-			}
-		}
-		if kIdx >= 0 && !keys[t.Value(kIdx).AsString()] {
-			return false
-		}
-		return true
-	}
-	return operator.NewFilter(name, sc, pred, f.Cost)
+	return operator.NewFilter(name, sc, f.Interest(sc.Name(), sc), f.Cost)
 }
 
 // Spec returns the spec the query was compiled from.
@@ -190,11 +172,16 @@ func (q *Query) ID() string { return q.spec.ID }
 // Operators returns the pipeline's operators in execution order,
 // including the join when present.
 func (q *Query) Operators() []operator.Operator {
-	out := make([]operator.Operator, 0, len(q.chain)+1)
+	out := make([]operator.Operator, 0, 1+len(q.filters)+len(q.tail))
 	if q.join != nil {
 		out = append(out, q.join)
 	}
-	out = append(out, q.chain...)
+	for _, f := range q.filters {
+		out = append(out, f)
+	}
+	for _, op := range q.tail {
+		out = append(out, op)
+	}
 	return out
 }
 
@@ -222,18 +209,24 @@ func (q *Query) Feed(streamName string, t stream.Tuple) int {
 	}
 	results := 0
 	for _, w := range work {
-		results += q.runChain(0, w)
+		results += q.runRow(w)
 	}
 	return results
 }
 
-// runChain pushes a tuple through chain[from:] and emits survivors.
-func (q *Query) runChain(from int, t stream.Tuple) int {
+// runRow pushes one post-join tuple through the filters and the tail a
+// row at a time and emits what comes out.
+func (q *Query) runRow(t stream.Tuple) int {
+	for _, f := range q.filters {
+		if len(f.Process(0, t)) == 0 {
+			return 0
+		}
+	}
 	cur := []stream.Tuple{t}
-	for i := from; i < len(q.chain) && len(cur) > 0; i++ {
+	for i := 0; i < len(q.tail) && len(cur) > 0; i++ {
 		var next []stream.Tuple
 		for _, c := range cur {
-			next = append(next, q.chain[i].Process(0, c)...)
+			next = append(next, q.tail[i].Process(0, c)...)
 		}
 		cur = next
 	}
@@ -243,6 +236,22 @@ func (q *Query) runChain(from int, t stream.Tuple) int {
 		}
 	}
 	return len(cur)
+}
+
+// runBatch pushes one columnar batch of the source stream through the
+// pipeline: each filter shrinks the selection vector (recording the
+// batch into its Stats as one sample), then the survivors are gathered
+// and go through the stateful tail as one batch. It returns the number
+// of result tuples. Join queries have no batch run; they Feed.
+func (q *Query) runBatch(cb *stream.ColBatch) int {
+	for _, f := range q.filters {
+		if cb.Len() == 0 {
+			return 0
+		}
+		f.ProcessBatch(cb)
+	}
+	q.buf[0] = cb.Gather(q.buf[0][:0])
+	return q.runTail()
 }
 
 // runTail drives the rows in buf[0] through the tail a batch at a time
@@ -271,42 +280,38 @@ func (q *Query) runTail() int {
 // joins stay at the head). It is the hook the Adaptation Module uses to
 // change operator ordering at runtime.
 func (q *Query) ReorderFilters(perm []int) error {
-	nFilters := len(q.chain) - len(q.tail)
-	if len(perm) != nFilters {
-		return fmt.Errorf("engine: query %s: permutation length %d, want %d", q.spec.ID, len(perm), nFilters)
+	if len(perm) != len(q.filters) {
+		return fmt.Errorf("engine: query %s: permutation length %d, want %d", q.spec.ID, len(perm), len(q.filters))
 	}
-	seen := make([]bool, nFilters)
-	newChain := make([]operator.Operator, 0, len(q.chain))
+	seen := make([]bool, len(perm))
+	reordered := make([]*operator.Filter, 0, len(perm))
 	for _, p := range perm {
-		if p < 0 || p >= nFilters || seen[p] {
+		if p < 0 || p >= len(perm) || seen[p] {
 			return fmt.Errorf("engine: query %s: invalid permutation %v", q.spec.ID, perm)
 		}
 		seen[p] = true
-		newChain = append(newChain, q.chain[p])
+		reordered = append(reordered, q.filters[p])
 	}
-	newChain = append(newChain, q.chain[nFilters:]...)
-	q.chain = newChain
+	q.filters = reordered
 	return nil
 }
 
 // FilterSelectivities reports the observed selectivity of each filter in
-// current chain order.
+// current execution order.
 func (q *Query) FilterSelectivities() []float64 {
-	nFilters := len(q.chain) - len(q.tail)
-	out := make([]float64, nFilters)
-	for i := 0; i < nFilters; i++ {
-		out[i] = q.chain[i].Stats().Selectivity()
+	out := make([]float64, len(q.filters))
+	for i, f := range q.filters {
+		out[i] = f.Stats().Selectivity()
 	}
 	return out
 }
 
 // FilterCosts reports each filter's abstract per-tuple cost in current
-// chain order.
+// execution order.
 func (q *Query) FilterCosts() []float64 {
-	nFilters := len(q.chain) - len(q.tail)
-	out := make([]float64, nFilters)
-	for i := 0; i < nFilters; i++ {
-		out[i] = q.chain[i].Cost()
+	out := make([]float64, len(q.filters))
+	for i, f := range q.filters {
+		out[i] = f.Cost()
 	}
 	return out
 }

@@ -8,9 +8,9 @@
 // Producers accumulate single tuples into batches, ship batches into
 // the owning shards' rings (drop-and-count on overflow — the Processor
 // contract's never-block rule), and everything per-tuple inside a shard
-// runs over columnar batches: filters are vectorized kernels that only
-// shrink a selection vector, and the stateful tail runs one virtual
-// dispatch + one stats lock per batch instead of per tuple.
+// runs over columnar batches: a filter scans columns and only shrinks a
+// selection vector, and the stateful tail runs one virtual dispatch +
+// one stats lock per batch instead of per tuple (Query.runBatch).
 //
 // Control operations (register/unregister, snapshot/restore for live
 // migration and checkpoints, adaptation) travel through the same ring
@@ -59,14 +59,11 @@ type shardQuery struct {
 	// clears it, and a ring item — data or control — naming a query that
 	// is not installed skips or refuses it.
 	installed bool
-	// vec is the compiled vectorized pipeline; nil for join queries,
-	// which fall back to per-tuple Feed inside the batch loop.
-	vec     *vecPipeline
-	results metrics.Counter
-	delay   metrics.Histogram
-	proc    metrics.Histogram
-	busyNs  metrics.Counter
-	dropped metrics.Counter
+	results   metrics.Counter
+	delay     metrics.Histogram
+	proc      metrics.Histogram
+	busyNs    metrics.Counter
+	dropped   metrics.Counter
 }
 
 // accKey addresses one producer-side accumulator: plain stream ingest
@@ -228,13 +225,6 @@ func (e *ShardEngine) Register(spec QuerySpec, emit func(stream.Tuple)) error {
 	}
 	sq := &shardQuery{q: q}
 	sq.self = []*shardQuery{sq}
-	if spec.Join == nil {
-		vec, verr := compileVecPipeline(spec, e.catalog, q)
-		if verr != nil {
-			return verr
-		}
-		sq.vec = vec
-	}
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -570,7 +560,7 @@ func (e *ShardEngine) Drain(timeout time.Duration) bool {
 
 // AdaptOrdering implements Adapter: each shard re-evaluates its
 // queries' filter ordering on its own goroutine (serialized with
-// feeds) and resyncs the vectorized pipelines to the new chain order.
+// feeds); the next batch runs the filters in the new order.
 func (e *ShardEngine) AdaptOrdering(minGain float64) int {
 	minGain = normalizeGain(minGain)
 	// Check closed under the lock, but enqueue without it: emit callbacks
@@ -850,10 +840,10 @@ func (sh *shard) process(item ringItem) {
 	}
 }
 
-// feedBatch runs one same-stream batch through one query: the
-// vectorized pipeline when compiled, per-tuple Feed otherwise (joins).
+// feedBatch runs one same-stream batch through one query: the columnar
+// batch run, or per-tuple Feed for a join query (either input stream).
 // Exactly two timestamps are taken per (query, batch) — the rule the
-// kernels rely on — and the per-tuple delay/processing histograms are
+// batch run relies on — and the per-tuple delay/processing histograms are
 // updated with one weighted observation each. Both are charged at the
 // grain a tuple is served at, the batch: d is arrival to the end of the
 // batch's run, p is that run alone — the soonest a tuple of the batch
@@ -864,7 +854,7 @@ func (sh *shard) feedBatch(sq *shardQuery, item ringItem) {
 	n := int64(len(b))
 	st := &sh.stats
 	start := time.Now()
-	if sq.vec != nil && b[0].Stream == sq.q.spec.Source {
+	if sq.q.join == nil && b[0].Stream == sq.q.spec.Source {
 		cb := sh.cb
 		if sh.cbStale {
 			cb.Reset(b)
@@ -872,7 +862,7 @@ func (sh *shard) feedBatch(sq *shardQuery, item ringItem) {
 		} else {
 			cb.ResetSel()
 		}
-		sq.results.Add(int64(sq.vec.run(cb, sq.q)))
+		sq.results.Add(int64(sq.q.runBatch(cb)))
 		st.kernelTuples.Add(n)
 		st.kernelIn.Add(n)
 		st.kernelOut.Add(int64(cb.Len()))
@@ -903,9 +893,6 @@ func (sh *shard) processCtl(c *shardCtl) {
 	if c.op == shardCtlAdapt {
 		for _, sq := range c.sqs {
 			if sq.installed && MaybeReorder(sq.q, c.minGain) {
-				if sq.vec != nil {
-					sq.vec.resync(sq.q)
-				}
 				c.changed++
 			}
 		}

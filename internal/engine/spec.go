@@ -2,9 +2,11 @@
 // engines of sspd. The paper's inter-entity layer is deliberately
 // engine-agnostic: entities exchange declarative QuerySpecs (never live
 // operators), and each entity compiles specs with whatever engine it
-// runs. The package supplies the Engine interface, a full asynchronous
-// engine (Engine) and a deliberately different synchronous one
-// (MiniEngine) so heterogeneous federations are actually exercised.
+// runs. The package supplies the Processor contract and two engines that
+// honour it: the shard-per-core ShardEngine, which engine.New builds and
+// entities host by default, and the deliberately different synchronous
+// MiniEngine, the oracle the differential tests hold it to — so
+// heterogeneous federations are actually exercised.
 package engine
 
 import (
@@ -45,13 +47,21 @@ func (f FilterSpec) validate(which int) error {
 	return nil
 }
 
-// interest converts the filter into an equivalent data-interest term.
-func (f FilterSpec) interest(streamName string) stream.Interest {
+// Interest is the one translation from a filter step to a data
+// interest: the step's constraints on the fields sc declares, by the
+// names the step uses. A constraint on a field sc lacks is left out —
+// filters apply post-join, so a step constrains an input stream only
+// through the fields that stream has — which widens the interest and is
+// therefore safe for early filtering and neutral in estimates. The
+// engine resolves a step's names against the pipeline's schema first
+// (resolveField), so the filter it compiles from this loses nothing.
+// (No schema declares "", so an absent constraint is left out too.)
+func (f FilterSpec) Interest(streamName string, sc *stream.Schema) stream.Interest {
 	in := stream.NewInterest(streamName)
-	if f.Field != "" {
+	if _, ok := sc.FieldIndex(f.Field); ok {
 		in = in.WithRange(f.Field, f.Lo, f.Hi)
 	}
-	if f.KeyField != "" {
+	if _, ok := sc.FieldIndex(f.KeyField); ok {
 		in = in.WithKeys(f.KeyField, f.Keys...)
 	}
 	return in
@@ -99,7 +109,7 @@ type JoinSpec struct {
 // continuous query — the unit of inter-entity query distribution. It
 // describes a pipeline:
 //
-//	Source [⋈ Join.Stream] → Filters... → [Aggregate] → results
+//	Source [⋈ Join.Stream] → Filters... → [Distinct] → [Aggregate | TopK] → results
 //
 // Every engine implementation compiles a QuerySpec into its own runtime
 // form; specs themselves never contain engine state, which is precisely
@@ -173,23 +183,16 @@ func (q QuerySpec) Streams() []string {
 }
 
 // Interest derives the query's data interest in the named input stream:
-// the conjunction of all filter steps that reference fields of that
-// stream's schema (filters apply post-join, so a filter constrains the
-// source stream only if the source schema has the field). This is what
-// the entity registers up the dissemination tree for early filtering.
+// the conjunction of its filter steps' interests in that stream
+// (FilterSpec.Interest). Two steps on one field intersect, so the
+// registered interest is as narrow as the query; steps that exclude each
+// other leave an empty range or key set, which matches nothing. This is
+// what the entity registers up the dissemination tree for early
+// filtering.
 func (q QuerySpec) Interest(streamName string, sc *stream.Schema) stream.Interest {
 	in := stream.NewInterest(streamName)
 	for _, f := range q.Filters {
-		if f.Field != "" {
-			if _, ok := sc.FieldIndex(f.Field); ok {
-				in = in.WithRange(f.Field, f.Lo, f.Hi)
-			}
-		}
-		if f.KeyField != "" {
-			if _, ok := sc.FieldIndex(f.KeyField); ok {
-				in = in.WithKeys(f.KeyField, f.Keys...)
-			}
-		}
+		in = in.Intersect(f.Interest(streamName, sc))
 	}
 	return in
 }

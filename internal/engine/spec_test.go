@@ -128,10 +128,50 @@ func TestQuerySpecEstimatedLoad(t *testing.T) {
 }
 
 func TestFilterSpecInterest(t *testing.T) {
-	f := FilterSpec{Field: "p", Lo: 1, Hi: 2, KeyField: "s", Keys: []string{"a"}}
-	in := f.interest("st")
-	if in.Stream != "st" || len(in.Ranges) != 1 || len(in.Keys) != 1 {
+	sc, _ := testCatalog(t).Lookup("quotes")
+	f := FilterSpec{Field: "price", Lo: 1, Hi: 2, KeyField: "symbol", Keys: []string{"a"}}
+	in := f.Interest("st", sc)
+	if in.Stream != "st" || in.Ranges["price"] != (stream.Range{Lo: 1, Hi: 2}) || !in.Keys["symbol"]["a"] {
 		t.Errorf("interest = %v", in)
+	}
+	// A constraint on a field the schema lacks is left out: the step
+	// then says nothing about this stream.
+	f = FilterSpec{Field: "l_price", Lo: 1, Hi: 2, KeyField: "qty", Keys: []string{"a"}}
+	if in := f.Interest("quotes", sc); !in.Unconstrained() {
+		t.Errorf("interest over absent fields = %v, want unconstrained", in)
+	}
+}
+
+// TestQuerySpecInterestIntersectsRepeatedFields: two steps on one field
+// register their intersection, not the last one, and steps that exclude
+// each other register an interest that matches nothing.
+func TestQuerySpecInterestIntersectsRepeatedFields(t *testing.T) {
+	sc, _ := testCatalog(t).Lookup("quotes")
+	q := QuerySpec{ID: "q", Source: "quotes", Filters: []FilterSpec{
+		{Field: "price", Lo: 0, Hi: 50},
+		{KeyField: "symbol", Keys: []string{"a", "b"}},
+		{Field: "price", Lo: 40, Hi: 100},
+		{KeyField: "symbol", Keys: []string{"b", "c"}},
+	}}
+	in := q.Interest("quotes", sc)
+	if got := in.Ranges["price"]; got != (stream.Range{Lo: 40, Hi: 50}) {
+		t.Errorf("price registered as %+v, want [40,50]", got)
+	}
+	if got := in.Keys["symbol"]; len(got) != 1 || !got["b"] {
+		t.Errorf("symbol registered as %v, want {b}", got)
+	}
+	if !in.Matches(sc, quote(1, "b", 45, 1)) || in.Matches(sc, quote(2, "b", 60, 1)) || in.Matches(sc, quote(3, "c", 45, 1)) {
+		t.Errorf("interest %v is not the query's conjunction", in)
+	}
+	q.Filters = append(q.Filters, FilterSpec{Field: "price", Lo: 60, Hi: 70})
+	in = q.Interest("quotes", sc)
+	if !in.Ranges["price"].Empty() || in.Selectivity(sc) != 0 {
+		t.Errorf("exclusive steps registered %v, want an empty price range", in)
+	}
+	for _, price := range []float64{45, 65} {
+		if in.Matches(sc, quote(4, "b", price, 1)) {
+			t.Errorf("empty interest accepts price %v", price)
+		}
 	}
 }
 

@@ -176,20 +176,14 @@ func tailBatches(n int) []stream.Batch {
 	return out
 }
 
-// compileTail compiles spec with its vectorized pipeline, as Register
-// does, emitting into sink.
-func compileTail(t *testing.T, spec QuerySpec, sink func(stream.Tuple)) (*Query, *vecPipeline) {
+// compileTail compiles spec, as Register does, emitting into sink.
+func compileTail(t *testing.T, spec QuerySpec, sink func(stream.Tuple)) *Query {
 	t.Helper()
-	c := testCatalog(t)
-	q, err := Compile(spec, c, sink)
+	q, err := Compile(spec, testCatalog(t), sink)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vec, err := compileVecPipeline(spec, c, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return q, vec
+	return q
 }
 
 // TestTailThreeStageChain drives distinct → aggregate → top-k — one
@@ -202,23 +196,22 @@ func TestTailThreeStageChain(t *testing.T) {
 		Distinct: &DistinctSpec{Field: "symbol", Window: stream.CountWindow(2)},
 		Agg:      &AggSpec{Fn: operator.AggMax, ValueField: "price", GroupField: "symbol", Window: stream.CountWindow(32)}}
 	var batched, rowwise []string
-	build := func(got *[]string) (*Query, *vecPipeline) {
-		q, vec := compileTail(t, spec, func(tu stream.Tuple) { *got = append(*got, tu.String()) })
+	build := func(got *[]string) *Query {
+		q := compileTail(t, spec, func(tu stream.Tuple) { *got = append(*got, tu.String()) })
 		// The aggregate's (group, value) sit where quotes has (symbol, price).
 		src, _ := testCatalog(t).Lookup("quotes")
 		tk, err := operator.NewTopK("q/topk", src, 3, "price", "symbol", stream.CountWindow(16), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q.chain, q.tail = append(q.chain, tk), append(q.tail, tk)
-		return q, vec
+		q.tail = append(q.tail, tk)
+		return q
 	}
-	bq, vec := build(&batched)
-	rq, _ := build(&rowwise)
+	bq, rq := build(&batched), build(&rowwise)
 	cb := stream.NewColBatch()
 	for _, b := range tailBatches(40) {
 		cb.Reset(b)
-		n := vec.run(cb, bq)
+		n := bq.runBatch(cb)
 		for _, tu := range b {
 			n -= rq.Feed("quotes", tu)
 		}
@@ -261,12 +254,12 @@ func TestTailAllocsPerBatch(t *testing.T) {
 	for _, c := range cases {
 		c.spec.ID, c.spec.Source = "q", "quotes"
 		results := 0
-		q, vec := compileTail(t, c.spec, func(stream.Tuple) { results++ })
+		q := compileTail(t, c.spec, func(stream.Tuple) { results++ })
 		cb, next := stream.NewColBatch(), 0
 		run := func() {
 			cb.Reset(pool[next%len(pool)])
 			next++
-			vec.run(cb, q)
+			q.runBatch(cb)
 		}
 		for range pool {
 			run() // warm-up: one pass over every key the pool holds

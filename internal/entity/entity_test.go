@@ -257,6 +257,55 @@ func TestEntityInterestAggregation(t *testing.T) {
 	}
 }
 
+// TestEntityInterestIntersectsRepeatedFields: two filter steps on one
+// field register their intersection up the tree (the last step used to
+// win, which was safe but relayed more than the query takes), steps that
+// exclude each other register an interest that matches nothing, and the
+// placement model's delivered fraction follows both.
+func TestEntityInterestIntersectsRepeatedFields(t *testing.T) {
+	e, _, _ := newTestEntity(t, 2)
+	sc, _ := testCatalog(t).Lookup("quotes")
+	narrow := engine.QuerySpec{ID: "narrow", Source: "quotes", Filters: []engine.FilterSpec{
+		{Field: "price", Lo: 0, Hi: 50},
+		{KeyField: "symbol", Keys: []string{"a", "b"}},
+		{Field: "price", Lo: 40, Hi: 100},
+		{KeyField: "symbol", Keys: []string{"b", "c"}},
+	}}
+	none := narrow
+	none.ID = "none"
+	none.Filters = append(none.Filters[:4:4], engine.FilterSpec{Field: "price", Lo: 60, Hi: 70})
+	for _, spec := range []engine.QuerySpec{narrow, none} {
+		if err := e.PlaceQuery(spec, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	terms := e.Interest("quotes") // in query-ID order
+	if len(terms) != 2 {
+		t.Fatalf("interest terms = %v", terms)
+	}
+	if got := terms[0].Ranges["price"]; got != (stream.Range{Lo: 40, Hi: 50}) {
+		t.Errorf("narrow registered price %+v, want [40,50]", got)
+	}
+	if got := terms[0].Keys["symbol"]; len(got) != 1 || !got["b"] {
+		t.Errorf("narrow registered symbol %v, want {b}", got)
+	}
+	// 10 of 1000 price units × 1 of 100 symbols.
+	if got := deliveredFraction(narrow, sc); got < 0.99e-4 || got > 1.01e-4 {
+		t.Errorf("narrow delivered fraction = %v, want 1e-4", got)
+	}
+	if !terms[1].Ranges["price"].Empty() || terms[1].Selectivity(sc) != 0 {
+		t.Errorf("none registered %v, want an empty price range", terms[1])
+	}
+	for _, price := range []float64{45, 65} {
+		if terms[1].Matches(sc, quote(1, "b", price, 1)) {
+			t.Errorf("none's interest accepts price %v", price)
+		}
+	}
+	if got := deliveredFraction(none, sc); got != 0.01 {
+		t.Errorf("none delivered fraction = %v, want the 0.01 floor", got)
+	}
+}
+
 func TestEntityIngestBatch(t *testing.T) {
 	e, net, log := newTestEntity(t, 2)
 	if err := e.PlaceQuery(filterSpec("q1", 0, 1000), 1); err != nil {

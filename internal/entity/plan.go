@@ -125,35 +125,12 @@ func fragmentModel(frag engine.QuerySpec, sc *stream.Schema) FragmentSpec {
 	return FragmentSpec{Cost: cost, Selectivity: sel}
 }
 
-// filterSelectivity estimates one filter step's pass fraction from the
-// schema's declared domains (1 when unknown).
+// filterSelectivity estimates one filter step's pass fraction: the
+// selectivity of the step's interest over the schema's declared domains
+// (a field the schema lacks or gives no domain is neutral), floored so
+// a product of them never reaches zero.
 func filterSelectivity(f engine.FilterSpec, sc *stream.Schema) float64 {
-	sel := 1.0
-	if f.Field != "" {
-		if i, ok := sc.FieldIndex(f.Field); ok {
-			field := sc.Field(i)
-			if w := field.DomainWidth(); w > 0 {
-				clipped := stream.Range{Lo: f.Lo, Hi: f.Hi}.
-					Intersect(stream.Range{Lo: field.Lo, Hi: field.Hi})
-				sel *= clipped.Width() / w
-			}
-		}
-	}
-	if f.KeyField != "" {
-		if i, ok := sc.FieldIndex(f.KeyField); ok {
-			if card := sc.Field(i).Card; card > 0 {
-				frac := float64(len(f.Keys)) / float64(card)
-				if frac > 1 {
-					frac = 1
-				}
-				sel *= frac
-			}
-		}
-	}
-	if sel <= 0 {
-		sel = 0.001
-	}
-	return sel
+	return max(f.Interest(sc.Name(), sc).Selectivity(sc), 0.001)
 }
 
 // PlanPlacement runs the PR-aware placer over declarative specs: the

@@ -6,35 +6,31 @@ import (
 	"sspd/internal/stream"
 )
 
-// Predicate decides whether a tuple passes a filter.
-type Predicate func(stream.Tuple) bool
-
-// Filter is a selection operator: tuples satisfying the predicate pass
-// through unchanged.
+// Filter is a selection operator: tuples satisfying its predicate pass
+// through unchanged. The predicate is a data interest compiled once
+// against the input schema — the same stream.CompiledInterest a
+// dissemination-tree ancestor evaluates for early filtering (Section
+// 3.1) — and both entries, Process (a row) and ProcessBatch (a columnar
+// batch), evaluate that one struct and record into the same Stats.
 type Filter struct {
 	base
-	pred Predicate
+	pred stream.CompiledInterest
 }
 
-// NewFilter builds a filter with an arbitrary predicate. cost is the
-// abstract per-tuple evaluation cost (<=0 defaults to 1). The output
-// schema equals the input schema.
-func NewFilter(name string, in *stream.Schema, pred Predicate, cost float64) (*Filter, error) {
-	if pred == nil {
-		return nil, fmt.Errorf("operator %s: nil predicate", name)
-	}
+// NewFilter builds a filter passing the tuples whose values satisfy the
+// interest; the interest's stream name is not checked, because a filter
+// after a join sees the join's tuples. cost is the abstract per-tuple
+// evaluation cost (<=0 defaults to 1). The output schema equals the
+// input schema.
+func NewFilter(name string, in *stream.Schema, interest stream.Interest, cost float64) (*Filter, error) {
 	if in == nil {
 		return nil, fmt.Errorf("operator %s: nil input schema", name)
 	}
+	pred := stream.CompileInterest(interest, in)
+	if pred.Dead() {
+		return nil, fmt.Errorf("operator %s: %v constrains a field schema %s lacks", name, interest, in.Name())
+	}
 	return &Filter{base: newBase(name, 1, cost, in), pred: pred}, nil
-}
-
-// NewInterestFilter builds a filter from a data-interest predicate — the
-// form dissemination-tree ancestors use for early filtering (Section 3.1).
-func NewInterestFilter(name string, in *stream.Schema, interest stream.Interest, cost float64) (*Filter, error) {
-	return NewFilter(name, in, func(t stream.Tuple) bool {
-		return interest.Matches(in, t)
-	}, cost)
 }
 
 // Process implements Operator.
@@ -42,7 +38,7 @@ func (f *Filter) Process(port int, t stream.Tuple) []stream.Tuple {
 	if port != 0 {
 		panic(badPort(f.name, port, 1))
 	}
-	if f.pred(t) {
+	if f.pred.MatchValues(t) {
 		f.stats.record(1)
 		return []stream.Tuple{t}
 	}
@@ -50,94 +46,12 @@ func (f *Filter) Process(port int, t stream.Tuple) []stream.Tuple {
 	return nil
 }
 
-// Project narrows tuples to a subset of fields.
-type Project struct {
-	base
-	indices []int
-}
-
-// NewProject builds a projection keeping the named fields in order. The
-// output stream keeps the input stream name so downstream interests still
-// apply.
-func NewProject(name string, in *stream.Schema, cost float64, fields ...string) (*Project, error) {
-	if in == nil {
-		return nil, fmt.Errorf("operator %s: nil input schema", name)
-	}
-	out, idx, err := in.Project(in.Name(), fields...)
-	if err != nil {
-		return nil, fmt.Errorf("operator %s: %w", name, err)
-	}
-	return &Project{base: newBase(name, 1, cost, out), indices: idx}, nil
-}
-
-// Process implements Operator.
-func (p *Project) Process(port int, t stream.Tuple) []stream.Tuple {
-	if port != 0 {
-		panic(badPort(p.name, port, 1))
-	}
-	vals := make([]stream.Value, len(p.indices))
-	for i, src := range p.indices {
-		vals[i] = t.Value(src)
-	}
-	out := t
-	out.Values = vals
-	p.stats.record(1)
-	return []stream.Tuple{out}
-}
-
-// MapFunc transforms one tuple into zero or more output tuples.
-type MapFunc func(stream.Tuple) []stream.Tuple
-
-// Map applies an arbitrary per-tuple transformation. It is the extension
-// point for user-defined operators.
-type Map struct {
-	base
-	fn MapFunc
-}
-
-// NewMap builds a map operator. out describes the emitted tuples.
-func NewMap(name string, out *stream.Schema, fn MapFunc, cost float64) (*Map, error) {
-	if fn == nil {
-		return nil, fmt.Errorf("operator %s: nil map function", name)
-	}
-	if out == nil {
-		return nil, fmt.Errorf("operator %s: nil output schema", name)
-	}
-	return &Map{base: newBase(name, 1, cost, out), fn: fn}, nil
-}
-
-// Process implements Operator.
-func (m *Map) Process(port int, t stream.Tuple) []stream.Tuple {
-	if port != 0 {
-		panic(badPort(m.name, port, 1))
-	}
-	outs := m.fn(t)
-	m.stats.record(len(outs))
-	return outs
-}
-
-// Union merges N inputs into one output stream unchanged. All inputs must
-// share a schema.
-type Union struct {
-	base
-}
-
-// NewUnion builds a union over n inputs (n >= 1).
-func NewUnion(name string, in *stream.Schema, n int, cost float64) (*Union, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("operator %s: union needs at least one input", name)
-	}
-	if in == nil {
-		return nil, fmt.Errorf("operator %s: nil input schema", name)
-	}
-	return &Union{base: newBase(name, n, cost, in)}, nil
-}
-
-// Process implements Operator.
-func (u *Union) Process(port int, t stream.Tuple) []stream.Tuple {
-	if port < 0 || port >= u.arity {
-		panic(badPort(u.name, port, u.arity))
-	}
-	u.stats.record(1)
-	return []stream.Tuple{t}
+// ProcessBatch is the batch entry: it shrinks the columnar batch's
+// selection to the rows Process would pass, records the batch into the
+// Stats as one sample, and returns the number of survivors.
+func (f *Filter) ProcessBatch(cb *stream.ColBatch) int {
+	in := cb.Len()
+	out := f.pred.Apply(cb)
+	f.stats.RecordBatch(in, out)
+	return out
 }

@@ -1,6 +1,8 @@
 // Package operator implements the continuous-query operator library used
-// by every processing engine in sspd: selection (filter), projection,
-// mapping, windowed symmetric hash join, windowed aggregation, and union.
+// by every processing engine in sspd — exactly the steps a QuerySpec can
+// ask for: selection (Filter, a compiled data interest), windowed
+// symmetric hash join, windowed de-duplication (Distinct), windowed
+// aggregation and top-k ranking.
 //
 // Operators are single-threaded building blocks: an engine (or a query
 // fragment pinned to one processor) owns each instance and drives it by
@@ -26,7 +28,7 @@ type Operator interface {
 	// Name returns the operator's unique name within its query.
 	Name() string
 	// Arity returns the number of input ports (1 for unary operators,
-	// 2 for joins, N for union).
+	// 2 for joins).
 	Arity() int
 	// Process consumes one tuple and returns any outputs.
 	Process(port int, t stream.Tuple) []stream.Tuple

@@ -2,6 +2,7 @@ package operator
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -22,11 +23,14 @@ func quote(seq uint64, symbol string, price float64, volume int64) stream.Tuple 
 		stream.String(symbol), stream.Float(price), stream.Int(volume))
 }
 
+// priceAbove is the interest "price >= lo" in quotes.
+func priceAbove(lo float64) stream.Interest {
+	return stream.NewInterest("quotes").WithRange("price", lo, math.Inf(1))
+}
+
 func TestFilterBasics(t *testing.T) {
 	s := quotesSchema(t)
-	f, err := NewFilter("f", s, func(tu stream.Tuple) bool {
-		return tu.Value(1).AsFloat() > 50
-	}, 2)
+	f, err := NewFilter("f", s, priceAbove(50), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,17 +54,17 @@ func TestFilterBasics(t *testing.T) {
 
 func TestFilterErrors(t *testing.T) {
 	s := quotesSchema(t)
-	if _, err := NewFilter("f", s, nil, 1); err == nil {
-		t.Error("nil predicate accepted")
+	if _, err := NewFilter("f", s, stream.NewInterest("quotes").WithRange("nope", 0, 1), 1); err == nil {
+		t.Error("constraint on a field the schema lacks accepted")
 	}
-	if _, err := NewFilter("f", nil, func(stream.Tuple) bool { return true }, 1); err == nil {
+	if _, err := NewFilter("f", nil, priceAbove(0), 1); err == nil {
 		t.Error("nil schema accepted")
 	}
 }
 
 func TestFilterBadPortPanics(t *testing.T) {
 	s := quotesSchema(t)
-	f, _ := NewFilter("f", s, func(stream.Tuple) bool { return true }, 1)
+	f, _ := NewFilter("f", s, stream.NewInterest("quotes"), 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("bad port did not panic")
@@ -69,101 +73,52 @@ func TestFilterBadPortPanics(t *testing.T) {
 	f.Process(1, quote(1, "a", 1, 1))
 }
 
+// TestInterestFilter: a filter's predicate is a data interest's value
+// constraints — the stream name is not checked, a filter after a join
+// sees the join's tuples — and the row entry and the batch entry pass
+// the same tuples and feed the same Stats.
 func TestInterestFilter(t *testing.T) {
 	s := quotesSchema(t)
-	in := stream.NewInterest("quotes").WithRange("price", 0, 50)
-	f, err := NewInterestFilter("f", s, in, 1)
-	if err != nil {
-		t.Fatal(err)
+	in := stream.NewInterest("quotes").WithRange("price", 0, 50).WithKeys("symbol", "a", "b")
+	mk := func() *Filter {
+		f, err := NewFilter("f", s, in, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
 	}
-	if out := f.Process(0, quote(1, "a", 25, 1)); len(out) != 1 {
-		t.Error("interest match filtered out")
+	rows, cols := mk(), mk()
+	var b stream.Batch
+	for i := uint64(0); i < 64; i++ {
+		tu := quote(i, string(rune('a'+i%3)), float64(i%8)*10, 1)
+		if i%5 == 0 {
+			tu.Stream = "joined"
+		}
+		if i%7 == 0 {
+			tu.Values[1] = stream.Float(math.NaN())
+		}
+		b = append(b, tu)
 	}
-	if out := f.Process(0, quote(2, "a", 75, 1)); out != nil {
-		t.Error("interest non-match passed")
-	}
-}
-
-func TestProject(t *testing.T) {
-	s := quotesSchema(t)
-	p, err := NewProject("p", s, 1, "price", "symbol")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := p.Process(0, quote(1, "ibm", 90, 5))
-	if len(out) != 1 {
-		t.Fatalf("outputs = %d", len(out))
-	}
-	got := out[0]
-	if len(got.Values) != 2 ||
-		got.Values[0].AsFloat() != 90 || got.Values[1].AsString() != "ibm" {
-		t.Fatalf("projected tuple = %v", got)
-	}
-	// Output stream keeps the input name so interests still apply.
-	if p.OutSchema().Name() != "quotes" {
-		t.Errorf("projected stream name = %q", p.OutSchema().Name())
-	}
-	if _, err := NewProject("p", s, 1, "missing"); err == nil {
-		t.Error("projecting missing field accepted")
-	}
-	if _, err := NewProject("p", nil, 1, "price"); err == nil {
-		t.Error("nil schema accepted")
-	}
-}
-
-func TestMap(t *testing.T) {
-	s := quotesSchema(t)
-	double, err := NewMap("m", s, func(tu stream.Tuple) []stream.Tuple {
-		a := tu.Clone()
-		b := tu.Clone()
-		return []stream.Tuple{a, b}
-	}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := double.Process(0, quote(1, "a", 1, 1))
-	if len(out) != 2 {
-		t.Fatalf("map fan-out = %d, want 2", len(out))
-	}
-	if got := double.Stats().Selectivity(); got != 2 {
-		t.Errorf("selectivity = %v, want 2", got)
-	}
-	if _, err := NewMap("m", s, nil, 1); err == nil {
-		t.Error("nil fn accepted")
-	}
-	if _, err := NewMap("m", nil, func(stream.Tuple) []stream.Tuple { return nil }, 1); err == nil {
-		t.Error("nil schema accepted")
-	}
-}
-
-func TestUnion(t *testing.T) {
-	s := quotesSchema(t)
-	u, err := NewUnion("u", s, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.Arity() != 3 {
-		t.Fatalf("arity = %d", u.Arity())
-	}
-	for port := 0; port < 3; port++ {
-		if out := u.Process(port, quote(uint64(port), "a", 1, 1)); len(out) != 1 {
-			t.Fatalf("port %d produced %d outputs", port, len(out))
+	var want []uint64
+	for _, tu := range b {
+		if out := rows.Process(0, tu); len(out) == 1 {
+			want = append(want, out[0].Seq)
 		}
 	}
-	if _, err := NewUnion("u", s, 0, 1); err == nil {
-		t.Error("zero-input union accepted")
+	cb := stream.NewColBatch()
+	cb.Reset(b)
+	n := cols.ProcessBatch(cb)
+	var got []uint64
+	for _, tu := range cb.Gather(nil) {
+		got = append(got, tu.Seq)
 	}
-	if _, err := NewUnion("u", nil, 1, 1); err == nil {
-		t.Error("nil schema accepted")
+	if len(want) == 0 || len(want) == len(b) || n != len(want) || !slices.Equal(got, want) {
+		t.Fatalf("batch entry passed %d rows %v, row entry %v", n, got, want)
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("union bad port did not panic")
-			}
-		}()
-		u.Process(3, quote(1, "a", 1, 1))
-	}()
+	if rows.Stats().In() != cols.Stats().In() || rows.Stats().Out() != cols.Stats().Out() {
+		t.Errorf("stats in/out: rows %d/%d, batch %d/%d",
+			rows.Stats().In(), rows.Stats().Out(), cols.Stats().In(), cols.Stats().Out())
+	}
 }
 
 func TestStatsDefaults(t *testing.T) {
@@ -194,7 +149,7 @@ func TestStatsEWMATracksShift(t *testing.T) {
 
 func TestDefaultCost(t *testing.T) {
 	s := quotesSchema(t)
-	f, _ := NewFilter("f", s, func(stream.Tuple) bool { return true }, -5)
+	f, _ := NewFilter("f", s, stream.NewInterest("quotes"), -5)
 	if f.Cost() != 1 {
 		t.Errorf("defaulted cost = %v, want 1", f.Cost())
 	}

@@ -59,7 +59,7 @@ func roundtrip(t *testing.T, src, dst Operator) {
 func TestFilterStateRoundtrip(t *testing.T) {
 	s := quotesSchema(t)
 	mk := func() *Filter {
-		f, err := NewFilter("f", s, func(tu stream.Tuple) bool { return tu.Value(1).AsFloat() > 40 }, 1)
+		f, err := NewFilter("f", s, priceAbove(40), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,11 +3,11 @@ package stream
 // Columnar batch evaluation for the engine hot path. A ColBatch is a
 // transposed view over a row-oriented Batch: per-field value columns
 // (extracted lazily, only for the fields a pipeline actually touches)
-// plus a selection vector of surviving row indexes. Vectorized filter
-// kernels scan a primitive column and shrink the selection vector in
-// place; surviving rows are read back (Gather) as the *original* tuples,
-// so the columnar form never materializes new tuples and stays zero-copy
-// with respect to the source batch's values.
+// plus a selection vector of surviving row indexes. The column evaluator
+// (CompiledInterest.Apply) scans a primitive column and shrinks the
+// selection vector in place; surviving rows are read back (Gather) as
+// the *original* tuples, so the columnar form never materializes new
+// tuples and stays zero-copy with respect to the source batch's values.
 //
 // A ColBatch is owned by one shard goroutine and reused across batches
 // (Reset) and across the queries sharing a batch (ResetSel): in steady
@@ -19,8 +19,8 @@ package stream
 // selection vector. The zero value is ready for Reset.
 type ColBatch struct {
 	src Batch
-	// sel holds the indexes of surviving rows in batch order. Filter
-	// kernels compact it in place.
+	// sel holds the indexes of surviving rows in batch order.
+	// CompiledInterest.Apply compacts it in place.
 	sel []int32
 	// fcols/scols cache per-field numeric (Value.AsFloat) and string
 	// (Value.AsString) columns, indexed by field position. built tracks
@@ -129,89 +129,4 @@ func (cb *ColBatch) StringCol(idx int) []string {
 		cb.sbuilt[idx] = true
 	}
 	return cb.scols[idx]
-}
-
-// VecFilter is one conjunctive filter step compiled for columnar
-// evaluation — the batch counterpart of the compiled-matcher rangeCheck/
-// keyCheck machinery. Apply shrinks a ColBatch's selection vector in
-// place with zero allocations.
-//
-// Semantics match the engine's per-tuple filter predicate (not interest
-// matching): a range constraint rejects when v < lo || v > hi, so NaN
-// values PASS range checks (both comparisons are false), exactly as the
-// interpreted filter behaves. Key constraints reject rows whose string
-// value is outside the set; non-string values read "" and match only an
-// explicit "" key.
-type VecFilter struct {
-	ranges []rangeCheck
-	keys   []keyCheck
-}
-
-// NewVecFilter compiles a filter step. rangeIdx/keyIdx are resolved
-// field positions; pass -1 to omit a constraint. keys lists the
-// admitted string values for the key constraint.
-func NewVecFilter(rangeIdx int, lo, hi float64, keyIdx int, keys []string) *VecFilter {
-	f := &VecFilter{}
-	if rangeIdx >= 0 {
-		f.ranges = append(f.ranges, rangeCheck{idx: rangeIdx, lo: lo, hi: hi})
-	}
-	if keyIdx >= 0 {
-		kc := keyCheck{idx: keyIdx}
-		if len(keys) == 1 {
-			kc.single = keys[0]
-		} else {
-			kc.set = make(map[string]struct{}, len(keys))
-			for _, k := range keys {
-				kc.set[k] = struct{}{}
-			}
-		}
-		f.keys = append(f.keys, kc)
-	}
-	return f
-}
-
-// Apply evaluates the filter over the batch's columns and compacts the
-// selection vector to the surviving rows, returning their count. One
-// call covers the whole batch: no per-row function calls, no per-row
-// locks, no allocations.
-func (f *VecFilter) Apply(cb *ColBatch) int {
-	sel := cb.sel
-	for r := range f.ranges {
-		rc := &f.ranges[r]
-		col := cb.FloatCol(rc.idx)
-		lo, hi := rc.lo, rc.hi
-		out := sel[:0]
-		for _, i := range sel {
-			v := col[i]
-			if v < lo || v > hi {
-				continue
-			}
-			out = append(out, i)
-		}
-		sel = out
-	}
-	for k := range f.keys {
-		kc := &f.keys[k]
-		col := cb.StringCol(kc.idx)
-		out := sel[:0]
-		if kc.set == nil {
-			single := kc.single
-			for _, i := range sel {
-				if col[i] != single {
-					continue
-				}
-				out = append(out, i)
-			}
-		} else {
-			for _, i := range sel {
-				if _, ok := kc.set[col[i]]; !ok {
-					continue
-				}
-				out = append(out, i)
-			}
-		}
-		sel = out
-	}
-	cb.sel = sel
-	return len(sel)
 }

@@ -45,11 +45,29 @@ func TestColBatchColumnsMatchRows(t *testing.T) {
 	}
 }
 
-// TestVecFilterMatchesEngineSemantics checks the vectorized filter
-// agrees row-for-row with the engine's interpreted predicate, including
-// the NaN edge: range checks reject on v < lo || v > hi, so NaN PASSES
-// (both comparisons false) — unlike interest matching.
-func TestVecFilterMatchesEngineSemantics(t *testing.T) {
+// colFilter compiles a range on price and a key set on symbol the way a
+// filter step is: as one interest over the batch's schema.
+func colFilter(t *testing.T, in Interest) CompiledInterest {
+	t.Helper()
+	sc := MustSchema("quotes",
+		Field{Name: "symbol", Type: KindString},
+		Field{Name: "price", Type: KindFloat},
+		Field{Name: "seq", Type: KindInt})
+	c := CompileInterest(in, sc)
+	if c.Dead() {
+		t.Fatalf("%v compiled dead", in)
+	}
+	return c
+}
+
+// TestColumnEvaluatorMatchesRowSemantics checks the column evaluator
+// agrees row-for-row with a hand-written predicate, including the NaN
+// edge. This test used to pin "NaN PASSES": the engine's two evaluators
+// rejected on v < lo || v > hi, which NaN slips through, while the
+// relay's two rejected unless v >= lo && v <= hi — so a relay dropped a
+// NaN row its own query accepted. There is one rule now, the contract
+// on CompiledInterest: NaN is in no range.
+func TestColumnEvaluatorMatchesRowSemantics(t *testing.T) {
 	b := colTestBatch(32)
 	b = append(b, NewTuple("quotes", 100, time.Unix(0, 0),
 		String("ibm"), Float(math.NaN()), Int(1)))
@@ -57,15 +75,15 @@ func TestVecFilterMatchesEngineSemantics(t *testing.T) {
 	keys := map[string]bool{"ibm": true, "goog": true}
 	interp := func(tu Tuple) bool {
 		v := tu.Value(1).AsFloat()
-		if v < lo || v > hi {
+		if !(v >= lo && v <= hi) {
 			return false
 		}
 		return keys[tu.Value(0).AsString()]
 	}
 	cb := NewColBatch()
 	cb.Reset(b)
-	vf := NewVecFilter(1, lo, hi, 0, []string{"ibm", "goog"})
-	vf.Apply(cb)
+	c := colFilter(t, NewInterest("quotes").WithRange("price", lo, hi).WithKeys("symbol", "ibm", "goog"))
+	c.Apply(cb)
 	var want []uint64
 	for _, tu := range b {
 		if interp(tu) {
@@ -80,30 +98,29 @@ func TestVecFilterMatchesEngineSemantics(t *testing.T) {
 		t.Fatalf("degenerate selectivity %d/%d", len(want), len(b))
 	}
 	if len(got) != len(want) {
-		t.Fatalf("vec filter kept %d rows, interpreted kept %d", len(got), len(want))
+		t.Fatalf("column evaluator kept %d rows, interpreted kept %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("survivor %d: vec %d, interpreted %d", i, got[i], want[i])
+			t.Fatalf("survivor %d: column %d, interpreted %d", i, got[i], want[i])
 		}
 	}
-	nanKept := false
 	for _, s := range got {
 		if s == 100 {
-			nanKept = true
+			t.Fatal("NaN row kept by the range scan; NaN is in no range")
 		}
-	}
-	if !nanKept {
-		t.Fatal("NaN row rejected by range kernel; engine filter semantics keep it")
 	}
 }
 
-func TestVecFilterSingleKeyFastPath(t *testing.T) {
+func TestColumnEvaluatorSingleKeyFastPath(t *testing.T) {
 	b := colTestBatch(40)
 	cb := NewColBatch()
 	cb.Reset(b)
-	vf := NewVecFilter(-1, 0, 0, 0, []string{"msft"})
-	n := vf.Apply(cb)
+	c := colFilter(t, NewInterest("quotes").WithKeys("symbol", "msft"))
+	if c.keys[0].set != nil {
+		t.Fatal("a one-key set compiled to a map probe")
+	}
+	n := c.Apply(cb)
 	if n != 10 {
 		t.Fatalf("single-key filter kept %d of 40, want 10", n)
 	}
@@ -114,23 +131,23 @@ func TestVecFilterSingleKeyFastPath(t *testing.T) {
 	}
 }
 
-// Satellite guard: the vectorized filter kernel allocates nothing per
-// batch in steady state — column buffers and the selection vector are
-// reused across Reset calls.
-func TestVecFilterKernelAllocFree(t *testing.T) {
+// Satellite guard: the column evaluator allocates nothing per batch in
+// steady state — column buffers and the selection vector are reused
+// across Reset calls.
+func TestColumnEvaluatorAllocFree(t *testing.T) {
 	b := colTestBatch(256)
 	cb := NewColBatch()
-	vf := NewVecFilter(1, 10, 70, 0, []string{"ibm", "goog", "amzn"})
+	c := colFilter(t, NewInterest("quotes").WithRange("price", 10, 70).WithKeys("symbol", "ibm", "goog", "amzn"))
 	// Warm the buffers to steady state.
 	cb.Reset(b)
-	vf.Apply(cb)
+	c.Apply(cb)
 	allocs := testing.AllocsPerRun(1000, func() {
 		cb.Reset(b)
-		if vf.Apply(cb) == 0 {
+		if c.Apply(cb) == 0 {
 			t.Fatal("filter eliminated everything")
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("vec filter kernel allocates %.1f/batch; want 0", allocs)
+		t.Fatalf("column evaluator allocates %.1f/batch; want 0", allocs)
 	}
 }

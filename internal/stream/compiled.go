@@ -1,18 +1,17 @@
 package stream
 
-// Compiled interest evaluation for the tuple hot path. Interest.Matches
-// resolves field names through Schema.FieldIndex and iterates Go maps on
-// every call — fine for control-plane work, far too slow for a relay that
-// evaluates every tuple against every child's registration. Compiling an
-// interest against its schema once (at registration time) moves all name
-// resolution and map construction off the per-tuple path: a
-// CompiledInterest stores constraints in flat slices indexed by field
-// position and evaluates with zero allocations and zero map iteration.
-//
-// CompiledInterest.Matches is semantically identical to Interest.Matches
-// (see the equivalence tests in compiled_test.go): a tuple from another
-// stream never matches, and a constraint naming a field absent from the
-// schema makes the interest match nothing.
+import "math"
+
+// The one compiled predicate. A range/key conjunction is written down
+// once, as an Interest, and compiled once, against the schema its tuples
+// have, into a CompiledInterest: constraints in flat slices indexed by
+// field position, no name resolution, map iteration or allocation per
+// tuple. The relay's early filtering (CompiledSet), the row-at-a-time
+// operator (operator.Filter.Process) and the shard engine's column scan
+// (operator.Filter.ProcessBatch) all evaluate that one struct, so an
+// ancestor's filter accepts exactly what the query's own filter accepts.
+// Interest.Matches stays as the interpreted reference the tests hold both
+// evaluators to.
 
 // rangeCheck is one compiled numeric constraint: field position plus the
 // closed interval.
@@ -30,48 +29,65 @@ type keyCheck struct {
 	set    map[string]struct{} // nil when single carries the constraint
 }
 
-// CompiledInterest is an Interest bound to a Schema for constant-time,
-// allocation-free evaluation. The zero value matches nothing; build one
-// with CompileInterest. A CompiledInterest is immutable after compilation
-// and safe for concurrent use.
+// CompiledInterest is an Interest bound to a Schema, with a row
+// evaluator (MatchValues) and a column evaluator (Apply). It is immutable
+// after compilation and safe for concurrent use. Both evaluators, and
+// the interpreted Interest.Matches, give every (interest, tuple) pair the
+// same verdict under this contract:
+//
+//  1. A range constraint reads Value.AsFloat — ints convert, anything
+//     else reads 0 — and holds iff v >= Lo && v <= Hi (Range.Contains).
+//     NaN is therefore in no range, not even an unbounded one, and ±Inf
+//     is in a range only when that bound is itself infinite. A range
+//     with Hi < Lo (an empty intersection) holds for nothing.
+//  2. A key constraint reads Value.AsString — "" for every non-string
+//     value — and holds iff that string is in the set, so "" matches
+//     only a set that lists "". An empty set holds for nothing.
+//  3. A field position past the end of a short tuple reads the zero
+//     Value: 0 under a range, "" under a key set.
+//  4. Constraints are a conjunction and independent of each other, so
+//     the order they are checked in never changes a verdict, and an
+//     interest with none holds for everything.
+//  5. A constraint on a field the schema does not declare makes the
+//     interest dead: it holds for nothing. CompileSet drops dead terms;
+//     the engine refuses to compile a filter step into one.
+//
+// The stream name is not part of the compiled form: a CompiledSet checks
+// it once for all its terms, and a filter step runs on post-join tuples,
+// whose Stream is the join's.
 type CompiledInterest struct {
-	stream string
-	// dead marks an interest constraining a field the schema does not
-	// declare: it can never match (the same conservative choice
-	// Interest.Matches makes).
-	dead          bool
-	unconstrained bool
-	ranges        []rangeCheck
-	keys          []keyCheck
+	dead   bool
+	ranges []rangeCheck
+	keys   []keyCheck
+}
+
+// deadInterest is what an interest that constrains an undeclared field
+// compiles to. Its one check is the empty range: no value, NaN and ±Inf
+// included, is in [+Inf, -Inf], so both evaluators reject every row
+// without testing a flag per row.
+func deadInterest() CompiledInterest {
+	return CompiledInterest{dead: true, ranges: []rangeCheck{{lo: math.Inf(1), hi: math.Inf(-1)}}}
 }
 
 // CompileInterest resolves the interest's field names against the schema
-// and returns the compiled form. A nil schema compiles every constrained
-// interest to dead (nothing can be resolved), matching the behaviour of
-// Interest.Matches which requires a schema to look up fields.
+// and returns the compiled form — the only way to build one. A nil
+// schema resolves nothing, so every constrained interest compiles dead.
 func CompileInterest(in Interest, s *Schema) CompiledInterest {
-	c := CompiledInterest{stream: in.Stream}
-	if in.Unconstrained() {
-		c.unconstrained = true
-		return c
-	}
-	if s == nil {
-		c.dead = true
-		return c
+	var c CompiledInterest
+	if s == nil && !in.Unconstrained() {
+		return deadInterest()
 	}
 	for field, r := range in.Ranges {
 		i, ok := s.FieldIndex(field)
 		if !ok {
-			c.dead = true
-			return c
+			return deadInterest()
 		}
 		c.ranges = append(c.ranges, rangeCheck{idx: i, lo: r.Lo, hi: r.Hi})
 	}
 	for field, set := range in.Keys {
 		i, ok := s.FieldIndex(field)
 		if !ok {
-			c.dead = true
-			return c
+			return deadInterest()
 		}
 		kc := keyCheck{idx: i}
 		if len(set) == 1 {
@@ -89,24 +105,11 @@ func CompileInterest(in Interest, s *Schema) CompiledInterest {
 	return c
 }
 
-// Matches reports whether the tuple satisfies the compiled interest. It
-// is equivalent to the source Interest's Matches against the compile-time
-// schema, but performs no name resolution, no map iteration, and no
-// allocation.
-func (c *CompiledInterest) Matches(t Tuple) bool {
-	if t.Stream != c.stream || c.dead {
-		return false
-	}
-	return c.matchValues(t)
-}
-
-// matchValues evaluates only the value constraints (the caller has
-// already checked the stream).
-func (c *CompiledInterest) matchValues(t Tuple) bool {
+// MatchValues is the row evaluator: it reports whether the tuple's
+// values satisfy every constraint. It does not look at the stream name.
+func (c *CompiledInterest) MatchValues(t Tuple) bool {
 	for i := range c.ranges {
 		rc := &c.ranges[i]
-		// Same comparison shape as Range.Contains so NaN behaves
-		// identically (never inside any range).
 		v := t.Value(rc.idx).AsFloat()
 		if !(v >= rc.lo && v <= rc.hi) {
 			return false
@@ -126,9 +129,55 @@ func (c *CompiledInterest) matchValues(t Tuple) bool {
 	return true
 }
 
-// Unconstrained reports whether the compiled interest matches every tuple
-// of its stream.
-func (c *CompiledInterest) Unconstrained() bool { return c.unconstrained }
+// Apply is the column evaluator: it scans the batch's columns and
+// compacts the selection vector to the rows MatchValues accepts,
+// returning their count. One call covers the whole batch: no per-row
+// function calls, no per-row locks, no allocations.
+func (c *CompiledInterest) Apply(cb *ColBatch) int {
+	sel := cb.sel
+	for r := range c.ranges {
+		rc := &c.ranges[r]
+		col := cb.FloatCol(rc.idx)
+		lo, hi := rc.lo, rc.hi
+		out := sel[:0]
+		for _, i := range sel {
+			v := col[i]
+			if !(v >= lo && v <= hi) {
+				continue
+			}
+			out = append(out, i)
+		}
+		sel = out
+	}
+	for k := range c.keys {
+		kc := &c.keys[k]
+		col := cb.StringCol(kc.idx)
+		out := sel[:0]
+		if kc.set == nil {
+			single := kc.single
+			for _, i := range sel {
+				if col[i] != single {
+					continue
+				}
+				out = append(out, i)
+			}
+		} else {
+			for _, i := range sel {
+				if _, ok := kc.set[col[i]]; !ok {
+					continue
+				}
+				out = append(out, i)
+			}
+		}
+		sel = out
+	}
+	cb.sel = sel
+	return len(sel)
+}
+
+// Dead reports whether the interest constrains a field its schema does
+// not declare, and so holds for nothing.
+func (c *CompiledInterest) Dead() bool { return c.dead }
 
 // CompiledSet is an InterestSet bound to a schema: a disjunction of
 // compiled terms sharing one stream check. It is immutable after
@@ -153,7 +202,7 @@ func CompileSet(set *InterestSet, s *Schema) *CompiledSet {
 		if ct.dead {
 			continue
 		}
-		if ct.unconstrained {
+		if len(ct.ranges)+len(ct.keys) == 0 {
 			cs.matchAll = true
 		}
 		cs.terms = append(cs.terms, ct)
@@ -174,7 +223,7 @@ func (cs *CompiledSet) Matches(t Tuple) bool {
 		return true
 	}
 	for i := range cs.terms {
-		if cs.terms[i].matchValues(t) {
+		if cs.terms[i].MatchValues(t) {
 			return true
 		}
 	}

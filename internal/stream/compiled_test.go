@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -21,83 +22,155 @@ func compiledTestSchema(t *testing.T) *Schema {
 	return s
 }
 
+// agree holds the three evaluators of one interest to one verdict per
+// tuple of the batch: the interpreted Interest.Matches (the reference),
+// the compiled row evaluator and the compiled column evaluator. The
+// compiled form leaves the stream name to the CompiledSet around it, so
+// the interest is checked twice: as the one term of a compiled set
+// against the reference as it is, and bare — MatchValues and Apply —
+// against the reference retargeted at the tuple's stream. It returns
+// how many tuples the bare interest accepts.
+func agree(t *testing.T, in Interest, sc *Schema, b Batch) int {
+	t.Helper()
+	set := NewInterestSet(in.Stream)
+	set.Add(in)
+	cs := CompileSet(set, sc)
+	c := CompileInterest(in, sc)
+	cb := NewColBatch()
+	cb.Reset(b)
+	if n := c.Apply(cb); n != cb.Len() {
+		t.Fatalf("Apply returned %d with %d rows selected", n, cb.Len())
+	}
+	kept := 0
+	for i, tu := range b {
+		if got, want := cs.Matches(tu), in.Matches(sc, tu); got != want {
+			t.Fatalf("row %d: compiled set of one=%v, interpreted=%v\ninterest=%v\ntuple=%v", i, got, want, in, tu)
+		}
+		ref := in
+		ref.Stream = tu.Stream
+		want := ref.Matches(sc, tu)
+		if got := c.MatchValues(tu); got != want {
+			t.Fatalf("row %d: row evaluator=%v, interpreted=%v\ninterest=%v\ntuple=%v", i, got, want, in, tu)
+		}
+		got := kept < len(cb.sel) && int(cb.sel[kept]) == i
+		if got != want {
+			t.Fatalf("row %d: column evaluator=%v, interpreted=%v\ninterest=%v\ntuple=%v", i, got, want, in, tu)
+		}
+		if got {
+			kept++
+		}
+	}
+	// An empty selection — every row already filtered out — stays empty.
+	cb.sel = cb.sel[:0]
+	if n := c.Apply(cb); n != 0 {
+		t.Fatalf("Apply over an empty selection kept %d rows", n)
+	}
+	return kept
+}
+
 // TestCompiledInterestEquivalenceTable pins the tricky cases by hand:
 // wrong stream, absent fields, single- and multi-key sets, empty sets,
-// and values outside the tuple's arity.
+// values outside the tuple's arity, and the contract's edges — NaN and
+// ±Inf under bounded, unbounded and empty ranges, and non-string values
+// and "" under key sets.
 func TestCompiledInterestEquivalenceTable(t *testing.T) {
 	sc := compiledTestSchema(t)
 	mk := func(sym string, price float64, size int64, venue string) Tuple {
 		return NewTuple("quotes", 1, time.Unix(0, 0),
 			String(sym), Float(price), Int(size), String(venue))
 	}
+	inf, nan := math.Inf(1), math.NaN()
 	cases := []struct {
 		name string
 		in   Interest
 		t    Tuple
+		want bool
 	}{
-		{"unconstrained", NewInterest("quotes"), mk("ibm", 10, 5, "nyse")},
-		{"wrong stream", NewInterest("trades").WithRange("price", 0, 100), mk("ibm", 10, 5, "nyse")},
+		{"unconstrained", NewInterest("quotes"), mk("ibm", 10, 5, "nyse"), true},
+		{"wrong stream", NewInterest("trades").WithRange("price", 0, 100), mk("ibm", 10, 5, "nyse"), false},
 		{"wrong stream tuple", NewInterest("quotes").WithRange("price", 0, 100),
-			NewTuple("trades", 1, time.Unix(0, 0), Float(10))},
-		{"range hit", NewInterest("quotes").WithRange("price", 5, 15), mk("ibm", 10, 5, "nyse")},
-		{"range miss", NewInterest("quotes").WithRange("price", 5, 15), mk("ibm", 20, 5, "nyse")},
-		{"range boundary lo", NewInterest("quotes").WithRange("price", 10, 15), mk("ibm", 10, 5, "nyse")},
-		{"range boundary hi", NewInterest("quotes").WithRange("price", 5, 10), mk("ibm", 10, 5, "nyse")},
-		{"range on int field", NewInterest("quotes").WithRange("size", 0, 10), mk("ibm", 10, 5, "nyse")},
-		{"absent field range", NewInterest("quotes").WithRange("ghost", 0, 100), mk("ibm", 10, 5, "nyse")},
-		{"absent field keys", NewInterest("quotes").WithKeys("ghost", "x"), mk("ibm", 10, 5, "nyse")},
-		{"single key hit", NewInterest("quotes").WithKeys("symbol", "ibm"), mk("ibm", 10, 5, "nyse")},
-		{"single key miss", NewInterest("quotes").WithKeys("symbol", "aapl"), mk("ibm", 10, 5, "nyse")},
-		{"multi key hit", NewInterest("quotes").WithKeys("symbol", "aapl", "ibm", "msft"), mk("ibm", 10, 5, "nyse")},
-		{"multi key miss", NewInterest("quotes").WithKeys("symbol", "aapl", "msft"), mk("ibm", 10, 5, "nyse")},
-		{"key on numeric field", NewInterest("quotes").WithKeys("price", "10"), mk("ibm", 10, 5, "nyse")},
+			NewTuple("trades", 1, time.Unix(0, 0), Float(10)), false},
+		{"range hit", NewInterest("quotes").WithRange("price", 5, 15), mk("ibm", 10, 5, "nyse"), true},
+		{"range miss", NewInterest("quotes").WithRange("price", 5, 15), mk("ibm", 20, 5, "nyse"), false},
+		{"range boundary lo", NewInterest("quotes").WithRange("price", 10, 15), mk("ibm", 10, 5, "nyse"), true},
+		{"range boundary hi", NewInterest("quotes").WithRange("price", 5, 10), mk("ibm", 10, 5, "nyse"), true},
+		{"range on int field", NewInterest("quotes").WithRange("size", 0, 10), mk("ibm", 10, 5, "nyse"), true},
+		{"absent field range", NewInterest("quotes").WithRange("ghost", 0, 100), mk("ibm", 10, 5, "nyse"), false},
+		{"absent field keys", NewInterest("quotes").WithKeys("ghost", "x"), mk("ibm", 10, 5, "nyse"), false},
+		{"single key hit", NewInterest("quotes").WithKeys("symbol", "ibm"), mk("ibm", 10, 5, "nyse"), true},
+		{"single key miss", NewInterest("quotes").WithKeys("symbol", "aapl"), mk("ibm", 10, 5, "nyse"), false},
+		{"multi key hit", NewInterest("quotes").WithKeys("symbol", "aapl", "ibm", "msft"), mk("ibm", 10, 5, "nyse"), true},
+		{"multi key miss", NewInterest("quotes").WithKeys("symbol", "aapl", "msft"), mk("ibm", 10, 5, "nyse"), false},
+		{"key on numeric field", NewInterest("quotes").WithKeys("price", "10"), mk("ibm", 10, 5, "nyse"), false},
 		{"combined hit", NewInterest("quotes").WithRange("price", 5, 15).WithKeys("venue", "nyse"),
-			mk("ibm", 10, 5, "nyse")},
+			mk("ibm", 10, 5, "nyse"), true},
 		{"combined half miss", NewInterest("quotes").WithRange("price", 5, 15).WithKeys("venue", "bats"),
-			mk("ibm", 10, 5, "nyse")},
+			mk("ibm", 10, 5, "nyse"), false},
 		{"short tuple", NewInterest("quotes").WithKeys("venue", "nyse"),
-			NewTuple("quotes", 1, time.Unix(0, 0), String("ibm"))},
+			NewTuple("quotes", 1, time.Unix(0, 0), String("ibm")), false},
 		{"short tuple range", NewInterest("quotes").WithRange("price", 5, 15),
-			NewTuple("quotes", 1, time.Unix(0, 0), String("ibm"))},
+			NewTuple("quotes", 1, time.Unix(0, 0), String("ibm")), false},
+		{"short tuple reads zero", NewInterest("quotes").WithRange("price", -1, 1).WithKeys("venue", ""),
+			NewTuple("quotes", 1, time.Unix(0, 0), String("ibm")), true},
+		{"NaN in no range", NewInterest("quotes").WithRange("price", 0, 500), mk("ibm", nan, 5, "nyse"), false},
+		{"NaN not in the unbounded range", NewInterest("quotes").WithRange("price", -inf, inf), mk("ibm", nan, 5, "nyse"), false},
+		{"+Inf outside a finite range", NewInterest("quotes").WithRange("price", 0, 500), mk("ibm", inf, 5, "nyse"), false},
+		{"+Inf inside an open-ended range", NewInterest("quotes").WithRange("price", 0, inf), mk("ibm", inf, 5, "nyse"), true},
+		{"-Inf inside an open-ended range", NewInterest("quotes").WithRange("price", -inf, 0), mk("ibm", -inf, 5, "nyse"), true},
+		{"empty range", NewInterest("quotes").WithRange("price", 60, 50), mk("ibm", 55, 5, "nyse"), false},
+		{"empty key set", NewInterest("quotes").WithKeys("symbol"), mk("", 10, 5, "nyse"), false},
+		{"empty-string key hit", NewInterest("quotes").WithKeys("symbol", ""), mk("", 10, 5, "nyse"), true},
+		{"empty-string key miss", NewInterest("quotes").WithKeys("symbol", "", "ibm"), mk("aapl", 10, 5, "nyse"), false},
+		{"non-string reads the empty-string key", NewInterest("quotes").WithKeys("size", "", "5"), mk("ibm", 10, 5, "nyse"), true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want := tc.in.Matches(sc, tc.t)
-			c := CompileInterest(tc.in, sc)
-			if got := c.Matches(tc.t); got != want {
-				t.Fatalf("CompiledInterest.Matches = %v, Interest.Matches = %v", got, want)
+			if got := tc.in.Matches(sc, tc.t); got != tc.want {
+				t.Fatalf("Interest.Matches = %v, want %v", got, tc.want)
 			}
+			agree(t, tc.in, sc, Batch{tc.t})
 		})
 	}
 }
 
-// randomInterest builds a random interest over the schema, sometimes
-// constraining fields the schema does not have and sometimes using the
-// wrong stream.
+// randomInterest builds a random interest over the schema: open-ended
+// and (rarely) empty ranges, single-key, multi-key and ""-listing sets,
+// sometimes a key set on a numeric field, sometimes a constraint on a
+// field the schema does not have, and sometimes the wrong stream.
 func randomInterest(rng *rand.Rand, sc *Schema) Interest {
 	streamName := sc.Name()
 	if rng.Intn(10) == 0 {
 		streamName = "other"
 	}
 	in := NewInterest(streamName)
-	syms := []string{"ibm", "aapl", "msft", "goog", "amzn"}
+	syms := []string{"ibm", "aapl", "msft", "goog", "amzn", ""}
 	for i := 0; i < sc.NumFields(); i++ {
 		f := sc.Field(i)
 		if rng.Intn(2) == 0 {
 			continue
 		}
-		switch f.Type {
-		case KindString:
+		if f.Type == KindString || rng.Intn(6) == 0 {
 			n := 1 + rng.Intn(3)
 			ks := make([]string, 0, n)
 			for j := 0; j < n; j++ {
 				ks = append(ks, syms[rng.Intn(len(syms))])
 			}
 			in = in.WithKeys(f.Name, ks...)
-		default:
-			lo := rng.Float64() * 100
-			in = in.WithRange(f.Name, lo, lo+rng.Float64()*100)
+			continue
 		}
+		lo := rng.Float64() * 100
+		hi := lo + rng.Float64()*100
+		switch rng.Intn(8) {
+		case 0:
+			lo = math.Inf(-1)
+		case 1:
+			hi = math.Inf(1)
+		case 2:
+			lo, hi = math.Inf(-1), math.Inf(1)
+		case 3:
+			lo, hi = hi+1, lo // nothing is in it
+		}
+		in = in.WithRange(f.Name, lo, hi)
 	}
 	if rng.Intn(8) == 0 {
 		in = in.WithRange("ghost", 0, 1) // absent from the schema
@@ -105,19 +178,31 @@ func randomInterest(rng *rand.Rand, sc *Schema) Interest {
 	return in
 }
 
+// randomTuple draws a quotes-shaped tuple, sometimes shorter or longer
+// than the schema, whose price is sometimes NaN or ±Inf and whose symbol
+// is sometimes "".
 func randomTuple(rng *rand.Rand, stream string) Tuple {
-	syms := []string{"ibm", "aapl", "msft", "goog", "amzn"}
+	syms := []string{"ibm", "aapl", "msft", "goog", "amzn", ""}
 	venues := []string{"nyse", "bats", "arca"}
-	nvals := rng.Intn(6) // sometimes shorter/longer than the schema
+	nvals := rng.Intn(6)
 	vals := make([]Value, 0, nvals)
 	for i := 0; i < nvals; i++ {
 		switch i {
 		case 0:
 			vals = append(vals, String(syms[rng.Intn(len(syms))]))
 		case 1:
-			vals = append(vals, Float(rng.Float64()*200))
+			price := rng.Float64() * 200
+			switch rng.Intn(12) {
+			case 0:
+				price = math.NaN()
+			case 1:
+				price = math.Inf(1)
+			case 2:
+				price = math.Inf(-1)
+			}
+			vals = append(vals, Float(price))
 		case 2:
-			vals = append(vals, Int(int64(rng.Intn(1000))))
+			vals = append(vals, Int(int64(rng.Intn(200))))
 		default:
 			vals = append(vals, String(venues[rng.Intn(len(venues))]))
 		}
@@ -125,24 +210,30 @@ func randomTuple(rng *rand.Rand, stream string) Tuple {
 	return NewTuple(stream, uint64(rng.Intn(1000)), time.Unix(0, 0), vals...)
 }
 
-// TestCompiledInterestEquivalenceRandom fuzzes Matches equivalence over
-// randomized interests and tuples (seeded for reproducibility).
+// TestCompiledInterestEquivalenceRandom is the one equivalence proof of
+// the one predicate: over randomized interests and batches (seeded for
+// reproducibility) the interpreted reference, the row evaluator and the
+// column evaluator give every tuple the same verdict.
 func TestCompiledInterestEquivalenceRandom(t *testing.T) {
 	sc := compiledTestSchema(t)
 	rng := rand.New(rand.NewSource(42))
+	accepted, rejected := 0, 0
 	for trial := 0; trial < 2000; trial++ {
 		in := randomInterest(rng, sc)
-		c := CompileInterest(in, sc)
-		tupleStream := "quotes"
-		if rng.Intn(10) == 0 {
-			tupleStream = "other"
+		b := make(Batch, rng.Intn(24)) // sometimes empty
+		for i := range b {
+			tupleStream := "quotes"
+			if rng.Intn(10) == 0 {
+				tupleStream = "other"
+			}
+			b[i] = randomTuple(rng, tupleStream)
 		}
-		tu := randomTuple(rng, tupleStream)
-		want := in.Matches(sc, tu)
-		if got := c.Matches(tu); got != want {
-			t.Fatalf("trial %d: compiled=%v interpreted=%v\ninterest=%+v\ntuple=%+v",
-				trial, got, want, in, tu)
-		}
+		n := agree(t, in, sc, b)
+		accepted += n
+		rejected += len(b) - n
+	}
+	if accepted < 1000 || rejected < 1000 {
+		t.Fatalf("degenerate run: %d verdicts true, %d false", accepted, rejected)
 	}
 }
 

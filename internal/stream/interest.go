@@ -190,11 +190,15 @@ func Overlap(a, b Interest, s *Schema) float64 {
 	if a.Stream != b.Stream {
 		return 0
 	}
-	return a.intersect(b).Selectivity(s)
+	return a.Intersect(b).Selectivity(s)
 }
 
-// intersect returns the conjunction of two interests in the same stream.
-func (in Interest) intersect(o Interest) Interest {
+// Intersect returns the conjunction of two interests in the same stream:
+// a field both constrain keeps the overlap of the two ranges or key
+// sets. An empty overlap stays in the result as an empty range or an
+// empty key set — a constraint nothing satisfies — so the conjunction
+// then matches nothing, here and after compilation.
+func (in Interest) Intersect(o Interest) Interest {
 	out := in.Clone()
 	for field, r := range o.Ranges {
 		if out.Ranges == nil {

@@ -115,26 +115,6 @@ func (s *Schema) Validate(t Tuple) error {
 	return nil
 }
 
-// Project returns a derived schema containing only the named fields, in
-// the order given, and the source indices of those fields.
-func (s *Schema) Project(name string, fieldNames ...string) (*Schema, []int, error) {
-	fields := make([]Field, 0, len(fieldNames))
-	indices := make([]int, 0, len(fieldNames))
-	for _, fn := range fieldNames {
-		i, ok := s.index[fn]
-		if !ok {
-			return nil, nil, fmt.Errorf("stream: schema %q has no field %q", s.name, fn)
-		}
-		fields = append(fields, s.fields[i])
-		indices = append(indices, i)
-	}
-	out, err := NewSchema(name, fields...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, indices, nil
-}
-
 // String renders the schema as "name(field:type, ...)".
 func (s *Schema) String() string {
 	out := s.name + "("

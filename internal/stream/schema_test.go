@@ -101,23 +101,6 @@ func TestSchemaValidate(t *testing.T) {
 	}
 }
 
-func TestSchemaProject(t *testing.T) {
-	s := quotesSchema(t)
-	proj, idx, err := s.Project("q2", "price", "symbol")
-	if err != nil {
-		t.Fatalf("Project: %v", err)
-	}
-	if proj.Name() != "q2" || proj.NumFields() != 2 {
-		t.Fatalf("projection schema %v", proj)
-	}
-	if idx[0] != 1 || idx[1] != 0 {
-		t.Fatalf("projection indices = %v", idx)
-	}
-	if _, _, err := s.Project("bad", "nope"); err == nil {
-		t.Error("projecting missing field should fail")
-	}
-}
-
 func TestFieldDomainWidth(t *testing.T) {
 	if w := (Field{Lo: 10, Hi: 30}).DomainWidth(); w != 20 {
 		t.Errorf("width = %v", w)
