@@ -25,7 +25,10 @@ const (
 
 // DefaultMaxInterestTerms bounds the size of the aggregated interest a
 // node registers with its parent; beyond it terms are covered (widened),
-// trading filter precision for registration size.
+// trading filter precision for registration size and for the state each
+// ancestor keeps per child. It is not a bound on per-tuple filtering
+// cost: the relay's match index hashes a tuple once however many keyed
+// terms its children registered.
 const DefaultMaxInterestTerms = 16
 
 // Relay is one node of a dissemination tree at runtime: it receives the
@@ -50,20 +53,17 @@ type Relay struct {
 	// traffic always stays on the raw transport.
 	rel *simnet.ReliableEndpoint
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// local and childSets hold the registrations. A stored set is never
+	// modified, only replaced, so a pointer read under mu is a snapshot.
 	local     *stream.InterestSet
 	childSets map[simnet.NodeID]*stream.InterestSet
-	// Compiled twins of local/childSets: interests are compiled against
-	// the schema once at registration time so the per-tuple match loop
-	// does no name resolution and no map iteration (nil entry in
-	// childCompiled = no registration = forward everything).
-	localC        *stream.CompiledSet
-	childCompiled map[simnet.NodeID]*stream.CompiledSet
-	// children caches tree.Children(self) keyed by the tree's structural
-	// version, sparing the hot path a copy per batch. Guarded by mu.
-	children    []simnet.NodeID
-	childrenVer uint64
-	childrenOK  bool
+	// index is what disseminate matches with: every registration and the
+	// child list compiled into one immutable structure. A registration,
+	// DropChild or a tree change makes it stale — the first two set it to
+	// nil under mu, the third shows as a version mismatch — and the next
+	// batch rebuilds it, so a burst of registrations costs one build.
+	index *relayIndex
 
 	// Per-link send workers: fan-out enqueues each child's payload and
 	// waits on a per-batch WaitGroup, so one slow or faulty link no
@@ -168,27 +168,25 @@ func NewRelayWith(tree *Tree, self simnet.NodeID, schema *stream.Schema,
 		maxTerms = DefaultMaxInterestTerms
 	}
 	r := &Relay{
-		self:          self,
-		tree:          tree,
-		schema:        schema,
-		transport:     transport,
-		deliver:       deliver,
-		deliverBatch:  opts.DeliverBatch,
-		maxTerms:      maxTerms,
-		local:         stream.NewInterestSet(tree.Stream()),
-		childSets:     make(map[simnet.NodeID]*stream.InterestSet),
-		childCompiled: make(map[simnet.NodeID]*stream.CompiledSet),
-		senders:       make(map[simnet.NodeID]*linkSender),
-		linkErrs:      make(map[simnet.NodeID]int64),
-		linkDown:      make(map[simnet.NodeID]bool),
-		decodeErrs:    make(map[string]int64),
-		decodeBad:     make(map[string]bool),
-		log:           opts.Log,
+		self:         self,
+		tree:         tree,
+		schema:       schema,
+		transport:    transport,
+		deliver:      deliver,
+		deliverBatch: opts.DeliverBatch,
+		maxTerms:     maxTerms,
+		local:        stream.NewInterestSet(tree.Stream()),
+		childSets:    make(map[simnet.NodeID]*stream.InterestSet),
+		senders:      make(map[simnet.NodeID]*linkSender),
+		linkErrs:     make(map[simnet.NodeID]int64),
+		linkDown:     make(map[simnet.NodeID]bool),
+		decodeErrs:   make(map[string]int64),
+		decodeBad:    make(map[string]bool),
+		log:          opts.Log,
 	}
 	if r.log == nil {
 		r.log = obslog.Default()
 	}
-	r.localC = stream.CompileSet(r.local, schema)
 	if opts.Reliable != nil {
 		cfg := *opts.Reliable
 		cfg.InOrder = true
@@ -217,26 +215,33 @@ func (r *Relay) SetLocalInterest(terms []stream.Interest) error {
 	for _, in := range terms {
 		set.Add(in)
 	}
-	compiled := stream.CompileSet(set, r.schema)
 	r.mu.Lock()
 	r.local = set
-	r.localC = compiled
+	r.index = nil
 	r.mu.Unlock()
 	return r.registerUpward()
 }
 
 // aggregate returns the union of local and child interests, simplified.
+// Only the snapshot of the registered sets is taken under mu — the lock
+// every disseminate takes per batch; cloning and simplifying them run
+// outside it (regMu, held by every caller, already orders registrations).
 func (r *Relay) aggregate() *stream.InterestSet {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	agg := r.local.Clone()
 	ids := make([]simnet.NodeID, 0, len(r.childSets))
 	for id := range r.childSets {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	sets := make([]*stream.InterestSet, 0, 1+len(ids))
+	sets = append(sets, r.local)
 	for _, id := range ids {
-		for _, term := range r.childSets[id].Terms {
+		sets = append(sets, r.childSets[id])
+	}
+	r.mu.Unlock()
+	agg := stream.NewInterestSet(r.tree.Stream())
+	for _, set := range sets {
+		for _, term := range set.Terms {
 			agg.Add(term)
 		}
 	}
@@ -392,7 +397,7 @@ func (r *Relay) PreRegister(target simnet.NodeID) error {
 func (r *Relay) DropChild(id simnet.NodeID) {
 	r.mu.Lock()
 	delete(r.childSets, id)
-	delete(r.childCompiled, id)
+	r.index = nil
 	r.mu.Unlock()
 	r.stopSender(id)
 }
@@ -438,62 +443,92 @@ func (r *Relay) handle(m simnet.Message) {
 			return
 		}
 		r.noteDecodeOK("interest")
-		compiled := stream.CompileSet(set, r.schema)
 		r.mu.Lock()
 		r.childSets[m.From] = set
-		r.childCompiled[m.From] = compiled
+		r.index = nil
 		r.mu.Unlock()
 		// Propagate the updated aggregate toward the source.
 		_ = r.registerUpward()
 	}
 }
 
+// relayIndex is one immutable generation of everything disseminate
+// needs to route a batch: the match index, whose owner 0 is the entity's
+// local set and owner 1+i is children[i], and the tree version the child
+// list was read at.
+type relayIndex struct {
+	ix       *stream.MatchIndex
+	children []simnet.NodeID
+	treeVer  uint64
+}
+
+// currentIndex returns the index for the next batch, rebuilding it first
+// when it is stale. Concurrent disseminate calls read the returned
+// generation without mu: nothing in it changes after it is published.
+func (r *Relay) currentIndex() *relayIndex {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	ver := r.tree.Version()
+	if ri := r.index; ri != nil && ri.treeVer == ver {
+		return ri
+	}
+	children := r.tree.Children(r.self)
+	owners := make([]*stream.InterestSet, 1+len(children))
+	owners[0] = r.local
+	if r.deliver == nil && r.deliverBatch == nil {
+		// Nobody to deliver to: an empty set keeps the local terms of a
+		// pure relay out of the per-tuple work.
+		owners[0] = stream.NewInterestSet(r.tree.Stream())
+	}
+	for i, c := range children {
+		// nil when the child has not registered yet: forward everything.
+		owners[1+i] = r.childSets[c]
+	}
+	r.index = &relayIndex{
+		ix:       stream.NewMatchIndex(r.tree.Stream(), r.schema, owners),
+		children: children,
+		treeVer:  ver,
+	}
+	return r.index
+}
+
 // dissemScratch holds all per-batch fan-out state so a steady-state
-// disseminate allocates nothing: the snapshot of per-child compiled
-// sets, the matched-index scratch, a sub-batch used when a child needs
-// re-encoding, and the pooled encode buffers to release after the sends.
+// disseminate allocates nothing: the per-owner matched rows, a sub-batch
+// used when a child needs re-encoding, and the pooled encode buffers to
+// release after the sends.
 type dissemScratch struct {
-	sets []*stream.CompiledSet
-	idx  []int32
-	sub  stream.Batch
-	bufs []*[]byte
-	wg   sync.WaitGroup
+	routed stream.Routed
+	sub    stream.Batch
+	bufs   []*[]byte
+	wg     sync.WaitGroup
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(dissemScratch) }}
 
 // disseminate delivers locally matched tuples and fans the batch out to
-// the children. wire, when non-nil, is the still-live incoming encoded
-// payload: a child whose compiled set matched the whole batch (or that
-// has no registration yet) is forwarded that payload verbatim, so a
-// pure-relay hop never re-encodes. Sends run on per-link workers;
-// disseminate waits for all of them before returning, which keeps
-// transport quiescence sound and lets every pooled buffer be released
-// here.
+// the children. The batch is matched once, against the local set and
+// every child's registration together (MatchIndex.Route); local delivery
+// and the fan-out then read their rows. wire, when non-nil, is the
+// still-live incoming encoded payload: a child that matched the whole
+// batch (or that has no registration yet) is forwarded that payload
+// verbatim, so a pure-relay hop never re-encodes. Sends run on per-link
+// workers; disseminate waits for all of them before returning, which
+// keeps transport quiescence sound and lets every pooled buffer be
+// released here.
 func (r *Relay) disseminate(batch stream.Batch, wire []byte) {
 	if len(batch) == 0 {
 		return
 	}
 	sc := scratchPool.Get().(*dissemScratch)
-	r.mu.Lock()
-	localC := r.localC
-	if v := r.tree.Version(); !r.childrenOK || v != r.childrenVer {
-		r.children = r.tree.Children(r.self)
-		r.childrenVer, r.childrenOK = v, true
-	}
-	children := r.children
-	sc.sets = sc.sets[:0]
-	for _, c := range children {
-		sc.sets = append(sc.sets, r.childCompiled[c])
-	}
-	r.mu.Unlock()
+	ri := r.currentIndex()
 
 	self := string(r.self)
 	for i := range batch {
 		// Free for untraced tuples (Span == 0 fast path).
 		trace.Record(trace.SpanID(batch[i].Span), trace.StageRelay, self)
 	}
-	r.deliverLocal(localC, batch, sc)
+	ri.ix.Route(batch, &sc.routed)
+	r.deliverLocal(batch, sc.routed.Rows(0))
 
 	// Fan-out. The incoming payload (or one pooled full-batch encoding)
 	// is shared by every pass-through child; partial matches re-encode
@@ -502,18 +537,9 @@ func (r *Relay) disseminate(batch stream.Batch, wire []byte) {
 	// and every buffer reusable — before disseminate returns.
 	n := len(batch)
 	var fullPayload []byte
-	for ci, c := range children {
-		set := sc.sets[ci]
-		matched := n
-		if set != nil {
-			sc.idx = sc.idx[:0]
-			for i := range batch {
-				if set.Matches(batch[i]) {
-					sc.idx = append(sc.idx, int32(i))
-				}
-			}
-			matched = len(sc.idx)
-		}
+	for ci, c := range ri.children {
+		rows := sc.routed.Rows(1 + ci)
+		matched := len(rows)
 		if matched == 0 {
 			r.Suppressed.Add(int64(n))
 			continue
@@ -535,7 +561,7 @@ func (r *Relay) disseminate(batch stream.Batch, wire []byte) {
 			payload = fullPayload
 		} else {
 			sc.sub = sc.sub[:0]
-			for _, i := range sc.idx {
+			for _, i := range rows {
 				sc.sub = append(sc.sub, batch[i])
 			}
 			buf := stream.GetEncodeBuffer()
@@ -559,30 +585,25 @@ func (r *Relay) disseminate(batch stream.Batch, wire []byte) {
 	scratchPool.Put(sc)
 }
 
-// deliverLocal clones the locally matched tuples into one compact chunk
-// (a single Values arena plus one Batch allocation, nothing when the
-// batch has no local matches) and hands them to the entity. Cloning at
-// this boundary keeps downstream ownership semantics unchanged: engines,
-// windows, and user subscribers may retain delivered tuples forever,
-// while the relay's decoded batch goes back to its pool.
-func (r *Relay) deliverLocal(localC *stream.CompiledSet, batch stream.Batch, sc *dissemScratch) {
-	if (r.deliver == nil && r.deliverBatch == nil) || localC == nil || localC.NeverMatches() {
+// deliverLocal clones the locally matched tuples — rows of the batch —
+// into one compact chunk (a single Values arena plus one Batch
+// allocation, nothing when the batch has no local matches) and hands
+// them to the entity. Cloning at this boundary keeps downstream
+// ownership semantics unchanged: engines, windows, and user subscribers
+// may retain delivered tuples forever, while the relay's decoded batch
+// goes back to its pool. A relay with nobody to deliver to never has
+// rows: currentIndex gives its owner 0 the empty set.
+func (r *Relay) deliverLocal(batch stream.Batch, rows []int32) {
+	if len(rows) == 0 {
 		return
 	}
-	sc.idx = sc.idx[:0]
 	nvals := 0
-	for i := range batch {
-		if localC.Matches(batch[i]) {
-			sc.idx = append(sc.idx, int32(i))
-			nvals += len(batch[i].Values)
-		}
-	}
-	if len(sc.idx) == 0 {
-		return
+	for _, i := range rows {
+		nvals += len(batch[i].Values)
 	}
 	vals := make([]stream.Value, 0, nvals)
-	sub := make(stream.Batch, 0, len(sc.idx))
-	for _, i := range sc.idx {
+	sub := make(stream.Batch, 0, len(rows))
+	for _, i := range rows {
 		t := batch[i]
 		start := len(vals)
 		vals = append(vals, t.Values...)

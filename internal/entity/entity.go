@@ -156,9 +156,15 @@ func (p *procNode) setTarget(s, frag string, node simnet.NodeID, gate *ingestGat
 }
 
 type placedQuery struct {
-	spec  engine.QuerySpec
-	frags []engine.QuerySpec
-	procs []int // processor index per fragment instance
+	spec engine.QuerySpec
+	// interests is the query's data interest in each of its input
+	// streams (QuerySpec.Interest), computed once at placement: the
+	// entity's aggregate is read on every submit and remove, for every
+	// hosted query. The terms are shared with Interest's callers and
+	// never modified.
+	interests map[string]stream.Interest
+	frags     []engine.QuerySpec
+	procs     []int // processor index per fragment instance
 	// stages maps each frags/procs entry back to its pipeline stage:
 	// tuple-routed placements register several replica instances per
 	// middle stage, and the per-stage view keeps metrics honest (a
@@ -518,6 +524,12 @@ func (e *Entity) placeWith(spec engine.QuerySpec, nFrags int, cfg placeConfig) e
 	}
 
 	pq := &placedQuery{spec: spec, gate: &ingestGate{paused: cfg.paused}}
+	pq.interests = make(map[string]stream.Interest, 2)
+	for _, s := range spec.Streams() {
+		if sc, ok := e.catalog.Lookup(s); ok {
+			pq.interests[s] = spec.Interest(s, sc)
+		}
+	}
 	queryID := spec.ID
 
 	// One shared chooser per routed boundary (keyed by downstream
@@ -843,30 +855,23 @@ func (e *Entity) DroppedTotal() int64 {
 	return total
 }
 
-// Interest derives the entity's aggregated data interest in one stream:
-// the union of its placed queries' interests — what the entity registers
-// up the dissemination tree.
+// Interest returns the entity's aggregated data interest in one stream:
+// the union of its placed queries' interests, in query-ID order — what
+// the entity registers up the dissemination tree. The terms are the ones
+// computed when each query was placed; callers must not modify them.
 func (e *Entity) Interest(streamName string) []stream.Interest {
-	sc, ok := e.catalog.Lookup(streamName)
-	if !ok {
-		return nil
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	ids := make([]string, 0, len(e.queries))
-	for id := range e.queries {
-		ids = append(ids, id)
+	for id, pq := range e.queries {
+		if _, ok := pq.interests[streamName]; ok {
+			ids = append(ids, id)
+		}
 	}
 	sort.Strings(ids)
 	var out []stream.Interest
 	for _, id := range ids {
-		pq := e.queries[id]
-		for _, s := range pq.spec.Streams() {
-			if s == streamName {
-				out = append(out, pq.spec.Interest(streamName, sc))
-				break
-			}
-		}
+		out = append(out, e.queries[id].interests[streamName])
 	}
 	return out
 }

@@ -257,6 +257,65 @@ func TestEntityInterestAggregation(t *testing.T) {
 	}
 }
 
+// TestEntityInterestFollowsPlacements holds the interests kept per placed
+// query to what QuerySpec.Interest computes from the placed specs, per
+// input stream and in query-ID order, across place, remove and
+// ReplaceQuery.
+func TestEntityInterestFollowsPlacements(t *testing.T) {
+	e, _, _ := newTestEntity(t, 2)
+	cat := testCatalog(t)
+	placed := map[string]engine.QuerySpec{}
+	check := func(step string) {
+		t.Helper()
+		for _, s := range []string{"quotes", "trades", "nostream"} {
+			var want []string
+			for _, id := range e.Queries() { // sorted
+				spec := placed[id]
+				sc, declared := cat.Lookup(s)
+				if declared && (spec.Source == s || (spec.Join != nil && spec.Join.Stream == s)) {
+					want = append(want, spec.Interest(s, sc).String())
+				}
+			}
+			var got []string
+			for _, in := range e.Interest(s) {
+				got = append(got, in.String())
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s: Interest(%s) = %v, want %v", step, s, got, want)
+			}
+		}
+	}
+	place := func(spec engine.QuerySpec) {
+		t.Helper()
+		if err := e.PlaceQuery(spec, 2); err != nil {
+			t.Fatal(err)
+		}
+		placed[spec.ID] = spec
+		check("place " + spec.ID)
+	}
+	check("empty")
+	place(filterSpec("q2", 500, 600))
+	place(filterSpec("q1", 0, 100))
+	place(engine.QuerySpec{ID: "qj", Source: "quotes",
+		Filters: []engine.FilterSpec{{KeyField: "symbol", Keys: []string{"ibm"}}},
+		Join: &engine.JoinSpec{Stream: "trades", LeftKey: "symbol", RightKey: "symbol",
+			Window: stream.CountWindow(10)}})
+	if err := e.ReplaceQuery("q1", 1); err != nil {
+		t.Fatal(err)
+	}
+	check("replace q1")
+	for _, id := range []string{"q2", "qj"} {
+		if _, err := e.RemoveQuery(id); err != nil {
+			t.Fatal(err)
+		}
+		delete(placed, id)
+		check("remove " + id)
+	}
+	if got := e.Interest("quotes"); len(got) != 1 {
+		t.Fatalf("one query left, Interest(quotes) = %v", got)
+	}
+}
+
 // TestEntityInterestIntersectsRepeatedFields: two filter steps on one
 // field register their intersection up the tree (the last step used to
 // win, which was safe but relayed more than the query takes), steps that

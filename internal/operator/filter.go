@@ -38,7 +38,7 @@ func (f *Filter) Process(port int, t stream.Tuple) []stream.Tuple {
 	if port != 0 {
 		panic(badPort(f.name, port, 1))
 	}
-	if f.pred.MatchValues(t) {
+	if f.pred.MatchValues(&t) {
 		f.stats.record(1)
 		return []stream.Tuple{t}
 	}

@@ -6,7 +6,7 @@ import "math"
 // once, as an Interest, and compiled once, against the schema its tuples
 // have, into a CompiledInterest: constraints in flat slices indexed by
 // field position, no name resolution, map iteration or allocation per
-// tuple. The relay's early filtering (CompiledSet), the row-at-a-time
+// tuple. The relay's early filtering (MatchIndex), the row-at-a-time
 // operator (operator.Filter.Process) and the shard engine's column scan
 // (operator.Filter.ProcessBatch) all evaluate that one struct, so an
 // ancestor's filter accepts exactly what the query's own filter accepts.
@@ -49,12 +49,12 @@ type keyCheck struct {
 //     the order they are checked in never changes a verdict, and an
 //     interest with none holds for everything.
 //  5. A constraint on a field the schema does not declare makes the
-//     interest dead: it holds for nothing. CompileSet drops dead terms;
-//     the engine refuses to compile a filter step into one.
+//     interest dead: it holds for nothing. NewMatchIndex drops dead
+//     terms; the engine refuses to compile a filter step into one.
 //
-// The stream name is not part of the compiled form: a CompiledSet checks
-// it once for all its terms, and a filter step runs on post-join tuples,
-// whose Stream is the join's.
+// The stream name is not part of the compiled form: a MatchIndex checks
+// it once per tuple for all its terms, and a filter step runs on
+// post-join tuples, whose Stream is the join's.
 type CompiledInterest struct {
 	dead   bool
 	ranges []rangeCheck
@@ -107,17 +107,27 @@ func CompileInterest(in Interest, s *Schema) CompiledInterest {
 
 // MatchValues is the row evaluator: it reports whether the tuple's
 // values satisfy every constraint. It does not look at the stream name.
-func (c *CompiledInterest) MatchValues(t Tuple) bool {
+// It takes the tuple by pointer and indexes Values in place: the match
+// loop runs once per (tuple, candidate term), and an 80-byte Tuple copy
+// per call was a tenth of a relay's samples.
+func (c *CompiledInterest) MatchValues(t *Tuple) bool {
+	vals := t.Values
 	for i := range c.ranges {
 		rc := &c.ranges[i]
-		v := t.Value(rc.idx).AsFloat()
+		v := 0.0
+		if rc.idx < len(vals) {
+			v = vals[rc.idx].AsFloat()
+		}
 		if !(v >= rc.lo && v <= rc.hi) {
 			return false
 		}
 	}
 	for i := range c.keys {
 		kc := &c.keys[i]
-		sv := t.Value(kc.idx).AsString()
+		sv := ""
+		if kc.idx < len(vals) {
+			sv = vals[kc.idx].s
+		}
 		if kc.set == nil {
 			if sv != kc.single {
 				return false
@@ -180,63 +190,39 @@ func (c *CompiledInterest) Apply(cb *ColBatch) int {
 func (c *CompiledInterest) Dead() bool { return c.dead }
 
 // CompiledSet is an InterestSet bound to a schema: a disjunction of
-// compiled terms sharing one stream check. It is immutable after
-// compilation and safe for concurrent use; relays swap in a freshly
-// compiled set whenever a registration changes.
+// compiled terms sharing one stream check — the one-owner case of
+// MatchIndex, which holds the only loop over compiled terms. It is
+// immutable after compilation and safe for concurrent use.
 type CompiledSet struct {
-	stream string
-	terms  []CompiledInterest
-	// matchAll is set when any term is unconstrained: the whole set then
-	// reduces to a stream check. Relays use it to forward an incoming
-	// wire payload verbatim instead of re-encoding.
-	matchAll bool
+	ix *MatchIndex
 }
 
 // CompileSet compiles every term of the set against the schema. Dead
 // terms (constraining fields the schema lacks) are dropped — they can
 // never match, exactly as in the interpreted evaluation.
 func CompileSet(set *InterestSet, s *Schema) *CompiledSet {
-	cs := &CompiledSet{stream: set.Stream}
-	for _, term := range set.Terms {
-		ct := CompileInterest(term, s)
-		if ct.dead {
-			continue
-		}
-		if len(ct.ranges)+len(ct.keys) == 0 {
-			cs.matchAll = true
-		}
-		cs.terms = append(cs.terms, ct)
-	}
-	return cs
+	return &CompiledSet{ix: NewMatchIndex(set.Stream, s, []*InterestSet{set})}
 }
 
 // Stream returns the stream every term applies to.
-func (cs *CompiledSet) Stream() string { return cs.stream }
+func (cs *CompiledSet) Stream() string { return cs.ix.stream }
 
 // Matches reports whether any term matches the tuple. Equivalent to
 // InterestSet.Matches against the compile-time schema.
 func (cs *CompiledSet) Matches(t Tuple) bool {
-	if t.Stream != cs.stream {
-		return false
-	}
-	if cs.matchAll {
-		return true
-	}
-	for i := range cs.terms {
-		if cs.terms[i].MatchValues(t) {
-			return true
-		}
-	}
-	return false
+	var slab, lens [1]int32
+	one := Routed{slab: slab[:], lens: lens[:], stride: 1}
+	cs.ix.route(&t, 0, &one)
+	return lens[0] > 0
 }
 
 // NeverMatches reports whether the set can match no tuple at all (no
 // live terms).
-func (cs *CompiledSet) NeverMatches() bool { return len(cs.terms) == 0 }
+func (cs *CompiledSet) NeverMatches() bool { return cs.ix.nterms[0] == 0 }
 
-// MatchesAll reports whether the set matches every tuple of its stream —
-// the pass-through signal for relays.
-func (cs *CompiledSet) MatchesAll() bool { return cs.matchAll }
+// MatchesAll reports whether the set matches every tuple of its stream:
+// one of its terms is unconstrained.
+func (cs *CompiledSet) MatchesAll() bool { return len(cs.ix.all) > 0 }
 
 // NumTerms returns the number of live (non-dead) compiled terms.
-func (cs *CompiledSet) NumTerms() int { return len(cs.terms) }
+func (cs *CompiledSet) NumTerms() int { return cs.ix.nterms[0] }

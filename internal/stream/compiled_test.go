@@ -49,7 +49,7 @@ func agree(t *testing.T, in Interest, sc *Schema, b Batch) int {
 		ref := in
 		ref.Stream = tu.Stream
 		want := ref.Matches(sc, tu)
-		if got := c.MatchValues(tu); got != want {
+		if got := c.MatchValues(&tu); got != want {
 			t.Fatalf("row %d: row evaluator=%v, interpreted=%v\ninterest=%v\ntuple=%v", i, got, want, in, tu)
 		}
 		got := kept < len(cb.sel) && int(cb.sel[kept]) == i
@@ -313,22 +313,65 @@ func TestCompiledMatchZeroAllocs(t *testing.T) {
 	_ = sink
 }
 
-// TestSimplifyMemoizedMatchesBruteForce checks the memoized Simplify
-// against a literal reimplementation of the original O(n^3) loop.
+// TestSimplifyMemoizedMatchesBruteForce checks Simplify — pair costs
+// computed without building covers and kept across merge rounds —
+// against a literal reimplementation of the original O(n^3) loop: same
+// merges, in the same order. Beside the small random sets it runs the
+// size a busy relay simplifies (40 terms down to the 16 it registers)
+// and sets mixing keyed, range-only and unconstrained terms, where a
+// field only one side constrains drops out of the cover.
 func TestSimplifyMemoizedMatchesBruteForce(t *testing.T) {
 	sc := compiledTestSchema(t)
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 50; trial++ {
-		set := NewInterestSet("quotes")
-		for n := 3 + rng.Intn(8); n > 0; n-- {
-			set.Add(randomInterest(rng, sc))
+	mixed := func(rng *rand.Rand, _ *Schema) Interest {
+		in := NewInterest("quotes")
+		syms := []string{"ibm", "aapl", "msft", "goog", "amzn", "nvda", "orcl", "sap"}
+		switch kind := rng.Intn(10); {
+		case kind == 0:
+			return in // unconstrained
+		case kind < 6: // keyed, half of them with a band as well
+			keys := make([]string, 1+rng.Intn(4))
+			for i := range keys {
+				keys[i] = syms[rng.Intn(len(syms))]
+			}
+			in = in.WithKeys("symbol", keys...)
+			if rng.Intn(2) == 0 {
+				return in
+			}
 		}
-		want := set.Clone()
-		simplifyBruteForce(want, sc, 2)
-		got := set.Clone()
-		got.Simplify(sc, 2)
-		if fmt.Sprintf("%+v", got.Terms) != fmt.Sprintf("%+v", want.Terms) {
-			t.Fatalf("trial %d: memoized Simplify diverged\ngot  %+v\nwant %+v", trial, got.Terms, want.Terms)
+		lo := rng.Float64() * 8000
+		in = in.WithRange("size", lo, lo+rng.Float64()*2000)
+		if rng.Intn(3) == 0 {
+			lo := rng.Float64() * 400
+			in = in.WithRange("price", lo, lo+rng.Float64()*100)
+		}
+		return in
+	}
+	cases := []struct {
+		name           string
+		gen            func(*rand.Rand, *Schema) Interest
+		trials         int
+		minN, maxN, to int
+	}{
+		{"small", randomInterest, 50, 3, 10, 2},
+		{"40to16", randomInterest, 8, 40, 40, 16},
+		{"mixed", mixed, 30, 5, 40, 4},
+		{"mixed to one", mixed, 10, 2, 12, 0},
+	}
+	for _, tc := range cases {
+		for trial := 0; trial < tc.trials; trial++ {
+			set := NewInterestSet("quotes")
+			for n := tc.minN + rng.Intn(tc.maxN-tc.minN+1); len(set.Terms) < n; {
+				set.Add(tc.gen(rng, sc)) // ignores the generator's wrong-stream terms
+			}
+			want := set.Clone()
+			simplifyBruteForce(want, sc, tc.to)
+			got := set.Clone()
+			got.Simplify(sc, tc.to)
+			if fmt.Sprintf("%+v", got.Terms) != fmt.Sprintf("%+v", want.Terms) {
+				t.Fatalf("%s trial %d (%d terms): Simplify diverged\ngot  %+v\nwant %+v",
+					tc.name, trial, len(set.Terms), got.Terms, want.Terms)
+			}
 		}
 	}
 }

@@ -298,10 +298,12 @@ func (in Interest) String() string {
 // InterestSet is a disjunction of interests in one stream. A
 // dissemination-tree node aggregates the interests registered by its
 // children into an InterestSet and forwards a tuple downward iff any term
-// matches. To bound the per-tuple filtering cost the set can be
-// simplified: terms are merged (covered) once the set grows beyond a
-// limit, trading filtering precision for evaluation speed — widening is
-// always safe.
+// matches. To bound the size of a registration and the state an ancestor
+// keeps per child the set can be simplified: terms are merged (covered)
+// once the set grows beyond a limit, trading filtering precision for
+// registration size — widening is always safe. (The limit no longer
+// bounds per-tuple cost: MatchIndex hashes a tuple once however many
+// keyed terms are registered.)
 type InterestSet struct {
 	// Stream names the stream all terms apply to.
 	Stream string
@@ -365,42 +367,127 @@ func (s *InterestSet) Selectivity(sc *Schema) float64 {
 
 // Simplify reduces the set to at most maxTerms terms by repeatedly
 // merging the pair of terms whose cover has the least selectivity
-// increase over the schema. maxTerms < 1 collapses to a single cover.
+// increase over the schema (the first such pair, in term order, on a
+// tie). maxTerms < 1 collapses to a single cover.
+//
+// A pair's cost is computed without building its cover
+// (coverSelectivity) and kept across merge rounds: a merge changes one
+// term, so only that term's pairs are computed again. One call is
+// therefore O(n²) allocation-free evaluations plus one Cover per merge,
+// where rebuilding every pair's cover in every round was O(n³)
+// allocating ones — the set-up wall that every SubmitQuery on an entity
+// with many queries ran into.
 func (s *InterestSet) Simplify(sc *Schema, maxTerms int) {
 	if maxTerms < 1 {
 		maxTerms = 1
 	}
-	if len(s.Terms) <= maxTerms {
+	n := len(s.Terms)
+	if n <= maxTerms {
 		return
 	}
-	// Term selectivities are memoized across merge steps: each pass only
-	// computes Selectivity for candidate covers, and a merge reuses the
-	// winning cover's selectivity instead of recomputing it next round.
-	sels := make([]float64, len(s.Terms))
+	sels := make([]float64, n)
 	for i := range s.Terms {
 		sels[i] = s.Terms[i].Selectivity(sc)
 	}
-	for len(s.Terms) > maxTerms {
-		bestI, bestJ := 0, 1
+	// cost[i*n+j], i < j, is the selectivity the set gains if terms i and
+	// j are replaced by their cover. Terms keep their slot for the whole
+	// call; live lists the slots still in the set, in order.
+	cost := make([]float64, n*n)
+	pairCost := func(i, j int) float64 {
+		return coverSelectivity(s.Terms[i], s.Terms[j], sc) - sels[i] - sels[j]
+	}
+	live := make([]int, n)
+	for i := range live {
+		live[i] = i
+		for j := i + 1; j < n; j++ {
+			cost[i*n+j] = pairCost(i, j)
+		}
+	}
+	for len(live) > maxTerms {
+		bestA, bestB := 0, 1 // positions in live
 		bestCost := math.Inf(1)
-		var bestCov Interest
-		bestCovSel := 0.0
-		for i := 0; i < len(s.Terms); i++ {
-			for j := i + 1; j < len(s.Terms); j++ {
-				cov := Cover(s.Terms[i], s.Terms[j])
-				covSel := cov.Selectivity(sc)
-				cost := covSel - sels[i] - sels[j]
-				if cost < bestCost {
-					bestCost, bestI, bestJ = cost, i, j
-					bestCov, bestCovSel = cov, covSel
+		for a, i := range live {
+			for b := a + 1; b < len(live); b++ {
+				if c := cost[i*n+live[b]]; c < bestCost {
+					bestCost, bestA, bestB = c, a, b
 				}
 			}
 		}
-		s.Terms[bestI] = bestCov
-		sels[bestI] = bestCovSel
-		s.Terms = append(s.Terms[:bestJ], s.Terms[bestJ+1:]...)
-		sels = append(sels[:bestJ], sels[bestJ+1:]...)
+		i, j := live[bestA], live[bestB]
+		sels[i] = coverSelectivity(s.Terms[i], s.Terms[j], sc)
+		s.Terms[i] = Cover(s.Terms[i], s.Terms[j])
+		live = append(live[:bestB], live[bestB+1:]...)
+		for _, k := range live {
+			switch {
+			case k < i:
+				cost[k*n+i] = pairCost(k, i)
+			case k > i:
+				cost[i*n+k] = pairCost(i, k)
+			}
+		}
 	}
+	for a, i := range live { // live is ascending: a <= i
+		s.Terms[a] = s.Terms[i]
+	}
+	s.Terms = s.Terms[:len(live)]
+}
+
+// coverSelectivity returns Cover(a, b).Selectivity(sc) without building
+// the cover: a field both constrain contributes the width of the two
+// ranges' union clipped to the field's domain, or |A| + |B| − |A ∩ B|
+// keys over the field's cardinality; a field only one constrains is
+// unconstrained in the cover and contributes nothing.
+func coverSelectivity(a, b Interest, sc *Schema) float64 {
+	if a.Stream != b.Stream {
+		return 1 // Cover answers with an unconstrained interest
+	}
+	sel := 1.0
+	for field, ra := range a.Ranges {
+		rb, ok := b.Ranges[field]
+		if !ok {
+			continue
+		}
+		i, ok := sc.FieldIndex(field)
+		if !ok {
+			return 0
+		}
+		f := &sc.fields[i]
+		w := f.DomainWidth()
+		if w <= 0 {
+			continue
+		}
+		sel *= ra.Union(rb).Intersect(Range{Lo: f.Lo, Hi: f.Hi}).Width() / w
+	}
+	for field, ka := range a.Keys {
+		kb, ok := b.Keys[field]
+		if !ok {
+			continue
+		}
+		i, ok := sc.FieldIndex(field)
+		if !ok {
+			return 0
+		}
+		card := sc.fields[i].Card
+		if card <= 0 {
+			continue
+		}
+		small, large := ka, kb
+		if len(small) > len(large) {
+			small, large = large, small
+		}
+		union := len(ka) + len(kb)
+		for k := range small {
+			if _, both := large[k]; both {
+				union--
+			}
+		}
+		frac := float64(union) / float64(card)
+		if frac > 1 {
+			frac = 1
+		}
+		sel *= frac
+	}
+	return sel
 }
 
 // Clone returns a deep copy of the set.
