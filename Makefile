@@ -67,12 +67,17 @@ test:
 # And so do the match index's: Route agrees with the interpreted
 # reference per (owner, tuple), and a relay whose registrations change
 # under flowing batches routes the very next batch by the new ones.
+# And so do the handoff's: a destination that already receives the
+# stream (a lagging link, a whole group leaving) delivers every tuple
+# once, a gate reopened in place keeps its reordered buffer, and no cut
+# is not a cut at 0.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -run 'TestShardEngine' ./internal/engine/
 	$(GO) test -race -count=1 -run 'TestCompiledInterestEquivalence|TestColumnEvaluator|TestMatchIndexEquivalence|TestFederationMatchesBareEngineOnNaN' ./internal/stream/ ./internal/core/
 	$(GO) test -race -count=1 -run 'TestRelayIndexFollowsRegistrations|TestRelayRegistrationsRaceBatches' ./internal/dissemination/
 	$(GO) test -race -count=1 -run 'TestFanout' ./internal/entity/
+	$(GO) test -race -count=1 -run 'TestHandoff|TestResumeInPlaceKeepsReorderedBuffer|TestNoCutIsNotCutZero|TestDrainQueryWaitsForAdmittedBatches' ./internal/core/ ./internal/entity/
 	$(GO) test -race -count=1 -run 'TestTopK|TestTail' ./internal/operator/ ./internal/engine/
 
 # benchmark/ is a nested module, so ./... above never compiles it: vet

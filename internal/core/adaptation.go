@@ -4,11 +4,13 @@
 // the Hybrid repartitioner, weighs every proposed move against the cost
 // of actually performing it — serialized operator state plus the tuples
 // that would need replaying — and executes only the moves whose gain
-// clears the hysteresis threshold, through live migration.
+// clears the hysteresis threshold, one live handoff per target entity.
 package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"sspd/internal/querygraph"
@@ -75,6 +77,7 @@ func (f *Federation) AdaptOnce() (int, error) {
 
 	planned, moved, skipped := 0, 0, 0
 	cur := old.Clone()
+	accepted := make(map[string][]string) // target -> queries
 	for _, v := range g.Vertices() {
 		to, ok := res.Assignment[v]
 		if !ok || to == cur[v] {
@@ -91,15 +94,18 @@ func (f *Federation) AdaptOnce() (int, error) {
 			skipped++
 			continue
 		}
-		if err := f.MigrateQuery(string(v), ids[to]); err != nil {
-			skipped++
-			continue
-		}
+		accepted[ids[to]] = append(accepted[ids[to]], string(v))
 		cur[v] = to
-		moved++
-		f.adaptMoves.Inc()
 	}
+	// One handoff per target; a move that fails stays where it was.
+	for _, target := range slices.Sorted(maps.Keys(accepted)) {
+		n, _ := f.migrate(target, accepted[target])
+		moved += n
+		skipped += len(accepted[target]) - n
+	}
+	f.adaptMoves.Add(int64(moved))
 	if planned > 0 {
+		cur, _ = f.Assignment() // what holds now, failed moves included
 		f.logger.Info("migration.plan", "", "adaptation round",
 			"planned", fmt.Sprint(planned), "moved", fmt.Sprint(moved),
 			"skipped", fmt.Sprint(skipped),

@@ -101,13 +101,17 @@ func (r *replayRing) append(b stream.Batch) {
 	r.mu.Unlock()
 }
 
-// since returns a copy of the buffered tuples with Seq > seq, plus the
-// ring's trim floor — when floor > seq the caller is missing tuples the
-// ring no longer holds (a replay gap).
-func (r *replayRing) since(seq uint64) (stream.Batch, uint64) {
+// since returns a copy of the buffered tuples with Seq > seq — of all of
+// them when has is false: no cut is not a cut at 0 — plus the ring's
+// trim floor: when floor > seq the caller is missing tuples the ring no
+// longer holds (a replay gap).
+func (r *replayRing) since(seq uint64, has bool) (stream.Batch, uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	i := sort.Search(len(r.buf), func(i int) bool { return r.buf[i].Seq > seq })
+	i := 0
+	if has {
+		i = sort.Search(len(r.buf), func(i int) bool { return r.buf[i].Seq > seq })
+	}
 	if i == len(r.buf) {
 		return nil, r.trimmed
 	}
@@ -353,19 +357,19 @@ func (p *ckptPlane) checkpointQuery(entityID, id string, spec engine.QuerySpec) 
 		f.mu.Unlock()
 	}()
 
-	st, marks, stateBytes, can, err := en.ent.CheckpointQuery(id)
+	c, err := en.ent.CheckpointQuery(id)
 	if err != nil {
 		p.errors.Inc()
 		f.logger.Warn("ckpt.error", entityID, "checkpoint snapshot failed",
 			"query", id, "err", err.Error())
 		return
 	}
-	if !can {
+	if !c.Stateful {
 		// Engine lacks StateSnapshotter; the query recovers stateless
 		// from its spec, so there is nothing durable to write.
 		return
 	}
-	rec, err := p.buildRecord(id, entityID, spec, st, marks)
+	rec, err := p.buildRecord(id, entityID, spec, c.State, c.Cut)
 	if err != nil {
 		p.errors.Inc()
 		f.logger.Warn("ckpt.error", entityID, "checkpoint record build failed",
@@ -393,7 +397,7 @@ func (p *ckptPlane) checkpointQuery(entityID, id string, spec engine.QuerySpec) 
 	p.streamsOf[id] = spec.Streams()
 	p.mu.Unlock()
 	f.logger.Debug("ckpt.write", entityID, "checkpoint written",
-		"query", id, "seq", rec.Seq, "state_bytes", stateBytes,
+		"query", id, "seq", rec.Seq, "state_bytes", c.Bytes,
 		"replicas", len(peers), "wire_bytes", wire)
 }
 
@@ -524,16 +528,16 @@ func (p *ckptPlane) trimRings() {
 	}
 }
 
-// ringSince returns the replay suffix for a stream above seq and the
-// ring's trim floor.
-func (p *ckptPlane) ringSince(streamName string, seq uint64) (stream.Batch, uint64) {
+// ringSince returns the replay suffix for a stream above seq (the whole
+// ring when has is false) and the ring's trim floor.
+func (p *ckptPlane) ringSince(streamName string, seq uint64, has bool) (stream.Batch, uint64) {
 	p.mu.Lock()
 	r := p.rings[streamName]
 	p.mu.Unlock()
 	if r == nil {
 		return nil, 0
 	}
-	return r.since(seq)
+	return r.since(seq, has)
 }
 
 // antiEntropy exchanges digests within each query's replica group so a

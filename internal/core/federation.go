@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -175,7 +177,7 @@ type Federation struct {
 	migRollbacks  metrics.Counter
 	migStateBytes metrics.Counter
 	migReplayed   metrics.Counter
-	migLog        []MigrationRecord
+	migLog        history[MigrationRecord]
 	// controlGiveUps counts control-plane deliveries abandoned after
 	// exhausting their retries (each one is also reported to the failure
 	// detector when monitoring is enabled).
@@ -229,7 +231,7 @@ type Federation struct {
 	recFailed        metrics.Counter
 	recReplayed      metrics.Counter
 	recReplayFetched metrics.Counter
-	recLog           []RecoveryRecord
+	recLog           history[RecoveryRecord]
 	started          bool
 	closed           bool
 }
@@ -583,7 +585,7 @@ func (f *Federation) SubmitQuery(spec engine.QuerySpec, origin simnet.Point,
 		return "", fmt.Errorf("core: query %s already submitted", spec.ID)
 	}
 	f.mu.Unlock()
-	entityID, err := f.route(origin)
+	entityID, err := f.route(origin, nil)
 	if err != nil {
 		return "", err
 	}
@@ -611,28 +613,36 @@ func (f *Federation) SubmitQueryTo(spec engine.QuerySpec, entityID string,
 }
 
 // route descends the coordinator tree from pos to the least-loaded
-// entity of the closest leaf cluster, by live engine load.
-func (f *Federation) route(pos simnet.Point) (string, error) {
+// entity of the closest leaf cluster, by live engine load plus what the
+// caller has already promised each entity this round (pending may be
+// nil).
+func (f *Federation) route(pos simnet.Point, pending map[string]float64) (string, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	member, _, err := f.coord.RouteQuery(pos, func(m coordinator.MemberID) float64 {
 		if en, ok := f.entities[string(m)]; ok {
-			return en.ent.Load()
+			return en.ent.Load() + pending[string(m)]
 		}
 		return 0
 	})
 	return string(member), err
 }
 
-func (f *Federation) placeOn(entityID string, spec engine.QuerySpec, onResult func(stream.Tuple)) error {
+// entity looks an entity up by ID.
+func (f *Federation) entity(id string) (*entityNode, error) {
 	f.mu.Lock()
-	en, ok := f.entities[entityID]
-	if !ok {
-		f.mu.Unlock()
-		return fmt.Errorf("core: unknown entity %q", entityID)
+	defer f.mu.Unlock()
+	if en, ok := f.entities[id]; ok {
+		return en, nil
 	}
-	f.mu.Unlock()
+	return nil, fmt.Errorf("core: unknown entity %q", id)
+}
 
+func (f *Federation) placeOn(entityID string, spec engine.QuerySpec, onResult func(stream.Tuple)) error {
+	en, err := f.entity(entityID)
+	if err != nil {
+		return err
+	}
 	if err := en.ent.PlaceQuery(spec, f.opts.FragmentsPerQuery); err != nil {
 		return err
 	}
@@ -688,11 +698,9 @@ func (f *Federation) RemoveQuery(id string) error {
 // the given streams into its dissemination relays (which re-register up
 // their trees).
 func (f *Federation) refreshInterests(entityID string, streams []string) error {
-	f.mu.Lock()
-	en, ok := f.entities[entityID]
-	f.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("core: unknown entity %q", entityID)
+	en, err := f.entity(entityID)
+	if err != nil {
+		return err
 	}
 	for _, s := range streams {
 		relay := en.relays[s]
@@ -779,33 +787,20 @@ func (f *Federation) Rebalance(r querygraph.Repartitioner) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	moved := 0
-	// Deterministic migration order.
-	qids := make([]string, 0, len(res.Assignment))
-	for q := range res.Assignment {
-		qids = append(qids, string(q))
+	// One handoff per target, in a deterministic order.
+	groups := make(map[string][]string)
+	for q, part := range res.Assignment {
+		if part >= 0 && part < len(ids) {
+			groups[ids[part]] = append(groups[ids[part]], string(q))
+		}
 	}
-	sort.Strings(qids)
-	for _, q := range qids {
-		part := res.Assignment[querygraph.VertexID(q)]
-		if part < 0 || part >= len(ids) {
-			continue
-		}
-		target := ids[part]
-		f.mu.Lock()
-		fq, ok := f.queries[q]
-		cur := ""
-		if ok {
-			cur = fq.entity
-		}
-		f.mu.Unlock()
-		if !ok || cur == target {
-			continue
-		}
-		if err := f.MigrateQuery(q, target); err != nil {
+	moved := 0
+	for _, target := range slices.Sorted(maps.Keys(groups)) {
+		n, err := f.migrate(target, groups[target])
+		moved += n
+		if err != nil {
 			return moved, err
 		}
-		moved++
 	}
 	if moved > 0 {
 		f.rebalanceMoves.Add(int64(moved))
@@ -897,138 +892,65 @@ func (f *Federation) LeaveEntity(id string) (int, error) {
 	}
 	// Queries hosted here, to migrate after the entity leaves the
 	// coordinator tree (so routing cannot pick it again).
-	var hosted []string
-	for q, fq := range f.queries {
+	var hosted []*fedQuery
+	for _, fq := range f.queries {
 		if fq.entity == id {
-			hosted = append(hosted, q)
+			hosted = append(hosted, fq)
 		}
 	}
-	sort.Strings(hosted)
+	sort.Slice(hosted, func(i, j int) bool { return hosted[i].spec.ID < hosted[j].spec.ID })
 	if err := f.coord.Leave(coordinator.MemberID(id)); err != nil {
 		f.mu.Unlock()
 		return 0, err
 	}
-	pos := en.pos
 	f.mu.Unlock()
 	f.logger.Info("entity.leave", id, "entity leaving", "queries", len(hosted))
 
-	// Migrate each orphaned query to the entity the coordinator tree
-	// picks for the departing entity's locality.
-	migrated := 0
-	for _, q := range hosted {
-		target, err := f.route(pos)
+	// Each query goes where the coordinator tree routes it from the
+	// departing entity's locality — spread by load, as if submitted one
+	// after another — and each target receives its share in one handoff.
+	groups := make(map[string][]string)
+	pending := make(map[string]float64)
+	for _, fq := range hosted {
+		target, err := f.route(en.pos, pending)
 		if err != nil {
-			return migrated, err
-		}
-		if err := f.MigrateQuery(q, target); err != nil {
-			return migrated, err
-		}
-		migrated++
-	}
-
-	// Rewire the dissemination trees and drop the entity.
-	f.mu.Lock()
-	delete(f.entities, id)
-	streams := f.streamNamesLocked()
-	var refresh []*dissemination.Relay
-	rewired := make(map[string]int, len(streams))
-	for _, s := range streams {
-		src := f.sources[s]
-		rid := relayID(id, s)
-		relay := en.relays[s]
-		oldParent := src.tree.Parent(rid)
-		rewires, err := src.tree.RemoveMember(rid, f.opts.Fanout)
-		if err != nil {
-			f.mu.Unlock()
-			return migrated, err
-		}
-		rewired[s] = len(rewires)
-		if relay != nil {
-			_ = relay.Close()
-		}
-		delete(f.relayIndex, rid)
-		if pr, ok := f.relayIndex[oldParent]; ok {
-			pr.DropChild(rid)
-			refresh = append(refresh, pr)
-		}
-		for _, rw := range rewires {
-			if child, ok := f.relayIndex[rw.Child]; ok {
-				refresh = append(refresh, child)
-			}
-		}
-	}
-	stats := f.stats
-	lat := f.lat
-	f.mu.Unlock()
-	for _, s := range streams {
-		f.logger.Info("tree.repair", id, "dissemination tree rewired around departed entity",
-			"stream", s, "rewires", rewired[s])
-	}
-	if stats != nil {
-		stats.removeNode(id)
-	}
-	if lat != nil {
-		lat.forgetEntity(id)
-	}
-	for _, r := range refresh {
-		if err := r.Refresh(); err != nil {
-			return migrated, err
-		}
-	}
-	if en.hb != nil {
-		_ = en.hb.Close()
-	}
-	en.ent.Close()
-	return migrated, nil
-}
-
-// FailEntity expels a crashed entity: unlike LeaveEntity, nothing is
-// asked of the entity itself. Its queries are re-placed on survivors
-// from their stored declarative specs (the loose coupling's recovery
-// story: a spec plus the stream is enough to rebuild a query anywhere).
-// It returns the number of queries re-placed.
-func (f *Federation) FailEntity(id string) (int, error) {
-	f.mu.Lock()
-	en, ok := f.entities[id]
-	if !ok {
-		f.mu.Unlock()
-		return 0, fmt.Errorf("core: unknown entity %q", id)
-	}
-	if len(f.entities) < 2 {
-		f.mu.Unlock()
-		return 0, fmt.Errorf("core: cannot expel the last entity")
-	}
-	delete(f.entities, id)
-	_ = f.coord.Fail(coordinator.MemberID(id))
-	f.logger.Error("entity.fail", id, "entity expelled as failed")
-	// Collect the dead entity's queries; they leave the books entirely
-	// and re-enter through the normal placement path.
-	var orphans []orphanQuery
-	for q, fq := range f.queries {
-		if fq.entity == id {
-			o := orphanQuery{spec: fq.spec}
-			if fn, ok := f.results.LoadAndDelete(q); ok {
-				o.onResult = fn.(func(stream.Tuple))
-			}
-			orphans = append(orphans, o)
-			delete(f.queries, q)
-		}
-	}
-	sort.Slice(orphans, func(i, j int) bool { return orphans[i].spec.ID < orphans[j].spec.ID })
-	pos := en.pos
-	streams := f.streamNamesLocked()
-	var refresh []*dissemination.Relay
-	rewired := make(map[string]int, len(streams))
-	for _, s := range streams {
-		src := f.sources[s]
-		rid := relayID(id, s)
-		oldParent := src.tree.Parent(rid)
-		rewires, err := src.tree.RemoveMember(rid, f.opts.Fanout)
-		if err != nil {
-			f.mu.Unlock()
 			return 0, err
 		}
-		rewired[s] = len(rewires)
+		groups[target] = append(groups[target], fq.spec.ID)
+		pending[target] += fq.spec.EstimatedLoad()
+	}
+	migrated := 0
+	for _, target := range slices.Sorted(maps.Keys(groups)) {
+		n, err := f.migrate(target, groups[target])
+		migrated += n
+		if err != nil {
+			return migrated, err
+		}
+	}
+	return migrated, f.removeEntity(en, f.logger.Info, "departed")
+}
+
+// removeEntity takes an entity that no longer hosts anything out of the
+// books and out of every dissemination tree, rewires the trees around it
+// and stops it. The journal reports each repair through log, about a
+// `why` ("departed", "failed") entity.
+func (f *Federation) removeEntity(en *entityNode,
+	log func(kind, node, msg string, kv ...any), why string) error {
+	id := en.id
+	f.mu.Lock()
+	delete(f.entities, id)
+	var refresh []*dissemination.Relay
+	for _, s := range f.streamNamesLocked() {
+		src := f.sources[s]
+		rid := relayID(id, s)
+		oldParent := src.tree.Parent(rid)
+		rewires, err := src.tree.RemoveMember(rid, f.opts.Fanout)
+		if err != nil {
+			f.mu.Unlock()
+			return err
+		}
+		log("tree.repair", id, "dissemination tree rewired around "+why+" entity",
+			"stream", s, "rewires", len(rewires))
 		if relay := en.relays[s]; relay != nil {
 			_ = relay.Close()
 		}
@@ -1043,58 +965,107 @@ func (f *Federation) FailEntity(id string) (int, error) {
 			}
 		}
 	}
-	stats := f.stats
-	lat := f.lat
+	stats, lat, monitor := f.stats, f.lat, f.monitor
 	f.mu.Unlock()
-	for _, s := range streams {
-		f.logger.Warn("tree.repair", id, "dissemination tree rewired around failed entity",
-			"stream", s, "rewires", rewired[s])
-	}
 	if stats != nil {
 		stats.removeNode(id)
 	}
 	if lat != nil {
 		lat.forgetEntity(id)
 	}
-
+	if monitor != nil {
+		monitor.Unwatch(hbID(id))
+	}
 	if en.hb != nil {
 		_ = en.hb.Close()
 	}
 	en.ent.Close()
-	f.mu.Lock()
-	if f.monitor != nil {
-		f.monitor.Unwatch(hbID(id))
-	}
-	f.mu.Unlock()
 	for _, r := range refresh {
 		if err := r.Refresh(); err != nil {
-			return 0, err
+			return err
 		}
 	}
-	// With the checkpoint plane enabled, orphans are restored from
-	// their newest quorum-acked checkpoint and caught up by bounded
-	// replay; without it they re-enter stateless through the normal
-	// placement path.
+	return nil
+}
+
+// FailEntity expels a crashed entity: unlike LeaveEntity, nothing is
+// asked of the entity itself. Its queries are handed to survivors the
+// way a migration hands them over (handoff.go), except that their state
+// comes from their newest quorum-acked checkpoint and their replay from
+// the upstream rings — or, without the checkpoint plane, from nowhere:
+// a spec plus the stream is enough to rebuild a query anywhere. It
+// returns the number of queries brought back.
+func (f *Federation) FailEntity(id string) (int, error) {
+	f.mu.Lock()
+	en, ok := f.entities[id]
+	if !ok {
+		f.mu.Unlock()
+		return 0, fmt.Errorf("core: unknown entity %q", id)
+	}
+	if len(f.entities) < 2 {
+		f.mu.Unlock()
+		return 0, fmt.Errorf("core: cannot expel the last entity")
+	}
+	_ = f.coord.Fail(coordinator.MemberID(id))
+	f.logger.Error("entity.fail", id, "entity expelled as failed")
+	// The dead entity's queries leave the books and re-enter them when
+	// their handoff commits; their result routes stay up meanwhile.
+	var orphans []*handoffItem
+	for q, fq := range f.queries {
+		if fq.entity == id {
+			orphans = append(orphans, &handoffItem{spec: fq.spec, lost: id})
+			delete(f.queries, q)
+		}
+	}
+	f.mu.Unlock()
+	if err := f.removeEntity(en, f.logger.Warn, "failed"); err != nil {
+		return 0, err
+	}
+
+	start := time.Now()
+	f.logger.Info("recovery.start", id, "crash recovery starting", "queries", len(orphans))
 	if p := f.ckptRef(); p != nil {
 		p.killReplica(id)
-		return f.recoverOrphans(p, id, pos, orphans)
+		ids := make([]string, len(orphans))
+		for i, it := range orphans {
+			ids[i] = it.spec.ID
+		}
+		recs := p.fetchRecords(ids, recoveryFetchTimeout)
+		for _, it := range orphans {
+			if rec, has := recs[it.spec.ID]; has {
+				it.record = &rec
+			}
+		}
 	}
-	// Re-place every orphan where the coordinator tree routes it.
-	replaced := 0
-	for _, o := range orphans {
-		_ = f.ledger.Stop(o.spec.ID) // the dead entity's accrual ends
-		target, err := f.route(pos)
+	// Route every orphan from the dead entity's locality, then hand each
+	// target its group: one interest refresh, one settle and one ring read
+	// per stream however many queries it takes in.
+	groups := make(map[string][]*handoffItem)
+	var firstErr error
+	for _, it := range orphans {
+		_ = f.ledger.Stop(it.spec.ID) // the dead entity's accrual ends
+		target, err := f.route(en.pos, nil)
 		if err != nil {
-			return replaced, err
+			f.recordHandoff("", it, 0, "route: "+err.Error())
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
 		}
-		if err := f.placeOn(target, o.spec, o.onResult); err != nil {
-			return replaced, err
-		}
-		f.logger.Info("migration.place", target, "orphaned query re-placed",
-			"query", o.spec.ID, "failed", id)
-		replaced++
+		groups[target] = append(groups[target], it)
 	}
-	return replaced, nil
+	recovered := 0
+	for _, target := range slices.Sorted(maps.Keys(groups)) {
+		n, err := f.handoff(target, groups[target])
+		recovered += n
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	f.logger.Info("recovery.done", id, "crash recovery finished",
+		"queries", len(orphans), "recovered", recovered,
+		"elapsed_ms", fmt.Sprintf("%.1f", float64(time.Since(start).Microseconds())/1000))
+	return recovered, firstErr
 }
 
 // EnableFailureDetection starts portal-side heartbeat monitoring of
@@ -1253,18 +1224,7 @@ func (f *Federation) ReorganizeTrees() (int, error) {
 // waits exactly as long as needed; on others (TCP) it sleeps briefly.
 // Call it after churn operations before relying on exact filtering.
 func (f *Federation) Settle(timeout time.Duration) {
-	type quiescer interface {
-		Quiesce(time.Duration) bool
-	}
-	if q, ok := f.transport.(quiescer); ok {
-		q.Quiesce(timeout)
-		return
-	}
-	sleep := timeout / 20
-	if sleep > 50*time.Millisecond {
-		sleep = 50 * time.Millisecond
-	}
-	time.Sleep(sleep)
+	simnet.Settle(f.transport, timeout)
 }
 
 func (f *Federation) streamNamesLocked() []string {
@@ -1285,10 +1245,8 @@ func (f *Federation) EntityIDs() []string {
 
 // EntityLoad returns an entity's current engine load.
 func (f *Federation) EntityLoad(id string) float64 {
-	f.mu.Lock()
-	en, ok := f.entities[id]
-	f.mu.Unlock()
-	if !ok {
+	en, err := f.entity(id)
+	if err != nil {
 		return 0
 	}
 	return en.ent.Load()

@@ -7,15 +7,18 @@ import (
 	"sspd/internal/simnet"
 )
 
-// With dedup on and marks installed, tuples at or below the mark must
-// be dropped as stale and everything above processed exactly once.
+// With dedup on and a cut restored, live tuples at or below the mark
+// must be dropped as stale and everything above processed exactly once.
 func TestIngestDedupFiltersStale(t *testing.T) {
 	e, net, log := newTestEntity(t, 2)
 	e.SetIngestDedup(true)
-	if err := e.PlaceQuery(aggQuerySpec("q1", 4), 1); err != nil {
+	if err := e.PrepareQuery(aggQuerySpec("q1", 4), 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SetQueryMarks("q1", map[string]uint64{"quotes": 10}); err != nil {
+	if err := e.RestoreQuery("q1", nil, map[string]uint64{"quotes": 10}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.ResumeQuery("q1", nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(5); i <= 15; i++ {
@@ -28,9 +31,12 @@ func TestIngestDedupFiltersStale(t *testing.T) {
 	if got := e.StaleDrops(); got != 6 {
 		t.Fatalf("stale drops = %d, want 6 (seqs 5..10)", got)
 	}
-	marks, ok := e.QueryMarks("q1")
-	if !ok || marks["quotes"] != 15 {
-		t.Fatalf("marks = %v %v, want quotes=15", marks, ok)
+	pq, _, err := e.lookupQuery("q1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if marks := pq.gate.cut(); marks["quotes"] != 15 {
+		t.Fatalf("marks = %v, want quotes=15", marks)
 	}
 	// Dedup off again: the same stale seq flows through.
 	e.SetIngestDedup(false)
@@ -55,15 +61,15 @@ func TestCheckpointQueryCutAndResume(t *testing.T) {
 	}
 	net.Quiesce(time.Second)
 
-	st, marks, stateBytes, ok, err := e.CheckpointQuery("q1")
-	if err != nil || !ok {
-		t.Fatalf("checkpoint: %v ok=%v", err, ok)
+	c, err := e.CheckpointQuery("q1")
+	if err != nil || !c.Stateful {
+		t.Fatalf("checkpoint: %v stateful=%v", err, c.Stateful)
 	}
-	if stateBytes <= 0 || len(st) == 0 {
-		t.Fatalf("empty state: %d bytes, %d frags", stateBytes, len(st))
+	if c.Bytes <= 0 || len(c.State) == 0 {
+		t.Fatalf("empty state: %d bytes, %d frags", c.Bytes, len(c.State))
 	}
-	if marks["quotes"] != 20 {
-		t.Fatalf("marks = %v, want quotes=20", marks)
+	if c.Cut["quotes"] != 20 {
+		t.Fatalf("cut = %v, want quotes=20", c.Cut)
 	}
 	// The query keeps running after the checkpoint.
 	for i := uint64(21); i <= 25; i++ {
@@ -90,16 +96,13 @@ func TestCheckpointQueryCutAndResume(t *testing.T) {
 	if err := e2.PrepareQuery(aggQuerySpec("q1", 8), 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := e2.RestoreQuery("q1", st); err != nil {
+	if err := e2.RestoreQuery("q1", c.State, c.Cut); err != nil {
 		t.Fatal(err)
 	}
-	if err := e2.SetQueryMarks("q1", marks); err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(15); i <= 23; i++ { // replay overlaps the mark
+	for i := uint64(15); i <= 23; i++ { // what the gate buffered overlaps the cut
 		e2.Ingest(quote(i, "ibm", 50, 1))
 	}
-	if _, _, err := e2.CommitQuery("q1", nil); err != nil {
+	if _, _, err := e2.ResumeQuery("q1", nil); err != nil {
 		t.Fatal(err)
 	}
 	net2.Quiesce(time.Second)
@@ -113,13 +116,17 @@ func TestCheckpointQueryCutAndResume(t *testing.T) {
 
 func TestCheckpointQueryErrors(t *testing.T) {
 	e, _, _ := newTestEntity(t, 1)
-	if _, _, _, _, err := e.CheckpointQuery("nope"); err == nil {
+	if _, err := e.CheckpointQuery("nope"); err == nil {
 		t.Fatal("unknown query accepted")
 	}
-	if err := e.SetQueryMarks("nope", nil); err == nil {
-		t.Fatal("marks for unknown query accepted")
+	if err := e.RestoreQuery("nope", nil, nil); err == nil {
+		t.Fatal("restore of unknown query accepted")
 	}
-	if _, ok := e.QueryMarks("nope"); ok {
-		t.Fatal("marks for unknown query returned")
+	if _, err := e.DetachQuery("nope"); err == nil {
+		t.Fatal("detach of unknown query accepted")
+	}
+	e.Close()
+	if _, err := e.CheckpointQuery("nope"); err == nil {
+		t.Fatal("closed entity checkpointed")
 	}
 }

@@ -174,8 +174,8 @@ type placedQuery struct {
 	// routes lists the candidate bindings of every routed fragment
 	// boundary (empty for static placements).
 	routes []RouteBinding
-	// gate buffers head-fragment input while the query is paused
-	// (live migration, DESIGN.md §10).
+	// gate buffers head-fragment input while the query is paused (a
+	// handoff or a checkpoint, DESIGN.md §10).
 	gate *ingestGate
 }
 
@@ -386,10 +386,10 @@ func (e *Entity) PlaceQuery(spec engine.QuerySpec, nFrags int) error {
 }
 
 // place is PlaceQuery with control over the query's initial gate state:
-// paused placements buffer head-fragment input until CommitQuery or
-// ResumeQuery opens the gate — the destination half of live migration.
-// It picks up the entity's tuple-routing configuration (SetTupleRouting),
-// so routed placement flows through the migration machinery unchanged.
+// paused placements buffer head-fragment input until ResumeQuery opens
+// the gate — the destination of a handoff. It picks up the entity's
+// tuple-routing configuration (SetTupleRouting), so routed placement
+// flows through the handoff machinery unchanged.
 func (e *Entity) place(spec engine.QuerySpec, nFrags int, paused bool) error {
 	e.mu.Lock()
 	cfg := placeConfig{paused: paused, replicas: e.routingReplicas, explore: e.routingExplore}
@@ -1013,13 +1013,19 @@ func (p *procNode) ingest(b stream.Batch) {
 			trace.Record(trace.SpanID(t.Span), trace.StageDelegate, self)
 		}
 	}
+	// The batch's highest Seq, found once: what every open gate raises
+	// its stream's mark to, at one comparison per (gate, batch).
+	hi := b[0].Seq
+	for i := 1; i < len(b); i++ {
+		hi = max(hi, b[i].Seq)
+	}
 	for _, g := range (*p.fanout.Load())[b[0].Stream] {
 		// With every gate open and nothing stale the published lists are
 		// the shared lists, and nothing is allocated here.
 		frags, gates := g.frags, g.gates
 		split := false
 		for i, gate := range g.gates {
-			out := gate.admit(b)
+			out := gate.admit(b, hi)
 			if len(out) == len(b) {
 				if split {
 					frags, gates = append(frags, g.frags[i]), append(gates, gate)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -169,17 +170,15 @@ func runFanoutScenario(t *testing.T, nProcs, nFrags int, factory EngineFactory) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	pq.gate.setDedup(true)
+	pq.gate.dedup = true // nothing flows yet
 
 	batches := seededBatches(7, 90)
 	for i, b := range batches {
 		switch i {
 		case 30:
-			if err := e.PauseQuery("paused"); err != nil {
-				t.Fatal(err)
-			}
+			pauseQuery(t, e, "paused")
 		case 60:
-			if _, err := e.ResumeQuery("paused"); err != nil {
+			if _, _, err := e.ResumeQuery("paused", nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -366,44 +365,77 @@ func (e *blockingEngine) FeedGroupBatch(ids []string, b stream.Batch) {
 }
 
 // TestDrainQueryWaitsForAdmittedBatches: a batch the gate admitted
-// before PauseQuery, and the fan-out has not handed to the engine yet,
-// is in neither the engine nor the pause buffer. DrainQuery must not
-// report the query drained while one exists, or the snapshot that
-// follows misses it and the migration loses it.
+// before it closed, and the fan-out has not handed to the engine yet, is
+// in neither the engine nor the pause buffer. A capture must not report
+// the query drained while one exists, or the snapshot misses it and the
+// handoff loses it; and a resume must not replay ahead of it, whether or
+// not a capture drained first.
 func TestDrainQueryWaitsForAdmittedBatches(t *testing.T) {
-	var eng *blockingEngine
-	e, log := newFanoutEntity(t, 1, func(name string, c *stream.Catalog) engine.Processor {
-		eng = &blockingEngine{MiniEngine: engine.NewMini(name, c),
-			entered: make(chan struct{}), release: make(chan struct{})}
-		return eng
+	newBlocked := func(t *testing.T) (*Entity, *seqLog, *blockingEngine, chan struct{}) {
+		var eng *blockingEngine
+		e, log := newFanoutEntity(t, 1, func(name string, c *stream.Catalog) engine.Processor {
+			eng = &blockingEngine{MiniEngine: engine.NewMini(name, c),
+				entered: make(chan struct{}), release: make(chan struct{})}
+			return eng
+		})
+		if err := e.PlaceQuery(filterSpec("q1", 0, 100), 1); err != nil {
+			t.Fatal(err)
+		}
+		fed := make(chan struct{})
+		go func() {
+			defer close(fed)
+			e.IngestBatch(stream.Batch{quote(1, "ibm", 50, 1), quote(2, "ibm", 60, 1)})
+		}()
+		<-eng.entered // admitted by the open gate, not yet in the engine
+		return e, log, eng, fed
+	}
+
+	t.Run("capture", func(t *testing.T) {
+		e, log, eng, fed := newBlocked(t)
+		if c := e.CaptureQueries([]string{"q1"}, 20*time.Millisecond)[0]; c.Err == nil {
+			t.Fatal("capture reported a drained query while an admitted batch was unfed")
+		}
+		close(eng.release)
+		<-fed
+		if c := e.CaptureQueries([]string{"q1"}, 10*time.Second)[0]; c.Err != nil || c.Cut["quotes"] != 2 {
+			t.Fatalf("capture after the batch was fed: cut %v, err %v", c.Cut, c.Err)
+		}
+		if got := len(log.multisets()["q1"]); got != 2 {
+			t.Fatalf("drained query has %d results, want the admitted batch's 2", got)
+		}
+		buffered, err := e.DetachQuery("q1")
+		if err != nil || len(buffered) != 0 {
+			t.Fatalf("pause buffer = %d tuples (err %v), want 0: the batch went to the engine", len(buffered), err)
+		}
 	})
-	if err := e.PlaceQuery(filterSpec("q1", 0, 100), 1); err != nil {
-		t.Fatal(err)
-	}
-	fed := make(chan struct{})
-	go func() {
-		defer close(fed)
-		e.IngestBatch(stream.Batch{quote(1, "ibm", 50, 1), quote(2, "ibm", 60, 1)})
-	}()
-	<-eng.entered // admitted by the open gate, not yet in the engine
-	if err := e.PauseQuery("q1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.DrainQuery("q1", 20*time.Millisecond); err == nil {
-		t.Fatal("DrainQuery reported a drained query while an admitted batch was unfed")
-	}
-	close(eng.release)
-	<-fed
-	if err := e.DrainQuery("q1", 10*time.Second); err != nil {
-		t.Fatalf("DrainQuery after the batch was fed: %v", err)
-	}
-	if got := len(log.multisets()["q1"]); got != 2 {
-		t.Fatalf("drained query has %d results, want the admitted batch's 2", got)
-	}
-	_, buffered, err := e.CompleteMigration("q1")
-	if err != nil || len(buffered) != 0 {
-		t.Fatalf("pause buffer = %d tuples (err %v), want 0: the batch went to the engine", len(buffered), err)
-	}
+
+	// No capture in between: the gate closes, buffers a later tuple, and
+	// is reopened while the earlier batch is still on its way in.
+	t.Run("resume", func(t *testing.T) {
+		e, _, eng, fed := newBlocked(t)
+		order := &seqRecorder{}
+		e.SetResultHandler(order.handle)
+		pauseQuery(t, e, "q1")
+		e.IngestBatch(stream.Batch{quote(3, "ibm", 70, 1)})
+		resumed := make(chan struct{})
+		go func() {
+			defer close(resumed)
+			if _, _, err := e.ResumeQuery("q1", nil); err != nil {
+				t.Error(err)
+			}
+		}()
+		select {
+		case <-resumed:
+			t.Fatal("ResumeQuery returned while an admitted batch was unfed")
+		case <-time.After(20 * time.Millisecond):
+		}
+		close(eng.release)
+		<-fed
+		<-resumed
+		if got := order.seqs(); !slices.Equal(got, []uint64{1, 2, 3}) {
+			t.Fatalf("processed seqs %v, want [1 2 3]: the replay overtook the admitted batch", got)
+		}
+	})
 }
 
 // rejectAll is a filter no test tuple passes, so the engines allocate
@@ -483,5 +515,41 @@ func TestFanoutTraceHops(t *testing.T) {
 	}
 	if !reflect.DeepEqual(hops, want) {
 		t.Fatalf("hops = %v, want %v", hops, want)
+	}
+}
+
+// discardEngine registers queries and throws every feed away, so a
+// benchmark over it times the fan-out and its gates alone.
+type discardEngine struct{ *engine.MiniEngine }
+
+func (discardEngine) FeedGroupBatch([]string, stream.Batch) {}
+
+// BenchmarkIngestFanout: one delegation processor, 32 open gates, a
+// 64-tuple single-stream batch, an engine that discards — what a batch
+// pays to get past the gates (each raises its stream's high-water once
+// per batch; no per-tuple work, no allocation).
+func BenchmarkIngestFanout(b *testing.B) {
+	e, err := New("e1", newLoopNet(), testCatalog(b), 1, func(name string, c *stream.Catalog) engine.Processor {
+		return discardEngine{engine.NewMini(name, c)}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	for i := 0; i < 32; i++ {
+		if err := e.PlaceQuery(rejectAll(fmt.Sprintf("q%d", i)), 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	batch := make(stream.Batch, 64)
+	for i := range batch {
+		batch[i] = quote(uint64(i), "ibm", 50, 1)
+	}
+	dp := e.procs[0]
+	dp.ingest(batch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dp.ingest(batch)
 	}
 }

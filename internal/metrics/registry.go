@@ -338,8 +338,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 
 	for _, f := range fams {
-		sigs := make([]string, 0, len(f.series))
 		r.mu.RLock()
+		sigs := make([]string, 0, len(f.series))
 		for sig := range f.series {
 			sigs = append(sigs, sig)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"sspd/internal/metrics"
 )
@@ -56,6 +57,18 @@ type Transport interface {
 	Traffic() *Traffic
 	// Close shuts the transport down.
 	Close() error
+}
+
+// Settle waits for t's in-flight messages to land: exactly as long as
+// needed, up to timeout, on a transport that can tell (SimNet and a
+// FaultPlan over it have Quiesce), a short grace sleep on one that
+// cannot (TCP).
+func Settle(t Transport, timeout time.Duration) {
+	if q, ok := t.(interface{ Quiesce(time.Duration) bool }); ok {
+		q.Quiesce(timeout)
+		return
+	}
+	time.Sleep(min(timeout/20, 50*time.Millisecond))
 }
 
 // Traffic aggregates byte counters: total, per sending node (egress) and
