@@ -71,12 +71,18 @@ test:
 # stream (a lagging link, a whole group leaving) delivers every tuple
 # once, a gate reopened in place keeps its reordered buffer, and no cut
 # is not a cut at 0.
+# And so do the proofs of who owns a batch (engine.Processor point 2):
+# the contract test (a shard engine keeps the slice it is fed and only
+# reads it, a reader beside it stays race-clean), the shared-batch test
+# (one batch through gates, two engines and a frame at once), and the
+# allocation gate, whose counts must be the same numbers under -race.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=1 -run 'TestShardEngine' ./internal/engine/
+	$(GO) test -race -count=1 -run 'TestShardEngine|TestEngineContract' ./internal/engine/
 	$(GO) test -race -count=1 -run 'TestCompiledInterestEquivalence|TestColumnEvaluator|TestMatchIndexEquivalence|TestFederationMatchesBareEngineOnNaN' ./internal/stream/ ./internal/core/
 	$(GO) test -race -count=1 -run 'TestRelayIndexFollowsRegistrations|TestRelayRegistrationsRaceBatches' ./internal/dissemination/
-	$(GO) test -race -count=1 -run 'TestFanout' ./internal/entity/
+	$(GO) test -race -count=1 -run 'TestFanout|TestIngestAllocations|TestFrameDecodeErrorsCounted' ./internal/entity/
+	$(GO) test -race -count=1 -run 'FuzzDecodeBatch|TestDecodeBatch' ./internal/stream/
 	$(GO) test -race -count=1 -run 'TestHandoff|TestResumeInPlaceKeepsReorderedBuffer|TestNoCutIsNotCutZero|TestDrainQueryWaitsForAdmittedBatches' ./internal/core/ ./internal/entity/
 	$(GO) test -race -count=1 -run 'TestTopK|TestTail' ./internal/operator/ ./internal/engine/
 

@@ -440,6 +440,7 @@ func (f *Federation) newEntityNodeLocked(id string, pos simnet.Point, nProcs int
 		return nil, err
 	}
 	ent.SetResultHandler(f.deliverResult)
+	ent.SetLogger(f.logger)
 	if f.opts.EnableTupleRouting {
 		ent.SetTupleRouting(f.opts.RoutingReplicas, f.opts.RoutingExplore)
 	}

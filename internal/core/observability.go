@@ -297,6 +297,16 @@ func (f *Federation) collectMetrics(emit func(metrics.Sample)) {
 		metrics.EmitCounter(emit, "sspd_relay_decode_errors_total", "Payloads relays dropped as undecodable, by message kind.",
 			float64(n), metrics.L("kind", k))
 	}
+	frameErrs := make(map[string]int64)
+	for _, en := range entities {
+		for kind, n := range en.ent.FrameDecodeErrors() {
+			frameErrs[kind] += n
+		}
+	}
+	for k, n := range frameErrs {
+		metrics.EmitCounter(emit, "sspd_entity_frame_decode_errors_total", "Intra-entity frames processors dropped as undecodable, by frame kind.",
+			float64(n), metrics.L("kind", k))
+	}
 	metrics.EmitCounter(emit, "sspd_control_giveups_total", "Control-plane deliveries abandoned after exhausting retries.",
 		float64(f.controlGiveUps.Value()))
 	metrics.EmitCounter(emit, "sspd_control_retries_total", "Control-plane delivery retries by the reliable endpoints.",

@@ -522,13 +522,15 @@ func (r *Relay) disseminate(batch stream.Batch, wire []byte) {
 	sc := scratchPool.Get().(*dissemScratch)
 	ri := r.currentIndex()
 
-	self := string(r.self)
-	for i := range batch {
-		// Free for untraced tuples (Span == 0 fast path).
-		trace.Record(trace.SpanID(batch[i].Span), trace.StageRelay, self)
+	traced := batch.HasSpan() // asked once per batch, for both hops
+	if traced {
+		self := string(r.self)
+		for i := range batch {
+			trace.Record(trace.SpanID(batch[i].Span), trace.StageRelay, self)
+		}
 	}
 	ri.ix.Route(batch, &sc.routed)
-	r.deliverLocal(batch, sc.routed.Rows(0))
+	r.deliverLocal(batch, sc.routed.Rows(0), traced)
 
 	// Fan-out. The incoming payload (or one pooled full-batch encoding)
 	// is shared by every pass-through child; partial matches re-encode
@@ -586,34 +588,25 @@ func (r *Relay) disseminate(batch stream.Batch, wire []byte) {
 }
 
 // deliverLocal clones the locally matched tuples — rows of the batch —
-// into one compact chunk (a single Values arena plus one Batch
-// allocation, nothing when the batch has no local matches) and hands
-// them to the entity. Cloning at this boundary keeps downstream
-// ownership semantics unchanged: engines, windows, and user subscribers
-// may retain delivered tuples forever, while the relay's decoded batch
-// goes back to its pool. A relay with nobody to deliver to never has
-// rows: currentIndex gives its owner 0 the empty set.
-func (r *Relay) deliverLocal(batch stream.Batch, rows []int32) {
+// into one compact chunk (stream.Batch.Compact: a single Values arena
+// plus one Batch allocation, nothing when the batch has no local matches)
+// and hands them to the entity. This is the one owned copy a tuple gets
+// per entity: engines, windows, and user subscribers may retain delivered
+// tuples forever, while the relay's decoded batch goes back to its pool —
+// so the clone is the entity's from here on, and the relay never touches
+// it again. A relay with nobody to deliver to never has rows:
+// currentIndex gives its owner 0 the empty set.
+func (r *Relay) deliverLocal(batch stream.Batch, rows []int32, traced bool) {
 	if len(rows) == 0 {
 		return
 	}
-	nvals := 0
-	for _, i := range rows {
-		nvals += len(batch[i].Values)
-	}
-	vals := make([]stream.Value, 0, nvals)
-	sub := make(stream.Batch, 0, len(rows))
-	for _, i := range rows {
-		t := batch[i]
-		start := len(vals)
-		vals = append(vals, t.Values...)
-		t.Values = vals[start:len(vals):len(vals)]
-		sub = append(sub, t)
-	}
+	sub := batch.Compact(rows)
 	r.Delivered.Add(int64(len(sub)))
-	self := string(r.self)
-	for i := range sub {
-		trace.Record(trace.SpanID(sub[i].Span), trace.StageDeliver, self)
+	if traced {
+		self := string(r.self)
+		for i := range sub {
+			trace.Record(trace.SpanID(sub[i].Span), trace.StageDeliver, self)
+		}
 	}
 	if r.deliverBatch != nil {
 		r.deliverBatch(sub)

@@ -18,11 +18,17 @@ import (
 //     FeedQuery, FeedQueryBatch or a GroupFeeder's FeedGroupBatch) are
 //     processed by that query in the order handed over. Nothing is
 //     promised across producers or across queries.
-//  2. Ownership: the engine owns a tuple once it is handed over and may
-//     hold it after the call returns; tuples are never mutated in place.
-//     A batch's backing slice — and the id list of a grouped feed — stays
-//     the caller's: the engine copies what it keeps, so the caller may
-//     reuse both.
+//  2. Ownership: a batch is the engine's from hand-over until the engine
+//     is done with it, and is read-only for everyone for that time. An
+//     asynchronous engine keeps the slice it is given — it copies nothing
+//     — and may hold it, and every tuple in it, long after the call
+//     returns; a synchronous engine is done when the call returns. So the
+//     caller may keep reading the batch and may hand the same batch to
+//     other engines, queries and gates, but must not write to its
+//     elements or reuse the slice unless it knows the engine is
+//     synchronous. Tuples are never mutated in place. The id list of a
+//     grouped feed stays the caller's: it is resolved before the call
+//     returns.
 //  3. Never block: no ingest call waits for processing. An engine that
 //     cannot take a tuple drops it and counts the drop (Reporter exposes
 //     the counts); a synchronous engine never drops.
@@ -77,9 +83,10 @@ type BatchFeeder interface {
 
 // GroupFeeder is the optional capability of taking one batch for several
 // queries at once — how a delegation processor feeds every head fragment
-// an engine hosts: the engine keeps one copy, not one per query. The ids
-// are distinct and stay the caller's; one that is not registered (a
-// removal raced the feed) is skipped and the rest are still fed.
+// an engine hosts: the engine enqueues the one batch once per shard, not
+// once per query, and the batch is handed over as contract point 2 says.
+// The ids are distinct and stay the caller's; one that is not registered
+// (a removal raced the feed) is skipped and the rest are still fed.
 // Contract points 1 to 4 hold per named query; FeedQueryBatch is the
 // call for a list of one. Both engines implement it.
 type GroupFeeder interface {

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"math"
+	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,6 +27,7 @@ func simpleSpec(id string) QuerySpec {
 // contract plus the optional capabilities both happen to have.
 type shippedEngine interface {
 	Processor
+	IngestBatch(stream.Batch)
 	GroupFeeder
 	Adapter
 	StateSnapshotter
@@ -139,7 +142,7 @@ func TestEngineContract(t *testing.T) {
 				t.Fatalf("chain delivered %d of 5", n.Load())
 			}
 		}},
-		{"grouped feed keeps per-query order and borrows nothing", func(t *testing.T, mk mkFn) {
+		{"grouped feed borrows ids and never writes a batch", func(t *testing.T, mk mkFn) {
 			e := mk("test", testCatalog(t))
 			defer e.Close()
 			names := []string{"a", "b", "c", "d", "e"}
@@ -155,43 +158,114 @@ func TestEngineContract(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// One id slice and one batch slice, overwritten after every
-			// call: the engine may read neither once the call returns
-			// (the shard reads its work asynchronously). "ghost" is not
+			// Contract point 2. One id slice, overwritten after every call:
+			// the ids are resolved before the call returns. A fresh batch
+			// per call, handed over for good: the engine keeps the slice —
+			// and only ever reads it, so the caller may go on reading it
+			// while the shards work (the reader below runs beside them;
+			// under -race a single engine write to a fed batch fails the
+			// test) and finds it unchanged afterwards. "ghost" is not
 			// registered and is skipped; the rest are still fed.
+			const batches, size = 50, 4
 			ids := make([]string, len(names)+1)
-			b := make(stream.Batch, 4)
-			const batches = 50
+			fed := make(chan stream.Batch, batches)
+			var all []stream.Batch
+			var sum atomic.Uint64
+			read := make(chan struct{})
+			go func() {
+				defer close(read)
+				for b := range fed {
+					for i := range b {
+						sum.Add(b[i].Seq + uint64(len(b[i].Values)) + uint64(b[i].Values[2].AsFloat()))
+					}
+				}
+			}()
 			for k := 0; k < batches; k++ {
 				copy(ids, names[:2])
 				ids[2] = "ghost"
 				copy(ids[3:], names[2:])
+				b := make(stream.Batch, size)
 				for i := range b {
-					b[i] = quote(uint64(k*len(b)+i), "ibm", 50, 1)
+					b[i] = quote(uint64(k*size+i), "ibm", 50, 1)
 				}
 				e.FeedGroupBatch(ids, b)
 				for i := range ids {
 					ids[i] = "ghost"
 				}
-				for i := range b {
-					b[i] = quote(1<<40, "ibm", 50, 1)
-				}
+				all = append(all, b)
+				fed <- b
 			}
+			close(fed)
 			drainEngine(t, e)
+			<-read
 			mu.Lock()
 			defer mu.Unlock()
 			for _, id := range names {
-				if len(got[id]) != batches*len(b) {
-					t.Fatalf("query %s got %d results, want %d", id, len(got[id]), batches*len(b))
+				if len(got[id]) != batches*size {
+					t.Fatalf("query %s got %d results, want %d", id, len(got[id]), batches*size)
 				}
 				for i, seq := range got[id] {
 					if seq != uint64(i) {
-						t.Fatalf("query %s result %d has seq %d: out of order or a borrowed slice", id, i, seq)
+						t.Fatalf("query %s result %d has seq %d: out of order or a borrowed id slice", id, i, seq)
 					}
 				}
 			}
 			if len(got["ghost"]) != 0 {
 				t.Fatal("results for an unregistered id")
+			}
+			for k, b := range all {
+				for i := range b {
+					if want := quote(uint64(k*size+i), "ibm", 50, 1); !reflect.DeepEqual(b[i], want) {
+						t.Fatalf("batch %d tuple %d is %v after the feed, handed over as %v: the engine wrote to it", k, i, b[i], want)
+					}
+				}
+			}
+		}},
+		{"one batch fed to several queries and feeds", func(t *testing.T, mk mkFn) {
+			// Contract point 2, the other half: a handed-over batch may be
+			// handed over again — to other queries, by other feed calls, to
+			// another engine — and every holder sees what a private copy
+			// would have shown it.
+			run := func(shared bool) map[string][]uint64 {
+				e, other := mk("test", testCatalog(t)), mk("other", testCatalog(t))
+				var mu sync.Mutex
+				got := make(map[string][]uint64)
+				for _, reg := range []struct {
+					eng shippedEngine
+					id  string
+				}{{e, "a"}, {e, "b"}, {e, "c"}, {other, "x"}} {
+					id := reg.id
+					if err := reg.eng.Register(simpleSpec(id), func(tu stream.Tuple) {
+						mu.Lock()
+						got[id] = append(got[id], tu.Seq)
+						mu.Unlock()
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for k := 0; k < 20; k++ {
+					b := make(stream.Batch, 8)
+					for i := range b {
+						b[i] = quote(uint64(k*len(b)+i), "ibm", float64(40+30*(i%4)), 1) // one in four is over the filter's 100
+					}
+					view := func() stream.Batch {
+						if shared {
+							return b
+						}
+						return slices.Clone(b)
+					}
+					e.FeedGroupBatch([]string{"a", "b"}, view())
+					if err := e.FeedQueryBatch("c", view()); err != nil {
+						t.Fatal(err)
+					}
+					other.IngestBatch(view())
+				}
+				e.Close() // contract point 4: everything fed is out
+				other.Close()
+				return got
+			}
+			if shared, private := run(true), run(false); !reflect.DeepEqual(shared, private) {
+				t.Fatalf("one shared batch per round gave %v, private copies gave %v", shared, private)
 			}
 		}},
 		{"grouped feed is processed before unregister and close return", func(t *testing.T, mk mkFn) {

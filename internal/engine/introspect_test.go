@@ -29,9 +29,9 @@ func TestShardEngineStatsAccounting(t *testing.T) {
 	const batches = 200
 	const batchSize = 64
 	base := time.Unix(1754000000, 0).UTC()
-	b := make(stream.Batch, batchSize)
 	seq := uint64(0)
 	for i := 0; i < batches; i++ {
+		b := make(stream.Batch, batchSize) // the engine keeps what it is fed
 		for j := range b {
 			b[j] = stream.NewTuple("events", seq, base, stream.Int(0), stream.Int(int64(seq)))
 			seq++
@@ -125,10 +125,10 @@ func TestShardEngineTotalDroppedSurvivesUnregister(t *testing.T) {
 
 	// Stall the single shard behind the gate and overrun its ring.
 	base := time.Unix(1754000000, 0).UTC()
-	b := make(stream.Batch, 8)
 	seq := uint64(0)
 	deadline := time.Now().Add(10 * time.Second)
 	for eng.Dropped("slow") == 0 {
+		b := make(stream.Batch, 8) // the engine keeps what it is fed
 		for i := range b {
 			b[i] = stream.NewTuple("events", seq, base, stream.Int(0), stream.Int(int64(seq)))
 			seq++

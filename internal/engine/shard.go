@@ -355,10 +355,11 @@ func enqueueGroups(qs []*shardQuery, b stream.Batch, arrived time.Time) {
 	}
 }
 
-// ship is every whole-batch feed: one engine-owned copy of b (the engine
-// retains batches asynchronously, and the caller may reuse its slice),
-// then each same-stream run enqueued once per owning shard of the
-// queries qsFor names for the run's stream.
+// ship is every whole-batch feed. The engine keeps b itself (contract
+// point 2: it is the engine's, and read-only for everyone, until the
+// shards are done with it): each same-stream run is a sub-slice of it,
+// enqueued once per owning shard of the queries qsFor names for the run's
+// stream.
 func (e *ShardEngine) ship(b stream.Batch, qsFor func(streamName string) []*shardQuery) {
 	if len(b) == 0 {
 		return
@@ -368,13 +369,11 @@ func (e *ShardEngine) ship(b stream.Batch, qsFor func(streamName string) []*shar
 		// batch, or per-stream order would invert.
 		e.flushAll()
 	}
-	own := make(stream.Batch, len(b))
-	copy(own, b)
 	arrived := time.Now()
 	start := 0
-	for i := 1; i <= len(own); i++ {
-		if i == len(own) || own[i].Stream != own[start].Stream {
-			enqueueGroups(qsFor(own[start].Stream), own[start:i], arrived)
+	for i := 1; i <= len(b); i++ {
+		if i == len(b) || b[i].Stream != b[start].Stream {
+			enqueueGroups(qsFor(b[start].Stream), b[start:i], arrived)
 			start = i
 		}
 	}
@@ -416,7 +415,7 @@ func (e *ShardEngine) FeedQueryBatch(id string, b stream.Batch) error {
 
 // FeedGroupBatch implements GroupFeeder: the ids are resolved and
 // grouped by owning shard here, on the caller, so the shard never reads
-// the caller's slice.
+// the caller's id list; the batch it does keep (see ship).
 func (e *ShardEngine) FeedGroupBatch(ids []string, b stream.Batch) {
 	if len(ids) == 1 {
 		_ = e.FeedQueryBatch(ids[0], b) // an unknown id is skipped

@@ -156,10 +156,10 @@ func TestShardEnginePendingNonNegative(t *testing.T) {
 	}()
 
 	base := time.Unix(1754000000, 0).UTC()
-	b := make(stream.Batch, 64)
 	deadline := time.Now().Add(300 * time.Millisecond)
 	seq := uint64(0)
 	for time.Now().Before(deadline) {
+		b := make(stream.Batch, 64) // the engine keeps what it is fed
 		for i := range b {
 			b[i] = stream.NewTuple("events", seq, base, stream.Int(0), stream.Int(int64(seq)))
 			seq++
@@ -209,10 +209,10 @@ func TestShardEngineAdaptRingFullWriterQueuedNoDeadlock(t *testing.T) {
 	// Fill the owning shard's ring to capacity behind the gated batch.
 	sh := eng.shardFor("slow")
 	base := time.Unix(1754000000, 0).UTC()
-	b := make(stream.Batch, 8)
 	seq := uint64(0)
 	fill := time.Now().Add(10 * time.Second)
 	for sh.pending.Load() <= shardRingDepth {
+		b := make(stream.Batch, 8) // the engine keeps what it is fed
 		for i := range b {
 			b[i] = stream.NewTuple("events", seq, base, stream.Int(0), stream.Int(int64(seq)))
 			seq++

@@ -29,6 +29,7 @@ import (
 
 	"sspd/internal/engine"
 	"sspd/internal/metrics"
+	"sspd/internal/obslog"
 	"sspd/internal/simnet"
 	"sspd/internal/stream"
 	"sspd/internal/trace"
@@ -76,6 +77,10 @@ type Entity struct {
 	// emit callbacks load it, so it is not guarded by mu.
 	results atomic.Pointer[func(string, stream.Tuple)]
 
+	// log receives the entity's events (SetLogger); engine-side and
+	// transport-side goroutines load it, so it is not guarded by mu.
+	log atomic.Pointer[obslog.Logger]
+
 	// dedup seeds new ingest gates' (stream, seq) high-water filtering
 	// (see SetIngestDedup).
 	dedup bool
@@ -111,6 +116,17 @@ type procNode struct {
 	// it without a lock, and the writers (placeWith and RemoveQuery, both
 	// under Entity.mu) store a fresh one through setTarget.
 	fanout atomic.Pointer[map[string][]fanoutGroup]
+	// dec decodes the frames other processors send this one into batches
+	// the engine keeps (stream.DecodeBuffer's owned form). It is the
+	// processor's own, not a pooled one, because its intern table is what
+	// must last from frame to frame. decMu is taken once per frame and is
+	// all but uncontended: SimNet runs a node's handler serially, TCP on
+	// one goroutine per connection.
+	decMu sync.Mutex
+	dec   stream.DecodeBuffer
+	// badFrames counts, per frame kind, the frames handle could not
+	// decode and dropped (see noteFrame). The keys are fixed at New.
+	badFrames map[string]*frameErrors
 }
 
 // fanoutGroup lists the head fragments one processor hosts for one
@@ -228,14 +244,16 @@ func New(id string, transport simnet.Transport, catalog *stream.Catalog,
 		deleg:     make(map[string]int),
 		queries:   make(map[string]*placedQuery),
 	}
+	e.log.Store(obslog.Default())
 	for i := 0; i < nProcs; i++ {
 		eng := factory(fmt.Sprintf("%s/p%d", id, i), catalog)
 		p := &procNode{
-			idx:    i,
-			id:     simnet.NodeID(fmt.Sprintf("%s/p%d", id, i)),
-			eng:    eng,
-			entity: e,
-			group:  engine.GroupFeederOf(eng),
+			idx:       i,
+			id:        simnet.NodeID(fmt.Sprintf("%s/p%d", id, i)),
+			eng:       eng,
+			entity:    e,
+			group:     engine.GroupFeederOf(eng),
+			badFrames: map[string]*frameErrors{KindFeed: {}, KindFeedBatch: {}, KindIngest: {}},
 		}
 		p.fanout.Store(&map[string][]fanoutGroup{})
 		p.reporter, _ = eng.(engine.Reporter)
@@ -271,6 +289,10 @@ func (e *Entity) SetResultHandler(fn func(queryID string, t stream.Tuple)) {
 	}
 	e.results.Store(&fn)
 }
+
+// SetLogger routes the entity's events to l instead of obslog.Default();
+// a nil logger drops them.
+func (e *Entity) SetLogger(l *obslog.Logger) { e.log.Store(l) }
 
 // Delegation returns the endpoint of the processor delegated for a
 // stream, assigning one (least-delegated-streams first) on first use —
@@ -1002,11 +1024,17 @@ func (e *Entity) Close() {
 // processor by one addressed frame. Only a target whose gate returned
 // the batch unchanged shares it; a paused gate took it, and a
 // dedup-filtered copy is fed to its one fragment alone.
+//
+// b is shared from here on: the same slice goes to every gate, to the
+// local engine (which keeps it, engine.Processor point 2) and into every
+// remote frame, so nothing below may write to it. A paused gate copies
+// into its buffer (admit), the dedup filter builds a new slice
+// (filterLocked), and open compacts only the gate's own buffer.
 func (p *procNode) ingest(b stream.Batch) {
 	if len(b) == 0 {
 		return
 	}
-	traced := hasSpan(b)
+	traced := b.HasSpan()
 	if traced {
 		self := string(p.id)
 		for _, t := range b {
@@ -1080,40 +1108,72 @@ func (p *procNode) feedLocal(frags []string, b stream.Batch, traced bool) {
 	p.group.FeedGroupBatch(frags, b)
 }
 
-// hasSpan reports whether any tuple of b is sampled, so the untraced
-// fan-out skips its per-(fragment, tuple) Record loops with one pass.
-func hasSpan(b stream.Batch) bool {
-	for i := range b {
-		if b[i].Span != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// handle is the processor's transport callback.
+// handle is the processor's transport callback. A frame that does not
+// decode is dropped whole, and counted by kind.
 func (p *procNode) handle(m simnet.Message) {
 	switch m.Kind {
 	case KindFeed:
 		frag, t, err := decodeFeed(m.Payload)
-		if err != nil {
-			return
+		if p.noteFrame(m.Kind, err) {
+			trace.Record(trace.SpanID(t.Span), trace.StageOperator, frag)
+			_ = p.eng.FeedQuery(frag, t)
 		}
-		trace.Record(trace.SpanID(t.Span), trace.StageOperator, frag)
-		_ = p.eng.FeedQuery(frag, t)
 	case KindFeedBatch:
-		frags, batch, err := decodeFeedBatch(m.Payload)
-		if err != nil {
-			return
+		p.decMu.Lock()
+		frags, batch, err := decodeFeedBatch(&p.dec, m.Payload)
+		p.decMu.Unlock()
+		if p.noteFrame(m.Kind, err) {
+			p.feedLocal(frags, batch, batch.HasSpan())
 		}
-		p.feedLocal(frags, batch, hasSpan(batch))
 	case KindIngest:
-		batch, _, err := stream.DecodeBatch(m.Payload)
-		if err != nil {
-			return
+		p.decMu.Lock()
+		batch, _, err := p.dec.DecodeBatch(m.Payload)
+		p.decMu.Unlock()
+		if p.noteFrame(m.Kind, err) {
+			p.ingest(batch)
 		}
-		p.ingest(batch)
 	}
+}
+
+// frameErrors is one frame kind's decode failures on one processor: how
+// many, and whether the last frame of the kind was one.
+type frameErrors struct {
+	n   metrics.Counter
+	bad atomic.Bool
+}
+
+// noteFrame accounts the outcome of decoding one frame and reports
+// whether it decoded. An undecodable frame loses a whole batch for every
+// fragment it names, so it is counted (FrameDecodeErrors) and logged —
+// on the kind's good→bad transition and on its recovery only, like the
+// relay's decode errors. The healthy path is one probe of a three-key
+// map and one atomic load per frame.
+func (p *procNode) noteFrame(kind string, err error) bool {
+	fe := p.badFrames[kind]
+	if err != nil {
+		fe.n.Inc()
+		if !fe.bad.Swap(true) {
+			p.entity.log.Load().Warn("decode.bad", string(p.id), "dropping undecodable frames (logging once until recovery)",
+				"kind", kind, "err", err)
+		}
+		return false
+	}
+	if fe.bad.Load() && fe.bad.Swap(false) {
+		p.entity.log.Load().Warn("decode.ok", string(p.id), "frames decoding again", "kind", kind)
+	}
+	return true
+}
+
+// FrameDecodeErrors reports, per intra-entity frame kind, how many frames
+// the entity's processors dropped because they did not decode.
+func (e *Entity) FrameDecodeErrors() map[string]int64 {
+	out := make(map[string]int64)
+	for _, p := range e.procs {
+		for kind, fe := range p.badFrames {
+			out[kind] += fe.n.Value()
+		}
+	}
+	return out
 }
 
 // encodeFeed frames an addressed tuple: uint16 len(frag) | frag | tuple.
@@ -1138,7 +1198,7 @@ func encodeFeedBatch(dst []byte, frags []string, b stream.Batch) []byte {
 // against the bytes that are left, and only then sizes anything from the
 // count. The IDs share one string, so decoding allocates the same number
 // of objects for any count.
-func decodeFeedBatch(payload []byte) ([]string, stream.Batch, error) {
+func decodeFeedBatch(dec *stream.DecodeBuffer, payload []byte) ([]string, stream.Batch, error) {
 	if len(payload) < 2 {
 		return nil, nil, fmt.Errorf("entity: truncated feed-batch frame")
 	}
@@ -1160,7 +1220,7 @@ func decodeFeedBatch(payload []byte) ([]string, stream.Batch, error) {
 		frags[i] = ids[off+2 : off+2+l]
 		off += 2 + l
 	}
-	b, _, err := stream.DecodeBatch(payload[end:])
+	b, _, err := dec.DecodeBatch(payload[end:])
 	if err != nil {
 		return nil, nil, err
 	}

@@ -2,6 +2,7 @@ package entity
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"sspd/internal/engine"
+	"sspd/internal/obslog"
 	"sspd/internal/simnet"
 	"sspd/internal/stream"
 	"sspd/internal/trace"
@@ -442,16 +444,24 @@ func TestDrainQueryWaitsForAdmittedBatches(t *testing.T) {
 // nothing for results.
 func rejectAll(id string) engine.QuerySpec { return filterSpec(id, -2, -1) }
 
-// TestIngestAllocations: what one delivered batch allocates does not
-// grow with the number of queries it feeds.
+// TestIngestAllocations: what one delivered batch allocates grows
+// neither with the queries it feeds nor with the tuples it holds. The
+// local engine keeps the batch it is handed, so a local target costs
+// nothing; a remote one costs what its one ent.feedb frame decodes into —
+// the id list, one Batch and one Values arena — whatever the counts. The
+// same numbers hold under -race: nothing on the frame's path comes from a
+// sync.Pool the detector could empty.
 func TestIngestAllocations(t *testing.T) {
-	b := seededBatches(3, 1)[0]
-	measure := func(nProcs, nQueries int) float64 {
+	measure := func(nProcs, nQueries, nTuples int) float64 {
 		e, _ := newFanoutEntity(t, nProcs, groupedFactory)
 		for i := 0; i < nQueries; i++ {
 			if err := e.PlaceQuery(rejectAll(fmt.Sprintf("q%d", i)), 1); err != nil {
 				t.Fatal(err)
 			}
+		}
+		b := make(stream.Batch, nTuples)
+		for i := range b {
+			b[i] = quote(uint64(i+1), fmt.Sprintf("S%02d", i%20), float64(i), int64(i))
 		}
 		dp := e.procs[0]
 		drain := func() {
@@ -463,7 +473,7 @@ func TestIngestAllocations(t *testing.T) {
 		// their 4096-sample reservoirs, the reservoirs' growth shows up
 		// as a fraction of an allocation per query and batch.
 		for i := 0; i < 4200; i++ {
-			dp.ingest(b)
+			dp.ingest(b) // the same batch again and again: it is only read
 			if i%256 == 0 {
 				drain()
 			}
@@ -473,12 +483,16 @@ func TestIngestAllocations(t *testing.T) {
 			drain()
 		})
 	}
-	if got := measure(1, 1); got != 1 {
-		t.Errorf("one local target: %v allocations per batch, want 1 (the engine's copy of the batch)", got)
+	if got := measure(1, 1, 16); got != 0 {
+		t.Errorf("one local target: %v allocations per batch, want 0 (the engine keeps the batch it is handed)", got)
 	}
-	few, many := measure(2, 8), measure(2, 32)
-	if few != many {
-		t.Errorf("2 processors: %v allocations per batch for 8 queries, %v for 32; want the same", few, many)
+	// Two processors: half the queries are local, half behind one frame.
+	base := measure(2, 8, 8)
+	for _, c := range []struct{ queries, tuples int }{{8, 64}, {32, 8}, {32, 64}} {
+		if got := measure(2, c.queries, c.tuples); got != base {
+			t.Errorf("one local group and one ent.feedb frame: %v allocations per batch for %d queries and %d tuples, %v for 8 and 8; want the same",
+				got, c.queries, c.tuples, base)
+		}
 	}
 }
 
@@ -515,6 +529,141 @@ func TestFanoutTraceHops(t *testing.T) {
 	}
 	if !reflect.DeepEqual(hops, want) {
 		t.Fatalf("hops = %v, want %v", hops, want)
+	}
+}
+
+// TestFrameDecodeErrorsCounted: a frame that does not decode loses a whole
+// batch for every fragment it names, so the processor counts it by frame
+// kind and logs it — once when a kind goes bad, once when it recovers.
+func TestFrameDecodeErrorsCounted(t *testing.T) {
+	e, log := newFanoutEntity(t, 2, miniFactory)
+	events := obslog.NewText(io.Discard, obslog.LevelWarn, 64)
+	e.SetLogger(events)
+	if err := e.PlaceQuery(filterSpec("q", 0, 100), 1); err != nil {
+		t.Fatal(err)
+	}
+	b := stream.Batch{quote(1, "ibm", 50, 1), quote(2, "hp", 60, 1)}
+	frames := map[string][]byte{
+		KindFeed:      encodeFeed("q#0", b[0]),
+		KindFeedBatch: encodeFeedBatch(nil, []string{"q#0"}, b),
+		KindIngest:    stream.AppendBatch(nil, b),
+	}
+	placed, _ := e.QueryPlacement("q")
+	to := e.procs[placed[0]].id // the frames address q's one fragment
+	send := func(kind string, payload []byte) {
+		t.Helper()
+		if err := e.transport.Send(e.procs[0].id, to, kind, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for kind, frame := range frames {
+		send(kind, frame[:len(frame)-1])
+		send(kind, frame[:1])
+	}
+	want := map[string]int64{KindFeed: 2, KindFeedBatch: 2, KindIngest: 2}
+	if got := e.FrameDecodeErrors(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("FrameDecodeErrors = %v, want %v", got, want)
+	}
+	if got := log.multisets(); len(got) != 0 {
+		t.Fatalf("truncated frames produced results: %v", got)
+	}
+	if bad := events.Journal().Since(0, "decode.bad"); len(bad) != len(frames) {
+		t.Fatalf("%d decode.bad events for two bad frames of each of %d kinds, want one per kind: %v", len(bad), len(frames), bad)
+	}
+	send(KindFeedBatch, frames[KindFeedBatch])
+	send(KindFeedBatch, frames[KindFeedBatch])
+	if ok := events.Journal().Since(0, "decode.ok"); len(ok) != 1 || ok[0].Fields["kind"] != KindFeedBatch {
+		t.Fatalf("decode.ok events after two good %s frames: %v", KindFeedBatch, ok)
+	}
+	if got := e.FrameDecodeErrors(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("FrameDecodeErrors = %v after good frames, want %v", got, want)
+	}
+	if got := log.multisets()["q"]; !slices.Equal(got, []uint64{1, 1, 2, 2}) {
+		t.Fatalf("results after two good frames: %v", got)
+	}
+}
+
+// TestFanoutSharedBatch: the batch a delegation processor is handed is
+// shared by everything it feeds — open gates, a paused gate, a dedup
+// gate, the local engine (which keeps the very slice) and the frame to
+// the other processor — and at the same time by a second entity and by
+// the caller, who goes on reading it. Every query gets what it would have
+// got from a private copy, and the batches come back unwritten; under
+// -race a single write to a shared batch, by anyone, fails the test.
+func TestFanoutSharedBatch(t *testing.T) {
+	run := func(shared bool) (map[string][]uint64, map[string][]uint64, []stream.Batch) {
+		e, log := newFanoutEntity(t, 2, groupedFactory)
+		other, err := New("e2", newLoopNet(), testCatalog(t), 1, groupedFactory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer other.Close()
+		otherLog := &seqLog{}
+		other.SetResultHandler(otherLog.handle)
+		for i := 0; i < 4; i++ {
+			if err := e.PlaceQuery(filterSpec(fmt.Sprintf("q%d", i), float64(i*100), float64(i*100+500)), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.PrepareQuery(filterSpec("paused", 0, 700), 1); err != nil { // gate closed: it buffers
+			t.Fatal(err)
+		}
+		if err := e.PlaceQuery(filterSpec("dedup", 0, 700), 1); err != nil {
+			t.Fatal(err)
+		}
+		pq, _, err := e.lookupQuery("dedup")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pq.gate.dedup = true // nothing flows yet
+		if err := other.PlaceQuery(filterSpec("far", 0, 700), 1); err != nil {
+			t.Fatal(err)
+		}
+		batches := seededBatches(11, 40)
+		view := func(b stream.Batch) stream.Batch {
+			if shared {
+				return b
+			}
+			return slices.Clone(b)
+		}
+		fed := make(chan stream.Batch, len(batches))
+		read := make(chan uint64)
+		go func() { // the caller keeps reading what it handed over
+			var sum uint64
+			for b := range fed {
+				for i := range b {
+					sum += b[i].Seq + uint64(b[i].Values[1].AsFloat())
+				}
+			}
+			read <- sum
+		}()
+		for i, b := range batches {
+			e.IngestBatch(view(b))
+			other.IngestBatch(view(b))
+			if i%5 == 4 {
+				e.IngestBatch(view(batches[i-2])) // stale for the dedup query
+			}
+			fed <- b
+		}
+		close(fed)
+		if _, _, err := e.ResumeQuery("paused", nil); err != nil {
+			t.Fatal(err)
+		}
+		settle(t, e)
+		settle(t, other)
+		<-read
+		return log.multisets(), otherLog.multisets(), batches
+	}
+	got, gotFar, batches := run(true)
+	want, wantFar, pristine := run(false)
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotFar, wantFar) {
+		t.Fatalf("shared batches gave %v and %v; private copies gave %v and %v", got, gotFar, want, wantFar)
+	}
+	if len(got["paused"]) == 0 || len(got["dedup"]) == 0 || len(gotFar["far"]) == 0 {
+		t.Fatalf("a query saw nothing: %v %v", got, gotFar)
+	}
+	if !reflect.DeepEqual(batches, pristine) {
+		t.Fatal("a shared batch was written to after it was handed over")
 	}
 }
 

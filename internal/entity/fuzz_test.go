@@ -29,12 +29,15 @@ func FuzzDecodeFeedBatch(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		frags, b, err := decodeFeedBatch(payload)
+		// One decoder for both frames, as a processor keeps one for every
+		// frame it is sent: the second decode runs on a warm intern table.
+		dec := new(stream.DecodeBuffer)
+		frags, b, err := decodeFeedBatch(dec, payload)
 		if err != nil {
 			return
 		}
 		// What decoded must survive a round trip.
-		frags2, b2, err := decodeFeedBatch(encodeFeedBatch(nil, frags, b))
+		frags2, b2, err := decodeFeedBatch(dec, encodeFeedBatch(nil, frags, b))
 		if err != nil {
 			t.Fatalf("re-encoded frame does not decode: %v", err)
 		}
@@ -67,9 +70,10 @@ func FuzzDecodeFeed(f *testing.F) {
 // an error, and so is a count or length that promises more than the
 // frame holds — including the largest ones a uint16 can claim.
 func TestDecodeFeedFramesTruncated(t *testing.T) {
+	dec := new(stream.DecodeBuffer)
 	for _, frame := range feedBatchSeeds() {
 		for cut := 0; cut < len(frame); cut++ {
-			if _, _, err := decodeFeedBatch(frame[:cut]); err == nil {
+			if _, _, err := decodeFeedBatch(dec, frame[:cut]); err == nil {
 				t.Fatalf("feed-batch frame cut to %d of %d bytes decoded", cut, len(frame))
 			}
 		}
@@ -81,11 +85,11 @@ func TestDecodeFeedFramesTruncated(t *testing.T) {
 		}
 	}
 	huge := binary.LittleEndian.AppendUint16(nil, 0xFFFF) // 65535 fragments, no bytes
-	if _, _, err := decodeFeedBatch(huge); err == nil {
+	if _, _, err := decodeFeedBatch(dec, huge); err == nil {
 		t.Fatal("a count of 65535 fragments in a 2-byte frame decoded")
 	}
 	huge = binary.LittleEndian.AppendUint16(binary.LittleEndian.AppendUint16(nil, 1), 0xFFFF)
-	if _, _, err := decodeFeedBatch(append(huge, "short"...)); err == nil {
+	if _, _, err := decodeFeedBatch(dec, append(huge, "short"...)); err == nil {
 		t.Fatal("a 65535-byte fragment id in a 9-byte frame decoded")
 	}
 	if _, _, err := decodeFeed(append(binary.LittleEndian.AppendUint16(nil, 0xFFFF), "short"...)); err == nil {

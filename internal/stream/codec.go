@@ -27,7 +27,8 @@ func unixNano(n int64) time.Time { return time.Unix(0, n).UTC() }
 // A traced tuple (Span != 0) sets the top bit of nvalues and appends its
 // span after the values; untraced tuples encode exactly as before, so
 // enabling the codec's trace support costs zero wire bytes until
-// sampling actually marks a tuple.
+// sampling actually marks a tuple. The encoding is canonical — a tuple
+// has one — so a flagged zero span does not decode.
 
 const maxWireString = 1 << 20 // sanity bound when decoding
 
@@ -64,88 +65,6 @@ func AppendTuple(dst []byte, t Tuple) []byte {
 	return dst
 }
 
-// DecodeTuple decodes one tuple from the front of buf, returning the
-// tuple and the number of bytes consumed.
-func DecodeTuple(buf []byte) (Tuple, int, error) {
-	var t Tuple
-	off := 0
-	need := func(n int) error {
-		if len(buf)-off < n {
-			return fmt.Errorf("stream: truncated tuple (need %d bytes at offset %d, have %d)",
-				n, off, len(buf)-off)
-		}
-		return nil
-	}
-	if err := need(4); err != nil {
-		return t, 0, err
-	}
-	slen := int(binary.LittleEndian.Uint32(buf[off:]))
-	off += 4
-	if slen > maxWireString {
-		return t, 0, fmt.Errorf("stream: stream name length %d exceeds bound", slen)
-	}
-	if err := need(slen + 8 + 8 + 2); err != nil {
-		return t, 0, err
-	}
-	t.Stream = string(buf[off : off+slen])
-	off += slen
-	t.Seq = binary.LittleEndian.Uint64(buf[off:])
-	off += 8
-	nanos := int64(binary.LittleEndian.Uint64(buf[off:]))
-	off += 8
-	t.Ts = unixNano(nanos)
-	rawVals := binary.LittleEndian.Uint16(buf[off:])
-	off += 2
-	hasSpan := rawVals&wireSpanFlag != 0
-	nvals := int(rawVals &^ uint16(wireSpanFlag))
-	t.Values = make([]Value, 0, nvals)
-	for i := 0; i < nvals; i++ {
-		if err := need(1); err != nil {
-			return t, 0, err
-		}
-		kind := Kind(buf[off])
-		off++
-		switch kind {
-		case KindInt:
-			if err := need(8); err != nil {
-				return t, 0, err
-			}
-			t.Values = append(t.Values, Int(int64(binary.LittleEndian.Uint64(buf[off:]))))
-			off += 8
-		case KindFloat:
-			if err := need(8); err != nil {
-				return t, 0, err
-			}
-			t.Values = append(t.Values, Float(math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))))
-			off += 8
-		case KindString:
-			if err := need(4); err != nil {
-				return t, 0, err
-			}
-			n := int(binary.LittleEndian.Uint32(buf[off:]))
-			off += 4
-			if n > maxWireString {
-				return t, 0, fmt.Errorf("stream: string value length %d exceeds bound", n)
-			}
-			if err := need(n); err != nil {
-				return t, 0, err
-			}
-			t.Values = append(t.Values, String(string(buf[off:off+n])))
-			off += n
-		default:
-			return t, 0, fmt.Errorf("stream: unknown value kind %d", kind)
-		}
-	}
-	if hasSpan {
-		if err := need(8); err != nil {
-			return t, 0, err
-		}
-		t.Span = binary.LittleEndian.Uint64(buf[off:])
-		off += 8
-	}
-	return t, off, nil
-}
-
 // AppendBatch encodes a batch (count prefix then each tuple).
 func AppendBatch(dst []byte, b Batch) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b)))
@@ -155,36 +74,17 @@ func AppendBatch(dst []byte, b Batch) []byte {
 	return dst
 }
 
-// DecodeBatch decodes a batch from the front of buf, returning the batch
-// and bytes consumed.
-func DecodeBatch(buf []byte) (Batch, int, error) {
-	if len(buf) < 4 {
-		return nil, 0, fmt.Errorf("stream: truncated batch header")
-	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	off := 4
-	if n > 1<<24 {
-		return nil, 0, fmt.Errorf("stream: batch count %d exceeds bound", n)
-	}
-	out := make(Batch, 0, clampBatchCap(n, len(buf)-off))
-	for i := 0; i < n; i++ {
-		t, used, err := DecodeTuple(buf[off:])
-		if err != nil {
-			return nil, 0, fmt.Errorf("stream: batch tuple %d: %w", i, err)
-		}
-		out = append(out, t)
-		off += used
-	}
-	return out, off, nil
-}
-
 // minTupleWire is the smallest possible encoded tuple: empty stream name,
-// seq, ts, and a zero-value count with no span.
-const minTupleWire = 4 + 8 + 8 + 2
+// seq, ts, and a zero-value count with no span. minValueWire is the
+// smallest encoded value: a kind byte and an empty string's length.
+const (
+	minTupleWire = 4 + 8 + 8 + 2
+	minValueWire = 1 + 4
+)
 
 // clampBatchCap bounds a wire-declared batch count by what the remaining
-// buffer could physically hold, so a corrupt 4-byte header can cost at
-// most a small allocation before the first truncated-tuple error.
+// buffer could physically hold, so a corrupt 4-byte header is an error —
+// a count the clamp cuts — before it has sized anything.
 func clampBatchCap(n, remaining int) int {
 	if maxFit := remaining/minTupleWire + 1; n > maxFit {
 		return maxFit
@@ -192,60 +92,63 @@ func clampBatchCap(n, remaining int) int {
 	return n
 }
 
-// --- Pooled hot-path codec ---------------------------------------------
+// --- Decoding ------------------------------------------------------------
 //
-// The relay data plane decodes and re-encodes a batch on every hop.
-// DecodeTuple/DecodeBatch allocate a Values slice per tuple and a fresh
-// string per stream name; at relay rates that dominates the profile. A
-// DecodeBuffer amortizes all of it: tuples land in a reusable Batch, all
-// values in one flat arena, and stream names (plus short string values)
-// are interned so steady-state decoding allocates nothing.
+// There is one tuple decoder (DecodeBuffer.decodeTuple) and it writes into
+// a DecodeBuffer: tuples into one Batch, every tuple's values into one
+// flat arena, stream names and short string values through an intern
+// table. Who owns what it wrote is the only difference between the two
+// ways to call it:
 //
-// Ownership contract: the Batch returned by DecodeBuffer.Decode — tuples,
-// Values, and (interned) strings — is valid only until the next Decode on
-// the same buffer or until the buffer is returned to the pool. Callers
-// that hand tuples to anyone who may retain them (engines, windows, user
-// subscribers) must clone them out first; the relay does exactly that for
-// local delivery and treats forwarded payloads as consumed once
-// Transport.Send returns (see simnet.Transport).
+//   - Borrowed — DecodeBuffer.Decode. The Batch, its Values and nothing
+//     else live in the buffer's reusable storage and are valid only until
+//     the next call on the same buffer (or until it goes back to the
+//     pool); steady-state decoding allocates nothing. For a caller that is
+//     done with the tuples when it returns: the relay (it re-encodes for
+//     its children and clones its local matches out with Batch.Compact
+//     before the entity, which may retain them, sees them).
+//   - Owned — DecodeBuffer.DecodeBatch, DecodeBatch, DecodeTuple. The
+//     result is the caller's for good: one fresh Batch and one fresh arena
+//     per call, whatever the tuple count; the buffer keeps only its intern
+//     table between calls. For a caller that hands the tuples to someone
+//     who keeps them: an entity processor decoding an intra-entity frame
+//     for its engine (through the processor's own buffer, so the table is
+//     warm), an operator restoring a window (through a fresh one).
+//
+// Interned strings outlive both: Go strings are immutable, so a tuple may
+// keep one after the buffer, or the table, is gone.
 
-// maxInternedValueLen bounds which string values are interned; longer
-// strings are assumed unique payloads not worth caching.
+// maxInternedValueLen bounds which strings are interned; longer ones are
+// assumed unique payloads not worth caching.
 const maxInternedValueLen = 64
 
-// maxInternedValues bounds the value-intern table so adversarial or
+// maxInternedValues bounds the intern table so adversarial or
 // high-cardinality streams cannot grow it without limit.
 const maxInternedValues = 1 << 15
 
-// DecodeBuffer decodes batches with reusable storage. Not safe for
-// concurrent use; get one per goroutine via GetDecodeBuffer.
+// DecodeBuffer is what the tuple decoder writes into. Not safe for
+// concurrent use: get one per goroutine via GetDecodeBuffer, or guard a
+// long-lived one with a lock. The zero value is ready.
 type DecodeBuffer struct {
 	tuples Batch
 	vals   []Value // arena shared by every tuple's Values
 	starts []int   // vals offset where each tuple's values begin
-	names  map[string]string
-	strs   map[string]string
+	left   int     // tuples of the batch not decoded yet
+	name   string  // the stream name of the last tuple decoded
+	// strs interns stream names and short string values, so a steady
+	// stream's strings are allocated once per buffer, not once per tuple.
+	// Nil in the buffer of a lone DecodeTuple: one tuple fills no table.
+	strs map[string]string
 }
 
-// internName returns a stable string for a stream name, allocating only
-// the first time each distinct name is seen. Stream-name cardinality is
-// tiny (one per stream), so the table is unbounded.
-func (d *DecodeBuffer) internName(b []byte) string {
-	if s, ok := d.names[string(b)]; ok { // compiler elides the conversion
-		return s
-	}
-	s := string(b)
-	d.names[s] = s
-	return s
-}
-
-// internString returns a stable string for a short string value, bounded
-// in both entry length and table size.
-func (d *DecodeBuffer) internString(b []byte) string {
-	if len(b) > maxInternedValueLen {
+// intern returns a stable string for a stream name or a string value,
+// allocating only the first time a short one is seen while the table has
+// room.
+func (d *DecodeBuffer) intern(b []byte) string {
+	if d.strs == nil || len(b) > maxInternedValueLen {
 		return string(b)
 	}
-	if s, ok := d.strs[string(b)]; ok {
+	if s, ok := d.strs[string(b)]; ok { // compiler elides the conversion
 		return s
 	}
 	s := string(b)
@@ -257,39 +160,90 @@ func (d *DecodeBuffer) internString(b []byte) string {
 
 // Decode decodes a batch from the front of buf into the buffer's
 // reusable storage, returning the batch and bytes consumed. The returned
-// Batch is owned by the DecodeBuffer (see the contract above). On error
-// the buffer's contents are unspecified but the buffer remains usable.
+// Batch is borrowed (see the contract above). On error the buffer's
+// contents are unspecified but the buffer remains usable.
 func (d *DecodeBuffer) Decode(buf []byte) (Batch, int, error) {
-	if d.names == nil {
-		d.names = make(map[string]string, 8)
-		d.strs = make(map[string]string, 64)
+	d.tuples, d.vals = d.tuples[:0], d.vals[:0]
+	used, err := d.decodeBatch(buf)
+	if err != nil {
+		return nil, 0, err
 	}
-	d.tuples = d.tuples[:0]
-	d.vals = d.vals[:0]
+	return d.tuples, used, nil
+}
+
+// DecodeBatch is the owned form of Decode: the returned Batch and its
+// Values are fresh storage the caller keeps, and the buffer keeps only
+// its intern table (any borrowed Batch it had returned becomes invalid).
+func (d *DecodeBuffer) DecodeBatch(buf []byte) (Batch, int, error) {
+	d.tuples, d.vals = nil, nil
+	used, err := d.decodeBatch(buf)
+	b, vals := d.tuples, d.vals
+	d.tuples, d.vals = nil, nil
+	if err != nil {
+		return nil, 0, err
+	}
+	if cap(vals) > len(vals) {
+		// Tuples of unlike shape (a mixed-stream batch) made the arena's
+		// reservation overshoot; what the caller keeps pins no slack.
+		b = b.Compact(nil)
+	}
+	return b, used, nil
+}
+
+// DecodeBatch decodes a batch from the front of buf, returning the batch
+// (owned) and bytes consumed, through a fresh buffer: for cold callers.
+func DecodeBatch(buf []byte) (Batch, int, error) {
+	return new(DecodeBuffer).DecodeBatch(buf)
+}
+
+// DecodeTuple decodes one tuple (owned) from the front of buf, returning
+// the tuple and the number of bytes consumed: a batch of one without the
+// count header, and without an intern table to fill for one tuple.
+func DecodeTuple(buf []byte) (Tuple, int, error) {
+	d := DecodeBuffer{left: 1}
+	var t Tuple
+	used, err := d.decodeTuple(buf, &t)
+	if err != nil {
+		return Tuple{}, 0, err
+	}
+	t.Values = d.vals[:len(d.vals):len(d.vals)]
+	return t, used, nil
+}
+
+// decodeBatch appends a batch's tuples to d.tuples and d.vals.
+func (d *DecodeBuffer) decodeBatch(buf []byte) (int, error) {
 	d.starts = d.starts[:0]
 	if len(buf) < 4 {
-		return nil, 0, fmt.Errorf("stream: truncated batch header")
+		return 0, fmt.Errorf("stream: truncated batch header")
 	}
 	n := int(binary.LittleEndian.Uint32(buf))
 	off := 4
 	if n > 1<<24 {
-		return nil, 0, fmt.Errorf("stream: batch count %d exceeds bound", n)
+		return 0, fmt.Errorf("stream: batch count %d exceeds bound", n)
 	}
-	if c := clampBatchCap(n, len(buf)-off); cap(d.tuples) < c {
-		d.tuples = make(Batch, 0, c)
-		d.starts = make([]int, 0, c)
+	if clampBatchCap(n, len(buf)-off) < n {
+		// More tuples than the bytes left could hold: refused before
+		// anything is sized from the count.
+		return 0, fmt.Errorf("stream: truncated batch (%d tuples in %d bytes)", n, len(buf)-off)
 	}
-	for i := 0; i < n; i++ {
-		used, err := d.decodeTuple(buf[off:])
+	if cap(d.tuples) < n {
+		d.tuples = make(Batch, 0, n)
+	}
+	if d.strs == nil {
+		d.strs = make(map[string]string)
+	}
+	for d.left = n; d.left > 0; d.left-- {
+		d.starts = append(d.starts, len(d.vals))
+		d.tuples = append(d.tuples, Tuple{})
+		used, err := d.decodeTuple(buf[off:], &d.tuples[len(d.tuples)-1])
 		if err != nil {
-			return nil, 0, fmt.Errorf("stream: batch tuple %d: %w", i, err)
+			return 0, fmt.Errorf("stream: batch tuple %d: %w", n-d.left, err)
 		}
 		off += used
 	}
-	// The arena may have been reallocated by growth during the loop, so
-	// only now re-slice each tuple's Values out of its final backing
-	// array. The three-index slice keeps tuples from appending into each
-	// other's tails.
+	// The arena may have been reallocated while the batch was decoded, so
+	// tuples are sliced out of its final backing array only now; the
+	// three-index slice keeps them from appending into each other's tails.
 	for i := range d.tuples {
 		s := d.starts[i]
 		e := len(d.vals)
@@ -298,12 +252,14 @@ func (d *DecodeBuffer) Decode(buf []byte) (Batch, int, error) {
 		}
 		d.tuples[i].Values = d.vals[s:e:e]
 	}
-	return d.tuples, off, nil
+	return off, nil
 }
 
-// decodeTuple mirrors DecodeTuple but appends into the buffer's arena and
-// interns strings instead of allocating per tuple.
-func (d *DecodeBuffer) decodeTuple(buf []byte) (int, error) {
+// decodeTuple is the tuple decoder: it decodes one tuple from the front
+// of buf into t, appending its values to the arena — the caller slices
+// t.Values out of it — and interning its strings, and returns the bytes
+// consumed.
+func (d *DecodeBuffer) decodeTuple(buf []byte, t *Tuple) (int, error) {
 	off := 0
 	need := func(n int) error {
 		if len(buf)-off < n {
@@ -323,8 +279,10 @@ func (d *DecodeBuffer) decodeTuple(buf []byte) (int, error) {
 	if err := need(slen + 8 + 8 + 2); err != nil {
 		return 0, err
 	}
-	var t Tuple
-	t.Stream = d.internName(buf[off : off+slen])
+	if d.name != string(buf[off:off+slen]) { // a run of one stream's tuples probes nothing
+		d.name = d.intern(buf[off : off+slen])
+	}
+	t.Stream = d.name
 	off += slen
 	t.Seq = binary.LittleEndian.Uint64(buf[off:])
 	off += 8
@@ -334,7 +292,15 @@ func (d *DecodeBuffer) decodeTuple(buf []byte) (int, error) {
 	off += 2
 	hasSpan := rawVals&wireSpanFlag != 0
 	nvals := int(rawVals &^ uint16(wireSpanFlag))
-	d.starts = append(d.starts, len(d.vals))
+	if len(d.vals)+nvals > cap(d.vals) {
+		// The arena is short: reserve for the rest of the batch as if
+		// every tuple left looked like this one — the whole arena, once,
+		// for a batch of one stream. Clamped by what the bytes left could
+		// hold, like the tuple count, so no header sizes anything unchecked.
+		room := min(nvals*d.left, (len(buf)-off)/minValueWire)
+		d.vals = append(make([]Value, 0, len(d.vals)+room), d.vals...)
+	}
+	vals := d.vals
 	for i := 0; i < nvals; i++ {
 		if err := need(1); err != nil {
 			return 0, err
@@ -346,13 +312,13 @@ func (d *DecodeBuffer) decodeTuple(buf []byte) (int, error) {
 			if err := need(8); err != nil {
 				return 0, err
 			}
-			d.vals = append(d.vals, Int(int64(binary.LittleEndian.Uint64(buf[off:]))))
+			vals = append(vals, Int(int64(binary.LittleEndian.Uint64(buf[off:]))))
 			off += 8
 		case KindFloat:
 			if err := need(8); err != nil {
 				return 0, err
 			}
-			d.vals = append(d.vals, Float(math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))))
+			vals = append(vals, Float(math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))))
 			off += 8
 		case KindString:
 			if err := need(4); err != nil {
@@ -366,7 +332,7 @@ func (d *DecodeBuffer) decodeTuple(buf []byte) (int, error) {
 			if err := need(n); err != nil {
 				return 0, err
 			}
-			d.vals = append(d.vals, String(d.internString(buf[off:off+n])))
+			vals = append(vals, String(d.intern(buf[off:off+n])))
 			off += n
 		default:
 			return 0, fmt.Errorf("stream: unknown value kind %d", kind)
@@ -376,10 +342,14 @@ func (d *DecodeBuffer) decodeTuple(buf []byte) (int, error) {
 		if err := need(8); err != nil {
 			return 0, err
 		}
-		t.Span = binary.LittleEndian.Uint64(buf[off:])
+		if t.Span = binary.LittleEndian.Uint64(buf[off:]); t.Span == 0 {
+			// No encoder writes it (span 0 is "untraced", flag clear), and
+			// accepting it would give one tuple two encodings.
+			return 0, fmt.Errorf("stream: span flag set on a zero span")
+		}
 		off += 8
 	}
-	d.tuples = append(d.tuples, t)
+	d.vals = vals
 	return off, nil
 }
 

@@ -85,3 +85,47 @@ func (b Batch) Size() int {
 	}
 	return n
 }
+
+// HasSpan reports whether any tuple of b is sampled, so a hop asks once
+// per batch before its per-tuple trace.Record loop: an untraced batch —
+// the overwhelmingly common case — skips the loop.
+func (b Batch) HasSpan() bool {
+	for i := range b {
+		if b[i].Span != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// Compact clones the given rows of b — every row when rows is nil — into
+// one Batch and one Values arena, both exactly sized: the clone shares no
+// storage with b except string payloads (immutable) and pins nothing but
+// what it holds. It is how tuples leave borrowed storage for a holder
+// that may keep them.
+func (b Batch) Compact(rows []int32) Batch {
+	n := len(rows)
+	if rows == nil {
+		n = len(b)
+	}
+	at := func(k int) *Tuple {
+		if rows == nil {
+			return &b[k]
+		}
+		return &b[rows[k]]
+	}
+	nvals := 0
+	for k := 0; k < n; k++ {
+		nvals += len(at(k).Values)
+	}
+	vals := make([]Value, 0, nvals)
+	out := make(Batch, n)
+	for k := range out {
+		t := *at(k)
+		start := len(vals)
+		vals = append(vals, t.Values...)
+		t.Values = vals[start:len(vals):len(vals)]
+		out[k] = t
+	}
+	return out
+}
