@@ -47,6 +47,15 @@ lint-obslog:
 		exit 1; \
 	fi
 	@echo "lint-obslog: fan-out and route decision clock-free"
+	@grep -rnE 'time\.NewTicker|time\.Tick\(' internal/engine internal/entity; rc=$$?; \
+	if [ $$rc -eq 0 ]; then \
+		echo "lint-obslog: no tickers in the engine or the entity: their work is driven by the batches handed to them, and periodic work belongs on the federation's control clock (f.every)"; \
+		exit 1; \
+	elif [ $$rc -ne 1 ]; then \
+		echo "lint-obslog: the ticker check's directories are gone: point it at the engine and the entity"; \
+		exit 1; \
+	fi
+	@echo "lint-obslog: engine and entity ticker-free"
 
 build:
 	$(GO) build ./...
@@ -76,12 +85,19 @@ test:
 # reads it, a reader beside it stays race-clean), the shared-batch test
 # (one batch through gates, two engines and a frame at once), and the
 # allocation gate, whose counts must be the same numbers under -race.
+# And so do the proofs of the way out: a fragment chain on either engine,
+# static and routed, delivers what one bare engine computes (an
+# aggregate in the last fragment included), a boundary sends one frame
+# per batch, and batches from two producers keep their order through a
+# ring that no longer re-batches them (TestShardEnginePerProducerOrderPreserved,
+# under TestShardEngine).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -run 'TestShardEngine|TestEngineContract' ./internal/engine/
 	$(GO) test -race -count=1 -run 'TestCompiledInterestEquivalence|TestColumnEvaluator|TestMatchIndexEquivalence|TestFederationMatchesBareEngineOnNaN' ./internal/stream/ ./internal/core/
+	$(GO) test -race -count=1 -run 'TestTupleRoutingDifferential|TestFragmentChainMatchesBareEngine' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestRelayIndexFollowsRegistrations|TestRelayRegistrationsRaceBatches' ./internal/dissemination/
-	$(GO) test -race -count=1 -run 'TestFanout|TestIngestAllocations|TestFrameDecodeErrorsCounted' ./internal/entity/
+	$(GO) test -race -count=1 -run 'TestFanout|TestIngestAllocations|TestFrameDecodeErrorsCounted|TestFragmentBoundaryFramesPerBatch' ./internal/entity/
 	$(GO) test -race -count=1 -run 'FuzzDecodeBatch|TestDecodeBatch' ./internal/stream/
 	$(GO) test -race -count=1 -run 'TestHandoff|TestResumeInPlaceKeepsReorderedBuffer|TestNoCutIsNotCutZero|TestDrainQueryWaitsForAdmittedBatches' ./internal/core/ ./internal/entity/
 	$(GO) test -race -count=1 -run 'TestTopK|TestTail' ./internal/operator/ ./internal/engine/

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"strings"
 	"sync"
 	"testing"
@@ -8,6 +9,8 @@ import (
 
 	"sspd/internal/dissemination"
 	"sspd/internal/engine"
+	"sspd/internal/entity"
+	"sspd/internal/operator"
 	"sspd/internal/simnet"
 	"sspd/internal/stream"
 	"sspd/internal/trace"
@@ -29,10 +32,41 @@ func chainQuery(id string) engine.QuerySpec {
 	}
 }
 
-// runRoutingWorkload drives one federation (static or tuple-routed)
-// through an identical deterministic workload and returns the result
-// multiset (seq → count).
-func runRoutingWorkload(t *testing.T, routed bool) map[uint64]int {
+// chainBatches is the deterministic workload every chain run publishes.
+func chainBatches() []stream.Batch {
+	tick := workload.NewTicker(7, 100, 1.2)
+	out := make([]stream.Batch, 5)
+	for i := range out {
+		out[i] = tick.Batch(100)
+	}
+	return out
+}
+
+// render keys a result by its sequence and values: the stream name of a
+// stateful tail's output holds the (fragment's) query ID.
+func render(tu stream.Tuple) string { return strings.TrimPrefix(tu.String(), tu.Stream) }
+
+// bareChainResults is the reference: spec on one bare MiniEngine fed the
+// chain workload, as a multiset of rendered results.
+func bareChainResults(t *testing.T, spec engine.QuerySpec) map[string]int {
+	t.Helper()
+	bare := engine.NewMini("bare", workload.Catalog(100, 20))
+	defer bare.Close()
+	got := make(map[string]int)
+	if err := bare.Register(spec, func(tu stream.Tuple) { got[render(tu)]++ }); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range chainBatches() {
+		bare.IngestBatch(b)
+	}
+	return got
+}
+
+// runChain drives one federation through the chain workload — spec split
+// into three fragments over four processors running factory's engine,
+// the middle one replicated and tuple-routed when routed is set — and
+// returns spec's results as a multiset.
+func runChain(t *testing.T, spec engine.QuerySpec, factory entity.EngineFactory, routed bool) map[string]int {
 	t.Helper()
 	net := simnet.NewSim(nil)
 	t.Cleanup(func() { net.Close() })
@@ -49,57 +83,91 @@ func runRoutingWorkload(t *testing.T, routed bool) map[uint64]int {
 	if err := fed.AddSource("quotes", simnet.Point{}, StreamRate{TuplesPerSec: 1000, BytesPerTuple: 60}); err != nil {
 		t.Fatal(err)
 	}
-	if err := fed.AddEntity("e", simnet.Point{X: 10}, 4, miniFactory); err != nil {
+	if err := fed.AddEntity("e", simnet.Point{X: 10}, 4, factory); err != nil {
 		t.Fatal(err)
 	}
 	if err := fed.Start(); err != nil {
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
-	got := make(map[uint64]int)
-	if err := fed.SubmitQueryTo(chainQuery("q"), "e", func(tp stream.Tuple) {
+	got := make(map[string]int)
+	if err := fed.SubmitQueryTo(spec, "e", func(tu stream.Tuple) {
 		mu.Lock()
-		got[tp.Seq]++
+		got[render(tu)]++
 		mu.Unlock()
 	}); err != nil {
 		t.Fatal(err)
 	}
 	fed.Settle(2 * time.Second)
-	tick := workload.NewTicker(7, 100, 1.2)
-	for i := 0; i < 5; i++ {
-		if err := fed.Publish("quotes", tick.Batch(100)); err != nil {
+	en, err := fed.entity("e")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range chainBatches() {
+		if err := fed.Publish("quotes", b); err != nil {
 			t.Fatal(err)
 		}
-		if !net.Quiesce(5 * time.Second) {
-			t.Fatal("quiesce")
-		}
+		settleEntity(t, net, en.ent)
+	}
+	if d := en.ent.DroppedTotal(); d != 0 {
+		t.Fatalf("engines dropped %d tuples; the chain run must be lossless", d)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	out := make(map[uint64]int, len(got))
-	for k, v := range got {
-		out[k] = v
+	return maps.Clone(got)
+}
+
+// settleEntity waits, round after round, for the network to go quiet and
+// every engine of ent to drain, so each hop of a chain — a frame, a
+// shard's run, the next frame — has landed.
+func settleEntity(t *testing.T, net *simnet.SimNet, ent *entity.Entity) {
+	t.Helper()
+	for round := 0; round < 4; round++ {
+		if !net.Quiesce(5 * time.Second) {
+			t.Fatal("quiesce")
+		}
+		for i := 0; i < ent.NumProcs(); i++ {
+			if d, ok := ent.Proc(i).(interface{ Drain(time.Duration) bool }); ok && !d.Drain(5*time.Second) {
+				t.Fatal("engine drain timed out")
+			}
+		}
 	}
-	return out
 }
 
 // TestTupleRoutingDifferential is the semantics gate: under drop-free
 // links, tuple-routed execution must produce a result multiset
 // IDENTICAL to the static-ordering baseline — routing changes where
-// tuples run, never what they compute.
+// tuples run, never what they compute — and both must be what one bare
+// engine computes, on either engine.
 func TestTupleRoutingDifferential(t *testing.T) {
-	static := runRoutingWorkload(t, false)
-	routedRes := runRoutingWorkload(t, true)
-	if len(static) == 0 {
-		t.Fatal("static run produced no results; the differential proves nothing")
+	want := bareChainResults(t, chainQuery("q"))
+	if len(want) == 0 {
+		t.Fatal("the bare engine produced no results; the differential proves nothing")
 	}
-	if len(routedRes) != len(static) {
-		t.Fatalf("distinct result seqs: routed %d, static %d", len(routedRes), len(static))
+	for name, factory := range map[string]entity.EngineFactory{"mini": miniFactory, "shard": fullFactory} {
+		t.Run(name, func(t *testing.T) {
+			for _, routed := range []bool{false, true} {
+				if got := runChain(t, chainQuery("q"), factory, routed); !maps.Equal(got, want) {
+					t.Fatalf("routed=%v: %d distinct results, the bare engine %d (or other counts)", routed, len(got), len(want))
+				}
+			}
+		})
 	}
-	for seq, n := range static {
-		if routedRes[seq] != n {
-			t.Fatalf("seq %d: routed count %d, static count %d", seq, routedRes[seq], n)
-		}
+}
+
+// TestFragmentChainMatchesBareEngine: a static three-fragment chain on
+// the production engine, its aggregate in the last fragment, delivers
+// what one bare engine computes — every boundary hands over whole
+// batches, in order, and loses nothing.
+func TestFragmentChainMatchesBareEngine(t *testing.T) {
+	spec := chainQuery("agg")
+	spec.Agg = &engine.AggSpec{Fn: operator.AggMax, ValueField: "price", GroupField: "symbol", Window: stream.CountWindow(8)}
+	want := bareChainResults(t, spec)
+	if len(want) == 0 {
+		t.Fatal("the bare engine produced no results")
+	}
+	if got := runChain(t, spec, fullFactory, false); !maps.Equal(got, want) {
+		t.Fatalf("chain delivered %d distinct results, the bare engine %d (or other counts)", len(got), len(want))
 	}
 }
 

@@ -715,10 +715,14 @@ func (f *Federation) refreshInterests(entityID string, streams []string) error {
 	return nil
 }
 
-// deliverResult routes a final result tuple to its query's subscriber.
-func (f *Federation) deliverResult(queryID string, t stream.Tuple) {
+// deliverResult hands a final-fragment run's results to the query's
+// subscriber: one lookup per batch, the subscriber's callback per tuple.
+func (f *Federation) deliverResult(queryID string, b stream.Batch) {
 	if fn, ok := f.results.Load(queryID); ok {
-		fn.(func(stream.Tuple))(t)
+		onResult := fn.(func(stream.Tuple))
+		for _, t := range b {
+			onResult(t)
+		}
 	}
 }
 

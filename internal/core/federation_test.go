@@ -609,3 +609,87 @@ func TestFederationDisseminationTreeExposed(t *testing.T) {
 		t.Error("load of unknown entity")
 	}
 }
+
+// TestFederationJoinInterestKeepsPartners: a join's filter on a field
+// both inputs declare resolves post-join to the source's field (l_), so
+// it must not narrow what the entity registers for the joined stream — a
+// fill priced outside the filter is still a partner of the quotes inside
+// it. (QuerySpec.Interest used to constrain both inputs by the name, the
+// relay suppressed those fills, and the federation delivered half of
+// what a bare engine does.)
+func TestFederationJoinInterestKeepsPartners(t *testing.T) {
+	catalog := stream.NewCatalog()
+	for _, sc := range []*stream.Schema{workload.Quotes(100), stream.MustSchema("fills",
+		stream.Field{Name: "symbol", Type: stream.KindString, Card: 100},
+		stream.Field{Name: "price", Type: stream.KindFloat, Lo: 0, Hi: 1000})} {
+		if err := catalog.Register(sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spec := engine.QuerySpec{ID: "j", Source: "quotes",
+		Join:    &engine.JoinSpec{Stream: "fills", LeftKey: "symbol", RightKey: "symbol", Window: stream.CountWindow(64)},
+		Filters: []engine.FilterSpec{{Field: "price", Lo: 0, Hi: 500}}}
+	at := time.Unix(1754000000, 0).UTC()
+	var fills, quotes stream.Batch
+	for i := 0; i < 8; i++ {
+		sym := stream.String(fmt.Sprintf("S%04d", i%4))
+		fills = append(fills, stream.NewTuple("fills", uint64(i+1), at, sym, stream.Float(float64(100+120*i))))
+		quotes = append(quotes, stream.NewTuple("quotes", uint64(i+1), at, sym, stream.Float(float64(130*i)), stream.Int(1)))
+	}
+	var mu sync.Mutex
+	collect := func(into *[]string) func(stream.Tuple) {
+		return func(tu stream.Tuple) {
+			mu.Lock()
+			*into = append(*into, render(tu))
+			mu.Unlock()
+		}
+	}
+	var want, got []string
+	bare := engine.NewMini("bare", catalog)
+	defer bare.Close()
+	if err := bare.Register(spec, collect(&want)); err != nil {
+		t.Fatal(err)
+	}
+	bare.IngestBatch(fills)
+	bare.IngestBatch(quotes)
+
+	net := simnet.NewSim(nil)
+	defer net.Close()
+	fed, err := New(net, catalog, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fed.Close()
+	for _, s := range []string{"quotes", "fills"} {
+		if err := fed.AddSource(s, simnet.Point{}, StreamRate{TuplesPerSec: 1000, BytesPerTuple: 60}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fed.AddEntity("e00", simnet.Point{X: 10}, 1, miniFactory); err != nil {
+		t.Fatal(err)
+	}
+	if err := fed.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fed.SubmitQueryTo(spec, "e00", collect(&got)); err != nil {
+		t.Fatal(err)
+	}
+	fed.Settle(2 * time.Second)
+	for _, b := range []stream.Batch{fills, quotes} { // fills first: every quote finds its partners
+		if err := fed.Publish(b[0].Stream, b); err != nil {
+			t.Fatal(err)
+		}
+		fed.Settle(2 * time.Second)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	sort.Strings(want)
+	sort.Strings(got)
+	if len(want) != 8 {
+		t.Fatalf("bare engine returned %d results, want 8: each of 4 quotes in range joins 2 fills", len(want))
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("federation delivered %d results, a bare engine %d: %v", len(got), len(want), got)
+	}
+}

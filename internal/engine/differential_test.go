@@ -191,6 +191,14 @@ func runWorkload(t *testing.T, eng Processor, specs []QuerySpec, tuples []stream
 	return out
 }
 
+// ingestWaves hands tuples to a shard engine as one batch per wave of
+// 256, so a feed larger than a ring fits in it without a drain.
+func ingestWaves(eng *ShardEngine, tuples []stream.Tuple) {
+	for lo := 0; lo < len(tuples); lo += 256 {
+		eng.IngestBatch(tuples[lo:min(lo+256, len(tuples))])
+	}
+}
+
 func TestShardEngineDifferential(t *testing.T) {
 	cat := diffCatalog(t)
 	specs := diffSpecs()
@@ -291,9 +299,7 @@ func snapshotRestoreMidStream(t *testing.T, cat *stream.Catalog, spec QuerySpec,
 	if err := first.Register(spec, sinkA.emit); err != nil {
 		t.Fatal(err)
 	}
-	for _, tu := range quotes[:half] {
-		first.Ingest(tu)
-	}
+	ingestWaves(first, quotes[:half])
 	if !first.Drain(5 * time.Second) {
 		t.Fatal("drain before snapshot timed out")
 	}
@@ -314,9 +320,7 @@ func snapshotRestoreMidStream(t *testing.T, cat *stream.Catalog, spec QuerySpec,
 	if err := second.RestoreQueryState(spec.ID, st); err != nil {
 		t.Fatal(err)
 	}
-	for _, tu := range quotes[half:] {
-		second.Ingest(tu)
-	}
+	ingestWaves(second, quotes[half:])
 	if !second.Drain(5 * time.Second) {
 		t.Fatal("drain after restore timed out")
 	}
@@ -352,9 +356,7 @@ func TestShardEngineAdaptOrdering(t *testing.T) {
 		}
 	}
 	feed := func() {
-		for _, tu := range quotes {
-			eng.Ingest(tu)
-		}
+		ingestWaves(eng, quotes)
 		if !eng.Drain(5 * time.Second) {
 			t.Fatal("drain timed out")
 		}

@@ -44,7 +44,10 @@ import (
 //     (Register, Unregister, state snapshots, Drain) wait for that
 //     goroutine, so emit must not wait for a lock that a caller holds
 //     across a call into an engine — in particular no entity lock (see
-//     the rule at the top of entity.go).
+//     the rule at the top of entity.go). A result tuple is the
+//     receiver's to keep: the engine never writes to it or its Values
+//     again (and, like every tuple, it is never mutated in place). A
+//     batch emit (BatchRegistrar) only borrows the slice that holds them.
 type Processor interface {
 	// EngineName identifies the engine instance.
 	EngineName() string
@@ -109,6 +112,38 @@ func GroupFeederOf(p Processor) GroupFeeder {
 		return g
 	}
 	return perQuery{p}
+}
+
+// BatchRegistrar is the optional capability of registering a query whose
+// results leave it a batch at a time: emit is called once per run — per
+// batch the engine serves the query — with that run's results in order.
+// The batch is borrowed for the call: the slice is the engine's and is
+// reused by the next run, so a receiver that keeps the batch past the
+// call keeps a copy of the slice. The tuples in it are the receiver's to
+// keep, as point 6 says, so a copy of the slice is a copy of the batch.
+// Points 1 and 6 hold as for Register. ShardEngine implements it.
+type BatchRegistrar interface {
+	RegisterBatch(spec QuerySpec, emit func(stream.Batch)) error
+}
+
+// perRow registers a batch emit through Register: every result is a
+// batch of one.
+type perRow struct{ Processor }
+
+func (p perRow) RegisterBatch(spec QuerySpec, emit func(stream.Batch)) error {
+	if emit == nil {
+		return p.Register(spec, nil)
+	}
+	return p.Register(spec, func(t stream.Tuple) { emit(stream.Batch{t}) })
+}
+
+// BatchRegistrarOf returns p's batch registration, or Register with a
+// batch of one per result for an engine without the capability.
+func BatchRegistrarOf(p Processor) BatchRegistrar {
+	if r, ok := p.(BatchRegistrar); ok {
+		return r
+	}
+	return perRow{p}
 }
 
 // Reporter is the optional capability of an instrumented engine: the

@@ -74,10 +74,12 @@ func (m *MiniEngine) Register(spec QuerySpec, emit func(stream.Tuple)) error {
 		return fmt.Errorf("miniengine %s: query %s already registered", m.name, spec.ID)
 	}
 	id := spec.ID
-	q, err := Compile(spec, m.catalog, func(t stream.Tuple) {
-		m.results[id]++
+	q, err := Compile(spec, m.catalog, func(b stream.Batch) {
+		m.results[id] += int64(len(b))
 		if emit != nil {
-			m.out = append(m.out, miniResult{emit, t})
+			for _, t := range b {
+				m.out = append(m.out, miniResult{emit, t})
+			}
 		}
 	})
 	if err != nil {

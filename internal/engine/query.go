@@ -9,6 +9,9 @@
 // batch: one virtual dispatch and one stats lock per (operator, batch).
 // Aggregate and top-k cut their results' Values from one slab per
 // batch, which is never reused — results escape to user callbacks.
+// Results leave the way tuples came in, a batch at a time: emit is
+// called once per run — per batch in runTail, per post-join row in
+// runRow — and borrows the results' slice for the length of the call.
 //
 // Nothing here reads the clock: the shard takes exactly one timestamp
 // pair per (query, batch) around the whole run (lint-obslog enforces the
@@ -39,11 +42,11 @@ type Query struct {
 	tail []tailOp
 	// buf is the batch tail's pair of row buffers: stage i reads buf[i%2]
 	// and appends to the other. They are reused from batch to batch —
-	// rows are copied in, results are copied out by emit — and so keep
-	// the last batch's rows reachable until the next one.
+	// rows are copied in, emit borrows the last stage's — and so keep the
+	// last batch's rows reachable until the next one.
 	buf [2][]stream.Tuple
-	// emit receives result tuples.
-	emit func(stream.Tuple)
+	// emit receives each run's results (BatchRegistrar has the rule).
+	emit func(stream.Batch)
 }
 
 // tailOp is a stateful tail operator: ProcessBatch consumes rows in
@@ -54,9 +57,10 @@ type tailOp interface {
 }
 
 // Compile turns a spec into a runnable Query against the global schema
-// catalog. emit receives the query's result tuples; a nil emit discards
-// results (useful in benchmarks).
-func Compile(spec QuerySpec, catalog *stream.Catalog, emit func(stream.Tuple)) (*Query, error) {
+// catalog. emit receives the query's results, once per run that has any,
+// on the terms BatchRegistrar states; a nil emit discards results
+// (useful in benchmarks).
+func Compile(spec QuerySpec, catalog *stream.Catalog, emit func(stream.Batch)) (*Query, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -186,8 +190,8 @@ func (q *Query) Operators() []operator.Operator {
 }
 
 // Feed pushes one tuple from the named input stream through the
-// pipeline, invoking emit for each result. It returns the number of
-// result tuples.
+// pipeline a row at a time, emitting once per post-join row that has
+// results. It returns the number of result tuples.
 func (q *Query) Feed(streamName string, t stream.Tuple) int {
 	var work []stream.Tuple
 	switch {
@@ -215,7 +219,8 @@ func (q *Query) Feed(streamName string, t stream.Tuple) int {
 }
 
 // runRow pushes one post-join tuple through the filters and the tail a
-// row at a time and emits what comes out.
+// row at a time — each operator's Process, the reference the batch run
+// is held to — and emits what comes out as one batch.
 func (q *Query) runRow(t stream.Tuple) int {
 	for _, f := range q.filters {
 		if len(f.Process(0, t)) == 0 {
@@ -230,10 +235,8 @@ func (q *Query) runRow(t stream.Tuple) int {
 		}
 		cur = next
 	}
-	for _, r := range cur {
-		if q.emit != nil {
-			q.emit(r)
-		}
+	if len(cur) > 0 && q.emit != nil {
+		q.emit(cur)
 	}
 	return len(cur)
 }
@@ -255,8 +258,8 @@ func (q *Query) runBatch(cb *stream.ColBatch) int {
 }
 
 // runTail drives the rows in buf[0] through the tail a batch at a time
-// and emits what comes out of the last stage, in order. It returns the
-// number of result tuples.
+// and emits what comes out of the last stage, in order, in one call. It
+// returns the number of result tuples.
 func (q *Query) runTail() int {
 	cur := 0
 	for _, op := range q.tail {
@@ -267,10 +270,8 @@ func (q *Query) runTail() int {
 		cur = 1 - cur
 	}
 	out := q.buf[cur]
-	if q.emit != nil {
-		for i := range out {
-			q.emit(out[i])
-		}
+	if len(out) > 0 && q.emit != nil {
+		q.emit(out)
 	}
 	return len(out)
 }

@@ -8,8 +8,9 @@ import (
 )
 
 // shardRing is the bounded lock-free queue feeding one shard goroutine.
-// Producers (ingest callers, the accumulator flusher) enqueue whole
-// batches; the single shard goroutine dequeues. Capacity is a power of
+// Producers (every feed call: a delegation fan-out, a frame handler, an
+// upstream fragment's emit) enqueue the batches they hand over, whole;
+// the single shard goroutine dequeues. Capacity is a power of
 // two so slot addressing is one mask, and head/tail live on their own
 // cache lines so the producer and consumer never false-share.
 //

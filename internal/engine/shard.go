@@ -5,12 +5,13 @@
 // carry whole batches. Queries are hash-partitioned across shards, so a
 // shard owns its queries outright: query state, routing tables, and
 // operator pipelines are goroutine-confined and touched without locks.
-// Producers accumulate single tuples into batches, ship batches into
-// the owning shards' rings (drop-and-count on overflow — the Processor
-// contract's never-block rule), and everything per-tuple inside a shard
-// runs over columnar batches: a filter scans columns and only shrinks a
-// selection vector, and the stateful tail runs one virtual dispatch +
-// one stats lock per batch instead of per tuple (Query.runBatch).
+// Producers ship the batches they are handed into the owning shards'
+// rings (drop-and-count on overflow — the Processor contract's
+// never-block rule), everything per-tuple inside a shard runs over
+// columnar batches — a filter scans columns and only shrinks a selection
+// vector, and the stateful tail runs one virtual dispatch + one stats
+// lock per batch instead of per tuple (Query.runBatch) — and a query's
+// results leave as one batch per run (RegisterBatch).
 //
 // Control operations (register/unregister, snapshot/restore for live
 // migration and checkpoints, adaptation) travel through the same ring
@@ -35,17 +36,9 @@ import (
 	"sspd/internal/stream"
 )
 
-const (
-	// shardRingDepth bounds each shard's ring. Slots hold batches, so
-	// the tuple backlog bound is shardRingDepth × batch size.
-	shardRingDepth = 1024
-	// shardAccBatch is the accumulation target for single-tuple ingest:
-	// tuples buffer until the batch fills or the flusher tick fires.
-	shardAccBatch = 256
-	// shardFlushEvery bounds how long a trickling stream's tuples wait
-	// in an accumulator before being force-flushed.
-	shardFlushEvery = time.Millisecond
-)
+// shardRingDepth bounds each shard's ring. Slots hold batches, so the
+// tuple backlog bound is shardRingDepth × batch size.
+const shardRingDepth = 1024
 
 // shardQuery is one query owned by one shard.
 type shardQuery struct {
@@ -66,28 +59,9 @@ type shardQuery struct {
 	dropped   metrics.Counter
 }
 
-// accKey addresses one producer-side accumulator: plain stream ingest
-// uses frag == "", addressed (FeedQuery) delivery sets it. Keeping
-// the key a struct avoids per-tuple string concatenation.
-type accKey struct {
-	frag   string
-	stream string
-}
-
-// accum batches single-tuple ingest into ring-sized units. mu guards
-// the buffer AND stays held across dispatch of a filled/flushed batch,
-// so two batches of the same key can never enter a ring out of order
-// (dispatch only does non-blocking enqueues, so the hold is bounded).
-// The engine-level accMu only guards the acc map itself.
-type accum struct {
-	mu      sync.Mutex
-	buf     stream.Batch
-	arrived time.Time
-}
-
 // ShardEngine is the shard-per-core engine. It implements Processor,
-// Reporter, StateSnapshotter and Adapter, so entities host it
-// interchangeably with MiniEngine — migration and checkpoint
+// BatchRegistrar, Reporter, StateSnapshotter and Adapter, so entities
+// host it interchangeably with MiniEngine — migration and checkpoint
 // choreography included.
 type ShardEngine struct {
 	name    string
@@ -107,22 +81,10 @@ type ShardEngine struct {
 	routes map[string][]*shardQuery
 	closed bool
 
-	accMu      sync.Mutex
-	acc        map[accKey]*accum
-	accPending atomic.Int64
-
 	// droppedTotal is the engine-lifetime dropped-tuple count across all
 	// queries — unlike the per-query counters it survives Unregister, so
 	// the entity-level drop attribution never loses history.
 	droppedTotal metrics.Counter
-
-	// The flusher starts with the first accumulator: an engine that is
-	// idle or fed only whole batches has no goroutine waking every
-	// millisecond. flushOnce is spent by that start or by Close,
-	// whichever comes first.
-	flushOnce sync.Once
-	stopFlush chan struct{}
-	flushDone chan struct{}
 }
 
 // shard is one per-core processing lane: a ring, a goroutine, and the
@@ -162,13 +124,10 @@ func NewShard(name string, catalog *stream.Catalog, nShards int) *ShardEngine {
 		nShards = runtime.GOMAXPROCS(0)
 	}
 	e := &ShardEngine{
-		name:      name,
-		catalog:   catalog,
-		queries:   make(map[string]*shardQuery),
-		routes:    make(map[string][]*shardQuery),
-		acc:       make(map[accKey]*accum),
-		stopFlush: make(chan struct{}),
-		flushDone: make(chan struct{}),
+		name:    name,
+		catalog: catalog,
+		queries: make(map[string]*shardQuery),
+		routes:  make(map[string][]*shardQuery),
 	}
 	for i := 0; i < nShards; i++ {
 		e.shards = append(e.shards, &shard{eng: e, idx: i})
@@ -213,10 +172,24 @@ func (e *ShardEngine) shardFor(id string) *shard {
 	return e.shards[h%uint64(len(e.shards))]
 }
 
-// Register implements Processor: the query compiles on the caller, then
-// installs into its owning shard via a control item through the ring,
-// so installation serializes with tuple processing.
+// Register implements Processor: RegisterBatch with emit called per
+// result.
 func (e *ShardEngine) Register(spec QuerySpec, emit func(stream.Tuple)) error {
+	if emit == nil {
+		return e.RegisterBatch(spec, nil)
+	}
+	return e.RegisterBatch(spec, func(b stream.Batch) {
+		for _, t := range b {
+			emit(t)
+		}
+	})
+}
+
+// RegisterBatch implements BatchRegistrar: the query compiles on the
+// caller, then installs into its owning shard via a control item through
+// the ring, so installation serializes with tuple processing. emit runs
+// on the shard goroutine once per (query, batch) run.
+func (e *ShardEngine) RegisterBatch(spec QuerySpec, emit func(stream.Batch)) error {
 	e.ctlMu.Lock()
 	defer e.ctlMu.Unlock()
 	q, err := Compile(spec, e.catalog, emit)
@@ -260,11 +233,6 @@ func (e *ShardEngine) Unregister(id string) (QuerySpec, error) {
 	if !ok {
 		return QuerySpec{}, fmt.Errorf("engine %s: unknown query %s", e.name, id)
 	}
-	// Flush while the query is still routed, so tuples accumulated
-	// before this call reach the ring ahead of the uninstall item and
-	// are still processed (the contract documented above). ctlMu keeps
-	// a concurrent Register/Unregister from racing the removal below.
-	e.flushAll()
 	e.mu.Lock()
 	delete(e.queries, id)
 	e.rebuildRoutes()
@@ -289,54 +257,6 @@ func (e *ShardEngine) rebuildRoutes() {
 		slices.SortFunc(qs, byShard)
 	}
 	e.routes = routes
-}
-
-// Ingest implements Processor: the tuple joins its stream's
-// accumulator and ships when the batch fills (or the flusher fires).
-// It never blocks; a full shard ring drops the whole batch for that
-// shard's queries and counts every tuple.
-func (e *ShardEngine) Ingest(t stream.Tuple) {
-	e.accumulate(accKey{stream: t.Stream}, t)
-}
-
-func (e *ShardEngine) accumulate(key accKey, t stream.Tuple) {
-	e.accMu.Lock()
-	a := e.acc[key]
-	if a == nil {
-		a = &accum{buf: make(stream.Batch, 0, shardAccBatch)}
-		e.acc[key] = a
-		e.flushOnce.Do(func() { go e.flusher() })
-	}
-	e.accMu.Unlock()
-	a.mu.Lock()
-	if len(a.buf) == 0 {
-		a.arrived = time.Now()
-	}
-	a.buf = append(a.buf, t)
-	e.accPending.Add(1)
-	if len(a.buf) >= shardAccBatch {
-		flush, arrived := a.buf, a.arrived
-		a.buf = make(stream.Batch, 0, shardAccBatch)
-		e.dispatch(key, flush, arrived)
-		e.accPending.Add(-int64(len(flush)))
-	}
-	a.mu.Unlock()
-}
-
-// dispatch ships one single-stream batch: to the addressed query's
-// shard when key.frag is set, otherwise to every shard hosting a query
-// of the stream.
-func (e *ShardEngine) dispatch(key accKey, b stream.Batch, arrived time.Time) {
-	e.mu.RLock()
-	qs := e.routes[key.stream]
-	if key.frag != "" {
-		qs = nil
-		if sq := e.queries[key.frag]; sq != nil {
-			qs = sq.self
-		}
-	}
-	e.mu.RUnlock()
-	enqueueGroups(qs, b, arrived)
 }
 
 // byShard orders queries so that each shard's form one run.
@@ -364,11 +284,6 @@ func (e *ShardEngine) ship(b stream.Batch, qsFor func(streamName string) []*shar
 	if len(b) == 0 {
 		return
 	}
-	if e.accPending.Load() > 0 {
-		// Pending accumulated singles must not be overtaken by this
-		// batch, or per-stream order would invert.
-		e.flushAll()
-	}
 	arrived := time.Now()
 	start := 0
 	for i := 1; i <= len(b); i++ {
@@ -379,7 +294,17 @@ func (e *ShardEngine) ship(b stream.Batch, qsFor func(streamName string) []*shar
 	}
 }
 
-// IngestBatch is Ingest for a whole batch.
+// Ingest implements Processor: IngestBatch of a batch of one. A single
+// tuple spends a ring slot of its own, so a producer of single tuples
+// that outruns the shard has them shed and counted like any batch
+// (contract point 3). No production path feeds single tuples: an
+// entity hands over the batches it is given.
+func (e *ShardEngine) Ingest(t stream.Tuple) {
+	e.IngestBatch(stream.Batch{t})
+}
+
+// IngestBatch delivers a batch to every query that consumes its
+// tuples' streams.
 func (e *ShardEngine) IngestBatch(b stream.Batch) {
 	e.ship(b, func(streamName string) []*shardQuery {
 		e.mu.RLock()
@@ -388,17 +313,10 @@ func (e *ShardEngine) IngestBatch(b stream.Batch) {
 	})
 }
 
-// FeedQuery implements Processor: addressed single tuples accumulate
-// per (query, stream) and ship to the owning shard.
+// FeedQuery implements Processor: FeedQueryBatch of a batch of one (see
+// Ingest).
 func (e *ShardEngine) FeedQuery(id string, t stream.Tuple) error {
-	e.mu.RLock()
-	_, ok := e.queries[id]
-	e.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("engine %s: unknown query %s", e.name, id)
-	}
-	e.accumulate(accKey{frag: id, stream: t.Stream}, t)
-	return nil
+	return e.FeedQueryBatch(id, stream.Batch{t})
 }
 
 // FeedQueryBatch implements Processor: FeedGroupBatch for a list of one.
@@ -431,51 +349,6 @@ func (e *ShardEngine) FeedGroupBatch(ids []string, b stream.Batch) {
 	e.mu.RUnlock()
 	slices.SortFunc(qs, byShard)
 	e.ship(b, func(string) []*shardQuery { return qs })
-}
-
-// flusher force-flushes accumulators so trickling streams never stall
-// behind the batch threshold. With nothing pending a tick costs one
-// atomic load.
-func (e *ShardEngine) flusher() {
-	defer close(e.flushDone)
-	tick := time.NewTicker(shardFlushEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-e.stopFlush:
-			return
-		case <-tick.C:
-			if e.accPending.Load() > 0 {
-				e.flushAll()
-			}
-		}
-	}
-}
-
-// flushAll ships every non-empty accumulator. Each key's swap+dispatch
-// runs under that key's accum.mu, so a flush can never reorder against
-// a concurrent fill-triggered dispatch of the same key.
-func (e *ShardEngine) flushAll() {
-	type keyed struct {
-		key accKey
-		a   *accum
-	}
-	e.accMu.Lock()
-	accs := make([]keyed, 0, len(e.acc))
-	for key, a := range e.acc {
-		accs = append(accs, keyed{key, a})
-	}
-	e.accMu.Unlock()
-	for _, ka := range accs {
-		ka.a.mu.Lock()
-		if len(ka.a.buf) > 0 {
-			flush, arrived := ka.a.buf, ka.a.arrived
-			ka.a.buf = make(stream.Batch, 0, shardAccBatch)
-			e.dispatch(ka.key, flush, arrived)
-			e.accPending.Add(-int64(len(flush)))
-		}
-		ka.a.mu.Unlock()
-	}
 }
 
 // QueryIDs implements Processor.
@@ -537,13 +410,12 @@ func (e *ShardEngine) Dropped(id string) int64 {
 	return 0
 }
 
-// Drain blocks until every accumulator and shard ring is empty and
-// processed, or the timeout elapses.
+// Drain blocks until every shard ring is empty and processed, or the
+// timeout elapses.
 func (e *ShardEngine) Drain(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for {
-		e.flushAll()
-		pending := e.accPending.Load()
+		var pending int64
 		for _, sh := range e.shards {
 			pending += sh.pending.Load()
 		}
@@ -599,7 +471,6 @@ func (e *ShardEngine) SnapshotQueryState(id string) (QueryState, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.flushAll()
 	c := &shardCtl{op: shardCtlSnapshot, sq: sq}
 	err = sq.sh.do(c)
 	return c.snap, err
@@ -640,7 +511,7 @@ func (e *ShardEngine) lookup(id string) (*shardQuery, error) {
 	return sq, nil
 }
 
-// Close implements Processor: flush, drain every shard, stop.
+// Close implements Processor: drain every shard, stop.
 func (e *ShardEngine) Close() {
 	e.mu.Lock()
 	if e.closed {
@@ -650,10 +521,6 @@ func (e *ShardEngine) Close() {
 	e.closed = true
 	shards := e.started() // closed: no Register can start another
 	e.mu.Unlock()
-	e.flushOnce.Do(func() { close(e.flushDone) }) // never started
-	close(e.stopFlush)
-	<-e.flushDone
-	e.flushAll()
 	for _, sh := range shards {
 		close(sh.stop)
 	}
@@ -922,6 +789,7 @@ func (sh *shard) processCtl(c *shardCtl) {
 
 var (
 	_ Processor        = (*ShardEngine)(nil)
+	_ BatchRegistrar   = (*ShardEngine)(nil)
 	_ GroupFeeder      = (*ShardEngine)(nil)
 	_ Reporter         = (*ShardEngine)(nil)
 	_ Adapter          = (*ShardEngine)(nil)

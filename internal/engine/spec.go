@@ -11,6 +11,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"sspd/internal/operator"
@@ -188,13 +189,50 @@ func (q QuerySpec) Streams() []string {
 // registered interest is as narrow as the query; steps that exclude each
 // other leave an empty range or key set, which matches nothing. This is
 // what the entity registers up the dissemination tree for early
-// filtering.
+// filtering. Behind a join a step constrains an input only through the
+// fields that resolve to that input (joinInputField).
 func (q QuerySpec) Interest(streamName string, sc *stream.Schema) stream.Interest {
 	in := stream.NewInterest(streamName)
 	for _, f := range q.Filters {
+		if q.Join != nil {
+			f.Field = q.joinInputField(streamName, f.Field, sc)
+			f.KeyField = q.joinInputField(streamName, f.KeyField, sc)
+		}
 		in = in.Intersect(f.Interest(streamName, sc))
 	}
 	return in
+}
+
+// joinInputField names the field of input stream streamName (schema sc)
+// that a post-join filter field resolves to, or "" when it resolves to
+// the other input or sc alone cannot tell. resolveField tries the name
+// as is, then l_ (the source's fields), then r_ (the joined stream's),
+// so an l_ or r_ name is its input's field whenever that input declares
+// the rest of it, and an unprefixed name is the source's whenever the
+// source declares it — which leaves the joined stream constrained only
+// through r_ names, because its schema says nothing about the source's.
+// A self-join's stream is both inputs, so neither side's steps narrow it.
+func (q QuerySpec) joinInputField(streamName, field string, sc *stream.Schema) string {
+	var prefix string
+	switch {
+	case q.Source == q.Join.Stream:
+		return ""
+	case streamName == q.Source:
+		prefix = "l_"
+	case streamName == q.Join.Stream:
+		prefix = "r_"
+	default:
+		return ""
+	}
+	if name, ok := strings.CutPrefix(field, prefix); ok {
+		if _, declared := sc.FieldIndex(name); declared {
+			return name
+		}
+	}
+	if prefix == "l_" && !strings.HasPrefix(field, "r_") {
+		return field // FilterSpec.Interest keeps it only if sc declares it
+	}
+	return ""
 }
 
 // EstimatedLoad returns the declared Load or, when absent, the summed

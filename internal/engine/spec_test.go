@@ -108,6 +108,43 @@ func TestQuerySpecInterest(t *testing.T) {
 	}
 }
 
+// TestQuerySpecInterestBehindJoin: a step constrains a join input only
+// through a field the compiler resolves to that input — never the joined
+// stream through a name the source declares too.
+func TestQuerySpecInterestBehindJoin(t *testing.T) {
+	c := testCatalog(t)
+	quotes, _ := c.Lookup("quotes")
+	trades, _ := c.Lookup("trades")
+	q := QuerySpec{ID: "q", Source: "quotes",
+		Join: &JoinSpec{Stream: "trades", LeftKey: "symbol", RightKey: "symbol"},
+		Filters: []FilterSpec{
+			{Field: "price", Lo: 0, Hi: 10},             // l_price
+			{KeyField: "symbol", Keys: []string{"ibm"}}, // l_symbol, though trades has one
+			{Field: "l_volume", Lo: 0, Hi: 5},           // l_volume
+			{Field: "r_qty", Lo: 1, Hi: 2},              // r_qty
+			{Field: "qty", Lo: 3, Hi: 4},                // r_qty too, but only quotes' schema says so
+			{KeyField: "r_nope", Keys: []string{"x"}},   // no field of either
+		}}
+	if _, err := Compile(q, c, nil); err == nil {
+		t.Fatal("a step on a field neither input has compiled")
+	}
+	in := q.Interest("quotes", quotes)
+	if len(in.Ranges) != 2 || in.Ranges["price"] != (stream.Range{Lo: 0, Hi: 10}) || in.Ranges["volume"] != (stream.Range{Lo: 0, Hi: 5}) ||
+		len(in.Keys) != 1 || !in.Keys["symbol"]["ibm"] {
+		t.Errorf("Interest(quotes) = %v, want price, volume and symbol", in)
+	}
+	in = q.Interest("trades", trades)
+	if len(in.Ranges) != 1 || in.Ranges["qty"] != (stream.Range{Lo: 1, Hi: 2}) || len(in.Keys) != 0 {
+		t.Errorf("Interest(trades) = %v, want qty in [1,2] alone", in)
+	}
+	self := QuerySpec{ID: "s", Source: "quotes",
+		Join:    &JoinSpec{Stream: "quotes", LeftKey: "symbol", RightKey: "symbol"},
+		Filters: []FilterSpec{{Field: "price", Lo: 0, Hi: 10}, {Field: "r_price", Lo: 0, Hi: 10}}}
+	if in := self.Interest("quotes", quotes); !in.Unconstrained() {
+		t.Errorf("self-join Interest = %v, want unconstrained", in)
+	}
+}
+
 func TestQuerySpecEstimatedLoad(t *testing.T) {
 	q := QuerySpec{ID: "q", Source: "s", Load: 42}
 	if got := q.EstimatedLoad(); got != 42 {
@@ -200,7 +237,7 @@ func TestCompileSimpleFilterQuery(t *testing.T) {
 			{Field: "price", Lo: 50, Hi: 150},
 			{KeyField: "symbol", Keys: []string{"ibm", "msft"}},
 		},
-	}, c, func(t stream.Tuple) { results = append(results, t) })
+	}, c, func(b stream.Batch) { results = append(results, b...) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +275,7 @@ func TestCompileJoinQuery(t *testing.T) {
 			Window: stream.CountWindow(10),
 		},
 		Filters: []FilterSpec{{Field: "price", Lo: 0, Hi: 100}},
-	}, c, func(stream.Tuple) { count++ })
+	}, c, func(b stream.Batch) { count += len(b) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +312,7 @@ func TestCompileAggQuery(t *testing.T) {
 			Fn: operator.AggAvg, ValueField: "price",
 			Window: stream.CountWindow(2),
 		},
-	}, c, func(t stream.Tuple) { last = t.Values[1].AsFloat() })
+	}, c, func(b stream.Batch) { last = b[len(b)-1].Values[1].AsFloat() })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func TestCompileDistinctQuery(t *testing.T) {
 			{Field: "price", Lo: 0, Hi: 1000},
 		},
 		Distinct: &DistinctSpec{Field: "symbol", Window: stream.CountWindow(10)},
-	}, c, func(t stream.Tuple) { results = append(results, t) })
+	}, c, func(b stream.Batch) { results = append(results, b...) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestCompileTopKQuery(t *testing.T) {
 		ID:     "qt",
 		Source: "quotes",
 		TopK:   &TopKSpec{K: 1, ValueField: "price", KeyField: "symbol", Window: stream.CountWindow(10)},
-	}, c, func(t stream.Tuple) { last = t })
+	}, c, func(b stream.Batch) { last = b[len(b)-1] })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func tailBatches(n int) []stream.Batch {
 }
 
 // compileTail compiles spec, as Register does, emitting into sink.
-func compileTail(t *testing.T, spec QuerySpec, sink func(stream.Tuple)) *Query {
+func compileTail(t *testing.T, spec QuerySpec, sink func(stream.Batch)) *Query {
 	t.Helper()
 	q, err := Compile(spec, testCatalog(t), sink)
 	if err != nil {
@@ -197,7 +197,11 @@ func TestTailThreeStageChain(t *testing.T) {
 		Agg:      &AggSpec{Fn: operator.AggMax, ValueField: "price", GroupField: "symbol", Window: stream.CountWindow(32)}}
 	var batched, rowwise []string
 	build := func(got *[]string) *Query {
-		q := compileTail(t, spec, func(tu stream.Tuple) { *got = append(*got, tu.String()) })
+		q := compileTail(t, spec, func(b stream.Batch) {
+			for _, tu := range b {
+				*got = append(*got, tu.String())
+			}
+		})
 		// The aggregate's (group, value) sit where quotes has (symbol, price).
 		src, _ := testCatalog(t).Lookup("quotes")
 		tk, err := operator.NewTopK("q/topk", src, 3, "price", "symbol", stream.CountWindow(16), 1)
@@ -254,7 +258,7 @@ func TestTailAllocsPerBatch(t *testing.T) {
 	for _, c := range cases {
 		c.spec.ID, c.spec.Source = "q", "quotes"
 		results := 0
-		q := compileTail(t, c.spec, func(stream.Tuple) { results++ })
+		q := compileTail(t, c.spec, func(b stream.Batch) { results += len(b) })
 		cb, next := stream.NewColBatch(), 0
 		run := func() {
 			cb.Reset(pool[next%len(pool)])

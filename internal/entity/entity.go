@@ -37,13 +37,11 @@ import (
 
 // Message kinds on the intra-entity network.
 const (
-	// KindFeed carries an addressed tuple: a query-fragment ID followed
-	// by one encoded tuple.
-	KindFeed = "ent.feed"
 	// KindFeedBatch carries an addressed batch: the IDs of the query
-	// fragments it feeds followed by one encoded batch (the delegation
-	// fan-out uses it so a relay batch stays one message per remote
-	// processor, not one per fragment or tuple).
+	// fragments it feeds followed by one encoded batch. The delegation
+	// fan-out and every fragment boundary between processors use it, so
+	// a batch stays one message per remote processor, not one per
+	// fragment or tuple.
 	KindFeedBatch = "ent.feedb"
 	// KindIngest carries a batch for a stream's delegation processor.
 	KindIngest = "ent.ingest"
@@ -73,9 +71,10 @@ type Entity struct {
 	deleg   map[string]int // stream name -> processor index
 	queries map[string]*placedQuery
 
-	// results receives (queryID, tuple) for every final result. Engine
-	// emit callbacks load it, so it is not guarded by mu.
-	results atomic.Pointer[func(string, stream.Tuple)]
+	// results receives (queryID, batch) for every run of a final
+	// fragment that has results. Engine emit callbacks load it, so it is
+	// not guarded by mu.
+	results atomic.Pointer[func(string, stream.Batch)]
 
 	// log receives the entity's events (SetLogger); engine-side and
 	// transport-side goroutines load it, so it is not guarded by mu.
@@ -107,8 +106,10 @@ type procNode struct {
 	state    engine.StateSnapshotter
 	drainer  drainer
 	// group is the engine's grouped feed, or the per-query loop for an
-	// engine without the capability.
+	// engine without the capability; reg its batch registration, or
+	// Register with a batch of one per result.
 	group  engine.GroupFeeder
+	reg    engine.BatchRegistrar
 	entity *Entity
 	// fanout lists, per stream delegated to this processor, the head
 	// fragments (fragment 0 of each query consuming it) to feed, grouped
@@ -253,7 +254,8 @@ func New(id string, transport simnet.Transport, catalog *stream.Catalog,
 			eng:       eng,
 			entity:    e,
 			group:     engine.GroupFeederOf(eng),
-			badFrames: map[string]*frameErrors{KindFeed: {}, KindFeedBatch: {}, KindIngest: {}},
+			reg:       engine.BatchRegistrarOf(eng),
+			badFrames: map[string]*frameErrors{KindFeedBatch: {}, KindIngest: {}},
 		}
 		p.fanout.Store(&map[string][]fanoutGroup{})
 		p.reporter, _ = eng.(engine.Reporter)
@@ -281,8 +283,11 @@ func (e *Entity) NumProcs() int { return len(e.procs) }
 // matching slice semantics.
 func (e *Entity) Proc(i int) engine.Processor { return e.procs[i].eng }
 
-// SetResultHandler installs the sink for final query results.
-func (e *Entity) SetResultHandler(fn func(queryID string, t stream.Tuple)) {
+// SetResultHandler installs the sink for final query results: fn is
+// called once per run of a query's final fragment that has results, with
+// the batch borrowed for the call (engine.BatchRegistrar) — fn may keep
+// its tuples, not the slice.
+func (e *Entity) SetResultHandler(fn func(queryID string, b stream.Batch)) {
 	if fn == nil {
 		e.results.Store(nil)
 		return
@@ -572,62 +577,78 @@ func (e *Entity) placeWith(spec engine.QuerySpec, nFrags int, cfg placeConfig) e
 		choosers[stage] = c
 		return c, nil
 	}
-	// emitFor builds the emit closure for one instance of stage i.
-	emitFor := func(i int, from *procNode) (func(stream.Tuple), error) {
+	// emitFor builds the emit closure for one instance of stage i. A
+	// closure is handed one run's results, borrowed (engine.BatchRegistrar):
+	// a boundary that hands them to an engine, which keeps what it is fed,
+	// hands over a slice of its own; a frame only reads them.
+	emitFor := func(i int, from *procNode) (func(stream.Batch), error) {
 		if i == len(frags)-1 {
-			return func(t stream.Tuple) {
-				e.Delivered.Inc()
-				trace.Record(trace.SpanID(t.Span), trace.StageResult, queryID)
+			return func(b stream.Batch) {
+				e.Delivered.Add(int64(len(b)))
+				if b.HasSpan() {
+					for _, t := range b {
+						trace.Record(trace.SpanID(t.Span), trace.StageResult, queryID)
+					}
+				}
 				if fn := e.results.Load(); fn != nil {
-					(*fn)(queryID, t)
+					(*fn)(queryID, b)
 				}
 			}, nil
 		}
 		next := stages[i+1]
 		if len(next) == 1 {
-			nextFrag := next[0].spec.ID
-			nextProc := e.procs[next[0].proc]
-			if nextProc == from {
-				// Same processor: feed directly, no network hop.
-				eng := from.eng
-				return func(t stream.Tuple) { _ = eng.FeedQuery(nextFrag, t) }, nil
+			to, nextFrag := e.procs[next[0].proc], []string{next[0].spec.ID}
+			if to == from {
+				// Same processor: one feed, no network hop.
+				return func(b stream.Batch) { _ = from.eng.FeedQueryBatch(nextFrag[0], slices.Clone(b)) }, nil
 			}
-			fromID, to, tr := from.id, nextProc.id, e.transport
-			return func(t stream.Tuple) {
-				_ = tr.Send(fromID, to, KindFeed, encodeFeed(nextFrag, t))
-			}, nil
+			return func(b stream.Batch) { from.feed(to.id, nextFrag, b, false) }, nil
 		}
 		// Routed boundary: per-tuple adaptive choice among the next
-		// stage's replicas (Section 4.2). The decision itself reads no
-		// clock — sampled tuples get a StageOperator hop stamped under
-		// the chosen instance ID (free for untraced tuples, Span == 0
-		// fast path), and the AM plane Reports the measured hop delta
-		// back into the chooser from span completions.
+		// stage's replicas (Section 4.2), then one hand-over per chosen
+		// replica. The decision itself reads no clock — sampled tuples get
+		// a StageOperator hop stamped under the chosen instance ID (free
+		// for untraced tuples, Span == 0 fast path), and the AM plane
+		// Reports the measured hop delta back into the chooser from span
+		// completions.
 		chooser, err := chooserFor(i + 1)
 		if err != nil {
 			return nil, err
 		}
-		byID := make(map[string]*procNode, len(next))
-		for _, inst := range next {
-			byID[inst.spec.ID] = e.procs[inst.proc]
+		ids := make([]string, len(next))
+		targets := make([]*procNode, len(next))
+		index := make(map[string]int, len(next))
+		for k, inst := range next {
+			ids[k], targets[k], index[inst.spec.ID] = inst.spec.ID, e.procs[inst.proc], k
 		}
-		tr, fromNode, probe := e.transport, from, cfg.probe
-		return func(t stream.Tuple) {
-			pick := chooser.Choose()
-			target := byID[pick]
-			if probe {
-				// In-process probe mode: score by the candidate
-				// engine's instantaneous load (a distributed build
-				// would piggyback this statistic on acks, as the
-				// paper's AM collects it).
-				chooser.Report(pick, target.eng.Load())
+		probe := cfg.probe
+		return func(b stream.Batch) {
+			// The sub-batches are this call's own: an engine may run the
+			// closure on several goroutines at once, and the engine fed
+			// one keeps it.
+			parts := make([]stream.Batch, len(ids))
+			for _, t := range b {
+				pick := chooser.Choose()
+				k := index[pick]
+				if probe {
+					// In-process probe mode: score by the candidate
+					// engine's instantaneous load (a distributed build
+					// would piggyback this statistic on acks, as the
+					// paper's AM collects it).
+					chooser.Report(pick, targets[k].eng.Load())
+				}
+				trace.Record(trace.SpanID(t.Span), trace.StageOperator, pick)
+				parts[k] = append(parts[k], t)
 			}
-			trace.Record(trace.SpanID(t.Span), trace.StageOperator, pick)
-			if target == fromNode {
-				_ = fromNode.eng.FeedQuery(pick, t)
-				return
+			for k, part := range parts {
+				switch {
+				case len(part) == 0:
+				case targets[k] == from:
+					_ = from.eng.FeedQueryBatch(ids[k], part)
+				default:
+					from.feed(targets[k].id, ids[k:k+1], part, false)
+				}
 			}
-			_ = tr.Send(fromNode.id, target.id, KindFeed, encodeFeed(pick, t))
 		}, nil
 	}
 
@@ -650,7 +671,7 @@ func (e *Entity) placeWith(spec engine.QuerySpec, nFrags int, cfg placeConfig) e
 				rollback()
 				return err
 			}
-			if err := p.eng.Register(inst.spec, emit); err != nil {
+			if err := p.reg.RegisterBatch(inst.spec, emit); err != nil {
 				rollback()
 				return fmt.Errorf("entity %s: placing %s: %w", e.id, inst.spec.ID, err)
 			}
@@ -1079,7 +1100,10 @@ func (p *procNode) ingest(b stream.Batch) {
 	}
 }
 
-// feed hands an admitted batch to the head fragments frags on node.
+// feed hands a batch to the fragments frags on node: the fan-out's
+// admitted batches to head fragments, and a fragment boundary's results
+// to the next fragment on another processor. A remote node gets one
+// frame, encoded before feed returns, so b is only read.
 func (p *procNode) feed(node simnet.NodeID, frags []string, b stream.Batch, traced bool) {
 	if node == p.id {
 		p.feedLocal(frags, b, traced)
@@ -1112,12 +1136,6 @@ func (p *procNode) feedLocal(frags []string, b stream.Batch, traced bool) {
 // decode is dropped whole, and counted by kind.
 func (p *procNode) handle(m simnet.Message) {
 	switch m.Kind {
-	case KindFeed:
-		frag, t, err := decodeFeed(m.Payload)
-		if p.noteFrame(m.Kind, err) {
-			trace.Record(trace.SpanID(t.Span), trace.StageOperator, frag)
-			_ = p.eng.FeedQuery(frag, t)
-		}
 	case KindFeedBatch:
 		p.decMu.Lock()
 		frags, batch, err := decodeFeedBatch(&p.dec, m.Payload)
@@ -1146,7 +1164,7 @@ type frameErrors struct {
 // whether it decoded. An undecodable frame loses a whole batch for every
 // fragment it names, so it is counted (FrameDecodeErrors) and logged —
 // on the kind's good→bad transition and on its recovery only, like the
-// relay's decode errors. The healthy path is one probe of a three-key
+// relay's decode errors. The healthy path is one probe of a two-key
 // map and one atomic load per frame.
 func (p *procNode) noteFrame(kind string, err error) bool {
 	fe := p.badFrames[kind]
@@ -1174,13 +1192,6 @@ func (e *Entity) FrameDecodeErrors() map[string]int64 {
 		}
 	}
 	return out
-}
-
-// encodeFeed frames an addressed tuple: uint16 len(frag) | frag | tuple.
-func encodeFeed(frag string, t stream.Tuple) []byte {
-	buf := binary.LittleEndian.AppendUint16(nil, uint16(len(frag)))
-	buf = append(buf, frag...)
-	return stream.AppendTuple(buf, t)
 }
 
 // encodeFeedBatch frames an addressed batch onto dst:
@@ -1225,20 +1236,4 @@ func decodeFeedBatch(dec *stream.DecodeBuffer, payload []byte) ([]string, stream
 		return nil, nil, err
 	}
 	return frags, b, nil
-}
-
-func decodeFeed(payload []byte) (string, stream.Tuple, error) {
-	if len(payload) < 2 {
-		return "", stream.Tuple{}, fmt.Errorf("entity: truncated feed frame")
-	}
-	n := int(binary.LittleEndian.Uint16(payload))
-	if len(payload) < 2+n {
-		return "", stream.Tuple{}, fmt.Errorf("entity: truncated feed fragment id")
-	}
-	frag := string(payload[2 : 2+n])
-	t, _, err := stream.DecodeTuple(payload[2+n:])
-	if err != nil {
-		return "", stream.Tuple{}, err
-	}
-	return frag, t, nil
 }

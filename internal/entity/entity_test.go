@@ -24,9 +24,9 @@ type resultLog struct {
 
 func newResultLog() *resultLog { return &resultLog{got: make(map[string]int)} }
 
-func (r *resultLog) handle(queryID string, _ stream.Tuple) {
+func (r *resultLog) handle(queryID string, b stream.Batch) {
 	r.mu.Lock()
-	r.got[queryID]++
+	r.got[queryID] += len(b)
 	r.mu.Unlock()
 }
 

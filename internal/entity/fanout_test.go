@@ -23,10 +23,13 @@ import (
 // unchanged.
 
 // perQueryEngine hides every optional capability of the engine it wraps
-// except Drain, so the entity serves it with the per-query loop: one
-// FeedQueryBatch per head fragment — the fan-out's reference behaviour.
+// except batch registration and Drain, so the entity serves it with the
+// per-query loop: one FeedQueryBatch per head fragment — the fan-out's
+// reference behaviour. (Without RegisterBatch a chained fragment would
+// feed the next one a ring slot per result, and outrun it.)
 type perQueryEngine struct {
 	engine.Processor
+	engine.BatchRegistrar
 	drain func(time.Duration) bool
 }
 
@@ -34,7 +37,7 @@ func (e perQueryEngine) Drain(d time.Duration) bool { return e.drain(d) }
 
 func perQueryFactory(name string, c *stream.Catalog) engine.Processor {
 	sh := engine.NewShard(name, c, 2)
-	return perQueryEngine{Processor: sh, drain: sh.Drain}
+	return perQueryEngine{Processor: sh, BatchRegistrar: sh, drain: sh.Drain}
 }
 
 func groupedFactory(name string, c *stream.Catalog) engine.Processor {
@@ -86,12 +89,14 @@ type seqLog struct {
 	got map[string][]uint64
 }
 
-func (l *seqLog) handle(q string, t stream.Tuple) {
+func (l *seqLog) handle(q string, b stream.Batch) {
 	l.mu.Lock()
 	if l.got == nil {
 		l.got = make(map[string][]uint64)
 	}
-	l.got[q] = append(l.got[q], t.Seq)
+	for _, t := range b {
+		l.got[q] = append(l.got[q], t.Seq)
+	}
 	l.mu.Unlock()
 }
 
@@ -530,6 +535,56 @@ func TestFanoutTraceHops(t *testing.T) {
 	if !reflect.DeepEqual(hops, want) {
 		t.Fatalf("hops = %v, want %v", hops, want)
 	}
+
+	// Down a fragment chain a boundary records the hops it recorded when
+	// it handed over one tuple at a time: none on the same processor, the
+	// receiver's operator hop on another, and on a routed boundary the
+	// decision hop, then the receiver's when the pick is remote. Routed
+	// placement on two processors puts q#0 on p0, q#1@r0 on p1, q#1@r1 on
+	// p0 and q#2 on p1, and the cold chooser picks r0, then r1.
+	op := func(node string) string { return trace.StageOperator + " " + node }
+	head := []string{trace.StagePublish + " src", trace.StageDelegate + " e1/p0", op("q#0")}
+	result := trace.StageResult + " q"
+	for _, c := range []struct {
+		name   string
+		procs  int
+		routed bool
+		want   [][]string // after head, per sampled tuple in turn
+	}{
+		{"same processor", 1, false, [][]string{{result}}},
+		{"across processors", 2, false, [][]string{{op("q#1"), op("q#2"), result}}},
+		{"routed", 2, true, [][]string{
+			{op("q#1@r0"), op("q#1@r0"), result}, // remote replica, then q#2 beside it
+			{op("q#1@r1"), op("q#2"), result},    // local replica, then q#2 on the other
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e, _ := newFanoutEntity(t, c.procs, miniFactory)
+			if c.routed {
+				e.SetTupleRouting(2, 0)
+			}
+			if err := e.PlaceQuery(chainSpec("q"), 3); err != nil {
+				t.Fatal(err)
+			}
+			for i, want := range c.want {
+				tu := quote(uint64(10+i), "ibm", 50, 1)
+				id := tr.Sample("quotes", tu.Seq, "src")
+				tu.Span = uint64(id)
+				e.IngestBatch(stream.Batch{tu})
+				span, ok := tr.Get(id)
+				if !ok {
+					t.Fatal("sampled tuple left no span")
+				}
+				var got []string
+				for _, h := range span.Hops {
+					got = append(got, h.Stage+" "+h.Node)
+				}
+				if want = append(head[:len(head):len(head)], want...); !slices.Equal(got, want) {
+					t.Fatalf("tuple %d: hops %v, want %v", i, got, want)
+				}
+			}
+		})
+	}
 }
 
 // TestFrameDecodeErrorsCounted: a frame that does not decode loses a whole
@@ -544,7 +599,6 @@ func TestFrameDecodeErrorsCounted(t *testing.T) {
 	}
 	b := stream.Batch{quote(1, "ibm", 50, 1), quote(2, "hp", 60, 1)}
 	frames := map[string][]byte{
-		KindFeed:      encodeFeed("q#0", b[0]),
 		KindFeedBatch: encodeFeedBatch(nil, []string{"q#0"}, b),
 		KindIngest:    stream.AppendBatch(nil, b),
 	}
@@ -560,7 +614,7 @@ func TestFrameDecodeErrorsCounted(t *testing.T) {
 		send(kind, frame[:len(frame)-1])
 		send(kind, frame[:1])
 	}
-	want := map[string]int64{KindFeed: 2, KindFeedBatch: 2, KindIngest: 2}
+	want := map[string]int64{KindFeedBatch: 2, KindIngest: 2}
 	if got := e.FrameDecodeErrors(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("FrameDecodeErrors = %v, want %v", got, want)
 	}

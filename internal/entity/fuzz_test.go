@@ -8,8 +8,10 @@ import (
 	"sspd/internal/stream"
 )
 
-// Fuzzers for the two frames processors exchange inside an entity. A
-// frame comes off the network, so a decoder must answer any bytes with
+// The fuzzer for the addressed frame (ent.feedb) processors exchange
+// inside an entity; an ent.ingest frame is a bare batch, which the
+// codec's FuzzDecodeBatch covers. A frame comes off the network, so a
+// decoder must answer any bytes with
 // a value or an error: no panic, and no allocation sized from a count or
 // length it has not checked against the bytes that are left.
 
@@ -50,22 +52,6 @@ func FuzzDecodeFeedBatch(f *testing.F) {
 	})
 }
 
-func FuzzDecodeFeed(f *testing.F) {
-	f.Add(encodeFeed("q1#1", quote(1, "ibm", 50, 1)))
-	f.Add(encodeFeed("", quote(2, "hp", 60.5, 7)))
-	f.Add(encodeFeed("q#1@r0", stream.Tuple{Stream: "quotes"}))
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		frag, tu, err := decodeFeed(payload)
-		if err != nil {
-			return
-		}
-		frag2, tu2, err := decodeFeed(encodeFeed(frag, tu))
-		if err != nil || frag2 != frag || tu2.Stream != tu.Stream || tu2.Seq != tu.Seq || len(tu2.Values) != len(tu.Values) {
-			t.Fatalf("(%q, %v) round-tripped to (%q, %v), err %v", frag, tu, frag2, tu2, err)
-		}
-	})
-}
-
 // TestDecodeFeedFramesTruncated: every proper prefix of a valid frame is
 // an error, and so is a count or length that promises more than the
 // frame holds — including the largest ones a uint16 can claim.
@@ -78,12 +64,6 @@ func TestDecodeFeedFramesTruncated(t *testing.T) {
 			}
 		}
 	}
-	frame := encodeFeed("q1#1", quote(1, "ibm", 50, 1))
-	for cut := 0; cut < len(frame); cut++ {
-		if _, _, err := decodeFeed(frame[:cut]); err == nil {
-			t.Fatalf("feed frame cut to %d of %d bytes decoded", cut, len(frame))
-		}
-	}
 	huge := binary.LittleEndian.AppendUint16(nil, 0xFFFF) // 65535 fragments, no bytes
 	if _, _, err := decodeFeedBatch(dec, huge); err == nil {
 		t.Fatal("a count of 65535 fragments in a 2-byte frame decoded")
@@ -91,8 +71,5 @@ func TestDecodeFeedFramesTruncated(t *testing.T) {
 	huge = binary.LittleEndian.AppendUint16(binary.LittleEndian.AppendUint16(nil, 1), 0xFFFF)
 	if _, _, err := decodeFeedBatch(dec, append(huge, "short"...)); err == nil {
 		t.Fatal("a 65535-byte fragment id in a 9-byte frame decoded")
-	}
-	if _, _, err := decodeFeed(append(binary.LittleEndian.AppendUint16(nil, 0xFFFF), "short"...)); err == nil {
-		t.Fatal("a 65535-byte fragment id in a 7-byte feed frame decoded")
 	}
 }

@@ -325,9 +325,11 @@ type seqRecorder struct {
 	got []uint64
 }
 
-func (r *seqRecorder) handle(_ string, t stream.Tuple) {
+func (r *seqRecorder) handle(_ string, b stream.Batch) {
 	r.mu.Lock()
-	r.got = append(r.got, t.Seq)
+	for _, t := range b {
+		r.got = append(r.got, t.Seq)
+	}
 	r.mu.Unlock()
 }
 
@@ -345,15 +347,15 @@ type valueLog struct {
 	lastV map[string]float64
 }
 
-func (l *valueLog) handle(queryID string, t stream.Tuple) {
+func (l *valueLog) handle(queryID string, b stream.Batch) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.n == nil {
 		l.n = map[string]int{}
 		l.lastV = map[string]float64{}
 	}
-	l.n[queryID]++
-	if len(t.Values) > 1 {
+	l.n[queryID] += len(b)
+	if t := b[len(b)-1]; len(t.Values) > 1 {
 		l.lastV[queryID] = t.Value(1).AsFloat()
 	}
 }

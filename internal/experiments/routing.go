@@ -32,7 +32,7 @@ func E12AdaptiveRouting() Table {
 	}
 	defer en.Close()
 	results := 0
-	en.SetResultHandler(func(string, stream.Tuple) { results++ })
+	en.SetResultHandler(func(_ string, b stream.Batch) { results += len(b) })
 
 	spec := engine.QuerySpec{
 		ID:     "q",

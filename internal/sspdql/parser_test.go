@@ -172,7 +172,7 @@ func TestParsedQueryRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	results := 0
-	q, err := engine.Compile(spec, catalog, func(stream.Tuple) { results++ })
+	q, err := engine.Compile(spec, catalog, func(b stream.Batch) { results += len(b) })
 	if err != nil {
 		t.Fatal(err)
 	}
