@@ -56,6 +56,15 @@ lint-obslog:
 		exit 1; \
 	fi
 	@echo "lint-obslog: engine and entity ticker-free"
+	@grep -rnE '(^|[;{])[[:space:]]*go[[:space:]]|time\.NewTicker|time\.Tick\(' --include='*.go' --exclude='*_test.go' internal/dissemination; rc=$$?; \
+	if [ $$rc -eq 0 ]; then \
+		echo "lint-obslog: the relay owns no goroutine and no ticker: a link is a call, made on the goroutine that handed the relay its batch, and periodic work (the soft-state interest refresh) belongs on the federation's control clock (f.every)"; \
+		exit 1; \
+	elif [ $$rc -ne 1 ]; then \
+		echo "lint-obslog: the files the relay goroutine check names are gone: point it at the directory that now holds the relay"; \
+		exit 1; \
+	fi
+	@echo "lint-obslog: relay goroutine- and ticker-free"
 
 build:
 	$(GO) build ./...
@@ -85,6 +94,11 @@ test:
 # reads it, a reader beside it stays race-clean), the shared-batch test
 # (one batch through gates, two engines and a frame at once), and the
 # allocation gate, whose counts must be the same numbers under -race.
+# And so do the relay's link contract: Publish returns after every
+# matched child's Send has (quiescence rests on it), one publisher's
+# batches keep their order on every link, publishers racing DropChild, a
+# rewire and Close account every send as landed or failed, and a failed
+# send counts as nothing relayed.
 # And so do the proofs of the way out: a fragment chain on either engine,
 # static and routed, delivers what one bare engine computes (an
 # aggregate in the last fragment included), a boundary sends one frame
@@ -96,7 +110,7 @@ race:
 	$(GO) test -race -count=1 -run 'TestShardEngine|TestEngineContract' ./internal/engine/
 	$(GO) test -race -count=1 -run 'TestCompiledInterestEquivalence|TestColumnEvaluator|TestMatchIndexEquivalence|TestFederationMatchesBareEngineOnNaN' ./internal/stream/ ./internal/core/
 	$(GO) test -race -count=1 -run 'TestTupleRoutingDifferential|TestFragmentChainMatchesBareEngine' ./internal/core/
-	$(GO) test -race -count=1 -run 'TestRelayIndexFollowsRegistrations|TestRelayRegistrationsRaceBatches' ./internal/dissemination/
+	$(GO) test -race -count=1 -run 'TestRelayIndexFollowsRegistrations|TestRelayRegistrationsRaceBatches|TestRelayPublishReturnsAfterEverySend|TestRelayLinkKeepsPublishOrder|TestRelayPublishersRaceDropRewireClose|TestRelayFailedSendCountsNothingRelayed' ./internal/dissemination/
 	$(GO) test -race -count=1 -run 'TestFanout|TestIngestAllocations|TestFrameDecodeErrorsCounted|TestFragmentBoundaryFramesPerBatch' ./internal/entity/
 	$(GO) test -race -count=1 -run 'FuzzDecodeBatch|TestDecodeBatch' ./internal/stream/
 	$(GO) test -race -count=1 -run 'TestHandoff|TestResumeInPlaceKeepsReorderedBuffer|TestNoCutIsNotCutZero|TestDrainQueryWaitsForAdmittedBatches' ./internal/core/ ./internal/entity/

@@ -2,10 +2,10 @@ package core
 
 // The control clock: every periodic job of the federation — the stats
 // digest period (with the watchdogs riding it), the checkpoint sweep,
-// the adaptation controller, periodic profiling — is one f.every
-// registration. A job gets its own goroutine, so a slow one (an
-// AdaptOnce migration) never delays the others; all of them share one
-// stop channel and one WaitGroup.
+// the adaptation controller, periodic profiling, the soft-state interest
+// refresh — is one f.every registration. A job gets its own goroutine,
+// so a slow one (an AdaptOnce migration) never delays the others; all of
+// them share one stop channel and one WaitGroup.
 //
 // Lock rule: a job never runs under f.mu, and Close stops the clock
 // before it closes a plane — once clock.halt returns, no job is running

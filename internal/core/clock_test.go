@@ -85,10 +85,40 @@ func TestWatchdogsEvaluateOncePerDigestPeriod(t *testing.T) {
 	}
 }
 
+// TestInterestRefreshRunsOnTheClock: Options.InterestRefresh is one job
+// on the control clock. A relay of an entity that joined after Start is
+// covered — it re-announces its interest upward on every tick although
+// no placement asked it to — and once Close has returned nothing more
+// is sent.
+func TestInterestRefreshRunsOnTheClock(t *testing.T) {
+	net := simnet.NewSim(nil)
+	defer net.Close()
+	const period = 2 * time.Millisecond
+	fed := newClockFederation(t, net, 2, Options{InterestRefresh: period})
+	defer fed.Close()
+	if err := fed.JoinEntity("e09", simnet.Point{X: 90}, 2, shardFactory); err != nil {
+		t.Fatal(err)
+	}
+	rid := relayID("e09", "quotes")
+	parent := fed.DisseminationTree("quotes").Parent(rid)
+	up := func() int64 { return net.Traffic().LinkBytes(rid, parent) }
+	waitUntil(t, 10*time.Second, "a first refresh from the joined relay", func() bool { return up() > 0 })
+	first := up()
+	waitUntil(t, 10*time.Second, "a second refresh", func() bool { return up() > first })
+
+	fed.Close()
+	closed := up()
+	time.Sleep(20 * period)
+	if got := up(); got != closed {
+		t.Fatalf("refreshes sent after Close returned: %d → %d bytes upward", closed, got)
+	}
+}
+
 // TestCloseStopsTheClockUnderLoad: every periodic plane on (stats,
-// watchdogs, checkpoints, adaptation, profiling), tuples flowing, Close while ticks are in flight. Close must return, a second
-// Close must be a no-op, no job may run once Close has returned, and the
-// process must be back to its pre-New goroutine count.
+// watchdogs, checkpoints, adaptation, profiling, interest refresh),
+// tuples flowing, Close while ticks are in flight. Close must return, a
+// second Close must be a no-op, no job may run once Close has returned,
+// and the process must be back to its pre-New goroutine count.
 func TestCloseStopsTheClockUnderLoad(t *testing.T) {
 	net := simnet.NewSim(nil)
 	defer net.Close()
@@ -96,7 +126,8 @@ func TestCloseStopsTheClockUnderLoad(t *testing.T) {
 
 	const period = 2 * time.Millisecond
 	fed := newClockFederation(t, net, 3, Options{
-		EnableAdaptation: true, AdaptationInterval: period, AdaptationHysteresis: 1e-3})
+		EnableAdaptation: true, AdaptationInterval: period, AdaptationHysteresis: 1e-3,
+		InterestRefresh: period})
 	for i := 0; i < 4; i++ {
 		if err := fed.SubmitQueryTo(countQuery(fmt.Sprintf("agg%d", i), 16), "e00", nil); err != nil {
 			t.Fatal(err)

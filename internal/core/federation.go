@@ -47,7 +47,8 @@ type Options struct {
 	ReliableControl bool
 	// InterestRefresh, when positive, re-announces every relay's
 	// aggregate interest upward on this period — soft state that
-	// re-converges ancestor filters after loss or tree repair.
+	// re-converges ancestor filters after loss or tree repair. It is one
+	// job on the control clock, started by Start.
 	InterestRefresh time.Duration
 	// Logger receives the federation's structured events (obslog). Nil
 	// builds a default logger: warnings and errors as slog text on
@@ -327,7 +328,7 @@ func New(transport simnet.Transport, catalog *stream.Catalog, opts Options) (*Fe
 // relayOptions builds the dissemination options every relay in this
 // federation is constructed with.
 func (f *Federation) relayOptions() dissemination.RelayOptions {
-	opts := dissemination.RelayOptions{RefreshInterval: f.opts.InterestRefresh, Log: f.logger}
+	opts := dissemination.RelayOptions{Log: f.logger}
 	if f.opts.ReliableControl {
 		opts.Reliable = &simnet.ReliableConfig{OnGiveUp: f.controlGiveUp}
 	}
@@ -522,10 +523,33 @@ func (f *Federation) Start() error {
 		}
 	}
 	f.started = true
+	if f.opts.InterestRefresh > 0 {
+		f.every(f.opts.InterestRefresh, f.refreshTick)
+	}
 	if f.opts.EnableAdaptation {
 		f.startAdaptationLocked(f.opts.AdaptationInterval)
 	}
 	return nil
+}
+
+// refreshTick is the soft-state tick: every entity relay re-announces
+// its aggregate interest upward, so ancestor filters re-converge after a
+// lost registration or a tree repair. The relays are read under f.mu at
+// each tick, so an entity that joined since the last one is covered; the
+// sends run outside it. A failed registration is counted by its relay,
+// and the next tick retries it.
+func (f *Federation) refreshTick() {
+	f.mu.Lock()
+	var relays []*dissemination.Relay
+	for _, en := range f.entities {
+		for _, r := range en.relays {
+			relays = append(relays, r)
+		}
+	}
+	f.mu.Unlock()
+	for _, r := range relays {
+		_ = r.Refresh()
+	}
 }
 
 // Publish injects a batch at a stream's source and disseminates it. When

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"sspd/internal/metrics"
 	"sspd/internal/obslog"
@@ -36,6 +35,14 @@ const DefaultMaxInterestTerms = 16
 // entity, and relays to each child only what that child's registered
 // interest matches (early filtering). The node at the tree's source
 // publishes instead of receiving.
+//
+// A link is a call: the relay sends to each child on the goroutine that
+// handed it the batch (the publisher at the source, the node's inbox
+// elsewhere), in child order, and owns no goroutine of its own. A slow
+// link therefore delays the children after it in the same batch — a
+// batch costs the sum of its sends rather than the max — but the batch
+// always waited for its slowest link, and TCP's write deadline still
+// bounds a wedged peer.
 type Relay struct {
 	self      simnet.NodeID
 	tree      *Tree
@@ -65,14 +72,6 @@ type Relay struct {
 	// batch rebuilds it, so a burst of registrations costs one build.
 	index *relayIndex
 
-	// Per-link send workers: fan-out enqueues each child's payload and
-	// waits on a per-batch WaitGroup, so one slow or faulty link no
-	// longer serializes the whole fan-out while Quiesce-style barriers
-	// still see the batch fully sent when disseminate returns.
-	sendMu      sync.RWMutex
-	senders     map[simnet.NodeID]*linkSender
-	sendersDone bool
-	sendWG      sync.WaitGroup
 	// regMu serializes upward registrations: it is held across
 	// aggregate computation AND the send, so a registration computed
 	// from newer state can never be overtaken on the wire by one
@@ -81,9 +80,11 @@ type Relay struct {
 	// reliable endpoint, retries could still reorder registrations on
 	// the wire — the receiver's in-order suppression drops the stale
 	// one, and the periodic refresh re-converges after any loss.
-	regMu       sync.Mutex
-	refreshStop chan struct{}
-	refreshDone chan struct{}
+	regMu sync.Mutex
+	// closed, under regMu, turns registerUpward into a no-op once Close
+	// has begun: a refresh tick that picked the relay up just before its
+	// entity left sends nothing instead of failing on a dead endpoint.
+	closed bool
 
 	// errMu guards the send-failure bookkeeping: per-link error counts
 	// plus the down/up state used to log once per transition instead of
@@ -102,7 +103,7 @@ type Relay struct {
 	log *obslog.Logger
 
 	// Delivered counts tuples handed to the local entity; Relayed
-	// counts tuples forwarded downstream; Suppressed counts tuples
+	// counts tuples a child link accepted; Suppressed counts tuples
 	// early filtering kept off a child link.
 	Delivered  metrics.Counter
 	Relayed    metrics.Counter
@@ -114,9 +115,9 @@ type Relay struct {
 	// DecodeErrors counts payloads this relay could not decode (corrupt
 	// tuples or interest registrations) — previously a silent drop.
 	DecodeErrors metrics.Counter
-	// LinkBytes meters the encoded bytes and messages this relay sent
-	// on its downstream links — the per-link traffic signal the
-	// observability layer aggregates per stream.
+	// LinkBytes meters the encoded bytes and messages its downstream
+	// links accepted — the per-link traffic signal the observability
+	// layer aggregates per stream. A failed send is in SendErrors only.
 	LinkBytes metrics.ByteMeter
 }
 
@@ -132,10 +133,6 @@ type RelayOptions struct {
 	// forced on: a retried stale registration must never overwrite a
 	// newer one.
 	Reliable *simnet.ReliableConfig
-	// RefreshInterval, when positive, re-announces the aggregate
-	// interest upward on this period — soft-state that re-converges
-	// ancestor filters after message loss or tree repair.
-	RefreshInterval time.Duration
 	// DeliverBatch, when non-nil, replaces the per-tuple deliver
 	// callback with one call per batch of locally matched tuples. The
 	// tuples are owned by the receiver; the slice is not.
@@ -177,7 +174,6 @@ func NewRelayWith(tree *Tree, self simnet.NodeID, schema *stream.Schema,
 		maxTerms:     maxTerms,
 		local:        stream.NewInterestSet(tree.Stream()),
 		childSets:    make(map[simnet.NodeID]*stream.InterestSet),
-		senders:      make(map[simnet.NodeID]*linkSender),
 		linkErrs:     make(map[simnet.NodeID]int64),
 		linkDown:     make(map[simnet.NodeID]bool),
 		decodeErrs:   make(map[string]int64),
@@ -197,9 +193,6 @@ func NewRelayWith(tree *Tree, self simnet.NodeID, schema *stream.Schema,
 		r.rel = rel
 	} else if err := transport.Register(self, r.handle); err != nil {
 		return nil, err
-	}
-	if opts.RefreshInterval > 0 {
-		r.StartRefresh(opts.RefreshInterval)
 	}
 	return r, nil
 }
@@ -257,6 +250,9 @@ func (r *Relay) registerUpward() error {
 	}
 	r.regMu.Lock()
 	defer r.regMu.Unlock()
+	if r.closed {
+		return nil
+	}
 	payload, err := encodeInterestSet(r.aggregate())
 	if err != nil {
 		return err
@@ -281,54 +277,11 @@ func (r *Relay) sendControl(to simnet.NodeID, payload []byte) error {
 
 // Refresh re-registers the relay's aggregate interest with its current
 // parent. The federation calls it on every relay rewired by a dynamic
-// tree operation (AddMember, RemoveMember, Reorganize); the soft-state
-// refresher calls it periodically.
+// tree operation (AddMember, RemoveMember, Reorganize), and periodically
+// from its control clock as soft state that re-converges ancestor
+// filters after a lost registration or a tree repair. A source relay has
+// nowhere to refresh to; the call is a no-op there.
 func (r *Relay) Refresh() error { return r.registerUpward() }
-
-// StartRefresh launches the soft-state loop: every interval the relay
-// re-announces its aggregate interest upward, so ancestor filters
-// converge back to truth after lost registrations or tree repair. A
-// source relay has nowhere to refresh to; the call is a no-op there.
-func (r *Relay) StartRefresh(interval time.Duration) {
-	if interval <= 0 || r.self == r.tree.Source() {
-		return
-	}
-	r.mu.Lock()
-	if r.refreshStop != nil {
-		r.mu.Unlock()
-		return
-	}
-	stop, done := make(chan struct{}), make(chan struct{})
-	r.refreshStop, r.refreshDone = stop, done
-	r.mu.Unlock()
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				// Failures are already counted by sendControl; the next
-				// tick (or the reliable layer's retries) recovers.
-				_ = r.registerUpward()
-			case <-stop:
-				return
-			}
-		}
-	}()
-}
-
-// StopRefresh halts the soft-state loop (idempotent).
-func (r *Relay) StopRefresh() {
-	r.mu.Lock()
-	stop, done := r.refreshStop, r.refreshDone
-	r.refreshStop, r.refreshDone = nil, nil
-	r.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
-}
 
 // Reliable exposes the relay's control-plane endpoint (nil when the
 // relay sends fire-and-forget).
@@ -399,7 +352,6 @@ func (r *Relay) DropChild(id simnet.NodeID) {
 	delete(r.childSets, id)
 	r.index = nil
 	r.mu.Unlock()
-	r.stopSender(id)
 }
 
 // Publish injects a batch at the source and disseminates it. Only the
@@ -500,7 +452,6 @@ type dissemScratch struct {
 	routed stream.Routed
 	sub    stream.Batch
 	bufs   []*[]byte
-	wg     sync.WaitGroup
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(dissemScratch) }}
@@ -511,10 +462,12 @@ var scratchPool = sync.Pool{New: func() any { return new(dissemScratch) }}
 // and the fan-out then read their rows. wire, when non-nil, is the
 // still-live incoming encoded payload: a child that matched the whole
 // batch (or that has no registration yet) is forwarded that payload
-// verbatim, so a pure-relay hop never re-encodes. Sends run on per-link
-// workers; disseminate waits for all of them before returning, which
-// keeps transport quiescence sound and lets every pooled buffer be
-// released here.
+// verbatim, so a pure-relay hop never re-encodes. Each child's Send runs
+// here, in child order, so disseminate returns only after every one has
+// returned: that keeps transport quiescence sound (every message this
+// batch causes is on the wire before the handler that received the batch
+// returns), and since Transport.Send consumes its payload before
+// returning, every pooled buffer is released here.
 func (r *Relay) disseminate(batch stream.Batch, wire []byte) {
 	if len(batch) == 0 {
 		return
@@ -534,9 +487,8 @@ func (r *Relay) disseminate(batch stream.Batch, wire []byte) {
 
 	// Fan-out. The incoming payload (or one pooled full-batch encoding)
 	// is shared by every pass-through child; partial matches re-encode
-	// just the matched tuples into a pooled buffer. Workers send
-	// concurrently per link; the WaitGroup makes the batch fully sent —
-	// and every buffer reusable — before disseminate returns.
+	// just the matched tuples into a pooled buffer. Relayed and the link
+	// meter count what a link accepted, never a failed send.
 	n := len(batch)
 	var fullPayload []byte
 	for ci, c := range ri.children {
@@ -571,13 +523,15 @@ func (r *Relay) disseminate(batch stream.Batch, wire []byte) {
 			sc.bufs = append(sc.bufs, buf)
 			payload = *buf
 		}
-		r.Relayed.Add(int64(matched))
 		r.Suppressed.Add(int64(n - matched))
+		if err := r.transport.Send(r.self, c, KindTuples, payload); err != nil {
+			r.noteSendError(c, err)
+			continue
+		}
+		r.noteSendOK(c)
+		r.Relayed.Add(int64(matched))
 		r.LinkBytes.Record(len(payload))
-		sc.wg.Add(1)
-		r.sendTuples(c, payload, &sc.wg)
 	}
-	sc.wg.Wait()
 	for i, buf := range sc.bufs {
 		stream.PutEncodeBuffer(buf)
 		sc.bufs[i] = nil
@@ -615,95 +569,6 @@ func (r *Relay) deliverLocal(batch stream.Batch, rows []int32, traced bool) {
 	for _, t := range sub {
 		r.deliver(t)
 	}
-}
-
-// linkSender is one child link's send worker: a small queue drained by a
-// dedicated goroutine, so a slow link delays only its own sends.
-type linkSender struct {
-	to simnet.NodeID
-	ch chan sendJob
-}
-
-type sendJob struct {
-	payload []byte
-	wg      *sync.WaitGroup
-}
-
-// linkQueueDepth bounds each link worker's queue; a full queue applies
-// backpressure to disseminate rather than buffering unboundedly.
-const linkQueueDepth = 8
-
-// sendTuples hands a payload to the child's link worker, creating it on
-// first use. The enqueue happens under the senders read-lock so Close
-// (which takes the write lock) can never close a channel mid-send; after
-// shutdown the send completes inline so the batch WaitGroup resolves.
-func (r *Relay) sendTuples(to simnet.NodeID, payload []byte, wg *sync.WaitGroup) {
-	for {
-		r.sendMu.RLock()
-		if r.sendersDone {
-			r.sendMu.RUnlock()
-			r.sendOne(to, payload)
-			wg.Done()
-			return
-		}
-		if ls := r.senders[to]; ls != nil {
-			ls.ch <- sendJob{payload: payload, wg: wg}
-			r.sendMu.RUnlock()
-			return
-		}
-		r.sendMu.RUnlock()
-		r.sendMu.Lock()
-		if !r.sendersDone && r.senders[to] == nil {
-			ls := &linkSender{to: to, ch: make(chan sendJob, linkQueueDepth)}
-			r.senders[to] = ls
-			r.sendWG.Add(1)
-			go r.runSender(ls)
-		}
-		r.sendMu.Unlock()
-	}
-}
-
-func (r *Relay) runSender(ls *linkSender) {
-	defer r.sendWG.Done()
-	for job := range ls.ch {
-		r.sendOne(ls.to, job.payload)
-		job.wg.Done()
-	}
-}
-
-func (r *Relay) sendOne(to simnet.NodeID, payload []byte) {
-	if err := r.transport.Send(r.self, to, KindTuples, payload); err != nil {
-		r.noteSendError(to, err)
-	} else {
-		r.noteSendOK(to)
-	}
-}
-
-// stopSender retires one child's link worker (after a rewire moved the
-// child elsewhere). Queued jobs still drain before the worker exits.
-func (r *Relay) stopSender(id simnet.NodeID) {
-	r.sendMu.Lock()
-	ls := r.senders[id]
-	delete(r.senders, id)
-	r.sendMu.Unlock()
-	if ls != nil {
-		close(ls.ch)
-	}
-}
-
-// closeSenders shuts every link worker down and waits for queued sends
-// to drain; later sends complete inline.
-func (r *Relay) closeSenders() {
-	r.sendMu.Lock()
-	if !r.sendersDone {
-		r.sendersDone = true
-		for id, ls := range r.senders {
-			close(ls.ch)
-			delete(r.senders, id)
-		}
-	}
-	r.sendMu.Unlock()
-	r.sendWG.Wait()
 }
 
 // noteDecodeError accounts one undecodable payload and logs on the
@@ -753,11 +618,13 @@ func (r *Relay) DecodeErrorsByKind() map[string]int64 {
 	return out
 }
 
-// Close stops the refresher, drains the link send workers, and
-// deregisters the relay from the transport.
+// Close deregisters the relay from the transport; a batch still in
+// flight finds its sends failing and counts them in SendErrors. It waits
+// for an upward registration in progress, and later ones send nothing.
 func (r *Relay) Close() error {
-	r.StopRefresh()
-	r.closeSenders()
+	r.regMu.Lock()
+	r.closed = true
+	r.regMu.Unlock()
 	if r.rel != nil {
 		return r.rel.Close()
 	}

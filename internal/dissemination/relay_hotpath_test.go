@@ -241,7 +241,7 @@ func TestRelayPassThroughZeroAllocs(t *testing.T) {
 	rel.handle(simnet.Message{From: "leaf0", To: "mid", Kind: KindInterest, Payload: payload})
 	rel.handle(simnet.Message{From: "leaf1", To: "mid", Kind: KindInterest, Payload: payload})
 	wire := stream.AppendBatch(nil, quoteBatch(64))
-	for i := 0; i < 10; i++ { // warmup: pools, link workers, arenas
+	for i := 0; i < 10; i++ { // warmup: pools, arenas
 		rel.HandleTuples(wire)
 	}
 	allocs := testing.AllocsPerRun(200, func() {

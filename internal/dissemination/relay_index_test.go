@@ -248,7 +248,7 @@ func TestRelayHubZeroAllocs(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		batch = append(batch, quote(uint64(i), fmt.Sprintf("S%03d", (i*7)%96), float64((i*13)%100)))
 	}
-	for i := 0; i < 10; i++ { // warmup: pools, link workers, the index
+	for i := 0; i < 10; i++ { // warmup: pools, the index
 		if err := rel.Publish(batch); err != nil {
 			t.Fatal(err)
 		}

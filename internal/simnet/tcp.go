@@ -43,6 +43,7 @@ type tcpNode struct {
 	id       NodeID
 	handler  Handler
 	listener net.Listener
+	addr     string // listener.Addr().String(), formatted once
 	wg       sync.WaitGroup
 }
 
@@ -85,7 +86,7 @@ func (t *TCPNet) Register(id NodeID, h Handler) error {
 	if err != nil {
 		return fmt.Errorf("simnet: listen for %q: %w", id, err)
 	}
-	n := &tcpNode{id: id, handler: h, listener: ln}
+	n := &tcpNode{id: id, handler: h, listener: ln, addr: ln.Addr().String()}
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -137,7 +138,7 @@ func (t *TCPNet) Address(id NodeID) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	return n.listener.Addr().String(), true
+	return n.addr, true
 }
 
 // Deregister implements Transport.
@@ -176,7 +177,7 @@ func (t *TCPNet) Send(from, to NodeID, kind string, payload []byte) error {
 		return ErrUnknownNode{ID: to}
 	}
 	conn := t.conns[to]
-	addr := dst.listener.Addr().String()
+	addr := dst.addr
 	wt := t.writeTimeout
 	t.mu.RUnlock()
 
@@ -187,8 +188,12 @@ func (t *TCPNet) Send(from, to NodeID, kind string, payload []byte) error {
 			return err
 		}
 	}
-	msg := Message{From: from, To: to, Kind: kind, Payload: payload}
-	frame := appendFrame(nil, msg)
+	// The frame is built in a pooled buffer: a write consumes it before
+	// returning, so it goes back to the pool once Send is done with it.
+	buf := framePool.Get().(*[]byte)
+	defer framePool.Put(buf)
+	*buf = appendFrame((*buf)[:0], Message{From: from, To: to, Kind: kind, Payload: payload})
+	frame := *buf
 	t.traffic.Record(from, to, len(frame))
 	if err := writeDeadlined(conn, frame, wt); err != nil {
 		// Connection went stale (peer gone, or unresponsive past the
@@ -205,6 +210,9 @@ func (t *TCPNet) Send(from, to NodeID, kind string, payload []byte) error {
 	}
 	return nil
 }
+
+// framePool holds Send's frame buffers.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // writeDeadlined writes one frame under the transport's write deadline.
 func writeDeadlined(conn net.Conn, frame []byte, timeout time.Duration) error {

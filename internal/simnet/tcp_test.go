@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -49,7 +50,7 @@ func TestTCPNetWriteDeadlineUnwedgesSender(t *testing.T) {
 		}
 	}()
 	tn.mu.Lock()
-	tn.nodes["dead"] = &tcpNode{id: "dead", handler: func(Message) {}, listener: ln}
+	tn.nodes["dead"] = &tcpNode{id: "dead", handler: func(Message) {}, listener: ln, addr: ln.Addr().String()}
 	tn.mu.Unlock()
 
 	// Push well past any plausible socket buffering. Each Send must
@@ -70,6 +71,55 @@ func TestTCPNetWriteDeadlineUnwedgesSender(t *testing.T) {
 	}
 	if tn.Evictions() == 0 {
 		t.Fatal("no stale connection was evicted")
+	}
+}
+
+// TestTCPNetSendAllocatesNothingWarm: on a warm connection Send frames
+// the message in a pooled buffer and dials with the address formatted at
+// Register, so it allocates nothing per message. The peer is a plain
+// socket that discards what it reads, so only the sender's allocations
+// are counted.
+func TestTCPNetSendAllocatesNothingWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates and drops pooled buffers; exact counts only hold without -race")
+	}
+	tn := NewTCP()
+	defer tn.Close()
+	if err := tn.Register("a", func(Message) {}); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				_, _ = io.Copy(io.Discard, c)
+			}()
+		}
+	}()
+	tn.mu.Lock()
+	tn.nodes["sink"] = &tcpNode{id: "sink", handler: func(Message) {}, listener: ln, addr: ln.Addr().String()}
+	tn.mu.Unlock()
+
+	payload := make([]byte, 512)
+	send := func() {
+		if err := tn.Send("a", "sink", "diss.tuples", payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ { // dial, and fill the pool
+		send()
+	}
+	if allocs := testing.AllocsPerRun(500, send); allocs != 0 {
+		t.Fatalf("Send on a warm connection allocated %.2f times per message, want 0", allocs)
 	}
 }
 
