@@ -31,7 +31,7 @@ lint-obslog:
 	@grep -nE 'time\.Now\(' internal/stream/compiled.go internal/stream/matchindex.go internal/stream/colbatch.go internal/operator/filter.go internal/engine/query.go \
 		internal/engine/ring.go internal/operator/tail.go internal/operator/aggregate.go internal/operator/topk.go; rc=$$?; \
 	if [ $$rc -eq 0 ]; then \
-		echo "lint-obslog: no clock reads inside the predicate's evaluators, the relay's match index, the batch run (Query.runBatch/runTail and the operators' ProcessBatch) or the shard ring publish path (one timestamp pair per (query, batch), taken by the shard loop)"; \
+		echo "lint-obslog: no clock reads inside the predicate's evaluators, the relay's match index, the batch run (Query.runBatch/runTail and the operators' ProcessBatch) or the shard ring publish path (one timestamp per (query, batch), taken by the shard loop at each query boundary)"; \
 		exit 1; \
 	elif [ $$rc -ne 1 ]; then \
 		echo "lint-obslog: a file the clock-free check names is gone: point it at the file that now holds the code"; \
@@ -80,8 +80,11 @@ test:
 # so do the tail's references (rebuild-and-sort top-k, rescanning
 # min/max, recorded snapshots) and its allocation gate: the benchmark's
 # oracle shares the operators, so only these tests can see them slip.
-# And so do the one predicate's proofs: its three evaluators agree, and
-# a federation delivers what a bare engine does when a batch holds NaN.
+# And so do the one predicate's proofs: its three evaluators agree —
+# the column evaluator also over one shared key dictionary, and through
+# filter chains that move between ColBatches and are reordered with their
+# Stats held to the reference — and a federation delivers what a bare
+# engine does when a batch holds NaN.
 # And so do the match index's: Route agrees with the interpreted
 # reference per (owner, tuple), and a relay whose registrations change
 # under flowing batches routes the very next batch by the new ones.
@@ -99,6 +102,10 @@ test:
 # batches keep their order on every link, publishers racing DropChild, a
 # rewire and Close account every send as landed or failed, and a failed
 # send counts as nothing relayed.
+# And so do the grouped feed's: a resolved id list is reused only while
+# it holds the same ids and no registration has changed, and a
+# steady-state grouped feed of keyed queries allocates nothing
+# (TestShardEngineGroupedFeed*, under TestShardEngine).
 # And so do the proofs of the way out: a fragment chain on either engine,
 # static and routed, delivers what one bare engine computes (an
 # aggregate in the last fragment included), a boundary sends one frame
@@ -108,7 +115,7 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -run 'TestShardEngine|TestEngineContract' ./internal/engine/
-	$(GO) test -race -count=1 -run 'TestCompiledInterestEquivalence|TestColumnEvaluator|TestMatchIndexEquivalence|TestFederationMatchesBareEngineOnNaN' ./internal/stream/ ./internal/core/
+	$(GO) test -race -count=1 -run 'TestCompiledInterestEquivalence|TestColumnEvaluator|TestMatchIndexEquivalence|TestFederationMatchesBareEngineOnNaN' ./internal/stream/ ./internal/operator/ ./internal/core/
 	$(GO) test -race -count=1 -run 'TestTupleRoutingDifferential|TestFragmentChainMatchesBareEngine' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestRelayIndexFollowsRegistrations|TestRelayRegistrationsRaceBatches|TestRelayPublishReturnsAfterEverySend|TestRelayLinkKeepsPublishOrder|TestRelayPublishersRaceDropRewireClose|TestRelayFailedSendCountsNothingRelayed' ./internal/dissemination/
 	$(GO) test -race -count=1 -run 'TestFanout|TestIngestAllocations|TestFrameDecodeErrorsCounted|TestFragmentBoundaryFramesPerBatch' ./internal/entity/

@@ -13,8 +13,9 @@
 // called once per run — per batch in runTail, per post-join row in
 // runRow — and borrows the results' slice for the length of the call.
 //
-// Nothing here reads the clock: the shard takes exactly one timestamp
-// pair per (query, batch) around the whole run (lint-obslog enforces the
+// Nothing here reads the clock: the shard stamps the boundaries between
+// the queries of a ring item, one clock read per (query, batch), and
+// times each whole run between two of them (lint-obslog enforces the
 // rule for this file, the evaluators' and the tail's).
 package engine
 

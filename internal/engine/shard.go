@@ -79,6 +79,10 @@ type ShardEngine struct {
 	queries map[string]*shardQuery
 	// routes lists each stream's queries, grouped by owning shard.
 	routes map[string][]*shardQuery
+	// groups holds the grouped feeds' resolved id lists (see
+	// FeedGroupBatch). rebuildRoutes empties it, so no entry outlives a
+	// registration change.
+	groups map[*string]resolvedGroup
 	closed bool
 
 	// droppedTotal is the engine-lifetime dropped-tuple count across all
@@ -257,6 +261,7 @@ func (e *ShardEngine) rebuildRoutes() {
 		slices.SortFunc(qs, byShard)
 	}
 	e.routes = routes
+	clear(e.groups)
 }
 
 // byShard orders queries so that each shard's form one run.
@@ -331,24 +336,61 @@ func (e *ShardEngine) FeedQueryBatch(id string, b stream.Batch) error {
 	return nil
 }
 
+// resolvedGroup is one grouped feed's id list resolved: ids is a copy of
+// the list, qs its registered queries sorted byShard.
+type resolvedGroup struct {
+	ids []string
+	qs  []*shardQuery
+}
+
+// maxGroups bounds the resolved lists kept between registration changes.
+// A caller that hands over a fresh list per feed adds one each time; the
+// table is emptied when it is full.
+const maxGroups = 64
+
 // FeedGroupBatch implements GroupFeeder: the ids are resolved and
 // grouped by owning shard here, on the caller, so the shard never reads
-// the caller's id list; the batch it does keep (see ship).
+// the caller's id list; the batch it does keep (see ship). A caller hands
+// the same list again and again — a delegation processor the lists of its
+// published fan-out table, a frame handler the list it decoded from the
+// same ID section before — so a resolution is kept under the address of
+// the list's first element until the next registration change and reused
+// while the list still holds the same ids: a steady-state grouped feed
+// compares its ids and allocates nothing.
 func (e *ShardEngine) FeedGroupBatch(ids []string, b stream.Batch) {
-	if len(ids) == 1 {
+	switch len(ids) {
+	case 0:
+		return
+	case 1:
 		_ = e.FeedQueryBatch(ids[0], b) // an unknown id is skipped
 		return
 	}
-	qs := make([]*shardQuery, 0, len(ids))
 	e.mu.RLock()
+	g, ok := e.groups[&ids[0]]
+	e.mu.RUnlock()
+	if !ok || !slices.Equal(g.ids, ids) {
+		g = e.resolveGroup(ids)
+	}
+	e.ship(b, func(string) []*shardQuery { return g.qs })
+}
+
+// resolveGroup resolves ids — an unknown id is skipped — and keeps the
+// result for the next feed of the same list.
+func (e *ShardEngine) resolveGroup(ids []string) resolvedGroup {
+	g := resolvedGroup{ids: slices.Clone(ids), qs: make([]*shardQuery, 0, len(ids))}
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	for _, id := range ids {
 		if sq, ok := e.queries[id]; ok {
-			qs = append(qs, sq)
+			g.qs = append(g.qs, sq)
 		}
 	}
-	e.mu.RUnlock()
-	slices.SortFunc(qs, byShard)
-	e.ship(b, func(string) []*shardQuery { return qs })
+	slices.SortFunc(g.qs, byShard)
+	if e.groups == nil || len(e.groups) >= maxGroups {
+		e.groups = make(map[*string]resolvedGroup)
+	}
+	e.groups[&ids[0]] = g
+	return g
 }
 
 // QueryIDs implements Processor.
@@ -530,6 +572,7 @@ func (e *ShardEngine) Close() {
 	e.mu.Lock()
 	e.queries = make(map[string]*shardQuery)
 	e.routes = make(map[string][]*shardQuery)
+	e.groups = nil
 	e.mu.Unlock()
 }
 
@@ -692,34 +735,42 @@ func (sh *shard) run() {
 	}
 }
 
-// process executes one ring item on the shard goroutine.
+// process executes one ring item on the shard goroutine. The queries it
+// names run back to back, and one clock read marks each boundary: the
+// end of one query's run is the start of the next one's, so an item of
+// n queries reads the clock n+1 times.
 func (sh *shard) process(item ringItem) {
 	if item.ctl != nil {
 		sh.processCtl(item.ctl)
 		return
 	}
 	sh.cbStale = true
+	var stamp time.Time
 	for _, sq := range item.qs {
-		if sq.installed {
-			sh.feedBatch(sq, item)
+		if !sq.installed {
+			continue
 		}
+		if stamp.IsZero() {
+			stamp = time.Now()
+		}
+		stamp = sh.feedBatch(sq, item, stamp)
 	}
 }
 
-// feedBatch runs one same-stream batch through one query: the columnar
-// batch run, or per-tuple Feed for a join query (either input stream).
-// Exactly two timestamps are taken per (query, batch) — the rule the
-// batch run relies on — and the per-tuple delay/processing histograms are
-// updated with one weighted observation each. Both are charged at the
-// grain a tuple is served at, the batch: d is arrival to the end of the
-// batch's run, p is that run alone — the soonest a tuple of the batch
-// could have come out — so PR = d/p is 1 with no waiting, whatever the
-// batch size. The engine time the run cost goes to busyNs once.
-func (sh *shard) feedBatch(sq *shardQuery, item ringItem) {
+// feedBatch runs one same-stream batch through one query — the columnar
+// batch run, or per-tuple Feed for a join query (either input stream) —
+// from start, the stamp process took, and returns the stamp it takes at
+// the end: one clock read per (query, batch), the rule the batch run
+// relies on. The per-tuple delay/processing histograms are updated with
+// one weighted observation each. Both are charged at the grain a tuple is
+// served at, the batch: d is arrival to the end of the batch's run, p is
+// that run alone — the soonest a tuple of the batch could have come out —
+// so PR = d/p is 1 with no waiting, whatever the batch size. The engine
+// time the run cost goes to busyNs once.
+func (sh *shard) feedBatch(sq *shardQuery, item ringItem, start time.Time) time.Time {
 	b := item.b
 	n := int64(len(b))
 	st := &sh.stats
-	start := time.Now()
 	if sq.q.join == nil && b[0].Stream == sq.q.spec.Source {
 		cb := sh.cb
 		if sh.cbStale {
@@ -747,6 +798,7 @@ func (sh *shard) feedBatch(sq *shardQuery, item ringItem) {
 	sq.busyNs.Add(el.Nanoseconds())
 	sq.proc.ObserveN(el.Seconds(), n)
 	sq.delay.ObserveN(end.Sub(item.arrived).Seconds(), n)
+	return end
 }
 
 // processCtl executes one control item.

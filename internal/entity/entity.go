@@ -119,15 +119,15 @@ type procNode struct {
 	fanout atomic.Pointer[map[string][]fanoutGroup]
 	// dec decodes the frames other processors send this one into batches
 	// the engine keeps (stream.DecodeBuffer's owned form). It is the
-	// processor's own, not a pooled one, because its intern table is what
-	// must last from frame to frame. decMu is taken once per frame and is
-	// all but uncontended: SimNet runs a node's handler serially, TCP on
-	// one goroutine per connection.
+	// processor's own, not a pooled one, because its intern table and its
+	// fragment lists are what must last from frame to frame. decMu is
+	// taken once per frame and is all but uncontended: SimNet runs a
+	// node's handler serially, TCP on one goroutine per connection.
 	decMu sync.Mutex
-	dec   stream.DecodeBuffer
-	// badFrames counts, per frame kind, the frames handle could not
-	// decode and dropped (see noteFrame). The keys are fixed at New.
-	badFrames map[string]*frameErrors
+	dec   frameDecoder
+	// feedErrs and ingestErrs count the ent.feedb and ent.ingest frames
+	// handle could not decode and dropped (see noteFrame).
+	feedErrs, ingestErrs frameErrors
 }
 
 // fanoutGroup lists the head fragments one processor hosts for one
@@ -249,13 +249,12 @@ func New(id string, transport simnet.Transport, catalog *stream.Catalog,
 	for i := 0; i < nProcs; i++ {
 		eng := factory(fmt.Sprintf("%s/p%d", id, i), catalog)
 		p := &procNode{
-			idx:       i,
-			id:        simnet.NodeID(fmt.Sprintf("%s/p%d", id, i)),
-			eng:       eng,
-			entity:    e,
-			group:     engine.GroupFeederOf(eng),
-			reg:       engine.BatchRegistrarOf(eng),
-			badFrames: map[string]*frameErrors{KindFeedBatch: {}, KindIngest: {}},
+			idx:    i,
+			id:     simnet.NodeID(fmt.Sprintf("%s/p%d", id, i)),
+			eng:    eng,
+			entity: e,
+			group:  engine.GroupFeederOf(eng),
+			reg:    engine.BatchRegistrarOf(eng),
 		}
 		p.fanout.Store(&map[string][]fanoutGroup{})
 		p.reporter, _ = eng.(engine.Reporter)
@@ -1138,16 +1137,16 @@ func (p *procNode) handle(m simnet.Message) {
 	switch m.Kind {
 	case KindFeedBatch:
 		p.decMu.Lock()
-		frags, batch, err := decodeFeedBatch(&p.dec, m.Payload)
+		frags, batch, err := p.dec.decodeFeedBatch(m.Payload)
 		p.decMu.Unlock()
-		if p.noteFrame(m.Kind, err) {
+		if p.noteFrame(&p.feedErrs, m.Kind, err) {
 			p.feedLocal(frags, batch, batch.HasSpan())
 		}
 	case KindIngest:
 		p.decMu.Lock()
 		batch, _, err := p.dec.DecodeBatch(m.Payload)
 		p.decMu.Unlock()
-		if p.noteFrame(m.Kind, err) {
+		if p.noteFrame(&p.ingestErrs, m.Kind, err) {
 			p.ingest(batch)
 		}
 	}
@@ -1160,14 +1159,13 @@ type frameErrors struct {
 	bad atomic.Bool
 }
 
-// noteFrame accounts the outcome of decoding one frame and reports
-// whether it decoded. An undecodable frame loses a whole batch for every
-// fragment it names, so it is counted (FrameDecodeErrors) and logged —
-// on the kind's good→bad transition and on its recovery only, like the
-// relay's decode errors. The healthy path is one probe of a two-key
-// map and one atomic load per frame.
-func (p *procNode) noteFrame(kind string, err error) bool {
-	fe := p.badFrames[kind]
+// noteFrame accounts the outcome of decoding one frame of the kind fe
+// counts and reports whether it decoded. An undecodable frame loses a
+// whole batch for every fragment it names, so it is counted
+// (FrameDecodeErrors) and logged — on the kind's good→bad transition and
+// on its recovery only, like the relay's decode errors. The healthy path
+// is one atomic load per frame.
+func (p *procNode) noteFrame(fe *frameErrors, kind string, err error) bool {
 	if err != nil {
 		fe.n.Inc()
 		if !fe.bad.Swap(true) {
@@ -1185,11 +1183,10 @@ func (p *procNode) noteFrame(kind string, err error) bool {
 // FrameDecodeErrors reports, per intra-entity frame kind, how many frames
 // the entity's processors dropped because they did not decode.
 func (e *Entity) FrameDecodeErrors() map[string]int64 {
-	out := make(map[string]int64)
+	out := map[string]int64{KindFeedBatch: 0, KindIngest: 0}
 	for _, p := range e.procs {
-		for kind, fe := range p.badFrames {
-			out[kind] += fe.n.Value()
-		}
+		out[KindFeedBatch] += p.feedErrs.n.Value()
+		out[KindIngest] += p.ingestErrs.n.Value()
 	}
 	return out
 }
@@ -1205,11 +1202,27 @@ func encodeFeedBatch(dst []byte, frags []string, b stream.Batch) []byte {
 	return stream.AppendBatch(dst, b)
 }
 
+// frameDecoder is a processor's decoder for the frames it is sent: the
+// batch codec's DecodeBuffer plus the fragment lists of the ent.feedb
+// frames it has decoded, by ID section. A sender addresses the same
+// fragments frame after frame, so a section seen before decodes to the
+// list it did then — nothing allocated, and a list the engine's grouped
+// feed has resolved before. A list is never written once returned.
+type frameDecoder struct {
+	stream.DecodeBuffer
+	lists map[string][]string
+}
+
+// maxFrameLists bounds the ID sections a frameDecoder keeps. The lists a
+// processor is sent change only with placements, so the map is emptied
+// when it is full rather than aged.
+const maxFrameLists = 64
+
 // decodeFeedBatch walks the ID section once to check every length
 // against the bytes that are left, and only then sizes anything from the
 // count. The IDs share one string, so decoding allocates the same number
-// of objects for any count.
-func decodeFeedBatch(dec *stream.DecodeBuffer, payload []byte) ([]string, stream.Batch, error) {
+// of objects for any count, and none for a section decoded before.
+func (d *frameDecoder) decodeFeedBatch(payload []byte) ([]string, stream.Batch, error) {
 	if len(payload) < 2 {
 		return nil, nil, fmt.Errorf("entity: truncated feed-batch frame")
 	}
@@ -1224,14 +1237,23 @@ func decodeFeedBatch(dec *stream.DecodeBuffer, payload []byte) ([]string, stream
 			return nil, nil, fmt.Errorf("entity: truncated feed-batch fragment id")
 		}
 	}
-	ids := string(payload[2:end])
-	frags := make([]string, n)
-	for i, off := 0, 0; i < n; i++ {
-		l := int(binary.LittleEndian.Uint16(payload[2+off:]))
-		frags[i] = ids[off+2 : off+2+l]
-		off += 2 + l
+	// The walk above ends further on for every extra entry, so one section
+	// holds one count of IDs: a section seen before is the list seen before.
+	frags, ok := d.lists[string(payload[2:end])]
+	if !ok {
+		ids := string(payload[2:end])
+		frags = make([]string, n)
+		for i, off := 0, 0; i < n; i++ {
+			l := int(binary.LittleEndian.Uint16(payload[2+off:]))
+			frags[i] = ids[off+2 : off+2+l]
+			off += 2 + l
+		}
+		if d.lists == nil || len(d.lists) >= maxFrameLists {
+			d.lists = make(map[string][]string)
+		}
+		d.lists[ids] = frags
 	}
-	b, _, err := dec.DecodeBatch(payload[end:])
+	b, _, err := d.DecodeBatch(payload[end:])
 	if err != nil {
 		return nil, nil, err
 	}

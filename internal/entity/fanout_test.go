@@ -453,7 +453,8 @@ func rejectAll(id string) engine.QuerySpec { return filterSpec(id, -2, -1) }
 // neither with the queries it feeds nor with the tuples it holds. The
 // local engine keeps the batch it is handed, so a local target costs
 // nothing; a remote one costs what its one ent.feedb frame decodes into —
-// the id list, one Batch and one Values arena — whatever the counts. The
+// one Batch and one Values arena (the id list is decoded once) —
+// whatever the counts. The
 // same numbers hold under -race: nothing on the frame's path comes from a
 // sync.Pool the detector could empty.
 func TestIngestAllocations(t *testing.T) {

@@ -33,13 +33,13 @@ func FuzzDecodeFeedBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		// One decoder for both frames, as a processor keeps one for every
 		// frame it is sent: the second decode runs on a warm intern table.
-		dec := new(stream.DecodeBuffer)
-		frags, b, err := decodeFeedBatch(dec, payload)
+		dec := new(frameDecoder)
+		frags, b, err := dec.decodeFeedBatch(payload)
 		if err != nil {
 			return
 		}
 		// What decoded must survive a round trip.
-		frags2, b2, err := decodeFeedBatch(dec, encodeFeedBatch(nil, frags, b))
+		frags2, b2, err := dec.decodeFeedBatch(encodeFeedBatch(nil, frags, b))
 		if err != nil {
 			t.Fatalf("re-encoded frame does not decode: %v", err)
 		}
@@ -56,20 +56,51 @@ func FuzzDecodeFeedBatch(f *testing.F) {
 // an error, and so is a count or length that promises more than the
 // frame holds — including the largest ones a uint16 can claim.
 func TestDecodeFeedFramesTruncated(t *testing.T) {
-	dec := new(stream.DecodeBuffer)
+	dec := new(frameDecoder)
 	for _, frame := range feedBatchSeeds() {
 		for cut := 0; cut < len(frame); cut++ {
-			if _, _, err := decodeFeedBatch(dec, frame[:cut]); err == nil {
+			if _, _, err := dec.decodeFeedBatch(frame[:cut]); err == nil {
 				t.Fatalf("feed-batch frame cut to %d of %d bytes decoded", cut, len(frame))
 			}
 		}
 	}
 	huge := binary.LittleEndian.AppendUint16(nil, 0xFFFF) // 65535 fragments, no bytes
-	if _, _, err := decodeFeedBatch(dec, huge); err == nil {
+	if _, _, err := dec.decodeFeedBatch(huge); err == nil {
 		t.Fatal("a count of 65535 fragments in a 2-byte frame decoded")
 	}
 	huge = binary.LittleEndian.AppendUint16(binary.LittleEndian.AppendUint16(nil, 1), 0xFFFF)
-	if _, _, err := decodeFeedBatch(dec, append(huge, "short"...)); err == nil {
+	if _, _, err := dec.decodeFeedBatch(append(huge, "short"...)); err == nil {
 		t.Fatal("a 65535-byte fragment id in a 9-byte frame decoded")
+	}
+}
+
+// TestDecodeFeedFramesReuseIDs: a processor decodes every frame addressed
+// to the same fragments into one id list — the list the engine's grouped
+// feed has resolved before — however frames addressed otherwise
+// interleave with them, and those into their own ids.
+func TestDecodeFeedFramesReuseIDs(t *testing.T) {
+	b := stream.Batch{quote(1, "ibm", 50, 1)}
+	ab := encodeFeedBatch(nil, []string{"a#0", "b#0"}, b)
+	c := encodeFeedBatch(nil, []string{"c#0"}, b)
+	dec := new(frameDecoder)
+	first, _, err := dec.decodeFeedBatch(ab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, frame := range [][]byte{ab, c, ab} {
+		got, _, err := dec.decodeFeedBatch(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 {
+			if !reflect.DeepEqual(got, []string{"c#0"}) {
+				t.Fatalf("decoded ids %q, want [c#0]", got)
+			}
+		} else if &got[0] != &first[0] {
+			t.Fatalf("frame %d: an ID section decoded before decoded into a new list", i)
+		}
+	}
+	if !reflect.DeepEqual(first, []string{"a#0", "b#0"}) {
+		t.Fatalf("a returned list changed under its holder: %q", first)
 	}
 }

@@ -15,6 +15,11 @@ import (
 type Filter struct {
 	base
 	pred stream.CompiledInterest
+	// keys is pred's key constraints bound to the ColBatch ProcessBatch
+	// last ran on (stream.KeyBits). Engines serialize calls per operator
+	// (the Operator contract), so the predicate stays immutable and the
+	// mutable binding is the filter's own.
+	keys stream.KeyBits
 }
 
 // NewFilter builds a filter passing the tuples whose values satisfy the
@@ -48,10 +53,12 @@ func (f *Filter) Process(port int, t stream.Tuple) []stream.Tuple {
 
 // ProcessBatch is the batch entry: it shrinks the columnar batch's
 // selection to the rows Process would pass, records the batch into the
-// Stats as one sample, and returns the number of survivors.
+// Stats as one sample, and returns the number of survivors. The first
+// batch on a ColBatch binds the filter's keys to its dictionary; every
+// later one tests a bit per (key constraint, row).
 func (f *Filter) ProcessBatch(cb *stream.ColBatch) int {
 	in := cb.Len()
-	out := f.pred.Apply(cb)
+	out := f.pred.Apply(cb, &f.keys)
 	f.stats.RecordBatch(in, out)
 	return out
 }

@@ -10,7 +10,8 @@ import "sspd/internal/stream"
 // one batch entry, ProcessBatch: rows in, results appended to a
 // caller-owned buffer, one Stats.RecordBatch per call. Nothing here or
 // in the operators reads the clock (lint-obslog): the shard times a
-// whole (query, batch) run with one timestamp pair.
+// whole (query, batch) run between two stamps it takes at query
+// boundaries.
 
 // beats orders values for every maximum and ranking in the tail: a
 // number beats any smaller number, and every number beats NaN. NaN

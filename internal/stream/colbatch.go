@@ -14,6 +14,20 @@ package stream
 // state neither resetting nor filtering allocates. Columns are built at
 // most once per (batch, field) no matter how many queries or filter
 // steps read them.
+//
+// String columns are key ids. The ColBatch owns a key dictionary that
+// numbers, from 1, every key some key constraint bound to it lists
+// (CompiledInterest.Apply binds a constraint the first time it runs on
+// the ColBatch). A key column holds each row's id — one dictionary probe
+// per (batch, field, row) — and 0, noKey, for a string no bound
+// constraint lists; a constraint is then one bit test per row, however
+// many queries share the column. Ids are never reused or renumbered, so
+// a binding stays valid for the ColBatch's life, and the dictionary
+// holds the distinct keys ever bound on it.
+
+// noKey is the id of every string the dictionary does not hold. No
+// binding sets its bit.
+const noKey = 0
 
 // ColBatch is a columnar view over one same-stream Batch plus a
 // selection vector. The zero value is ready for Reset.
@@ -22,13 +36,16 @@ type ColBatch struct {
 	// sel holds the indexes of surviving rows in batch order.
 	// CompiledInterest.Apply compacts it in place.
 	sel []int32
-	// fcols/scols cache per-field numeric (Value.AsFloat) and string
-	// (Value.AsString) columns, indexed by field position. built tracks
-	// which entries are valid for the current src.
+	// fcols/kcols cache per-field numeric (Value.AsFloat) and key-id
+	// (Value.AsString through dict) columns, indexed by field position.
+	// built tracks which entries are valid for the current src and, for
+	// key columns, the current dictionary.
 	fcols  [][]float64
-	scols  [][]string
+	kcols  [][]int32
 	fbuilt []bool
-	sbuilt []bool
+	kbuilt []bool
+	// dict maps each bound key to its id; see the package comment above.
+	dict map[string]int32
 }
 
 // NewColBatch returns an empty ColBatch ready for Reset.
@@ -38,16 +55,13 @@ func NewColBatch() *ColBatch { return &ColBatch{} }
 // becomes the identity and all cached columns are invalidated. The
 // source batch is retained (read-only) until the next Reset; in steady
 // state Reset performs no allocation once internal buffers have grown
-// to the largest batch and widest schema seen.
+// to the largest batch and widest schema seen. The key dictionary
+// outlives Reset.
 func (cb *ColBatch) Reset(b Batch) {
 	cb.src = b
 	cb.ResetSel()
-	for i := range cb.fbuilt {
-		cb.fbuilt[i] = false
-	}
-	for i := range cb.sbuilt {
-		cb.sbuilt[i] = false
-	}
+	clear(cb.fbuilt)
+	clear(cb.kbuilt)
 }
 
 // ResetSel restores the identity selection (all rows live) without
@@ -86,9 +100,9 @@ func (cb *ColBatch) growCols(idx int) {
 		cb.fcols = append(cb.fcols, nil)
 		cb.fbuilt = append(cb.fbuilt, false)
 	}
-	for len(cb.scols) <= idx {
-		cb.scols = append(cb.scols, nil)
-		cb.sbuilt = append(cb.sbuilt, false)
+	for len(cb.kcols) <= idx {
+		cb.kcols = append(cb.kcols, nil)
+		cb.kbuilt = append(cb.kbuilt, false)
 	}
 }
 
@@ -112,21 +126,40 @@ func (cb *ColBatch) FloatCol(idx int) []float64 {
 	return cb.fcols[idx]
 }
 
-// StringCol returns the string column for field idx (Value.AsString per
-// row: "" for non-string values, matching row-wise reads).
-func (cb *ColBatch) StringCol(idx int) []string {
+// KeyCol returns the key-id column for field idx: per row, the
+// dictionary id of Value.AsString ("" for non-string values and short
+// tuples, matching row-wise reads), or noKey for a string no bound
+// constraint lists. Built on first use per Reset and per dictionary
+// growth, then cached.
+func (cb *ColBatch) KeyCol(idx int) []int32 {
 	cb.growCols(idx)
-	if !cb.sbuilt[idx] {
-		col := cb.scols[idx]
+	if !cb.kbuilt[idx] {
+		col := cb.kcols[idx]
 		if cap(col) < len(cb.src) {
-			col = make([]string, len(cb.src))
+			col = make([]int32, len(cb.src))
 		}
 		col = col[:len(cb.src)]
 		for i := range cb.src {
-			col[i] = cb.src[i].Value(idx).AsString()
+			col[i] = cb.dict[cb.src[i].Value(idx).AsString()] // a missing key reads noKey
 		}
-		cb.scols[idx] = col
-		cb.sbuilt[idx] = true
+		cb.kcols[idx] = col
+		cb.kbuilt[idx] = true
 	}
-	return cb.scols[idx]
+	return cb.kcols[idx]
+}
+
+// keyID returns key's id, adding it to the dictionary if it is new. A
+// new key invalidates the built key columns, whose rows holding it read
+// noKey.
+func (cb *ColBatch) keyID(key string) int32 {
+	if id, ok := cb.dict[key]; ok {
+		return id
+	}
+	if cb.dict == nil {
+		cb.dict = make(map[string]int32)
+	}
+	id := int32(len(cb.dict) + 1)
+	cb.dict[key] = id
+	clear(cb.kbuilt)
+	return id
 }

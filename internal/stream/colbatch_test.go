@@ -24,15 +24,36 @@ func TestColBatchColumnsMatchRows(t *testing.T) {
 		t.Fatalf("Len=%d Src=%d want 64", cb.Len(), cb.Src())
 	}
 	prices := cb.FloatCol(1)
-	symbols := cb.StringCol(0)
 	for i := range b {
 		if prices[i] != b[i].Value(1).AsFloat() {
 			t.Fatalf("row %d: float col %v != row value %v", i, prices[i], b[i].Value(1).AsFloat())
 		}
-		if symbols[i] != b[i].Value(0).AsString() {
-			t.Fatalf("row %d: string col %q != row value %q", i, symbols[i], b[i].Value(0).AsString())
+	}
+	// Before any binding every string reads noKey; once ibm and goog are
+	// bound, their rows read their two ids and the rest still noKey.
+	for i, id := range cb.KeyCol(0) {
+		if id != noKey {
+			t.Fatalf("row %d: key id %d with an empty dictionary, want noKey", i, id)
 		}
 	}
+	c := colFilter(t, NewInterest("quotes").WithKeys("symbol", "ibm", "goog"))
+	c.Apply(cb, new(KeyBits))
+	ids := map[string]int32{}
+	for i, id := range cb.KeyCol(0) {
+		sym := b[i].Value(0).AsString()
+		listed := sym == "ibm" || sym == "goog"
+		if listed != (id != noKey) {
+			t.Fatalf("row %d (%s): key id %d after binding ibm and goog", i, sym, id)
+		}
+		if prev, seen := ids[sym]; seen && prev != id {
+			t.Fatalf("row %d: %s reads id %d, an earlier row %d", i, sym, id, prev)
+		}
+		ids[sym] = id
+	}
+	if ids["ibm"] == ids["goog"] {
+		t.Fatalf("ibm and goog share id %d", ids["ibm"])
+	}
+	cb.ResetSel()
 	// Out-of-range field reads the zero Value, exactly like Tuple.Value.
 	zeros := cb.FloatCol(9)
 	for i := range zeros {
@@ -83,7 +104,7 @@ func TestColumnEvaluatorMatchesRowSemantics(t *testing.T) {
 	cb := NewColBatch()
 	cb.Reset(b)
 	c := colFilter(t, NewInterest("quotes").WithRange("price", lo, hi).WithKeys("symbol", "ibm", "goog"))
-	c.Apply(cb)
+	c.Apply(cb, new(KeyBits))
 	var want []uint64
 	for _, tu := range b {
 		if interp(tu) {
@@ -112,6 +133,9 @@ func TestColumnEvaluatorMatchesRowSemantics(t *testing.T) {
 	}
 }
 
+// TestColumnEvaluatorSingleKeyFastPath: a one-key set compiles to a
+// direct compare for the row evaluator, and the column evaluator tests
+// the same one bit for it as for any set.
 func TestColumnEvaluatorSingleKeyFastPath(t *testing.T) {
 	b := colTestBatch(40)
 	cb := NewColBatch()
@@ -120,7 +144,7 @@ func TestColumnEvaluatorSingleKeyFastPath(t *testing.T) {
 	if c.keys[0].set != nil {
 		t.Fatal("a one-key set compiled to a map probe")
 	}
-	n := c.Apply(cb)
+	n := c.Apply(cb, new(KeyBits))
 	if n != 10 {
 		t.Fatalf("single-key filter kept %d of 40, want 10", n)
 	}
@@ -132,18 +156,19 @@ func TestColumnEvaluatorSingleKeyFastPath(t *testing.T) {
 }
 
 // Satellite guard: the column evaluator allocates nothing per batch in
-// steady state — column buffers and the selection vector are reused
-// across Reset calls.
+// steady state — column buffers, the selection vector and the key
+// binding are reused across Reset calls.
 func TestColumnEvaluatorAllocFree(t *testing.T) {
 	b := colTestBatch(256)
 	cb := NewColBatch()
 	c := colFilter(t, NewInterest("quotes").WithRange("price", 10, 70).WithKeys("symbol", "ibm", "goog", "amzn"))
+	var kb KeyBits
 	// Warm the buffers to steady state.
 	cb.Reset(b)
-	c.Apply(cb)
+	c.Apply(cb, &kb)
 	allocs := testing.AllocsPerRun(1000, func() {
 		cb.Reset(b)
-		if c.Apply(cb) == 0 {
+		if c.Apply(cb, &kb) == 0 {
 			t.Fatal("filter eliminated everything")
 		}
 	})

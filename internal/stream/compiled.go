@@ -20,9 +20,11 @@ type rangeCheck struct {
 	lo, hi float64
 }
 
-// keyCheck is one compiled string-membership constraint. Single-key sets
-// (by far the most common registration: "symbol == ibm") compare directly
-// against one string; larger sets probe a map keyed only at compile time.
+// keyCheck is one compiled string-membership constraint. In the row
+// evaluator, single-key sets (by far the most common registration:
+// "symbol == ibm") compare directly against one string and larger sets
+// probe a map keyed only at compile time; the column evaluator tests a
+// bit of a KeyBits bound from them either way.
 type keyCheck struct {
 	idx    int
 	single string
@@ -139,11 +141,60 @@ func (c *CompiledInterest) MatchValues(t *Tuple) bool {
 	return true
 }
 
+// KeyBits is a CompiledInterest's key constraints bound to one
+// ColBatch's key dictionary: per constraint, a bitset over the
+// dictionary's ids with the bit of every key it lists set. It is the
+// caller's state beside the immutable interest — operator.Filter keeps
+// one — and, like the ColBatch it is bound to, belongs to one goroutine.
+// The zero value is unbound.
+type KeyBits struct {
+	cb   *ColBatch
+	sets [][]uint64
+}
+
+// bind adds every key c's key constraints list to cb's dictionary and
+// records them in kb. Ids are append-only, so kb stays valid for cb
+// however many keys are bound to cb after it: a later id is past the
+// end of kb's sets, and reads as not listed.
+func (c *CompiledInterest) bind(cb *ColBatch, kb *KeyBits) {
+	kb.cb = cb
+	if cap(kb.sets) < len(c.keys) {
+		kb.sets = make([][]uint64, len(c.keys))
+	}
+	kb.sets = kb.sets[:len(c.keys)]
+	for k := range c.keys {
+		kc := &c.keys[k]
+		set := kb.sets[k][:0]
+		if kc.set == nil {
+			set = setBit(set, cb.keyID(kc.single))
+		}
+		for key := range kc.set {
+			set = setBit(set, cb.keyID(key))
+		}
+		kb.sets[k] = set
+	}
+}
+
+// setBit sets bit id in set, growing it as far as that word.
+func setBit(set []uint64, id int32) []uint64 {
+	for len(set) <= int(id>>6) {
+		set = append(set, 0)
+	}
+	set[id>>6] |= 1 << (id & 63)
+	return set
+}
+
 // Apply is the column evaluator: it scans the batch's columns and
 // compacts the selection vector to the rows MatchValues accepts,
 // returning their count. One call covers the whole batch: no per-row
-// function calls, no per-row locks, no allocations.
-func (c *CompiledInterest) Apply(cb *ColBatch) int {
+// function calls, no per-row locks, no allocations once kb is bound. A
+// key constraint tests one bit per row of the key-id column; kb is bound
+// to cb on the first call with cb, and again only when handed another
+// ColBatch.
+func (c *CompiledInterest) Apply(cb *ColBatch, kb *KeyBits) int {
+	if len(c.keys) > 0 && kb.cb != cb {
+		c.bind(cb, kb)
+	}
 	sel := cb.sel
 	for r := range c.ranges {
 		rc := &c.ranges[r]
@@ -160,24 +211,15 @@ func (c *CompiledInterest) Apply(cb *ColBatch) int {
 		sel = out
 	}
 	for k := range c.keys {
-		kc := &c.keys[k]
-		col := cb.StringCol(kc.idx)
+		col := cb.KeyCol(c.keys[k].idx)
+		set := kb.sets[k]
 		out := sel[:0]
-		if kc.set == nil {
-			single := kc.single
-			for _, i := range sel {
-				if col[i] != single {
-					continue
-				}
-				out = append(out, i)
+		for _, i := range sel {
+			id := uint32(col[i])
+			if w := id >> 6; w >= uint32(len(set)) || set[w]&(1<<(id&63)) == 0 {
+				continue
 			}
-		} else {
-			for _, i := range sel {
-				if _, ok := kc.set[col[i]]; !ok {
-					continue
-				}
-				out = append(out, i)
-			}
+			out = append(out, i)
 		}
 		sel = out
 	}

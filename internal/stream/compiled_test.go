@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -36,9 +37,9 @@ func agree(t *testing.T, in Interest, sc *Schema, b Batch) int {
 	set.Add(in)
 	cs := CompileSet(set, sc)
 	c := CompileInterest(in, sc)
-	cb := NewColBatch()
+	cb, kb := NewColBatch(), new(KeyBits)
 	cb.Reset(b)
-	if n := c.Apply(cb); n != cb.Len() {
+	if n := c.Apply(cb, kb); n != cb.Len() {
 		t.Fatalf("Apply returned %d with %d rows selected", n, cb.Len())
 	}
 	kept := 0
@@ -62,7 +63,7 @@ func agree(t *testing.T, in Interest, sc *Schema, b Batch) int {
 	}
 	// An empty selection — every row already filtered out — stays empty.
 	cb.sel = cb.sel[:0]
-	if n := c.Apply(cb); n != 0 {
+	if n := c.Apply(cb, kb); n != 0 {
 		t.Fatalf("Apply over an empty selection kept %d rows", n)
 	}
 	return kept
@@ -234,6 +235,103 @@ func TestCompiledInterestEquivalenceRandom(t *testing.T) {
 	}
 	if accepted < 1000 || rejected < 1000 {
 		t.Fatalf("degenerate run: %d verdicts true, %d false", accepted, rejected)
+	}
+}
+
+// TestColumnEvaluatorSharedDictionaryRandom runs the column evaluator the
+// way a shard does: one ColBatch for the whole run, whose key dictionary
+// every interest binds into, and one KeyBits per interest kept from batch
+// to batch. Interests join and leave mid-run, a joining one often between
+// two others' runs over the same batch, and half of them list a key the
+// batch holds that no interest has listed yet — so the key first enters
+// the dictionary after the batch's symbol column was built with it
+// reading as unlisted. Every (interest, row) verdict must be
+// Interest.Matches's.
+func TestColumnEvaluatorSharedDictionaryRandom(t *testing.T) {
+	sc := compiledTestSchema(t)
+	rng := rand.New(rand.NewSource(27))
+	late := make([]string, 64) // keys only the batches carry at first
+	for i := range late {
+		late[i] = fmt.Sprintf("L%02d", i)
+	}
+	type bound struct {
+		in Interest
+		c  CompiledInterest
+		kb KeyBits
+	}
+	cb := NewColBatch()
+	newBound := func(b Batch) *bound {
+		in := randomInterest(rng, sc)
+		if rng.Intn(2) == 0 {
+			for _, tu := range b {
+				if k := tu.Value(0).AsString(); len(k) > 0 && k[0] == 'L' {
+					if _, bound := cb.dict[k]; !bound {
+						in = in.WithKeys("symbol", k, "ibm", "")
+						break
+					}
+				}
+			}
+		}
+		return &bound{in: in, c: CompileInterest(in, sc)}
+	}
+	var live []*bound
+	accepted, rejected, lateBinds := 0, 0, 0
+	for trial := 0; trial < 1500; trial++ {
+		b := make(Batch, rng.Intn(33))
+		for i := range b {
+			b[i] = randomTuple(rng, "quotes")
+			if len(b[i].Values) > 0 && rng.Intn(4) == 0 {
+				b[i].Values[0] = String(late[rng.Intn(len(late))])
+			}
+		}
+		cb.Reset(b)
+		runs := make([]*bound, 0, len(live)+1)
+		for _, i := range rng.Perm(len(live)) {
+			runs = append(runs, live[i])
+		}
+		if len(live) < 4 || rng.Intn(4) == 0 {
+			q := newBound(b)
+			live = append(live, q)
+			runs = slices.Insert(runs, rng.Intn(len(runs)+1), q)
+		}
+		for _, q := range runs {
+			built, keys := len(cb.kbuilt) > 0 && cb.kbuilt[0], len(cb.dict)
+			cb.ResetSel()
+			q.c.Apply(cb, &q.kb)
+			if built && len(cb.dict) > keys {
+				lateBinds++
+			}
+			ref := q.in
+			kept := 0
+			for i, tu := range b {
+				ref.Stream = tu.Stream
+				want := ref.Matches(sc, tu)
+				got := kept < cb.Len() && int(cb.sel[kept]) == i
+				if got != want {
+					t.Fatalf("trial %d row %d: column evaluator=%v, interpreted=%v\ninterest=%v\ntuple=%v",
+						trial, i, got, want, q.in, tu)
+				}
+				if got {
+					kept++
+					accepted++
+				} else {
+					rejected++
+				}
+			}
+			if kept != cb.Len() {
+				t.Fatalf("trial %d: %d rows selected, %d accounted", trial, cb.Len(), kept)
+			}
+		}
+		if len(live) > 24 {
+			i := rng.Intn(len(live))
+			live = append(live[:i], live[i+1:]...)
+		}
+	}
+	if accepted < 1000 || rejected < 1000 {
+		t.Fatalf("degenerate run: %d verdicts true, %d false", accepted, rejected)
+	}
+	if lateBinds < 20 {
+		t.Fatalf("only %d keys were bound after their batch's symbol column was built: the run did not test it", lateBinds)
 	}
 }
 

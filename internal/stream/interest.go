@@ -148,36 +148,25 @@ func (in Interest) Matches(s *Schema, t Tuple) bool {
 
 // Selectivity estimates the fraction of the stream the interest selects,
 // assuming independent, uniformly distributed fields over the schema's
-// declared domains. Fields with no declared domain contribute factor 1.
+// declared domains. Fields with no declared domain contribute factor 1,
+// and a constraint on a field the schema lacks makes it 0. The factors
+// are multiplied in schema field order, so the result does not depend on
+// map iteration order.
 func (in Interest) Selectivity(s *Schema) float64 {
-	sel := 1.0
-	for field, r := range in.Ranges {
-		i, ok := s.FieldIndex(field)
-		if !ok {
-			return 0
+	sel, seen := 1.0, 0
+	for i := range s.fields {
+		f := &s.fields[i]
+		if r, ok := in.Ranges[f.Name]; ok {
+			seen++
+			sel *= rangeFraction(r, f)
 		}
-		f := s.Field(i)
-		w := f.DomainWidth()
-		if w <= 0 {
-			continue
+		if set, ok := in.Keys[f.Name]; ok {
+			seen++
+			sel *= keyFraction(len(set), f)
 		}
-		clipped := r.Intersect(Range{Lo: f.Lo, Hi: f.Hi})
-		sel *= clipped.Width() / w
 	}
-	for field, set := range in.Keys {
-		i, ok := s.FieldIndex(field)
-		if !ok {
-			return 0
-		}
-		f := s.Field(i)
-		if f.Card <= 0 {
-			continue
-		}
-		frac := float64(len(set)) / float64(f.Card)
-		if frac > 1 {
-			frac = 1
-		}
-		sel *= frac
+	if seen < len(in.Ranges)+len(in.Keys) {
+		return 0
 	}
 	return sel
 }
@@ -436,58 +425,77 @@ func (s *InterestSet) Simplify(sc *Schema, maxTerms int) {
 // the cover: a field both constrain contributes the width of the two
 // ranges' union clipped to the field's domain, or |A| + |B| − |A ∩ B|
 // keys over the field's cardinality; a field only one constrains is
-// unconstrained in the cover and contributes nothing.
+// unconstrained in the cover and contributes nothing. The factors are
+// multiplied in schema field order, as Selectivity multiplies them, so
+// the result is the same bits on every call.
 func coverSelectivity(a, b Interest, sc *Schema) float64 {
 	if a.Stream != b.Stream {
 		return 1 // Cover answers with an unconstrained interest
 	}
-	sel := 1.0
-	for field, ra := range a.Ranges {
-		rb, ok := b.Ranges[field]
-		if !ok {
-			continue
-		}
-		i, ok := sc.FieldIndex(field)
-		if !ok {
-			return 0
-		}
+	sel, seen := 1.0, 0
+	for i := range sc.fields {
 		f := &sc.fields[i]
-		w := f.DomainWidth()
-		if w <= 0 {
-			continue
-		}
-		sel *= ra.Union(rb).Intersect(Range{Lo: f.Lo, Hi: f.Hi}).Width() / w
-	}
-	for field, ka := range a.Keys {
-		kb, ok := b.Keys[field]
-		if !ok {
-			continue
-		}
-		i, ok := sc.FieldIndex(field)
-		if !ok {
-			return 0
-		}
-		card := sc.fields[i].Card
-		if card <= 0 {
-			continue
-		}
-		small, large := ka, kb
-		if len(small) > len(large) {
-			small, large = large, small
-		}
-		union := len(ka) + len(kb)
-		for k := range small {
-			if _, both := large[k]; both {
-				union--
+		if ra, ok := a.Ranges[f.Name]; ok {
+			seen++
+			if rb, ok := b.Ranges[f.Name]; ok {
+				sel *= rangeFraction(ra.Union(rb), f)
 			}
 		}
-		frac := float64(union) / float64(card)
-		if frac > 1 {
-			frac = 1
+		if ka, ok := a.Keys[f.Name]; ok {
+			seen++
+			if kb, ok := b.Keys[f.Name]; ok {
+				small, large := ka, kb
+				if len(small) > len(large) {
+					small, large = large, small
+				}
+				union := len(ka) + len(kb)
+				for k := range small {
+					if _, both := large[k]; both {
+						union--
+					}
+				}
+				sel *= keyFraction(union, f)
+			}
 		}
-		sel *= frac
+	}
+	if seen < len(a.Ranges)+len(a.Keys) {
+		// a constrains a field the schema lacks: the cover keeps the
+		// constraint, and selects nothing, if b constrains it too.
+		for field := range a.Ranges {
+			if _, ok := b.Ranges[field]; ok {
+				if _, declared := sc.FieldIndex(field); !declared {
+					return 0
+				}
+			}
+		}
+		for field := range a.Keys {
+			if _, ok := b.Keys[field]; ok {
+				if _, declared := sc.FieldIndex(field); !declared {
+					return 0
+				}
+			}
+		}
 	}
 	return sel
+}
+
+// rangeFraction is the share of f's domain that r covers, or 1 when f
+// declares no domain.
+func rangeFraction(r Range, f *Field) float64 {
+	w := f.DomainWidth()
+	if w <= 0 {
+		return 1
+	}
+	return r.Intersect(Range{Lo: f.Lo, Hi: f.Hi}).Width() / w
+}
+
+// keyFraction is the share of f's cardinality that n keys cover, capped
+// at 1, or 1 when f declares no cardinality.
+func keyFraction(n int, f *Field) float64 {
+	if f.Card <= 0 {
+		return 1
+	}
+	return min(float64(n)/float64(f.Card), 1)
 }
 
 // Clone returns a deep copy of the set.

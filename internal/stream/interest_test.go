@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -309,6 +310,43 @@ func TestOverlapSymmetricBoundedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCoverSelectivityBitIdentical: with many constrained fields the
+// product of per-field factors depends on the order it is taken in, by
+// an ulp or so. coverSelectivity and Selectivity both multiply in schema
+// field order, so a pair's cost is the same bits on every call and equals
+// its built cover's selectivity exactly — the memoised Simplify and its
+// reference then pick the same merges.
+func TestCoverSelectivityBitIdentical(t *testing.T) {
+	fields := []Field{{Name: "sym", Type: KindString, Card: 97}}
+	for i := 0; i < 7; i++ {
+		fields = append(fields, Field{Name: fmt.Sprintf("f%d", i), Type: KindFloat, Lo: 0, Hi: 1000})
+	}
+	sc := MustSchema("s", fields...)
+	mk := func(shift float64, syms ...string) Interest {
+		in := NewInterest("s").WithKeys("sym", syms...)
+		for i := 0; i < 7; i++ {
+			lo := 13.7*float64(i) + shift
+			in = in.WithRange(fmt.Sprintf("f%d", i), lo, lo+100+71.3*float64(i))
+		}
+		return in
+	}
+	a, b := mk(0, "x", "y", "z"), mk(41.9, "y", "w")
+	want := coverSelectivity(a, b, sc)
+	if built := Cover(a, b).Selectivity(sc); math.Float64bits(built) != math.Float64bits(want) {
+		t.Fatalf("coverSelectivity %v (%#x), the built cover's selectivity %v (%#x)",
+			want, math.Float64bits(want), built, math.Float64bits(built))
+	}
+	for i := 0; i < 100; i++ {
+		if got := coverSelectivity(a, b, sc); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: coverSelectivity %v (%#x), first call %v (%#x)",
+				i, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+		if got, first := a.Selectivity(sc), mk(0, "x", "y", "z").Selectivity(sc); got != first {
+			t.Fatalf("call %d: Selectivity %v, then %v", i, first, got)
+		}
 	}
 }
 
