@@ -112,11 +112,16 @@ test:
 # per batch, and batches from two producers keep their order through a
 # ring that no longer re-batches them (TestShardEnginePerProducerOrderPreserved,
 # under TestShardEngine).
+# And so do the proofs of early filtering inside the entity: a remote
+# processor's frame holds exactly the rows its head fragments want, and
+# routed entities deliver what a bare engine does (TestFanout*); a join's
+# filters never narrow what reaches its window, whether they would keep
+# partners out or keep evictions from happening (TestFederationJoinInterest*).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -run 'TestShardEngine|TestEngineContract' ./internal/engine/
 	$(GO) test -race -count=1 -run 'TestCompiledInterestEquivalence|TestColumnEvaluator|TestMatchIndexEquivalence|TestFederationMatchesBareEngineOnNaN' ./internal/stream/ ./internal/operator/ ./internal/core/
-	$(GO) test -race -count=1 -run 'TestTupleRoutingDifferential|TestFragmentChainMatchesBareEngine' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestTupleRoutingDifferential|TestFragmentChainMatchesBareEngine|TestFederationJoinInterest' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestRelayIndexFollowsRegistrations|TestRelayRegistrationsRaceBatches|TestRelayPublishReturnsAfterEverySend|TestRelayLinkKeepsPublishOrder|TestRelayPublishersRaceDropRewireClose|TestRelayFailedSendCountsNothingRelayed' ./internal/dissemination/
 	$(GO) test -race -count=1 -run 'TestFanout|TestIngestAllocations|TestFrameDecodeErrorsCounted|TestFragmentBoundaryFramesPerBatch' ./internal/entity/
 	$(GO) test -race -count=1 -run 'FuzzDecodeBatch|TestDecodeBatch' ./internal/stream/

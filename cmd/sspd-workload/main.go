@@ -32,7 +32,8 @@ func main() {
 
 	counts := map[string]int{}
 	for i := 0; i < *tuples; i++ {
-		counts[tick.Next().Value(0).AsString()]++
+		tu := tick.Next()
+		counts[tu.Value(0).AsString()]++
 	}
 	type sc struct {
 		sym string

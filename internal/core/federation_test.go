@@ -693,3 +693,80 @@ func TestFederationJoinInterestKeepsPartners(t *testing.T) {
 		t.Fatalf("federation delivered %d results, a bare engine %d: %v", len(got), len(want), got)
 	}
 }
+
+// TestFederationJoinInterestKeepsEvictions: a join's filters run after
+// the join, so a quote they reject still enters the join window and, in
+// a count window, evicts the quotes before it. Four quotes priced 100,
+// 200, 900 and 950 leave the last two in a two-row window, which the one
+// fill joins and the price filter then rejects: no result. (The join
+// used to register its filters as the quotes' interest, the relay kept
+// the two expensive quotes out of the window, and the federation
+// returned 2 results where a bare engine returns 0.)
+func TestFederationJoinInterestKeepsEvictions(t *testing.T) {
+	catalog := stream.NewCatalog()
+	for _, sc := range []*stream.Schema{workload.Quotes(100), stream.MustSchema("fills",
+		stream.Field{Name: "symbol", Type: stream.KindString, Card: 100},
+		stream.Field{Name: "price", Type: stream.KindFloat, Lo: 0, Hi: 1000})} {
+		if err := catalog.Register(sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spec := engine.QuerySpec{ID: "j", Source: "quotes",
+		Join:    &engine.JoinSpec{Stream: "fills", LeftKey: "symbol", RightKey: "symbol", Window: stream.CountWindow(2)},
+		Filters: []engine.FilterSpec{{Field: "price", Lo: 0, Hi: 500}}}
+	at := time.Unix(1754000000, 0).UTC()
+	sym := stream.String("S0001")
+	var quotes stream.Batch
+	for i, price := range []float64{100, 200, 900, 950} {
+		quotes = append(quotes, stream.NewTuple("quotes", uint64(i+1), at, sym, stream.Float(price), stream.Int(1)))
+	}
+	fills := stream.Batch{stream.NewTuple("fills", 1, at, sym, stream.Float(300))}
+
+	var mu sync.Mutex
+	var bareN, fedN int
+	bare := engine.NewMini("bare", catalog)
+	defer bare.Close()
+	if err := bare.Register(spec, func(stream.Tuple) { mu.Lock(); bareN++; mu.Unlock() }); err != nil {
+		t.Fatal(err)
+	}
+	bare.IngestBatch(quotes)
+	bare.IngestBatch(fills)
+
+	net := simnet.NewSim(nil)
+	defer net.Close()
+	fed, err := New(net, catalog, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fed.Close()
+	for _, s := range []string{"quotes", "fills"} {
+		if err := fed.AddSource(s, simnet.Point{}, StreamRate{TuplesPerSec: 1000, BytesPerTuple: 60}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fed.AddEntity("e00", simnet.Point{X: 10}, 1, miniFactory); err != nil {
+		t.Fatal(err)
+	}
+	if err := fed.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fed.SubmitQueryTo(spec, "e00", func(stream.Tuple) { mu.Lock(); fedN++; mu.Unlock() }); err != nil {
+		t.Fatal(err)
+	}
+	fed.Settle(2 * time.Second)
+	for _, b := range []stream.Batch{quotes, fills} {
+		if err := fed.Publish(b[0].Stream, b); err != nil {
+			t.Fatal(err)
+		}
+		fed.Settle(2 * time.Second)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if bareN != 0 {
+		t.Fatalf("bare engine returned %d results, want 0: the fill's partners are the quotes priced 900 and 950", bareN)
+	}
+	if fedN != bareN {
+		t.Fatalf("federation delivered %d results, a bare engine %d", fedN, bareN)
+	}
+}

@@ -246,6 +246,10 @@ func (f *Federation) collectMetrics(emit func(metrics.Sample)) {
 		metrics.EmitCounter(emit, "sspd_relay_link_messages_total", "Messages sent on dissemination links per stream.",
 			float64(st.messages), ls)
 	}
+	for i, id := range entityIDs {
+		metrics.EmitCounter(emit, "sspd_entity_suppressed_total", "Tuples the delegation fan-out kept off remote processors per entity.",
+			float64(entities[i].ent.Suppressed.Value()), metrics.L("entity", id))
+	}
 
 	metrics.EmitCounter(emit, "sspd_rebalance_moves_total", "Queries migrated by Rebalance calls.",
 		float64(f.rebalanceMoves.Value()))

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"sspd/internal/engine"
+	"sspd/internal/metrics"
 	"sspd/internal/simnet"
+	"sspd/internal/stream"
 	"sspd/internal/trace"
 	"sspd/internal/workload"
 )
@@ -123,6 +128,76 @@ func TestFederationMetricsCollector(t *testing.T) {
 	// Link bytes must be non-zero: the source relayed 20 tuples downstream.
 	if strings.Contains(text, `sspd_relay_link_bytes_total{stream="quotes"} 0`) {
 		t.Error("link bytes stayed zero after publishing")
+	}
+}
+
+// TestFederationEntitySuppressedMetric: /metrics exposes, per entity, the
+// rows its delegation fan-out kept off remote processors — for each
+// processor other than the stream's delegation processor that hosts a
+// head fragment, the delivered rows none of its queries is interested in
+// — and the exposition stays strictly well-formed.
+func TestFederationEntitySuppressedMetric(t *testing.T) {
+	fed, net := newTestFederation(t, 1)
+	specs := []engine.QuerySpec{
+		priceQuery("all", 0, 1e9), // every row reaches the entity
+		priceQuery("low", 0, 200),
+		priceQuery("mid", 300, 500, "S0001", "S0002", "S0003"),
+		priceQuery("high", 900, 1000),
+	}
+	for _, spec := range specs {
+		if err := fed.SubmitQueryTo(spec, "e00", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !net.Quiesce(2 * time.Second) {
+		t.Fatal("quiesce after submit")
+	}
+	batch := workload.NewTicker(3, 100, 1.2).Batch(200)
+	if err := fed.Publish("quotes", batch); err != nil {
+		t.Fatal(err)
+	}
+	if !net.Quiesce(2 * time.Second) {
+		t.Fatal("quiesce after publish")
+	}
+
+	ent := fed.entities["e00"].ent
+	sc, _ := fed.catalog.Lookup("quotes")
+	remote := make(map[int][]stream.Interest)
+	for _, spec := range specs {
+		at, _ := ent.QueryPlacement(spec.ID)
+		if p := simnet.NodeID(fmt.Sprintf("e00/p%d", at[0])); p != ent.Delegation("quotes") {
+			remote[at[0]] = append(remote[at[0]], spec.Interest("quotes", sc))
+		}
+	}
+	if len(remote) == 0 {
+		t.Fatal("every query landed on the delegation processor")
+	}
+	var want int64
+	for _, ins := range remote {
+		for _, tu := range batch {
+			if !slices.ContainsFunc(ins, func(in stream.Interest) bool { return in.Matches(sc, tu) }) {
+				want++
+			}
+		}
+	}
+	if want == 0 || ent.Suppressed.Value() != want {
+		t.Fatalf("Entity.Suppressed = %d, want %d (> 0)", ent.Suppressed.Value(), want)
+	}
+
+	var sb strings.Builder
+	if err := fed.MetricsRegistry().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := metrics.ParsePrometheus(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatalf("exposition rejected by the strict parser: %v", err)
+	}
+	i := slices.IndexFunc(fams, func(f metrics.PromFamily) bool { return f.Name == "sspd_entity_suppressed_total" })
+	if i < 0 || fams[i].Type != "counter" || len(fams[i].Samples) != 1 {
+		t.Fatalf("sspd_entity_suppressed_total family = %+v, want one counter series", fams)
+	}
+	if s := fams[i].Samples[0]; s.Value != float64(want) || len(s.Labels) != 1 || s.Labels[0] != metrics.L("entity", "e00") {
+		t.Fatalf("sspd_entity_suppressed_total sample = %+v, want %d for entity e00", s, want)
 	}
 }
 

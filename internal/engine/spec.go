@@ -11,7 +11,6 @@ package engine
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"sspd/internal/operator"
@@ -50,10 +49,9 @@ func (f FilterSpec) validate(which int) error {
 
 // Interest is the one translation from a filter step to a data
 // interest: the step's constraints on the fields sc declares, by the
-// names the step uses. A constraint on a field sc lacks is left out —
-// filters apply post-join, so a step constrains an input stream only
-// through the fields that stream has — which widens the interest and is
-// therefore safe for early filtering and neutral in estimates. The
+// names the step uses. A constraint on a field sc lacks is left out,
+// which widens the interest and is therefore safe for early filtering
+// and neutral in estimates. The
 // engine resolves a step's names against the pipeline's schema first
 // (resolveField), so the filter it compiles from this loses nothing.
 // (No schema declares "", so an absent constraint is left out too.)
@@ -189,50 +187,20 @@ func (q QuerySpec) Streams() []string {
 // registered interest is as narrow as the query; steps that exclude each
 // other leave an empty range or key set, which matches nothing. This is
 // what the entity registers up the dissemination tree for early
-// filtering. Behind a join a step constrains an input only through the
-// fields that resolve to that input (joinInputField).
+// filtering, and what the delegation fan-out routes a remote processor's
+// rows by. A join query's interest leaves both inputs unconstrained: its
+// filters run after the join, whose window admits every row of either
+// input, and a row a filter rejects still evicts older rows from a count
+// window, so keeping it out would change which partners remain.
 func (q QuerySpec) Interest(streamName string, sc *stream.Schema) stream.Interest {
 	in := stream.NewInterest(streamName)
+	if q.Join != nil {
+		return in
+	}
 	for _, f := range q.Filters {
-		if q.Join != nil {
-			f.Field = q.joinInputField(streamName, f.Field, sc)
-			f.KeyField = q.joinInputField(streamName, f.KeyField, sc)
-		}
 		in = in.Intersect(f.Interest(streamName, sc))
 	}
 	return in
-}
-
-// joinInputField names the field of input stream streamName (schema sc)
-// that a post-join filter field resolves to, or "" when it resolves to
-// the other input or sc alone cannot tell. resolveField tries the name
-// as is, then l_ (the source's fields), then r_ (the joined stream's),
-// so an l_ or r_ name is its input's field whenever that input declares
-// the rest of it, and an unprefixed name is the source's whenever the
-// source declares it — which leaves the joined stream constrained only
-// through r_ names, because its schema says nothing about the source's.
-// A self-join's stream is both inputs, so neither side's steps narrow it.
-func (q QuerySpec) joinInputField(streamName, field string, sc *stream.Schema) string {
-	var prefix string
-	switch {
-	case q.Source == q.Join.Stream:
-		return ""
-	case streamName == q.Source:
-		prefix = "l_"
-	case streamName == q.Join.Stream:
-		prefix = "r_"
-	default:
-		return ""
-	}
-	if name, ok := strings.CutPrefix(field, prefix); ok {
-		if _, declared := sc.FieldIndex(name); declared {
-			return name
-		}
-	}
-	if prefix == "l_" && !strings.HasPrefix(field, "r_") {
-		return field // FilterSpec.Interest keeps it only if sc declares it
-	}
-	return ""
 }
 
 // EstimatedLoad returns the declared Load or, when absent, the summed

@@ -108,40 +108,38 @@ func TestQuerySpecInterest(t *testing.T) {
 	}
 }
 
-// TestQuerySpecInterestBehindJoin: a step constrains a join input only
-// through a field the compiler resolves to that input — never the joined
-// stream through a name the source declares too.
+// TestQuerySpecInterestBehindJoin: a join query's interest leaves both
+// inputs unconstrained, whatever its filters name — they run after the
+// join, whose window admits every row of either input — while the same
+// filters without the join narrow the source.
 func TestQuerySpecInterestBehindJoin(t *testing.T) {
 	c := testCatalog(t)
 	quotes, _ := c.Lookup("quotes")
 	trades, _ := c.Lookup("trades")
-	q := QuerySpec{ID: "q", Source: "quotes",
-		Join: &JoinSpec{Stream: "trades", LeftKey: "symbol", RightKey: "symbol"},
-		Filters: []FilterSpec{
-			{Field: "price", Lo: 0, Hi: 10},             // l_price
-			{KeyField: "symbol", Keys: []string{"ibm"}}, // l_symbol, though trades has one
-			{Field: "l_volume", Lo: 0, Hi: 5},           // l_volume
-			{Field: "r_qty", Lo: 1, Hi: 2},              // r_qty
-			{Field: "qty", Lo: 3, Hi: 4},                // r_qty too, but only quotes' schema says so
-			{KeyField: "r_nope", Keys: []string{"x"}},   // no field of either
-		}}
-	if _, err := Compile(q, c, nil); err == nil {
-		t.Fatal("a step on a field neither input has compiled")
+	filters := []FilterSpec{
+		{Field: "price", Lo: 0, Hi: 10},             // l_price
+		{KeyField: "symbol", Keys: []string{"ibm"}}, // l_symbol, though trades has one
+		{Field: "l_volume", Lo: 0, Hi: 5},           // l_volume
+		{Field: "r_qty", Lo: 1, Hi: 2},              // r_qty
 	}
-	in := q.Interest("quotes", quotes)
-	if len(in.Ranges) != 2 || in.Ranges["price"] != (stream.Range{Lo: 0, Hi: 10}) || in.Ranges["volume"] != (stream.Range{Lo: 0, Hi: 5}) ||
-		len(in.Keys) != 1 || !in.Keys["symbol"]["ibm"] {
-		t.Errorf("Interest(quotes) = %v, want price, volume and symbol", in)
+	q := QuerySpec{ID: "q", Source: "quotes", Filters: filters,
+		Join: &JoinSpec{Stream: "trades", LeftKey: "symbol", RightKey: "symbol"}}
+	if _, err := Compile(q, c, nil); err != nil {
+		t.Fatal(err)
 	}
-	in = q.Interest("trades", trades)
-	if len(in.Ranges) != 1 || in.Ranges["qty"] != (stream.Range{Lo: 1, Hi: 2}) || len(in.Keys) != 0 {
-		t.Errorf("Interest(trades) = %v, want qty in [1,2] alone", in)
+	for name, sc := range map[string]*stream.Schema{"quotes": quotes, "trades": trades} {
+		if in := q.Interest(name, sc); in.Stream != name || !in.Unconstrained() {
+			t.Errorf("Interest(%s) = %v, want all of %s", name, in, name)
+		}
 	}
-	self := QuerySpec{ID: "s", Source: "quotes",
-		Join:    &JoinSpec{Stream: "quotes", LeftKey: "symbol", RightKey: "symbol"},
-		Filters: []FilterSpec{{Field: "price", Lo: 0, Hi: 10}, {Field: "r_price", Lo: 0, Hi: 10}}}
+	self := QuerySpec{ID: "s", Source: "quotes", Filters: filters[:1],
+		Join: &JoinSpec{Stream: "quotes", LeftKey: "symbol", RightKey: "symbol"}}
 	if in := self.Interest("quotes", quotes); !in.Unconstrained() {
 		t.Errorf("self-join Interest = %v, want unconstrained", in)
+	}
+	plain := QuerySpec{ID: "p", Source: "quotes", Filters: filters[:2]}
+	if in := plain.Interest("quotes", quotes); in.Ranges["price"] != (stream.Range{Lo: 0, Hi: 10}) || !in.Keys["symbol"]["ibm"] {
+		t.Errorf("Interest without the join = %v, want price and symbol", in)
 	}
 }
 
@@ -333,6 +331,8 @@ func TestCompileErrors(t *testing.T) {
 		{ID: "q", Source: "quotes", Join: &JoinSpec{Stream: "trades", LeftKey: "nope", RightKey: "symbol"}},
 		{ID: "q", Source: "quotes", Filters: []FilterSpec{{Field: "nope", Lo: 0, Hi: 1}}},
 		{ID: "q", Source: "quotes", Filters: []FilterSpec{{KeyField: "nope", Keys: []string{"x"}}}},
+		{ID: "q", Source: "quotes", Join: &JoinSpec{Stream: "trades", LeftKey: "symbol", RightKey: "symbol"},
+			Filters: []FilterSpec{{KeyField: "r_nope", Keys: []string{"x"}}}}, // a field neither input has
 		{ID: "q", Source: "quotes", Agg: &AggSpec{Fn: operator.AggSum, ValueField: "nope"}},
 	}
 	for i, spec := range cases {

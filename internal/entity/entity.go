@@ -92,7 +92,12 @@ type Entity struct {
 
 	// Delivered counts result tuples across all queries.
 	Delivered metrics.Counter
-	closed    bool
+	// Suppressed counts the rows the delegation fan-out kept off remote
+	// processors: per remote processor whose gates shared an admitted
+	// batch, the rows no head fragment it hosts is interested in (see
+	// ingest).
+	Suppressed metrics.Counter
+	closed     bool
 }
 
 type procNode struct {
@@ -116,7 +121,12 @@ type procNode struct {
 	// by hosting processor. A published table is immutable: ingest loads
 	// it without a lock, and the writers (placeWith and RemoveQuery, both
 	// under Entity.mu) store a fresh one through setTarget.
-	fanout atomic.Pointer[map[string][]fanoutGroup]
+	fanout atomic.Pointer[map[string]*fanoutStream]
+	// scratch is the routing scratch of the last ingest to finish, taken
+	// by the next one; an ingest that finds it taken (two run at once: the
+	// relay's delivery and an ent.ingest frame) routes through its own. It
+	// is not a sync.Pool, which the race detector empties at random.
+	scratch atomic.Pointer[routeScratch]
 	// dec decodes the frames other processors send this one into batches
 	// the engine keeps (stream.DecodeBuffer's owned form). It is the
 	// processor's own, not a pooled one, because its intern table and its
@@ -132,31 +142,68 @@ type procNode struct {
 
 // fanoutGroup lists the head fragments one processor hosts for one
 // stream. frags is what the hosting engine is handed; gates[i] is the
-// ingest gate of frags[i]'s query (see migration.go).
+// ingest gate of frags[i]'s query (see migration.go) and terms[i] that
+// query's interest in the stream (placedQuery.interests).
 type fanoutGroup struct {
 	node  simnet.NodeID
 	frags []string
 	gates []*ingestGate
+	terms []stream.Interest
+}
+
+// fanoutStream is one stream's entry in a fan-out table: its groups and,
+// once an ingest has needed it, the index that routes the stream's rows
+// to the remote groups. Both belong to the table generation; a change to
+// the stream's groups is a new entry, and an entry left alone keeps its
+// index into the next generation.
+type fanoutStream struct {
+	groups []fanoutGroup
+	schema *stream.Schema // nil when the catalog does not declare the stream
+	route  atomic.Pointer[fanoutRoute]
+}
+
+// fanoutRoute routes a batch of one stream to the remote groups
+// (DESIGN.md §13 "Routing inside the entity"). owner[i] is groups[i]'s
+// owner in ix, or -1 for a group that takes the whole batch: the local
+// one, and one hosting a query that takes every row (a join, say). ix is
+// nil when no group has an owner.
+type fanoutRoute struct {
+	ix    *stream.MatchIndex
+	owner []int
+}
+
+// routeScratch is what routing a batch needs besides the index: each
+// owner's matched rows and the gathered rows of one frame.
+type routeScratch struct {
+	routed stream.Routed
+	sub    stream.Batch
 }
 
 // setTarget publishes a fresh table in which stream s feeds head
-// fragment frag on node through gate or, with a nil gate, no longer
-// feeds it; no slice of a published table is written to.
-func (p *procNode) setTarget(s, frag string, node simnet.NodeID, gate *ingestGate) {
+// fragment frag on node through gate, for a query whose interest in s is
+// term, or, with a nil gate, no longer feeds it; no slice of a published
+// table is written to.
+func (p *procNode) setTarget(s, frag string, node simnet.NodeID, gate *ingestGate, term stream.Interest) {
 	old := *p.fanout.Load()
-	tbl := make(map[string][]fanoutGroup, len(old)+1)
+	tbl := make(map[string]*fanoutStream, len(old)+1)
 	for k, v := range old {
 		tbl[k] = v
 	}
-	groups := make([]fanoutGroup, 0, len(old[s])+1)
-	for _, g := range old[s] { // g is a copy; a group left alone shares its lists
+	var prev []fanoutGroup
+	if fs := old[s]; fs != nil {
+		prev = fs.groups
+	}
+	groups := make([]fanoutGroup, 0, len(prev)+1)
+	for _, g := range prev { // g is a copy; a group left alone shares its lists
 		if i := slices.Index(g.frags, frag); i >= 0 {
 			g.frags = slices.Delete(slices.Clone(g.frags), i, i+1)
 			g.gates = slices.Delete(slices.Clone(g.gates), i, i+1)
+			g.terms = slices.Delete(slices.Clone(g.terms), i, i+1)
 		}
 		if gate != nil && g.node == node {
 			g.frags = append(g.frags[:len(g.frags):len(g.frags)], frag)
 			g.gates = append(g.gates[:len(g.gates):len(g.gates)], gate)
+			g.terms = append(g.terms[:len(g.terms):len(g.terms)], term)
 			gate = nil
 		}
 		if len(g.frags) > 0 {
@@ -164,12 +211,56 @@ func (p *procNode) setTarget(s, frag string, node simnet.NodeID, gate *ingestGat
 		}
 	}
 	if gate != nil {
-		groups = append(groups, fanoutGroup{node: node, frags: []string{frag}, gates: []*ingestGate{gate}})
+		groups = append(groups, fanoutGroup{node: node, frags: []string{frag},
+			gates: []*ingestGate{gate}, terms: []stream.Interest{term}})
 	}
-	if tbl[s] = groups; len(groups) == 0 {
+	if len(groups) == 0 {
 		delete(tbl, s)
+	} else {
+		sc, _ := p.entity.catalog.Lookup(s)
+		tbl[s] = &fanoutStream{groups: groups, schema: sc}
 	}
 	p.fanout.Store(&tbl)
+}
+
+// router returns the entry's route, building it on the first call: after
+// a placement, not in it, so a run of placements pays one build per
+// stream and not one per query. Two ingests may build at once; both
+// routes are the same, and the first published is the one kept.
+func (fs *fanoutStream) router(self simnet.NodeID) *fanoutRoute {
+	if rt := fs.route.Load(); rt != nil {
+		return rt
+	}
+	rt := &fanoutRoute{owner: make([]int, len(fs.groups))}
+	var owners []*stream.InterestSet
+	for i, g := range fs.groups {
+		rt.owner[i] = -1
+		if g.node == self || fs.schema == nil {
+			continue
+		}
+		set := &stream.InterestSet{Stream: fs.schema.Name()}
+		for _, term := range g.terms {
+			// A query with no interest in the stream is a query on a stream
+			// the catalog did not declare when it was placed: like one that
+			// wants every row, it takes the whole batch.
+			if term.Stream != set.Stream || term.Unconstrained() {
+				set = nil
+				break
+			}
+			set.Terms = append(set.Terms, term)
+		}
+		if set != nil {
+			rt.owner[i] = len(owners)
+			owners = append(owners, set)
+		}
+	}
+	if len(owners) > 0 {
+		rt.ix = stream.NewMatchIndex(fs.schema.Name(), fs.schema, owners)
+	}
+	if !fs.route.CompareAndSwap(nil, rt) {
+		rt = fs.route.Load()
+	}
+	return rt
 }
 
 type placedQuery struct {
@@ -256,7 +347,7 @@ func New(id string, transport simnet.Transport, catalog *stream.Catalog,
 			group:  engine.GroupFeederOf(eng),
 			reg:    engine.BatchRegistrarOf(eng),
 		}
-		p.fanout.Store(&map[string][]fanoutGroup{})
+		p.fanout.Store(&map[string]*fanoutStream{})
 		p.reporter, _ = eng.(engine.Reporter)
 		p.adapter, _ = eng.(engine.Adapter)
 		p.state, _ = eng.(engine.StateSnapshotter)
@@ -690,7 +781,7 @@ func (e *Entity) placeWith(spec engine.QuerySpec, nFrags int, cfg placeConfig) e
 	head := stages[0][0]
 	headProc := e.procs[head.proc]
 	for _, s := range head.spec.Streams() {
-		e.procs[e.delegationLocked(s)].setTarget(s, head.spec.ID, headProc.id, pq.gate)
+		e.procs[e.delegationLocked(s)].setTarget(s, head.spec.ID, headProc.id, pq.gate, pq.interests[s])
 	}
 	// Flatten instances into the (fragment, processor, stage) triples
 	// the removal/snapshot/metrics paths iterate.
@@ -730,7 +821,7 @@ func (e *Entity) RemoveQuery(id string) (engine.QuerySpec, error) {
 	head := pq.frags[0]
 	for _, s := range head.Streams() {
 		if di, ok := e.deleg[s]; ok {
-			e.procs[di].setTarget(s, head.ID, "", nil)
+			e.procs[di].setTarget(s, head.ID, "", nil, stream.Interest{})
 		}
 	}
 	procs := make([]*procNode, len(pq.frags))
@@ -1045,11 +1136,20 @@ func (e *Entity) Close() {
 // the batch unchanged shares it; a paused gate took it, and a
 // dedup-filtered copy is fed to its one fragment alone.
 //
+// The shared batch is routed first (DESIGN.md §13 "Routing inside the
+// entity"): a remote processor's frame holds only the rows, in batch
+// order, that match some interest of the head fragments it hosts, and a
+// processor no row matches is sent nothing. The gates still admit the
+// whole batch, so marks and pause buffers are what they were. The local
+// engine takes the whole batch: it costs no copy, and its filters drop
+// rows more cheaply than a gather would.
+//
 // b is shared from here on: the same slice goes to every gate, to the
 // local engine (which keeps it, engine.Processor point 2) and into every
 // remote frame, so nothing below may write to it. A paused gate copies
 // into its buffer (admit), the dedup filter builds a new slice
-// (filterLocked), and open compacts only the gate's own buffer.
+// (filterLocked), open compacts only the gate's own buffer, and a
+// routed frame is gathered into the scratch.
 func (p *procNode) ingest(b stream.Batch) {
 	if len(b) == 0 {
 		return
@@ -1061,13 +1161,20 @@ func (p *procNode) ingest(b stream.Batch) {
 			trace.Record(trace.SpanID(t.Span), trace.StageDelegate, self)
 		}
 	}
+	fs := (*p.fanout.Load())[b[0].Stream]
+	if fs == nil {
+		return
+	}
+	rt := fs.router(p.id)
+	var sc *routeScratch // taken when the first routed group needs it
+	suppressed := 0
 	// The batch's highest Seq, found once: what every open gate raises
 	// its stream's mark to, at one comparison per (gate, batch).
 	hi := b[0].Seq
 	for i := 1; i < len(b); i++ {
 		hi = max(hi, b[i].Seq)
 	}
-	for _, g := range (*p.fanout.Load())[b[0].Stream] {
+	for gi, g := range fs.groups {
 		// With every gate open and nothing stale the published lists are
 		// the shared lists, and nothing is allocated here.
 		frags, gates := g.frags, g.gates
@@ -1090,12 +1197,37 @@ func (p *procNode) ingest(b stream.Batch) {
 				gate.unfed.Add(-1)
 			}
 		}
-		if len(frags) > 0 {
-			p.feed(g.node, frags, b, traced)
-			for _, gate := range gates {
-				gate.unfed.Add(-1)
+		if len(frags) == 0 {
+			continue
+		}
+		fed := b
+		if o := rt.owner[gi]; o >= 0 {
+			if sc == nil {
+				if sc = p.scratch.Swap(nil); sc == nil {
+					sc = new(routeScratch)
+				}
+				rt.ix.Route(b, &sc.routed)
+			}
+			rows := sc.routed.Rows(o)
+			suppressed += len(b) - len(rows)
+			if len(rows) < len(b) {
+				sc.sub = sc.sub[:0]
+				for _, r := range rows {
+					sc.sub = append(sc.sub, b[r])
+				}
+				fed = sc.sub
 			}
 		}
+		if len(fed) > 0 {
+			p.feed(g.node, frags, fed, traced)
+		}
+		for _, gate := range gates {
+			gate.unfed.Add(-1)
+		}
+	}
+	if sc != nil {
+		p.entity.Suppressed.Add(int64(suppressed))
+		p.scratch.Store(sc)
 	}
 }
 

@@ -302,7 +302,10 @@ func TestFanoutPlacementRacesIngest(t *testing.T) {
 
 // TestFanoutTableIsCopyOnWrite: a table ingest has loaded never changes
 // under it, whatever is placed or removed meanwhile (RemoveQuery used to
-// compact the live slice in place).
+// compact the live slice in place) — neither its groups nor the route an
+// ingest built for it. A stream whose groups did not change keeps its
+// route into the next table; one whose groups did gets a new one, built
+// by the next ingest and not by the placement.
 func TestFanoutTableIsCopyOnWrite(t *testing.T) {
 	e, _ := newFanoutEntity(t, 2, miniFactory)
 	for i := 0; i < 4; i++ {
@@ -310,10 +313,26 @@ func TestFanoutTableIsCopyOnWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dp := e.procs[0] // the first stream is delegated to processor 0
+	if err := e.ForceDelegation("trades", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.PlaceQuery(engine.QuerySpec{ID: "tr", Source: "trades",
+		Filters: []engine.FilterSpec{{Field: "qty", Lo: 0, Hi: 10}}}, 1); err != nil {
+		t.Fatal(err)
+	}
+	dp := e.procs[0] // the first stream is delegated to processor 0, and so is trades
 	loaded := *dp.fanout.Load()
+	if loaded["quotes"].route.Load() != nil {
+		t.Fatal("a placement built the route; the first ingest after it should")
+	}
+	e.IngestBatch(stream.Batch{quote(1, "ibm", 50, 1)})
+	e.IngestBatch(stream.Batch{stream.NewTuple("trades", 1, time.Unix(1, 0), stream.String("ibm"), stream.Int(5))})
+	route, trRoute := loaded["quotes"].route.Load(), loaded["trades"].route.Load()
+	if route == nil || route.ix == nil || len(route.owner) != 2 {
+		t.Fatalf("route after the first ingest = %+v, want one index over 2 groups", route)
+	}
 	var before [][]string
-	for _, g := range loaded["quotes"] {
+	for _, g := range loaded["quotes"].groups {
 		before = append(before, append([]string(nil), g.frags...))
 	}
 	if len(before) != 2 || len(before[0])+len(before[1]) != 4 {
@@ -325,12 +344,23 @@ func TestFanoutTableIsCopyOnWrite(t *testing.T) {
 	if err := e.PlaceQuery(filterSpec("q4", 0, 100), 1); err != nil {
 		t.Fatal(err)
 	}
-	for i, g := range loaded["quotes"] {
-		if !reflect.DeepEqual(g.frags, before[i]) || len(g.gates) != len(before[i]) {
+	e.IngestBatch(stream.Batch{quote(2, "ibm", 50, 1)})
+	for i, g := range loaded["quotes"].groups {
+		if !reflect.DeepEqual(g.frags, before[i]) || len(g.gates) != len(before[i]) || len(g.terms) != len(before[i]) {
 			t.Fatalf("loaded table changed: group %d is %v, was %v", i, g.frags, before[i])
 		}
 	}
-	now := (*dp.fanout.Load())["quotes"]
+	if loaded["quotes"].route.Load() != route {
+		t.Fatal("the loaded table's route changed under it")
+	}
+	next := *dp.fanout.Load()
+	if r := next["quotes"].route.Load(); r == nil || r == route {
+		t.Fatalf("the new table's quotes route is %p, want one built for it (the old one is %p)", r, route)
+	}
+	if trRoute == nil || next["trades"].route.Load() != trRoute {
+		t.Fatal("a stream whose groups did not change lost its route")
+	}
+	now := next["quotes"].groups
 	n := 0
 	for _, g := range now {
 		for _, f := range g.frags {
@@ -346,7 +376,7 @@ func TestFanoutTableIsCopyOnWrite(t *testing.T) {
 	if _, err := e.RemoveQuery("q4"); err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []string{"q1", "q2", "q3"} {
+	for _, id := range []string{"q1", "q2", "q3", "tr"} {
 		if _, err := e.RemoveQuery(id); err != nil {
 			t.Fatal(err)
 		}
@@ -449,19 +479,26 @@ func TestDrainQueryWaitsForAdmittedBatches(t *testing.T) {
 // nothing for results.
 func rejectAll(id string) engine.QuerySpec { return filterSpec(id, -2, -1) }
 
+// firstFour passes the rows priced 0 to 3: the first four of the
+// allocation test's batches, whatever their length.
+func firstFour(id string) engine.QuerySpec { return filterSpec(id, 0, 3) }
+
 // TestIngestAllocations: what one delivered batch allocates grows
 // neither with the queries it feeds nor with the tuples it holds. The
 // local engine keeps the batch it is handed, so a local target costs
 // nothing; a remote one costs what its one ent.feedb frame decodes into —
 // one Batch and one Values arena (the id list is decoded once) —
-// whatever the counts. The
-// same numbers hold under -race: nothing on the frame's path comes from a
-// sync.Pool the detector could empty.
+// whatever the counts, and the routing that gathered the frame's rows
+// costs nothing; a remote processor no row is routed to is sent no frame
+// and costs nothing either. The same numbers hold under -race: nothing on
+// the frame's path, the routing scratch included, comes from a sync.Pool
+// the detector could empty.
 func TestIngestAllocations(t *testing.T) {
-	measure := func(nProcs, nQueries, nTuples int) float64 {
+	measure := func(nProcs, nQueries, nTuples int, spec func(string) engine.QuerySpec) float64 {
 		e, _ := newFanoutEntity(t, nProcs, groupedFactory)
+		e.SetResultHandler(nil)
 		for i := 0; i < nQueries; i++ {
-			if err := e.PlaceQuery(rejectAll(fmt.Sprintf("q%d", i)), 1); err != nil {
+			if err := e.PlaceQuery(spec(fmt.Sprintf("q%d", i)), 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -489,16 +526,23 @@ func TestIngestAllocations(t *testing.T) {
 			drain()
 		})
 	}
-	if got := measure(1, 1, 16); got != 0 {
+	if got := measure(1, 1, 16, rejectAll); got != 0 {
 		t.Errorf("one local target: %v allocations per batch, want 0 (the engine keeps the batch it is handed)", got)
 	}
-	// Two processors: half the queries are local, half behind one frame.
-	base := measure(2, 8, 8)
+	// Two processors: half the queries are local, half behind one frame
+	// of the batch's first four rows.
+	base := measure(2, 8, 8, firstFour)
+	if base != 2 {
+		t.Errorf("one local group and one ent.feedb frame: %v allocations per batch, want 2 (the frame's Batch and Values arena)", base)
+	}
 	for _, c := range []struct{ queries, tuples int }{{8, 64}, {32, 8}, {32, 64}} {
-		if got := measure(2, c.queries, c.tuples); got != base {
+		if got := measure(2, c.queries, c.tuples, firstFour); got != base {
 			t.Errorf("one local group and one ent.feedb frame: %v allocations per batch for %d queries and %d tuples, %v for 8 and 8; want the same",
 				got, c.queries, c.tuples, base)
 		}
+	}
+	if got := measure(2, 32, 64, rejectAll); got != 0 {
+		t.Errorf("a remote group no row is routed to: %v allocations per batch, want 0 (no frame is sent)", got)
 	}
 }
 

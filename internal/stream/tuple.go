@@ -38,7 +38,8 @@ func (t Tuple) Clone() Tuple {
 }
 
 // Value returns the i-th attribute, or an invalid Value when out of range.
-func (t Tuple) Value(i int) Value {
+// The pointer receiver keeps a per-row call from copying the whole tuple.
+func (t *Tuple) Value(i int) Value {
 	if i < 0 || i >= len(t.Values) {
 		return Value{}
 	}

@@ -62,7 +62,8 @@ func TestTickerSkew(t *testing.T) {
 	counts := map[string]int{}
 	n := 5000
 	for i := 0; i < n; i++ {
-		counts[tick.Next().Value(0).AsString()]++
+		tu := tick.Next()
+		counts[tu.Value(0).AsString()]++
 	}
 	// With strong skew the hottest symbol should dominate.
 	max := 0
