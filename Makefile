@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check vet staticcheck lint-obslog build test race chaos bench-harness bench-chaos bench-observability bench-statsplane bench-engineobs bench-migration bench-latency bench-recovery bench-adaptation bench
+.PHONY: check vet staticcheck lint-obslog lint-reach build test race chaos bench-harness bench-chaos bench-observability bench-statsplane bench-engineobs bench-migration bench-latency bench-recovery bench-adaptation bench
 
-check: vet staticcheck lint-obslog build bench-harness chaos bench-statsplane bench-engineobs bench-migration bench-latency bench-recovery bench-adaptation
+check: vet staticcheck lint-obslog lint-reach build bench-harness chaos bench-statsplane bench-engineobs bench-migration bench-latency bench-recovery bench-adaptation
 
 vet:
 	$(GO) vet ./...
@@ -65,6 +65,13 @@ lint-obslog:
 		exit 1; \
 	fi
 	@echo "lint-obslog: relay goroutine- and ticker-free"
+
+# Ship only what runs: every function in internal/ is reached by a binary
+# the repository ships (the cmd/ and examples/ mains and the benchmark),
+# as the linker's dead-code pass decides, or is named with its test user
+# in tools/reachcheck/allow.txt.
+lint-reach:
+	$(GO) run ./tools/reachcheck
 
 build:
 	$(GO) build ./...

@@ -159,7 +159,10 @@ func BenchmarkEngineIngest(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.Ingest(tuples[i%len(tuples)])
+		j := i % len(tuples)
+		if err := eng.FeedQueryBatch("q", tuples[j:j+1]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -120,9 +120,6 @@ func NewReplica(t simnet.Transport, self simnet.NodeID, store *Store, cfg Replic
 	return r, nil
 }
 
-// Endpoint returns the replica's transport address.
-func (r *Replica) Endpoint() simnet.NodeID { return r.self }
-
 // Store exposes the replica's local store.
 func (r *Replica) Store() *Store { return r.store }
 
@@ -186,9 +183,6 @@ func (r *Replica) AntiEntropy(to simnet.NodeID, queries []string) {
 	}
 	_ = r.rel.Send(to, KindDigest, payload)
 }
-
-// Pending reports unacknowledged reliable deliveries in flight.
-func (r *Replica) Pending() int { return r.rel.Pending() }
 
 // Close deregisters the endpoint and stops retries.
 func (r *Replica) Close() error { return r.rel.Close() }

@@ -75,13 +75,6 @@ func (s *Store) Seq(query string) uint64 {
 	return s.recs[query].Seq
 }
 
-// Delete drops a query's record (query removal).
-func (s *Store) Delete(query string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.recs, query)
-}
-
 // Len returns the number of held records.
 func (s *Store) Len() int {
 	s.mu.Lock()

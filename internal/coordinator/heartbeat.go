@@ -50,7 +50,7 @@ type peerState struct {
 
 // NewDetector registers a heartbeat endpoint `self` on the transport.
 // interval must be positive; threshold < 1 defaults to 3. onFailure may
-// be nil (failures are then only visible via Suspected).
+// be nil (failures are then only visible in Tick's result).
 func NewDetector(transport simnet.Transport, self simnet.NodeID,
 	interval time.Duration, threshold int, onFailure func(simnet.NodeID)) (*Detector, error) {
 	if transport == nil {
@@ -99,26 +99,6 @@ func (d *Detector) Unwatch(peer simnet.NodeID) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	delete(d.peers, peer)
-}
-
-// Watched returns the monitored peers, sorted.
-func (d *Detector) Watched() []simnet.NodeID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]simnet.NodeID, 0, len(d.peers))
-	for p := range d.peers {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Suspected reports whether a peer is currently considered failed.
-func (d *Detector) Suspected(peer simnet.NodeID) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	st, ok := d.peers[peer]
-	return ok && st.suspected
 }
 
 // handle answers pings and records pongs.

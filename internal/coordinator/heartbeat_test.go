@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -241,4 +242,24 @@ func TestDetectorPairMutualWatch(t *testing.T) {
 	if a.Suspected("b") || b.Suspected("a") {
 		t.Error("mutual watch produced false suspicion")
 	}
+}
+
+// Watched returns the monitored peers, sorted.
+func (d *Detector) Watched() []simnet.NodeID {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	out := make([]simnet.NodeID, 0, len(d.peers))
+	for p := range d.peers {
+		out = append(out, p)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// Suspected reports whether a peer is currently considered failed.
+func (d *Detector) Suspected(peer simnet.NodeID) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	st, ok := d.peers[peer]
+	return ok && st.suspected
 }

@@ -77,18 +77,6 @@ func (f *Flat) Join(id MemberID, at simnet.Point) error {
 	return nil
 }
 
-// Leave removes an entity.
-func (f *Flat) Leave(id MemberID) error {
-	if _, ok := f.members[id]; !ok {
-		return fmt.Errorf("coordinator: unknown member %q", id)
-	}
-	delete(f.members, id)
-	return nil
-}
-
-// Size returns the number of registered entities.
-func (f *Flat) Size() int { return len(f.members) }
-
 // RouteQuery picks the least-loaded entity among ALL members (ties to
 // the closest), touching every entity: the returned work count equals
 // the federation size.

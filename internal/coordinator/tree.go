@@ -130,9 +130,6 @@ func NewTree(k int) *Tree {
 	}
 }
 
-// MinClusterSize returns k, the lower cluster bound.
-func (t *Tree) MinClusterSize() int { return t.k }
-
 // Size returns the number of members.
 func (t *Tree) Size() int { return len(t.pos) }
 
@@ -147,27 +144,6 @@ func (t *Tree) Members() []MemberID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// Position returns a member's coordinates.
-func (t *Tree) Position(id MemberID) (simnet.Point, bool) {
-	p, ok := t.pos[id]
-	return p, ok
-}
-
-// Children returns a copy of the cluster led by id at the given level.
-func (t *Tree) Children(id MemberID, level int) []MemberID {
-	ch := t.children[levelKey{id, level}]
-	out := make([]MemberID, len(ch))
-	copy(out, ch)
-	return out
-}
-
-// Parent returns the leader of the cluster containing id at the given
-// level.
-func (t *Tree) Parent(id MemberID, level int) (MemberID, bool) {
-	p, ok := t.parent[levelKey{id, level}]
-	return p, ok
 }
 
 // Join adds a member, routing the join request from the root down to a

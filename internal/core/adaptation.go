@@ -25,45 +25,14 @@ const adaptAmortization = 30 * time.Second
 // many in-flight bytes a migration will buffer and replay.
 const adaptPauseEstimate = 200 * time.Millisecond
 
-// StartAdaptation launches the adaptation controller with the
-// configured (or default) interval. Options.EnableAdaptation does this
-// automatically at Start.
-func (f *Federation) StartAdaptation() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.started {
-		return fmt.Errorf("core: federation not started")
-	}
-	return f.startAdaptationLocked(f.opts.AdaptationInterval)
-}
-
-func (f *Federation) startAdaptationLocked(interval time.Duration) error {
-	if f.adaptCancel != nil {
-		return fmt.Errorf("core: adaptation already running")
-	}
-	f.adaptCancel = f.every(interval, func() { _, _ = f.AdaptOnce() })
-	return nil
-}
-
-// StopAdaptation takes the controller off the clock, waiting for a
-// round in flight (idempotent).
-func (f *Federation) StopAdaptation() {
-	f.mu.Lock()
-	cancel := f.adaptCancel
-	f.adaptCancel = nil
-	f.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-}
-
-// AdaptationMoves reports the total queries moved by the controller.
-func (f *Federation) AdaptationMoves() int64 { return f.adaptMoves.Value() }
-
 // AdaptOnce runs one controller decision round synchronously (the clock
-// calls it every period; tests call it directly for determinism). It
-// returns how many queries were migrated.
+// calls it every period when Options.EnableAdaptation is set; tests call
+// it directly for determinism). A round adapts at both of the paper's
+// grains: first the Adaptation Module's operator re-ordering sweep inside
+// every entity (AdaptOrdering, Section 4.2), then query migration between
+// entities (Section 3.2.2). It returns how many queries were migrated.
 func (f *Federation) AdaptOnce() (int, error) {
+	f.AdaptOrdering(0)
 	g := f.MeasuredQueryGraph(0)
 	old, ids := f.Assignment()
 	if len(ids) < 2 || g.NumVertices() == 0 {

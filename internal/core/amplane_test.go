@@ -126,7 +126,7 @@ func settleEntity(t *testing.T, net *simnet.SimNet, ent *entity.Entity) {
 		if !net.Quiesce(5 * time.Second) {
 			t.Fatal("quiesce")
 		}
-		for i := 0; i < ent.NumProcs(); i++ {
+		for i := range ent.ProcLoads() {
 			if d, ok := ent.Proc(i).(interface{ Drain(time.Duration) bool }); ok && !d.Drain(5*time.Second) {
 				t.Fatal("engine drain timed out")
 			}

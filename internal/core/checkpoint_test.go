@@ -51,8 +51,8 @@ func TestCheckpointTickQuorumAndTrim(t *testing.T) {
 	if !info.Enabled || info.Replicas != 2 || info.Quorum != 2 {
 		t.Fatalf("info = %+v", info)
 	}
-	if info.Writes < 2 { // query record + ledger record
-		t.Fatalf("writes = %d, want >= 2", info.Writes)
+	if info.Writes != 1 { // the agg query's record
+		t.Fatalf("writes = %d, want 1", info.Writes)
 	}
 	if info.WireBytes <= 0 {
 		t.Fatalf("no wire bytes accounted")
@@ -75,87 +75,6 @@ func TestCheckpointTickQuorumAndTrim(t *testing.T) {
 	}
 	if len(fed.Journal().Since(0, "ckpt.replicate")) == 0 {
 		t.Fatal("no ckpt.replicate events journaled")
-	}
-}
-
-// Satellite: the accounting ledger's accrued execution time must
-// survive serialization, including in-flight accruals.
-func TestLedgerSnapshotRestoreRoundtrip(t *testing.T) {
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	l := NewLedger(clock)
-	if err := l.Start("q1", "e1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Start("q2", "e2"); err != nil {
-		t.Fatal(err)
-	}
-	now = now.Add(10 * time.Second)
-	if err := l.Stop("q1"); err != nil { // e1 banks 10s
-		t.Fatal(err)
-	}
-	if err := l.Move("q2", "e1"); err != nil { // e2 banks 10s; q2 accrues on e1
-		t.Fatal(err)
-	}
-	snap := l.Snapshot()
-	if snap == nil {
-		t.Fatal("nil snapshot")
-	}
-
-	r := NewLedger(clock)
-	if err := r.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if r.ActiveQueries() != 1 {
-		t.Fatalf("active after restore = %d, want 1", r.ActiveQueries())
-	}
-	now = now.Add(5 * time.Second)
-	if got := r.Charge("e1"); got != 15*time.Second {
-		t.Fatalf("e1 charge = %v, want 15s (10 banked + 5 in-flight)", got)
-	}
-	if got := r.Charge("e2"); got != 10*time.Second {
-		t.Fatalf("e2 charge = %v, want 10s", got)
-	}
-	if err := r.Restore([]byte("{broken")); err == nil {
-		t.Fatal("corrupt snapshot accepted")
-	}
-}
-
-// Satellite: a coordinator crash must not lose accrued execution time —
-// the ledger persisted through the checkpoint store is recoverable from
-// the surviving entities.
-func TestLedgerPersistAndRecover(t *testing.T) {
-	fed, _ := newTestFederation(t, 3)
-	log := &seqLog{}
-	if err := fed.SubmitQueryTo(countQuery("agg", 8), "e00", log.observe); err != nil {
-		t.Fatal(err)
-	}
-	if err := fed.EnableCheckpoints(0, 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fed.RecoverLedger(100 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	fed.CheckpointTick()
-	fed.Settle(2 * time.Second)
-
-	// Simulate the coordinator losing its in-memory ledger.
-	if err := fed.Ledger().Restore([]byte(`{"accrued_ns":{}}`)); err != nil {
-		t.Fatal(err)
-	}
-	if fed.Ledger().ActiveQueries() != 0 {
-		t.Fatal("wipe failed")
-	}
-	found, err := fed.RecoverLedger(2 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !found {
-		t.Fatal("persisted ledger not found on any replica")
-	}
-	if fed.Ledger().ActiveQueries() != 1 {
-		t.Fatalf("active after recovery = %d, want 1 (agg accruing)",
-			fed.Ledger().ActiveQueries())
 	}
 }
 

@@ -30,9 +30,6 @@ import (
 )
 
 const (
-	// LedgerQuery is the reserved record name under which the
-	// accounting ledger is persisted through the checkpoint store.
-	LedgerQuery = "__ledger__"
 	// defaultReplayRingCap bounds one stream's upstream replay ring; it
 	// matches the entity pause-buffer bound so a full-ring replay can
 	// always be buffered by a recovering gate.
@@ -297,9 +294,9 @@ func (p *ckptPlane) observePublish(streamName string, b stream.Batch) {
 }
 
 // CheckpointTick runs one checkpoint sweep: snapshot + replicate every
-// non-migrating query, anti-entropy the replica groups, and persist the
-// ledger. Tests and benches call it directly when the plane was enabled
-// with a non-positive interval.
+// non-migrating query and anti-entropy the replica groups. Tests and
+// benches call it directly when the plane was enabled with a
+// non-positive interval.
 func (f *Federation) CheckpointTick() {
 	if p := f.ckptRef(); p != nil {
 		p.tick()
@@ -333,7 +330,6 @@ func (p *ckptPlane) tick() {
 		p.checkpointQuery(j.entity, j.query, j.spec)
 	}
 	p.antiEntropy()
-	p.persistLedger()
 }
 
 // checkpointQuery captures and replicates one query's checkpoint. The
@@ -505,9 +501,6 @@ func (p *ckptPlane) trimRings() {
 	p.mu.Lock()
 	floors := make(map[string]uint64)
 	for q := range p.written {
-		if q == LedgerQuery {
-			continue
-		}
 		marks := p.ackedMarks[q]
 		for _, s := range p.streamsOf[q] {
 			m := marks[s] // 0 when nil or absent: pins the ring
@@ -590,78 +583,6 @@ func (p *ckptPlane) antiEntropy() {
 			rep.AntiEntropy(simnet.NodeID(to), qs)
 		}
 	}
-}
-
-// persistLedger writes the accounting ledger through the checkpoint
-// store (satellite durability: billing survives a coordinator crash).
-// Its replica set is the first K entities in ID order.
-func (p *ckptPlane) persistLedger() {
-	f := p.f
-	data := f.ledger.Snapshot()
-	if data == nil {
-		return
-	}
-	f.mu.Lock()
-	ids := f.entityIDsLocked()
-	f.mu.Unlock()
-	peers := make([]simnet.NodeID, 0, p.k)
-	for _, id := range ids {
-		if len(peers) == p.k {
-			break
-		}
-		peers = append(peers, ckptID(id))
-	}
-	if len(peers) == 0 {
-		return
-	}
-	rec := checkpoint.Record{
-		Query:  LedgerQuery,
-		Entity: "portal",
-		Seq:    p.nextSeq(LedgerQuery),
-		Frags: []checkpoint.FragmentState{{
-			ID:  "ledger",
-			Ops: []checkpoint.OperatorState{{Name: "ledger", Data: data}},
-		}},
-	}
-	p.mu.Lock()
-	portal := p.portal
-	p.mu.Unlock()
-	if portal == nil {
-		return
-	}
-	wire, err := portal.Replicate(rec, peers)
-	if err != nil {
-		p.errors.Inc()
-		return
-	}
-	p.writes.Inc()
-	p.bytes.Add(int64(wire))
-}
-
-// RecoverLedger refetches the newest persisted ledger record from the
-// surviving entities and restores the accounting ledger from it — the
-// coordinator-crash recovery path. It reports whether a record was
-// found.
-func (f *Federation) RecoverLedger(timeout time.Duration) (bool, error) {
-	p := f.ckptRef()
-	if p == nil {
-		return false, fmt.Errorf("core: checkpoints not enabled")
-	}
-	recs := p.fetchRecords([]string{LedgerQuery}, timeout)
-	rec, ok := recs[LedgerQuery]
-	if !ok {
-		return false, nil
-	}
-	if len(rec.Frags) == 0 || len(rec.Frags[0].Ops) == 0 {
-		return false, fmt.Errorf("core: ledger record %d is empty", rec.Seq)
-	}
-	if err := f.ledger.Restore(rec.Frags[0].Ops[0].Data); err != nil {
-		return false, err
-	}
-	p.bumpSeq(LedgerQuery, rec.Seq)
-	f.logger.Info("recovery.restore", "", "accounting ledger restored from checkpoint",
-		"seq", rec.Seq, "bytes", len(rec.Frags[0].Ops[0].Data))
-	return true, nil
 }
 
 // fetchRecords asks every surviving replica for its newest record of
@@ -752,18 +673,17 @@ func (p *ckptPlane) close() {
 
 // CheckpointInfo is the plane's status summary for GET /cluster.
 type CheckpointInfo struct {
-	Enabled     bool   `json:"enabled"`
-	Replicas    int    `json:"replicas"`
-	Quorum      int    `json:"quorum"`
-	Writes      int64  `json:"writes"`
-	QuorumAcked int64  `json:"quorum_acked"`
-	WireBytes   int64  `json:"wire_bytes"`
-	Errors      int64  `json:"errors"`
-	Corrupt     int64  `json:"corrupt"`
-	StaleDrops  int64  `json:"stale_drops"`
-	RingTuples  int    `json:"ring_tuples"`
-	Records     int    `json:"records"`
-	LedgerSeq   uint64 `json:"ledger_seq"`
+	Enabled     bool  `json:"enabled"`
+	Replicas    int   `json:"replicas"`
+	Quorum      int   `json:"quorum"`
+	Writes      int64 `json:"writes"`
+	QuorumAcked int64 `json:"quorum_acked"`
+	WireBytes   int64 `json:"wire_bytes"`
+	Errors      int64 `json:"errors"`
+	Corrupt     int64 `json:"corrupt"`
+	StaleDrops  int64 `json:"stale_drops"`
+	RingTuples  int   `json:"ring_tuples"`
+	Records     int   `json:"records"`
 }
 
 // Checkpoints reports the checkpoint plane's status (zero value when
@@ -791,7 +711,6 @@ func (f *Federation) Checkpoints() CheckpointInfo {
 	for _, r := range p.rings {
 		rings = append(rings, r)
 	}
-	info.LedgerSeq = p.seqs[LedgerQuery]
 	p.mu.Unlock()
 	for _, r := range reps {
 		info.Corrupt += r.Corrupt.Value()

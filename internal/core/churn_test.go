@@ -2,11 +2,14 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"sspd/internal/engine"
+	"sspd/internal/entity"
 	"sspd/internal/querygraph"
 	"sspd/internal/simnet"
 	"sspd/internal/stream"
@@ -284,5 +287,134 @@ func TestFederationAdaptOrdering(t *testing.T) {
 	}
 	if n := fed.AdaptOrdering(0); n != 1 {
 		t.Fatalf("federation adapted %d queries, want 1 (q1)", n)
+	}
+}
+
+// TestAdaptOnceReordersFilterChain: an adaptation round runs the
+// Adaptation Module's re-order sweep. q1's expensive filter passes every
+// tuple and runs first; its cheap one drops half. q2, co-located on the
+// entity's one processor, widens the entity's interest so q1 sees the
+// tuples it rejects. After one batch has set the filters' selectivities,
+// one AdaptOnce moves the cheap selective filter to the front and counts
+// it in sspd_am_reorders_total, on either engine, and the results equal
+// those of a bare MiniEngine fed the same batches.
+func TestAdaptOnceReordersFilterChain(t *testing.T) {
+	q1 := engine.QuerySpec{ID: "q1", Source: "quotes", Filters: []engine.FilterSpec{
+		{Field: "price", Lo: 0, Hi: 1000, Cost: 10}, // passes all, expensive
+		{Field: "volume", Lo: 0, Hi: 100, Cost: 1},  // drops half, cheap
+	}}
+	q2 := engine.QuerySpec{ID: "q2", Source: "quotes", Filters: []engine.FilterSpec{
+		{Field: "volume", Lo: 200000, Hi: 1000000, Cost: 1},
+	}}
+	batches := make([]stream.Batch, 4)
+	for i := range 4 * 64 {
+		vol := int64(50)
+		if i%2 == 1 {
+			vol = 999999
+		}
+		batches[i/64] = append(batches[i/64], stream.NewTuple("quotes", uint64(i+1),
+			time.Unix(int64(i), 0).UTC(), stream.String("S0000"), stream.Float(500), stream.Int(vol)))
+	}
+	type results map[string][]string
+	var mu sync.Mutex
+	collect := func(into results, id string) func(stream.Tuple) {
+		return func(tu stream.Tuple) {
+			mu.Lock()
+			into[id] = append(into[id], tu.String())
+			mu.Unlock()
+		}
+	}
+	catalog := workload.Catalog(100, 20)
+	want := results{}
+	bare := engine.NewMini("bare", catalog)
+	defer bare.Close()
+	for _, spec := range []engine.QuerySpec{q1, q2} {
+		if err := bare.Register(spec, collect(want, spec.ID)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, b := range batches {
+		bare.IngestBatch(b)
+	}
+	reorders := func(fed *Federation) string {
+		var sb strings.Builder
+		if err := fed.MetricsRegistry().WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "sspd_am_reorders_total "); ok {
+				return v
+			}
+		}
+		t.Fatal("no sspd_am_reorders_total in the exposition")
+		return ""
+	}
+	for name, factory := range map[string]entity.EngineFactory{"shard": fullFactory, "mini": miniFactory} {
+		t.Run(name, func(t *testing.T) {
+			net := simnet.NewSim(nil)
+			defer net.Close()
+			fed, err := New(net, catalog, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fed.Close()
+			if err := fed.AddSource("quotes", simnet.Point{}, StreamRate{TuplesPerSec: 1000, BytesPerTuple: 60}); err != nil {
+				t.Fatal(err)
+			}
+			if err := fed.AddEntity("e00", simnet.Point{X: 10}, 1, factory); err != nil {
+				t.Fatal(err)
+			}
+			if err := fed.Start(); err != nil {
+				t.Fatal(err)
+			}
+			got := results{}
+			for _, spec := range []engine.QuerySpec{q1, q2} {
+				if err := fed.SubmitQueryTo(spec, "e00", collect(got, spec.ID)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fed.Settle(2 * time.Second)
+			// publish feeds batches and waits until their results are out.
+			sent := 0
+			publish := func(bs ...stream.Batch) {
+				for _, b := range bs {
+					if err := fed.Publish("quotes", b); err != nil {
+						t.Fatal(err)
+					}
+				}
+				sent += len(bs) * 32 // q1 and q2 each pass half of every batch
+				deadline := time.Now().Add(5 * time.Second)
+				for {
+					mu.Lock()
+					n := len(got["q1"]) + len(got["q2"])
+					mu.Unlock()
+					if n == 2*sent {
+						return
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("%d results after %d batches, want %d", n, sent/32, 2*sent)
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
+			}
+			publish(batches[0])
+			if v := reorders(fed); v != "0" {
+				t.Fatalf("sspd_am_reorders_total = %s before any round, want 0", v)
+			}
+			if _, err := fed.AdaptOnce(); err != nil {
+				t.Fatal(err)
+			}
+			if v := reorders(fed); v != "1" {
+				t.Fatalf("sspd_am_reorders_total = %s after one adaptation round, want 1 (q1's cheap selective filter first)", v)
+			}
+			publish(batches[1:]...)
+			mu.Lock()
+			defer mu.Unlock()
+			for _, id := range []string{"q1", "q2"} {
+				if !slices.Equal(got[id], want[id]) {
+					t.Fatalf("%s: federation delivered %d results, a bare MiniEngine %d, or in another order", id, len(got[id]), len(want[id]))
+				}
+			}
+		})
 	}
 }

@@ -23,39 +23,29 @@ type clock struct {
 	wg      sync.WaitGroup
 }
 
-// every runs fn each period on the control clock until the returned
-// cancel is called or the federation closes. cancel waits for an
-// in-flight fn, so it must not be called with a lock fn takes.
-func (f *Federation) every(period time.Duration, fn func()) (cancel func()) {
+// every runs fn each period on the control clock until the federation
+// closes.
+func (f *Federation) every(period time.Duration, fn func()) {
 	c := &f.clock
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.stopped {
-		return func() {}
+		return
 	}
-	quit, done := make(chan struct{}), make(chan struct{})
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		defer close(done)
 		t := time.NewTicker(period)
 		defer t.Stop()
 		for {
 			select {
 			case <-t.C:
 				fn()
-			case <-quit:
-				return
 			case <-c.stop:
 				return
 			}
 		}
 	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() { close(quit) })
-		<-done
-	}
 }
 
 // halt stops every job and waits for the in-flight ones (idempotent).

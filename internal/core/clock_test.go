@@ -187,7 +187,7 @@ func TestCloseStopsTheClockUnderLoad(t *testing.T) {
 		t.Fatal("Close did not return with ticks in flight")
 	}
 	// A registration on the halted clock is inert.
-	cancel := fed.every(period, func() { probe.Add(1) })
+	fed.every(period, func() { probe.Add(1) })
 	ran := func() [4]int64 {
 		return [4]int64{probe.Load(), slo.evals.Load(), backpressure.evals.Load(), ckpt.writes.Value()}
 	}
@@ -196,7 +196,6 @@ func TestCloseStopsTheClockUnderLoad(t *testing.T) {
 	if after := ran(); after != before {
 		t.Errorf("jobs ran after Close returned: probe/slo/backpressure/checkpoint counts %v -> %v", before, after)
 	}
-	cancel()
 	close(stop)
 	publisher.Wait()
 	waitUntil(t, 10*time.Second, "goroutines to return to the pre-New baseline", func() bool {

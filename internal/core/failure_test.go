@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"sspd/internal/coordinator"
 	"sspd/internal/simnet"
 	"sspd/internal/stream"
 	"sspd/internal/workload"
@@ -119,20 +121,65 @@ func TestFailureDetectionExpelsDeadEntity(t *testing.T) {
 	}
 }
 
+// TestWatchNewEntities: an entity that joins a running federation after
+// failure detection was enabled is watched like the others, so its crash
+// is confirmed by the detector and it is expelled.
 func TestWatchNewEntities(t *testing.T) {
-	fed, _ := newTestFederation(t, 2)
-	fed.WatchNewEntities() // no monitor yet: no-op
+	fed, net := newTestFederation(t, 2)
 	if err := fed.EnableFailureDetection(time.Hour, 3); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(fed.Monitor().Watched()); got != 2 {
-		t.Fatalf("watched = %d", got)
-	}
+	// The detector's own loop ticks hourly; the test drives Tick on a
+	// clock it advances.
+	var mu sync.Mutex
+	now := time.Now()
+	fed.Monitor().SetClock(func() time.Time { mu.Lock(); defer mu.Unlock(); return now })
 	if err := fed.JoinEntity("late", simnet.Point{X: 99}, 1, miniFactory); err != nil {
 		t.Fatal(err)
 	}
-	fed.WatchNewEntities()
-	if got := len(fed.Monitor().Watched()); got != 3 {
-		t.Fatalf("watched after join = %d", got)
+	if err := fed.KillEntity("late"); err != nil {
+		t.Fatal(err)
 	}
+	// Four hourly rounds pass the 3-interval threshold for the silent
+	// joiner, while the live entities' pongs keep them fresh.
+	for round := 0; round < 4; round++ {
+		mu.Lock()
+		now = now.Add(time.Hour)
+		mu.Unlock()
+		fed.Monitor().Tick()
+		net.Quiesce(2 * time.Second)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for slices.Contains(fed.EntityIDs(), "late") {
+		if time.Now().After(deadline) {
+			t.Fatalf("crashed joiner not expelled; entities = %v", fed.EntityIDs())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := fed.EntityIDs(); len(got) != 2 {
+		t.Fatalf("entities = %v, want the two live founders", got)
+	}
+	var confirm, fail uint64
+	for _, e := range fed.Journal().Since(0, "") {
+		if e.Node != "late" {
+			continue
+		}
+		switch e.Kind {
+		case "detector.confirm":
+			confirm = e.Seq
+		case "entity.fail":
+			fail = e.Seq
+		}
+	}
+	if confirm == 0 || fail <= confirm {
+		t.Fatalf("journal chain detector.confirm (seq %d) -> entity.fail (seq %d) missing for late", confirm, fail)
+	}
+}
+
+// Monitor exposes the failure detector (nil when disabled); tests drive
+// its Tick directly for determinism.
+func (f *Federation) Monitor() *coordinator.Detector {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.monitor
 }

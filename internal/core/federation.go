@@ -169,10 +169,9 @@ type Federation struct {
 	clock clock
 	// rebalanceMoves counts queries moved by Rebalance calls.
 	rebalanceMoves metrics.Counter
-	// adaptCancel takes the adaptation controller off the clock (nil
-	// while it is not running); the migration counters and history ring
-	// back sspd_migrations_total and the /cluster migration table.
-	adaptCancel   func()
+	// adaptMoves counts queries moved by adaptation rounds; the migration
+	// counters and history ring back sspd_migrations_total and the
+	// /cluster migration table.
 	adaptMoves    metrics.Counter
 	migCommits    metrics.Counter
 	migRollbacks  metrics.Counter
@@ -334,9 +333,6 @@ func (f *Federation) relayOptions() dissemination.RelayOptions {
 	}
 	return opts
 }
-
-// Logger returns the federation's structured event logger (never nil).
-func (f *Federation) Logger() *obslog.Logger { return f.logger }
 
 // Journal returns the bounded event flight recorder backing GET /events.
 func (f *Federation) Journal() *obslog.Journal { return f.logger.Journal() }
@@ -527,7 +523,7 @@ func (f *Federation) Start() error {
 		f.every(f.opts.InterestRefresh, f.refreshTick)
 	}
 	if f.opts.EnableAdaptation {
-		f.startAdaptationLocked(f.opts.AdaptationInterval)
+		f.every(f.opts.AdaptationInterval, func() { _, _ = f.AdaptOnce() })
 	}
 	return nil
 }
@@ -885,6 +881,9 @@ func (f *Federation) JoinEntity(id string, pos simnet.Point, nProcs int, factory
 	if f.ckpt != nil {
 		f.ckpt.addNode(id, en.ent)
 	}
+	if f.monitor != nil {
+		f.monitor.Watch(hbID(id))
+	}
 	return nil
 }
 
@@ -1099,9 +1098,8 @@ func (f *Federation) FailEntity(id string) (int, error) {
 
 // EnableFailureDetection starts portal-side heartbeat monitoring of
 // every current entity: an entity that misses `threshold` intervals is
-// expelled via FailEntity. Entities joining later are watched
-// automatically on their next WatchNewEntities call. It is safe to call
-// once, after Start.
+// expelled via FailEntity. An entity that joins later is watched from
+// its JoinEntity on. It is safe to call once, after Start.
 func (f *Federation) EnableFailureDetection(interval time.Duration, threshold int) error {
 	f.mu.Lock()
 	if !f.started {
@@ -1132,39 +1130,12 @@ func (f *Federation) EnableFailureDetection(interval time.Duration, threshold in
 	return nil
 }
 
-// WatchNewEntities adds any unwatched entities to the failure monitor.
-func (f *Federation) WatchNewEntities() {
-	f.mu.Lock()
-	mon := f.monitor
-	ids := f.entityIDsLocked()
-	f.mu.Unlock()
-	if mon == nil {
-		return
-	}
-	watched := make(map[simnet.NodeID]bool)
-	for _, w := range mon.Watched() {
-		watched[w] = true
-	}
-	for _, id := range ids {
-		if !watched[hbID(id)] {
-			mon.Watch(hbID(id))
-		}
-	}
-}
-
-// Monitor exposes the failure detector (nil when disabled); tests drive
-// its Tick directly for determinism.
-func (f *Federation) Monitor() *coordinator.Detector {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.monitor
-}
-
 // AdaptOrdering runs the Adaptation Module sweep on every entity's
 // engines (where supported), returning the number of queries whose
 // operator plan actually changed — the federation-wide form of Section
-// 4.2's runtime re-ordering. Every engine kind reports applied reorders
-// (not requests), so the sum is comparable across mixed engines.
+// 4.2's runtime re-ordering, run first in every AdaptOnce round. Every
+// engine kind reports applied reorders (not requests), so the sum is
+// comparable across mixed engines.
 func (f *Federation) AdaptOrdering(minGain float64) int {
 	f.mu.Lock()
 	entities := make([]*entityNode, 0, len(f.entities))
@@ -1326,7 +1297,6 @@ func (f *Federation) Close() {
 		return
 	}
 	f.closed = true
-	f.adaptCancel = nil
 	entities := f.entities
 	sources := f.sources
 	tracer := f.tracer

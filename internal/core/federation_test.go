@@ -53,6 +53,17 @@ func newTestFederation(t *testing.T, nEntities int) (*Federation, *simnet.SimNet
 	return fed, net
 }
 
+// edgeWeight reads the weight of edge {a,b} (0 when absent).
+func edgeWeight(g *querygraph.Graph, a, b querygraph.VertexID) float64 {
+	w := 0.0
+	g.Neighbors(a, func(nb querygraph.VertexID, x float64) {
+		if nb == b {
+			w = x
+		}
+	})
+	return w
+}
+
 func priceQuery(id string, lo, hi float64, symbols ...string) engine.QuerySpec {
 	spec := engine.QuerySpec{
 		ID:     id,
@@ -199,8 +210,8 @@ func TestFederationMatchesBareEngineOnNaN(t *testing.T) {
 			if err := bare.Register(spec, collect(&want)); err != nil {
 				t.Fatal(err)
 			}
-			for _, tu := range batch {
-				bare.Ingest(tu)
+			if err := bare.FeedQueryBatch(spec.ID, batch); err != nil {
+				t.Fatal(err)
 			}
 			if _, err := bare.Unregister(spec.ID); err != nil {
 				t.Fatal(err)
@@ -395,7 +406,7 @@ func TestFederationQueryGraphAndRebalance(t *testing.T) {
 		t.Fatalf("graph vertices = %d", g.NumVertices())
 	}
 	// Co-interested queries share edges.
-	if g.EdgeWeight("hot0", "hot1") <= 0 {
+	if edgeWeight(g, "hot0", "hot1") <= 0 {
 		t.Error("no edge between co-interested queries")
 	}
 	old, ids := fed.Assignment()
@@ -573,15 +584,15 @@ func TestBuildQueryGraphEdges(t *testing.T) {
 		t.Fatalf("vertices = %d", g.NumVertices())
 	}
 	// Overlap [50,100] = 5% of domain × 100 KB/s = 5000 B/s.
-	if got := g.EdgeWeight("a", "b"); got != 5000 {
+	if got := edgeWeight(g, "a", "b"); got != 5000 {
 		t.Errorf("edge a-b = %v, want 5000", got)
 	}
-	if got := g.EdgeWeight("a", "c"); got != 0 {
+	if got := edgeWeight(g, "a", "c"); got != 0 {
 		t.Errorf("edge a-c = %v, want 0", got)
 	}
 	// Rates missing => no edges.
 	g2 := BuildQueryGraph(specs, catalog, nil, 0)
-	if g2.EdgeWeight("a", "b") != 0 {
+	if edgeWeight(g2, "a", "b") != 0 {
 		t.Error("edge without rate info")
 	}
 	if StreamRate(rates["quotes"]).BytesPerSec() != 100000 {

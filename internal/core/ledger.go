@@ -6,7 +6,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
@@ -126,59 +125,4 @@ func (l *Ledger) ActiveQueries() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.active)
-}
-
-// ledgerState is the ledger's serialized form: closed-out accrual per
-// entity plus in-flight runs, both with absolute times so a restore on
-// another clock stays consistent.
-type ledgerState struct {
-	AccruedNs map[string]int64        `json:"accrued_ns"`
-	Active    map[string]activeState `json:"active,omitempty"`
-}
-
-type activeState struct {
-	Entity      string `json:"entity"`
-	SinceUnixNs int64  `json:"since_unix_ns"`
-}
-
-// Snapshot serializes the ledger for the checkpoint store, so accrued
-// execution time survives a coordinator crash (billing durability).
-func (l *Ledger) Snapshot() []byte {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	st := ledgerState{
-		AccruedNs: make(map[string]int64, len(l.accrued)),
-		Active:    make(map[string]activeState, len(l.active)),
-	}
-	for e, d := range l.accrued {
-		st.AccruedNs[e] = int64(d)
-	}
-	for q, a := range l.active {
-		st.Active[q] = activeState{Entity: a.entity, SinceUnixNs: a.since.UnixNano()}
-	}
-	data, err := json.Marshal(st)
-	if err != nil {
-		return nil // unreachable: ledgerState marshals cleanly by construction
-	}
-	return data
-}
-
-// Restore replaces the ledger's contents from a Snapshot. In-flight
-// runs resume accruing from their recorded start times.
-func (l *Ledger) Restore(data []byte) error {
-	var st ledgerState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("core: ledger restore: %w", err)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.accrued = make(map[string]time.Duration, len(st.AccruedNs))
-	for e, ns := range st.AccruedNs {
-		l.accrued[e] = time.Duration(ns)
-	}
-	l.active = make(map[string]activeQuery, len(st.Active))
-	for q, a := range st.Active {
-		l.active[q] = activeQuery{entity: a.Entity, since: time.Unix(0, a.SinceUnixNs)}
-	}
-	return nil
 }

@@ -340,8 +340,8 @@ func TestAdaptOnceRebalancesByMigration(t *testing.T) {
 	if moved == 0 {
 		t.Fatal("controller round moved nothing off a 4-0 imbalance")
 	}
-	if fed.AdaptationMoves() != int64(moved) {
-		t.Fatalf("AdaptationMoves = %d, want %d", fed.AdaptationMoves(), moved)
+	if got := fed.adaptMoves.Value(); got != int64(moved) {
+		t.Fatalf("adaptMoves = %d, want %d", got, moved)
 	}
 	perEntity := map[string]int{}
 	for _, s := range syms {
@@ -401,8 +401,8 @@ func TestAdaptationHysteresisBlocksMarginalMoves(t *testing.T) {
 }
 
 // TestAdaptationControllerBackground exercises the opt-in loop end to
-// end: EnableAdaptation starts the controller at Start, it notices the
-// imbalance by itself, and StopAdaptation / Close are idempotent.
+// end: EnableAdaptation puts the controller on the clock at Start, it
+// notices the imbalance by itself, and Close takes it off.
 func TestAdaptationControllerBackground(t *testing.T) {
 	fed := newAdaptFederation(t, 2, Options{
 		Strategy: dissemination.Locality, Fanout: 3,
@@ -418,16 +418,12 @@ func TestAdaptationControllerBackground(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for fed.AdaptationMoves() == 0 {
+	for fed.adaptMoves.Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("background controller never moved a query")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	fed.StopAdaptation()
-	fed.StopAdaptation() // idempotent
-	if err := fed.StartAdaptation(); err != nil {
-		t.Fatal(err)
-	}
-	fed.StopAdaptation()
+	fed.Close()
+	fed.Close() // idempotent
 }

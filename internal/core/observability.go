@@ -99,24 +99,6 @@ func (f *Federation) QueryPR(id string) (pr float64, ok bool) {
 	return d / p, true
 }
 
-// PRMax returns the federation-wide maximum Performance Ratio
-// max_k(d_k / p_k) over queries with measured metrics — the paper's
-// Section 4.1 migration trigger — along with the query achieving it.
-func (f *Federation) PRMax() (pr float64, query string) {
-	f.mu.Lock()
-	ids := make([]string, 0, len(f.queries))
-	for id := range f.queries {
-		ids = append(ids, id)
-	}
-	f.mu.Unlock()
-	for _, id := range ids {
-		if v, ok := f.QueryPR(id); ok && v > pr {
-			pr, query = v, id
-		}
-	}
-	return pr, query
-}
-
 // collectMetrics is the registry collector: it derives every
 // federation-level metric from live state at scrape time.
 func (f *Federation) collectMetrics(emit func(metrics.Sample)) {

@@ -214,7 +214,11 @@ func TestFederationPRMaxWithMiniEngines(t *testing.T) {
 	if pr, ok := fed.QueryPR("q1"); ok || pr != 0 {
 		t.Fatalf("QueryPR on MiniEngine = %v/%v, want 0/false", pr, ok)
 	}
-	if pr, q := fed.PRMax(); pr != 0 || q != "" {
-		t.Fatalf("PRMax = %v/%q, want 0 and no query", pr, q)
+	var sb strings.Builder
+	if err := fed.MetricsRegistry().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "\nsspd_pr_max 0\n") {
+		t.Fatalf("sspd_pr_max must be present and 0 on MiniEngines:\n%s", sb.String())
 	}
 }

@@ -86,35 +86,6 @@ func (t *Tree) RemoveMember(id simnet.NodeID, fanout int) ([]Rewire, error) {
 	return rewires, nil
 }
 
-// Reorganize performs one incremental improvement pass: every member
-// (in sorted order) switches to the closest eligible node — one with
-// fanout room, outside the member's own subtree — when that node is
-// strictly closer than its current parent. It returns the rewires made.
-// Repeated passes converge: each switch strictly shrinks total edge
-// length.
-//
-// Reorganize applies moves immediately. Callers running live relays
-// should prefer the two-phase ReorganizeStep/ApplyRewire protocol, which
-// lets them register the child's interest along the new path BEFORE the
-// data path flips (make-before-break) so no tuples are lost in transit.
-func (t *Tree) Reorganize(fanout int) []Rewire {
-	var rewires []Rewire
-	for {
-		rw, ok := t.ReorganizeStep(fanout)
-		if !ok {
-			break
-		}
-		if err := t.ApplyRewire(rw, fanout); err != nil {
-			break
-		}
-		rewires = append(rewires, rw)
-		if len(rewires) > len(t.Members())*4 {
-			break // safety bound
-		}
-	}
-	return rewires
-}
-
 // ReorganizeStep finds the single best improving parent switch — the
 // member whose distance to its parent shrinks the most by moving to the
 // closest eligible node — WITHOUT applying it. ok is false when the tree

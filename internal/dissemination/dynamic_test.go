@@ -88,9 +88,27 @@ func TestRemoveMemberNeverAttachesIntoOwnSubtree(t *testing.T) {
 	}
 }
 
+// reorganize runs improvement steps to a local optimum the way the
+// federation's ReorganizeTrees does (without the relays' make-before-break
+// between planning and applying a step), returning the rewires made.
+func reorganize(t *testing.T, tr *Tree, fanout int) []Rewire {
+	var rewires []Rewire
+	for len(rewires) <= 4*len(tr.Members()) {
+		rw, ok := tr.ReorganizeStep(fanout)
+		if !ok {
+			break
+		}
+		if err := tr.ApplyRewire(rw, fanout); err != nil {
+			t.Fatalf("planned rewire %+v: %v", rw, err)
+		}
+		rewires = append(rewires, rw)
+	}
+	return rewires
+}
+
 func TestReorganizeImprovesEdgeLength(t *testing.T) {
 	// A deliberately bad tree: Balanced ignores geometry, so members end
-	// up far from their parents. Reorganize must strictly shrink total
+	// up far from their parents. Reorganizing must strictly shrink total
 	// edge length and converge.
 	members := make([]Member, 24)
 	rng := rand.New(rand.NewSource(4))
@@ -107,7 +125,7 @@ func TestReorganizeImprovesEdgeLength(t *testing.T) {
 	before := tr.TotalEdgeLength()
 	total := 0
 	for pass := 0; pass < 20; pass++ {
-		rw := tr.Reorganize(3)
+		rw := reorganize(t, tr, 3)
 		total += len(rw)
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("pass %d: %v", pass, err)
@@ -127,7 +145,7 @@ func TestReorganizeImprovesEdgeLength(t *testing.T) {
 		t.Fatalf("edge length %v -> %v (no improvement)", before, after)
 	}
 	// Converged: one more pass changes nothing.
-	if rw := tr.Reorganize(3); len(rw) != 0 {
+	if rw := reorganize(t, tr, 3); len(rw) != 0 {
 		t.Fatalf("not converged: %d more rewires", len(rw))
 	}
 }
@@ -158,7 +176,7 @@ func TestReorganizeChurnProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 		default:
-			tr.Reorganize(3)
+			reorganize(t, tr, 3)
 		}
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("op %d: %v", op, err)

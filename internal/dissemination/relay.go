@@ -197,9 +197,6 @@ func NewRelayWith(tree *Tree, self simnet.NodeID, schema *stream.Schema,
 	return r, nil
 }
 
-// ID returns the relay's transport endpoint.
-func (r *Relay) ID() simnet.NodeID { return r.self }
-
 // SetLocalInterest replaces the entity's own data interest (the union of
 // its allocated queries' interests) and re-registers the aggregate with
 // the parent.

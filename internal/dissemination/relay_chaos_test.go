@@ -79,7 +79,7 @@ func TestInterestConvergesUnderLoss(t *testing.T) {
 		t.Fatalf("ancestor filters did not converge within %d refresh intervals", maxIntervals)
 	}
 	t.Logf("converged after %d refresh intervals (%d registrations dropped)",
-		converged, plan.Injected(simnet.FaultDrop))
+		converged, plan.InjectedTotals()[string(simnet.FaultDrop)])
 
 	// After convergence, stop faulting and verify no tuple the leaf
 	// wants is filtered anywhere on the path.

@@ -462,3 +462,6 @@ func TestRelayLinkBytesMeter(t *testing.T) {
 		t.Fatalf("source link bytes = %d, want %d", src.LinkBytes.Bytes(), want)
 	}
 }
+
+// ID returns the relay's transport endpoint.
+func (r *Relay) ID() simnet.NodeID { return r.self }

@@ -230,14 +230,6 @@ func (t *Tree) Members() []simnet.NodeID {
 	return out
 }
 
-// Depth returns the number of hops from the source to id (0 for the
-// source itself).
-func (t *Tree) Depth(id simnet.NodeID) int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.depthLocked(id)
-}
-
 func (t *Tree) depthLocked(id simnet.NodeID) int {
 	d := 0
 	for id != t.source {

@@ -180,3 +180,11 @@ func TestValidateDetectsCorruption(t *testing.T) {
 		t.Error("cycle undetected")
 	}
 }
+
+// Depth returns the number of hops from the source to id (0 for the
+// source itself).
+func (t *Tree) Depth(id simnet.NodeID) int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.depthLocked(id)
+}

@@ -1,6 +1,10 @@
 package engine
 
-import "testing"
+import (
+	"testing"
+
+	"sspd/internal/stream"
+)
 
 // shiftSpec has two filters whose useful order flips with the workload.
 func shiftSpec(id string) QuerySpec {
@@ -28,7 +32,9 @@ func TestAdaptOrderingAppliedSemantics(t *testing.T) {
 			}
 			// A workload where the second filter is the selective one.
 			for i := 0; i < 300; i++ {
-				e.Ingest(quote(uint64(i), "ibm", 500, 500))
+				if err := e.FeedQueryBatch("q", stream.Batch{quote(uint64(i), "ibm", 500, 500)}); err != nil {
+					t.Fatal(err)
+				}
 			}
 			drainEngine(t, e)
 			if n := e.AdaptOrdering(0); n != 1 {

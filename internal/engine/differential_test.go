@@ -149,20 +149,24 @@ func (s *resultSink) sorted() []string {
 	return out
 }
 
-// runWorkload feeds the tuples through one engine in same-stream waves
-// (draining at every stream switch so cross-stream arrival order is
-// deterministic — window joins are order-sensitive) and returns the
-// per-query normalized results.
+// runWorkload feeds the tuples through one engine in same-stream waves,
+// each one grouped feed to every query (a query ignores a stream it does
+// not consume), draining at every stream switch so cross-stream arrival
+// order is deterministic — window joins are order-sensitive — and
+// returns the per-query normalized results.
 func runWorkload(t *testing.T, eng Processor, specs []QuerySpec, tuples []stream.Tuple) map[string][]string {
 	t.Helper()
 	sinks := make(map[string]*resultSink, len(specs))
+	ids := make([]string, 0, len(specs))
 	for _, spec := range specs {
 		sink := &resultSink{}
 		sinks[spec.ID] = sink
+		ids = append(ids, spec.ID)
 		if err := eng.Register(spec, sink.emit); err != nil {
-			t.Fatalf("%s: register %s: %v", eng.EngineName(), spec.ID, err)
+			t.Fatalf("register %s: %v", spec.ID, err)
 		}
 	}
+	feed := GroupFeederOf(eng)
 	drain := func() { drainEngine(t, eng) }
 	const wave = 256 // well under every queue bound: no engine may drop
 	for start := 0; start < len(tuples); {
@@ -170,9 +174,7 @@ func runWorkload(t *testing.T, eng Processor, specs []QuerySpec, tuples []stream
 		for end < len(tuples) && end-start < wave && tuples[end].Stream == tuples[start].Stream {
 			end++
 		}
-		for _, tu := range tuples[start:end] {
-			eng.Ingest(tu)
-		}
+		feed.FeedGroupBatch(ids, tuples[start:end])
 		drain()
 		start = end
 	}
@@ -180,7 +182,7 @@ func runWorkload(t *testing.T, eng Processor, specs []QuerySpec, tuples []stream
 	if dr, ok := eng.(Reporter); ok {
 		for _, spec := range specs {
 			if n := dr.Dropped(spec.ID); n != 0 {
-				t.Fatalf("%s: query %s dropped %d tuples; differential run must be lossless", eng.EngineName(), spec.ID, n)
+				t.Fatalf("query %s dropped %d tuples; differential run must be lossless", spec.ID, n)
 			}
 		}
 	}
@@ -191,11 +193,15 @@ func runWorkload(t *testing.T, eng Processor, specs []QuerySpec, tuples []stream
 	return out
 }
 
-// ingestWaves hands tuples to a shard engine as one batch per wave of
-// 256, so a feed larger than a ring fits in it without a drain.
-func ingestWaves(eng *ShardEngine, tuples []stream.Tuple) {
+// ingestWaves hands tuples to one query of a shard engine as one batch
+// per wave of 256, so a feed larger than a ring fits in it without a
+// drain.
+func ingestWaves(t *testing.T, eng *ShardEngine, id string, tuples []stream.Tuple) {
+	t.Helper()
 	for lo := 0; lo < len(tuples); lo += 256 {
-		eng.IngestBatch(tuples[lo:min(lo+256, len(tuples))])
+		if err := eng.FeedQueryBatch(id, tuples[lo:min(lo+256, len(tuples))]); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -299,7 +305,7 @@ func snapshotRestoreMidStream(t *testing.T, cat *stream.Catalog, spec QuerySpec,
 	if err := first.Register(spec, sinkA.emit); err != nil {
 		t.Fatal(err)
 	}
-	ingestWaves(first, quotes[:half])
+	ingestWaves(t, first, spec.ID, quotes[:half])
 	if !first.Drain(5 * time.Second) {
 		t.Fatal("drain before snapshot timed out")
 	}
@@ -320,7 +326,7 @@ func snapshotRestoreMidStream(t *testing.T, cat *stream.Catalog, spec QuerySpec,
 	if err := second.RestoreQueryState(spec.ID, st); err != nil {
 		t.Fatal(err)
 	}
-	ingestWaves(second, quotes[half:])
+	ingestWaves(t, second, spec.ID, quotes[half:])
 	if !second.Drain(5 * time.Second) {
 		t.Fatal("drain after restore timed out")
 	}
@@ -356,7 +362,7 @@ func TestShardEngineAdaptOrdering(t *testing.T) {
 		}
 	}
 	feed := func() {
-		ingestWaves(eng, quotes)
+		ingestWaves(t, eng, spec.ID, quotes)
 		if !eng.Drain(5 * time.Second) {
 			t.Fatal("drain timed out")
 		}
@@ -409,7 +415,7 @@ func ExampleShardEngine() {
 	_ = eng.Register(QuerySpec{ID: "q", Source: "s",
 		Filters: []FilterSpec{{Field: "v", Lo: 10, Hi: 20}}},
 		func(t stream.Tuple) { done <- t.String() })
-	eng.Ingest(stream.NewTuple("s", 1, time.Unix(0, 0), stream.String("a"), stream.Float(15)))
+	_ = eng.FeedQueryBatch("q", stream.Batch{stream.NewTuple("s", 1, time.Unix(0, 0), stream.String("a"), stream.Float(15))})
 	eng.Drain(time.Second)
 	fmt.Println(<-done)
 	// Output: s#1[a 15]

@@ -12,11 +12,16 @@ import (
 // engines implement it: ShardEngine (production, built by New) and
 // MiniEngine (the synchronous oracle "of a different make").
 //
+// An engine is fed by query, the way an entity's delegation fan-out and
+// fragment chains drive it: FeedQueryBatch names one query, a
+// GroupFeeder's FeedGroupBatch several. There is no stream-routed way
+// in; which queries a batch is for is the caller's decision.
+//
 // The contract every implementation keeps, and every caller may assume:
 //
-//  1. Order: tuples one goroutine hands to one query (through Ingest,
-//     FeedQuery, FeedQueryBatch or a GroupFeeder's FeedGroupBatch) are
-//     processed by that query in the order handed over. Nothing is
+//  1. Order: batches one goroutine hands to one query (through
+//     FeedQueryBatch or a GroupFeeder's FeedGroupBatch) are processed by
+//     that query in the order handed over, tuple by tuple. Nothing is
 //     promised across producers or across queries.
 //  2. Ownership: a batch is the engine's from hand-over until the engine
 //     is done with it, and is read-only for everyone for that time. An
@@ -29,7 +34,7 @@ import (
 //     synchronous. Tuples are never mutated in place. The id list of a
 //     grouped feed stays the caller's: it is resolved before the call
 //     returns.
-//  3. Never block: no ingest call waits for processing. An engine that
+//  3. Never block: no feed call waits for processing. An engine that
 //     cannot take a tuple drops it and counts the drop (Reporter exposes
 //     the counts); a synchronous engine never drops.
 //  4. End of stream: everything handed over before Unregister(id) is
@@ -49,37 +54,22 @@ import (
 //     again (and, like every tuple, it is never mutated in place). A
 //     batch emit (BatchRegistrar) only borrows the slice that holds them.
 type Processor interface {
-	// EngineName identifies the engine instance.
-	EngineName() string
 	// Register compiles and starts a query; emit receives its results.
 	Register(spec QuerySpec, emit func(stream.Tuple)) error
 	// Unregister stops and removes a query, returning its spec so the
 	// caller can re-register it elsewhere (query-level migration).
 	Unregister(id string) (QuerySpec, error)
-	// Ingest delivers one tuple to every registered query that
-	// consumes its stream.
-	Ingest(t stream.Tuple)
-	// FeedQuery and FeedQueryBatch deliver to one query by ID, which is
-	// how an entity's delegation fan-out and fragment chains drive it.
-	// They fail only for an unknown ID.
-	DirectFeeder
+	// FeedQueryBatch delivers a batch to one query by ID.
 	BatchFeeder
-	// QueryIDs lists the registered queries, sorted.
-	QueryIDs() []string
 	// Load reports the engine's current abstract load estimate.
 	Load() float64
 	// Close stops all queries and releases resources.
 	Close()
 }
 
-// DirectFeeder delivers a tuple to one specific query, bypassing stream
-// routing; chained query fragments need this addressed delivery.
-type DirectFeeder interface {
-	FeedQuery(id string, t stream.Tuple) error
-}
-
-// BatchFeeder is DirectFeeder for a whole batch: one query lookup and
-// one synchronization round instead of one per tuple.
+// BatchFeeder delivers a batch to one query by ID: one query lookup and
+// one synchronization round for the whole batch. It fails only for an
+// unknown ID.
 type BatchFeeder interface {
 	FeedQueryBatch(id string, b stream.Batch) error
 }

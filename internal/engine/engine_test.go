@@ -27,7 +27,6 @@ func simpleSpec(id string) QuerySpec {
 // contract plus the optional capabilities both happen to have.
 type shippedEngine interface {
 	Processor
-	IngestBatch(stream.Batch)
 	GroupFeeder
 	Adapter
 	StateSnapshotter
@@ -50,11 +49,13 @@ type drainable interface{ Drain(time.Duration) bool }
 func drainEngine(t *testing.T, p Processor) {
 	t.Helper()
 	if d, ok := p.(drainable); ok && !d.Drain(5*time.Second) {
-		t.Fatalf("%s: drain timed out", p.EngineName())
+		t.Fatal("drain timed out")
 	}
 }
 
-// TestEngineContract holds both engines to the Processor contract.
+// TestEngineContract holds both engines to the Processor contract: every
+// case feeds by query (FeedQueryBatch or FeedGroupBatch), the only way
+// into an engine.
 func TestEngineContract(t *testing.T) {
 	type mkFn = func(name string, c *stream.Catalog) shippedEngine
 	cases := []struct {
@@ -73,13 +74,16 @@ func TestEngineContract(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if e.EngineName() != "test" {
-				t.Errorf("name = %q", e.EngineName())
+			// Contract point 1: the batch's tuples reach q1 in order; a
+			// tuple of a stream the query does not consume is ignored.
+			if err := e.FeedQueryBatch("q1", stream.Batch{
+				quote(1, "ibm", 50, 1),
+				quote(2, "ibm", 500, 1), // filtered
+				trade(3, "ibm", 10),     // not subscribed
+				quote(4, "ibm", 100, 1), // range bounds are inclusive
+			}); err != nil {
+				t.Fatal(err)
 			}
-			e.Ingest(quote(1, "ibm", 50, 1))
-			e.Ingest(quote(2, "ibm", 500, 1)) // filtered
-			e.Ingest(trade(3, "ibm", 10))     // not subscribed
-			e.Ingest(quote(4, "ibm", 100, 1)) // range bounds are inclusive
 			drainEngine(t, e)
 			mu.Lock()
 			defer mu.Unlock()
@@ -97,7 +101,7 @@ func TestEngineContract(t *testing.T) {
 			if err := e.Register(simpleSpec("b"), func(stream.Tuple) { b.Add(1) }); err != nil {
 				t.Fatal(err)
 			}
-			if err := e.FeedQuery("a", quote(1, "ibm", 50, 1)); err != nil {
+			if err := e.FeedQueryBatch("a", stream.Batch{quote(1, "ibm", 50, 1)}); err != nil {
 				t.Fatal(err)
 			}
 			if err := e.FeedQueryBatch("a", stream.Batch{quote(2, "ibm", 50, 1), quote(3, "ibm", 50, 1)}); err != nil {
@@ -107,16 +111,13 @@ func TestEngineContract(t *testing.T) {
 			if a.Load() != 3 || b.Load() != 0 {
 				t.Fatalf("a=%d b=%d, want 3 and 0: addressed delivery reaches one query", a.Load(), b.Load())
 			}
-			if err := e.FeedQuery("nope", quote(4, "ibm", 50, 1)); err == nil {
-				t.Error("FeedQuery to unknown query accepted")
-			}
 			if err := e.FeedQueryBatch("nope", stream.Batch{quote(5, "ibm", 50, 1)}); err == nil {
 				t.Error("FeedQueryBatch to unknown query accepted")
 			}
 		}},
 		{"emit feeds the same engine", func(t *testing.T, mk mkFn) {
 			// Two chained fragments on one processor: the first one's
-			// emit is a FeedQuery into the engine that is calling it
+			// emit is a FeedQueryBatch into the engine that is calling it
 			// (contract point 6).
 			e := mk("test", testCatalog(t))
 			defer e.Close()
@@ -124,11 +125,11 @@ func TestEngineContract(t *testing.T) {
 			if err := e.Register(simpleSpec("tail"), func(stream.Tuple) { n.Add(1) }); err != nil {
 				t.Fatal(err)
 			}
-			if err := e.Register(simpleSpec("head"), func(tu stream.Tuple) { _ = e.FeedQuery("tail", tu) }); err != nil {
+			if err := e.Register(simpleSpec("head"), func(tu stream.Tuple) { _ = e.FeedQueryBatch("tail", stream.Batch{tu}) }); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 5; i++ {
-				if err := e.FeedQuery("head", quote(uint64(i), "ibm", 50, 1)); err != nil {
+				if err := e.FeedQueryBatch("head", stream.Batch{quote(uint64(i), "ibm", 50, 1)}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -258,7 +259,9 @@ func TestEngineContract(t *testing.T) {
 					if err := e.FeedQueryBatch("c", view()); err != nil {
 						t.Fatal(err)
 					}
-					other.IngestBatch(view())
+					if err := other.FeedQueryBatch("x", view()); err != nil {
+						t.Fatal(err)
+					}
 				}
 				e.Close() // contract point 4: everything fed is out
 				other.Close()
@@ -342,7 +345,9 @@ func TestEngineContract(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < 10; i++ {
-				e.Ingest(quote(uint64(i), "ibm", 50, 1))
+				if err := e.FeedQueryBatch("q1", stream.Batch{quote(uint64(i), "ibm", 50, 1)}); err != nil {
+					t.Fatal(err)
+				}
 			}
 			got, err := e.Unregister("q1") // no drain: contract point 4
 			if err != nil {
@@ -354,8 +359,8 @@ func TestEngineContract(t *testing.T) {
 			if got.ID != "q1" || got.Source != "quotes" {
 				t.Fatalf("returned spec = %+v", got)
 			}
-			if ids := e.QueryIDs(); len(ids) != 0 {
-				t.Fatalf("queries after unregister = %v", ids)
+			if err := e.FeedQueryBatch("q1", stream.Batch{quote(10, "ibm", 50, 1)}); err == nil {
+				t.Fatal("feed to an unregistered query accepted")
 			}
 			if _, err := e.Unregister("q1"); err == nil {
 				t.Fatal("double unregister accepted")
@@ -365,19 +370,6 @@ func TestEngineContract(t *testing.T) {
 			defer e2.Close()
 			if err := e2.Register(got, nil); err != nil {
 				t.Fatalf("re-register migrated spec: %v", err)
-			}
-		}},
-		{"sorted IDs", func(t *testing.T, mk mkFn) {
-			e := mk("test", testCatalog(t))
-			defer e.Close()
-			for _, id := range []string{"b", "a", "c"} {
-				if err := e.Register(simpleSpec(id), nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-			ids := e.QueryIDs()
-			if len(ids) != 3 || ids[0] != "a" || ids[1] != "b" || ids[2] != "c" {
-				t.Fatalf("ids = %v", ids)
 			}
 		}},
 		{"load", func(t *testing.T, mk mkFn) {
@@ -419,7 +411,9 @@ func TestEngineContract(t *testing.T) {
 				go func(w int) {
 					defer wg.Done()
 					for i := 0; i < 50; i++ {
-						e.Ingest(quote(uint64(w*100+i), "ibm", 50, 1))
+						if err := e.FeedQueryBatch("q1", stream.Batch{quote(uint64(w*100+i), "ibm", 50, 1)}); err != nil {
+							t.Error(err)
+						}
 					}
 				}(w)
 			}
@@ -447,7 +441,9 @@ func TestEngineMetricsAndPR(t *testing.T) {
 	for i := range b {
 		b[i] = quote(uint64(i), "ibm", 50, 1)
 	}
-	e.IngestBatch(b) // one run of 100 tuples
+	if err := e.FeedQueryBatch("q1", b); err != nil { // one run of 100 tuples
+		t.Fatal(err)
+	}
 	if !e.Drain(time.Second) {
 		t.Fatal("drain timed out")
 	}
@@ -500,7 +496,7 @@ func TestEngineIdleCostsNothing(t *testing.T) {
 	if st := e.EngineStats(); len(st.Shards) != 4 || st.Totals().Offered != 0 {
 		t.Fatalf("idle EngineStats = %+v, want 4 all-zero rows", st)
 	}
-	e.Ingest(quote(1, "ibm", 50, 1)) // no consumer: dropped on the floor
+	e.FeedGroupBatch([]string{"nobody"}, stream.Batch{quote(1, "ibm", 50, 1)}) // no consumer: skipped
 	if !e.Drain(time.Second) {
 		t.Fatal("engine with no consumer does not drain")
 	}

@@ -36,7 +36,7 @@ func TestShardEngineStatsAccounting(t *testing.T) {
 			b[j] = stream.NewTuple("events", seq, base, stream.Int(0), stream.Int(int64(seq)))
 			seq++
 		}
-		eng.IngestBatch(b)
+		_ = eng.FeedQueryBatch("q", b) // registered above
 	}
 	if !eng.Drain(10 * time.Second) {
 		t.Fatal("drain timed out")
@@ -133,7 +133,7 @@ func TestShardEngineTotalDroppedSurvivesUnregister(t *testing.T) {
 			b[i] = stream.NewTuple("events", seq, base, stream.Int(0), stream.Int(int64(seq)))
 			seq++
 		}
-		eng.IngestBatch(b)
+		_ = eng.FeedQueryBatch("slow", b) // registered above
 		if time.Now().After(deadline) {
 			t.Fatal("could not overrun the shard ring")
 		}

@@ -2,14 +2,13 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"sspd/internal/stream"
 )
 
 // MiniEngine is a deliberately different engine implementation: fully
-// synchronous (Ingest runs queries inline under one mutex and emits
+// synchronous (a feed runs queries inline under one mutex and emits
 // their results before it returns), with no queues and no latency
 // instrumentation. It stands in for the "different
 // processing engine from a different vendor" the paper's loose-coupling
@@ -59,9 +58,6 @@ func NewMini(name string, catalog *stream.Catalog) *MiniEngine {
 		results: make(map[string]int64),
 	}
 }
-
-// EngineName implements Processor.
-func (m *MiniEngine) EngineName() string { return m.name }
 
 // Register implements Processor.
 func (m *MiniEngine) Register(spec QuerySpec, emit func(stream.Tuple)) error {
@@ -117,16 +113,9 @@ func (m *MiniEngine) Unregister(id string) (QuerySpec, error) {
 	return q.Spec(), nil
 }
 
-// Ingest implements Processor: queries run inline, synchronously.
-func (m *MiniEngine) Ingest(t stream.Tuple) {
-	m.mu.Lock()
-	defer m.unlockAndEmit()
-	for _, q := range m.byInput[t.Stream] {
-		q.Feed(t.Stream, t)
-	}
-}
-
-// IngestBatch is Ingest for a whole batch under one lock round.
+// IngestBatch delivers a batch to every registered query that consumes
+// its tuples' streams, under one lock round: the stream-routed feed an
+// oracle fed from a whole workload uses. The federation feeds by query.
 func (m *MiniEngine) IngestBatch(b stream.Batch) {
 	if len(b) == 0 {
 		return
@@ -167,31 +156,6 @@ func (m *MiniEngine) FeedGroupBatch(ids []string, b stream.Batch) {
 			}
 		}
 	}
-}
-
-// FeedQuery delivers a tuple to exactly one registered query, bypassing
-// stream-based routing.
-func (m *MiniEngine) FeedQuery(id string, t stream.Tuple) error {
-	m.mu.Lock()
-	defer m.unlockAndEmit()
-	q, ok := m.queries[id]
-	if !ok {
-		return fmt.Errorf("miniengine %s: unknown query %s", m.name, id)
-	}
-	q.Feed(t.Stream, t)
-	return nil
-}
-
-// QueryIDs implements Processor.
-func (m *MiniEngine) QueryIDs() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.queries))
-	for id := range m.queries {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Load implements Processor.

@@ -17,7 +17,7 @@ import (
 // The design is the classic bounded MPSC ring with per-slot sequence
 // numbers: in steady state one delegation processor produces and the
 // ring degenerates to SPSC, but correctness does not depend on it —
-// Ingest may legally be called from several goroutines. Enqueue never
+// several goroutines may feed one shard at once. Enqueue never
 // blocks: a full ring reports failure and the caller drops-and-counts,
 // preserving the engine's never-block contract.
 type shardRing struct {

@@ -3,11 +3,12 @@
 // ShardEngine is the production engine (engine.New builds it). It runs
 // one goroutine per CPU shard behind a bounded ring queue whose slots
 // carry whole batches. Queries are hash-partitioned across shards, so a
-// shard owns its queries outright: query state, routing tables, and
-// operator pipelines are goroutine-confined and touched without locks.
-// Producers ship the batches they are handed into the owning shards'
-// rings (drop-and-count on overflow — the Processor contract's
-// never-block rule), everything per-tuple inside a shard runs over
+// shard owns its queries outright: query state and operator pipelines
+// are goroutine-confined and touched without locks. The engine is fed by
+// query (FeedQueryBatch, FeedGroupBatch): producers ship the batches they
+// are handed into the named queries' owning shards' rings (drop-and-count
+// on overflow — the Processor contract's never-block rule), everything
+// per-tuple inside a shard runs over
 // columnar batches — a filter scans columns and only shrinks a selection
 // vector, and the stateful tail runs one virtual dispatch + one stats
 // lock per batch instead of per tuple (Query.runBatch) — and a query's
@@ -27,7 +28,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,11 +77,9 @@ type ShardEngine struct {
 
 	mu      sync.RWMutex
 	queries map[string]*shardQuery
-	// routes lists each stream's queries, grouped by owning shard.
-	routes map[string][]*shardQuery
 	// groups holds the grouped feeds' resolved id lists (see
-	// FeedGroupBatch). rebuildRoutes empties it, so no entry outlives a
-	// registration change.
+	// FeedGroupBatch). Every Register and Unregister empties it, so no
+	// entry outlives a registration change.
 	groups map[*string]resolvedGroup
 	closed bool
 
@@ -97,8 +95,8 @@ type shard struct {
 	eng *ShardEngine
 	idx int
 	// ring is nil until start. It is written under eng.mu before any
-	// route or query entry names the shard, so producers — which reach a
-	// shard only through those tables — never see it nil.
+	// query entry names the shard, so producers — which reach a shard only
+	// through that table — never see it nil.
 	ring *shardRing
 	wake chan struct{}
 	stop chan struct{}
@@ -131,7 +129,6 @@ func NewShard(name string, catalog *stream.Catalog, nShards int) *ShardEngine {
 		name:    name,
 		catalog: catalog,
 		queries: make(map[string]*shardQuery),
-		routes:  make(map[string][]*shardQuery),
 	}
 	for i := 0; i < nShards; i++ {
 		e.shards = append(e.shards, &shard{eng: e, idx: i})
@@ -161,9 +158,6 @@ func (e *ShardEngine) started() []*shard {
 	}
 	return out
 }
-
-// EngineName implements Processor.
-func (e *ShardEngine) EngineName() string { return e.name }
 
 // shardFor hash-partitions a query ID onto a shard (FNV-1a, inlined so
 // assignment allocates nothing).
@@ -216,7 +210,7 @@ func (e *ShardEngine) RegisterBatch(spec QuerySpec, emit func(stream.Batch)) err
 		sq.sh.start()
 	}
 	e.queries[spec.ID] = sq
-	e.rebuildRoutes()
+	clear(e.groups)
 	e.mu.Unlock()
 	// Install on the owning shard. Tuples dispatched between publish and
 	// install are skipped by the shard — indistinguishable from arriving
@@ -227,7 +221,7 @@ func (e *ShardEngine) RegisterBatch(spec QuerySpec, emit func(stream.Batch)) err
 
 // Unregister implements Processor. The uninstall control item trails
 // every previously enqueued data item through the ring, so tuples
-// ingested before Unregister are still processed (contract point 4).
+// fed before Unregister are still processed (contract point 4).
 func (e *ShardEngine) Unregister(id string) (QuerySpec, error) {
 	e.ctlMu.Lock()
 	defer e.ctlMu.Unlock()
@@ -239,29 +233,12 @@ func (e *ShardEngine) Unregister(id string) (QuerySpec, error) {
 	}
 	e.mu.Lock()
 	delete(e.queries, id)
-	e.rebuildRoutes()
+	clear(e.groups)
 	e.mu.Unlock()
 	if err := sq.sh.do(&shardCtl{op: shardCtlUninstall, sq: sq}); err != nil {
 		return QuerySpec{}, err
 	}
 	return sq.q.Spec(), nil
-}
-
-// rebuildRoutes recomputes the producer-side stream routing snapshot.
-// Caller holds e.mu. Route slices are immutable once published, so
-// producers may read them after dropping the lock.
-func (e *ShardEngine) rebuildRoutes() {
-	routes := make(map[string][]*shardQuery)
-	for _, sq := range e.queries {
-		for _, s := range sq.q.Spec().Streams() {
-			routes[s] = append(routes[s], sq)
-		}
-	}
-	for _, qs := range routes {
-		slices.SortFunc(qs, byShard)
-	}
-	e.routes = routes
-	clear(e.groups)
 }
 
 // byShard orders queries so that each shard's form one run.
@@ -280,12 +257,11 @@ func enqueueGroups(qs []*shardQuery, b stream.Batch, arrived time.Time) {
 	}
 }
 
-// ship is every whole-batch feed. The engine keeps b itself (contract
-// point 2: it is the engine's, and read-only for everyone, until the
-// shards are done with it): each same-stream run is a sub-slice of it,
-// enqueued once per owning shard of the queries qsFor names for the run's
-// stream.
-func (e *ShardEngine) ship(b stream.Batch, qsFor func(streamName string) []*shardQuery) {
+// ship is every feed. The engine keeps b itself (contract point 2: it is
+// the engine's, and read-only for everyone, until the shards are done
+// with it): each same-stream run is a sub-slice of it, enqueued once per
+// owning shard of qs, which is sorted byShard.
+func (e *ShardEngine) ship(b stream.Batch, qs []*shardQuery) {
 	if len(b) == 0 {
 		return
 	}
@@ -293,35 +269,10 @@ func (e *ShardEngine) ship(b stream.Batch, qsFor func(streamName string) []*shar
 	start := 0
 	for i := 1; i <= len(b); i++ {
 		if i == len(b) || b[i].Stream != b[start].Stream {
-			enqueueGroups(qsFor(b[start].Stream), b[start:i], arrived)
+			enqueueGroups(qs, b[start:i], arrived)
 			start = i
 		}
 	}
-}
-
-// Ingest implements Processor: IngestBatch of a batch of one. A single
-// tuple spends a ring slot of its own, so a producer of single tuples
-// that outruns the shard has them shed and counted like any batch
-// (contract point 3). No production path feeds single tuples: an
-// entity hands over the batches it is given.
-func (e *ShardEngine) Ingest(t stream.Tuple) {
-	e.IngestBatch(stream.Batch{t})
-}
-
-// IngestBatch delivers a batch to every query that consumes its
-// tuples' streams.
-func (e *ShardEngine) IngestBatch(b stream.Batch) {
-	e.ship(b, func(streamName string) []*shardQuery {
-		e.mu.RLock()
-		defer e.mu.RUnlock()
-		return e.routes[streamName]
-	})
-}
-
-// FeedQuery implements Processor: FeedQueryBatch of a batch of one (see
-// Ingest).
-func (e *ShardEngine) FeedQuery(id string, t stream.Tuple) error {
-	return e.FeedQueryBatch(id, stream.Batch{t})
 }
 
 // FeedQueryBatch implements Processor: FeedGroupBatch for a list of one.
@@ -332,7 +283,7 @@ func (e *ShardEngine) FeedQueryBatch(id string, b stream.Batch) error {
 	if !ok {
 		return fmt.Errorf("engine %s: unknown query %s", e.name, id)
 	}
-	e.ship(b, func(string) []*shardQuery { return sq.self })
+	e.ship(b, sq.self)
 	return nil
 }
 
@@ -371,7 +322,7 @@ func (e *ShardEngine) FeedGroupBatch(ids []string, b stream.Batch) {
 	if !ok || !slices.Equal(g.ids, ids) {
 		g = e.resolveGroup(ids)
 	}
-	e.ship(b, func(string) []*shardQuery { return g.qs })
+	e.ship(b, g.qs)
 }
 
 // resolveGroup resolves ids — an unknown id is skipped — and keeps the
@@ -391,18 +342,6 @@ func (e *ShardEngine) resolveGroup(ids []string) resolvedGroup {
 	}
 	e.groups[&ids[0]] = g
 	return g
-}
-
-// QueryIDs implements Processor.
-func (e *ShardEngine) QueryIDs() []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([]string, 0, len(e.queries))
-	for id := range e.queries {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Load implements Processor: estimated query loads plus ring backlog
@@ -571,7 +510,6 @@ func (e *ShardEngine) Close() {
 	}
 	e.mu.Lock()
 	e.queries = make(map[string]*shardQuery)
-	e.routes = make(map[string][]*shardQuery)
 	e.groups = nil
 	e.mu.Unlock()
 }

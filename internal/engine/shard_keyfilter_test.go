@@ -210,15 +210,17 @@ func BenchmarkShardKeyFilters(b *testing.B) {
 			defer eng.Close()
 			rng := rand.New(rand.NewSource(1))
 			syms := keyFilterSymbols()
-			for i := 0; i < n; i++ {
-				if err := eng.RegisterBatch(keyedSpec(rng, fmt.Sprintf("q%d", i), syms), nil); err != nil {
+			ids := make([]string, n)
+			for i := range ids {
+				ids[i] = fmt.Sprintf("q%d", i)
+				if err := eng.RegisterBatch(keyedSpec(rng, ids[i], syms), nil); err != nil {
 					b.Fatal(err)
 				}
 			}
 			pool := keyedBatches(rng, syms, 64, 64)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng.IngestBatch(pool[i%len(pool)])
+				eng.FeedGroupBatch(ids, pool[i%len(pool)])
 				if i%256 == 255 {
 					eng.Drain(time.Minute)
 				}

@@ -63,7 +63,7 @@ func TestShardEnginePerProducerOrderPreserved(t *testing.T) {
 					seq := lo + i
 					b[i] = stream.NewTuple("events", uint64(seq), base, stream.Int(int64(p)), stream.Int(int64(seq)))
 				}
-				eng.IngestBatch(b)
+				_ = eng.FeedQueryBatch("ord", b) // registered above
 			}
 		}(p)
 	}
@@ -134,7 +134,7 @@ func TestShardEnginePendingNonNegative(t *testing.T) {
 			b[i] = stream.NewTuple("events", seq, base, stream.Int(0), stream.Int(int64(seq)))
 			seq++
 		}
-		eng.IngestBatch(b)
+		_ = eng.FeedQueryBatch("p", b) // registered above
 	}
 	close(stop)
 	sampler.Wait()
@@ -187,7 +187,7 @@ func TestShardEngineAdaptRingFullWriterQueuedNoDeadlock(t *testing.T) {
 			b[i] = stream.NewTuple("events", seq, base, stream.Int(0), stream.Int(int64(seq)))
 			seq++
 		}
-		eng.IngestBatch(b)
+		_ = eng.FeedQueryBatch("slow", b) // registered above
 		if time.Now().After(fill) {
 			t.Fatal("could not fill shard ring")
 		}

@@ -23,7 +23,9 @@ func statefulSpec(id string) QuerySpec {
 func feedQuotes(t *testing.T, p Processor, from, n uint64) {
 	t.Helper()
 	for i := from; i < from+n; i++ {
-		p.Ingest(quote(i, "ibm", float64(10+i%80), 1))
+		if err := p.FeedQueryBatch("q1", stream.Batch{quote(i, "ibm", float64(10+i%80), 1)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

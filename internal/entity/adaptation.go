@@ -10,17 +10,6 @@ import (
 	"sspd/internal/stream"
 )
 
-// OptimalFilterOrder is re-exported from the engine package (the
-// ordering math lives beside the queries it permutes).
-func OptimalFilterOrder(costs, sels []float64) []int {
-	return engine.OptimalFilterOrder(costs, sels)
-}
-
-// ExpectedFilterCost is re-exported from the engine package.
-func ExpectedFilterCost(costs, sels []float64, perm []int) float64 {
-	return engine.ExpectedFilterCost(costs, sels, perm)
-}
-
 // AM is the paper's Adaptation Module: it intercepts the tuples flowing
 // into one compiled query, keeps observing the engine-reported
 // selectivities, and periodically re-orders the query's commutable
@@ -73,9 +62,6 @@ func (am *AM) maybeReorder() {
 		am.Adaptations.Inc()
 	}
 }
-
-// Query exposes the wrapped query.
-func (am *AM) Query() *engine.Query { return am.q }
 
 // Candidate is one possible immediate downstream processor for a
 // fragment's output, scored by the statistics the AM collects (queue
@@ -202,13 +188,6 @@ func (c *DownstreamChooser) Best() string {
 		}
 	}
 	return best
-}
-
-// Candidates returns the candidate IDs, sorted.
-func (c *DownstreamChooser) Candidates() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.order...)
 }
 
 // RoutedCount returns how many Choose decisions this chooser has made.

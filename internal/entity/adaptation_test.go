@@ -42,16 +42,16 @@ func TestOptimalFilterOrder(t *testing.T) {
 	// f2: 5/(1-0.5)=10 -> order f1, f0, f2 (tie by stability f0 first).
 	costs := []float64{1, 1, 5}
 	sels := []float64{0.9, 0.1, 0.5}
-	perm := OptimalFilterOrder(costs, sels)
+	perm := engine.OptimalFilterOrder(costs, sels)
 	if perm[0] != 1 {
 		t.Errorf("perm = %v, want f1 first", perm)
 	}
 	// Non-reducing filters sort last.
-	perm2 := OptimalFilterOrder([]float64{1, 1}, []float64{1.0, 0.5})
+	perm2 := engine.OptimalFilterOrder([]float64{1, 1}, []float64{1.0, 0.5})
 	if perm2[0] != 1 || perm2[1] != 0 {
 		t.Errorf("perm = %v, want selective filter first", perm2)
 	}
-	if got := OptimalFilterOrder(nil, nil); len(got) != 0 {
+	if got := engine.OptimalFilterOrder(nil, nil); len(got) != 0 {
 		t.Errorf("empty perm = %v", got)
 	}
 }
@@ -60,10 +60,10 @@ func TestExpectedFilterCost(t *testing.T) {
 	costs := []float64{1, 2}
 	sels := []float64{0.5, 0.5}
 	// Order (0,1): 1 + 0.5*2 = 2. Order (1,0): 2 + 0.5*1 = 2.5.
-	if got := ExpectedFilterCost(costs, sels, []int{0, 1}); got != 2 {
+	if got := engine.ExpectedFilterCost(costs, sels, []int{0, 1}); got != 2 {
 		t.Errorf("cost(0,1) = %v", got)
 	}
-	if got := ExpectedFilterCost(costs, sels, []int{1, 0}); got != 2.5 {
+	if got := engine.ExpectedFilterCost(costs, sels, []int{1, 0}); got != 2.5 {
 		t.Errorf("cost(1,0) = %v", got)
 	}
 }
@@ -87,14 +87,14 @@ func TestOptimalOrderBeatsRandomProperty(t *testing.T) {
 			costs[i] = 1 + float64(rawCosts[i]%10)
 			sels[i] = float64(rawSels[i]%100) / 100
 		}
-		best := OptimalFilterOrder(costs, sels)
-		bestCost := ExpectedFilterCost(costs, sels, best)
+		best := engine.OptimalFilterOrder(costs, sels)
+		bestCost := engine.ExpectedFilterCost(costs, sels, best)
 		// Compare against a rotated order.
 		other := make([]int, n)
 		for i := range other {
 			other[i] = (i + int(shuffle)%n) % n
 		}
-		return bestCost <= ExpectedFilterCost(costs, sels, other)+1e-9
+		return bestCost <= engine.ExpectedFilterCost(costs, sels, other)+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -156,9 +156,6 @@ func TestAMErrorsAndDefaults(t *testing.T) {
 	}
 	if am.Adaptations.Value() != 0 {
 		t.Error("single-filter query adapted")
-	}
-	if am.Query() != q {
-		t.Error("Query accessor")
 	}
 }
 

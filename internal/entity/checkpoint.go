@@ -27,19 +27,6 @@ func (e *Entity) SetIngestDedup(on bool) {
 	}
 }
 
-// StaleDrops totals the tuples dropped as stale (at or below a gate's
-// mark) across all queries — replay duplicates suppressed by dedup or
-// by a restored cut.
-func (e *Entity) StaleDrops() int64 {
-	total := int64(0)
-	for _, g := range e.gates() {
-		g.mu.Lock()
-		total += g.stale
-		g.mu.Unlock()
-	}
-	return total
-}
-
 // gates lists every placed query's gate.
 func (e *Entity) gates() []*ingestGate {
 	e.mu.Lock()

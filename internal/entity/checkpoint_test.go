@@ -130,3 +130,16 @@ func TestCheckpointQueryErrors(t *testing.T) {
 		t.Fatal("closed entity checkpointed")
 	}
 }
+
+// StaleDrops totals the tuples dropped as stale (at or below a gate's
+// mark) across all queries — replay duplicates suppressed by dedup or
+// by a restored cut.
+func (e *Entity) StaleDrops() int64 {
+	total := int64(0)
+	for _, g := range e.gates() {
+		g.mu.Lock()
+		total += g.stale
+		g.mu.Unlock()
+	}
+	return total
+}

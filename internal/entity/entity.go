@@ -362,12 +362,6 @@ func New(id string, transport simnet.Transport, catalog *stream.Catalog,
 	return e, nil
 }
 
-// ID returns the entity's name.
-func (e *Entity) ID() string { return e.id }
-
-// NumProcs returns the processor count.
-func (e *Entity) NumProcs() int { return len(e.procs) }
-
 // Proc exposes processor i's engine; experiments and tests read
 // per-processor statistics through it. It panics on a bad index,
 // matching slice semantics.
@@ -837,18 +831,6 @@ func (e *Entity) RemoveQuery(id string) (engine.QuerySpec, error) {
 	return pq.spec, nil
 }
 
-// Queries returns the IDs of placed queries, sorted.
-func (e *Entity) Queries() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]string, 0, len(e.queries))
-	for id := range e.queries {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // QueryPlacement reports which processor indexes host each fragment of a
 // query.
 func (e *Entity) QueryPlacement(id string) ([]int, bool) {
@@ -1026,76 +1008,6 @@ func (e *Entity) ProcLoads() []float64 {
 		out[i] = p.eng.Load()
 	}
 	return out
-}
-
-// ReplaceQuery re-places a query's fragments on the currently
-// least-loaded processors (fresh placement decision) — the runtime form
-// of Section 4.1's *dynamic* operator placement. The query is briefly
-// unregistered; tuples arriving in that window are not queued for it.
-func (e *Entity) ReplaceQuery(id string, nFrags int) error {
-	spec, err := e.RemoveQuery(id)
-	if err != nil {
-		return err
-	}
-	return e.PlaceQuery(spec, nFrags)
-}
-
-// RebalanceOnce moves one query from the most-loaded processor to a
-// fresh placement when the processor-load imbalance exceeds threshold
-// (max/mean; e.g. 1.5). It prefers the lightest query on the hot
-// processor, minimizing the disruption per unit of relief. It reports
-// whether a move happened.
-func (e *Entity) RebalanceOnce(threshold float64, nFrags int) (bool, error) {
-	if threshold < 1 {
-		threshold = 1.5
-	}
-	loads := e.ProcLoads()
-	sum := 0.0
-	hot := 0
-	for i := range loads {
-		sum += loads[i]
-		if loads[i] > loads[hot] {
-			hot = i
-		}
-	}
-	mean := sum / float64(len(loads))
-	if mean == 0 || loads[hot]/mean < threshold {
-		return false, nil
-	}
-	e.mu.Lock()
-	// Lightest query with a fragment on the hot processor.
-	victim := ""
-	victimLoad := 0.0
-	ids := make([]string, 0, len(e.queries))
-	for id := range e.queries {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		pq := e.queries[id]
-		onHot := false
-		for _, pi := range pq.procs {
-			if pi == hot {
-				onHot = true
-				break
-			}
-		}
-		if !onHot {
-			continue
-		}
-		l := pq.spec.EstimatedLoad()
-		if victim == "" || l < victimLoad {
-			victim, victimLoad = id, l
-		}
-	}
-	e.mu.Unlock()
-	if victim == "" {
-		return false, nil
-	}
-	if err := e.ReplaceQuery(victim, nFrags); err != nil {
-		return false, err
-	}
-	return true, nil
 }
 
 // AdaptOrdering asks every processor engine that supports it (the

@@ -2,6 +2,7 @@ package entity
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -78,11 +79,8 @@ func TestEntityConstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if e.NumProcs() != 1 {
-		t.Errorf("procs = %d", e.NumProcs())
-	}
-	if e.ID() != "e" {
-		t.Errorf("id = %q", e.ID())
+	if n := len(e.ProcLoads()); n != 1 {
+		t.Errorf("procs = %d", n)
 	}
 }
 
@@ -259,8 +257,7 @@ func TestEntityInterestAggregation(t *testing.T) {
 
 // TestEntityInterestFollowsPlacements holds the interests kept per placed
 // query to what QuerySpec.Interest computes from the placed specs, per
-// input stream and in query-ID order, across place, remove and
-// ReplaceQuery.
+// input stream and in query-ID order, across place and remove.
 func TestEntityInterestFollowsPlacements(t *testing.T) {
 	e, _, _ := newTestEntity(t, 2)
 	cat := testCatalog(t)
@@ -300,10 +297,6 @@ func TestEntityInterestFollowsPlacements(t *testing.T) {
 		Filters: []engine.FilterSpec{{KeyField: "symbol", Keys: []string{"ibm"}}},
 		Join: &engine.JoinSpec{Stream: "trades", LeftKey: "symbol", RightKey: "symbol",
 			Window: stream.CountWindow(10)}})
-	if err := e.ReplaceQuery("q1", 1); err != nil {
-		t.Fatal(err)
-	}
-	check("replace q1")
 	for _, id := range []string{"q2", "qj"} {
 		if _, err := e.RemoveQuery(id); err != nil {
 			t.Fatal(err)
@@ -319,8 +312,7 @@ func TestEntityInterestFollowsPlacements(t *testing.T) {
 // TestEntityInterestIntersectsRepeatedFields: two filter steps on one
 // field register their intersection up the tree (the last step used to
 // win, which was safe but relayed more than the query takes), steps that
-// exclude each other register an interest that matches nothing, and the
-// placement model's delivered fraction follows both.
+// exclude each other register an interest that matches nothing.
 func TestEntityInterestIntersectsRepeatedFields(t *testing.T) {
 	e, _, _ := newTestEntity(t, 2)
 	sc, _ := testCatalog(t).Lookup("quotes")
@@ -349,8 +341,8 @@ func TestEntityInterestIntersectsRepeatedFields(t *testing.T) {
 		t.Errorf("narrow registered symbol %v, want {b}", got)
 	}
 	// 10 of 1000 price units × 1 of 100 symbols.
-	if got := deliveredFraction(narrow, sc); got < 0.99e-4 || got > 1.01e-4 {
-		t.Errorf("narrow delivered fraction = %v, want 1e-4", got)
+	if got := terms[0].Selectivity(sc); got < 0.99e-4 || got > 1.01e-4 {
+		t.Errorf("narrow interest selectivity = %v, want 1e-4", got)
 	}
 	if !terms[1].Ranges["price"].Empty() || terms[1].Selectivity(sc) != 0 {
 		t.Errorf("none registered %v, want an empty price range", terms[1])
@@ -359,9 +351,6 @@ func TestEntityInterestIntersectsRepeatedFields(t *testing.T) {
 		if terms[1].Matches(sc, quote(1, "b", price, 1)) {
 			t.Errorf("none's interest accepts price %v", price)
 		}
-	}
-	if got := deliveredFraction(none, sc); got != 0.01 {
-		t.Errorf("none delivered fraction = %v, want the 0.01 floor", got)
 	}
 }
 
@@ -459,81 +448,6 @@ func TestEntityWithFullEngine(t *testing.T) {
 	}
 }
 
-func TestEntityReplaceQuery(t *testing.T) {
-	e, net, log := newTestEntity(t, 3)
-	if err := e.PlaceQuery(filterSpec("q1", 0, 1000), 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.ReplaceQuery("q1", 1); err != nil {
-		t.Fatal(err)
-	}
-	placement, ok := e.QueryPlacement("q1")
-	if !ok || len(placement) != 1 {
-		t.Fatalf("placement after replace = %v/%v", placement, ok)
-	}
-	// Still processes.
-	e.Ingest(quote(1, "ibm", 50, 5))
-	if !net.Quiesce(time.Second) {
-		t.Fatal("quiesce")
-	}
-	if log.count("q1") != 1 {
-		t.Fatalf("results = %d", log.count("q1"))
-	}
-	if err := e.ReplaceQuery("nope", 1); err == nil {
-		t.Error("replacing unknown query accepted")
-	}
-}
-
-func TestEntityRebalanceOnce(t *testing.T) {
-	e, _, _ := newTestEntity(t, 2)
-	// Pile load on one processor by placing heavy queries while the
-	// other stays idle: PlaceQuery picks least-loaded, so alternate —
-	// instead force imbalance by weighting.
-	heavy := filterSpec("big", 0, 1000)
-	heavy.Load = 100
-	if err := e.PlaceQuery(heavy, 1); err != nil {
-		t.Fatal(err)
-	}
-	light := filterSpec("small", 0, 1000)
-	light.Load = 1
-	if err := e.PlaceQuery(light, 1); err != nil {
-		t.Fatal(err)
-	}
-	// Queries landed on different procs (least-loaded rule): imbalance
-	// is high but moving cannot help the big one; the lightest query on
-	// the hot proc is "big" itself.
-	moved, err := e.RebalanceOnce(1.5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !moved {
-		t.Fatal("imbalanced entity did not move anything")
-	}
-	// After the move the query still exists.
-	if _, ok := e.QueryPlacement("big"); !ok {
-		t.Fatal("big query lost in rebalance")
-	}
-	// Balanced entity: no move.
-	e2, _, _ := newTestEntity(t, 2)
-	a := filterSpec("a", 0, 1)
-	a.Load = 5
-	b := filterSpec("b", 0, 1)
-	b.Load = 5
-	if err := e2.PlaceQuery(a, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := e2.PlaceQuery(b, 1); err != nil {
-		t.Fatal(err)
-	}
-	moved, err = e2.RebalanceOnce(1.5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved {
-		t.Fatal("balanced entity moved a query")
-	}
-}
-
 func TestPlaceQueryAdaptiveCorrectness(t *testing.T) {
 	e, net, log := newTestEntity(t, 3)
 	spec := engine.QuerySpec{
@@ -620,4 +534,16 @@ func TestPlaceQueryAdaptiveAvoidsLoadedReplica(t *testing.T) {
 	if servedB <= servedA*3 {
 		t.Errorf("adaptive routing did not avoid the loaded replica: A=%d B=%d", servedA, servedB)
 	}
+}
+
+// Queries returns the IDs of placed queries, sorted.
+func (e *Entity) Queries() []string {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	out := make([]string, 0, len(e.queries))
+	for id := range e.queries {
+		out = append(out, id)
+	}
+	sort.Strings(out)
+	return out
 }

@@ -1,9 +1,6 @@
 package entity
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // Network models the intra-entity LAN for the analytic evaluation.
 type Network struct {
@@ -181,21 +178,4 @@ func (e Evaluation) Imbalance() float64 {
 		return 1
 	}
 	return e.MaxUtilization / mean
-}
-
-// PRQuantile returns the q-quantile of per-query PR values.
-func (e Evaluation) PRQuantile(q float64) float64 {
-	if len(e.PR) == 0 {
-		return 0
-	}
-	vals := make([]float64, 0, len(e.PR))
-	for _, v := range e.PR {
-		vals = append(vals, v)
-	}
-	sort.Float64s(vals)
-	idx := int(math.Min(q, 1) * float64(len(vals)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	return vals[idx]
 }

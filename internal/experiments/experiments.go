@@ -82,24 +82,3 @@ func f(v float64) string {
 }
 
 func d(v int64) string { return fmt.Sprintf("%d", v) }
-
-// All runs every experiment in order and returns the tables.
-func All() []Table {
-	return []Table{
-		Figure1TwoLayer(),
-		Table1CooperationModes(),
-		Figure2QueryGraph(),
-		Figure3Delegation(),
-		E1DisseminationScalability(),
-		E2EarlyFiltering(),
-		E3CoordinatorTree(),
-		E4LoadDistribution(),
-		E5AdaptiveRepartitioning(),
-		E6OperatorPlacement(),
-		E7AdaptiveOrdering(),
-		E8CouplingTradeoff(),
-		E10InterestAggregation(),
-		E11TreeReorganization(),
-		E12AdaptiveRouting(),
-	}
-}

@@ -225,8 +225,3 @@ func (s HistSnapshot) Quantile(q float64) float64 {
 	}
 	return bounds[NumBounds-1]
 }
-
-// BucketOf returns the bucket index a value in seconds falls into —
-// the unit of the "within one bucket" accuracy assertions in tests and
-// the latency bench.
-func BucketOf(seconds float64) int { return bucketIndex(seconds) }

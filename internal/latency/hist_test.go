@@ -110,7 +110,7 @@ func TestQuantileErrorBound(t *testing.T) {
 		for _, q := range []float64{0, 0.5, 0.9, 0.95, 0.99, 0.999, 1} {
 			got := snap.Quantile(q)
 			want := exactQuantile(sorted, q)
-			gb, wb := BucketOf(got), BucketOf(want)
+			gb, wb := bucketIndex(got), bucketIndex(want)
 			if wb >= NumBounds { // beyond the last finite boundary
 				wb = NumBounds - 1
 			}

@@ -137,14 +137,6 @@ func (r *Recorder) Observe(bd Breakdown) {
 	r.Completed.Inc()
 }
 
-// Forget drops one query's histograms (called when a query is removed
-// or migrated away).
-func (r *Recorder) Forget(query string) {
-	r.mu.Lock()
-	delete(r.queries, query)
-	r.mu.Unlock()
-}
-
 // QueryLatency is one query's measured latency summary.
 type QueryLatency struct {
 	Query string `json:"query"`
@@ -206,18 +198,6 @@ func (r *Recorder) Snapshot() Attribution {
 	}
 	sort.Slice(a.Queries, func(i, j int) bool { return a.Queries[i].Query < a.Queries[j].Query })
 	return a
-}
-
-// PRMeasured returns one query's measured performance ratio (0 when the
-// query is unknown or has no evaluation time on record).
-func (r *Recorder) PRMeasured(query string) float64 {
-	r.mu.Lock()
-	ql := r.queries[query]
-	r.mu.Unlock()
-	if ql == nil {
-		return 0
-	}
-	return prOf(ql)
 }
 
 func prOf(ql *queryLat) float64 {

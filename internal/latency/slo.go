@@ -188,13 +188,6 @@ func NewWatchdog(rules []Rule) *Watchdog {
 	}
 }
 
-// Rules returns the watchdog's rule set.
-func (w *Watchdog) Rules() []Rule {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]Rule(nil), w.rules...)
-}
-
 // Eval runs one watchdog tick and returns a verdict per rule, in rule
 // order.
 func (w *Watchdog) Eval(o Observation) []Verdict {

@@ -1,17 +1,15 @@
 // Package metrics provides the lightweight measurement primitives used
-// throughout sspd: atomic counters and gauges, byte meters with windowed
-// rates, and streaming histograms with quantile estimation.
+// throughout sspd: atomic counters, byte meters, streaming histograms
+// with quantile estimation, and EWMAs.
 //
 // All types are safe for concurrent use and have useful zero values.
 package metrics
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing counter.
@@ -36,31 +34,6 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 // Reset sets the counter back to zero. It is intended for experiment
 // harnesses that reuse a counter between runs.
 func (c *Counter) Reset() { c.v.Store(0) }
-
-// Gauge is an instantaneous value that may go up or down.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores v as the current value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adds delta (which may be negative) to the gauge.
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// FloatGauge is an instantaneous float64 value.
-type FloatGauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v as the current value.
-func (g *FloatGauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *FloatGauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // ByteMeter counts bytes and messages, typically one per link or stream.
 type ByteMeter struct {
@@ -89,14 +62,6 @@ func (m *ByteMeter) Reset() {
 	m.messages.Store(0)
 }
 
-// Rate computes bytes/second over the given elapsed duration.
-func (m *ByteMeter) Rate(elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(m.bytes.Load()) / elapsed.Seconds()
-}
-
 // Histogram is a streaming histogram of float64 samples. It keeps an exact
 // reservoir up to a bound and degrades to uniform reservoir sampling
 // beyond it, which is adequate for the latency distributions measured in
@@ -114,39 +79,6 @@ type Histogram struct {
 }
 
 const histogramReservoir = 4096
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if h.count == 0 || v > h.max {
-		h.max = v
-	}
-	h.count++
-	h.sum += v
-	if len(h.samples) < histogramReservoir {
-		h.samples = append(h.samples, v)
-		return
-	}
-	// Reservoir sampling: replace a uniformly random slot with
-	// probability reservoir/count.
-	if h.rngState == 0 {
-		h.rngState = 0x9E3779B97F4A7C15
-	}
-	h.rngState ^= h.rngState << 13
-	h.rngState ^= h.rngState >> 7
-	h.rngState ^= h.rngState << 17
-	j := h.rngState % uint64(h.count)
-	if j < uint64(len(h.samples)) {
-		h.samples[j] = v
-	}
-}
-
-// ObserveDuration records a duration sample in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
 // ObserveN records n identical samples of v with one lock acquisition —
 // the batch-granularity write path of the vectorized engine, which
@@ -186,60 +118,6 @@ func (h *Histogram) ObserveN(v float64, n int64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Mean returns the arithmetic mean of all observations, or 0 if empty.
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Min returns the smallest observation, or 0 if empty.
-func (h *Histogram) Min() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.min
-}
-
-// Max returns the largest observation, or 0 if empty.
-func (h *Histogram) Max() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) estimated from the
-// reservoir, or 0 if the histogram is empty.
-//
-// Accuracy contract: while Count() <= the reservoir bound the quantile
-// is exact (read from every sample). Beyond it the reservoir degrades to
-// a uniform subsample and quantiles become *estimates* whose error grows
-// with the tail weight of the distribution; Estimated() (and
-// Snapshot.Estimated) report when that regime has been entered. Reservoir
-// quantiles from different histograms must never be averaged or merged —
-// use the latency package's fixed-boundary log-bucket Hist when a
-// distribution has to be combined across entities.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(h.samples))
-	copy(sorted, h.samples)
-	sort.Float64s(sorted)
-	return quantileOf(sorted, q)
-}
-
 // quantileOf reads the q-quantile from an already-sorted sample slice.
 func quantileOf(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
@@ -266,14 +144,6 @@ func (h *Histogram) Reset() {
 	h.max = 0
 }
 
-// Estimated reports whether the histogram has outgrown its exact
-// reservoir: quantiles are uniform-subsample estimates from then on.
-func (h *Histogram) Estimated() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count > histogramReservoir
-}
-
 // Snapshot is a point-in-time summary of a histogram.
 type Snapshot struct {
 	Count int64
@@ -291,7 +161,7 @@ type Snapshot struct {
 
 // Snapshot returns a summary of the histogram. The whole summary is
 // computed under one lock acquisition so it is internally consistent: a
-// concurrent Observe can never yield a snapshot whose Count, Mean, and
+// concurrent ObserveN can never yield a snapshot whose Count, Mean, and
 // quantiles disagree about which samples they saw.
 func (h *Histogram) Snapshot() Snapshot {
 	h.mu.Lock()

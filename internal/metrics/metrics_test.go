@@ -2,11 +2,18 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
+
+// quantile reads the q-quantile from the histogram's reservoir.
+func quantile(h *Histogram, q float64) float64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return quantileOf(slices.Sorted(slices.Values(h.samples)), q)
+}
 
 func TestCounterBasics(t *testing.T) {
 	var c Counter
@@ -47,26 +54,6 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(10)
-	g.Add(-3)
-	if got := g.Value(); got != 7 {
-		t.Fatalf("gauge = %d, want 7", got)
-	}
-}
-
-func TestFloatGauge(t *testing.T) {
-	var g FloatGauge
-	if got := g.Value(); got != 0 {
-		t.Fatalf("zero float gauge = %v, want 0", got)
-	}
-	g.Set(3.25)
-	if got := g.Value(); got != 3.25 {
-		t.Fatalf("float gauge = %v, want 3.25", got)
-	}
-}
-
 func TestByteMeter(t *testing.T) {
 	var m ByteMeter
 	m.Record(100)
@@ -78,12 +65,6 @@ func TestByteMeter(t *testing.T) {
 	if got := m.Messages(); got != 2 {
 		t.Fatalf("messages = %d, want 2", got)
 	}
-	if rate := m.Rate(time.Second); rate != 150 {
-		t.Fatalf("rate = %v, want 150", rate)
-	}
-	if rate := m.Rate(0); rate != 0 {
-		t.Fatalf("rate over zero elapsed = %v, want 0", rate)
-	}
 	m.Reset()
 	if m.Bytes() != 0 || m.Messages() != 0 {
 		t.Fatal("reset did not zero the meter")
@@ -93,34 +74,34 @@ func TestByteMeter(t *testing.T) {
 func TestHistogramBasicStats(t *testing.T) {
 	var h Histogram
 	for _, v := range []float64{1, 2, 3, 4, 5} {
-		h.Observe(v)
+		h.ObserveN(v, 1)
 	}
-	if got := h.Count(); got != 5 {
+	if got := h.Snapshot().Count; got != 5 {
 		t.Fatalf("count = %d, want 5", got)
 	}
-	if got := h.Mean(); got != 3 {
+	if got := h.Snapshot().Mean; got != 3 {
 		t.Fatalf("mean = %v, want 3", got)
 	}
-	if got := h.Min(); got != 1 {
+	if got := h.Snapshot().Min; got != 1 {
 		t.Fatalf("min = %v, want 1", got)
 	}
-	if got := h.Max(); got != 5 {
+	if got := h.Snapshot().Max; got != 5 {
 		t.Fatalf("max = %v, want 5", got)
 	}
-	if got := h.Quantile(0.5); got != 3 {
+	if got := quantile(&h, 0.5); got != 3 {
 		t.Fatalf("median = %v, want 3", got)
 	}
-	if got := h.Quantile(0); got != 1 {
+	if got := quantile(&h, 0); got != 1 {
 		t.Fatalf("q0 = %v, want 1", got)
 	}
-	if got := h.Quantile(1); got != 5 {
+	if got := quantile(&h, 1); got != 5 {
 		t.Fatalf("q1 = %v, want 5", got)
 	}
 }
 
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 {
+	if quantile(&h, 0.5) != 0 || h.Snapshot().Mean != 0 || h.Snapshot().Min != 0 || h.Snapshot().Max != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}
 	snap := h.Snapshot()
@@ -131,11 +112,11 @@ func TestHistogramEmpty(t *testing.T) {
 
 func TestHistogramQuantileClamping(t *testing.T) {
 	var h Histogram
-	h.Observe(7)
-	if got := h.Quantile(-1); got != 7 {
+	h.ObserveN(7, 1)
+	if got := quantile(&h, -1); got != 7 {
 		t.Fatalf("q(-1) = %v, want 7", got)
 	}
-	if got := h.Quantile(2); got != 7 {
+	if got := quantile(&h, 2); got != 7 {
 		t.Fatalf("q(2) = %v, want 7", got)
 	}
 }
@@ -144,47 +125,39 @@ func TestHistogramReservoirOverflow(t *testing.T) {
 	var h Histogram
 	n := histogramReservoir * 4
 	for i := 0; i < n; i++ {
-		h.Observe(float64(i))
+		h.ObserveN(float64(i), 1)
 	}
-	if got := h.Count(); got != int64(n) {
+	if got := h.Snapshot().Count; got != int64(n) {
 		t.Fatalf("count = %d, want %d", got, n)
 	}
 	// Median of 0..n-1 should be roughly n/2; allow generous sampling error.
-	med := h.Quantile(0.5)
+	med := quantile(&h, 0.5)
 	if med < float64(n)/4 || med > 3*float64(n)/4 {
 		t.Fatalf("sampled median %v wildly off for uniform 0..%d", med, n-1)
 	}
 	// Mean is exact regardless of reservoir.
 	wantMean := float64(n-1) / 2
-	if math.Abs(h.Mean()-wantMean) > 1e-9 {
-		t.Fatalf("mean = %v, want %v", h.Mean(), wantMean)
+	if math.Abs(h.Snapshot().Mean-wantMean) > 1e-9 {
+		t.Fatalf("mean = %v, want %v", h.Snapshot().Mean, wantMean)
 	}
 }
 
 func TestHistogramReset(t *testing.T) {
 	var h Histogram
-	h.Observe(1)
+	h.ObserveN(1, 1)
 	h.Reset()
-	if h.Count() != 0 || h.Mean() != 0 {
+	if h.Snapshot().Count != 0 || h.Snapshot().Mean != 0 {
 		t.Fatal("reset did not clear histogram")
 	}
-	h.Observe(9)
-	if got := h.Min(); got != 9 {
+	h.ObserveN(9, 1)
+	if got := h.Snapshot().Min; got != 9 {
 		t.Fatalf("min after reset+observe = %v, want 9", got)
-	}
-}
-
-func TestHistogramObserveDuration(t *testing.T) {
-	var h Histogram
-	h.ObserveDuration(1500 * time.Millisecond)
-	if got := h.Mean(); got != 1.5 {
-		t.Fatalf("duration mean = %v, want 1.5", got)
 	}
 }
 
 func TestSnapshotString(t *testing.T) {
 	var h Histogram
-	h.Observe(2)
+	h.ObserveN(2, 1)
 	s := h.Snapshot().String()
 	if s == "" {
 		t.Fatal("snapshot string empty")
@@ -227,7 +200,7 @@ func TestHistogramQuantileMonotoneProperty(t *testing.T) {
 			if math.IsNaN(s) || math.IsInf(s, 0) {
 				continue
 			}
-			h.Observe(s)
+			h.ObserveN(s, 1)
 			valid++
 		}
 		if valid == 0 {
@@ -235,11 +208,11 @@ func TestHistogramQuantileMonotoneProperty(t *testing.T) {
 		}
 		prev := math.Inf(-1)
 		for q := 0.0; q <= 1.0; q += 0.1 {
-			v := h.Quantile(q)
+			v := quantile(&h, q)
 			if v < prev {
 				return false
 			}
-			if v < h.Min() || v > h.Max() {
+			if v < h.Snapshot().Min || v > h.Snapshot().Max {
 				return false
 			}
 			prev = v

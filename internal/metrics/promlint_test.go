@@ -90,14 +90,12 @@ func TestRegistryOutputIsStrict(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("sspd_events_total", "Event count.", L("event", "join")).Add(4)
 	r.Counter("sspd_events_total", "Event count.", L("event", "split")).Inc()
-	r.Gauge("sspd_queries", "Active queries.").Set(7)
-	r.FloatGauge("sspd_pr_max", "Worst PR.").Set(2.5)
-	h := r.Histogram("sspd_delay_seconds", "Delay.", L("query", "q1"))
-	h.Observe(1)
-	h.Observe(3)
-	r.Meter("sspd_relay", "Relay link traffic.", L("stream", "quotes")).Record(100)
 	r.Counter("sspd_escape_total", "", L("v", `a"b\c`)).Inc()
 	r.RegisterCollector(func(emit func(Sample)) {
+		EmitGauge(emit, "sspd_queries", "Active queries.", 7)
+		EmitGauge(emit, "sspd_pr_max", "Worst PR.", 2.5)
+		emit(Sample{Name: "sspd_delay_seconds", Help: "Delay.", Labels: []Label{L("query", "q1")},
+			Hist: &HistSample{Bounds: []float64{1, 2}, Counts: []uint64{1, 0, 1}, Sum: 4}})
 		emit(Sample{Name: "sspd_edge_cut", Help: "Edge cut.", Kind: KindGauge, Value: 12.5})
 		emit(Sample{Name: "sspd_entity_up", Kind: KindGauge,
 			Labels: []Label{L("entity", "e01")}, Value: 1})
@@ -116,11 +114,14 @@ func TestRegistryOutputIsStrict(t *testing.T) {
 	for _, f := range fams {
 		byName[f.Name] = f
 	}
-	if f := byName["sspd_relay_bytes_total"]; f.Type != "counter" || f.Samples[0].Value != 100 {
-		t.Fatalf("meter family wrong: %+v", f)
+	if f := byName["sspd_events_total"]; f.Type != "counter" || len(f.Samples) != 2 {
+		t.Fatalf("counter family wrong: %+v", f)
 	}
-	if f := byName["sspd_delay_seconds"]; f.Type != "summary" || len(f.Samples) != 5 {
-		t.Fatalf("summary family wrong: %+v", f)
+	if f := byName["sspd_pr_max"]; f.Type != "gauge" || f.Samples[0].Value != 2.5 {
+		t.Fatalf("gauge family wrong: %+v", f)
+	}
+	if f := byName["sspd_delay_seconds"]; f.Type != "histogram" || len(f.Samples) != 5 {
+		t.Fatalf("histogram family wrong: %+v", f)
 	}
 	if len(byName["sspd_entity_up"].Samples) != 2 {
 		t.Fatalf("collector family wrong: %+v", byName["sspd_entity_up"])

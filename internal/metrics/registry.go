@@ -12,25 +12,18 @@ import (
 // MetricKind classifies a registered metric family for exposition.
 type MetricKind uint8
 
-// Metric kinds. They map onto Prometheus text-format TYPE lines:
-// counters and meters expose as "counter", gauges as "gauge", and
-// histograms as "summary" (count, sum, and reservoir quantiles).
+// Metric kinds. They map onto Prometheus text-format TYPE lines.
 const (
 	KindCounter MetricKind = iota
 	KindGauge
-	KindFloatGauge
-	KindHistogram
-	KindMeter
 )
 
 func (k MetricKind) String() string {
 	switch k {
-	case KindCounter, KindMeter:
+	case KindCounter:
 		return "counter"
-	case KindGauge, KindFloatGauge:
+	case KindGauge:
 		return "gauge"
-	case KindHistogram:
-		return "summary"
 	default:
 		return "untyped"
 	}
@@ -96,32 +89,28 @@ func EmitCounter(emit func(Sample), name, help string, v float64, labels ...Labe
 }
 
 // Registry is a named, labeled metric registry with a lock-cheap hot
-// path: the instruments themselves (Counter, Gauge, ...) are atomics, so
-// after a one-time get-or-create the recording side never touches the
-// registry lock. Exposition walks the registry under a read lock and
-// renders Prometheus text format (version 0.0.4).
+// path: its counters are atomics, so after a one-time get-or-create the
+// recording side never touches the registry lock. Every other value —
+// gauges, ratios, histograms — is computed at scrape time by a Collector.
+// Exposition walks the registry under a read lock and renders Prometheus
+// text format (version 0.0.4).
 type Registry struct {
 	mu         sync.RWMutex
 	families   map[string]*family
 	collectors []Collector
 }
 
+// family is one counter family.
 type family struct {
 	name string
 	help string
-	kind MetricKind
-	// series maps the canonical label signature to the instrument.
+	// series maps the canonical label signature to the counter.
 	series map[string]*series
 }
 
 type series struct {
-	labels []Label
-	// exactly one of these is non-nil, per the family kind
-	counter   *Counter
-	gauge     *Gauge
-	fgauge    *FloatGauge
-	histogram *Histogram
-	meter     *ByteMeter
+	labels  []Label
+	counter *Counter
 }
 
 // NewRegistry returns an empty registry.
@@ -164,9 +153,9 @@ func signature(labels []Label) string {
 }
 
 // lookup returns the series for (name, labels), creating family and
-// series as needed. It panics on a name/kind conflict or an invalid
-// name — both are programmer errors at wiring time, never data-driven.
-func (r *Registry) lookup(name, help string, kind MetricKind, labels []Label) *series {
+// series as needed. It panics on an invalid name — a programmer error at
+// wiring time, never data-driven.
+func (r *Registry) lookup(name, help string, labels []Label) *series {
 	if !validName(name) {
 		panic(fmt.Sprintf("metrics: invalid metric name %q", name))
 	}
@@ -178,14 +167,9 @@ func (r *Registry) lookup(name, help string, kind MetricKind, labels []Label) *s
 	sig := signature(labels)
 
 	r.mu.RLock()
-	fam := r.families[name]
-	if fam != nil {
+	if fam := r.families[name]; fam != nil {
 		if s, ok := fam.series[sig]; ok {
-			kindOK := fam.kind == kind
 			r.mu.RUnlock()
-			if !kindOK {
-				panic(fmt.Sprintf("metrics: %q re-registered as %v (was %v)", name, kind, fam.kind))
-			}
 			return s
 		}
 	}
@@ -193,32 +177,17 @@ func (r *Registry) lookup(name, help string, kind MetricKind, labels []Label) *s
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	fam = r.families[name]
+	fam := r.families[name]
 	if fam == nil {
-		fam = &family{name: name, help: help, kind: kind, series: make(map[string]*series)}
+		fam = &family{name: name, help: help, series: make(map[string]*series)}
 		r.families[name] = fam
-	}
-	if fam.kind != kind {
-		panic(fmt.Sprintf("metrics: %q re-registered as %v (was %v)", name, kind, fam.kind))
 	}
 	s, ok := fam.series[sig]
 	if !ok {
 		sorted := make([]Label, len(labels))
 		copy(sorted, labels)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-		s = &series{labels: sorted}
-		switch kind {
-		case KindCounter:
-			s.counter = &Counter{}
-		case KindGauge:
-			s.gauge = &Gauge{}
-		case KindFloatGauge:
-			s.fgauge = &FloatGauge{}
-		case KindHistogram:
-			s.histogram = &Histogram{}
-		case KindMeter:
-			s.meter = &ByteMeter{}
-		}
+		s = &series{labels: sorted, counter: &Counter{}}
 		fam.series[sig] = s
 	}
 	return s
@@ -226,29 +195,7 @@ func (r *Registry) lookup(name, help string, kind MetricKind, labels []Label) *s
 
 // Counter returns (creating on first use) the named counter series.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	return r.lookup(name, help, KindCounter, labels).counter
-}
-
-// Gauge returns (creating on first use) the named int gauge series.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	return r.lookup(name, help, KindGauge, labels).gauge
-}
-
-// FloatGauge returns (creating on first use) the named float gauge series.
-func (r *Registry) FloatGauge(name, help string, labels ...Label) *FloatGauge {
-	return r.lookup(name, help, KindFloatGauge, labels).fgauge
-}
-
-// Histogram returns (creating on first use) the named histogram series.
-func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
-	return r.lookup(name, help, KindHistogram, labels).histogram
-}
-
-// Meter returns (creating on first use) the named byte-meter series. It
-// exposes as two counter families, <name>_bytes_total and
-// <name>_messages_total.
-func (r *Registry) Meter(name, help string, labels ...Label) *ByteMeter {
-	return r.lookup(name, help, KindMeter, labels).meter
+	return r.lookup(name, help, labels).counter
 }
 
 // RegisterCollector adds a scrape-time collector.
@@ -280,7 +227,7 @@ func formatValue(v float64) string {
 }
 
 // renderLabels renders {k="v",...} (empty string for no labels). extra
-// is appended after the sorted labels (used for quantile="...").
+// is appended after the sorted labels (used for a bucket's le="...").
 func renderLabels(labels []Label, extra ...Label) string {
 	if len(labels) == 0 && len(extra) == 0 {
 		return ""
@@ -350,43 +297,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		r.mu.RUnlock()
 
-		switch f.kind {
-		case KindCounter:
-			ef := get(f.name, f.help, "counter")
-			for _, s := range series {
-				ef.lines = append(ef.lines, fmt.Sprintf("%s%s %d", f.name, renderLabels(s.labels), s.counter.Value()))
-			}
-		case KindGauge:
-			ef := get(f.name, f.help, "gauge")
-			for _, s := range series {
-				ef.lines = append(ef.lines, fmt.Sprintf("%s%s %d", f.name, renderLabels(s.labels), s.gauge.Value()))
-			}
-		case KindFloatGauge:
-			ef := get(f.name, f.help, "gauge")
-			for _, s := range series {
-				ef.lines = append(ef.lines, fmt.Sprintf("%s%s %s", f.name, renderLabels(s.labels), formatValue(s.fgauge.Value())))
-			}
-		case KindHistogram:
-			ef := get(f.name, f.help, "summary")
-			for _, s := range series {
-				snap := s.histogram.Snapshot()
-				for _, q := range []struct {
-					q string
-					v float64
-				}{{"0.5", snap.P50}, {"0.95", snap.P95}, {"0.99", snap.P99}} {
-					ef.lines = append(ef.lines, fmt.Sprintf("%s%s %s", f.name,
-						renderLabels(s.labels, L("quantile", q.q)), formatValue(q.v)))
-				}
-				ef.lines = append(ef.lines, fmt.Sprintf("%s_sum%s %s", f.name, renderLabels(s.labels), formatValue(snap.Sum)))
-				ef.lines = append(ef.lines, fmt.Sprintf("%s_count%s %d", f.name, renderLabels(s.labels), snap.Count))
-			}
-		case KindMeter:
-			bf := get(f.name+"_bytes_total", f.help+" (bytes)", "counter")
-			mf := get(f.name+"_messages_total", f.help+" (messages)", "counter")
-			for _, s := range series {
-				bf.lines = append(bf.lines, fmt.Sprintf("%s_bytes_total%s %d", f.name, renderLabels(s.labels), s.meter.Bytes()))
-				mf.lines = append(mf.lines, fmt.Sprintf("%s_messages_total%s %d", f.name, renderLabels(s.labels), s.meter.Messages()))
-			}
+		ef := get(f.name, f.help, "counter")
+		for _, s := range series {
+			ef.lines = append(ef.lines, fmt.Sprintf("%s%s %d", f.name, renderLabels(s.labels), s.counter.Value()))
 		}
 	}
 

@@ -24,17 +24,6 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	}
 }
 
-func TestRegistryKindConflictPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("sspd_conflict", "")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("re-registering a counter as a gauge must panic")
-		}
-	}()
-	r.Gauge("sspd_conflict", "")
-}
-
 func TestRegistryInvalidNamePanics(t *testing.T) {
 	r := NewRegistry()
 	defer func() {
@@ -46,22 +35,17 @@ func TestRegistryInvalidNamePanics(t *testing.T) {
 }
 
 // TestWritePrometheusGolden locks the exposition format: family order,
-// HELP/TYPE headers, label rendering and escaping, summary expansion,
-// and meter expansion into _bytes_total/_messages_total.
+// HELP/TYPE headers, label rendering and escaping, and collector gauges
+// merged with the registry's counters.
 func TestWritePrometheusGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("sspd_events_total", "Event count.", L("event", "join")).Add(4)
 	r.Counter("sspd_events_total", "Event count.", L("event", "split")).Add(1)
-	r.Gauge("sspd_queries", "Active queries.").Set(7)
-	r.FloatGauge("sspd_pr_max", "Worst PR.").Set(2.5)
-	h := r.Histogram("sspd_delay_seconds", "Delay.", L("query", "q1"))
-	h.Observe(1)
-	h.Observe(3)
-	m := r.Meter("sspd_relay", "Relay link traffic.", L("stream", "quotes"))
-	m.Record(100)
-	m.Record(50)
 	r.Counter("sspd_escape_total", "", L("v", `a"b\c`)).Inc()
 	r.RegisterCollector(func(emit func(Sample)) {
+		EmitGauge(emit, "sspd_queries", "Active queries.", 7)
+		EmitGauge(emit, "sspd_pr_max", "Worst PR.", 2.5)
+		EmitCounter(emit, "sspd_relay_bytes_total", "Relay link traffic.", 150, L("stream", "quotes"))
 		emit(Sample{Name: "sspd_edge_cut", Help: "Edge cut.", Kind: KindGauge, Value: 12.5})
 	})
 
@@ -69,14 +53,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	want := `# HELP sspd_delay_seconds Delay.
-# TYPE sspd_delay_seconds summary
-sspd_delay_seconds_count{query="q1"} 2
-sspd_delay_seconds_sum{query="q1"} 4
-sspd_delay_seconds{query="q1",quantile="0.5"} 1
-sspd_delay_seconds{query="q1",quantile="0.95"} 1
-sspd_delay_seconds{query="q1",quantile="0.99"} 1
-# HELP sspd_edge_cut Edge cut.
+	want := `# HELP sspd_edge_cut Edge cut.
 # TYPE sspd_edge_cut gauge
 sspd_edge_cut 12.5
 # TYPE sspd_escape_total counter
@@ -91,12 +68,9 @@ sspd_pr_max 2.5
 # HELP sspd_queries Active queries.
 # TYPE sspd_queries gauge
 sspd_queries 7
-# HELP sspd_relay_bytes_total Relay link traffic. (bytes)
+# HELP sspd_relay_bytes_total Relay link traffic.
 # TYPE sspd_relay_bytes_total counter
 sspd_relay_bytes_total{stream="quotes"} 150
-# HELP sspd_relay_messages_total Relay link traffic. (messages)
-# TYPE sspd_relay_messages_total counter
-sspd_relay_messages_total{stream="quotes"} 2
 `
 	if got := buf.String(); got != want {
 		t.Fatalf("exposition mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
@@ -107,7 +81,7 @@ sspd_relay_messages_total{stream="quotes"} 2
 // race detector.
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
-	r.Histogram("sspd_h_seconds", "h").Observe(0)
+	r.Counter("sspd_h_total", "h").Inc()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 4; g++ {
@@ -122,7 +96,7 @@ func TestRegistryConcurrent(t *testing.T) {
 				default:
 				}
 				r.Counter(name, "h", L("w", string(rune('a'+i%3)))).Inc()
-				r.Histogram("sspd_h_seconds", "h").Observe(float64(i))
+				r.Counter("sspd_h_total", "h").Inc()
 			}
 		}(g)
 	}
@@ -131,8 +105,8 @@ func TestRegistryConcurrent(t *testing.T) {
 		if err := r.WritePrometheus(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(buf.String(), "# TYPE sspd_h_seconds summary") {
-			t.Fatal("scrape missing histogram family")
+		if !strings.Contains(buf.String(), "# TYPE sspd_h_total counter") {
+			t.Fatal("scrape missing a family")
 		}
 	}
 	close(stop)
@@ -156,7 +130,7 @@ func TestHistogramSnapshotConsistency(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					h.Observe(1.0)
+					h.ObserveN(1.0, 1)
 				}
 			}
 		}()

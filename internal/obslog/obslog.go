@@ -308,9 +308,3 @@ func Default() *Logger {
 	}
 	return defaultLogger.Load()
 }
-
-// SetDefault replaces the process-wide fallback logger (nil restores
-// the built-in one lazily).
-func SetDefault(l *Logger) {
-	defaultLogger.Store(l)
-}

@@ -108,7 +108,7 @@ func NewAggregate(name string, in *stream.Schema, fn AggFunc, valueField, groupF
 		return nil, err
 	}
 	a := &Aggregate{
-		base:     newBase(name, 1, cost, out),
+		base:     newBase(name, cost, out),
 		fn:       fn,
 		valueIdx: vi,
 		groupIdx: gi,
@@ -229,9 +229,3 @@ func (a *Aggregate) valueOf(st *aggState) (float64, bool) {
 		return 0, false
 	}
 }
-
-// WindowLen reports the number of tuples in the aggregate's window.
-func (a *Aggregate) WindowLen() int { return a.win.Len() }
-
-// Groups reports the number of active groups.
-func (a *Aggregate) Groups() int { return len(a.groups) }

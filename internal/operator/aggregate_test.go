@@ -212,3 +212,9 @@ func TestAggregateGroupedCountProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// WindowLen reports the number of tuples in the aggregate's window.
+func (a *Aggregate) WindowLen() int { return a.win.Len() }
+
+// Groups reports the number of active groups.
+func (a *Aggregate) Groups() int { return len(a.groups) }

@@ -35,7 +35,7 @@ func NewFilter(name string, in *stream.Schema, interest stream.Interest, cost fl
 	if pred.Dead() {
 		return nil, fmt.Errorf("operator %s: %v constrains a field schema %s lacks", name, interest, in.Name())
 	}
-	return &Filter{base: newBase(name, 1, cost, in), pred: pred}, nil
+	return &Filter{base: newBase(name, cost, in), pred: pred}, nil
 }
 
 // Process implements Operator.

@@ -2,7 +2,6 @@ package operator
 
 import (
 	"fmt"
-	"time"
 
 	"sspd/internal/stream"
 )
@@ -66,7 +65,7 @@ func NewWindowJoin(name string, left, right *stream.Schema, leftKey, rightKey st
 		return nil, fmt.Errorf("operator %s: output schema: %w", name, err)
 	}
 	j := &WindowJoin{
-		base: newBase(name, 2, cost, out),
+		base: newBase(name, cost, out),
 		keyL: li, keyR: ri,
 	}
 	j.sides[0] = &joinSide{win: stream.NewWindow(spec), index: make(map[string][]stream.Tuple), key: li}
@@ -135,15 +134,6 @@ func (j *WindowJoin) removeFromIndex(side *joinSide, t stream.Tuple) {
 	}
 }
 
-// WindowLen reports the current size of one side's window (0 = left).
-// Exposed for tests and load estimation.
-func (j *WindowJoin) WindowLen(port int) int {
-	if port < 0 || port > 1 {
-		return 0
-	}
-	return j.sides[port].win.Len()
-}
-
 // StateSize estimates the bytes of operator state (both windows), the
 // quantity that makes operator migration expensive — measured by the
 // coupling trade-off experiment (E8).
@@ -157,7 +147,3 @@ func (j *WindowJoin) StateSize() int {
 	}
 	return n
 }
-
-// DefaultJoinWindow is a convenient window spec for examples: 1 minute of
-// event time.
-func DefaultJoinWindow() stream.WindowSpec { return stream.TimeWindow(time.Minute) }

@@ -200,13 +200,6 @@ func TestWindowJoinIndexConsistencyProperty(t *testing.T) {
 	}
 }
 
-func TestDefaultJoinWindow(t *testing.T) {
-	spec := DefaultJoinWindow()
-	if spec.Kind != stream.WindowByTime || spec.Duration != time.Minute {
-		t.Errorf("default join window = %+v", spec)
-	}
-}
-
 func BenchmarkWindowJoinProbe(b *testing.B) {
 	j, err := NewWindowJoin("j", stream.MustSchema("quotes",
 		stream.Field{Name: "symbol", Type: stream.KindString, Card: 100},
@@ -228,4 +221,12 @@ func BenchmarkWindowJoinProbe(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		j.Process(1, probe)
 	}
+}
+
+// WindowLen reports the current size of one side's window (0 = left).
+func (j *WindowJoin) WindowLen(port int) int {
+	if port < 0 || port > 1 {
+		return 0
+	}
+	return j.sides[port].win.Len()
 }

@@ -21,15 +21,13 @@ import (
 )
 
 // Operator is one continuous-query operator. Process consumes a tuple on
-// an input port (0 <= port < Arity) and returns the resulting output
-// tuples (often zero or one). Implementations are not safe for concurrent
-// use; engines serialize calls per operator.
+// an input port (0 for unary operators; 0 = left and 1 = right for
+// joins) and returns the resulting output tuples (often zero or one).
+// Implementations are not safe for concurrent use; engines serialize
+// calls per operator.
 type Operator interface {
 	// Name returns the operator's unique name within its query.
 	Name() string
-	// Arity returns the number of input ports (1 for unary operators,
-	// 2 for joins).
-	Arity() int
 	// Process consumes one tuple and returns any outputs.
 	Process(port int, t stream.Tuple) []stream.Tuple
 	// OutSchema describes the tuples Process emits.
@@ -108,13 +106,6 @@ func (s *Stats) In() int64 {
 	return s.in
 }
 
-// Out returns the number of tuples produced.
-func (s *Stats) Out() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.out
-}
-
 // Selectivity returns the smoothed outputs-per-input estimate. Before any
 // input it returns 1 (the conservative prior the Adaptation Module uses).
 func (s *Stats) Selectivity() float64 {
@@ -126,38 +117,24 @@ func (s *Stats) Selectivity() float64 {
 	return s.sel.value
 }
 
-// CumulativeSelectivity returns total out/in, or 1 before any input.
-func (s *Stats) CumulativeSelectivity() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.in == 0 {
-		return 1
-	}
-	return float64(s.out) / float64(s.in)
-}
-
 // base carries the fields every operator shares.
 type base struct {
 	name   string
 	cost   float64
 	out    *stream.Schema
 	stats  *Stats
-	arity  int
 	closed bool
 }
 
-func newBase(name string, arity int, cost float64, out *stream.Schema) base {
+func newBase(name string, cost float64, out *stream.Schema) base {
 	if cost <= 0 {
 		cost = 1
 	}
-	return base{name: name, arity: arity, cost: cost, out: out, stats: newStats()}
+	return base{name: name, cost: cost, out: out, stats: newStats()}
 }
 
 // Name implements Operator.
 func (b *base) Name() string { return b.name }
-
-// Arity implements Operator.
-func (b *base) Arity() int { return b.arity }
 
 // OutSchema implements Operator.
 func (b *base) OutSchema() *stream.Schema { return b.out }

@@ -34,8 +34,8 @@ func TestFilterBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Name() != "f" || f.Arity() != 1 || f.Cost() != 2 || f.OutSchema() != s {
-		t.Errorf("accessor mismatch: %s/%d/%v", f.Name(), f.Arity(), f.Cost())
+	if f.Name() != "f" || f.Cost() != 2 || f.OutSchema() != s {
+		t.Errorf("accessor mismatch: %s/%v", f.Name(), f.Cost())
 	}
 	out := f.Process(0, quote(1, "ibm", 90, 1))
 	if len(out) != 1 {
@@ -153,4 +153,21 @@ func TestDefaultCost(t *testing.T) {
 	if f.Cost() != 1 {
 		t.Errorf("defaulted cost = %v, want 1", f.Cost())
 	}
+}
+
+// Out returns the number of tuples produced.
+func (s *Stats) Out() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.out
+}
+
+// CumulativeSelectivity returns total out/in, or 1 before any input.
+func (s *Stats) CumulativeSelectivity() float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.in == 0 {
+		return 1
+	}
+	return float64(s.out) / float64(s.in)
 }

@@ -22,7 +22,7 @@ type refExtremum struct {
 }
 
 func (r *refExtremum) process(t stream.Tuple) float64 {
-	r.win.Push(t)
+	r.win.PushCollect(t, nil)
 	group := t.Value(0).String()
 	best := math.Inf(1)
 	if r.fn == AggMax {

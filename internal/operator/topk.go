@@ -28,7 +28,7 @@ func NewDistinct(name string, in *stream.Schema, keyField string, spec stream.Wi
 		return nil, fmt.Errorf("operator %s: schema %s has no field %q", name, in.Name(), keyField)
 	}
 	return &Distinct{
-		base:   newBase(name, 1, cost, in),
+		base:   newBase(name, cost, in),
 		keyIdx: idx,
 		win:    stream.NewWindow(spec),
 		counts: make(map[string]int),
@@ -140,7 +140,7 @@ func NewTopK(name string, in *stream.Schema, k int, valueField, keyField string,
 		return nil, err
 	}
 	return &TopK{
-		base:     newBase(name, 1, cost, out),
+		base:     newBase(name, cost, out),
 		k:        k,
 		valueIdx: vi,
 		keyIdx:   ki,
@@ -276,6 +276,3 @@ func (t *TopK) reset() {
 	t.rank = t.rank[:0]
 	t.next, t.oldest = 0, 0
 }
-
-// WindowLen reports the number of tuples currently held.
-func (t *TopK) WindowLen() int { return t.win.Len() }

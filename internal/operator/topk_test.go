@@ -218,7 +218,7 @@ func newRefTopK(name string, k int, spec stream.WindowSpec) *refTopK {
 }
 
 func (t *refTopK) Process(tu stream.Tuple) []stream.Tuple {
-	t.win.Push(tu)
+	t.win.PushCollect(tu, nil)
 	best := make(map[string]float64)
 	t.win.Each(func(w stream.Tuple) bool {
 		k := w.Value(t.keyIdx).String()
@@ -431,3 +431,6 @@ func TestTopKNaN(t *testing.T) {
 		}
 	}
 }
+
+// WindowLen reports the number of tuples currently held.
+func (t *TopK) WindowLen() int { return t.win.Len() }

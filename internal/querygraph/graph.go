@@ -85,11 +85,6 @@ func (g *Graph) SetEdge(a, b VertexID, weight float64) error {
 	return nil
 }
 
-// EdgeWeight returns the weight of edge {a,b} (0 when absent).
-func (g *Graph) EdgeWeight(a, b VertexID) float64 {
-	return g.adj[a][b]
-}
-
 // VertexWeight returns a vertex's load weight (0 when absent).
 func (g *Graph) VertexWeight(id VertexID) float64 {
 	return g.weights[id]
@@ -139,23 +134,6 @@ func (g *Graph) TotalVertexWeight() float64 {
 		sum += w
 	}
 	return sum
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	out := New()
-	for id, w := range g.weights {
-		out.AddVertex(id, w)
-	}
-	for a, nbs := range g.adj {
-		for b, w := range nbs {
-			if a < b {
-				out.adj[a][b] = w
-				out.adj[b][a] = w
-			}
-		}
-	}
-	return out
 }
 
 // Partitioning assigns each vertex to a partition index in [0, k).

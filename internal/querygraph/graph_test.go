@@ -188,3 +188,25 @@ func TestEdgeCutRenumberInvariantProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// EdgeWeight returns the weight of edge {a,b} (0 when absent).
+func (g *Graph) EdgeWeight(a, b VertexID) float64 {
+	return g.adj[a][b]
+}
+
+// Clone returns a deep copy of the graph.
+func (g *Graph) Clone() *Graph {
+	out := New()
+	for id, w := range g.weights {
+		out.AddVertex(id, w)
+	}
+	for a, nbs := range g.adj {
+		for b, w := range nbs {
+			if a < b {
+				out.adj[a][b] = w
+				out.adj[b][a] = w
+			}
+		}
+	}
+	return out
+}

@@ -58,8 +58,12 @@ func (f LinkFaults) zero() bool {
 // as sspd_faults_injected{kind,link}. A FaultPlan forwards Quiesce to
 // the wrapped transport after its own delayed deliveries drain, so
 // simulation code that settles on SimNet keeps working under faults.
+//
+// The wrapped transport is embedded: Register, Deregister and Traffic are
+// its own (bytes are accounted by it at actual delivery, so dropped
+// messages are never counted); FaultPlan overrides Send and Close.
 type FaultPlan struct {
-	inner Transport
+	Transport
 
 	mu         sync.Mutex
 	rng        *rand.Rand
@@ -91,7 +95,7 @@ func mkPair(a, b NodeID) pairKey {
 // enabled but with no fault rules, i.e. a transparent pass-through.
 func NewFaultPlan(inner Transport, seed int64) *FaultPlan {
 	p := &FaultPlan{
-		inner:      inner,
+		Transport:  inner,
 		rng:        rand.New(rand.NewSource(seed)),
 		links:      make(map[linkKey]LinkFaults),
 		partitions: make(map[pairKey]bool),
@@ -110,9 +114,6 @@ func NewFaultPlan(inner Transport, seed int64) *FaultPlan {
 // is a transparent pass-through (rules are kept, not cleared).
 func (p *FaultPlan) SetEnabled(on bool) { p.enabled.Store(on) }
 
-// Enabled reports whether fault injection is active.
-func (p *FaultPlan) Enabled() bool { return p.enabled.Load() }
-
 // SetDefaultFaults installs the rule applied to every link without a
 // per-link override.
 func (p *FaultPlan) SetDefaultFaults(f LinkFaults) {
@@ -126,13 +127,6 @@ func (p *FaultPlan) SetLinkFaults(from, to NodeID, f LinkFaults) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.links[linkKey{from, to}] = f
-}
-
-// ClearLinkFaults removes a per-link override (the default applies again).
-func (p *FaultPlan) ClearLinkFaults(from, to NodeID) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	delete(p.links, linkKey{from, to})
 }
 
 // Partition blocks all traffic between a and b, both directions.
@@ -169,16 +163,6 @@ func (p *FaultPlan) Restore(ids ...NodeID) {
 	}
 }
 
-// ClearFaults removes every rule, partition, and blackhole.
-func (p *FaultPlan) ClearFaults() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.defaults = LinkFaults{}
-	p.links = make(map[linkKey]LinkFaults)
-	p.partitions = make(map[pairKey]bool)
-	p.blackholes = make(map[NodeID]bool)
-}
-
 // SetRegistry attaches a metric registry; from then on every injected
 // fault also increments sspd_faults_injected{kind,link}. The federation
 // attaches its own registry automatically when constructed over a
@@ -187,15 +171,6 @@ func (p *FaultPlan) SetRegistry(r *metrics.Registry) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.registry = r
-}
-
-// Injected returns the total count of one fault kind.
-func (p *FaultPlan) Injected(kind FaultKind) int64 {
-	c, ok := p.counts[kind]
-	if !ok {
-		return 0
-	}
-	return c.Load()
 }
 
 // InjectedTotals returns every kind's count (kinds with zero injections
@@ -219,20 +194,10 @@ func (p *FaultPlan) count(kind FaultKind, from, to NodeID, reg *metrics.Registry
 	}
 }
 
-// Register implements Transport.
-func (p *FaultPlan) Register(id NodeID, h Handler) error { return p.inner.Register(id, h) }
-
-// Deregister implements Transport.
-func (p *FaultPlan) Deregister(id NodeID) error { return p.inner.Deregister(id) }
-
-// Traffic implements Transport (bytes are accounted by the wrapped
-// transport at actual delivery, so dropped messages are never counted).
-func (p *FaultPlan) Traffic() *Traffic { return p.inner.Traffic() }
-
 // Send implements Transport, applying the configured fault rules.
 func (p *FaultPlan) Send(from, to NodeID, kind string, payload []byte) error {
 	if !p.enabled.Load() {
-		return p.inner.Send(from, to, kind, payload)
+		return p.Transport.Send(from, to, kind, payload)
 	}
 
 	// All probabilistic decisions are drawn under one lock from the
@@ -256,7 +221,7 @@ func (p *FaultPlan) Send(from, to NodeID, kind string, payload []byte) error {
 	}
 	if rule.zero() {
 		p.mu.Unlock()
-		return p.inner.Send(from, to, kind, payload)
+		return p.Transport.Send(from, to, kind, payload)
 	}
 	drop := rule.Drop > 0 && p.rng.Float64() < rule.Drop
 	var dup, reorder bool
@@ -293,7 +258,7 @@ func (p *FaultPlan) Send(from, to NodeID, kind string, payload []byte) error {
 		p.sendAfter(delay, from, to, kind, payload)
 		return nil
 	}
-	return p.inner.Send(from, to, kind, payload)
+	return p.Transport.Send(from, to, kind, payload)
 }
 
 // sendAfter delivers a message through the wrapped transport after a
@@ -316,7 +281,7 @@ func (p *FaultPlan) sendAfter(d time.Duration, from, to NodeID, kind string, pay
 		case <-p.closed:
 			return
 		}
-		_ = p.inner.Send(from, to, kind, payload)
+		_ = p.Transport.Send(from, to, kind, payload)
 	}()
 }
 
@@ -326,7 +291,7 @@ func (p *FaultPlan) sendAfter(d time.Duration, from, to NodeID, kind string, pay
 // re-checked until they hold together.
 func (p *FaultPlan) Quiesce(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
-	q, hasQ := p.inner.(interface{ Quiesce(time.Duration) bool })
+	q, hasQ := p.Transport.(interface{ Quiesce(time.Duration) bool })
 	for {
 		if p.inflight.Load() == 0 {
 			innerIdle := true
@@ -352,7 +317,7 @@ func (p *FaultPlan) Quiesce(timeout time.Duration) bool {
 // and the wrapped transport is closed.
 func (p *FaultPlan) Close() error {
 	p.closeOne.Do(func() { close(p.closed) })
-	return p.inner.Close()
+	return p.Transport.Close()
 }
 
 var _ Transport = (*FaultPlan)(nil)

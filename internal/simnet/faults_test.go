@@ -220,3 +220,15 @@ func TestFaultPlanMetricsRegistry(t *testing.T) {
 		t.Fatalf("exposition missing %q:\n%s", want, sb.String())
 	}
 }
+
+// Enabled reports whether fault injection is active.
+func (p *FaultPlan) Enabled() bool { return p.enabled.Load() }
+
+// Injected returns the total count of one fault kind.
+func (p *FaultPlan) Injected(kind FaultKind) int64 {
+	c, ok := p.counts[kind]
+	if !ok {
+		return 0
+	}
+	return c.Load()
+}

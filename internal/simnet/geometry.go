@@ -29,22 +29,6 @@ func (p Point) Distance(q Point) float64 {
 	return math.Sqrt(dx*dx + dy*dy)
 }
 
-// Centroid returns the arithmetic mean of the points (zero Point for an
-// empty slice).
-func Centroid(pts []Point) Point {
-	if len(pts) == 0 {
-		return Point{}
-	}
-	var c Point
-	for _, p := range pts {
-		c.X += p.X
-		c.Y += p.Y
-	}
-	c.X /= float64(len(pts))
-	c.Y /= float64(len(pts))
-	return c
-}
-
 // CenterIndex returns the index of the point minimizing the maximum
 // distance to the others (the 1-center on the given candidates), the
 // "geographical center" rule used when picking cluster parents. It
@@ -55,14 +39,8 @@ func CenterIndex(pts []Point) int {
 	}
 	best, bestRadius := 0, math.Inf(1)
 	for i, p := range pts {
-		radius := 0.0
-		for _, q := range pts {
-			if d := p.Distance(q); d > radius {
-				radius = d
-			}
-		}
-		if radius < bestRadius {
-			best, bestRadius = i, radius
+		if r := Radius(p, pts); r < bestRadius {
+			best, bestRadius = i, r
 		}
 	}
 	return best

@@ -125,9 +125,6 @@ func NewReliable(t Transport, self NodeID, h Handler, cfg ReliableConfig) (*Reli
 	return e, nil
 }
 
-// ID returns the endpoint's transport address.
-func (e *ReliableEndpoint) ID() NodeID { return e.self }
-
 // Send queues one reliable delivery and returns immediately; retries run
 // in the background and exhaustion is reported through OnGiveUp, never
 // by blocking the caller.
@@ -265,13 +262,6 @@ func (e *ReliableEndpoint) shouldDeliver(from NodeID, seq uint64) bool {
 		delete(st.above, st.floor)
 	}
 	return true
-}
-
-// Pending returns the number of unacknowledged deliveries in flight.
-func (e *ReliableEndpoint) Pending() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.pending)
 }
 
 // Close stops retries and deregisters the endpoint.

@@ -213,3 +213,10 @@ func TestReliableEnvelopeRoundTrip(t *testing.T) {
 		t.Error("truncated envelope accepted")
 	}
 }
+
+// Pending returns the number of unacknowledged deliveries in flight.
+func (e *ReliableEndpoint) Pending() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.pending)
+}

@@ -159,17 +159,6 @@ func (s *SimNet) Deregister(id NodeID) error {
 	return nil
 }
 
-// Position returns a node's location.
-func (s *SimNet) Position(id NodeID) (Point, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n, ok := s.nodes[id]
-	if !ok {
-		return Point{}, false
-	}
-	return n.pos, true
-}
-
 // Send implements Transport. It blocks when the destination inbox is
 // full (backpressure) and fails if either endpoint is unknown.
 func (s *SimNet) Send(from, to NodeID, kind string, payload []byte) error {
@@ -209,13 +198,6 @@ func (s *SimNet) Send(from, to NodeID, kind string, payload []byte) error {
 
 // Traffic implements Transport.
 func (s *SimNet) Traffic() *Traffic { return s.traffic }
-
-// Nodes returns the number of registered endpoints.
-func (s *SimNet) Nodes() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.nodes)
-}
 
 // Quiesce waits until every inbox is empty AND every handler has
 // returned (two consecutive observations, so a handler that sends new

@@ -16,16 +16,6 @@ func TestPointDistance(t *testing.T) {
 	}
 }
 
-func TestCentroid(t *testing.T) {
-	if c := Centroid(nil); c != (Point{}) {
-		t.Errorf("empty centroid = %v", c)
-	}
-	c := Centroid([]Point{{0, 0}, {2, 0}, {1, 3}})
-	if c.X != 1 || c.Y != 1 {
-		t.Errorf("centroid = %v", c)
-	}
-}
-
 func TestCenterIndex(t *testing.T) {
 	if CenterIndex(nil) != -1 {
 		t.Error("empty center index")
@@ -376,4 +366,33 @@ func TestTCPNetErrors(t *testing.T) {
 	if err := n.Register("b", func(Message) {}); err == nil {
 		t.Error("register after close accepted")
 	}
+}
+
+// Position returns a node's location.
+func (s *SimNet) Position(id NodeID) (Point, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	n, ok := s.nodes[id]
+	if !ok {
+		return Point{}, false
+	}
+	return n.pos, true
+}
+
+// Nodes returns the number of registered endpoints.
+func (s *SimNet) Nodes() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.nodes)
+}
+
+// Address returns the node's listen address.
+func (t *TCPNet) Address(id NodeID) (string, bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	n, ok := t.nodes[id]
+	if !ok {
+		return "", false
+	}
+	return n.addr, true
 }

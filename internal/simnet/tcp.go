@@ -59,23 +59,6 @@ func NewTCP() *TCPNet {
 	}
 }
 
-// SetTimeouts adjusts the dial and per-write deadlines (zero keeps the
-// current value). Call before heavy use; it is safe at any time.
-func (t *TCPNet) SetTimeouts(dial, write time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if dial > 0 {
-		t.dialTimeout = dial
-	}
-	if write > 0 {
-		t.writeTimeout = write
-	}
-}
-
-// Evictions reports how many cached connections were dropped after a
-// failed or timed-out write.
-func (t *TCPNet) Evictions() int64 { return t.evictions.Load() }
-
 // Register implements Transport: it opens a loopback listener for the
 // node and serves frames to the handler.
 func (t *TCPNet) Register(id NodeID, h Handler) error {
@@ -127,18 +110,6 @@ func (n *tcpNode) serve() {
 			}
 		}()
 	}
-}
-
-// Address returns the node's listen address, for out-of-band exchange
-// (e.g. the CLI printing where a node listens).
-func (t *TCPNet) Address(id NodeID) (string, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	n, ok := t.nodes[id]
-	if !ok {
-		return "", false
-	}
-	return n.addr, true
 }
 
 // Deregister implements Transport.

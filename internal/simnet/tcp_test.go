@@ -138,3 +138,20 @@ func TestTCPNetDialTimeoutConfigured(t *testing.T) {
 		t.Fatal("zero timeout overwrote configured values")
 	}
 }
+
+// SetTimeouts adjusts the dial and per-write deadlines (zero keeps the
+// current value). Call before heavy use; it is safe at any time.
+func (t *TCPNet) SetTimeouts(dial, write time.Duration) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if dial > 0 {
+		t.dialTimeout = dial
+	}
+	if write > 0 {
+		t.writeTimeout = write
+	}
+}
+
+// Evictions reports how many cached connections were dropped after a
+// failed or timed-out write.
+func (t *TCPNet) Evictions() int64 { return t.evictions.Load() }

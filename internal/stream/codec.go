@@ -107,7 +107,7 @@ func clampBatchCap(n, remaining int) int {
 //     done with the tuples when it returns: the relay (it re-encodes for
 //     its children and clones its local matches out with Batch.Compact
 //     before the entity, which may retain them, sees them).
-//   - Owned — DecodeBuffer.DecodeBatch, DecodeBatch, DecodeTuple. The
+//   - Owned — DecodeBuffer.DecodeBatch, DecodeBatch. The
 //     result is the caller's for good: one fresh Batch and one fresh arena
 //     per call, whatever the tuple count; the buffer keeps only its intern
 //     table between calls. For a caller that hands the tuples to someone
@@ -137,7 +137,7 @@ type DecodeBuffer struct {
 	name   string  // the stream name of the last tuple decoded
 	// strs interns stream names and short string values, so a steady
 	// stream's strings are allocated once per buffer, not once per tuple.
-	// Nil in the buffer of a lone DecodeTuple: one tuple fills no table.
+	// Nil until the buffer decodes its first batch.
 	strs map[string]string
 }
 
@@ -194,20 +194,6 @@ func (d *DecodeBuffer) DecodeBatch(buf []byte) (Batch, int, error) {
 // (owned) and bytes consumed, through a fresh buffer: for cold callers.
 func DecodeBatch(buf []byte) (Batch, int, error) {
 	return new(DecodeBuffer).DecodeBatch(buf)
-}
-
-// DecodeTuple decodes one tuple (owned) from the front of buf, returning
-// the tuple and the number of bytes consumed: a batch of one without the
-// count header, and without an intern table to fill for one tuple.
-func DecodeTuple(buf []byte) (Tuple, int, error) {
-	d := DecodeBuffer{left: 1}
-	var t Tuple
-	used, err := d.decodeTuple(buf, &t)
-	if err != nil {
-		return Tuple{}, 0, err
-	}
-	t.Values = d.vals[:len(d.vals):len(d.vals)]
-	return t, used, nil
 }
 
 // decodeBatch appends a batch's tuples to d.tuples and d.vals.

@@ -136,61 +136,6 @@ func TestCodecRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestRateEstimator(t *testing.T) {
-	r := NewRateEstimator(4 * time.Second)
-	now := time.Unix(1000, 0)
-	r.SetClock(func() time.Time { return now })
-	for i := 0; i < 8; i++ {
-		r.Record(100)
-	}
-	now = now.Add(time.Second)
-	for i := 0; i < 4; i++ {
-		r.Record(50)
-	}
-	tps, bps := r.Rates()
-	// 12 tuples, 1000 bytes over a 4-second horizon.
-	if tps != 3 {
-		t.Errorf("tps = %v, want 3", tps)
-	}
-	if bps != 250 {
-		t.Errorf("bps = %v, want 250", bps)
-	}
-	if got := r.LastArrival(); !got.Equal(now) {
-		t.Errorf("last arrival = %v, want %v", got, now)
-	}
-	// After the horizon passes, rates decay to zero.
-	now = now.Add(10 * time.Second)
-	tps, bps = r.Rates()
-	if tps != 0 || bps != 0 {
-		t.Errorf("stale rates = %v,%v, want 0,0", tps, bps)
-	}
-}
-
-func TestRateEstimatorMinimumHorizon(t *testing.T) {
-	r := NewRateEstimator(0)
-	now := time.Unix(0, 0)
-	r.SetClock(func() time.Time { return now })
-	r.Record(10)
-	tps, bps := r.Rates()
-	if tps != 1 || bps != 10 {
-		t.Errorf("rates = %v,%v, want 1,10", tps, bps)
-	}
-}
-
-func TestRateEstimatorBucketReuse(t *testing.T) {
-	// After the ring wraps, an old bucket must be reset, not accumulated.
-	r := NewRateEstimator(2 * time.Second)
-	now := time.Unix(100, 0)
-	r.SetClock(func() time.Time { return now })
-	r.Record(100)
-	now = now.Add(2 * time.Second) // same bucket index, different second
-	r.Record(1)
-	_, bps := r.Rates()
-	if bps != 0.5 { // only the new record counts: 1 byte / 2s
-		t.Errorf("bps = %v, want 0.5", bps)
-	}
-}
-
 func BenchmarkAppendTuple(b *testing.B) {
 	tu := NewTuple("quotes", 1, time.Unix(1, 0), String("ibm"), Float(90.5), Int(100))
 	buf := make([]byte, 0, 256)
@@ -453,4 +398,18 @@ func TestDecodeBufferCorruptInput(t *testing.T) {
 	if _, _, err := d.Decode(enc); err != nil {
 		t.Fatalf("decode after error: %v", err)
 	}
+}
+
+// DecodeTuple decodes one tuple (owned) from the front of buf, returning
+// the tuple and the number of bytes consumed: a batch of one without the
+// count header, and without an intern table to fill for one tuple.
+func DecodeTuple(buf []byte) (Tuple, int, error) {
+	d := DecodeBuffer{left: 1}
+	var t Tuple
+	used, err := d.decodeTuple(buf, &t)
+	if err != nil {
+		return Tuple{}, 0, err
+	}
+	t.Values = d.vals[:len(d.vals):len(d.vals)]
+	return t, used, nil
 }

@@ -81,9 +81,6 @@ func (cb *ColBatch) ResetSel() {
 // Len returns the number of currently selected (surviving) rows.
 func (cb *ColBatch) Len() int { return len(cb.sel) }
 
-// Src returns the number of rows in the underlying source batch.
-func (cb *ColBatch) Src() int { return len(cb.src) }
-
 // Gather appends the surviving rows — the original tuples, in batch
 // order — to dst and returns it: the one point where a pipeline's
 // row-oriented tail materializes the selection.

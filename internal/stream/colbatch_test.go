@@ -176,3 +176,6 @@ func TestColumnEvaluatorAllocFree(t *testing.T) {
 		t.Fatalf("column evaluator allocates %.1f/batch; want 0", allocs)
 	}
 }
+
+// Src returns the number of rows in the underlying source batch.
+func (cb *ColBatch) Src() int { return len(cb.src) }

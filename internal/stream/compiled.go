@@ -246,9 +246,6 @@ func CompileSet(set *InterestSet, s *Schema) *CompiledSet {
 	return &CompiledSet{ix: NewMatchIndex(set.Stream, s, []*InterestSet{set})}
 }
 
-// Stream returns the stream every term applies to.
-func (cs *CompiledSet) Stream() string { return cs.ix.stream }
-
 // Matches reports whether any term matches the tuple. Equivalent to
 // InterestSet.Matches against the compile-time schema.
 func (cs *CompiledSet) Matches(t Tuple) bool {
@@ -257,14 +254,3 @@ func (cs *CompiledSet) Matches(t Tuple) bool {
 	cs.ix.route(&t, 0, &one)
 	return lens[0] > 0
 }
-
-// NeverMatches reports whether the set can match no tuple at all (no
-// live terms).
-func (cs *CompiledSet) NeverMatches() bool { return cs.ix.nterms[0] == 0 }
-
-// MatchesAll reports whether the set matches every tuple of its stream:
-// one of its terms is unconstrained.
-func (cs *CompiledSet) MatchesAll() bool { return len(cs.ix.all) > 0 }
-
-// NumTerms returns the number of live (non-dead) compiled terms.
-func (cs *CompiledSet) NumTerms() int { return cs.ix.nterms[0] }

@@ -361,8 +361,9 @@ func TestCompiledSetEquivalenceRandom(t *testing.T) {
 	}
 }
 
-// TestCompiledSetFlags pins the relay-facing signals: NeverMatches for
-// empty/dead sets, MatchesAll for unconstrained terms.
+// TestCompiledSetFlags pins what compilation makes of a set: no live
+// term for an empty or all-dead set (NeverMatches), an unconstrained term
+// filed as matching its whole stream (MatchesAll).
 func TestCompiledSetFlags(t *testing.T) {
 	sc := compiledTestSchema(t)
 	empty := CompileSet(NewInterestSet("quotes"), sc)
@@ -498,3 +499,11 @@ func simplifyBruteForce(s *InterestSet, sc *Schema, maxTerms int) {
 		s.Terms = append(s.Terms[:bestJ], s.Terms[bestJ+1:]...)
 	}
 }
+
+// NeverMatches reports whether the set can match no tuple at all (no
+// live terms).
+func (cs *CompiledSet) NeverMatches() bool { return cs.ix.nterms[0] == 0 }
+
+// MatchesAll reports whether the set matches every tuple of its stream:
+// one of its terms is unconstrained.
+func (cs *CompiledSet) MatchesAll() bool { return len(cs.ix.all) > 0 }

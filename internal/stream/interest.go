@@ -323,37 +323,6 @@ func (s *InterestSet) Matches(sc *Schema, t Tuple) bool {
 	return false
 }
 
-// Empty reports whether the set has no terms (matches nothing).
-func (s *InterestSet) Empty() bool { return len(s.Terms) == 0 }
-
-// Cover returns a single conjunctive interest containing every term, or
-// an unconstrained interest when the set is empty (the safe default for
-// an ancestor that has no information).
-func (s *InterestSet) Cover() Interest {
-	if len(s.Terms) == 0 {
-		return NewInterest(s.Stream)
-	}
-	out := s.Terms[0].Clone()
-	for _, term := range s.Terms[1:] {
-		out = Cover(out, term)
-	}
-	return out
-}
-
-// Selectivity estimates the fraction of the stream matched by the
-// disjunction using inclusion bounded by 1 (terms may overlap, so this is
-// an upper bound; exact for disjoint terms).
-func (s *InterestSet) Selectivity(sc *Schema) float64 {
-	sum := 0.0
-	for _, term := range s.Terms {
-		sum += term.Selectivity(sc)
-		if sum >= 1 {
-			return 1
-		}
-	}
-	return sum
-}
-
 // Simplify reduces the set to at most maxTerms terms by repeatedly
 // merging the pair of terms whose cover has the least selectivity
 // increase over the schema (the first such pair, in term order, on a

@@ -197,15 +197,8 @@ func TestInterestString(t *testing.T) {
 func TestInterestSet(t *testing.T) {
 	s := quotesSchema(t)
 	set := NewInterestSet("quotes")
-	if !set.Empty() {
-		t.Error("fresh set should be empty")
-	}
 	if set.Matches(s, quoteTuple(1, "a", 1, 1)) {
 		t.Error("empty set should match nothing")
-	}
-	cov := set.Cover()
-	if !cov.Unconstrained() {
-		t.Error("empty set cover should be unconstrained")
 	}
 
 	set.Add(NewInterest("quotes").WithRange("price", 0, 100))
@@ -222,21 +215,6 @@ func TestInterestSet(t *testing.T) {
 	}
 	if set.Matches(s, quoteTuple(1, "a", 300, 1)) {
 		t.Error("gap should not match")
-	}
-	// Selectivity is the sum for disjoint terms: 0.1 + 0.1.
-	if got := set.Selectivity(s); math.Abs(got-0.2) > 1e-12 {
-		t.Errorf("set selectivity = %v, want 0.2", got)
-	}
-}
-
-func TestInterestSetSelectivityClamp(t *testing.T) {
-	s := quotesSchema(t)
-	set := NewInterestSet("quotes")
-	for i := 0; i < 20; i++ {
-		set.Add(NewInterest("quotes").WithRange("price", 0, 100))
-	}
-	if got := set.Selectivity(s); got != 1 {
-		t.Errorf("selectivity = %v, want clamp at 1", got)
 	}
 }
 

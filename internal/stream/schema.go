@@ -2,7 +2,6 @@ package stream
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -161,16 +160,4 @@ func (c *Catalog) Lookup(name string) (*Schema, bool) {
 	defer c.mu.RUnlock()
 	s, ok := c.schemas[name]
 	return s, ok
-}
-
-// Streams returns the sorted names of all registered streams.
-func (c *Catalog) Streams() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.schemas))
-	for name := range c.schemas {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

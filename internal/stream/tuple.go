@@ -29,14 +29,6 @@ func NewTuple(streamName string, seq uint64, ts time.Time, values ...Value) Tupl
 	return Tuple{Stream: streamName, Seq: seq, Ts: ts, Values: values}
 }
 
-// Clone returns a deep copy of the tuple (Values slice is copied).
-func (t Tuple) Clone() Tuple {
-	vs := make([]Value, len(t.Values))
-	copy(vs, t.Values)
-	t.Values = vs
-	return t
-}
-
 // Value returns the i-th attribute, or an invalid Value when out of range.
 // The pointer receiver keeps a per-row call from copying the whole tuple.
 func (t *Tuple) Value(i int) Value {

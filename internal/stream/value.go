@@ -58,9 +58,6 @@ func String(v string) Value { return Value{kind: KindString, s: v} }
 // Kind reports the kind of the value.
 func (v Value) Kind() Kind { return v.kind }
 
-// IsValid reports whether the value holds data of any kind.
-func (v Value) IsValid() bool { return v.kind != KindInvalid }
-
 // AsInt returns the int64 payload; it is 0 unless Kind is KindInt.
 func (v Value) AsInt() int64 { return v.i }
 
@@ -80,9 +77,6 @@ func (v Value) AsFloat() float64 {
 // AsString returns the string payload; it is "" unless Kind is KindString.
 func (v Value) AsString() string { return v.s }
 
-// IsNumeric reports whether the value is an int or float.
-func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
-
 // Equal reports deep equality between two values. An int and a float
 // comparing numerically equal are not Equal; kinds must match.
 func (v Value) Equal(o Value) bool {
@@ -99,42 +93,6 @@ func (v Value) Equal(o Value) bool {
 	default:
 		return true
 	}
-}
-
-// Compare orders two values of the same kind: -1 if v < o, 0 if equal,
-// +1 if v > o. Numeric kinds compare by AsFloat so ints and floats are
-// mutually comparable; comparing a string with a numeric value orders the
-// numeric value first.
-func (v Value) Compare(o Value) int {
-	if v.IsNumeric() && o.IsNumeric() {
-		a, b := v.AsFloat(), o.AsFloat()
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		default:
-			return 0
-		}
-	}
-	if v.kind == KindString && o.kind == KindString {
-		switch {
-		case v.s < o.s:
-			return -1
-		case v.s > o.s:
-			return 1
-		default:
-			return 0
-		}
-	}
-	// Mixed string/numeric: numerics sort first, invalid sorts before all.
-	if v.kind == o.kind {
-		return 0
-	}
-	if v.kind < o.kind {
-		return -1
-	}
-	return 1
 }
 
 // wireSize returns the encoded size of the value in bytes, used for

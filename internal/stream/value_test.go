@@ -1,9 +1,6 @@
 package stream
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestValueConstructorsAndAccessors(t *testing.T) {
 	cases := []struct {
@@ -35,10 +32,10 @@ func TestValueConstructorsAndAccessors(t *testing.T) {
 	if String("x").AsFloat() != 0 {
 		t.Error("string AsFloat should be 0")
 	}
-	if (Value{}).IsValid() {
+	if (Value{}).Kind() != KindInvalid {
 		t.Error("zero value should be invalid")
 	}
-	if !Int(0).IsValid() {
+	if Int(0).Kind() == KindInvalid {
 		t.Error("Int(0) should be valid")
 	}
 }
@@ -58,29 +55,6 @@ func TestValueEqual(t *testing.T) {
 	}
 	if !(Value{}).Equal(Value{}) {
 		t.Error("invalid values should be equal")
-	}
-}
-
-func TestValueCompare(t *testing.T) {
-	cases := []struct {
-		a, b Value
-		want int
-	}{
-		{Int(1), Int(2), -1},
-		{Int(2), Int(1), 1},
-		{Int(2), Int(2), 0},
-		{Int(2), Float(2.5), -1},
-		{Float(2.5), Int(2), 1},
-		{String("a"), String("b"), -1},
-		{String("b"), String("a"), 1},
-		{String("a"), String("a"), 0},
-		{Int(1), String("a"), -1},  // numeric sorts before string
-		{String("a"), Float(1), 1}, // and vice versa
-	}
-	for _, c := range cases {
-		if got := c.a.Compare(c.b); got != c.want {
-			t.Errorf("Compare(%v,%v) = %d, want %d", c.a, c.b, got, c.want)
-		}
 	}
 }
 
@@ -110,33 +84,5 @@ func TestValueWireSize(t *testing.T) {
 	}
 	if got := String("abc").wireSize(); got != 1+4+3 {
 		t.Errorf("string wire size = %d, want 8", got)
-	}
-}
-
-// Property: Compare is antisymmetric for numeric values.
-func TestValueCompareAntisymmetric(t *testing.T) {
-	f := func(a, b float64) bool {
-		return Float(a).Compare(Float(b)) == -Float(b).Compare(Float(a))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: int/float numeric comparison agrees with float ordering.
-func TestValueNumericCompareProperty(t *testing.T) {
-	f := func(a int32, b float32) bool {
-		got := Int(int64(a)).Compare(Float(float64(b)))
-		af, bf := float64(a), float64(b)
-		want := 0
-		if af < bf {
-			want = -1
-		} else if af > bf {
-			want = 1
-		}
-		return got == want
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

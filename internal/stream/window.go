@@ -53,18 +53,8 @@ func NewWindow(spec WindowSpec) *Window {
 	return &Window{spec: spec, buf: make([]Tuple, capHint)}
 }
 
-// Spec returns the window's specification.
-func (w *Window) Spec() WindowSpec { return w.spec }
-
 // Len returns the number of tuples currently in the window.
 func (w *Window) Len() int { return w.count }
-
-// Push inserts a tuple and evicts anything that falls outside the window.
-// It returns the number of tuples evicted.
-func (w *Window) Push(t Tuple) int {
-	n, _ := w.push(t, nil)
-	return n
-}
 
 // PushCollect is Push, but the evicted tuples are appended to dst so
 // callers that maintain auxiliary indexes (e.g. join hash tables) can
@@ -130,22 +120,6 @@ func (w *Window) Each(fn func(Tuple) bool) {
 			return
 		}
 	}
-}
-
-// Oldest returns the oldest tuple and whether the window is non-empty.
-func (w *Window) Oldest() (Tuple, bool) {
-	if w.count == 0 {
-		return Tuple{}, false
-	}
-	return w.buf[w.head], true
-}
-
-// Newest returns the newest tuple and whether the window is non-empty.
-func (w *Window) Newest() (Tuple, bool) {
-	if w.count == 0 {
-		return Tuple{}, false
-	}
-	return w.buf[(w.head+w.count-1)%len(w.buf)], true
 }
 
 // Clear discards all contents.

@@ -217,3 +217,29 @@ func TestTimeWindowProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Spec returns the window's specification.
+func (w *Window) Spec() WindowSpec { return w.spec }
+
+// Push inserts a tuple and evicts anything that falls outside the window.
+// It returns the number of tuples evicted.
+func (w *Window) Push(t Tuple) int {
+	n, _ := w.push(t, nil)
+	return n
+}
+
+// Oldest returns the oldest tuple and whether the window is non-empty.
+func (w *Window) Oldest() (Tuple, bool) {
+	if w.count == 0 {
+		return Tuple{}, false
+	}
+	return w.buf[w.head], true
+}
+
+// Newest returns the newest tuple and whether the window is non-empty.
+func (w *Window) Newest() (Tuple, bool) {
+	if w.count == 0 {
+		return Tuple{}, false
+	}
+	return w.buf[(w.head+w.count-1)%len(w.buf)], true
+}

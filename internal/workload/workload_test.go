@@ -21,8 +21,10 @@ func TestSchemas(t *testing.T) {
 		t.Error("flows schema")
 	}
 	c := Catalog(50, 10)
-	if len(c.Streams()) != 3 {
-		t.Errorf("catalog streams = %v", c.Streams())
+	for _, name := range []string{"quotes", "trades", "flows"} {
+		if _, ok := c.Lookup(name); !ok {
+			t.Errorf("catalog lacks %s", name)
+		}
 	}
 }
 
