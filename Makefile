@@ -29,9 +29,9 @@ lint-obslog:
 	fi
 	@echo "lint-obslog: clean"
 	@grep -nE 'time\.Now\(' internal/stream/compiled.go internal/stream/matchindex.go internal/stream/colbatch.go internal/operator/filter.go internal/engine/query.go \
-		internal/engine/ring.go internal/operator/tail.go internal/operator/aggregate.go internal/operator/topk.go; rc=$$?; \
+		internal/engine/ring.go internal/operator/tail.go internal/operator/aggregate.go internal/operator/topk.go internal/stream/window.go; rc=$$?; \
 	if [ $$rc -eq 0 ]; then \
-		echo "lint-obslog: no clock reads inside the predicate's evaluators, the relay's match index, the batch run (Query.runBatch/runTail and the operators' ProcessBatch) or the shard ring publish path (one timestamp per (query, batch), taken by the shard loop at each query boundary)"; \
+		echo "lint-obslog: no clock reads inside the predicate's evaluators, the relay's match index, the batch run (Query.runBatch/runTail, the operators' ProcessBatch and the windows they push into) or the shard ring publish path (one timestamp per (query, batch), taken by the shard loop at each query boundary)"; \
 		exit 1; \
 	elif [ $$rc -ne 1 ]; then \
 		echo "lint-obslog: a file the clock-free check names is gone: point it at the file that now holds the code"; \

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"sspd/internal/operator"
 	"sspd/internal/stream"
@@ -228,48 +229,87 @@ func TestTailThreeStageChain(t *testing.T) {
 	}
 }
 
+// churnBatches is a pool of 64-tuple quote batches whose symbols cycle
+// through 200 keys, so in a window of fewer rows every group and key
+// leaves before it comes back: each row takes its state cell from a free
+// list the evictions just filled.
+func churnBatches(n int) []stream.Batch {
+	out := make([]stream.Batch, n)
+	seq := uint64(0)
+	for b := range out {
+		for j := 0; j < 64; j++ {
+			seq++
+			out[b] = append(out[b], quote(seq, fmt.Sprintf("S%04d", seq%200), float64(seq%997), int64(seq*7919%1e6)))
+		}
+	}
+	return out
+}
+
 // TestTailAllocsPerBatch is the allocation gate of the shard engine's
 // tail path: once buffers, maps and free lists have grown, running a
 // 64-tuple batch through filter kernels and tail allocates nothing for
 // distinct, however many rows survive the filter, and one slab of result
-// Values for an aggregate or a top-k (none when nothing is emitted).
+// Values for an aggregate or a top-k (none when nothing is emitted) —
+// over count and time windows, the 1024-row sum stateful_tail runs, and
+// groups that leave the window and come back.
 func TestTailAllocsPerBatch(t *testing.T) {
 	half := []FilterSpec{{Field: "volume", Lo: 0, Hi: 5e5}}
+	churn := churnBatches(128)
 	cases := []struct {
 		name string
 		spec QuerySpec
 		max  float64
+		in   []stream.Batch // nil: tailBatches
 	}{
 		{"distinct/all rows", QuerySpec{
-			Distinct: &DistinctSpec{Field: "symbol", Window: stream.CountWindow(256)}}, 0},
+			Distinct: &DistinctSpec{Field: "symbol", Window: stream.CountWindow(256)}}, 0, nil},
 		{"distinct/half the rows", QuerySpec{Filters: half,
-			Distinct: &DistinctSpec{Field: "symbol", Window: stream.CountWindow(256)}}, 0},
+			Distinct: &DistinctSpec{Field: "symbol", Window: stream.CountWindow(256)}}, 0, nil},
 		{"sum", QuerySpec{Filters: half,
-			Agg: &AggSpec{Fn: operator.AggSum, ValueField: "price", GroupField: "symbol", Window: stream.CountWindow(64)}}, 1},
+			Agg: &AggSpec{Fn: operator.AggSum, ValueField: "price", GroupField: "symbol", Window: stream.CountWindow(64)}}, 1, nil},
+		{"sum/1024 rows", QuerySpec{Filters: half,
+			Agg: &AggSpec{Fn: operator.AggSum, ValueField: "price", GroupField: "symbol", Window: stream.CountWindow(1024)}}, 1, nil},
+		{"avg/time window", QuerySpec{Filters: half,
+			Agg: &AggSpec{Fn: operator.AggAvg, ValueField: "price", GroupField: "symbol", Window: stream.TimeWindow(48 * time.Second)}}, 1, nil},
 		{"min", QuerySpec{Filters: half,
-			Agg: &AggSpec{Fn: operator.AggMin, ValueField: "price", GroupField: "symbol", Window: stream.CountWindow(64)}}, 1},
+			Agg: &AggSpec{Fn: operator.AggMin, ValueField: "price", GroupField: "symbol", Window: stream.CountWindow(64)}}, 1, nil},
+		{"min/groups leave and return", QuerySpec{
+			Agg: &AggSpec{Fn: operator.AggMin, ValueField: "price", GroupField: "symbol", Window: stream.CountWindow(64)}}, 1, churn},
 		{"top-k", QuerySpec{Filters: half,
-			TopK: &TopKSpec{K: 5, ValueField: "price", KeyField: "symbol", Window: stream.CountWindow(32)}}, 1},
+			TopK: &TopKSpec{K: 5, ValueField: "price", KeyField: "symbol", Window: stream.CountWindow(32)}}, 1, nil},
 		{"distinct → top-k", QuerySpec{Filters: half,
 			Distinct: &DistinctSpec{Field: "symbol", Window: stream.CountWindow(4)},
-			TopK:     &TopKSpec{K: 5, ValueField: "price", KeyField: "symbol", Window: stream.CountWindow(32)}}, 1},
+			TopK:     &TopKSpec{K: 5, ValueField: "price", KeyField: "symbol", Window: stream.CountWindow(32)}}, 1, nil},
+		{"distinct → top-k/keys leave and return", QuerySpec{
+			Distinct: &DistinctSpec{Field: "symbol", Window: stream.CountWindow(128)},
+			TopK:     &TopKSpec{K: 5, ValueField: "price", KeyField: "symbol", Window: stream.CountWindow(32)}}, 1, churn},
 	}
 	pool := tailBatches(128)
 	for _, c := range cases {
 		c.spec.ID, c.spec.Source = "q", "quotes"
+		in := c.in
+		if in == nil {
+			in = pool
+		}
 		results := 0
 		q := compileTail(t, c.spec, func(b stream.Batch) { results += len(b) })
 		cb, next := stream.NewColBatch(), 0
 		run := func() {
-			cb.Reset(pool[next%len(pool)])
+			// Each lap of the pool runs one lap later in event time, so a
+			// time window slides on as over a live stream.
+			b, lap := in[next%len(in)], int64(next/len(in))
+			for i := range b {
+				b[i].Ts = time.Unix(int64(b[i].Seq)+lap*int64(64*len(in)), 0)
+			}
+			cb.Reset(b)
 			next++
 			q.runBatch(cb)
 		}
-		for range pool {
+		for range in {
 			run() // warm-up: one pass over every key the pool holds
 		}
 		results = 0
-		if got := testing.AllocsPerRun(len(pool), run); got > c.max {
+		if got := testing.AllocsPerRun(len(in), run); got > c.max {
 			t.Errorf("%s: %.2f allocations per batch, want at most %v", c.name, got, c.max)
 		}
 		if results == 0 {

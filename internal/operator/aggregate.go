@@ -51,6 +51,7 @@ func (f AggFunc) String() string {
 // operator. When no group field is set, group is "".
 type Aggregate struct {
 	base
+	in       *stream.Schema // the layout of snapshot rows
 	fn       AggFunc
 	valueIdx int
 	groupIdx int // -1 when ungrouped
@@ -58,20 +59,32 @@ type Aggregate struct {
 	// for max, -1 for min (the minimum is minus the maximum of the
 	// negated values, bit for bit), 0 when fn keeps no deque.
 	sign   float64
-	win    *stream.Window
+	win    *stream.Window[aggSlot]
 	groups map[string]*aggState
 	free   []*aggState // states of groups that left the window, for reuse
 	// next and oldest are the insertion ordinals of the next tuple to
 	// enter the window and of the oldest one in it.
 	next, oldest uint64
-	scratch      []stream.Tuple
+	scratch      []aggSlot
 	staged       []stream.Value
+}
+
+// aggSlot is what the window keeps of a row: its group's state and the
+// value it added there.
+type aggSlot struct {
+	st *aggState
+	v  float64
 }
 
 type aggState struct {
 	count int64
 	sum   float64
 	ext   maxDeque
+	// group is the group field as the group's first row held it, which
+	// a snapshot row writes back; name is its string form, the group's
+	// key in groups and in the results.
+	group stream.Value
+	name  string
 }
 
 // NewAggregate builds a windowed aggregate. groupField may be empty for a
@@ -109,10 +122,11 @@ func NewAggregate(name string, in *stream.Schema, fn AggFunc, valueField, groupF
 	}
 	a := &Aggregate{
 		base:     newBase(name, cost, out),
+		in:       in,
 		fn:       fn,
 		valueIdx: vi,
 		groupIdx: gi,
-		win:      stream.NewWindow(spec),
+		win:      stream.NewWindow[aggSlot](spec),
 		groups:   make(map[string]*aggState),
 	}
 	switch fn {
@@ -139,36 +153,40 @@ func (a *Aggregate) ProcessBatch(rows, dst []stream.Tuple) []stream.Tuple {
 	base := len(dst)
 	a.staged = a.staged[:0]
 	for i := range rows {
-		group, st := a.insert(rows[i])
+		st := a.insert(&rows[i])
 		val, ok := a.valueOf(st)
 		if !ok {
 			continue
 		}
 		dst = append(dst, stream.Tuple{Stream: a.name, Seq: rows[i].Seq, Ts: rows[i].Ts})
-		a.staged = append(a.staged, stream.String(group), stream.Float(val))
+		a.staged = append(a.staged, stream.String(st.name), stream.Float(val))
 	}
 	sealValues(dst[base:], a.staged, 2)
 	a.stats.RecordBatch(len(rows), len(dst)-base)
 	return dst
 }
 
-// insert pushes t into the window, takes what the push evicts out of
-// the group accumulators, then adds t (evictions first: sums round
-// differently the other way round). It returns t's group and its state.
-func (a *Aggregate) insert(t stream.Tuple) (string, *aggState) {
-	a.scratch = a.win.PushCollect(t, a.scratch[:0])
-	for i := range a.scratch {
-		a.remove(a.scratch[i])
+// insert takes the rows t pushes out of the window out of their groups,
+// then adds t to its group and the window (evictions first: sums round
+// differently the other way round, and a group the evictions empty
+// starts again from zero). It returns t's group state.
+func (a *Aggregate) insert(t *stream.Tuple) *aggState {
+	ts := t.Ts.UnixNano()
+	a.scratch = a.win.Evict(ts, a.scratch[:0])
+	for _, s := range a.scratch {
+		a.remove(s)
 	}
-	g := a.groupOf(t)
-	st := a.groups[g]
+	var group stream.Value
+	name := ""
+	if a.groupIdx >= 0 {
+		group = t.Value(a.groupIdx)
+		name = group.String()
+	}
+	st := a.groups[name]
 	if st == nil {
-		if n := len(a.free); n > 0 {
-			st, a.free = a.free[n-1], a.free[:n-1]
-		} else {
-			st = &aggState{}
-		}
-		a.groups[g] = st
+		st = reuse(&a.free)
+		st.group, st.name = group, name
+		a.groups[name] = st
 	}
 	v := t.Value(a.valueIdx).AsFloat()
 	st.count++
@@ -176,31 +194,21 @@ func (a *Aggregate) insert(t stream.Tuple) (string, *aggState) {
 	if a.sign != 0 {
 		st.ext.push(a.next, a.sign*v)
 	}
+	a.win.Add(ts, aggSlot{st, v})
 	a.next++
-	return g, st
+	return st
 }
 
-func (a *Aggregate) groupOf(t stream.Tuple) string {
-	if a.groupIdx < 0 {
-		return ""
-	}
-	return t.Value(a.groupIdx).String()
-}
-
-// remove takes the window's oldest tuple out of its group.
-func (a *Aggregate) remove(t stream.Tuple) {
-	ord := a.oldest
-	a.oldest++
-	g := a.groupOf(t)
-	st := a.groups[g]
-	if st == nil {
-		return
-	}
+// remove takes the window's oldest row out of its group, and a group
+// left with no row out of the map.
+func (a *Aggregate) remove(s aggSlot) {
+	st := s.st
 	st.count--
-	st.sum -= t.Value(a.valueIdx).AsFloat()
-	st.ext.evict(ord)
-	if st.count <= 0 {
-		delete(a.groups, g)
+	st.sum -= s.v
+	st.ext.evict(a.oldest)
+	a.oldest++
+	if st.count == 0 {
+		delete(a.groups, st.name)
 		*st = aggState{ext: maxDeque{buf: st.ext.buf}}
 		a.free = append(a.free, st)
 	}

@@ -21,7 +21,7 @@ type WindowJoin struct {
 }
 
 type joinSide struct {
-	win *stream.Window
+	win *stream.Window[stream.Tuple]
 	// index maps join-key string form to the tuples currently in the
 	// window holding that key.
 	index map[string][]stream.Tuple
@@ -68,8 +68,8 @@ func NewWindowJoin(name string, left, right *stream.Schema, leftKey, rightKey st
 		base: newBase(name, cost, out),
 		keyL: li, keyR: ri,
 	}
-	j.sides[0] = &joinSide{win: stream.NewWindow(spec), index: make(map[string][]stream.Tuple), key: li}
-	j.sides[1] = &joinSide{win: stream.NewWindow(spec), index: make(map[string][]stream.Tuple), key: ri}
+	j.sides[0] = &joinSide{win: stream.NewWindow[stream.Tuple](spec), index: make(map[string][]stream.Tuple), key: li}
+	j.sides[1] = &joinSide{win: stream.NewWindow[stream.Tuple](spec), index: make(map[string][]stream.Tuple), key: ri}
 	return j, nil
 }
 
@@ -110,10 +110,12 @@ func (j *WindowJoin) Process(port int, t stream.Tuple) []stream.Tuple {
 // insert adds t to a side's window and keeps the hash index in sync with
 // evictions.
 func (j *WindowJoin) insert(side *joinSide, t stream.Tuple) {
-	side.scratch = side.win.PushCollect(t, side.scratch[:0])
+	ts := t.Ts.UnixNano()
+	side.scratch = side.win.Evict(ts, side.scratch[:0])
 	for _, old := range side.scratch {
 		j.removeFromIndex(side, old)
 	}
+	side.win.Add(ts, t)
 	key := t.Value(side.key).String()
 	side.index[key] = append(side.index[key], t)
 }
@@ -140,7 +142,7 @@ func (j *WindowJoin) removeFromIndex(side *joinSide, t stream.Tuple) {
 func (j *WindowJoin) StateSize() int {
 	n := 0
 	for _, side := range j.sides {
-		side.win.Each(func(t stream.Tuple) bool {
+		side.win.Each(func(_ int64, t stream.Tuple) bool {
 			n += t.Size()
 			return true
 		})

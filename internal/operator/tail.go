@@ -70,6 +70,17 @@ func (d *maxDeque) evict(ord uint64) bool {
 // max returns the maximum; the deque must not be empty.
 func (d *maxDeque) max() float64 { return d.buf[d.head].val }
 
+// reuse pops a state cell — a group's, a key's — off the free list that
+// cells of groups and keys leaving the window go to, or allocates one.
+func reuse[T any](free *[]*T) *T {
+	if n := len(*free); n > 0 {
+		c := (*free)[n-1]
+		*free = (*free)[:n-1]
+		return c
+	}
+	return new(T)
+}
+
 // sealValues gives a batch's results their Values. staged holds width
 // values per result, collected in a buffer the operator reuses; they are
 // copied into one slab allocated here, exactly sized, and each result

@@ -1,9 +1,7 @@
 package operator
 
 import (
-	"bytes"
 	"encoding/hex"
-	"flag"
 	"fmt"
 	"math"
 	"os"
@@ -18,17 +16,18 @@ import (
 // deque per group: a scan of the whole window on every input.
 type refExtremum struct {
 	fn  AggFunc
-	win *stream.Window
+	win *stream.Window[stream.Tuple]
 }
 
 func (r *refExtremum) process(t stream.Tuple) float64 {
-	r.win.PushCollect(t, nil)
+	r.win.Evict(t.Ts.UnixNano(), nil)
+	r.win.Add(t.Ts.UnixNano(), t)
 	group := t.Value(0).String()
 	best := math.Inf(1)
 	if r.fn == AggMax {
 		best = math.Inf(-1)
 	}
-	r.win.Each(func(w stream.Tuple) bool {
+	r.win.Each(func(_ int64, w stream.Tuple) bool {
 		if w.Value(0).String() != group {
 			return true
 		}
@@ -73,7 +72,7 @@ func TestTailMinMaxMatchesRescan(t *testing.T) {
 						return a
 					}
 					in := newTailStream(seed, card)
-					ref, agg := &refExtremum{fn: fn, win: stream.NewWindow(spec)}, newAgg()
+					ref, agg := &refExtremum{fn: fn, win: stream.NewWindow[stream.Tuple](spec)}, newAgg()
 					allNaN := 0
 					for i := 0; i < n; i++ {
 						tu := in.next()
@@ -134,17 +133,20 @@ func TestTailMaxDeque(t *testing.T) {
 	}
 }
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/tail_state.golden from this tree's operators")
-
 // TestTailRestoresRecordedSnapshots is the cross-version half of
-// snapshot compatibility. testdata/tail_state.golden was written by
-// this test, with -update, in a checkout of the commit before the
-// incremental tail — by the rescanning, rebuild-and-sort operators: per
-// operator, the snapshot after a fixed prefix of the tail stream and the
-// outputs of the suffix that follows. Today's operators must write the
-// same snapshot bytes after the prefix, and, restored from the recorded
-// bytes, produce the recorded outputs. Run -update here only to record
-// a deliberate change of the snapshot format.
+// snapshot compatibility. testdata/tail_state.golden was recorded by the
+// rescanning, rebuild-and-sort operators that came before the
+// incremental tail, whose windows held whole tuples and whose snapshots
+// wrote them: per operator, the snapshot after a fixed prefix of the
+// tail stream and the outputs of the suffix that follows. It is a record
+// of that format; nothing regenerates it. Today's operators, restored
+// from the recorded bytes, must produce the recorded outputs. Their own
+// snapshot after the prefix — one row per window slot, holding only the
+// fields the operator reads — must be no larger, hold rows its input
+// schema accepts, be as long as StateBytes says, and, restored, produce
+// the recorded outputs too. A distinct on the int field volume, which
+// has no record, checks the same against the operator it was taken
+// from.
 func TestTailRestoresRecordedSnapshots(t *testing.T) {
 	const path = "testdata/tail_state.golden"
 	s := quotesSchema(t)
@@ -185,22 +187,38 @@ func TestTailRestoresRecordedSnapshots(t *testing.T) {
 		}
 		return b.String()
 	}
-
-	if *updateGolden {
-		var b strings.Builder
-		for _, o := range ops {
-			op, err := o.make()
-			if err != nil {
-				t.Fatal(err)
-			}
-			run(op, prefix)
-			snap := op.(Stateful).SnapshotState()
-			fmt.Fprintf(&b, "%s %s %s\n", o.name, hex.EncodeToString(snap), run(op, suffix))
-		}
-		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+	// resume checks op's snapshot after prefix, against a recorded one of
+	// recordedLen bytes, and returns the outputs of the suffix from an
+	// operator restored from it.
+	resume := func(name string, mk func() (Operator, error), prefix, suffix []stream.Tuple, recordedLen int) string {
+		op, err := mk()
+		if err != nil {
 			t.Fatal(err)
 		}
+		run(op, prefix)
+		snap := op.(Stateful).SnapshotState()
+		if len(snap) > recordedLen {
+			t.Errorf("%s: snapshot of %d bytes, larger than the %d of whole tuples", name, len(snap), recordedLen)
+		}
+		if n := op.(Stateful).StateBytes(); n != len(snap) {
+			t.Errorf("%s: StateBytes %d, snapshot %d bytes", name, n, len(snap))
+		}
+		rows, _, err := stream.DecodeBatch(snap[statsLen:])
+		if err != nil {
+			t.Fatalf("%s: snapshot rows: %v", name, err)
+		}
+		for _, r := range rows {
+			if err := s.Validate(r); err != nil {
+				t.Fatalf("%s: snapshot row %v: %v", name, r, err)
+			}
+		}
+		restored, _ := mk()
+		if err := restored.(Stateful).RestoreState(snap); err != nil {
+			t.Fatalf("%s: restore: %v", name, err)
+		}
+		return run(restored, suffix)
 	}
+
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -216,11 +234,6 @@ func TestTailRestoresRecordedSnapshots(t *testing.T) {
 		if err != nil || name != o.name {
 			t.Fatalf("%s line %d: record %q, want %q (%v)", path, i+1, name, o.name, err)
 		}
-		fresh, _ := o.make()
-		run(fresh, prefix)
-		if !bytes.Equal(fresh.(Stateful).SnapshotState(), snap) {
-			t.Errorf("%s: snapshot after the prefix differs from the recorded one", o.name)
-		}
 		restored, _ := o.make()
 		if err := restored.(Stateful).RestoreState(snap); err != nil {
 			t.Fatalf("%s: restore: %v", o.name, err)
@@ -228,5 +241,30 @@ func TestTailRestoresRecordedSnapshots(t *testing.T) {
 		if got := run(restored, suffix); got != wantOut {
 			t.Errorf("%s: outputs after restoring the recorded snapshot diverge:\n got %s\nwant %s", o.name, got, wantOut)
 		}
+		if got := resume(o.name, o.make, prefix, suffix, len(snap)); got != wantOut {
+			t.Errorf("%s: outputs after restoring today's snapshot diverge:\n got %s\nwant %s", o.name, got, wantOut)
+		}
+	}
+
+	// volume takes the price's 20 values, so keys repeat in the window.
+	volume := func(in []stream.Tuple) []stream.Tuple {
+		out := make([]stream.Tuple, len(in))
+		for i, tu := range in {
+			tu.Values = []stream.Value{tu.Values[0], tu.Values[1], stream.Int(int64(tu.Values[1].AsFloat()))}
+			out[i] = tu
+		}
+		return out
+	}
+	vprefix, vsuffix := volume(prefix), volume(suffix)
+	mk := func() (Operator, error) { return NewDistinct("distinct-volume", s, "volume", count, 1) }
+	live, _ := mk()
+	run(live, vprefix)
+	wantOut := run(live, vsuffix)
+	if strings.Count(wantOut, ";") == len(vsuffix) {
+		t.Fatal("distinct-volume passed every row: keys too sparse")
+	}
+	wholeTuples := statsLen + len(stream.AppendBatch(nil, vprefix[len(vprefix)-24:]))
+	if got := resume("distinct-volume", mk, vprefix, vsuffix, wholeTuples); got != wantOut {
+		t.Errorf("distinct-volume: outputs after restoring its snapshot diverge:\n got %s\nwant %s", got, wantOut)
 	}
 }

@@ -12,10 +12,22 @@ import (
 // quotes.
 type Distinct struct {
 	base
+	in      *stream.Schema // the layout of snapshot rows
 	keyIdx  int
-	win     *stream.Window
-	counts  map[string]int
-	scratch []stream.Tuple
+	win     *stream.Window[*distinctKey]
+	counts  map[string]*distinctKey
+	free    []*distinctKey // cells of keys that left the window, for reuse
+	scratch []*distinctKey
+}
+
+// distinctKey is one key's count cell: how many window rows hold the
+// key, the key as the first of them held it (which a snapshot row writes
+// back) and its string form, the cell's name in counts. A window slot is
+// a pointer to its row's cell.
+type distinctKey struct {
+	n    int
+	key  stream.Value
+	name string
 }
 
 // NewDistinct builds a windowed distinct on keyField.
@@ -29,9 +41,10 @@ func NewDistinct(name string, in *stream.Schema, keyField string, spec stream.Wi
 	}
 	return &Distinct{
 		base:   newBase(name, cost, in),
+		in:     in,
 		keyIdx: idx,
-		win:    stream.NewWindow(spec),
-		counts: make(map[string]int),
+		win:    stream.NewWindow[*distinctKey](spec),
+		counts: make(map[string]*distinctKey),
 	}, nil
 }
 
@@ -48,7 +61,7 @@ func (d *Distinct) Process(port int, t stream.Tuple) []stream.Tuple {
 func (d *Distinct) ProcessBatch(rows, dst []stream.Tuple) []stream.Tuple {
 	base := len(dst)
 	for i := range rows {
-		if !d.insert(rows[i]) {
+		if !d.insert(&rows[i]) {
 			dst = append(dst, rows[i])
 		}
 	}
@@ -56,22 +69,28 @@ func (d *Distinct) ProcessBatch(rows, dst []stream.Tuple) []stream.Tuple {
 	return dst
 }
 
-// insert pushes t into the window, uncounts what the push evicts, and
+// insert uncounts the rows t pushes out of the window, counts t, and
 // reports whether t's key was already in the window.
-func (d *Distinct) insert(t stream.Tuple) (seen bool) {
-	d.scratch = d.win.PushCollect(t, d.scratch[:0])
-	for i := range d.scratch {
-		ok := d.scratch[i].Value(d.keyIdx).String()
-		if n := d.counts[ok] - 1; n > 0 {
-			d.counts[ok] = n
-		} else {
-			delete(d.counts, ok)
+func (d *Distinct) insert(t *stream.Tuple) (seen bool) {
+	ts := t.Ts.UnixNano()
+	d.scratch = d.win.Evict(ts, d.scratch[:0])
+	for _, c := range d.scratch {
+		if c.n--; c.n == 0 {
+			delete(d.counts, c.name)
+			d.free = append(d.free, c)
 		}
 	}
-	key := t.Value(d.keyIdx).String()
-	n := d.counts[key]
-	d.counts[key] = n + 1
-	return n > 0
+	key := t.Value(d.keyIdx)
+	name := key.String()
+	c := d.counts[name]
+	if c == nil {
+		c = reuse(&d.free)
+		c.key, c.name = key, name
+		d.counts[name] = c
+	}
+	c.n++
+	d.win.Add(ts, c)
+	return c.n > 1
 }
 
 // TopK maintains the current top-k tuples by a numeric field over a
@@ -88,18 +107,35 @@ func (d *Distinct) insert(t stream.Tuple) (seen bool) {
 // tie, in key order.
 type TopK struct {
 	base
+	in       *stream.Schema // the layout of snapshot rows
 	k        int
 	valueIdx int
 	keyIdx   int
-	win      *stream.Window
-	keys     map[string]*maxDeque
+	win      *stream.Window[topSlot]
+	keys     map[string]*topKey
 	rank     []rankEnt
-	free     []*maxDeque // deques of keys that left the window, for reuse
+	free     []*topKey // entries of keys that left the window, for reuse
 	// next and oldest are the insertion ordinals of the next tuple to
 	// enter the window and of the oldest one in it.
 	next, oldest uint64
-	scratch      []stream.Tuple
+	scratch      []topSlot
 	staged       []stream.Value
+}
+
+// topKey is one key's entry: the deque of its window maximum, the key as
+// its first row held it (which a snapshot row writes back) and its
+// string form, the entry's name in keys and in the ranking.
+type topKey struct {
+	dq   maxDeque
+	key  stream.Value
+	name string
+}
+
+// topSlot is what the window keeps of a row: its key's entry and its
+// value.
+type topSlot struct {
+	k *topKey
+	v float64
 }
 
 // rankEnt is one key's place in the ranking. max duplicates the front
@@ -141,11 +177,12 @@ func NewTopK(name string, in *stream.Schema, k int, valueField, keyField string,
 	}
 	return &TopK{
 		base:     newBase(name, cost, out),
+		in:       in,
 		k:        k,
 		valueIdx: vi,
 		keyIdx:   ki,
-		win:      stream.NewWindow(spec),
-		keys:     make(map[string]*maxDeque),
+		win:      stream.NewWindow[topSlot](spec),
+		keys:     make(map[string]*topKey),
 	}, nil
 }
 
@@ -165,14 +202,11 @@ func (t *TopK) ProcessBatch(rows, dst []stream.Tuple) []stream.Tuple {
 	base := len(dst)
 	t.staged = t.staged[:0]
 	for i := range rows {
-		key, dq := t.insert(rows[i])
-		if dq.n == 0 {
-			continue // the window kept nothing of the row
-		}
-		m := dq.max()
-		if r := t.find(m, key, min(t.k, len(t.rank))); r < t.k {
+		k := t.insert(&rows[i])
+		m := k.dq.max()
+		if r := t.find(m, k.name, min(t.k, len(t.rank))); r < t.k {
 			dst = append(dst, stream.Tuple{Stream: t.name, Seq: rows[i].Seq, Ts: rows[i].Ts})
-			t.staged = append(t.staged, stream.String(key), stream.Float(m), stream.Int(int64(r+1)))
+			t.staged = append(t.staged, stream.String(k.name), stream.Float(m), stream.Int(int64(r+1)))
 		}
 	}
 	sealValues(dst[base:], t.staged, 3)
@@ -180,58 +214,57 @@ func (t *TopK) ProcessBatch(rows, dst []stream.Tuple) []stream.Tuple {
 	return dst
 }
 
-// insert enters tu into its key's deque and the window, then takes what
-// the window evicts out of theirs, moving a key in the ranking whenever
-// its maximum changed. It returns tu's key and that key's deque.
-func (t *TopK) insert(tu stream.Tuple) (string, *maxDeque) {
-	key := tu.Value(t.keyIdx).String()
+// insert enters tu into its key's deque, moving the key in the ranking
+// if its maximum changed, then takes the rows tu pushes out of the
+// window out of theirs, and enters tu into the window. It returns tu's
+// key entry, which tu keeps in the window.
+func (t *TopK) insert(tu *stream.Tuple) *topKey {
+	key := tu.Value(t.keyIdx)
+	name := key.String()
 	v := tu.Value(t.valueIdx).AsFloat()
-	dq := t.keys[key]
-	if dq == nil {
-		if n := len(t.free); n > 0 {
-			dq, t.free = t.free[n-1], t.free[:n-1]
-		} else {
-			dq = &maxDeque{}
-		}
-		t.keys[key] = dq
-		dq.push(t.next, v)
-		at := t.find(v, key, len(t.rank))
+	k := t.keys[name]
+	if k == nil {
+		k = reuse(&t.free)
+		k.key, k.name = key, name
+		t.keys[name] = k
+		k.dq.push(t.next, v)
+		at := t.find(v, name, len(t.rank))
 		t.rank = append(t.rank, rankEnt{})
 		copy(t.rank[at+1:], t.rank[at:])
-		t.rank[at] = rankEnt{v, key}
+		t.rank[at] = rankEnt{v, name}
 	} else {
-		old := dq.max()
-		dq.push(t.next, v)
+		old := k.dq.max()
+		k.dq.push(t.next, v)
 		if beats(v, old) {
-			t.rerank(key, old, v)
+			t.rerank(name, old, v)
 		}
 	}
 	t.next++
-	t.scratch = t.win.PushCollect(tu, t.scratch[:0])
-	for i := range t.scratch {
-		t.evict(t.scratch[i].Value(t.keyIdx).String())
+	ts := tu.Ts.UnixNano()
+	t.scratch = t.win.Evict(ts, t.scratch[:0])
+	for _, s := range t.scratch {
+		t.evict(s.k)
 	}
-	return key, dq
+	t.win.Add(ts, topSlot{k, v})
+	return k
 }
 
-// evict takes the window's oldest tuple, of the given key, out of the
-// index.
-func (t *TopK) evict(key string) {
+// evict takes the window's oldest row, of key entry k, out of the index.
+func (t *TopK) evict(k *topKey) {
 	ord := t.oldest
 	t.oldest++
-	dq := t.keys[key]
-	was := dq.max()
-	if !dq.evict(ord) {
+	was := k.dq.max()
+	if !k.dq.evict(ord) {
 		return // a later, better value of the key had displaced it
 	}
-	if dq.n == 0 {
-		at := t.find(was, key, len(t.rank))
+	if k.dq.n == 0 {
+		at := t.find(was, k.name, len(t.rank))
 		t.rank = append(t.rank[:at], t.rank[at+1:]...)
-		delete(t.keys, key)
-		dq.head = 0
-		t.free = append(t.free, dq)
-	} else if now := dq.max(); beats(was, now) {
-		t.rerank(key, was, now)
+		delete(t.keys, k.name)
+		k.dq.head = 0
+		t.free = append(t.free, k)
+	} else if now := k.dq.max(); beats(was, now) {
+		t.rerank(k.name, was, now)
 	}
 }
 

@@ -209,18 +209,19 @@ func TestTopKErrors(t *testing.T) {
 type refTopK struct {
 	name                string
 	k, valueIdx, keyIdx int
-	win                 *stream.Window
+	win                 *stream.Window[stream.Tuple]
 	stats               *Stats
 }
 
 func newRefTopK(name string, k int, spec stream.WindowSpec) *refTopK {
-	return &refTopK{name: name, k: k, valueIdx: 1, keyIdx: 0, win: stream.NewWindow(spec), stats: newStats()}
+	return &refTopK{name: name, k: k, valueIdx: 1, keyIdx: 0, win: stream.NewWindow[stream.Tuple](spec), stats: newStats()}
 }
 
 func (t *refTopK) Process(tu stream.Tuple) []stream.Tuple {
-	t.win.PushCollect(tu, nil)
+	t.win.Evict(tu.Ts.UnixNano(), nil)
+	t.win.Add(tu.Ts.UnixNano(), tu)
 	best := make(map[string]float64)
-	t.win.Each(func(w stream.Tuple) bool {
+	t.win.Each(func(_ int64, w stream.Tuple) bool {
 		k := w.Value(t.keyIdx).String()
 		v := w.Value(t.valueIdx).AsFloat()
 		if cur, ok := best[k]; !ok || beats(v, cur) {
@@ -335,11 +336,12 @@ func sameOutputs(a, b []stream.Tuple) bool {
 }
 
 // TestTopKMatchesRebuildAndSort holds the incremental top-k against the
-// rebuild-and-sort reference, output for output and snapshot byte for
-// snapshot byte, over {count, time} windows × k × key cardinality. At
-// random cuts the reference's snapshot — the format and content the
-// previous implementation wrote — is restored into a fresh operator
-// that carries on in place of the old one.
+// rebuild-and-sort reference, output for output, over {count, time}
+// windows × k × key cardinality. At random cuts the reference's
+// snapshot — the whole-tuple format and content the previous
+// implementation wrote — is restored into a fresh operator that carries
+// on in place of the old one, and must then write, byte for byte, the
+// snapshot the old one wrote.
 func TestTopKMatchesRebuildAndSort(t *testing.T) {
 	n := 100_000
 	if testing.Short() {
@@ -379,13 +381,13 @@ func TestTopKMatchesRebuildAndSort(t *testing.T) {
 						if cuts.Intn(n/20) != 0 {
 							continue
 						}
-						snap := ref.SnapshotState()
-						if !bytes.Equal(top.SnapshotState(), snap) {
-							t.Fatalf("input %d: snapshot differs from the reference's", i)
-						}
+						mine := top.SnapshotState()
 						top = newTop()
-						if err := top.RestoreState(snap); err != nil {
+						if err := top.RestoreState(ref.SnapshotState()); err != nil {
 							t.Fatalf("input %d: restore: %v", i, err)
+						}
+						if !bytes.Equal(top.SnapshotState(), mine) {
+							t.Fatalf("input %d: restored from the reference's snapshot, it writes another than the operator it replaced", i)
 						}
 					}
 					if emitted == 0 {

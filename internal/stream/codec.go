@@ -3,7 +3,6 @@ package stream
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 )
@@ -50,10 +49,8 @@ func AppendTuple(dst []byte, t Tuple) []byte {
 	for _, v := range t.Values {
 		dst = append(dst, byte(v.kind))
 		switch v.kind {
-		case KindInt:
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(v.i))
-		case KindFloat:
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.f))
+		case KindInt, KindFloat:
+			dst = binary.LittleEndian.AppendUint64(dst, v.n)
 		case KindString:
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v.s)))
 			dst = append(dst, v.s...)
@@ -294,17 +291,11 @@ func (d *DecodeBuffer) decodeTuple(buf []byte, t *Tuple) (int, error) {
 		kind := Kind(buf[off])
 		off++
 		switch kind {
-		case KindInt:
+		case KindInt, KindFloat:
 			if err := need(8); err != nil {
 				return 0, err
 			}
-			vals = append(vals, Int(int64(binary.LittleEndian.Uint64(buf[off:]))))
-			off += 8
-		case KindFloat:
-			if err := need(8); err != nil {
-				return 0, err
-			}
-			vals = append(vals, Float(math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))))
+			vals = append(vals, Value{kind: kind, n: binary.LittleEndian.Uint64(buf[off:])})
 			off += 8
 		case KindString:
 			if err := need(4); err != nil {

@@ -6,8 +6,9 @@ import (
 	"time"
 )
 
-// Tuple is one data item on a stream. Tuples are value types; operators
-// that modify a tuple must copy Values first (see Clone).
+// Tuple is one data item on a stream. Tuples are value types, but Values
+// is shared storage: a holder that modifies or keeps tuples from
+// borrowed storage copies them first (see Batch.Compact).
 type Tuple struct {
 	// Stream names the stream the tuple belongs to.
 	Stream string

@@ -9,6 +9,7 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -38,19 +39,22 @@ func (k Kind) String() string {
 }
 
 // Value is a dynamically typed attribute value. The zero Value is invalid.
-// Values are small and intended to be passed by value.
+// Values are small — 32 bytes, a kind, one numeric word and a string —
+// and intended to be passed by value. Every batch arena, decoded or
+// compacted, is a slice of them.
 type Value struct {
 	kind Kind
-	i    int64
-	f    float64
-	s    string
+	// n is the numeric payload: the int64's bits for KindInt, the
+	// float64's IEEE bits for KindFloat — what the codec writes either way.
+	n uint64
+	s string
 }
 
 // Int returns a Value holding an int64.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
 
 // Float returns a Value holding a float64.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, n: math.Float64bits(v)} }
 
 // String returns a Value holding a string.
 func String(v string) Value { return Value{kind: KindString, s: v} }
@@ -59,16 +63,21 @@ func String(v string) Value { return Value{kind: KindString, s: v} }
 func (v Value) Kind() Kind { return v.kind }
 
 // AsInt returns the int64 payload; it is 0 unless Kind is KindInt.
-func (v Value) AsInt() int64 { return v.i }
+func (v Value) AsInt() int64 {
+	if v.kind != KindInt {
+		return 0
+	}
+	return int64(v.n)
+}
 
 // AsFloat returns the numeric payload as float64. Int values are
 // converted; non-numeric values yield 0.
 func (v Value) AsFloat() float64 {
 	switch v.kind {
 	case KindFloat:
-		return v.f
+		return math.Float64frombits(v.n)
 	case KindInt:
-		return float64(v.i)
+		return float64(int64(v.n))
 	default:
 		return 0
 	}
@@ -78,16 +87,17 @@ func (v Value) AsFloat() float64 {
 func (v Value) AsString() string { return v.s }
 
 // Equal reports deep equality between two values. An int and a float
-// comparing numerically equal are not Equal; kinds must match.
+// comparing numerically equal are not Equal; kinds must match. Floats
+// compare as floats: -0 equals 0 and NaN equals nothing.
 func (v Value) Equal(o Value) bool {
 	if v.kind != o.kind {
 		return false
 	}
 	switch v.kind {
 	case KindInt:
-		return v.i == o.i
+		return v.n == o.n
 	case KindFloat:
-		return v.f == o.f
+		return math.Float64frombits(v.n) == math.Float64frombits(o.n)
 	case KindString:
 		return v.s == o.s
 	default:
@@ -112,9 +122,9 @@ func (v Value) wireSize() int {
 func (v Value) String() string {
 	switch v.kind {
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(int64(v.n), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(math.Float64frombits(v.n), 'g', -1, 64)
 	case KindString:
 		return v.s
 	default:

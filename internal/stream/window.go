@@ -32,101 +32,105 @@ func TimeWindow(d time.Duration) WindowSpec {
 	return WindowSpec{Kind: WindowByTime, Duration: d}
 }
 
-// Window is a sliding window over one stream. It is not safe for
-// concurrent use; operators own their windows.
-type Window struct {
+// Window is a sliding window over one stream whose slots hold a T — a
+// whole Tuple for a join, or only what an operator reads back when a row
+// leaves. Each slot keeps its row's event time beside it, in Unix
+// nanoseconds: the precision the codec carries, so a decoded tuple and
+// one that was never encoded evict alike. A push (Evict, then Add) never
+// evicts the row it adds. It is not safe for concurrent use; operators
+// own their windows.
+type Window[T any] struct {
 	spec WindowSpec
-	// buf is a ring buffer of the window contents in arrival order.
-	buf   []Tuple
+	// buf is a ring buffer of the window contents in arrival order; its
+	// length is a power of two.
+	buf   []slot[T]
 	head  int // index of oldest element
 	count int
 }
 
-// NewWindow returns an empty window with the given spec. The buffer
-// starts small and grows on demand, so a large Count does not
-// preallocate.
-func NewWindow(spec WindowSpec) *Window {
-	capHint := spec.Count
-	if capHint <= 0 || capHint > 1024 {
-		capHint = 16
-	}
-	return &Window{spec: spec, buf: make([]Tuple, capHint)}
+type slot[T any] struct {
+	ts int64
+	v  T
 }
 
-// Len returns the number of tuples currently in the window.
-func (w *Window) Len() int { return w.count }
-
-// PushCollect is Push, but the evicted tuples are appended to dst so
-// callers that maintain auxiliary indexes (e.g. join hash tables) can
-// unindex them. It returns the extended slice.
-func (w *Window) PushCollect(t Tuple, dst []Tuple) []Tuple {
-	if dst == nil {
-		dst = make([]Tuple, 0, 4)
+// NewWindow returns an empty window with the given spec. A count window
+// of up to 1024 rows gets a ring it never outgrows; any other starts at
+// 16 slots and doubles on demand, so a large Count does not preallocate.
+func NewWindow[T any](spec WindowSpec) *Window[T] {
+	n := 16
+	if spec.Count > 0 && spec.Count <= 1024 {
+		n = 1
+		for n < spec.Count {
+			n *= 2
+		}
 	}
-	_, dst = w.push(t, dst)
+	return &Window[T]{spec: spec, buf: make([]slot[T], n)}
+}
+
+// Len returns the number of slots currently in the window.
+func (w *Window[T]) Len() int { return w.count }
+
+// Evict removes the slots that a row at event time ts pushes out of the
+// window and appends them to dst, oldest first, returning dst: a count
+// window keeps at most Count-1, a time window none older than ts minus
+// the duration. Add then enters the row. The push is split in two so a
+// caller takes the leaving slots out of its state before it builds the
+// new slot.
+func (w *Window[T]) Evict(ts int64, dst []T) []T {
+	switch w.spec.Kind {
+	case WindowByCount:
+		for w.count > 0 && w.count >= w.spec.Count {
+			dst = w.evictOldest(dst)
+		}
+	case WindowByTime:
+		cutoff := ts - int64(w.spec.Duration)
+		for w.count > 0 && w.buf[w.head].ts < cutoff {
+			dst = w.evictOldest(dst)
+		}
+	}
 	return dst
 }
 
-func (w *Window) push(t Tuple, dst []Tuple) (int, []Tuple) {
-	w.grow()
-	tail := (w.head + w.count) % len(w.buf)
-	w.buf[tail] = t
-	w.count++
-
-	evicted := 0
-	switch w.spec.Kind {
-	case WindowByCount:
-		for w.count > w.spec.Count && w.count > 0 {
-			dst = w.evictOldest(dst)
-			evicted++
-		}
-	case WindowByTime:
-		cutoff := t.Ts.Add(-w.spec.Duration)
-		for w.count > 0 && w.buf[w.head].Ts.Before(cutoff) {
-			dst = w.evictOldest(dst)
-			evicted++
-		}
+// Add enters v, stamped with event time ts, as the newest slot.
+func (w *Window[T]) Add(ts int64, v T) {
+	if w.count == len(w.buf) {
+		w.grow()
 	}
-	return evicted, dst
+	w.buf[(w.head+w.count)&(len(w.buf)-1)] = slot[T]{ts, v}
+	w.count++
 }
 
-func (w *Window) evictOldest(dst []Tuple) []Tuple {
-	if dst != nil {
-		dst = append(dst, w.buf[w.head])
-	}
-	w.buf[w.head] = Tuple{} // release references
-	w.head = (w.head + 1) % len(w.buf)
+func (w *Window[T]) evictOldest(dst []T) []T {
+	dst = append(dst, w.buf[w.head].v)
+	w.buf[w.head] = slot[T]{} // release references
+	w.head = (w.head + 1) & (len(w.buf) - 1)
 	w.count--
 	return dst
 }
 
-func (w *Window) grow() {
-	if w.count < len(w.buf) {
-		return
-	}
-	bigger := make([]Tuple, len(w.buf)*2)
+func (w *Window[T]) grow() {
+	bigger := make([]slot[T], len(w.buf)*2)
 	for i := 0; i < w.count; i++ {
-		bigger[i] = w.buf[(w.head+i)%len(w.buf)]
+		bigger[i] = w.buf[(w.head+i)&(len(w.buf)-1)]
 	}
 	w.buf = bigger
 	w.head = 0
 }
 
-// Each calls fn for every tuple in the window from oldest to newest,
-// stopping early if fn returns false.
-func (w *Window) Each(fn func(Tuple) bool) {
+// Each calls fn with every slot's event time and value, oldest to
+// newest, stopping early if fn returns false.
+func (w *Window[T]) Each(fn func(ts int64, v T) bool) {
 	for i := 0; i < w.count; i++ {
-		if !fn(w.buf[(w.head+i)%len(w.buf)]) {
+		s := &w.buf[(w.head+i)&(len(w.buf)-1)]
+		if !fn(s.ts, s.v) {
 			return
 		}
 	}
 }
 
 // Clear discards all contents.
-func (w *Window) Clear() {
-	for i := range w.buf {
-		w.buf[i] = Tuple{}
-	}
+func (w *Window[T]) Clear() {
+	clear(w.buf)
 	w.head = 0
 	w.count = 0
 }

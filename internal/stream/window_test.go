@@ -12,9 +12,9 @@ func intTuple(seq uint64, sec int64) Tuple {
 	return NewTuple("s", seq, ts(sec), Int(int64(seq)))
 }
 
-func windowSeqs(w *Window) []uint64 {
+func windowSeqs(w *Window[Tuple]) []uint64 {
 	var out []uint64
-	w.Each(func(t Tuple) bool {
+	w.Each(func(_ int64, t Tuple) bool {
 		out = append(out, t.Seq)
 		return true
 	})
@@ -22,9 +22,9 @@ func windowSeqs(w *Window) []uint64 {
 }
 
 func TestCountWindowEviction(t *testing.T) {
-	w := NewWindow(CountWindow(3))
+	w := NewWindow[Tuple](CountWindow(3))
 	for i := uint64(1); i <= 5; i++ {
-		evicted := w.Push(intTuple(i, int64(i)))
+		evicted := push(w, intTuple(i, int64(i)))
 		if i <= 3 && evicted != 0 {
 			t.Errorf("push %d evicted %d, want 0", i, evicted)
 		}
@@ -45,15 +45,15 @@ func TestCountWindowEviction(t *testing.T) {
 }
 
 func TestTimeWindowEviction(t *testing.T) {
-	w := NewWindow(TimeWindow(10 * time.Second))
-	w.Push(intTuple(1, 100))
-	w.Push(intTuple(2, 105))
-	w.Push(intTuple(3, 109))
+	w := NewWindow[Tuple](TimeWindow(10 * time.Second))
+	push(w, intTuple(1, 100))
+	push(w, intTuple(2, 105))
+	push(w, intTuple(3, 109))
 	if w.Len() != 3 {
 		t.Fatalf("len = %d, want 3", w.Len())
 	}
 	// 115-10=105 cutoff: tuple at 100 evicted, 105 retained (closed window).
-	evicted := w.Push(intTuple(4, 115))
+	evicted := push(w, intTuple(4, 115))
 	if evicted != 1 {
 		t.Fatalf("evicted = %d, want 1", evicted)
 	}
@@ -64,15 +64,15 @@ func TestTimeWindowEviction(t *testing.T) {
 }
 
 func TestWindowOldestNewest(t *testing.T) {
-	w := NewWindow(CountWindow(10))
+	w := NewWindow[Tuple](CountWindow(10))
 	if _, ok := w.Oldest(); ok {
 		t.Error("empty window has Oldest")
 	}
 	if _, ok := w.Newest(); ok {
 		t.Error("empty window has Newest")
 	}
-	w.Push(intTuple(1, 1))
-	w.Push(intTuple(2, 2))
+	push(w, intTuple(1, 1))
+	push(w, intTuple(2, 2))
 	if o, _ := w.Oldest(); o.Seq != 1 {
 		t.Errorf("oldest = %d", o.Seq)
 	}
@@ -83,9 +83,9 @@ func TestWindowOldestNewest(t *testing.T) {
 
 func TestWindowGrowth(t *testing.T) {
 	// Time windows grow beyond the initial capacity.
-	w := NewWindow(TimeWindow(time.Hour))
+	w := NewWindow[Tuple](TimeWindow(time.Hour))
 	for i := uint64(0); i < 100; i++ {
-		w.Push(intTuple(i, int64(i)))
+		push(w, intTuple(i, int64(i)))
 	}
 	if w.Len() != 100 {
 		t.Fatalf("len = %d, want 100", w.Len())
@@ -100,9 +100,9 @@ func TestWindowGrowth(t *testing.T) {
 
 func TestWindowGrowthAfterWraparound(t *testing.T) {
 	// Exercise ring wraparound: grow after head has advanced.
-	w := NewWindow(CountWindow(4))
+	w := NewWindow[Tuple](CountWindow(4))
 	for i := uint64(0); i < 6; i++ { // head advances by 2
-		w.Push(intTuple(i, int64(i)))
+		push(w, intTuple(i, int64(i)))
 	}
 	// Switch behaviourally by pushing more within capacity; internal
 	// buffer must preserve order across the wrap.
@@ -116,12 +116,12 @@ func TestWindowGrowthAfterWraparound(t *testing.T) {
 }
 
 func TestWindowEachEarlyStop(t *testing.T) {
-	w := NewWindow(CountWindow(5))
+	w := NewWindow[Tuple](CountWindow(5))
 	for i := uint64(0); i < 5; i++ {
-		w.Push(intTuple(i, int64(i)))
+		push(w, intTuple(i, int64(i)))
 	}
 	seen := 0
-	w.Each(func(Tuple) bool {
+	w.Each(func(int64, Tuple) bool {
 		seen++
 		return seen < 2
 	})
@@ -131,20 +131,20 @@ func TestWindowEachEarlyStop(t *testing.T) {
 }
 
 func TestWindowClear(t *testing.T) {
-	w := NewWindow(CountWindow(5))
-	w.Push(intTuple(1, 1))
+	w := NewWindow[Tuple](CountWindow(5))
+	push(w, intTuple(1, 1))
 	w.Clear()
 	if w.Len() != 0 {
 		t.Fatal("Clear did not empty window")
 	}
-	w.Push(intTuple(2, 2))
+	push(w, intTuple(2, 2))
 	if got := windowSeqs(w); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("after clear+push: %v", got)
 	}
 }
 
 func TestWindowSpecAccessors(t *testing.T) {
-	w := NewWindow(CountWindow(7))
+	w := NewWindow[Tuple](CountWindow(7))
 	if w.Spec().Kind != WindowByCount || w.Spec().Count != 7 {
 		t.Errorf("spec = %+v", w.Spec())
 	}
@@ -159,10 +159,10 @@ func TestWindowSpecAccessors(t *testing.T) {
 func TestCountWindowProperty(t *testing.T) {
 	f := func(n uint8, pushes uint8) bool {
 		capN := int(n%16) + 1
-		w := NewWindow(CountWindow(capN))
+		w := NewWindow[Tuple](CountWindow(capN))
 		total := int(pushes)
 		for i := 0; i < total; i++ {
-			w.Push(intTuple(uint64(i), int64(i)))
+			push(w, intTuple(uint64(i), int64(i)))
 		}
 		if w.Len() > capN {
 			return false
@@ -173,7 +173,7 @@ func TestCountWindowProperty(t *testing.T) {
 		}
 		ok := true
 		idx := want
-		w.Each(func(tu Tuple) bool {
+		w.Each(func(_ int64, tu Tuple) bool {
 			if tu.Seq != uint64(idx) {
 				ok = false
 				return false
@@ -192,11 +192,11 @@ func TestCountWindowProperty(t *testing.T) {
 // newest tuple.
 func TestTimeWindowProperty(t *testing.T) {
 	f := func(offsets []uint8) bool {
-		w := NewWindow(TimeWindow(50 * time.Second))
+		w := NewWindow[Tuple](TimeWindow(50 * time.Second))
 		sec := int64(0)
 		for i, off := range offsets {
 			sec += int64(off % 20)
-			w.Push(intTuple(uint64(i), sec))
+			push(w, intTuple(uint64(i), sec))
 		}
 		newest, ok := w.Newest()
 		if !ok {
@@ -204,7 +204,7 @@ func TestTimeWindowProperty(t *testing.T) {
 		}
 		cutoff := newest.Ts.Add(-50 * time.Second)
 		valid := true
-		w.Each(func(tu Tuple) bool {
+		w.Each(func(_ int64, tu Tuple) bool {
 			if tu.Ts.Before(cutoff) {
 				valid = false
 				return false
@@ -219,27 +219,30 @@ func TestTimeWindowProperty(t *testing.T) {
 }
 
 // Spec returns the window's specification.
-func (w *Window) Spec() WindowSpec { return w.spec }
+func (w *Window[T]) Spec() WindowSpec { return w.spec }
 
-// Push inserts a tuple and evicts anything that falls outside the window.
-// It returns the number of tuples evicted.
-func (w *Window) Push(t Tuple) int {
-	n, _ := w.push(t, nil)
-	return n
+// push inserts a tuple, stamped with its own event time, and returns the
+// number of tuples evicted.
+func push(w *Window[Tuple], t Tuple) int {
+	evicted := w.Evict(t.Ts.UnixNano(), nil)
+	w.Add(t.Ts.UnixNano(), t)
+	return len(evicted)
 }
 
-// Oldest returns the oldest tuple and whether the window is non-empty.
-func (w *Window) Oldest() (Tuple, bool) {
+// Oldest returns the oldest slot and whether the window is non-empty.
+func (w *Window[T]) Oldest() (T, bool) {
 	if w.count == 0 {
-		return Tuple{}, false
+		var zero T
+		return zero, false
 	}
-	return w.buf[w.head], true
+	return w.buf[w.head].v, true
 }
 
-// Newest returns the newest tuple and whether the window is non-empty.
-func (w *Window) Newest() (Tuple, bool) {
+// Newest returns the newest slot and whether the window is non-empty.
+func (w *Window[T]) Newest() (T, bool) {
 	if w.count == 0 {
-		return Tuple{}, false
+		var zero T
+		return zero, false
 	}
-	return w.buf[(w.head+w.count-1)%len(w.buf)], true
+	return w.buf[(w.head+w.count-1)&(len(w.buf)-1)].v, true
 }
