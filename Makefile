@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check vet staticcheck lint-obslog lint-reach build test race chaos bench-harness bench-chaos bench-observability bench-statsplane bench-engineobs bench-migration bench-latency bench-recovery bench-adaptation bench
+.PHONY: check vet staticcheck lint-obslog lint-reach build test race bench-harness examples-smoke bench
 
-check: vet staticcheck lint-obslog lint-reach build bench-harness chaos bench-statsplane bench-engineobs bench-migration bench-latency bench-recovery bench-adaptation
+check: vet staticcheck lint-obslog lint-reach build bench-harness race examples-smoke
 
 vet:
 	$(GO) vet ./...
@@ -124,6 +124,10 @@ test:
 # routed entities deliver what a bare engine does (TestFanout*); a join's
 # filters never narrow what reaches its window, whether they would keep
 # partners out or keep evictions from happening (TestFederationJoinInterest*).
+# And so do the robustness gates, on the MiniEngine and a two-shard
+# ShardEngine: chaos recovery, hard-kill recovery (64 queries at once),
+# re-emission after the cut, migration chaos, a migration waiting out a
+# checkpoint, the federated P99, and routing around a jittered replica.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -run 'TestShardEngine|TestEngineContract' ./internal/engine/
@@ -134,6 +138,7 @@ race:
 	$(GO) test -race -count=1 -run 'FuzzDecodeBatch|TestDecodeBatch' ./internal/stream/
 	$(GO) test -race -count=1 -run 'TestHandoff|TestResumeInPlaceKeepsReorderedBuffer|TestNoCutIsNotCutZero|TestDrainQueryWaitsForAdmittedBatches' ./internal/core/ ./internal/entity/
 	$(GO) test -race -count=1 -run 'TestTopK|TestTail' ./internal/operator/ ./internal/engine/
+	$(GO) test -race -count=1 -run 'TestChaosEndToEndRecovery|TestHardKillRecoveryZeroLoss|TestRecoveryReemitsResultsAfterTheCut|TestMigrationChaosStatefulZeroLoss|TestMigrationWaitsForCheckpointInFlight|TestLatencyAttributionFederation|TestTupleRoutingAvoidsJitteredReplica' ./internal/core/
 
 # benchmark/ is a nested module, so ./... above never compiles it: vet
 # and test it here, or an engine API change breaks the end-to-end
@@ -141,61 +146,12 @@ race:
 bench-harness:
 	$(GO) vet -C benchmark ./... && $(GO) test -C benchmark ./...
 
-# Chaos gate: the tier-1 suite under -race plus the seeded chaos bench,
-# which fails if any tuple is silently lost after the federation
-# self-heals. Regenerates BENCH_robustness.json.
-chaos: race bench-chaos
-
-bench-chaos:
-	$(GO) run ./cmd/sspd-bench -chaos drop=0.05,dup=0.02,partition=2s,crash=1,seed=7 -chaos-out BENCH_robustness.json
-
-# Regenerates BENCH_observability.json: tuple-path cost with tracing
-# off / sampled / full, the disabled trace.Record microbench, and the
-# /metrics scrape cost.
-bench-observability:
-	$(GO) run ./cmd/sspd-bench -observability BENCH_observability.json
-
-# Appends the stats-plane costs (digest merge, journal append, tuple
-# path with the plane on vs. off) into BENCH_observability.json. Fails
-# if enabling the plane costs the tuple path more than 1%.
-bench-statsplane:
-	$(GO) run ./cmd/sspd-bench -statsplane BENCH_observability.json
-
-# Appends the engine-introspection costs (tuple path through shard
-# engines with the plane on vs. off) into BENCH_observability.json.
-# Fails if enabling the plane costs the tuple path more than 1%.
-bench-engineobs:
-	$(GO) run ./cmd/sspd-bench -engineobs BENCH_observability.json
-
-# Regenerates BENCH_migration.json: a windowed aggregate live-migrated
-# around the cluster mid-stream on a jittery transport. Fails on any
-# lost or duplicated tuple, or a handoff pause over the 250ms budget.
-bench-migration:
-	$(GO) run ./cmd/sspd-bench -migration BENCH_migration.json
-
-# Regenerates BENCH_latency.json: the latency attribution plane's
-# tuple-path overhead at 1/1024 span sampling, and the accuracy of the
-# federated P99 against an exact sorted-delay oracle. Fails if the
-# plane costs the tuple path more than 1% plus the run's measured noise
-# or the federated P99 lands more than one log-bucket from the oracle.
-bench-latency:
-	$(GO) run ./cmd/sspd-bench -latency BENCH_latency.json
-
-# Regenerates BENCH_recovery.json: 64 stateful queries hard-killed
-# mid-stream and recovered from quorum-acked checkpoints. Fails on any
-# lost or duplicated committed result, any stateless fallback, a
-# crash-to-committed interval over 2s, or replay amplification over 2x
-# the outage traffic.
-bench-recovery:
-	$(GO) run ./cmd/sspd-bench -recovery BENCH_recovery.json
-
-# Regenerates BENCH_adaptation.json: tuple-routed downstream selection
-# (the Adaptation Module loop) against the static-ordering baseline
-# under a selectivity-drifting workload on a jittered link. Fails on
-# any lost/duplicated result or when routing's PR_max improvement
-# misses the noise-calibrated margin.
-bench-adaptation:
-	$(GO) run ./cmd/sspd-bench -adaptation BENCH_adaptation.json
+# The crash path's one shipped caller: examples/churn hard-kills an
+# entity with the failure detector and the checkpoint plane on, and exits
+# non-zero unless the detector expels it and every one of its queries
+# is recovered.
+examples-smoke:
+	timeout 120 $(GO) run ./examples/churn
 
 # Every experiment table/figure (EXPERIMENTS.md).
 bench:

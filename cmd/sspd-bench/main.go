@@ -35,42 +35,10 @@ var order = []string{"f1", "t1", "f2", "f3", "e1", "e2", "e3", "e4", "e5", "e6",
 
 func main() {
 	list := flag.Bool("list", false, "list experiment IDs and exit")
-	obs := flag.String("observability", "", "run the observability overhead bench and write its JSON report to this file")
-	statsplane := flag.String("statsplane", "", "run the stats-plane overhead bench and append its results into this JSON report (typically BENCH_observability.json)")
-	engineobs := flag.String("engineobs", "", "run the engine-introspection overhead bench and append its results into this JSON report (typically BENCH_observability.json)")
-	chaos := flag.String("chaos", "", "run the chaos/recovery bench with this fault spec, e.g. drop=0.05,dup=0.02,partition=500ms,crash=1,seed=7")
-	chaosOut := flag.String("chaos-out", "BENCH_robustness.json", "output path for the chaos bench JSON report")
-	migration := flag.String("migration", "", "run the live-migration bench and write its JSON report to this file (non-zero exit on tuple loss or pause over budget)")
-	latencyOut := flag.String("latency", "", "run the latency-attribution bench (tuple-path overhead + federated-P99 accuracy) and write its JSON report to this file")
-	recoveryOut := flag.String("recovery", "", "run the checkpoint/crash-recovery bench (hard kill, quorum restore, bounded replay) and write its JSON report to this file (non-zero exit on committed-result loss or budget breach)")
-	adaptationOut := flag.String("adaptation", "", "run the adaptation-module bench (tuple-routed vs. static downstream selection under a selectivity-drifting workload) and write its JSON report to this file (non-zero exit on tuple loss or when routing misses the noise-calibrated margin)")
 	flag.Parse()
 	if *list {
 		for _, id := range order {
 			fmt.Println(id)
-		}
-		return
-	}
-	// A report flag selects one gate/bench mode instead of the tables.
-	for _, mode := range []struct {
-		out *string
-		run func(path string) error
-	}{
-		{obs, runObservabilityBench},
-		{statsplane, runStatsplaneBench},
-		{engineobs, runEngineobsBench},
-		{chaos, func(spec string) error { return runChaosBench(spec, *chaosOut) }},
-		{migration, runMigrationBench},
-		{latencyOut, runLatencyBench},
-		{recoveryOut, runRecoveryBench},
-		{adaptationOut, runAdaptationBench},
-	} {
-		if *mode.out == "" {
-			continue
-		}
-		if err := mode.run(*mode.out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
 		}
 		return
 	}

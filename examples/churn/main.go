@@ -3,16 +3,26 @@
 // heartbeat detection, queries migrate and keep producing, dissemination
 // trees rewire and reorganize toward shorter edges, and the ledger pays
 // each entity for exactly the time it served.
+//
+// The crash is a hard kill: nothing tells the federation. The failure
+// detector notices the missing heartbeats and expels the entity, and its
+// queries come back on survivors from their newest quorum-acked
+// checkpoint. The program exits non-zero if that does not happen within
+// crashDeadline.
 package main
 
 import (
 	"fmt"
 	"log"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"sspd"
 )
+
+// crashDeadline bounds detection plus recovery of the killed entity.
+const crashDeadline = 10 * time.Second
 
 func main() {
 	net := sspd.NewSimNet(nil)
@@ -40,6 +50,14 @@ func main() {
 	if err := fed.Start(); err != nil {
 		log.Fatal(err)
 	}
+	// Heartbeats every 20ms, expelled after 5 misses; every query
+	// checkpointed every 50ms onto 2 peers.
+	if err := fed.EnableFailureDetection(20*time.Millisecond, 5); err != nil {
+		log.Fatal(err)
+	}
+	if err := fed.EnableCheckpoints(50*time.Millisecond, 2); err != nil {
+		log.Fatal(err)
+	}
 
 	var results atomic.Int64
 	for i := 0; i < 12; i++ {
@@ -56,6 +74,8 @@ func main() {
 			log.Fatal(err)
 		}
 	}
+	// A query's interest goes live asynchronously: settle before publishing.
+	fed.Settle(5 * time.Second)
 	tick := sspd.NewTicker(3, 100, 1.3)
 	publish := func(label string) {
 		before := results.Load()
@@ -79,11 +99,13 @@ func main() {
 		if err := fed.JoinEntity(e.id, sspd.Point{X: e.x, Y: 50}, 2, nil); err != nil {
 			log.Fatal(err)
 		}
+		fed.Settle(5 * time.Second)
 	}
 	moved, err := fed.Rebalance(sspd.HybridRepartitioner{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	fed.Settle(5 * time.Second)
 	fmt.Printf("  rebalance migrated %d queries to the joiners\n", moved)
 	publish("  published 500 quotes")
 
@@ -110,12 +132,35 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	fed.Settle(5 * time.Second)
 	fmt.Printf("  e01 left; %d queries migrated\n", migrated)
-	replaced, err := fed.FailEntity("e02")
-	if err != nil {
+
+	orphans := 0
+	for i := 0; i < 12; i++ {
+		if host, _ := fed.QueryEntity(fmt.Sprintf("q%02d", i)); host == "e02" {
+			orphans++
+		}
+	}
+	killed := time.Now()
+	if err := fed.KillEntity("e02"); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  e02 expelled; %d queries re-placed from their specs\n", replaced)
+	// Quotes published into the outage reach e02's queries only when
+	// recovery replays them from the source's ring.
+	if err := fed.Publish("quotes", tick.Batch(200)); err != nil {
+		log.Fatal(err)
+	}
+	if !waitCrashRecovered(fed, "e02", orphans) {
+		log.Fatalf("e02 not expelled and recovered within %v: entities=%v recoveries=%+v",
+			crashDeadline, fed.EntityIDs(), fed.Recoveries())
+	}
+	fed.Settle(5 * time.Second)
+	fmt.Printf("  e02 killed; detector expelled it and recovered %d queries in %v\n",
+		orphans, time.Since(killed).Round(time.Millisecond))
+	for _, r := range fed.Recoveries() {
+		fmt.Printf("    %s -> %s: %s (checkpoint %d, %d tuples replayed)\n",
+			r.Query, r.Target, r.Outcome, r.Seq, r.Replayed)
+	}
 	publish("  published 500 quotes")
 
 	fmt.Println("\nledger (pay per execution time):")
@@ -124,4 +169,24 @@ func main() {
 	}
 	fmt.Printf("\ntotal results delivered: %d; federation still serving %d queries on %d entities\n",
 		results.Load(), fed.NumQueries(), len(fed.EntityIDs()))
+}
+
+// waitCrashRecovered waits until the failure detector has expelled the
+// dead entity and each of its n queries has a recovery record.
+func waitCrashRecovered(fed *sspd.Federation, dead string, n int) bool {
+	for deadline := time.Now().Add(crashDeadline); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if slices.Contains(fed.EntityIDs(), dead) {
+			continue
+		}
+		recovered := 0
+		for _, r := range fed.Recoveries() {
+			if r.Failed == dead {
+				recovered++
+			}
+		}
+		if recovered == n {
+			return true
+		}
+	}
+	return false
 }

@@ -184,3 +184,25 @@ func TestTreeEventSink(t *testing.T) {
 		t.Fatalf("sink saw %d ops, counters say %d", len(ops), ev.Splits+ev.Merges+ev.Recenters)
 	}
 }
+
+// BenchmarkMergeRows prices one digest push at an interior node: a full
+// 32-entity digest, every row carrying a sparkline, per-query loads and a
+// per-stream meter, merged into an equally wide table. It runs off the
+// tuple path, once per stats period per child.
+func BenchmarkMergeRows(b *testing.B) {
+	rows := func(seq uint64) map[string]EntityStats {
+		out := make(map[string]EntityStats, 32)
+		for i := 0; i < 32; i++ {
+			id := fmt.Sprintf("e%02d", i)
+			out[id] = EntityStats{Entity: id, Seq: seq + uint64(i), Load: 5, Queries: 3, PRMax: 0.4,
+				PRSpark: make([]float64, SparkLen), QueryLoads: map[string]float64{"q1": 2, "q2": 1.5, "q3": 1.5},
+				Streams: map[string]StreamStats{"quotes": {Bytes: 1 << 20, Messages: 4096, BytesPerSec: 64e3}}}
+		}
+		return out
+	}
+	dst, src := rows(1), rows(2)
+	b.ReportAllocs()
+	for b.Loop() {
+		MergeRows(dst, src)
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"maps"
 	"strings"
 	"sync"
@@ -65,33 +66,23 @@ func bareChainResults(t *testing.T, spec engine.QuerySpec) map[string]int {
 // runChain drives one federation through the chain workload — spec split
 // into three fragments over four processors running factory's engine,
 // the middle one replicated and tuple-routed when routed is set — and
-// returns spec's results as a multiset.
-func runChain(t *testing.T, spec engine.QuerySpec, factory entity.EngineFactory, routed bool) map[string]int {
+// returns spec's results as a multiset. setup, when not nil, runs once
+// the query is placed and before the first batch; the FaultPlan it is
+// handed passes everything through until setup gives it rules.
+func runChain(t *testing.T, spec engine.QuerySpec, factory entity.EngineFactory, routed bool,
+	setup func(*Federation, *simnet.FaultPlan, *entity.Entity)) map[string]int {
 	t.Helper()
-	net := simnet.NewSim(nil)
-	t.Cleanup(func() { net.Close() })
+	plan := simnet.NewFaultPlan(simnet.NewSim(nil), 11)
+	t.Cleanup(func() { plan.Close() })
 	opts := Options{Strategy: dissemination.Balanced, Fanout: 2, FragmentsPerQuery: 3}
 	if routed {
 		opts.EnableTupleRouting = true
 		opts.RoutingReplicas = 2
 	}
-	fed, err := New(net, workload.Catalog(100, 20), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(fed.Close)
-	if err := fed.AddSource("quotes", simnet.Point{}, StreamRate{TuplesPerSec: 1000, BytesPerTuple: 60}); err != nil {
-		t.Fatal(err)
-	}
-	if err := fed.AddEntity("e", simnet.Point{X: 10}, 4, factory); err != nil {
-		t.Fatal(err)
-	}
-	if err := fed.Start(); err != nil {
-		t.Fatal(err)
-	}
+	fed := startFederation(t, plan, opts, 1, 4, factory)
 	var mu sync.Mutex
 	got := make(map[string]int)
-	if err := fed.SubmitQueryTo(spec, "e", func(tu stream.Tuple) {
+	if err := fed.SubmitQueryTo(spec, "e00", func(tu stream.Tuple) {
 		mu.Lock()
 		got[render(tu)]++
 		mu.Unlock()
@@ -99,15 +90,18 @@ func runChain(t *testing.T, spec engine.QuerySpec, factory entity.EngineFactory,
 		t.Fatal(err)
 	}
 	fed.Settle(2 * time.Second)
-	en, err := fed.entity("e")
+	en, err := fed.entity("e00")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if setup != nil {
+		setup(fed, plan, en.ent)
 	}
 	for _, b := range chainBatches() {
 		if err := fed.Publish("quotes", b); err != nil {
 			t.Fatal(err)
 		}
-		settleEntity(t, net, en.ent)
+		settleEntity(t, plan, en.ent)
 	}
 	if d := en.ent.DroppedTotal(); d != 0 {
 		t.Fatalf("engines dropped %d tuples; the chain run must be lossless", d)
@@ -120,7 +114,7 @@ func runChain(t *testing.T, spec engine.QuerySpec, factory entity.EngineFactory,
 // settleEntity waits, round after round, for the network to go quiet and
 // every engine of ent to drain, so each hop of a chain — a frame, a
 // shard's run, the next frame — has landed.
-func settleEntity(t *testing.T, net *simnet.SimNet, ent *entity.Entity) {
+func settleEntity(t *testing.T, net interface{ Quiesce(time.Duration) bool }, ent *entity.Entity) {
 	t.Helper()
 	for round := 0; round < 4; round++ {
 		if !net.Quiesce(5 * time.Second) {
@@ -147,9 +141,57 @@ func TestTupleRoutingDifferential(t *testing.T) {
 	for name, factory := range map[string]entity.EngineFactory{"mini": miniFactory, "shard": fullFactory} {
 		t.Run(name, func(t *testing.T) {
 			for _, routed := range []bool{false, true} {
-				if got := runChain(t, chainQuery("q"), factory, routed); !maps.Equal(got, want) {
+				if got := runChain(t, chainQuery("q"), factory, routed, nil); !maps.Equal(got, want) {
 					t.Fatalf("routed=%v: %d distinct results, the bare engine %d (or other counts)", routed, len(got), len(want))
 				}
+			}
+		})
+	}
+}
+
+// TestTupleRoutingAvoidsJitteredReplica is the Adaptation Module's
+// acceptance test: the link from the head fragment to one replica of the
+// routed middle stage jitters, and the chooser, fed trace-measured
+// delays, comes to prefer the replica behind the clean link. Routing
+// around the slow link changes nothing about what is computed: the
+// results are a bare engine's.
+func TestTupleRoutingAvoidsJitteredReplica(t *testing.T) {
+	want := bareChainResults(t, chainQuery("q"))
+	for _, eng := range bothEngines {
+		t.Run(eng.name, func(t *testing.T) {
+			var fed *Federation
+			var clean entity.RouteBinding
+			got := runChain(t, chainQuery("q"), eng.factory, true, func(f *Federation, plan *simnet.FaultPlan, ent *entity.Entity) {
+				fed = f
+				if _, err := f.EnableTracing(1, 8192); err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { trace.SetActive(nil) })
+				// Jitter the head's link to the first replica.
+				placement, _ := ent.QueryPlacement("q")
+				routes := ent.RouteBindings()
+				if len(routes) != 2 {
+					t.Fatalf("route bindings %+v, want 2 replicas", routes)
+				}
+				head, slow := placement[0], routes[0]
+				clean = routes[1]
+				if slow.Proc == head || clean.Proc == head || slow.Proc == clean.Proc {
+					t.Fatalf("head on p%d, replicas on p%d and p%d: each must sit behind its own link", head, slow.Proc, clean.Proc)
+				}
+				plan.SetLinkFaults(simnet.NodeID(fmt.Sprintf("e00/p%d", head)), simnet.NodeID(fmt.Sprintf("e00/p%d", slow.Proc)),
+					simnet.LinkFaults{Jitter: 8 * time.Millisecond})
+			})
+			var best string
+			for _, r := range fed.AdaptationRoutes() {
+				if r.Best {
+					best = r.Candidate
+				}
+			}
+			if best != clean.Candidate {
+				t.Fatalf("chooser prefers %q, want %q behind the clean link: %+v", best, clean.Candidate, fed.AdaptationRoutes())
+			}
+			if !maps.Equal(got, want) {
+				t.Fatalf("routed around the jitter: %d distinct results, the bare engine %d (or other counts)", len(got), len(want))
 			}
 		})
 	}
@@ -166,7 +208,7 @@ func TestFragmentChainMatchesBareEngine(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("the bare engine produced no results")
 	}
-	if got := runChain(t, spec, fullFactory, false); !maps.Equal(got, want) {
+	if got := runChain(t, spec, fullFactory, false, nil); !maps.Equal(got, want) {
 		t.Fatalf("chain delivered %d distinct results, the bare engine %d (or other counts)", len(got), len(want))
 	}
 }
@@ -177,32 +219,19 @@ func TestFragmentChainMatchesBareEngine(t *testing.T) {
 // am.route journal).
 func TestTupleRoutingFeedbackLoop(t *testing.T) {
 	net := simnet.NewSim(nil)
-	defer net.Close()
-	fed, err := New(net, workload.Catalog(100, 20), Options{
+	t.Cleanup(func() { net.Close() })
+	fed := startFederation(t, net, Options{
 		Strategy:           dissemination.Balanced,
 		Fanout:             2,
 		FragmentsPerQuery:  3,
 		EnableTupleRouting: true,
 		RoutingReplicas:    2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fed.Close()
-	if err := fed.AddSource("quotes", simnet.Point{}, StreamRate{TuplesPerSec: 1000, BytesPerTuple: 60}); err != nil {
-		t.Fatal(err)
-	}
-	if err := fed.AddEntity("e", simnet.Point{X: 10}, 4, miniFactory); err != nil {
-		t.Fatal(err)
-	}
-	if err := fed.Start(); err != nil {
-		t.Fatal(err)
-	}
+	}, 1, 4, miniFactory)
 	if _, err := fed.EnableTracing(1, 4096); err != nil {
 		t.Fatal(err)
 	}
 	defer trace.SetActive(nil)
-	if err := fed.SubmitQueryTo(chainQuery("q"), "e", nil); err != nil {
+	if err := fed.SubmitQueryTo(chainQuery("q"), "e00", nil); err != nil {
 		t.Fatal(err)
 	}
 	fed.Settle(2 * time.Second)

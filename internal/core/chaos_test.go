@@ -8,36 +8,24 @@ import (
 	"time"
 
 	"sspd/internal/dissemination"
+	"sspd/internal/entity"
 	"sspd/internal/simnet"
 	"sspd/internal/stream"
 	"sspd/internal/workload"
 )
 
+// ControlGiveUps reports abandoned control-plane deliveries so far
+// (sspd_control_giveups_total).
+func (f *Federation) ControlGiveUps() int64 { return f.controlGiveUps.Value() }
+
 // newChaosFederation builds a started federation whose transport is a
-// seeded FaultPlan: one quotes source, n entities on a line.
-func newChaosFederation(t *testing.T, seed int64, n int, opts Options) (*Federation, *simnet.FaultPlan) {
+// seeded FaultPlan: one quotes source, n entities on a line, engines
+// from factory.
+func newChaosFederation(t *testing.T, seed int64, n int, opts Options, factory entity.EngineFactory) (*Federation, *simnet.FaultPlan) {
 	t.Helper()
 	plan := simnet.NewFaultPlan(simnet.NewSim(nil), seed)
 	t.Cleanup(func() { plan.Close() })
-	catalog := workload.Catalog(100, 20)
-	fed, err := New(plan, catalog, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(fed.Close)
-	if err := fed.AddSource("quotes", simnet.Point{}, StreamRate{TuplesPerSec: 1000, BytesPerTuple: 60}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("e%02d", i)
-		if err := fed.AddEntity(id, simnet.Point{X: float64(10 + i*10)}, 2, miniFactory); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fed.Start(); err != nil {
-		t.Fatal(err)
-	}
-	return fed, plan
+	return startFederation(t, plan, opts, n, 2, factory), plan
 }
 
 // TestChaosEndToEndRecovery is the headline robustness property: under
@@ -45,15 +33,21 @@ func newChaosFederation(t *testing.T, seed int64, n int, opts Options) (*Federat
 // crash, the federation detects the failure, repairs the dissemination
 // tree, re-places the dead entity's queries, and — once the faults lift
 // — delivers every published tuple to every query exactly once. Zero
-// tuples are silently lost after recovery.
+// tuples are silently lost after recovery, on either engine.
 func TestChaosEndToEndRecovery(t *testing.T) {
+	for _, eng := range bothEngines {
+		t.Run(eng.name, func(t *testing.T) { chaosEndToEndRecovery(t, eng.factory) })
+	}
+}
+
+func chaosEndToEndRecovery(t *testing.T, factory entity.EngineFactory) {
 	const n = 4
 	fed, plan := newChaosFederation(t, 42, n, Options{
 		Strategy:        dissemination.Balanced,
 		Fanout:          2,
 		ReliableControl: true,
 		InterestRefresh: 25 * time.Millisecond,
-	})
+	}, factory)
 	var counts [n]atomic.Int64
 	for i := 0; i < n; i++ {
 		c := &counts[i]
@@ -76,7 +70,7 @@ func TestChaosEndToEndRecovery(t *testing.T) {
 		if err := fed.Publish("quotes", tick.Batch(k)); err != nil {
 			t.Fatal(err)
 		}
-		fed.Settle(2 * time.Second)
+		drainAll(fed)
 	}
 
 	// Baseline: exact delivery with the plan transparent.
@@ -171,7 +165,7 @@ func TestChaosEndToEndRecovery(t *testing.T) {
 // a reachable entity (e.g. the reporter was the partitioned side) must
 // not get it expelled — the detector's confirmation probe clears it.
 func TestControlGiveUpDoesNotExpelHealthyEntity(t *testing.T) {
-	fed, _ := newChaosFederation(t, 1, 3, Options{ReliableControl: true})
+	fed, _ := newChaosFederation(t, 1, 3, Options{ReliableControl: true}, miniFactory)
 	if err := fed.EnableFailureDetection(20*time.Millisecond, 3); err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,31 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"sspd/internal/engine"
+	"sspd/internal/stream"
 	"sspd/internal/workload"
 )
+
+// CheckpointTick runs one checkpoint sweep: snapshot + replicate every
+// non-migrating query and anti-entropy the replica groups. Tests call it
+// when the plane was enabled with a non-positive interval.
+func (f *Federation) CheckpointTick() {
+	if p := f.ckptRef(); p != nil {
+		p.tick()
+	}
+}
+
+// RecoveryReplayFetched reports the total tuples fetched from the replay
+// rings during recoveries (sspd_recovery_replay_fetched_total).
+func (f *Federation) RecoveryReplayFetched() int64 { return f.recReplayFetched.Value() }
+
+// EntityFailErrors reports detector-confirmed expulsions whose
+// FailEntity call failed.
+func (f *Federation) EntityFailErrors() int64 { return f.entityFailErrors.Value() }
 
 func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()
@@ -76,6 +96,57 @@ func TestCheckpointTickQuorumAndTrim(t *testing.T) {
 	if len(fed.Journal().Since(0, "ckpt.replicate")) == 0 {
 		t.Fatal("no ckpt.replicate events journaled")
 	}
+}
+
+// A checkpoint holds each query it captures. A migration that meets one
+// in flight waits for it instead of failing with "already migrating", so
+// LeaveEntity and Rebalance keep working beside the periodic sweep.
+func TestMigrationWaitsForCheckpointInFlight(t *testing.T) {
+	var armed atomic.Bool
+	held, release := make(chan struct{}), make(chan struct{})
+	fed, _ := newTestFederationOn(t, 3, func(name string, c *stream.Catalog) engine.Processor {
+		return &holdingDrainEngine{MiniEngine: engine.NewMini(name, c), armed: &armed, held: held, release: release}
+	})
+	if err := fed.SubmitQueryTo(countQuery("agg", 8), "e00", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := fed.EnableCheckpoints(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	fed.Settle(2 * time.Second)
+
+	armed.Store(true)
+	swept := make(chan struct{})
+	go func() {
+		defer close(swept)
+		fed.CheckpointTick()
+	}()
+	<-held // the sweep is inside agg's capture
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		close(release)
+	}()
+	if err := fed.MigrateQuery("agg", "e01"); err != nil {
+		t.Fatalf("migration beside a checkpoint in flight: %v", err)
+	}
+	<-swept
+}
+
+// holdingDrainEngine is a MiniEngine whose first Drain after armed is
+// set blocks until release: a capture that stays in flight for as long
+// as a test needs.
+type holdingDrainEngine struct {
+	*engine.MiniEngine
+	armed         *atomic.Bool
+	held, release chan struct{}
+}
+
+func (h *holdingDrainEngine) Drain(time.Duration) bool {
+	if h.armed.CompareAndSwap(true, false) {
+		close(h.held)
+		<-h.release
+	}
+	return true
 }
 
 // Satellite: a detector-confirmed expulsion whose FailEntity errors

@@ -8,7 +8,7 @@
 //
 // Follows the plane idiom (statsplane.go): a positive interval puts the
 // sweep on the control clock (clock.go); with a non-positive interval
-// tests and benches drive CheckpointTick deterministically.
+// tests drive the sweep deterministically (CheckpointTick, test-only).
 //
 // Lock order: f.mu before p.mu, never the reverse. Replica callbacks
 // (quorum, fetch responses) run on transport goroutines and take only
@@ -139,7 +139,7 @@ func (r *replayRing) size() int {
 // every stateful query is checkpointed each interval and replicated to
 // k peer entities (quorum = k/2+1 acks make it durable). A positive
 // interval runs the sweep on the control clock; with a non-positive one
-// call CheckpointTick to drive the plane deterministically. Ingest dedup
+// no sweep runs unless a test drives it (CheckpointTick). Ingest dedup
 // is switched on across all entities so recovery replay is idempotent.
 func (f *Federation) EnableCheckpoints(interval time.Duration, k int) error {
 	f.mu.Lock()
@@ -293,16 +293,6 @@ func (p *ckptPlane) observePublish(streamName string, b stream.Batch) {
 	}
 }
 
-// CheckpointTick runs one checkpoint sweep: snapshot + replicate every
-// non-migrating query and anti-entropy the replica groups. Tests and
-// benches call it directly when the plane was enabled with a
-// non-positive interval.
-func (f *Federation) CheckpointTick() {
-	if p := f.ckptRef(); p != nil {
-		p.tick()
-	}
-}
-
 func (f *Federation) ckptRef() *ckptPlane {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -335,9 +325,12 @@ func (p *ckptPlane) tick() {
 // checkpointQuery captures and replicates one query's checkpoint. The
 // query's migrating flag is held for the duration so a concurrent
 // migration and a checkpoint can never interleave their pause/snapshot
-// choreography.
+// choreography; captureMu makes a migration wait for it instead of
+// failing.
 func (p *ckptPlane) checkpointQuery(entityID, id string, spec engine.QuerySpec) {
 	f := p.f
+	f.captureMu.Lock()
+	defer f.captureMu.Unlock()
 	f.mu.Lock()
 	fq, ok := f.queries[id]
 	en, okEn := f.entities[entityID]

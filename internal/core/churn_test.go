@@ -352,21 +352,8 @@ func TestAdaptOnceReordersFilterChain(t *testing.T) {
 	for name, factory := range map[string]entity.EngineFactory{"shard": fullFactory, "mini": miniFactory} {
 		t.Run(name, func(t *testing.T) {
 			net := simnet.NewSim(nil)
-			defer net.Close()
-			fed, err := New(net, catalog, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer fed.Close()
-			if err := fed.AddSource("quotes", simnet.Point{}, StreamRate{TuplesPerSec: 1000, BytesPerTuple: 60}); err != nil {
-				t.Fatal(err)
-			}
-			if err := fed.AddEntity("e00", simnet.Point{X: 10}, 1, factory); err != nil {
-				t.Fatal(err)
-			}
-			if err := fed.Start(); err != nil {
-				t.Fatal(err)
-			}
+			t.Cleanup(func() { net.Close() })
+			fed := startFederation(t, net, Options{}, 1, 1, factory)
 			got := results{}
 			for _, spec := range []engine.QuerySpec{q1, q2} {
 				if err := fed.SubmitQueryTo(spec, "e00", collect(got, spec.ID)); err != nil {

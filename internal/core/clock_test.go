@@ -14,27 +14,13 @@ import (
 )
 
 // newClockFederation builds a started shard-engine federation (the
-// introspectable engine) with a quiet journal. The caller closes it.
+// introspectable engine) with a quiet journal. A test may close it
+// before it ends.
 func newClockFederation(t *testing.T, net *simnet.SimNet, nEntities int, opts Options) *Federation {
 	t.Helper()
 	opts.Fanout = 3
 	opts.Logger = obslog.New(obslog.NewJournal(obslog.DefaultJournalCapacity), nil)
-	fed, err := New(net, workload.Catalog(100, 20), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fed.AddSource("quotes", simnet.Point{}, StreamRate{TuplesPerSec: 1000, BytesPerTuple: 60}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < nEntities; i++ {
-		if err := fed.AddEntity(fmt.Sprintf("e%02d", i), simnet.Point{X: float64(10 + i*10)}, 2, shardFactory); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fed.Start(); err != nil {
-		t.Fatal(err)
-	}
-	return fed
+	return startFederation(t, net, opts, nEntities, 2, shardFactory)
 }
 
 // TestWatchdogsEvaluateOncePerDigestPeriod pins the one-clock rule on

@@ -25,24 +25,9 @@ func shardFactory(name string, c *stream.Catalog) engine.Processor {
 // the load drains.
 func TestEngineSaturationChaos(t *testing.T) {
 	net := simnet.NewSim(nil)
-	defer net.Close()
-	catalog := workload.Catalog(100, 20)
-	fed, err := New(net, catalog, Options{Fanout: 2,
-		Logger: obslog.New(obslog.NewJournal(obslog.DefaultJournalCapacity), nil)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fed.Close()
-	if err := fed.AddSource("quotes", simnet.Point{},
-		StreamRate{TuplesPerSec: 1000, BytesPerTuple: 60}); err != nil {
-		t.Fatal(err)
-	}
-	if err := fed.AddEntity("e00", simnet.Point{X: 10}, 1, shardFactory); err != nil {
-		t.Fatal(err)
-	}
-	if err := fed.Start(); err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(func() { net.Close() })
+	fed := startFederation(t, net, Options{Fanout: 2,
+		Logger: obslog.New(obslog.NewJournal(obslog.DefaultJournalCapacity), nil)}, 1, 1, shardFactory)
 	if _, ok := fed.ClusterEngine(); ok {
 		t.Fatal("ClusterEngine must report disabled before enable")
 	}

@@ -178,6 +178,11 @@ type Federation struct {
 	migStateBytes metrics.Counter
 	migReplayed   metrics.Counter
 	migLog        history[MigrationRecord]
+	// captureMu lets one state capture at a time hold a query's migrating
+	// flag: a migration's handoff or a checkpoint. A migration that meets
+	// a checkpoint in flight waits for it rather than failing with
+	// "already migrating".
+	captureMu sync.Mutex
 	// controlGiveUps counts control-plane deliveries abandoned after
 	// exhausting their retries (each one is also reported to the failure
 	// detector when monitoring is enabled).
@@ -379,9 +384,6 @@ func entityForEndpoint(ep simnet.NodeID) (string, bool) {
 	}
 	return "", false
 }
-
-// ControlGiveUps reports abandoned control-plane deliveries so far.
-func (f *Federation) ControlGiveUps() int64 { return f.controlGiveUps.Value() }
 
 // AddSource registers a stream source before Start. rate is the nominal
 // stream rate used for query-graph edge weights.
@@ -594,6 +596,11 @@ func (f *Federation) Publish(streamName string, batch stream.Batch) error {
 // enters at its client's origin, descends to the least-loaded entity of
 // the closest leaf cluster, and is placed there. onResult may be nil.
 // It returns the chosen entity.
+//
+// The query's interest goes live asynchronously: its registration
+// travels up the dissemination tree after SubmitQuery returns, and an
+// ancestor that has not heard of it yet filters its tuples away. Call
+// Settle before publishing what the query must see.
 func (f *Federation) SubmitQuery(spec engine.QuerySpec, origin simnet.Point,
 	onResult func(stream.Tuple)) (string, error) {
 	f.mu.Lock()
@@ -617,7 +624,8 @@ func (f *Federation) SubmitQuery(spec engine.QuerySpec, origin simnet.Point,
 }
 
 // SubmitQueryTo places a query on a specific entity (the batch
-// allocator's path).
+// allocator's path). Its interest goes live asynchronously, as with
+// SubmitQuery: Settle before publishing.
 func (f *Federation) SubmitQueryTo(spec engine.QuerySpec, entityID string,
 	onResult func(stream.Tuple)) error {
 	f.mu.Lock()

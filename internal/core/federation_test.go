@@ -23,34 +23,95 @@ func miniFactory(name string, c *stream.Catalog) engine.Processor {
 	return engine.NewMini(name, c)
 }
 
+// bothEngines is the engine axis of the robustness tests: the
+// synchronous oracle and the shipped shard engine, at two shards so one
+// query's work is split across goroutines.
+var bothEngines = []struct {
+	name    string
+	factory entity.EngineFactory
+}{
+	{"mini", miniFactory},
+	{"shard", func(name string, c *stream.Catalog) engine.Processor { return engine.NewShard(name, c, 2) }},
+}
+
+// drainAll settles the network and drains every entity's engines, twice,
+// so a result that needs one more network hop after its shard's run has
+// landed too. A MiniEngine has nothing to drain.
+func drainAll(fed *Federation) {
+	for round := 0; round < 2; round++ {
+		fed.Settle(2 * time.Second)
+		fed.mu.Lock()
+		ents := make([]*entity.Entity, 0, len(fed.entities))
+		for _, en := range fed.entities {
+			ents = append(ents, en.ent)
+		}
+		fed.mu.Unlock()
+		for _, ent := range ents {
+			for i := range ent.ProcLoads() {
+				if d, ok := ent.Proc(i).(interface{ Drain(time.Duration) bool }); ok {
+					d.Drain(2 * time.Second)
+				}
+			}
+		}
+	}
+}
+
 // newTestFederation builds a started federation: one quotes source,
 // nEntities entities on a line, synchronous engines.
 func newTestFederation(t *testing.T, nEntities int) (*Federation, *simnet.SimNet) {
 	t.Helper()
+	return newTestFederationOn(t, nEntities, miniFactory)
+}
+
+// newTestFederationOn is newTestFederation on factory's engines, with a
+// trades source beside the quotes.
+func newTestFederationOn(t *testing.T, nEntities int, factory entity.EngineFactory) (*Federation, *simnet.SimNet) {
+	t.Helper()
 	net := simnet.NewSim(nil)
 	t.Cleanup(func() { net.Close() })
-	catalog := workload.Catalog(100, 20)
-	fed, err := New(net, catalog, Options{Strategy: dissemination.Locality, Fanout: 3})
+	opts := Options{Strategy: dissemination.Locality, Fanout: 3}
+	return startFederation(t, net, opts, nEntities, 2, factory, "quotes", "trades"), net
+}
+
+// testSources are the streams a test federation can carry: where each
+// source sits and its nominal rate.
+var testSources = map[string]struct {
+	pos  simnet.Point
+	rate StreamRate
+}{
+	"quotes": {simnet.Point{}, StreamRate{TuplesPerSec: 1000, BytesPerTuple: 60}},
+	"trades": {simnet.Point{X: 5}, StreamRate{TuplesPerSec: 500, BytesPerTuple: 40}},
+}
+
+// startFederation builds and starts a federation on net: a source for
+// each of streams (quotes alone when none is named), then n entities
+// e00, e01, … on a line at X = 10, 20, …, each of procs processors
+// running factory's engine. The federation closes when the test ends.
+func startFederation(t *testing.T, net simnet.Transport, opts Options, n, procs int,
+	factory entity.EngineFactory, streams ...string) *Federation {
+	t.Helper()
+	fed, err := New(net, workload.Catalog(100, 20), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(fed.Close)
-	if err := fed.AddSource("quotes", simnet.Point{}, StreamRate{TuplesPerSec: 1000, BytesPerTuple: 60}); err != nil {
-		t.Fatal(err)
+	if len(streams) == 0 {
+		streams = []string{"quotes"}
 	}
-	if err := fed.AddSource("trades", simnet.Point{X: 5}, StreamRate{TuplesPerSec: 500, BytesPerTuple: 40}); err != nil {
-		t.Fatal(err)
+	for _, s := range streams {
+		if err := fed.AddSource(s, testSources[s].pos, testSources[s].rate); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for i := 0; i < nEntities; i++ {
-		id := fmt.Sprintf("e%02d", i)
-		if err := fed.AddEntity(id, simnet.Point{X: float64(10 + i*10)}, 2, miniFactory); err != nil {
+	for i := 0; i < n; i++ {
+		if err := fed.AddEntity(fmt.Sprintf("e%02d", i), simnet.Point{X: float64(10 + i*10)}, procs, factory); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := fed.Start(); err != nil {
 		t.Fatal(err)
 	}
-	return fed, net
+	return fed
 }
 
 // edgeWeight reads the weight of edge {a,b} (0 when absent).
@@ -218,21 +279,8 @@ func TestFederationMatchesBareEngineOnNaN(t *testing.T) {
 			}
 
 			net := simnet.NewSim(nil)
-			defer net.Close()
-			fed, err := New(net, catalog, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer fed.Close()
-			if err := fed.AddSource("quotes", simnet.Point{}, StreamRate{TuplesPerSec: 1000, BytesPerTuple: 60}); err != nil {
-				t.Fatal(err)
-			}
-			if err := fed.AddEntity("e00", simnet.Point{X: 10}, 1, factory); err != nil {
-				t.Fatal(err)
-			}
-			if err := fed.Start(); err != nil {
-				t.Fatal(err)
-			}
+			t.Cleanup(func() { net.Close() })
+			fed := startFederation(t, net, Options{}, 1, 1, factory)
 			if err := fed.SubmitQueryTo(spec, "e00", collect(&got)); err != nil {
 				t.Fatal(err)
 			}

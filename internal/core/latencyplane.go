@@ -160,21 +160,6 @@ func (f *Federation) ClusterLatency() (latency.Attribution, bool) {
 	return out, true
 }
 
-// PRMeasuredMax returns the worst measured performance ratio across the
-// cluster view and the query achieving it.
-func (f *Federation) PRMeasuredMax() (pr float64, query string) {
-	att, ok := f.ClusterLatency()
-	if !ok {
-		return 0, ""
-	}
-	for _, q := range att.Queries {
-		if q.PRMeasured > pr {
-			pr, query = q.PRMeasured, q.Query
-		}
-	}
-	return pr, query
-}
-
 // SLOTick runs one watchdog evaluation against the current cluster
 // view, journaling breach/clear transitions. StatsTick calls this once
 // per digest period; exposed for a federation without the stats plane.

@@ -3,12 +3,15 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"sspd/internal/dissemination"
 	"sspd/internal/engine"
+	"sspd/internal/entity"
 	"sspd/internal/latency"
 	"sspd/internal/metrics"
 	"sspd/internal/simnet"
@@ -21,6 +24,21 @@ import (
 // the *estimated* PR the drift gauge compares against.
 func fullFactory(name string, c *stream.Catalog) engine.Processor {
 	return engine.New(name, c)
+}
+
+// PRMeasuredMax returns the worst measured performance ratio across the
+// cluster view and the query achieving it.
+func (f *Federation) PRMeasuredMax() (pr float64, query string) {
+	att, ok := f.ClusterLatency()
+	if !ok {
+		return 0, ""
+	}
+	for _, q := range att.Queries {
+		if q.PRMeasured > pr {
+			pr, query = q.PRMeasured, q.Query
+		}
+	}
+	return pr, query
 }
 
 // waitLatencyCount re-federates until the cluster view covers at least
@@ -43,32 +61,26 @@ func waitLatencyCount(t *testing.T, fed *Federation, want uint64) latency.Attrib
 // TestLatencyAttributionFederation is the tentpole integration test:
 // spans complete into per-entity stage histograms, ride the stats
 // federation's rows, and the root's merged view answers cluster-wide
-// percentiles, measured PR, and real Prometheus histogram families.
+// percentiles, measured PR, and real Prometheus histogram families. The
+// federated P99 lands within one log-bucket of the exact P99 of the
+// sampled spans, on either engine.
 func TestLatencyAttributionFederation(t *testing.T) {
+	for _, eng := range bothEngines {
+		t.Run(eng.name, func(t *testing.T) { latencyAttributionFederation(t, eng.factory) })
+	}
+}
+
+func latencyAttributionFederation(t *testing.T, factory entity.EngineFactory) {
 	net := simnet.NewSim(nil)
-	defer net.Close()
-	fed, err := New(net, workload.Catalog(100, 20), Options{Strategy: dissemination.Balanced, Fanout: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fed.Close()
-	if err := fed.AddSource("quotes", simnet.Point{}, StreamRate{TuplesPerSec: 1000, BytesPerTuple: 60}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := fed.AddEntity(fmt.Sprintf("e%02d", i), simnet.Point{X: float64(10 + i*10)}, 2, miniFactory); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fed.Start(); err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(func() { net.Close() })
+	fed := startFederation(t, net, Options{Strategy: dissemination.Balanced, Fanout: 2}, 3, 2, factory)
 
 	// The plane needs the tracer's completion hook.
 	if err := fed.EnableLatencyAttribution(); err == nil {
 		t.Fatal("EnableLatencyAttribution without tracing accepted")
 	}
-	if _, err := fed.EnableTracing(1, 1024); err != nil {
+	tr, err := fed.EnableTracing(1, 1024)
+	if err != nil {
 		t.Fatal(err)
 	}
 	defer trace.SetActive(nil)
@@ -155,6 +167,35 @@ func TestLatencyAttributionFederation(t *testing.T) {
 		t.Fatalf("PRMeasuredMax = %g/%q", pr, q)
 	}
 
+	// Merge accuracy: decompose every buffered span as the plane did, but
+	// keep the raw delays. The federated P99, answered by per-entity
+	// log-bucket histograms merged through the stats rows, must land
+	// within one bucket of the exact P99 of those delays.
+	var exact []float64
+	for _, s := range tr.Recent(tr.Len()) {
+		for i, h := range s.Hops {
+			if h.Stage != trace.StageResult {
+				continue
+			}
+			if bd, ok := latency.Decompose(s, i); ok {
+				exact = append(exact, bd.E2E)
+			}
+		}
+	}
+	if uint64(len(exact)) != att.E2E.Count {
+		t.Fatalf("the spans hold %d delays, the federated view %d", len(exact), att.E2E.Count)
+	}
+	sort.Float64s(exact)
+	oracleP99 := exact[max(0, min(len(exact)-1, int(0.99*float64(len(exact))+0.5)-1))]
+	fedP99 := att.E2E.Quantile(0.99)
+	bucketOf := func(v float64) int {
+		i, _ := slices.BinarySearch(latency.Bounds(), v)
+		return i
+	}
+	if d := bucketOf(fedP99) - bucketOf(oracleP99); d < -1 || d > 1 {
+		t.Fatalf("federated P99 %.3gs is %d log-buckets from the exact P99 %.3gs (bar: 1)", fedP99, d, oracleP99)
+	}
+
 	// The default watchdog ran during the stats ticks.
 	if vs := fed.SLOStatus(); len(vs) != len(DefaultSLORules) {
 		t.Fatalf("SLOStatus has %d verdicts, want %d", len(vs), len(DefaultSLORules))
@@ -190,23 +231,8 @@ func TestLatencyAttributionFederation(t *testing.T) {
 // the windowed watchdog emits the matching slo.clear.
 func TestLatencyChaosJitterDriftAndSLO(t *testing.T) {
 	plan := simnet.NewFaultPlan(simnet.NewSim(nil), 17)
-	defer plan.Close()
-	fed, err := New(plan, workload.Catalog(100, 20), Options{Strategy: dissemination.Balanced, Fanout: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fed.Close()
-	if err := fed.AddSource("quotes", simnet.Point{}, StreamRate{TuplesPerSec: 1000, BytesPerTuple: 60}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := fed.AddEntity(fmt.Sprintf("e%02d", i), simnet.Point{X: float64(10 + i*10)}, 2, fullFactory); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fed.Start(); err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(func() { plan.Close() })
+	fed := startFederation(t, plan, Options{Strategy: dissemination.Balanced, Fanout: 2}, 2, 2, fullFactory)
 	if _, err := fed.EnableTracing(1, 4096); err != nil {
 		t.Fatal(err)
 	}

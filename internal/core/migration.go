@@ -68,6 +68,8 @@ func (f *Federation) MigrateQuery(id, toEntity string) error {
 // the group pays the interest settle once and each source pauses once.
 // A query already there is skipped. It returns how many moved.
 func (f *Federation) migrate(toEntity string, ids []string) (int, error) {
+	f.captureMu.Lock()
+	defer f.captureMu.Unlock()
 	var firstErr error
 	items := make([]*handoffItem, 0, len(ids))
 	held := make([]*fedQuery, 0, len(ids))

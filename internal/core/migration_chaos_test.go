@@ -6,6 +6,7 @@ import (
 
 	"sspd/internal/dissemination"
 	"sspd/internal/engine"
+	"sspd/internal/entity"
 	"sspd/internal/simnet"
 	"sspd/internal/stream"
 	"sspd/internal/workload"
@@ -16,15 +17,22 @@ import (
 // every link jitters and reorders, and one hop is sabotaged by a
 // destination-placement failure. The protocol must deliver every quote
 // exactly once, keep the count window warm across every committed hop,
-// and roll the sabotaged hop back onto the source cleanly.
+// and roll the sabotaged hop back onto the source cleanly — and only
+// that hop — on either engine.
 func TestMigrationChaosStatefulZeroLoss(t *testing.T) {
+	for _, eng := range bothEngines {
+		t.Run(eng.name, func(t *testing.T) { migrationChaosStatefulZeroLoss(t, eng.factory) })
+	}
+}
+
+func migrationChaosStatefulZeroLoss(t *testing.T, factory entity.EngineFactory) {
 	const window = 64
 	fed, plan := newChaosFederation(t, 7, 3, Options{
 		Strategy:        dissemination.Balanced,
 		Fanout:          2,
 		ReliableControl: true,
 		InterestRefresh: 25 * time.Millisecond,
-	})
+	}, factory)
 
 	log := &seqLog{}
 	if err := fed.SubmitQueryTo(countQuery("agg", window), "e00", log.observe); err != nil {
@@ -95,7 +103,7 @@ func TestMigrationChaosStatefulZeroLoss(t *testing.T) {
 	publish(50)
 	fed.Settle(2 * time.Second)
 	plan.SetEnabled(false)
-	fed.Settle(2 * time.Second)
+	drainAll(fed)
 
 	counts, values := log.snapshot()
 	lost, dup := 0, 0

@@ -289,30 +289,13 @@ func TestRemoveQueryBlockedDuringMigration(t *testing.T) {
 	}
 }
 
-// newAdaptFederation mirrors newTestFederation with caller options —
-// the adaptation tests need the hysteresis knob.
+// newAdaptFederation is a two-processor MiniEngine federation with
+// caller options — the adaptation tests need the hysteresis knob.
 func newAdaptFederation(t *testing.T, nEntities int, opts Options) *Federation {
 	t.Helper()
 	net := simnet.NewSim(nil)
 	t.Cleanup(func() { net.Close() })
-	fed, err := New(net, workload.Catalog(100, 20), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(fed.Close)
-	if err := fed.AddSource("quotes", simnet.Point{}, StreamRate{TuplesPerSec: 1000, BytesPerTuple: 60}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < nEntities; i++ {
-		id := string(rune('a'+i)) + "nt"
-		if err := fed.AddEntity(id, simnet.Point{X: float64(10 + i*10)}, 2, miniFactory); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fed.Start(); err != nil {
-		t.Fatal(err)
-	}
-	return fed
+	return startFederation(t, net, opts, nEntities, 2, miniFactory)
 }
 
 // TestAdaptOnceRebalancesByMigration piles disjoint-interest queries on
@@ -327,7 +310,7 @@ func TestAdaptOnceRebalancesByMigration(t *testing.T) {
 	syms := [][]string{{"s0"}, {"s1"}, {"s2"}, {"s3"}}
 	for i, s := range syms {
 		q := priceQuery("q"+s[0], float64(i*10), float64(i*10+5), s...)
-		if err := fed.SubmitQueryTo(q, "ant", nil); err != nil {
+		if err := fed.SubmitQueryTo(q, "e00", nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -351,7 +334,7 @@ func TestAdaptOnceRebalancesByMigration(t *testing.T) {
 		}
 		perEntity[e]++
 	}
-	if perEntity["ant"] == 4 {
+	if perEntity["e00"] == 4 {
 		t.Fatalf("assignment still 4-0: %v", perEntity)
 	}
 	recs := fed.Migrations()
@@ -384,7 +367,7 @@ func TestAdaptationHysteresisBlocksMarginalMoves(t *testing.T) {
 	})
 	for i := 0; i < 4; i++ {
 		q := priceQuery("q"+string(rune('0'+i)), float64(i*10), float64(i*10+5))
-		if err := fed.SubmitQueryTo(q, "ant", nil); err != nil {
+		if err := fed.SubmitQueryTo(q, "e00", nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -413,7 +396,7 @@ func TestAdaptationControllerBackground(t *testing.T) {
 	syms := [][]string{{"s0"}, {"s1"}, {"s2"}, {"s3"}}
 	for i, s := range syms {
 		q := priceQuery("q"+s[0], float64(i*10), float64(i*10+5), s...)
-		if err := fed.SubmitQueryTo(q, "ant", nil); err != nil {
+		if err := fed.SubmitQueryTo(q, "e00", nil); err != nil {
 			t.Fatal(err)
 		}
 	}

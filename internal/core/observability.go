@@ -59,25 +59,6 @@ func (f *Federation) Tracer() *trace.Tracer {
 	return f.tracer
 }
 
-// ControlStats sums the reliable control plane's counters across every
-// relay: upward-registration retries and stale/duplicate registrations
-// suppressed by receivers. Both are zero unless ReliableControl is on.
-func (f *Federation) ControlStats() (retries, suppressed int64) {
-	f.mu.Lock()
-	relays := make([]*dissemination.Relay, 0, len(f.relayIndex))
-	for _, r := range f.relayIndex {
-		relays = append(relays, r)
-	}
-	f.mu.Unlock()
-	for _, r := range relays {
-		if rel := r.Reliable(); rel != nil {
-			retries += rel.Retries.Value()
-			suppressed += rel.Suppressed.Value()
-		}
-	}
-	return retries, suppressed
-}
-
 // QueryPR reports one query's Performance Ratio PR_k = d_k / p_k as
 // measured by its hosting entity's engines. ok is false when the query
 // is unknown or its engines expose no metrics (e.g. MiniEngine).

@@ -48,8 +48,8 @@ func (f *Federation) recordRecovery(rec RecoveryRecord) {
 // heartbeat responder, checkpoint replica, and processors stop dead —
 // no goodbye, no tree repair, no book-keeping. The failure detector (or
 // an explicit FailEntity) discovers the corpse later; until then the
-// dissemination trees still route through it. Chaos tests and the
-// recovery bench use this to stage real crash windows.
+// dissemination trees still route through it. Chaos tests and
+// examples/churn use this to stage real crash windows.
 func (f *Federation) KillEntity(id string) error {
 	en, err := f.entity(id)
 	if err != nil {
@@ -70,15 +70,6 @@ func (f *Federation) KillEntity(id string) error {
 	en.ent.Close()
 	return nil
 }
-
-// RecoveryReplayFetched reports the total tuples fetched from the
-// replay rings during recoveries (the numerator of the bench's replay
-// amplification gate).
-func (f *Federation) RecoveryReplayFetched() int64 { return f.recReplayFetched.Value() }
-
-// EntityFailErrors reports detector-confirmed expulsions whose
-// FailEntity call failed (satellite: no silently dropped errors).
-func (f *Federation) EntityFailErrors() int64 { return f.entityFailErrors.Value() }
 
 // expelConfirmed runs a detector-confirmed expulsion and accounts for
 // its outcome — the async confirm callback must never drop an error on

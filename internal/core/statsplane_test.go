@@ -32,24 +32,8 @@ func settleTicks(fed *Federation, n int) {
 // sspd_cluster_* Prometheus families.
 func TestStatsPlaneClusterView(t *testing.T) {
 	net := simnet.NewSim(nil)
-	defer net.Close()
-	catalog := workload.Catalog(100, 20)
-	fed, err := New(net, catalog, Options{Strategy: dissemination.Balanced, Fanout: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fed.Close()
-	if err := fed.AddSource("quotes", simnet.Point{}, StreamRate{TuplesPerSec: 1000, BytesPerTuple: 60}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := fed.AddEntity(fmt.Sprintf("e%02d", i), simnet.Point{X: float64(10 + i*10)}, 2, miniFactory); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fed.Start(); err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(func() { net.Close() })
+	fed := startFederation(t, net, Options{Strategy: dissemination.Balanced, Fanout: 2}, 3, 2, miniFactory)
 	if fed.StatsEnabled() {
 		t.Fatal("stats plane must be off by default")
 	}
@@ -177,24 +161,8 @@ func TestStatsPlaneClusterView(t *testing.T) {
 // stop being healthy, and the plane survives both.
 func TestStatsPlaneChurn(t *testing.T) {
 	net := simnet.NewSim(nil)
-	defer net.Close()
-	catalog := workload.Catalog(100, 20)
-	fed, err := New(net, catalog, Options{Strategy: dissemination.Balanced, Fanout: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fed.Close()
-	if err := fed.AddSource("quotes", simnet.Point{}, StreamRate{TuplesPerSec: 1000, BytesPerTuple: 60}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := fed.AddEntity(fmt.Sprintf("e%02d", i), simnet.Point{X: float64(10 + i*10)}, 1, miniFactory); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fed.Start(); err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(func() { net.Close() })
+	fed := startFederation(t, net, Options{Strategy: dissemination.Balanced, Fanout: 2}, 3, 1, miniFactory)
 	if err := fed.EnableStatsPlane(0); err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +198,7 @@ func TestJournalCausalChainUnderChaos(t *testing.T) {
 		Fanout:          2,
 		ReliableControl: true,
 		InterestRefresh: 25 * time.Millisecond,
-	})
+	}, miniFactory)
 
 	// Pick a victim that relays for at least one other entity, so a
 	// healthy child's interest refresh will hit the blackhole and feed

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -321,11 +320,3 @@ func (p *FaultPlan) Close() error {
 }
 
 var _ Transport = (*FaultPlan)(nil)
-
-// String summarizes the plan's current rules (diagnostics).
-func (p *FaultPlan) String() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return fmt.Sprintf("faultplan{enabled=%v default=%+v links=%d partitions=%d blackholes=%d}",
-		p.enabled.Load(), p.defaults, len(p.links), len(p.partitions), len(p.blackholes))
-}

@@ -135,3 +135,14 @@ func TestConcurrentTracer(t *testing.T) {
 		t.Fatalf("Sampled = %d, want 4000", tr.Sampled.Value())
 	}
 }
+
+// BenchmarkRecordUntraced prices the only per-hop cost tracing adds when
+// a tuple is not sampled: Record with span id 0 returns before touching
+// any shared state.
+func BenchmarkRecordUntraced(b *testing.B) {
+	SetActive(nil)
+	b.ReportAllocs()
+	for b.Loop() {
+		Record(0, StageRelay, "bench")
+	}
+}
