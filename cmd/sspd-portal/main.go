@@ -92,13 +92,9 @@ func main() {
 		os.Exit(1)
 	}
 	if *traceEvery > 0 {
-		if _, err := fed.EnableTracing(*traceEvery, 2048); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		// Latency attribution rides the sampled spans; its SLO watchdog
-		// evaluates once per stats period (the plane enabled below).
-		if err := fed.EnableLatencyAttribution(); err != nil {
+		// The stats plane enabled below attributes the sampled spans to
+		// latency stages; its SLO watchdog evaluates once per stats period.
+		if _, err := fed.EnableTracing(*traceEvery); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -137,18 +133,12 @@ func main() {
 	}()
 	defer close(stop)
 
-	// The stats plane powers \cluster, /cluster/metrics, and the ops
-	// view; it ticks off the tuple path, so keep it on whenever the
-	// portal is up.
+	// The stats plane powers \cluster, \engine, /cluster/*, and the ops
+	// view, and clocks the SLO and backpressure watchdogs: one evaluation
+	// per digest period. It ticks off the tuple path, so keep it on
+	// whenever the portal is up.
 	statsPeriod := 2 * time.Second
 	if err := fed.EnableStatsPlane(statsPeriod); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	// The engine introspection plane powers \engine, /cluster/engine,
-	// and the backpressure watchdog, which the stats plane clocks: one
-	// evaluation per digest period, nothing else.
-	if err := fed.EnableEngineIntrospection(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -243,7 +233,7 @@ func main() {
 		case line == `\engine`:
 			view, ok := fed.ClusterEngine()
 			if !ok {
-				fmt.Println("  engine introspection not enabled")
+				fmt.Println("  stats plane not enabled")
 				continue
 			}
 			fmt.Printf("  drop rate %.2f%%  ring occ p99 %.1f%%", 100*view.DropRate, 100*view.RingOccP99)

@@ -29,9 +29,8 @@ func main() {
 	catalog := sspd.NewCatalog(symbols, 20)
 
 	fed, err := sspd.NewFederation(net, catalog, sspd.Options{
-		Strategy:     sspd.Locality,
-		Fanout:       3,
-		CoordinatorK: 3,
+		Strategy: sspd.Locality,
+		Fanout:   3,
 	})
 	if err != nil {
 		log.Fatal(err)

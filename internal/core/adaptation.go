@@ -39,7 +39,7 @@ func (f *Federation) AdaptOnce() (int, error) {
 		return 0, nil
 	}
 	res, err := querygraph.HybridRepartitioner{}.Repartition(g, old,
-		querygraph.Options{K: len(ids), Epsilon: f.opts.PartitionEpsilon})
+		querygraph.Options{K: len(ids), Epsilon: partitionEpsilon})
 	if err != nil {
 		return 0, err
 	}

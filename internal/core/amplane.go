@@ -205,7 +205,9 @@ func (f *Federation) collectAM(emit func(metrics.Sample)) {
 // and the AM plane's candidate table. Called after any placement
 // change; must not run under f.mu.
 func (f *Federation) routesChanged() {
-	f.latencyRoutesChanged()
+	if p := f.lat.Load(); p != nil {
+		p.refreshRoutes()
+	}
 	if f.am != nil {
 		f.am.refreshRoutes()
 	}
@@ -213,11 +215,10 @@ func (f *Federation) routesChanged() {
 
 // dispatchSpanComplete is the tracer's single completion hook: it fans
 // finished spans out to the planes that consume them through
-// copy-on-write pointers (f.spanLat) or pointers immutable after New
-// (f.am), so the tuple-path goroutine recording the terminal hop never
-// touches f.mu.
+// an atomic pointer (f.lat) or pointers immutable after New (f.am), so
+// the tuple-path goroutine recording the terminal hop never touches f.mu.
 func (f *Federation) dispatchSpanComplete(s trace.Span, hop int) {
-	if p := f.spanLat.Load(); p != nil {
+	if p := f.lat.Load(); p != nil {
 		p.onComplete(s, hop)
 	}
 	if f.am != nil {

@@ -77,7 +77,6 @@ func runChain(t *testing.T, spec engine.QuerySpec, factory entity.EngineFactory,
 	opts := Options{Strategy: dissemination.Balanced, Fanout: 2, FragmentsPerQuery: 3}
 	if routed {
 		opts.EnableTupleRouting = true
-		opts.RoutingReplicas = 2
 	}
 	fed := startFederation(t, plan, opts, 1, 4, factory)
 	var mu sync.Mutex
@@ -163,7 +162,7 @@ func TestTupleRoutingAvoidsJitteredReplica(t *testing.T) {
 			var clean entity.RouteBinding
 			got := runChain(t, chainQuery("q"), eng.factory, true, func(f *Federation, plan *simnet.FaultPlan, ent *entity.Entity) {
 				fed = f
-				if _, err := f.EnableTracing(1, 8192); err != nil {
+				if _, err := f.EnableTracing(1); err != nil {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { trace.SetActive(nil) })
@@ -225,9 +224,8 @@ func TestTupleRoutingFeedbackLoop(t *testing.T) {
 		Fanout:             2,
 		FragmentsPerQuery:  3,
 		EnableTupleRouting: true,
-		RoutingReplicas:    2,
 	}, 1, 4, miniFactory)
-	if _, err := fed.EnableTracing(1, 4096); err != nil {
+	if _, err := fed.EnableTracing(1); err != nil {
 		t.Fatal(err)
 	}
 	defer trace.SetActive(nil)

@@ -24,8 +24,9 @@ func newClockFederation(t *testing.T, net *simnet.SimNet, nEntities int, opts Op
 }
 
 // TestWatchdogsEvaluateOncePerDigestPeriod pins the one-clock rule on
-// the portal's configuration — stats plane in background mode, latency
-// attribution and engine introspection on: each watchdog makes exactly
+// the portal's configuration — tracing on and the stats plane, with its
+// latency attribution and engine introspection, in background mode: each
+// watchdog makes exactly
 // one verdict pass per digest period, so the window drop_rate and
 // ring_occupancy_p99 are differenced over is one period. (With a private
 // watchdog ticker beside the stats plane's it was two passes per period
@@ -38,19 +39,13 @@ func TestWatchdogsEvaluateOncePerDigestPeriod(t *testing.T) {
 	if err := fed.SubmitQueryTo(priceQuery("q", 0, 1000), "e00", nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fed.EnableTracing(4, 256); err != nil {
-		t.Fatal(err)
-	}
-	if err := fed.EnableLatencyAttribution(); err != nil {
+	if _, err := fed.EnableTracing(4); err != nil {
 		t.Fatal(err)
 	}
 	if err := fed.EnableStatsPlane(10 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if err := fed.EnableEngineIntrospection(); err != nil {
-		t.Fatal(err)
-	}
-	slo, backpressure := fed.lat.rules, fed.eng.rules
+	slo, backpressure := fed.lat.Load().rules, fed.stats.eng.rules
 	root, _ := fed.coord.Root()
 	node := fed.stats.nodes[string(root)]
 	periods := func() int64 { return int64(node.Snapshot()[string(root)].Seq) }
@@ -119,16 +114,10 @@ func TestCloseStopsTheClockUnderLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := fed.EnableTracing(4, 256); err != nil {
-		t.Fatal(err)
-	}
-	if err := fed.EnableLatencyAttribution(); err != nil {
+	if _, err := fed.EnableTracing(4); err != nil {
 		t.Fatal(err)
 	}
 	if err := fed.EnableStatsPlane(period); err != nil {
-		t.Fatal(err)
-	}
-	if err := fed.EnableEngineIntrospection(); err != nil {
 		t.Fatal(err)
 	}
 	if err := fed.EnableCheckpoints(period, 2); err != nil {
@@ -139,7 +128,7 @@ func TestCloseStopsTheClockUnderLoad(t *testing.T) {
 	}
 	var probe atomic.Int64
 	fed.every(period, func() { probe.Add(1) })
-	slo, backpressure, ckpt := fed.lat.rules, fed.eng.rules, fed.ckpt
+	slo, backpressure, ckpt := fed.lat.Load().rules, fed.stats.eng.rules, fed.ckpt
 
 	stop := make(chan struct{})
 	var publisher sync.WaitGroup

@@ -1,16 +1,16 @@
 package core
 
-// The engine introspection plane (DESIGN.md §14): per-shard telemetry
-// snapshots federated up the coordinator stats tree, a backpressure
-// watchdog reusing the SLO rule machinery over windowed engine-level
-// quantities (drop rate, p99 ring occupancy), and sspd_engine_* metric
-// families rendered on both the local and the cluster registry. The
-// watchdog is clocked by the stats digest period — one evaluation per
-// StatsTick, so its window is exactly one period — and journals
-// engine.saturated / engine.recovered transitions
-// and, when continuous profiling is enabled, triggers a capture on the
-// saturation edge — so the profile ring holds the flame graph of the
-// overload, not of the quiet aftermath.
+// The engine introspection part of the stats plane (DESIGN.md §14):
+// per-shard telemetry snapshots federated up the coordinator stats tree,
+// a backpressure watchdog reusing the SLO rule machinery over windowed
+// engine-level quantities (drop rate, p99 ring occupancy), and
+// sspd_engine_* metric families rendered on both the local and the
+// cluster registry. The watchdog is clocked by the stats digest period —
+// one evaluation per StatsTick, so its window is exactly one period — and
+// journals engine.saturated / engine.recovered transitions and, when
+// continuous profiling is enabled, triggers a capture on the saturation
+// edge — so the profile ring holds the flame graph of the overload, not
+// of the quiet aftermath.
 //
 // Snapshots walk engine atomics at tick/scrape time; the tuple path is
 // untouched.
@@ -28,11 +28,11 @@ import (
 	"sspd/internal/profile"
 )
 
-// DefaultEngineRules is the backpressure rule set used when
-// EnableEngineIntrospection is given none: the engine is saturated when
-// more than 1% of offered tuples drop in a window, or when the 99th
-// percentile enqueue-time ring occupancy exceeds 75% of capacity.
-var DefaultEngineRules = []string{
+// engineRules are the backpressure watchdog's rules: the engine is
+// saturated when more than 1% of offered tuples drop in a window, or when
+// the 99th percentile enqueue-time ring occupancy exceeds 75% of
+// capacity.
+var engineRules = []string{
 	"drop_rate < 1%",
 	"ring_occupancy_p99 < 75%",
 }
@@ -85,77 +85,31 @@ type enginePlane struct {
 	lastOcc      float64
 }
 
-// EnableEngineIntrospection starts the engine introspection plane. rules
-// are backpressure rule lines (drop_rate, ring_occupancy_p99; see
-// latency.ParseRule); none installs DefaultEngineRules. The watchdog has
-// no clock of its own: it evaluates once per stats digest period
-// (StatsTick, manual or on the stats plane's background period), or on
-// an explicit EngineTick.
-func (f *Federation) EnableEngineIntrospection(rules ...string) error {
-	if len(rules) == 0 {
-		rules = DefaultEngineRules
-	}
-	parsed, err := latency.ParseRules(rules)
-	if err != nil {
-		return err
-	}
-	f.mu.Lock()
-	if !f.started {
-		f.mu.Unlock()
-		return fmt.Errorf("core: federation not started")
-	}
-	if f.eng != nil {
-		f.mu.Unlock()
-		return fmt.Errorf("core: engine introspection already enabled")
-	}
-	p := &enginePlane{
+func newEnginePlane(f *Federation) *enginePlane {
+	return &enginePlane{
 		f: f,
-		rules: newRuleWatch(parsed, f.logger, ruleNames{
+		rules: newRuleWatch(engineRules, f.logger, ruleNames{
 			breachKind: "engine.saturated", breachMsg: "engine backpressure rule breached",
 			clearKind: "engine.recovered", clearMsg: "engine backpressure rule recovered",
 			stateMetric: "sspd_engine_saturated", stateHelp: "1 while the backpressure rule is in breach.",
 			totalMetric: "sspd_engine_saturations_total", totalHelp: "Saturation transitions per backpressure rule.",
 		}),
 	}
-	f.eng = p
-	f.mu.Unlock()
-
-	// Cluster-wide: /cluster/metrics serves the same sspd_engine_*
-	// families as /metrics.
-	f.addCollector(p.collect, true)
-	f.logger.Info("engine.watch", "", "engine introspection plane enabled",
-		"rules", len(parsed))
-	return nil
-}
-
-// EngineTick runs one backpressure watchdog evaluation over the window
-// since the previous tick, journaling saturation transitions (and
-// triggering a profile capture on the saturation edge). StatsTick calls
-// this once per digest period; exposed for a federation without the
-// stats plane. Returns the per-rule verdicts (nil when the plane is
-// disabled).
-func (f *Federation) EngineTick() []latency.Verdict {
-	f.mu.Lock()
-	p := f.eng
-	f.mu.Unlock()
-	if p == nil {
-		return nil
-	}
-	return p.eval()
 }
 
 // ClusterEngine returns the cluster engine view. Entities federated
 // through the stats plane contribute their digest rows (so the root
 // answers for remote entities too); locally hosted entities not yet
-// covered by a digest are read live. ok is false while the plane is
-// disabled.
+// covered by a digest are read live. ok is false while the stats plane
+// is off.
 func (f *Federation) ClusterEngine() (ClusterEngineView, bool) {
 	f.mu.Lock()
-	p := f.eng
+	stats := f.stats
 	f.mu.Unlock()
-	if p == nil {
+	if stats == nil {
 		return ClusterEngineView{}, false
 	}
+	p := stats.eng
 	byID := make(map[string]EntityEngine)
 	for _, ee := range f.liveEngineEntities() {
 		byID[ee.Entity] = ee
@@ -188,23 +142,6 @@ func (f *Federation) ClusterEngine() (ClusterEngineView, bool) {
 	p.mu.Unlock()
 	view.Verdicts, view.Saturated = p.rules.status()
 	return view, true
-}
-
-// engineRowFor is the stats plane's fold hook: one entity's merged
-// telemetry snapshot (nil when the plane is off or the entity runs no
-// introspectable engine).
-func (f *Federation) engineRowFor(ent *entity.Entity) *engine.EngineStats {
-	f.mu.Lock()
-	p := f.eng
-	f.mu.Unlock()
-	if p == nil || ent == nil {
-		return nil
-	}
-	es, ok := ent.EngineTelemetry()
-	if !ok {
-		return nil
-	}
-	return &es
 }
 
 // liveEngineEntities reads every locally hosted entity's telemetry

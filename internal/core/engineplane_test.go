@@ -19,29 +19,22 @@ func shardFactory(name string, c *stream.Catalog) engine.Processor {
 }
 
 // TestEngineSaturationChaos is the introspection plane's chaos
-// acceptance test: a deliberately stalled shard engine overruns its
-// ring, and the backpressure watchdog must journal engine.saturated
-// (auto-capturing a profile on the edge) and then engine.recovered once
-// the load drains.
+// acceptance test, under the shipped backpressure rules: a deliberately
+// stalled shard engine overruns its ring, and the backpressure watchdog
+// must journal engine.saturated for the drop-rate rule (auto-capturing a
+// profile on the edge) and then engine.recovered for every rule that
+// breached once the load drains.
 func TestEngineSaturationChaos(t *testing.T) {
+	const dropRule = "drop_rate < 1%"
 	net := simnet.NewSim(nil)
 	t.Cleanup(func() { net.Close() })
 	fed := startFederation(t, net, Options{Fanout: 2,
 		Logger: obslog.New(obslog.NewJournal(obslog.DefaultJournalCapacity), nil)}, 1, 1, shardFactory)
 	if _, ok := fed.ClusterEngine(); ok {
-		t.Fatal("ClusterEngine must report disabled before enable")
+		t.Fatal("ClusterEngine must report disabled before the stats plane")
 	}
 	if err := fed.EnableStatsPlane(0); err != nil {
 		t.Fatal(err)
-	}
-	// Only the drop-rate rule: the occupancy rule would also trip here,
-	// but its recovery depends on how fast the drain happens, and this
-	// test wants a deterministic breach→recover pair.
-	if err := fed.EnableEngineIntrospection("drop_rate < 1%"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fed.EnableEngineIntrospection(); err == nil {
-		t.Fatal("double enable must fail")
 	}
 	if err := fed.EnableProfiling(t.TempDir(), 0); err != nil {
 		t.Fatal(err)
@@ -95,15 +88,19 @@ func TestEngineSaturationChaos(t *testing.T) {
 	fed.Settle(2 * time.Second)
 
 	// One watchdog tick while saturated: way more than 1% of the window
-	// dropped.
+	// dropped. The occupancy rule may trip too; each rule journals once.
 	fed.StatsTick()
 	fed.Settle(2 * time.Second)
 	sat := fed.Journal().Since(0, "engine.saturated")
-	if len(sat) != 1 {
-		t.Fatalf("engine.saturated events = %d, want 1", len(sat))
+	satSeq := make(map[string]uint64, len(sat))
+	for _, e := range sat {
+		if _, dup := satSeq[e.Fields["rule"]]; dup {
+			t.Fatalf("rule %q journaled engine.saturated twice in one tick", e.Fields["rule"])
+		}
+		satSeq[e.Fields["rule"]] = e.Seq
 	}
-	if sat[0].Fields["rule"] != "drop_rate < 1%" {
-		t.Fatalf("saturated rule = %q", sat[0].Fields["rule"])
+	if _, ok := satSeq[dropRule]; !ok {
+		t.Fatalf("engine.saturated events %+v, want one for %q", sat, dropRule)
 	}
 	view, ok := fed.ClusterEngine()
 	if !ok || !view.Saturated {
@@ -128,41 +125,45 @@ func TestEngineSaturationChaos(t *testing.T) {
 	}
 
 	// A second stalled tick must NOT journal a second transition: the
-	// rule is already in breach.
+	// rules are already in breach.
 	if err := fed.Publish("quotes", tick.Batch(4)); err != nil {
 		t.Fatal(err)
 	}
 	fed.Settle(2 * time.Second)
 	fed.StatsTick()
-	if n := len(fed.Journal().Since(0, "engine.saturated")); n != 1 {
-		t.Fatalf("engine.saturated events after second stalled tick = %d, want 1 (no re-journal)", n)
+	if n := len(fed.Journal().Since(0, "engine.saturated")); n != len(sat) {
+		t.Fatalf("engine.saturated events after second stalled tick = %d, want %d (no re-journal)", n, len(sat))
 	}
 
-	// Open the gate, drain the backlog, and push a clean window through:
-	// the drop rate falls to zero and the watchdog journals recovery.
+	// Open the gate, drain the backlog, and push clean windows through
+	// until every breached rule has recovered: the drop rate falls to
+	// zero at once, the occupancy percentile once the drain is done.
 	openGate()
 	fed.Settle(5 * time.Second)
-	for i := 0; i < 50; i++ {
-		if err := fed.Publish("quotes", tick.Batch(4)); err != nil {
-			t.Fatal(err)
+	var rec []obslog.Event
+	for deadline := time.Now().Add(15 * time.Second); len(rec) < len(sat); {
+		if time.Now().After(deadline) {
+			t.Fatalf("engine.recovered events %+v, want one per saturated rule %v", rec, satSeq)
 		}
-	}
-	fed.Settle(5 * time.Second)
-	fed.StatsTick()
-	rec := fed.Journal().Since(0, "engine.recovered")
-	if len(rec) != 1 {
-		t.Fatalf("engine.recovered events = %d, want 1", len(rec))
-	}
-	if rec[0].Fields["rule"] != "drop_rate < 1%" {
-		t.Fatalf("recovered rule = %q", rec[0].Fields["rule"])
+		for i := 0; i < 50; i++ {
+			if err := fed.Publish("quotes", tick.Batch(4)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fed.Settle(5 * time.Second)
+		fed.StatsTick()
+		rec = fed.Journal().Since(0, "engine.recovered")
 	}
 	if view, _ := fed.ClusterEngine(); view.Saturated {
 		t.Fatal("still saturated after the clean window")
 	}
 
-	// The saturated/recovered pair sits in causal order in the journal.
-	if sat[0].Seq >= rec[0].Seq {
-		t.Fatalf("saturated seq %d not before recovered seq %d", sat[0].Seq, rec[0].Seq)
+	// Each saturated/recovered pair sits in causal order in the journal.
+	for _, e := range rec {
+		rule := e.Fields["rule"]
+		if seq, ok := satSeq[rule]; !ok || seq >= e.Seq {
+			t.Fatalf("rule %q recovered at seq %d without an earlier saturation (%v)", rule, e.Seq, satSeq)
+		}
 	}
 
 	// Metric families reflect the episode on the local registry.
@@ -174,6 +175,7 @@ func TestEngineSaturationChaos(t *testing.T) {
 	for _, want := range []string{
 		`sspd_engine_saturations_total{rule="drop_rate < 1%"} 1`,
 		`sspd_engine_saturated{rule="drop_rate < 1%"} 0`,
+		`sspd_engine_saturated{rule="ring_occupancy_p99 < 75%"} 0`,
 		`sspd_engine_dropped_total{entity="e00"}`,
 	} {
 		if !strings.Contains(out, want) {
@@ -206,9 +208,6 @@ func TestEngineViewFederatesRemoteRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := fed.EnableStatsPlane(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := fed.EnableEngineIntrospection(); err != nil {
 		t.Fatal(err)
 	}
 	if err := fed.SubmitQueryTo(priceQuery("q0", 0, 1000), "e00", nil); err != nil {

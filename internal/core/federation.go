@@ -32,15 +32,9 @@ type Options struct {
 	Strategy dissemination.Strategy
 	// Fanout bounds dissemination-tree children per node (default 4).
 	Fanout int
-	// CoordinatorK is the coordinator-tree cluster parameter (default 3).
-	CoordinatorK int
-	// PartitionEpsilon is the allocation balance tolerance (default 0.2).
-	PartitionEpsilon float64
 	// FragmentsPerQuery is how many fragments each query splits into
 	// inside its entity (default 1; joins never split).
 	FragmentsPerQuery int
-	// Clock is the accounting clock (default wall clock).
-	Clock func() time.Time
 	// ReliableControl delivers interest registrations through reliable
 	// endpoints (acks, bounded retries, exponential backoff); exhausted
 	// retries feed the failure detector. Tuple traffic is unaffected.
@@ -76,7 +70,7 @@ type Options struct {
 	Engine string
 	// EnableTupleRouting activates the Adaptation Module's per-tuple
 	// downstream selection (paper §4.2, DESIGN.md §15): every placement
-	// replicates middle query fragments on RoutingReplicas processors
+	// replicates middle query fragments on routingReplicas processors
 	// and each inter-fragment tuple is routed to the candidate with the
 	// lowest smoothed observed delay. The AM plane feeds the choosers
 	// from latency-attribution trace completions, so routing needs
@@ -84,13 +78,23 @@ type Options struct {
 	// round-robin balancing). Off (the default) is the paper's static
 	// ordering baseline: one instance per fragment, fixed chain.
 	EnableTupleRouting bool
-	// RoutingReplicas is the candidate-set size for middle fragments
-	// when tuple routing is enabled (default 2).
-	RoutingReplicas int
-	// RoutingExplore sends every Nth routed tuple to a non-best
-	// candidate so stale delay scores recover (default 32).
-	RoutingExplore int
 }
+
+// The federation's fixed tuning: each has one value in use.
+const (
+	// coordinatorK is the coordinator-tree cluster parameter.
+	coordinatorK = 3
+	// partitionEpsilon is the allocation balance tolerance.
+	partitionEpsilon = 0.2
+	// routingReplicas is the candidate-set size for middle fragments when
+	// tuple routing is enabled.
+	routingReplicas = 2
+	// routingExplore sends every Nth routed tuple to a non-best candidate
+	// so stale delay scores recover.
+	routingExplore = 32
+	// traceCapacity is how many recent spans the tracer keeps.
+	traceCapacity = 2048
+)
 
 // engineFactoryFor resolves an Options.Engine kind to a factory; nil
 // with no error means the entity default (the production engine).
@@ -113,12 +117,6 @@ func (o Options) normalized() Options {
 	if o.Fanout <= 0 {
 		o.Fanout = 4
 	}
-	if o.CoordinatorK < 2 {
-		o.CoordinatorK = 3
-	}
-	if o.PartitionEpsilon <= 0 {
-		o.PartitionEpsilon = 0.2
-	}
 	if o.FragmentsPerQuery <= 0 {
 		o.FragmentsPerQuery = 1
 	}
@@ -127,12 +125,6 @@ func (o Options) normalized() Options {
 	}
 	if o.AdaptationHysteresis <= 0 {
 		o.AdaptationHysteresis = 1
-	}
-	if o.RoutingReplicas <= 0 {
-		o.RoutingReplicas = 2
-	}
-	if o.RoutingExplore <= 0 {
-		o.RoutingExplore = 32
 	}
 	return o
 }
@@ -202,13 +194,10 @@ type Federation struct {
 	logger *obslog.Logger
 	// stats is the cluster stats plane (nil until EnableStatsPlane).
 	stats *statsPlane
-	// lat is the latency attribution plane (nil until
-	// EnableLatencyAttribution).
-	lat *latencyPlane
-	// spanLat points at the latency plane's span-completion consumer —
-	// copy-on-write so the tracer's completion hook (tuple path) never
-	// takes f.mu. Nil until EnableLatencyAttribution.
-	spanLat atomic.Pointer[latencyPlane]
+	// lat is the stats plane's latency attribution part — an atomic
+	// pointer so the tracer's completion hook (tuple path) never takes
+	// f.mu. Nil until EnableStatsPlane.
+	lat atomic.Pointer[latencyPlane]
 	// am is the Adaptation Module plane (nil unless EnableTupleRouting):
 	// it routes trace-measured per-candidate delays back into the
 	// entities' downstream choosers.
@@ -219,9 +208,6 @@ type Federation struct {
 	// ckpt is the durable-checkpoint plane (nil until
 	// EnableCheckpoints).
 	ckpt *ckptPlane
-	// eng is the engine introspection plane (nil until
-	// EnableEngineIntrospection).
-	eng *enginePlane
 	// prof is the continuous profiling recorder (nil until
 	// EnableProfiling).
 	prof *profile.Recorder
@@ -295,8 +281,8 @@ func New(transport simnet.Transport, catalog *stream.Catalog, opts Options) (*Fe
 		opts:       opts,
 		sources:    make(map[string]*sourceNode),
 		entities:   make(map[string]*entityNode),
-		coord:      coordinator.NewTree(opts.CoordinatorK),
-		ledger:     NewLedger(opts.Clock),
+		coord:      coordinator.NewTree(coordinatorK),
+		ledger:     NewLedger(nil),
 		rates:      make(map[string]StreamRate),
 		queries:    make(map[string]*fedQuery),
 		relayIndex: make(map[simnet.NodeID]*dissemination.Relay),
@@ -441,7 +427,7 @@ func (f *Federation) newEntityNodeLocked(id string, pos simnet.Point, nProcs int
 	ent.SetResultHandler(f.deliverResult)
 	ent.SetLogger(f.logger)
 	if f.opts.EnableTupleRouting {
-		ent.SetTupleRouting(f.opts.RoutingReplicas, f.opts.RoutingExplore)
+		ent.SetTupleRouting(routingReplicas, routingExplore)
 	}
 	hb, err := coordinator.NewDetector(f.transport, hbID(id), time.Second, 3, nil)
 	if err != nil {
@@ -815,7 +801,7 @@ func (f *Federation) Rebalance(r querygraph.Repartitioner) (int, error) {
 	old, ids := f.Assignment()
 	res, err := r.Repartition(g, old, querygraph.Options{
 		K:       len(ids),
-		Epsilon: f.opts.PartitionEpsilon,
+		Epsilon: partitionEpsilon,
 	})
 	if err != nil {
 		return 0, err
@@ -1001,12 +987,12 @@ func (f *Federation) removeEntity(en *entityNode,
 			}
 		}
 	}
-	stats, lat, monitor := f.stats, f.lat, f.monitor
+	stats, monitor := f.stats, f.monitor
 	f.mu.Unlock()
 	if stats != nil {
 		stats.removeNode(id)
 	}
-	if lat != nil {
+	if lat := f.lat.Load(); lat != nil {
 		lat.forgetEntity(id)
 	}
 	if monitor != nil {
@@ -1311,10 +1297,8 @@ func (f *Federation) Close() {
 	f.tracer = nil
 	stats := f.stats
 	f.stats = nil
-	f.lat = nil
 	ckpt := f.ckpt
 	f.ckpt = nil
-	f.eng = nil
 	prof := f.prof
 	f.prof = nil
 	f.mu.Unlock()
@@ -1324,7 +1308,7 @@ func (f *Federation) Close() {
 	if ckpt != nil {
 		ckpt.close()
 	}
-	f.spanLat.Store(nil) // detach the latency plane from the span dispatcher
+	f.lat.Store(nil) // detach the latency plane from the span dispatcher
 	if stats != nil {
 		stats.close()
 	}

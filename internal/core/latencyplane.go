@@ -1,23 +1,21 @@
 package core
 
-// The latency attribution plane (DESIGN.md §11): the tracer's span
-// completion hook decomposes every sampled tuple's journey into
-// per-stage wall-clock deltas (dissemination, network, ingest, engine,
-// eval) recorded into mergeable log-bucket histograms per hosting
-// entity. The per-entity snapshots ride the stats federation's
+// The latency attribution part of the stats plane (DESIGN.md §11): the
+// tracer's span completion hook decomposes every sampled tuple's journey
+// into per-stage wall-clock deltas (dissemination, network, ingest,
+// engine, eval) recorded into mergeable log-bucket histograms per
+// hosting entity. The per-entity snapshots ride the stats federation's
 // EntityStats rows, so the coordinator-tree root answers cluster-wide
 // per-stage percentiles by exact bucket-wise merge. On top of the
 // merged view the plane derives each query's *measured* performance
 // ratio (span delay over span-measured evaluation time, vs. the
-// engine-estimated d_k/p_k) and evaluates declarative SLO rules once
-// per stats digest period, journaling slo.breach / slo.clear
-// transitions.
+// engine-estimated d_k/p_k) and evaluates the SLO rules once per stats
+// digest period, journaling slo.breach / slo.clear transitions.
 //
 // Everything here is driven by completed spans and periodic ticks; the
 // unsampled tuple path is untouched.
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -26,12 +24,10 @@ import (
 	"sspd/internal/trace"
 )
 
-// DefaultSLORules is the rule set used when EnableLatencyAttribution is
-// given none: end-to-end tail latency, worst measured PR, and the
-// network stage's share of total time.
-var DefaultSLORules = []string{
+// sloRules are the SLO watchdog's rules: end-to-end tail latency and the
+// network stage's share of total time, both over the last digest period.
+var sloRules = []string{
 	"p99_end_to_end < 250ms",
-	"pr_max < 3",
 	"stage_share(network) < 60%",
 }
 
@@ -60,36 +56,10 @@ type latencyPlane struct {
 	Unrouted metrics.Counter
 }
 
-// EnableLatencyAttribution starts the latency attribution plane.
-// Tracing must be enabled first: the plane consumes the tracer's span
-// completion hook. rules are SLO rule lines (see latency.ParseRule); none
-// installs DefaultSLORules. The SLO watchdog has no clock of its own: it
-// evaluates once per stats digest period (StatsTick, manual or on the
-// stats plane's background period), or on an explicit SLOTick.
-func (f *Federation) EnableLatencyAttribution(rules ...string) error {
-	if len(rules) == 0 {
-		rules = DefaultSLORules
-	}
-	parsed, err := latency.ParseRules(rules)
-	if err != nil {
-		return err
-	}
-	f.mu.Lock()
-	if !f.started {
-		f.mu.Unlock()
-		return fmt.Errorf("core: federation not started")
-	}
-	if f.tracer == nil {
-		f.mu.Unlock()
-		return fmt.Errorf("core: latency attribution needs tracing (call EnableTracing first)")
-	}
-	if f.lat != nil {
-		f.mu.Unlock()
-		return fmt.Errorf("core: latency attribution already enabled")
-	}
+func newLatencyPlane(f *Federation) *latencyPlane {
 	p := &latencyPlane{
 		f: f,
-		rules: newRuleWatch(parsed, f.logger, ruleNames{
+		rules: newRuleWatch(sloRules, f.logger, ruleNames{
 			breachKind: "slo.breach", breachMsg: "SLO rule breached",
 			clearKind: "slo.clear", clearMsg: "SLO rule recovered",
 			stateMetric: "sspd_slo_breached", stateHelp: "1 while the SLO rule is in breach.",
@@ -98,87 +68,34 @@ func (f *Federation) EnableLatencyAttribution(rules ...string) error {
 		recorders: make(map[string]*latency.Recorder),
 		leftover:  latency.NewRecorder(),
 	}
-	f.lat = p
-	f.mu.Unlock()
-
 	p.refreshRoutes()
-	// The tracer's single completion hook belongs to the federation
-	// dispatcher (set at EnableTracing); publishing the plane through the
-	// copy-on-write pointer routes completions here without the tuple
-	// path ever taking f.mu.
-	f.spanLat.Store(p)
-	f.addCollector(p.collect, false)
-	f.logger.Info("slo.watch", "", "latency attribution plane enabled",
-		"rules", len(parsed))
-	return nil
-}
-
-// LatencyEnabled reports whether the attribution plane is running.
-func (f *Federation) LatencyEnabled() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.lat != nil
+	return p
 }
 
 // ClusterLatency returns the cluster-wide attribution view: the
 // bucket-wise merge of every entity's federated latency row (as seen by
-// the coordinator-tree root) plus locally buffered leftovers. When the
-// stats plane is not enabled the per-entity recorders are merged
-// directly. ok is false while the plane is disabled.
+// the coordinator-tree root) plus locally buffered leftovers. ok is
+// false until both the stats plane and tracing are on.
 func (f *Federation) ClusterLatency() (latency.Attribution, bool) {
-	f.mu.Lock()
-	p := f.lat
-	statsUp := f.stats != nil
-	f.mu.Unlock()
-	if p == nil {
+	p := f.lat.Load()
+	if p == nil || f.Tracer() == nil {
 		return latency.Attribution{}, false
 	}
 	var out latency.Attribution
-	merged := false
-	if statsUp {
-		if rows, _, ok := f.ClusterStats(); ok {
-			for _, row := range rows {
-				if row.Latency != nil {
-					out.Merge(*row.Latency)
-				}
+	if rows, _, ok := f.ClusterStats(); ok {
+		for _, row := range rows {
+			if row.Latency != nil {
+				out.Merge(*row.Latency)
 			}
-			merged = true
-		}
-	}
-	if !merged {
-		p.mu.Lock()
-		recs := make([]*latency.Recorder, 0, len(p.recorders))
-		for _, r := range p.recorders {
-			recs = append(recs, r)
-		}
-		p.mu.Unlock()
-		for _, r := range recs {
-			out.Merge(r.Snapshot())
 		}
 	}
 	out.Merge(p.leftover.Snapshot())
 	return out, true
 }
 
-// SLOTick runs one watchdog evaluation against the current cluster
-// view, journaling breach/clear transitions. StatsTick calls this once
-// per digest period; exposed for a federation without the stats plane.
-// Returns the per-rule verdicts (nil when the plane is disabled).
-func (f *Federation) SLOTick() []latency.Verdict {
-	f.mu.Lock()
-	p := f.lat
-	f.mu.Unlock()
-	if p == nil {
-		return nil
-	}
-	return p.eval()
-}
-
 // SLOStatus returns the verdicts of the most recent watchdog tick.
 func (f *Federation) SLOStatus() []latency.Verdict {
-	f.mu.Lock()
-	p := f.lat
-	f.mu.Unlock()
+	p := f.lat.Load()
 	if p == nil {
 		return nil
 	}
@@ -186,27 +103,9 @@ func (f *Federation) SLOStatus() []latency.Verdict {
 	return vs
 }
 
-// latencyRoutesChanged refreshes the attribution plane's query routing
-// table after a placement change. Must be called without f.mu held.
-func (f *Federation) latencyRoutesChanged() {
-	f.mu.Lock()
-	p := f.lat
-	f.mu.Unlock()
-	if p != nil {
-		p.refreshRoutes()
-	}
-}
-
-// latencyRowFor is the stats plane's fold hook: one entity's current
-// attribution snapshot (nil when the plane is off or the entity has
-// recorded nothing yet).
-func (f *Federation) latencyRowFor(id string) *latency.Attribution {
-	f.mu.Lock()
-	p := f.lat
-	f.mu.Unlock()
-	if p == nil {
-		return nil
-	}
+// rowFor is the stats plane's fold hook: one entity's current
+// attribution snapshot (nil when the entity has recorded nothing yet).
+func (p *latencyPlane) rowFor(id string) *latency.Attribution {
 	p.mu.Lock()
 	rec := p.recorders[id]
 	p.mu.Unlock()
@@ -287,17 +186,7 @@ func (p *latencyPlane) eval() []latency.Verdict {
 	if !ok {
 		return nil
 	}
-	prMax := 0.0
-	for _, q := range att.Queries {
-		if q.PRMeasured > prMax {
-			prMax = q.PRMeasured
-		}
-	}
-	return p.rules.eval(latency.Observation{
-		E2E:    att.E2E,
-		Stages: att.Stages,
-		PRMax:  prMax,
-	})
+	return p.rules.eval(latency.Observation{E2E: att.E2E, Stages: att.Stages})
 }
 
 // collect renders the plane as Prometheus families on the federation

@@ -14,6 +14,7 @@ import (
 	"sspd/internal/entity"
 	"sspd/internal/latency"
 	"sspd/internal/metrics"
+	"sspd/internal/obslog"
 	"sspd/internal/simnet"
 	"sspd/internal/stream"
 	"sspd/internal/trace"
@@ -75,27 +76,11 @@ func latencyAttributionFederation(t *testing.T, factory entity.EngineFactory) {
 	t.Cleanup(func() { net.Close() })
 	fed := startFederation(t, net, Options{Strategy: dissemination.Balanced, Fanout: 2}, 3, 2, factory)
 
-	// The plane needs the tracer's completion hook.
-	if err := fed.EnableLatencyAttribution(); err == nil {
-		t.Fatal("EnableLatencyAttribution without tracing accepted")
-	}
-	tr, err := fed.EnableTracing(1, 1024)
+	tr, err := fed.EnableTracing(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer trace.SetActive(nil)
-	if err := fed.EnableLatencyAttribution(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fed.EnableLatencyAttribution(); err == nil {
-		t.Fatal("double enable accepted")
-	}
-	if !fed.LatencyEnabled() {
-		t.Fatal("LatencyEnabled = false after enable")
-	}
-	if err := fed.EnableLatencyAttribution("nonsense rule"); err == nil {
-		t.Fatal("bad rule accepted")
-	}
 
 	for i := 0; i < 3; i++ {
 		if err := fed.SubmitQueryTo(priceQuery(fmt.Sprintf("q%d", i), 0, 1000),
@@ -196,9 +181,9 @@ func latencyAttributionFederation(t *testing.T, factory entity.EngineFactory) {
 		t.Fatalf("federated P99 %.3gs is %d log-buckets from the exact P99 %.3gs (bar: 1)", fedP99, d, oracleP99)
 	}
 
-	// The default watchdog ran during the stats ticks.
-	if vs := fed.SLOStatus(); len(vs) != len(DefaultSLORules) {
-		t.Fatalf("SLOStatus has %d verdicts, want %d", len(vs), len(DefaultSLORules))
+	// The shipped watchdog ran during the stats ticks.
+	if vs := fed.SLOStatus(); len(vs) != len(sloRules) {
+		t.Fatalf("SLOStatus has %d verdicts, want %d", len(vs), len(sloRules))
 	}
 
 	// Exposition: real histogram families that survive the strict parser.
@@ -223,24 +208,76 @@ func latencyAttributionFederation(t *testing.T, factory entity.EngineFactory) {
 	}
 }
 
+// TestSpanAttributionEitherEnableOrder: sampled spans are attributed
+// once tracing and the stats plane are both on, whichever came first.
+func TestSpanAttributionEitherEnableOrder(t *testing.T) {
+	for _, statsFirst := range []bool{false, true} {
+		name := "tracing_first"
+		if statsFirst {
+			name = "stats_first"
+		}
+		t.Run(name, func(t *testing.T) {
+			net := simnet.NewSim(nil)
+			t.Cleanup(func() { net.Close() })
+			fed := startFederation(t, net, Options{Fanout: 2}, 2, 1, miniFactory)
+			defer trace.SetActive(nil)
+			enable := []func() error{
+				func() error { _, err := fed.EnableTracing(1); return err },
+				func() error { return fed.EnableStatsPlane(0) },
+			}
+			if statsFirst {
+				enable[0], enable[1] = enable[1], enable[0]
+			}
+			if err := enable[0](); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := fed.ClusterLatency(); ok {
+				t.Fatal("attribution reported on with only one of tracing and the stats plane")
+			}
+			if err := enable[1](); err != nil {
+				t.Fatal(err)
+			}
+			if err := fed.SubmitQueryTo(priceQuery("q", 0, 1000), "e01", nil); err != nil {
+				t.Fatal(err)
+			}
+			fed.Settle(2 * time.Second)
+			if err := fed.Publish("quotes", workload.NewTicker(5, 100, 1.2).Batch(10)); err != nil {
+				t.Fatal(err)
+			}
+			fed.Settle(2 * time.Second)
+			if att := waitLatencyCount(t, fed, 10); att.E2E.Count != 10 || len(att.Queries) != 1 {
+				t.Fatalf("attributed %d spans over %d queries, want 10 over 1", att.E2E.Count, len(att.Queries))
+			}
+		})
+	}
+}
+
 // TestLatencyChaosJitterDriftAndSLO is the fault-injection acceptance
-// test: an induced network-delay fault makes the measured PR diverge
-// from the engine-estimated PR (the engine clock starts at its own
-// queue, so link jitter is invisible to it), breaches the end-to-end
-// SLO with a slo.breach journal event, and — once the fault lifts —
-// the windowed watchdog emits the matching slo.clear.
+// test, on both engines and under the shipped rules. A healthy
+// federation breaches no SLO rule and saturates no engine. An induced
+// network-delay fault then breaches the end-to-end tail rule with a
+// slo.breach journal event and, on the shard engine, makes the measured
+// PR diverge from the engine-estimated PR (the engine clock starts at its
+// own queue, so link jitter is invisible to it; the oracle measures no
+// PR). Once the fault lifts, the windowed watchdog emits the matching
+// slo.clear. The tail rule, not the network-share one, is the one a link
+// fault trips: a span's relay hop is stamped on arrival, so link transit
+// lands in the dissemination stage.
 func TestLatencyChaosJitterDriftAndSLO(t *testing.T) {
+	for _, eng := range bothEngines {
+		t.Run(eng.name, func(t *testing.T) { latencyChaosJitterDriftAndSLO(t, eng.factory, eng.name == "shard") })
+	}
+}
+
+func latencyChaosJitterDriftAndSLO(t *testing.T, factory entity.EngineFactory, measuresPR bool) {
+	const rule = "p99_end_to_end < 250ms"
 	plan := simnet.NewFaultPlan(simnet.NewSim(nil), 17)
 	t.Cleanup(func() { plan.Close() })
-	fed := startFederation(t, plan, Options{Strategy: dissemination.Balanced, Fanout: 2}, 2, 2, fullFactory)
-	if _, err := fed.EnableTracing(1, 4096); err != nil {
+	fed := startFederation(t, plan, Options{Strategy: dissemination.Balanced, Fanout: 2}, 2, 2, factory)
+	if _, err := fed.EnableTracing(1); err != nil {
 		t.Fatal(err)
 	}
 	defer trace.SetActive(nil)
-	rule := "p99_end_to_end < 30ms"
-	if err := fed.EnableLatencyAttribution(rule); err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 2; i++ {
 		if err := fed.SubmitQueryTo(priceQuery(fmt.Sprintf("q%d", i), 0, 1000),
 			fmt.Sprintf("e%02d", i), nil); err != nil {
@@ -262,8 +299,17 @@ func TestLatencyChaosJitterDriftAndSLO(t *testing.T) {
 			t.Fatal("quiesce")
 		}
 	}
+	ruleEvents := func(kind string) []obslog.Event {
+		var out []obslog.Event
+		for _, e := range fed.Journal().Since(0, kind) {
+			if e.Fields["rule"] == rule {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
 
-	// Phase 1 — healthy baseline.
+	// Phase 1 — healthy baseline: no shipped rule breached.
 	publish(30)
 	att := waitLatencyCount(t, fed, 60)
 	healthyPR, _ := fed.PRMeasuredMax()
@@ -276,35 +322,40 @@ func TestLatencyChaosJitterDriftAndSLO(t *testing.T) {
 			t.Fatalf("breached during healthy phase: %+v (p99=%gs)", v, att.E2E.Quantile(0.99))
 		}
 	}
+	for _, kind := range []string{"slo.breach", "engine.saturated"} {
+		if evs := fed.Journal().Since(0, kind); len(evs) > 0 {
+			t.Fatalf("healthy phase journaled %s: %+v", kind, evs)
+		}
+	}
 
-	// Phase 2 — 60-100ms of uniform link jitter: network delay the
-	// engine's own delay clock never sees.
-	plan.SetDefaultFaults(simnet.LinkFaults{Jitter: 80 * time.Millisecond})
+	// Phase 2 — up to 400ms of uniform link jitter, so the window's p99
+	// lands near 400ms: network delay the engine's own delay clock never
+	// sees.
+	plan.SetDefaultFaults(simnet.LinkFaults{Jitter: 400 * time.Millisecond})
 	plan.SetEnabled(true)
 	publish(30)
-	att = waitLatencyCount(t, fed, healthyCount+60)
+	waitLatencyCount(t, fed, healthyCount+60)
 	plan.SetEnabled(false)
 
 	jitterPR, prQuery := fed.PRMeasuredMax()
-	estPR, okEst := fed.QueryPR(prQuery)
-	if !okEst {
-		t.Fatalf("no estimated PR for %s (engine metrics missing)", prQuery)
-	}
-	// The measured ratio must diverge hard from the estimate: jitter
-	// lands in the span but not in the engine's queue-to-result clock.
-	if jitterPR < estPR*3 {
-		t.Fatalf("measured PR %.3g did not diverge from estimated %.3g under jitter", jitterPR, estPR)
-	}
 	if jitterPR < healthyPR*2 {
-		t.Fatalf("measured PR %.3g barely moved from healthy %.3g under 80ms jitter", jitterPR, healthyPR)
+		t.Fatalf("measured PR %.3g barely moved from healthy %.3g under link jitter", jitterPR, healthyPR)
+	}
+	if measuresPR {
+		estPR, okEst := fed.QueryPR(prQuery)
+		if !okEst {
+			t.Fatalf("no estimated PR for %s (engine metrics missing)", prQuery)
+		}
+		// The measured ratio must diverge hard from the estimate: jitter
+		// lands in the span but not in the engine's queue-to-result clock.
+		if jitterPR < estPR*3 {
+			t.Fatalf("measured PR %.3g did not diverge from estimated %.3g under jitter", jitterPR, estPR)
+		}
 	}
 
-	breaches := fed.Journal().Since(0, "slo.breach")
+	breaches := ruleEvents("slo.breach")
 	if len(breaches) == 0 {
-		t.Fatalf("no slo.breach journal event; status %+v", fed.SLOStatus())
-	}
-	if breaches[0].Fields["rule"] != rule {
-		t.Fatalf("breach event names rule %q, want %q", breaches[0].Fields["rule"], rule)
+		t.Fatalf("no slo.breach journal event for %q; status %+v", rule, fed.SLOStatus())
 	}
 
 	// Phase 3 — fault lifted: a healthy window clears the breach even
@@ -313,7 +364,7 @@ func TestLatencyChaosJitterDriftAndSLO(t *testing.T) {
 	for {
 		publish(40)
 		settleTicks(fed, 2)
-		if clears := fed.Journal().Since(0, "slo.clear"); len(clears) > 0 {
+		if clears := ruleEvents("slo.clear"); len(clears) > 0 {
 			if clears[0].Seq <= breaches[0].Seq {
 				t.Fatalf("slo.clear seq %d precedes slo.breach seq %d", clears[0].Seq, breaches[0].Seq)
 			}
@@ -329,10 +380,10 @@ func TestLatencyChaosJitterDriftAndSLO(t *testing.T) {
 	if err := fed.MetricsRegistry().WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), `sspd_slo_breaches_total{rule="`+rule+`"}`) {
+	if !strings.Contains(sb.String(), `sspd_slo_breaches_total{rule="`+rule+`"} 1`) {
 		t.Error("exposition missing sspd_slo_breaches_total for the breached rule")
 	}
-	if !strings.Contains(sb.String(), "sspd_pr_drift{query=") {
+	if measuresPR && !strings.Contains(sb.String(), "sspd_pr_drift{query=") {
 		t.Error("exposition missing sspd_pr_drift")
 	}
 }

@@ -32,16 +32,17 @@ func (f *Federation) addCollector(c metrics.Collector, clusterWide bool) {
 
 // EnableTracing installs a per-tuple tracer sampling one in `every`
 // published tuples (every <= 0 disables; 1 traces everything), keeping
-// the most recent `capacity` spans (<= 0 uses trace.DefaultCapacity).
-// The tracer is installed process-wide so relays and entity processors
-// can record hops without plumbing; Close uninstalls it.
-func (f *Federation) EnableTracing(every, capacity int) (*trace.Tracer, error) {
+// the most recent traceCapacity spans. The tracer is installed
+// process-wide so relays and entity processors can record hops without
+// plumbing; Close uninstalls it. With the stats plane on too, in either
+// order, sampled spans are attributed to latency stages.
+func (f *Federation) EnableTracing(every int) (*trace.Tracer, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.tracer != nil {
 		return nil, fmt.Errorf("core: tracing already enabled")
 	}
-	t := trace.New(every, capacity)
+	t := trace.New(every, traceCapacity)
 	f.tracer = t
 	trace.SetActive(t)
 	// The tracer has ONE completion hook; the federation dispatcher fans

@@ -21,11 +21,11 @@ import (
 // final result.
 func TestFederationTraceEndToEnd(t *testing.T) {
 	fed, net := newTestFederation(t, 3)
-	tr, err := fed.EnableTracing(1, 64)
+	tr, err := fed.EnableTracing(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fed.EnableTracing(1, 64); err == nil {
+	if _, err := fed.EnableTracing(1); err == nil {
 		t.Fatal("double EnableTracing accepted")
 	}
 	defer trace.SetActive(nil)
@@ -79,7 +79,7 @@ func TestFederationTraceEndToEnd(t *testing.T) {
 // present.
 func TestFederationMetricsCollector(t *testing.T) {
 	fed, net := newTestFederation(t, 3)
-	if _, err := fed.EnableTracing(2, 32); err != nil {
+	if _, err := fed.EnableTracing(2); err != nil {
 		t.Fatal(err)
 	}
 	defer trace.SetActive(nil)

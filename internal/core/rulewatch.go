@@ -36,7 +36,13 @@ type ruleWatch struct {
 	breaches map[string]int64  // rule → breach transitions
 }
 
-func newRuleWatch(rules []latency.Rule, log *obslog.Logger, names ruleNames) *ruleWatch {
+// newRuleWatch watches the shipped rule lines; a line that does not parse
+// is a bug in the constant, not a runtime condition.
+func newRuleWatch(lines []string, log *obslog.Logger, names ruleNames) *ruleWatch {
+	rules, err := latency.ParseRules(lines)
+	if err != nil {
+		panic(err)
+	}
 	w := &ruleWatch{
 		watchdog: latency.NewWatchdog(rules),
 		log:      log,

@@ -8,11 +8,13 @@ package core
 // so the tree's root holds the cluster view that backs GET
 // /cluster/metrics, GET /cluster/health, the portal's ops page, and the
 // querygraph.StatsSource hook feeding measured weights to the adaptive
-// repartitioner. One digest period is one StatsTick — called by hand, or
-// by the control clock (clock.go) in background mode — and it also
-// clocks the SLO and backpressure watchdogs, so their window is exactly
-// one period. Digests ride the control transport; the per-tuple hot path
-// is untouched.
+// repartitioner. The plane has two parts that ride the same rows: latency
+// attribution (latencyplane.go) and engine introspection
+// (engineplane.go). One digest period is one StatsTick — called by hand,
+// or by the control clock (clock.go) in background mode — and it also
+// clocks the parts' SLO and backpressure watchdogs, so their window is
+// exactly one period. Digests ride the control transport; the per-tuple
+// hot path is untouched.
 
 import (
 	"fmt"
@@ -31,6 +33,9 @@ import (
 type statsPlane struct {
 	f        *Federation
 	interval time.Duration
+	// eng is the engine introspection part; the latency attribution part
+	// sits on f.lat, where the tracer's completion hook reads it.
+	eng *enginePlane
 
 	mu    sync.Mutex
 	nodes map[string]*coordinator.StatsNode
@@ -55,11 +60,13 @@ type foldState struct {
 	dropSpark   []float64
 }
 
-// EnableStatsPlane starts the cluster stats federation. interval is the
-// digest period: interval > 0 puts StatsTick on the control clock
-// (background mode is manual mode on a timer); interval <= 0 registers
-// nothing — tests then drive the plane deterministically with StatsTick.
-// Safe to call once, after Start.
+// EnableStatsPlane starts the cluster stats federation with its latency
+// attribution and engine introspection parts. interval is the digest
+// period: interval > 0 puts StatsTick on the control clock (background
+// mode is manual mode on a timer); interval <= 0 registers nothing —
+// tests then drive the plane deterministically with StatsTick. Sampled
+// spans are attributed once tracing is on too, whichever was enabled
+// first. Safe to call once, after Start.
 func (f *Federation) EnableStatsPlane(interval time.Duration) error {
 	f.mu.Lock()
 	if !f.started {
@@ -73,6 +80,7 @@ func (f *Federation) EnableStatsPlane(interval time.Duration) error {
 	p := &statsPlane{
 		f:        f,
 		interval: interval,
+		eng:      newEnginePlane(f),
 		nodes:    make(map[string]*coordinator.StatsNode),
 		folds:    make(map[string]*foldState),
 		srcPrev:  make(map[string]int64),
@@ -85,19 +93,18 @@ func (f *Federation) EnableStatsPlane(interval time.Duration) error {
 	for _, id := range ids {
 		p.addNode(id)
 	}
+	lat := newLatencyPlane(f)
+	f.lat.Store(lat)
+	f.addCollector(lat.collect, false)
+	// Cluster-wide: /cluster/metrics serves the same sspd_engine_*
+	// families as /metrics.
+	f.addCollector(p.eng.collect, true)
 	if interval > 0 {
 		f.every(interval, f.StatsTick)
 	}
 	f.logger.Info("stats.enable", "", "cluster stats plane enabled",
 		"interval", interval, "entities", len(ids))
 	return nil
-}
-
-// StatsEnabled reports whether the stats plane is running.
-func (f *Federation) StatsEnabled() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.stats != nil
 }
 
 // ClusterRegistry returns the registry serving sspd_cluster_* metrics
@@ -142,8 +149,10 @@ func (f *Federation) StatsTick() {
 	// The SLO and backpressure watchdogs are clocked by the stats
 	// federation: one verdict pass per digest period, over this window's
 	// traffic.
-	f.SLOTick()
-	f.EngineTick()
+	if lat := f.lat.Load(); lat != nil {
+		lat.eval()
+	}
+	p.eng.eval()
 }
 
 // ClusterStats returns the merged cluster table as seen by the current
@@ -517,10 +526,14 @@ func (p *statsPlane) fold(id string) coordinator.EntityStats {
 	p.mu.Unlock()
 
 	// Latency attribution rides the row so the root can merge cluster
-	// percentiles bucket-wise (nil when the plane is off); the engine
-	// telemetry snapshot rides the same way for shard heatmaps.
-	row.Latency = f.latencyRowFor(id)
-	row.Engine = f.engineRowFor(en.ent)
+	// percentiles bucket-wise; the engine telemetry snapshot rides the
+	// same way for shard heatmaps (nil for an engine with none).
+	if lat := f.lat.Load(); lat != nil {
+		row.Latency = lat.rowFor(id)
+	}
+	if es, ok := en.ent.EngineTelemetry(); ok {
+		row.Engine = &es
+	}
 	return row
 }
 

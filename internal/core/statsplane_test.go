@@ -34,9 +34,6 @@ func TestStatsPlaneClusterView(t *testing.T) {
 	net := simnet.NewSim(nil)
 	t.Cleanup(func() { net.Close() })
 	fed := startFederation(t, net, Options{Strategy: dissemination.Balanced, Fanout: 2}, 3, 2, miniFactory)
-	if fed.StatsEnabled() {
-		t.Fatal("stats plane must be off by default")
-	}
 	if fed.ClusterRegistry() != nil {
 		t.Fatal("cluster registry must be nil before EnableStatsPlane")
 	}

@@ -32,7 +32,6 @@ func buildFederation(net *simnet.SimNet, nEntities, nProcs int,
 	fed, err := core.New(net, catalog, core.Options{
 		Strategy:          strategy,
 		Fanout:            3,
-		CoordinatorK:      3,
 		FragmentsPerQuery: frags,
 	})
 	if err != nil {

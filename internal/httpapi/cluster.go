@@ -37,7 +37,7 @@ func (s *Server) clusterMetrics(w http.ResponseWriter, _ *http.Request) {
 // membership: who is up, whose row is fresh, and the row detail the ops
 // view renders (loads, query counts, PR_max sparklines).
 func (s *Server) clusterHealth(w http.ResponseWriter, _ *http.Request) {
-	if !s.fed.StatsEnabled() {
+	if s.fed.ClusterRegistry() == nil {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("httpapi: stats plane not enabled"))
 		return
 	}
@@ -78,11 +78,11 @@ func summarize(h latency.HistSnapshot) histSummary {
 // stage's share of total delay, per-query rows joining measured PR
 // against the engine-estimated PR, and the SLO watchdog's verdicts.
 func (s *Server) clusterLatency(w http.ResponseWriter, _ *http.Request) {
-	if !s.fed.LatencyEnabled() {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("httpapi: latency attribution not enabled"))
+	att, ok := s.fed.ClusterLatency()
+	if !ok {
+		writeErr(w, http.StatusNotFound, fmt.Errorf("httpapi: latency attribution needs the stats plane and tracing"))
 		return
 	}
-	att, _ := s.fed.ClusterLatency()
 
 	var totalStage float64
 	for _, hs := range att.Stages {

@@ -203,7 +203,7 @@ func TestEventsEndpoint(t *testing.T) {
 // TestTracesBadN: a malformed n is a 400, not a silently applied default.
 func TestTracesBadN(t *testing.T) {
 	ts, fed, _ := newTestServer(t)
-	if _, err := fed.EnableTracing(1, 16); err != nil {
+	if _, err := fed.EnableTracing(1); err != nil {
 		t.Fatal(err)
 	}
 	defer trace.SetActive(nil)

@@ -20,7 +20,7 @@ import (
 func (s *Server) clusterEngine(w http.ResponseWriter, _ *http.Request) {
 	view, ok := s.fed.ClusterEngine()
 	if !ok {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("httpapi: engine introspection not enabled"))
+		writeErr(w, http.StatusNotFound, fmt.Errorf("httpapi: engine introspection needs the stats plane"))
 		return
 	}
 	verdicts := make([]map[string]any, 0, len(view.Verdicts))

@@ -40,7 +40,7 @@ var engineFamilies = []string{
 }
 
 // newEngineTestServer is newTestServer with shard engines (the
-// introspectable kind) and the introspection + profiling planes on.
+// introspectable kind) and no plane on yet.
 func newEngineTestServer(t *testing.T) (*httptest.Server, *core.Federation, *simnet.SimNet) {
 	t.Helper()
 	net := simnet.NewSim(nil)
@@ -65,9 +65,6 @@ func newEngineTestServer(t *testing.T) (*httptest.Server, *core.Federation, *sim
 		}
 	}
 	if err := fed.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fed.EnableStatsPlane(0); err != nil {
 		t.Fatal(err)
 	}
 	srv, err := New(fed, simnet.Point{X: 25})
@@ -97,7 +94,7 @@ func TestClusterEngineEndpoint(t *testing.T) {
 		t.Fatalf("GET /profiles before enable: %d, want 404", resp.StatusCode)
 	}
 
-	if err := fed.EnableEngineIntrospection(); err != nil {
+	if err := fed.EnableStatsPlane(0); err != nil {
 		t.Fatal(err)
 	}
 	if err := fed.EnableProfiling(t.TempDir(), 0); err != nil {
@@ -158,8 +155,9 @@ func TestClusterEngineEndpoint(t *testing.T) {
 	if offered == 0 || tuples == 0 {
 		t.Fatalf("no traffic visible in the view: offered=%d tuples=%d", offered, tuples)
 	}
-	if len(view.Verdicts) != len(core.DefaultEngineRules) {
-		t.Fatalf("verdicts = %+v, want one per default rule", view.Verdicts)
+	if len(view.Verdicts) != 2 || view.Verdicts[0].Rule != "drop_rate < 1%" ||
+		view.Verdicts[1].Rule != "ring_occupancy_p99 < 75%" {
+		t.Fatalf("verdicts = %+v, want one per shipped backpressure rule", view.Verdicts)
 	}
 	if view.Saturated {
 		t.Fatal("unsaturated run reported saturated")

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"sspd/internal/core"
 	"sspd/internal/latency"
 	"sspd/internal/trace"
 	"sspd/internal/workload"
@@ -51,7 +50,8 @@ type clusterLatencyView struct {
 func TestClusterLatencyEndpoint(t *testing.T) {
 	ts, fed, net := newTestServer(t)
 
-	// Before the plane is enabled the endpoint 404s with a JSON error.
+	// The stats plane is on, but without a tracer there is nothing to
+	// attribute: the endpoint 404s with a JSON error.
 	var errOut map[string]string
 	if resp := getJSON(t, ts.URL+"/cluster/latency", &errOut); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET /cluster/latency before enable: %d, want 404", resp.StatusCode)
@@ -60,13 +60,10 @@ func TestClusterLatencyEndpoint(t *testing.T) {
 		t.Fatalf("error body: %v", errOut)
 	}
 
-	if _, err := fed.EnableTracing(1, 1024); err != nil {
+	if _, err := fed.EnableTracing(1); err != nil {
 		t.Fatal(err)
 	}
 	defer trace.SetActive(nil)
-	if err := fed.EnableLatencyAttribution(); err != nil {
-		t.Fatal(err)
-	}
 
 	if resp, _ := postJSON(t, ts.URL+"/queries", map[string]string{
 		"id": "q1", "query": "FROM quotes WHERE price < 1000"}); resp.StatusCode != http.StatusCreated {
@@ -127,14 +124,10 @@ func TestClusterLatencyEndpoint(t *testing.T) {
 		t.Fatalf("waterfall sums to %gs, e2e mean %gs", wf, q.E2E.Mean)
 	}
 
-	// The default SLO rule set reports verdicts.
-	if len(out.SLO) != len(core.DefaultSLORules) {
-		t.Fatalf("SLO verdicts: %+v, want one per default rule", out.SLO)
-	}
-	for _, v := range out.SLO {
-		if v.Rule == "" {
-			t.Fatalf("verdict missing rule: %+v", v)
-		}
+	// The shipped SLO rules report verdicts.
+	if len(out.SLO) != 2 || out.SLO[0].Rule != "p99_end_to_end < 250ms" ||
+		out.SLO[1].Rule != "stage_share(network) < 60%" {
+		t.Fatalf("SLO verdicts: %+v, want one per shipped rule", out.SLO)
 	}
 
 	// The ops page ships the latency panel.

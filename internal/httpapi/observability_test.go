@@ -87,11 +87,13 @@ func TestMetricsEndpoint(t *testing.T) {
 		if strings.HasPrefix(line, "#") {
 			continue
 		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
+		// The value follows the last space: label values (the watchdog
+		// rules) may hold spaces.
+		sp := strings.LastIndexByte(line, ' ')
+		if sp <= 0 {
 			t.Fatalf("malformed sample line %q", line)
 		}
-		name := fields[0]
+		name := line[:sp]
 		if i := strings.IndexByte(name, '{'); i >= 0 {
 			name = name[:i]
 		}
@@ -259,7 +261,7 @@ func TestTracesEndpoint(t *testing.T) {
 	if _, resp := scrape(t, ts.URL+"/traces/1"); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET /traces/1 without tracer: %d", resp.StatusCode)
 	}
-	if _, err := fed.EnableTracing(1, 64); err != nil {
+	if _, err := fed.EnableTracing(1); err != nil {
 		t.Fatal(err)
 	}
 	defer trace.SetActive(nil)

@@ -260,7 +260,7 @@ func TestAttributionMerge(t *testing.T) {
 func TestParseRules(t *testing.T) {
 	rules, err := ParseRules([]string{
 		"p99_end_to_end < 250ms",
-		"pr_max < 3",
+		"drop_rate < 1%",
 		"stage_share(network) < 60%",
 		"",
 	})
@@ -273,7 +273,7 @@ func TestParseRules(t *testing.T) {
 	if r := rules[0]; r.Kind != RuleQuantileE2E || r.Q != 0.99 || r.Bound != 0.25 {
 		t.Fatalf("rule 0: %+v", r)
 	}
-	if r := rules[1]; r.Kind != RulePRMax || r.Bound != 3 {
+	if r := rules[1]; r.Kind != RuleDropRate || math.Abs(r.Bound-0.01) > 1e-12 {
 		t.Fatalf("rule 1: %+v", r)
 	}
 	if r := rules[2]; r.Kind != RuleStageShare || r.Stage != "network" || math.Abs(r.Bound-0.6) > 1e-12 {
@@ -284,6 +284,7 @@ func TestParseRules(t *testing.T) {
 		"p0_end_to_end < 1s",       // quantile out of range
 		"stage_share(bogus) < 10%", // unknown stage
 		"vibes < 9000",             // unknown metric
+		"pr_max < 3",               // not windowed, so not a rule
 		"p50_end_to_end < -1s",     // non-positive bound
 		"p50_end_to_end < banana",  // unparseable bound
 	} {
@@ -291,21 +292,21 @@ func TestParseRules(t *testing.T) {
 			t.Errorf("ParseRule(%q) accepted", bad)
 		}
 	}
-	if _, err := ParseRules([]string{"pr_max < 3", "pr_max < 3"}); err == nil {
+	if _, err := ParseRules([]string{"drop_rate < 1%", "drop_rate < 1%"}); err == nil {
 		t.Error("duplicate rules accepted")
 	}
 }
 
 func TestWatchdogBreachAndClear(t *testing.T) {
-	rules, err := ParseRules([]string{"p99_end_to_end < 250ms", "pr_max < 3"})
+	rules, err := ParseRules([]string{"p99_end_to_end < 250ms", "drop_rate < 1%"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := NewWatchdog(rules)
 
 	var h Hist
-	obs := func(prMax float64) Observation {
-		return Observation{E2E: h.Snapshot(), PRMax: prMax}
+	obs := func(dropRate float64) Observation {
+		return Observation{E2E: h.Snapshot(), DropRate: dropRate, EngineWindow: true}
 	}
 	feed := func(sec float64, n int) {
 		for i := 0; i < n; i++ {
@@ -315,7 +316,7 @@ func TestWatchdogBreachAndClear(t *testing.T) {
 
 	// Tick 1: healthy traffic.
 	feed(0.010, 100)
-	v := w.Eval(obs(1.5))
+	v := w.Eval(obs(0.001))
 	if v[0].Breached || v[1].Breached {
 		t.Fatalf("healthy tick breached: %+v", v)
 	}
@@ -323,19 +324,19 @@ func TestWatchdogBreachAndClear(t *testing.T) {
 		t.Fatalf("healthy tick transitioned: %+v", v)
 	}
 
-	// Tick 2: slow window + bad PR → both breach with a transition edge.
+	// Tick 2: slow window + heavy drops → both breach with a transition edge.
 	feed(0.5, 100)
-	v = w.Eval(obs(4.2))
+	v = w.Eval(obs(0.2))
 	if !v[0].Breached || !v[0].Transition {
 		t.Fatalf("p99 rule did not breach on slow window: %+v", v[0])
 	}
 	if !v[1].Breached || !v[1].Transition {
-		t.Fatalf("pr_max rule did not breach: %+v", v[1])
+		t.Fatalf("drop_rate rule did not breach: %+v", v[1])
 	}
 
 	// Tick 3: still bad — breached holds, but no new transition.
 	feed(0.5, 100)
-	v = w.Eval(obs(4.2))
+	v = w.Eval(obs(0.2))
 	if !v[0].Breached || v[0].Transition {
 		t.Fatalf("sustained breach must not re-transition: %+v", v[0])
 	}
@@ -343,18 +344,20 @@ func TestWatchdogBreachAndClear(t *testing.T) {
 	// Tick 4: traffic recovers → clear transition despite the cumulative
 	// histogram still holding every slow sample (windowing at work).
 	feed(0.010, 500)
-	v = w.Eval(obs(1.0))
+	v = w.Eval(obs(0))
 	if v[0].Breached || !v[0].Transition {
 		t.Fatalf("p99 rule did not clear on healthy window: %+v", v[0])
 	}
 	if v[1].Breached || !v[1].Transition {
-		t.Fatalf("pr_max rule did not clear: %+v", v[1])
+		t.Fatalf("drop_rate rule did not clear: %+v", v[1])
 	}
 
 	// Tick 5: idle window → state held, not evaluated, no transition.
-	v = w.Eval(obs(0))
-	if v[0].Evaluated || v[0].Transition || v[0].Breached {
-		t.Fatalf("idle window verdict: %+v", v[0])
+	v = w.Eval(Observation{E2E: h.Snapshot()})
+	for _, vv := range v {
+		if vv.Evaluated || vv.Transition || vv.Breached {
+			t.Fatalf("idle window verdict: %+v", vv)
+		}
 	}
 }
 

@@ -13,21 +13,22 @@ import (
 // written as "<metric> < <bound>":
 //
 //	p99_end_to_end < 250ms        // windowed e2e quantile (any pNN)
-//	pr_max < 3                    // instantaneous worst measured PR
 //	stage_share(network) < 60%    // windowed share of e2e time in a stage
 //	drop_rate < 1%                // windowed engine dropped/offered ratio
 //	ring_occupancy_p99 < 75%      // windowed p99 shard-ring occupancy
 //
 // Bounds accept Go duration syntax (250ms, 1.5s), percentages (60%),
-// and bare numbers. Quantile and share rules are evaluated over the
-// *window* between consecutive watchdog ticks — cumulative histograms
-// are differenced first — so a breach clears once the offending traffic
-// stops, instead of being pinned forever by history.
+// and bare numbers. Every rule is evaluated over the *window* between
+// consecutive watchdog ticks — cumulative histograms are differenced
+// first, and the engine fractions arrive already windowed — so a breach
+// clears once the offending traffic stops, instead of being pinned
+// forever by history.
 type Rule struct {
 	// Raw is the rule as written; it is the rule's identity in journal
 	// events and metrics labels.
 	Raw string `json:"raw"`
-	// Kind is one of "quantile_e2e", "pr_max", "stage_share".
+	// Kind is one of "quantile_e2e", "stage_share", "drop_rate",
+	// "ring_occupancy_p99".
 	Kind string `json:"kind"`
 	// Q is the quantile in [0,1] for quantile_e2e rules.
 	Q float64 `json:"q,omitempty"`
@@ -39,7 +40,6 @@ type Rule struct {
 
 const (
 	RuleQuantileE2E = "quantile_e2e"
-	RulePRMax       = "pr_max"
 	RuleStageShare  = "stage_share"
 	// RuleDropRate and RuleRingOcc are the backpressure watchdog's rule
 	// kinds (DESIGN.md §14): windowed engine drop rate and windowed p99
@@ -65,8 +65,6 @@ func ParseRule(s string) (Rule, error) {
 	}
 	r := Rule{Raw: raw, Bound: bound}
 	switch {
-	case lhs == "pr_max":
-		r.Kind = RulePRMax
 	case lhs == "drop_rate":
 		r.Kind = RuleDropRate
 	case lhs == "ring_occupancy_p99":
@@ -133,12 +131,10 @@ func parseBound(s string) (float64, error) {
 }
 
 // Observation is one watchdog evaluation input: the current
-// *cumulative* cluster attribution state plus the instantaneous worst
-// measured PR.
+// *cumulative* cluster attribution state.
 type Observation struct {
 	E2E    HistSnapshot
 	Stages map[string]HistSnapshot
-	PRMax  float64
 
 	// DropRate and RingOccP99 are the backpressure watchdog's inputs:
 	// already-windowed fractions (the engine plane differences its own
@@ -209,9 +205,6 @@ func (w *Watchdog) Eval(o Observation) []Verdict {
 	for _, r := range w.rules {
 		v := Verdict{Rule: r, Value: math.NaN()}
 		switch r.Kind {
-		case RulePRMax:
-			v.Value = o.PRMax
-			v.Evaluated = o.PRMax > 0
 		case RuleQuantileE2E:
 			if winE2E.Count > 0 {
 				v.Value = winE2E.Quantile(r.Q)

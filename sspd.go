@@ -240,11 +240,11 @@ var EventKindMatches = obslog.KindMatches
 var NewObsLogger = obslog.NewText
 
 // Latency-attribution surface (DESIGN.md §11): span-derived stage
-// histograms, the measured performance ratio, and SLO watchdogs,
-// enabled on a federation with Federation.EnableLatencyAttribution
-// (rules only — the watchdog evaluates once per stats digest period)
-// after EnableTracing and queried via Federation.ClusterLatency,
-// Federation.SLOStatus, and GET /cluster/latency.
+// histograms, the measured performance ratio, and the SLO watchdog. They
+// are part of the stats plane (Federation.EnableStatsPlane) and attribute
+// sampled spans once Federation.EnableTracing is on too; query them via
+// Federation.ClusterLatency, Federation.SLOStatus, and GET
+// /cluster/latency.
 type (
 	// LatencyAttribution is a mergeable attribution snapshot: the
 	// end-to-end delay distribution, per-stage histograms, and
@@ -259,30 +259,18 @@ type (
 	// QueryLatency is one query's measured latency summary, including
 	// its stage waterfall and measured performance ratio.
 	QueryLatency = latency.QueryLatency
-	// SLORule is one parsed declarative latency objective.
-	SLORule = latency.Rule
 	// SLOVerdict is one rule's state after a watchdog evaluation.
 	SLOVerdict = latency.Verdict
 )
 
-// Latency stage names (the pipeline segments spans decompose into) and
-// the default SLO rule set applied when EnableLatencyAttribution is
-// called without rules.
-var (
-	LatencyStages   = latency.Stages
-	DefaultSLORules = core.DefaultSLORules
-)
+// LatencyStages names the pipeline segments spans decompose into.
+var LatencyStages = latency.Stages
 
-// ParseSLORule parses one declarative rule: "p99_end_to_end < 250ms",
-// "pr_max < 3", or "stage_share(network) < 60%".
-var ParseSLORule = latency.ParseRule
-
-// Engine-introspection surface (DESIGN.md §14): per-shard telemetry,
-// the backpressure watchdog, and continuous profiling, enabled with
-// Federation.EnableEngineIntrospection (rules only — the watchdog is
-// clocked by the stats digest period) / Federation.EnableProfiling and
-// queried via Federation.ClusterEngine, GET /cluster/engine, and
-// GET /profiles.
+// Engine-introspection surface (DESIGN.md §14): per-shard telemetry and
+// the backpressure watchdog, part of the stats plane
+// (Federation.EnableStatsPlane), and continuous profiling
+// (Federation.EnableProfiling); query them via Federation.ClusterEngine,
+// GET /cluster/engine, and GET /profiles.
 type (
 	// EngineStats is one engine's (or, merged, one entity's or the
 	// cluster's) shard telemetry snapshot.
@@ -302,7 +290,3 @@ type (
 	// ProfileRecorder is the bounded on-disk pprof capture ring.
 	ProfileRecorder = profile.Recorder
 )
-
-// DefaultEngineRules is the backpressure rule set applied when
-// EnableEngineIntrospection is called without rules.
-var DefaultEngineRules = core.DefaultEngineRules

@@ -144,15 +144,8 @@ func TestFacadeQueryLanguage(t *testing.T) {
 
 // TestFacadeLatency exercises the latency-attribution re-exports.
 func TestFacadeLatency(t *testing.T) {
-	r, err := sspd.ParseSLORule("p95_end_to_end < 100ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Q != 0.95 || r.Bound != 0.1 {
-		t.Fatalf("rule = %+v", r)
-	}
-	if len(sspd.LatencyStages) != 5 || len(sspd.DefaultSLORules) != 3 {
-		t.Fatalf("stages=%v defaults=%v", sspd.LatencyStages, sspd.DefaultSLORules)
+	if len(sspd.LatencyStages) != 5 {
+		t.Fatalf("stages=%v", sspd.LatencyStages)
 	}
 	var att sspd.LatencyAttribution
 	att.Merge(sspd.LatencyAttribution{})
