@@ -128,6 +128,12 @@ test:
 # ShardEngine: chaos recovery, hard-kill recovery (64 queries at once),
 # re-emission after the cut, migration chaos, a migration waiting out a
 # checkpoint, the federated P99, and routing around a jittered replica.
+# And the proofs that a recycled arena is read by nobody once its last
+# holder has released it, run again with -tags arenapoison, which
+# overwrites every arena on its last Release (stream.Lease): the lease
+# itself, leased feeds on both engines (TestLeasedFeed…), the fan-out and
+# routing differentials, the fragment chain, the engine's tail and shard
+# differentials, the handoffs and migration chaos.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -run 'TestShardEngine|TestEngineContract' ./internal/engine/
@@ -139,6 +145,7 @@ race:
 	$(GO) test -race -count=1 -run 'TestHandoff|TestResumeInPlaceKeepsReorderedBuffer|TestNoCutIsNotCutZero|TestDrainQueryWaitsForAdmittedBatches' ./internal/core/ ./internal/entity/
 	$(GO) test -race -count=1 -run 'TestTopK|TestTail' ./internal/operator/ ./internal/engine/
 	$(GO) test -race -count=1 -run 'TestChaosEndToEndRecovery|TestHardKillRecoveryZeroLoss|TestRecoveryReemitsResultsAfterTheCut|TestMigrationChaosStatefulZeroLoss|TestMigrationWaitsForCheckpointInFlight|TestLatencyAttributionFederation|TestTupleRoutingAvoidsJitteredReplica' ./internal/core/
+	$(GO) test -race -tags arenapoison -count=1 -run 'TestLease|TestTupleRoutingDifferential|TestFragmentChainMatchesBareEngine|TestFanout|TestTail|TestShardEngineDifferential|TestHandoff|TestMigrationChaosStatefulZeroLoss' ./internal/stream/ ./internal/engine/ ./internal/entity/ ./internal/core/
 
 # benchmark/ is a nested module, so ./... above never compiles it: vet
 # and test it here, or an engine API change breaks the end-to-end

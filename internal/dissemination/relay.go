@@ -50,9 +50,8 @@ type Relay struct {
 	transport simnet.Transport
 	deliver   func(stream.Tuple)
 	// deliverBatch, when set, receives all locally matched tuples of a
-	// batch in one call (preferred over deliver on the hot path). The
-	// tuples are freshly cloned — the receiver owns them outright — but
-	// the Batch slice itself must not be retained.
+	// batch in one call (preferred over deliver on the hot path). They
+	// are lent for the call (RelayOptions.DeliverBatch).
 	deliverBatch func(stream.Batch)
 	maxTerms     int
 	// rel, when non-nil, carries control-plane sends (interest
@@ -135,7 +134,10 @@ type RelayOptions struct {
 	Reliable *simnet.ReliableConfig
 	// DeliverBatch, when non-nil, replaces the per-tuple deliver
 	// callback with one call per batch of locally matched tuples. The
-	// tuples are owned by the receiver; the slice is not.
+	// tuples are lent for the length of the call: the slice and the
+	// Values may be the relay's decode buffer, reused by its next batch,
+	// so a receiver that keeps a tuple copies it first (Batch.Compact),
+	// and nobody writes to them.
 	DeliverBatch func(stream.Batch)
 	// Log receives the relay's typed events (link.down / link.up /
 	// decode.bad / decode.ok, once per transition). Nil uses
@@ -381,8 +383,9 @@ func (r *Relay) handle(m simnet.Message) {
 		}
 		r.noteDecodeOK("tuples")
 		// The decoded batch lives in the pooled buffer: disseminate has
-		// fully consumed it (local clones made, downstream payloads sent)
-		// by the time it returns, so the buffer can go back to the pool.
+		// fully consumed it (the entity has copied its local matches,
+		// downstream payloads are sent) by the time it returns, so the
+		// buffer can go back to the pool.
 		r.disseminate(batch, m.Payload)
 		stream.PutDecodeBuffer(db)
 	case KindInterest:
@@ -443,8 +446,9 @@ func (r *Relay) currentIndex() *relayIndex {
 
 // dissemScratch holds all per-batch fan-out state so a steady-state
 // disseminate allocates nothing: the per-owner matched rows, a sub-batch
-// used when a child needs re-encoding, and the pooled encode buffers to
-// release after the sends.
+// that gathers the rows lent to the entity and then those of each child
+// that needs re-encoding, and the pooled encode buffers to release after
+// the sends.
 type dissemScratch struct {
 	routed stream.Routed
 	sub    stream.Batch
@@ -480,7 +484,7 @@ func (r *Relay) disseminate(batch stream.Batch, wire []byte) {
 		}
 	}
 	ri.ix.Route(batch, &sc.routed)
-	r.deliverLocal(batch, sc.routed.Rows(0), traced)
+	r.deliverLocal(batch, sc.routed.Rows(0), sc, traced)
 
 	// Fan-out. The incoming payload (or one pooled full-batch encoding)
 	// is shared by every pass-through child; partial matches re-encode
@@ -538,34 +542,41 @@ func (r *Relay) disseminate(batch stream.Batch, wire []byte) {
 	scratchPool.Put(sc)
 }
 
-// deliverLocal clones the locally matched tuples — rows of the batch —
-// into one compact chunk (stream.Batch.Compact: a single Values arena
-// plus one Batch allocation, nothing when the batch has no local matches)
-// and hands them to the entity. This is the one owned copy a tuple gets
-// per entity: engines, windows, and user subscribers may retain delivered
-// tuples forever, while the relay's decoded batch goes back to its pool —
-// so the clone is the entity's from here on, and the relay never touches
-// it again. A relay with nobody to deliver to never has rows:
-// currentIndex gives its owner 0 the empty set.
-func (r *Relay) deliverLocal(batch stream.Batch, rows []int32, traced bool) {
+// deliverLocal hands the locally matched tuples — rows of the batch — to
+// the entity. DeliverBatch is lent them for the call: the batch itself
+// when every row matched, else the rows gathered into the scratch, their
+// Values still in the relay's decode buffer (or the publisher's batch).
+// The entity makes the one copy a tuple gets per entity, into storage of
+// its choosing, before the call returns. The per-tuple deliver callback
+// keeps what it is handed, so it gets an owned clone (Batch.Compact: one
+// Values arena plus one Batch). A relay with nobody to deliver to never
+// has rows: currentIndex gives its owner 0 the empty set.
+func (r *Relay) deliverLocal(batch stream.Batch, rows []int32, sc *dissemScratch, traced bool) {
 	if len(rows) == 0 {
 		return
 	}
-	sub := batch.Compact(rows)
-	r.Delivered.Add(int64(len(sub)))
+	r.Delivered.Add(int64(len(rows)))
 	if traced {
 		self := string(r.self)
-		for i := range sub {
-			trace.Record(trace.SpanID(sub[i].Span), trace.StageDeliver, self)
+		for _, i := range rows {
+			trace.Record(trace.SpanID(batch[i].Span), trace.StageDeliver, self)
 		}
 	}
-	if r.deliverBatch != nil {
-		r.deliverBatch(sub)
+	if r.deliverBatch == nil {
+		for _, t := range batch.Compact(rows) {
+			r.deliver(t)
+		}
 		return
 	}
-	for _, t := range sub {
-		r.deliver(t)
+	lent := batch
+	if len(rows) < len(batch) {
+		sc.sub = sc.sub[:0]
+		for _, i := range rows {
+			sc.sub = append(sc.sub, batch[i])
+		}
+		lent = sc.sub
 	}
+	r.deliverBatch(lent)
 }
 
 // noteDecodeError accounts one undecodable payload and logs on the

@@ -102,7 +102,7 @@ func TestRelayIndexFollowsRegistrations(t *testing.T) {
 	sc := quotesSchema()
 	var delivered stream.Batch
 	rel, err := NewRelayWith(tr, "hub", sc, tp, nil, RelayOptions{
-		DeliverBatch: func(b stream.Batch) { delivered = append(delivered, b...) },
+		DeliverBatch: func(b stream.Batch) { delivered = append(delivered, b.Compact(nil)...) }, // lent: copied to keep
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -192,17 +192,22 @@ func TestRelayPublishersRaceDropRewireClose(t *testing.T) {
 		rel.handle(simnet.Message{From: hubChild(i), To: rel.ID(), Kind: KindInterest, Payload: ibm})
 	}
 
-	var published sync.WaitGroup
+	var published, started sync.WaitGroup
 	closed := make(chan struct{})
 	for p := 0; p < 4; p++ {
 		published.Add(1)
+		started.Add(1)
 		go func(p int) {
 			defer published.Done()
 			for k := uint64(0); k < 400; k++ {
 				if k == 300 {
 					<-closed // the last quarter publishes into a closed relay
 				}
-				if err := rel.Publish(mixedBatch((4*k+uint64(p))*16, 16)); err != nil {
+				err := rel.Publish(mixedBatch((4*k+uint64(p))*16, 16))
+				if k == 0 {
+					started.Done()
+				}
+				if err != nil {
 					t.Error(err)
 					return
 				}
@@ -220,6 +225,7 @@ func TestRelayPublishersRaceDropRewireClose(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	started.Wait() // every publisher has sent into the open relay once
 	if err := rel.Close(); err != nil {
 		t.Fatal(err)
 	}

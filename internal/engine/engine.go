@@ -33,7 +33,11 @@ import (
 //     elements or reuse the slice unless it knows the engine is
 //     synchronous. Tuples are never mutated in place. The id list of a
 //     grouped feed stays the caller's: it is resolved before the call
-//     returns.
+//     returns. A leased feed (GroupFeeder.FeedGroupLease) says when
+//     "done" is: the engine holds the lease while it needs the rows and
+//     releases it once the last query it fed them to has run them —
+//     ShardEngine after the ring item's last query, MiniEngine when the
+//     call returns.
 //  3. Never block: no feed call waits for processing. An engine that
 //     cannot take a tuple drops it and counts the drop (Reporter exposes
 //     the counts); a synchronous engine never drops.
@@ -82,17 +86,35 @@ type BatchFeeder interface {
 // (a removal raced the feed) is skipped and the rest are still fed.
 // Contract points 1 to 4 hold per named query; FeedQueryBatch is the
 // call for a list of one. Both engines implement it.
+//
+// FeedGroupLease is FeedGroupBatch for rows whose Values live in l's
+// arena: b is l's batch or rows gathered from it, and the caller holds
+// a reference for the call. The engine takes a reference of its own for
+// as long as it reads the rows past the call — one per ring item that
+// carries them — and releases it once the item's last query has run,
+// when a full ring drops the item, or when Close drains it. That is safe
+// only for queries that are done with their rows once they have run
+// (QuerySpec.SealsResults); an id whose query does not seal is fed an
+// owned copy instead, so a caller's stale view of what seals costs a copy,
+// never a row read after its release.
 type GroupFeeder interface {
 	FeedGroupBatch(ids []string, b stream.Batch)
+	FeedGroupLease(ids []string, b stream.Batch, l *stream.Lease)
 }
 
-// perQuery feeds a group one FeedQueryBatch at a time.
+// perQuery feeds a group one FeedQueryBatch at a time. It takes no
+// lease: FeedQueryBatch keeps what it is fed, so a leased feed is fed an
+// owned copy.
 type perQuery struct{ BatchFeeder }
 
 func (f perQuery) FeedGroupBatch(ids []string, b stream.Batch) {
 	for _, id := range ids {
 		_ = f.FeedQueryBatch(id, b) // unknown ids are skipped
 	}
+}
+
+func (f perQuery) FeedGroupLease(ids []string, b stream.Batch, _ *stream.Lease) {
+	f.FeedGroupBatch(ids, b.Compact(nil))
 }
 
 // GroupFeederOf returns p's grouped feed, or the per-query loop over

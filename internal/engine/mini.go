@@ -70,14 +70,14 @@ func (m *MiniEngine) Register(spec QuerySpec, emit func(stream.Tuple)) error {
 		return fmt.Errorf("miniengine %s: query %s already registered", m.name, spec.ID)
 	}
 	id := spec.ID
-	q, err := Compile(spec, m.catalog, func(b stream.Batch) {
+	q, err := compile(spec, m.catalog, func(b stream.Batch) {
 		m.results[id] += int64(len(b))
 		if emit != nil {
 			for _, t := range b {
 				m.out = append(m.out, miniResult{emit, t})
 			}
 		}
-	})
+	}, true)
 	if err != nil {
 		return err
 	}
@@ -147,13 +147,34 @@ func (m *MiniEngine) FeedQueryBatch(id string, b stream.Batch) error {
 // FeedGroupBatch implements GroupFeeder: one lock round for the whole
 // group, the batch run through each registered id in turn.
 func (m *MiniEngine) FeedGroupBatch(ids []string, b stream.Batch) {
+	m.feedGroup(ids, b, false)
+}
+
+// FeedGroupLease implements GroupFeeder. The engine is done with the rows
+// when the call returns, so it takes no reference; a query that does not
+// seal, whose results are its input rows, runs an owned copy.
+func (m *MiniEngine) FeedGroupLease(ids []string, b stream.Batch, _ *stream.Lease) {
+	m.feedGroup(ids, b, true)
+}
+
+func (m *MiniEngine) feedGroup(ids []string, b stream.Batch, leased bool) {
 	m.mu.Lock()
 	defer m.unlockAndEmit()
+	var owned stream.Batch
 	for _, id := range ids {
-		if q, ok := m.queries[id]; ok {
-			for i := range b {
-				q.Feed(b[i].Stream, b[i])
+		q, ok := m.queries[id]
+		if !ok {
+			continue
+		}
+		in := b
+		if leased && !q.seals {
+			if owned == nil {
+				owned = b.Compact(nil)
 			}
+			in = owned
+		}
+		for i := range in {
+			q.Feed(in[i].Stream, in[i])
 		}
 	}
 }

@@ -8,7 +8,9 @@
 // them, each operator's ProcessBatch consuming the previous stage's
 // batch: one virtual dispatch and one stats lock per (operator, batch).
 // Aggregate and top-k cut their results' Values from one slab per
-// batch, which is never reused — results escape to user callbacks.
+// batch, which is never reused — results escape to user callbacks — and
+// in an engine's query a last-stage distinct copies its survivors into
+// one too, so a stateful query is done with its input once it has run.
 // Results leave the way tuples came in, a batch at a time: emit is
 // called once per run — per batch in runTail, per post-join row in
 // runRow — and borrows the results' slice for the length of the call.
@@ -48,6 +50,9 @@ type Query struct {
 	buf [2][]stream.Tuple
 	// emit receives each run's results (BatchRegistrar has the rule).
 	emit func(stream.Batch)
+	// seals says the query reads no row it was fed once a run returns:
+	// an engine compiled it sealed and its spec SealsResults.
+	seals bool
 }
 
 // tailOp is a stateful tail operator: ProcessBatch consumes rows in
@@ -60,8 +65,17 @@ type tailOp interface {
 // Compile turns a spec into a runnable Query against the global schema
 // catalog. emit receives the query's results, once per run that has any,
 // on the terms BatchRegistrar states; a nil emit discards results
-// (useful in benchmarks).
+// (useful in benchmarks). A last-stage distinct emits the rows it was fed;
+// the engines compile sealed instead (compile).
 func Compile(spec QuerySpec, catalog *stream.Catalog, emit func(stream.Batch)) (*Query, error) {
+	return compile(spec, catalog, emit, false)
+}
+
+// compile is Compile for an engine. sealed makes a distinct that is the
+// tail's last stage seal its results (Distinct.SealResults), so no result
+// of a query whose spec SealsResults shares storage with its input, and
+// the engine may release the batch it ran once the run returns.
+func compile(spec QuerySpec, catalog *stream.Catalog, emit func(stream.Batch), sealed bool) (*Query, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -69,7 +83,7 @@ func Compile(spec QuerySpec, catalog *stream.Catalog, emit func(stream.Batch)) (
 	if !ok {
 		return nil, fmt.Errorf("engine: query %s: unknown stream %q", spec.ID, spec.Source)
 	}
-	q := &Query{spec: spec, emit: emit}
+	q := &Query{spec: spec, emit: emit, seals: sealed && spec.SealsResults()}
 
 	cur := src
 	if spec.Join != nil {
@@ -103,6 +117,9 @@ func Compile(spec QuerySpec, catalog *stream.Catalog, emit func(stream.Batch)) (
 			defaultWindow(spec.Distinct.Window), spec.Distinct.Cost)
 		if err != nil {
 			return nil, err
+		}
+		if sealed && spec.Agg == nil && spec.TopK == nil {
+			d.SealResults()
 		}
 		q.tail = append(q.tail, d)
 	}

@@ -36,6 +36,9 @@ type ringItem struct {
 	// b is a same-stream data batch. Read-only once enqueued; shards
 	// sharing a batch never mutate tuples in place (the Tuple contract).
 	b stream.Batch
+	// lease, when non-nil, is the arena b lives in; the item holds one
+	// reference, released once its last query has run (or it is dropped).
+	lease *stream.Lease
 	// qs lists the queries to run the batch through, all owned by the
 	// shard the item is enqueued on: a stream route's queries, the group
 	// of a grouped feed, or a query's list of one. Read-only once

@@ -190,7 +190,7 @@ func (e *ShardEngine) Register(spec QuerySpec, emit func(stream.Tuple)) error {
 func (e *ShardEngine) RegisterBatch(spec QuerySpec, emit func(stream.Batch)) error {
 	e.ctlMu.Lock()
 	defer e.ctlMu.Unlock()
-	q, err := Compile(spec, e.catalog, emit)
+	q, err := compile(spec, e.catalog, emit, true)
 	if err != nil {
 		return err
 	}
@@ -245,14 +245,18 @@ func (e *ShardEngine) Unregister(id string) (QuerySpec, error) {
 func byShard(a, b *shardQuery) int { return a.sh.idx - b.sh.idx }
 
 // enqueueGroups publishes b once per owning shard of qs, which is
-// sorted byShard: each ring item names its shard's queries.
-func enqueueGroups(qs []*shardQuery, b stream.Batch, arrived time.Time) {
+// sorted byShard: each ring item names its shard's queries, and holds a
+// reference to l when b lives in a lease.
+func enqueueGroups(qs []*shardQuery, b stream.Batch, l *stream.Lease, arrived time.Time) {
 	for lo := 0; lo < len(qs); {
 		hi := lo + 1
 		for hi < len(qs) && qs[hi].sh == qs[lo].sh {
 			hi++
 		}
-		qs[lo].sh.enqueueData(ringItem{b: b, qs: qs[lo:hi], arrived: arrived})
+		if l != nil {
+			l.Retain()
+		}
+		qs[lo].sh.enqueueData(ringItem{b: b, qs: qs[lo:hi], lease: l, arrived: arrived})
 		lo = hi
 	}
 }
@@ -260,16 +264,17 @@ func enqueueGroups(qs []*shardQuery, b stream.Batch, arrived time.Time) {
 // ship is every feed. The engine keeps b itself (contract point 2: it is
 // the engine's, and read-only for everyone, until the shards are done
 // with it): each same-stream run is a sub-slice of it, enqueued once per
-// owning shard of qs, which is sorted byShard.
-func (e *ShardEngine) ship(b stream.Batch, qs []*shardQuery) {
-	if len(b) == 0 {
+// owning shard of qs, which is sorted byShard. With a lease, every item
+// holds a reference until its shard has run it.
+func (e *ShardEngine) ship(b stream.Batch, qs []*shardQuery, l *stream.Lease) {
+	if len(b) == 0 || len(qs) == 0 {
 		return
 	}
 	arrived := time.Now()
 	start := 0
 	for i := 1; i <= len(b); i++ {
 		if i == len(b) || b[i].Stream != b[start].Stream {
-			enqueueGroups(qs, b[start:i], arrived)
+			enqueueGroups(qs, b[start:i], l, arrived)
 			start = i
 		}
 	}
@@ -283,15 +288,17 @@ func (e *ShardEngine) FeedQueryBatch(id string, b stream.Batch) error {
 	if !ok {
 		return fmt.Errorf("engine %s: unknown query %s", e.name, id)
 	}
-	e.ship(b, sq.self)
+	e.ship(b, sq.self, nil)
 	return nil
 }
 
 // resolvedGroup is one grouped feed's id list resolved: ids is a copy of
-// the list, qs its registered queries sorted byShard.
+// the list, qs its registered queries sorted byShard, and seals whether
+// every one of them seals its results (Query.seals).
 type resolvedGroup struct {
-	ids []string
-	qs  []*shardQuery
+	ids   []string
+	qs    []*shardQuery
+	seals bool
 }
 
 // maxGroups bounds the resolved lists kept between registration changes.
@@ -309,12 +316,39 @@ const maxGroups = 64
 // while the list still holds the same ids: a steady-state grouped feed
 // compares its ids and allocates nothing.
 func (e *ShardEngine) FeedGroupBatch(ids []string, b stream.Batch) {
+	qs, _ := e.group(ids)
+	e.ship(b, qs, nil)
+}
+
+// FeedGroupLease implements GroupFeeder: FeedGroupBatch, with each ring
+// item holding a reference to l until its shard has run it — when every
+// query named seals; otherwise the queries are fed an owned copy. Whether
+// they seal was settled when the list was resolved, so the feed itself
+// probes nothing.
+func (e *ShardEngine) FeedGroupLease(ids []string, b stream.Batch, l *stream.Lease) {
+	qs, seals := e.group(ids) // an empty list seals
+	if !seals {
+		e.ship(b.Compact(nil), qs, nil)
+		return
+	}
+	e.ship(b, qs, l)
+}
+
+// group resolves a grouped feed's ids into the queries to ship to and
+// whether every one of them seals. A list of one is looked up; a longer
+// one is resolved once and reused while it holds the same ids.
+func (e *ShardEngine) group(ids []string) ([]*shardQuery, bool) {
 	switch len(ids) {
 	case 0:
-		return
+		return nil, true
 	case 1:
-		_ = e.FeedQueryBatch(ids[0], b) // an unknown id is skipped
-		return
+		e.mu.RLock()
+		sq, ok := e.queries[ids[0]]
+		e.mu.RUnlock()
+		if !ok {
+			return nil, true // an unknown id is skipped
+		}
+		return sq.self, sq.q.seals
 	}
 	e.mu.RLock()
 	g, ok := e.groups[&ids[0]]
@@ -322,18 +356,19 @@ func (e *ShardEngine) FeedGroupBatch(ids []string, b stream.Batch) {
 	if !ok || !slices.Equal(g.ids, ids) {
 		g = e.resolveGroup(ids)
 	}
-	e.ship(b, g.qs)
+	return g.qs, g.seals
 }
 
 // resolveGroup resolves ids — an unknown id is skipped — and keeps the
 // result for the next feed of the same list.
 func (e *ShardEngine) resolveGroup(ids []string) resolvedGroup {
-	g := resolvedGroup{ids: slices.Clone(ids), qs: make([]*shardQuery, 0, len(ids))}
+	g := resolvedGroup{ids: slices.Clone(ids), qs: make([]*shardQuery, 0, len(ids)), seals: true}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, id := range ids {
 		if sq, ok := e.queries[id]; ok {
 			g.qs = append(g.qs, sq)
+			g.seals = g.seals && sq.q.seals
 		}
 	}
 	slices.SortFunc(g.qs, byShard)
@@ -565,6 +600,9 @@ func (sh *shard) enqueueData(item ringItem) {
 	sh.pending.Add(1)
 	if !sh.ring.enqueue(item) {
 		sh.pending.Add(-1)
+		if item.lease != nil {
+			item.lease.Release()
+		}
 		for _, sq := range item.qs {
 			sq.dropped.Add(n)
 		}
@@ -676,7 +714,10 @@ func (sh *shard) run() {
 // process executes one ring item on the shard goroutine. The queries it
 // names run back to back, and one clock read marks each boundary: the
 // end of one query's run is the start of the next one's, so an item of
-// n queries reads the clock n+1 times.
+// n queries reads the clock n+1 times. A leased item's reference is
+// released after its last query has run: they all seal, so nothing reads
+// its rows after that (the shard's columns and the queries' row buffers
+// keep them reachable until the next item, but never read them again).
 func (sh *shard) process(item ringItem) {
 	if item.ctl != nil {
 		sh.processCtl(item.ctl)
@@ -692,6 +733,9 @@ func (sh *shard) process(item ringItem) {
 			stamp = time.Now()
 		}
 		stamp = sh.feedBatch(sq, item, stamp)
+	}
+	if item.lease != nil {
+		item.lease.Release()
 	}
 }
 

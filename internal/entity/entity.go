@@ -116,6 +116,15 @@ type procNode struct {
 	group  engine.GroupFeeder
 	reg    engine.BatchRegistrar
 	entity *Entity
+	// leases says the engine takes leased feeds itself (it is a
+	// GroupFeeder), so rows may reach it in a pooled arena.
+	leases bool
+	// seals is the set of fragments this processor hosts that seal their
+	// results (QuerySpec.SealsResults), when leases is set; empty
+	// otherwise. A published set is immutable: the writers (placeWith and
+	// RemoveQuery, under Entity.mu) store a fresh one through setSeal, and
+	// the fan-out table and the frame decoder read it lock-free.
+	seals atomic.Pointer[map[string]bool]
 	// fanout lists, per stream delegated to this processor, the head
 	// fragments (fragment 0 of each query consuming it) to feed, grouped
 	// by hosting processor. A published table is immutable: ingest loads
@@ -128,7 +137,8 @@ type procNode struct {
 	// is not a sync.Pool, which the race detector empties at random.
 	scratch atomic.Pointer[routeScratch]
 	// dec decodes the frames other processors send this one into batches
-	// the engine keeps (stream.DecodeBuffer's owned form). It is the
+	// the engine keeps (stream.DecodeBuffer's owned form) or releases (its
+	// leased form, when the frame's fragments all seal). It is the
 	// processor's own, not a pooled one, because its intern table and its
 	// fragment lists are what must last from frame to frame. decMu is
 	// taken once per frame and is all but uncontended: SimNet runs a
@@ -155,12 +165,32 @@ type fanoutGroup struct {
 // once an ingest has needed it, the index that routes the stream's rows
 // to the remote groups. Both belong to the table generation; a change to
 // the stream's groups is a new entry, and an entry left alone keeps its
-// index into the next generation.
+// index into the next generation. lent is how ingest copies rows it is
+// only lent, decided when the entry is built.
 type fanoutStream struct {
 	groups []fanoutGroup
 	schema *stream.Schema // nil when the catalog does not declare the stream
 	route  atomic.Pointer[fanoutRoute]
+	lent   lentCopy
 }
+
+// lentCopy is the one copy an ingest makes of rows it is lent
+// (IngestBatch), by what the stream's local group is.
+type lentCopy uint8
+
+const (
+	// copyNone: no head fragment of the stream is on the delegation
+	// processor, so every target is a frame, encoded before ingest
+	// returns, and the lent rows are only read.
+	copyNone lentCopy = iota
+	// copyLease: every local head fragment seals, so the local engine is
+	// done with the rows once its shards have run them: they are copied
+	// into a pooled arena (stream.LeaseCopy) it releases.
+	copyLease
+	// copyOwned: some local head fragment keeps or emits its rows, so they
+	// are copied into storage of their own (Batch.Compact).
+	copyOwned
+)
 
 // fanoutRoute routes a batch of one stream to the remote groups
 // (DESIGN.md §13 "Routing inside the entity"). owner[i] is groups[i]'s
@@ -218,9 +248,46 @@ func (p *procNode) setTarget(s, frag string, node simnet.NodeID, gate *ingestGat
 		delete(tbl, s)
 	} else {
 		sc, _ := p.entity.catalog.Lookup(s)
-		tbl[s] = &fanoutStream{groups: groups, schema: sc}
+		tbl[s] = &fanoutStream{groups: groups, schema: sc, lent: p.lentCopy(groups)}
 	}
 	p.fanout.Store(&tbl)
+}
+
+// lentCopy decides how an ingest over groups copies lent rows, from the
+// head fragments the processor hosts itself (at most one group).
+func (p *procNode) lentCopy(groups []fanoutGroup) lentCopy {
+	seals := *p.seals.Load()
+	for _, g := range groups {
+		if g.node != p.id {
+			continue
+		}
+		for _, frag := range g.frags {
+			if !seals[frag] {
+				return copyOwned
+			}
+		}
+		return copyLease
+	}
+	return copyNone
+}
+
+// setSeal publishes a fresh seal set in which frag, hosted here, seals
+// or no longer does. Caller holds Entity.mu.
+func (p *procNode) setSeal(frag string, on bool) {
+	old := *p.seals.Load()
+	if old[frag] == on {
+		return
+	}
+	tbl := make(map[string]bool, len(old)+1)
+	for k := range old {
+		tbl[k] = true
+	}
+	if on {
+		tbl[frag] = true
+	} else {
+		delete(tbl, frag)
+	}
+	p.seals.Store(&tbl)
 }
 
 // router returns the entry's route, building it on the first call: after
@@ -348,6 +415,8 @@ func New(id string, transport simnet.Transport, catalog *stream.Catalog,
 			reg:    engine.BatchRegistrarOf(eng),
 		}
 		p.fanout.Store(&map[string]*fanoutStream{})
+		p.seals.Store(&map[string]bool{})
+		_, p.leases = eng.(engine.GroupFeeder)
 		p.reporter, _ = eng.(engine.Reporter)
 		p.adapter, _ = eng.(engine.Adapter)
 		p.state, _ = eng.(engine.StateSnapshotter)
@@ -440,7 +509,9 @@ func (e *Entity) Ingest(t stream.Tuple) {
 	p.ingest(stream.Batch{t})
 }
 
-// IngestBatch is Ingest for a whole batch. Relay deliveries are always
+// IngestBatch is Ingest for a whole batch, lent for the call — the
+// relay's DeliverBatch: the entity copies what it keeps before it
+// returns (procNode.ingestLent). Relay deliveries are always
 // single-stream, so that case routes with one delegation lookup and no
 // grouping allocations.
 func (e *Entity) IngestBatch(b stream.Batch) {
@@ -462,7 +533,7 @@ func (e *Entity) IngestBatch(b stream.Batch) {
 		}
 		p := e.procs[e.delegationLocked(b[0].Stream)]
 		e.mu.Unlock()
-		p.ingest(b)
+		p.ingestLent(b)
 		return
 	}
 	byStream := make(map[string]stream.Batch)
@@ -482,7 +553,7 @@ func (e *Entity) IngestBatch(b stream.Batch) {
 		}
 		p := e.procs[e.delegationLocked(s)]
 		e.mu.Unlock()
-		p.ingest(byStream[s])
+		p.ingestLent(byStream[s])
 	}
 }
 
@@ -686,7 +757,7 @@ func (e *Entity) placeWith(spec engine.QuerySpec, nFrags int, cfg placeConfig) e
 				// Same processor: one feed, no network hop.
 				return func(b stream.Batch) { _ = from.eng.FeedQueryBatch(nextFrag[0], slices.Clone(b)) }, nil
 			}
-			return func(b stream.Batch) { from.feed(to.id, nextFrag, b, false) }, nil
+			return func(b stream.Batch) { from.feed(to.id, nextFrag, b, nil, false) }, nil
 		}
 		// Routed boundary: per-tuple adaptive choice among the next
 		// stage's replicas (Section 4.2), then one hand-over per chosen
@@ -730,7 +801,7 @@ func (e *Entity) placeWith(spec engine.QuerySpec, nFrags int, cfg placeConfig) e
 				case targets[k] == from:
 					_ = from.eng.FeedQueryBatch(ids[k], part)
 				default:
-					from.feed(targets[k].id, ids[k:k+1], part, false)
+					from.feed(targets[k].id, ids[k:k+1], part, nil, false)
 				}
 			}
 		}, nil
@@ -770,6 +841,14 @@ func (e *Entity) placeWith(spec engine.QuerySpec, nFrags int, cfg placeConfig) e
 		return fmt.Errorf("entity %s: closed", e.id)
 	}
 	pq.gate.dedup = e.dedup // nothing else can reach the gate yet
+	// The seal sets first: the fan-out entries built below read them.
+	for i := range stages {
+		for _, inst := range stages[i] {
+			if p := e.procs[inst.proc]; p.leases && inst.spec.SealsResults() {
+				p.setSeal(inst.spec.ID, true)
+			}
+		}
+	}
 	// Delegation fan-out: fragment 0's single instance consumes the
 	// source stream(s) through the query's gate.
 	head := stages[0][0]
@@ -812,6 +891,9 @@ func (e *Entity) RemoveQuery(id string) (engine.QuerySpec, error) {
 		return engine.QuerySpec{}, fmt.Errorf("entity %s: unknown query %s", e.id, id)
 	}
 	delete(e.queries, id)
+	for i, frag := range pq.frags {
+		e.procs[pq.procs[i]].setSeal(frag.ID, false)
+	}
 	head := pq.frags[0]
 	for _, s := range head.Streams() {
 		if di, ok := e.deleg[s]; ok {
@@ -1056,13 +1138,26 @@ func (e *Entity) Close() {
 // engine takes the whole batch: it costs no copy, and its filters drop
 // rows more cheaply than a gather would.
 //
-// b is shared from here on: the same slice goes to every gate, to the
-// local engine (which keeps it, engine.Processor point 2) and into every
-// remote frame, so nothing below may write to it. A paused gate copies
-// into its buffer (admit), the dedup filter builds a new slice
-// (filterLocked), open compacts only the gate's own buffer, and a
-// routed frame is gathered into the scratch.
-func (p *procNode) ingest(b stream.Batch) {
+// b is the caller's, handed over: the same slice goes to every gate, to
+// the local engine (which keeps it, engine.Processor point 2) and into
+// every remote frame, so nothing below may write to it. A paused gate
+// copies the rows into its buffer (admit), the dedup filter builds a new
+// slice (filterLocked), and a routed frame is gathered into the scratch.
+// Rows the relay only lends go through ingestLent, which copies first;
+// when that copy is a lease, the local engine's feeds take the lease with
+// the rows (FeedGroupLease) and frames, encoded before ingest returns,
+// never hold it.
+func (p *procNode) ingest(b stream.Batch) { p.ingestFrom(b, false) }
+
+// ingestLent is ingest for rows lent for the call (IngestBatch). It makes
+// the one copy the rows get on this processor, the way the stream's
+// fan-out entry says (fanoutStream.lent): none when no head fragment is
+// local, as only frames and gate buffers, which copy, outlast the call;
+// a pooled lease when every local one seals, which the local engine
+// releases once its shards have run it; else an owned Batch.Compact.
+func (p *procNode) ingestLent(b stream.Batch) { p.ingestFrom(b, true) }
+
+func (p *procNode) ingestFrom(b stream.Batch, lent bool) {
 	if len(b) == 0 {
 		return
 	}
@@ -1076,6 +1171,17 @@ func (p *procNode) ingest(b stream.Batch) {
 	fs := (*p.fanout.Load())[b[0].Stream]
 	if fs == nil {
 		return
+	}
+	var l *stream.Lease
+	if lent {
+		switch fs.lent {
+		case copyLease:
+			l = stream.LeaseCopy(b)
+			defer l.Release()
+			b = l.Batch()
+		case copyOwned:
+			b = b.Compact(nil)
+		}
 	}
 	rt := fs.router(p.id)
 	var sc *routeScratch // taken when the first routed group needs it
@@ -1105,7 +1211,7 @@ func (p *procNode) ingest(b stream.Batch) {
 				gates = append([]*ingestGate(nil), g.gates[:i]...)
 			}
 			if len(out) > 0 {
-				p.feed(g.node, g.frags[i:i+1], out, traced)
+				p.feed(g.node, g.frags[i:i+1], out, l, traced)
 				gate.unfed.Add(-1)
 			}
 		}
@@ -1131,7 +1237,7 @@ func (p *procNode) ingest(b stream.Batch) {
 			}
 		}
 		if len(fed) > 0 {
-			p.feed(g.node, frags, fed, traced)
+			p.feed(g.node, frags, fed, l, traced)
 		}
 		for _, gate := range gates {
 			gate.unfed.Add(-1)
@@ -1145,11 +1251,12 @@ func (p *procNode) ingest(b stream.Batch) {
 
 // feed hands a batch to the fragments frags on node: the fan-out's
 // admitted batches to head fragments, and a fragment boundary's results
-// to the next fragment on another processor. A remote node gets one
-// frame, encoded before feed returns, so b is only read.
-func (p *procNode) feed(node simnet.NodeID, frags []string, b stream.Batch, traced bool) {
+// to the next fragment on another processor. l, when non-nil, is the
+// lease b's rows live in, which the local engine takes. A remote node
+// gets one frame, encoded before feed returns, so b is only read.
+func (p *procNode) feed(node simnet.NodeID, frags []string, b stream.Batch, l *stream.Lease, traced bool) {
 	if node == p.id {
-		p.feedLocal(frags, b, traced)
+		p.feedLocal(frags, b, l, traced)
 		return
 	}
 	buf := stream.GetEncodeBuffer()
@@ -1162,9 +1269,10 @@ func (p *procNode) feed(node simnet.NodeID, frags []string, b stream.Batch, trac
 	stream.PutEncodeBuffer(buf)
 }
 
-// feedLocal is the grouped feed into this processor's engine; sampled
-// tuples get one operator hop per fragment first.
-func (p *procNode) feedLocal(frags []string, b stream.Batch, traced bool) {
+// feedLocal is the grouped feed into this processor's engine, leased
+// when l is non-nil; sampled tuples get one operator hop per fragment
+// first.
+func (p *procNode) feedLocal(frags []string, b stream.Batch, l *stream.Lease, traced bool) {
 	if traced {
 		for _, frag := range frags {
 			for _, t := range b {
@@ -1172,19 +1280,27 @@ func (p *procNode) feedLocal(frags []string, b stream.Batch, traced bool) {
 			}
 		}
 	}
+	if l != nil {
+		p.group.FeedGroupLease(frags, b, l)
+		return
+	}
 	p.group.FeedGroupBatch(frags, b)
 }
 
 // handle is the processor's transport callback. A frame that does not
-// decode is dropped whole, and counted by kind.
+// decode is dropped whole, and counted by kind. An ent.feedb frame whose
+// fragments all seal here is decoded into a lease the engine releases.
 func (p *procNode) handle(m simnet.Message) {
 	switch m.Kind {
 	case KindFeedBatch:
 		p.decMu.Lock()
-		frags, batch, err := p.dec.decodeFeedBatch(m.Payload)
+		frags, batch, l, err := p.dec.decodeFeedBatch(m.Payload, p.seals.Load())
 		p.decMu.Unlock()
 		if p.noteFrame(&p.feedErrs, m.Kind, err) {
-			p.feedLocal(frags, batch, batch.HasSpan())
+			p.feedLocal(frags, batch, l, batch.HasSpan())
+			if l != nil {
+				l.Release()
+			}
 		}
 	case KindIngest:
 		p.decMu.Lock()
@@ -1254,7 +1370,17 @@ func encodeFeedBatch(dst []byte, frags []string, b stream.Batch) []byte {
 // feed has resolved before. A list is never written once returned.
 type frameDecoder struct {
 	stream.DecodeBuffer
-	lists map[string][]string
+	lists map[string]*frameList
+}
+
+// frameList is one ID section's fragment list, and whether every one of
+// them seals by sealsOf, the processor's seal set it was last held
+// against: a placement publishes a new set, and the next frame finds the
+// answer stale and asks again, so a frame in between asks nothing.
+type frameList struct {
+	frags   []string
+	seals   bool
+	sealsOf *map[string]bool
 }
 
 // maxFrameLists bounds the ID sections a frameDecoder keeps. The lists a
@@ -1262,44 +1388,64 @@ type frameDecoder struct {
 // when it is full rather than aged.
 const maxFrameLists = 64
 
-// decodeFeedBatch walks the ID section once to check every length
-// against the bytes that are left, and only then sizes anything from the
-// count. The IDs share one string, so decoding allocates the same number
-// of objects for any count, and none for a section decoded before.
-func (d *frameDecoder) decodeFeedBatch(payload []byte) ([]string, stream.Batch, error) {
+// decodeFeedBatch decodes an ent.feedb frame. It reads the fragment list
+// first, walking the ID section once to check every length against the
+// bytes that are left, and only then sizes anything from the count. The
+// IDs share one string, so reading the list allocates the same number of
+// objects for any count, and none for a section read before. When every
+// fragment on the list seals by seals (the processor's seal set) the
+// batch is decoded into a lease held once by the caller, else — always,
+// for a nil set — into an owned batch.
+func (d *frameDecoder) decodeFeedBatch(payload []byte, seals *map[string]bool) ([]string, stream.Batch, *stream.Lease, error) {
 	if len(payload) < 2 {
-		return nil, nil, fmt.Errorf("entity: truncated feed-batch frame")
+		return nil, nil, nil, fmt.Errorf("entity: truncated feed-batch frame")
 	}
 	n := int(binary.LittleEndian.Uint16(payload))
 	end := 2
 	for i := 0; i < n; i++ {
 		if len(payload)-end < 2 {
-			return nil, nil, fmt.Errorf("entity: truncated feed-batch fragment list")
+			return nil, nil, nil, fmt.Errorf("entity: truncated feed-batch fragment list")
 		}
 		end += 2 + int(binary.LittleEndian.Uint16(payload[end:]))
 		if end > len(payload) {
-			return nil, nil, fmt.Errorf("entity: truncated feed-batch fragment id")
+			return nil, nil, nil, fmt.Errorf("entity: truncated feed-batch fragment id")
 		}
 	}
 	// The walk above ends further on for every extra entry, so one section
 	// holds one count of IDs: a section seen before is the list seen before.
-	frags, ok := d.lists[string(payload[2:end])]
+	fl, ok := d.lists[string(payload[2:end])]
 	if !ok {
 		ids := string(payload[2:end])
-		frags = make([]string, n)
+		fl = &frameList{frags: make([]string, n)}
 		for i, off := 0, 0; i < n; i++ {
 			l := int(binary.LittleEndian.Uint16(payload[2+off:]))
-			frags[i] = ids[off+2 : off+2+l]
+			fl.frags[i] = ids[off+2 : off+2+l]
 			off += 2 + l
 		}
 		if d.lists == nil || len(d.lists) >= maxFrameLists {
-			d.lists = make(map[string][]string)
+			d.lists = make(map[string]*frameList)
 		}
-		d.lists[ids] = frags
+		d.lists[ids] = fl
 	}
-	b, _, err := d.DecodeBatch(payload[end:])
+	if seals != nil && fl.sealsOf != seals {
+		fl.seals, fl.sealsOf = true, seals
+		for _, frag := range fl.frags {
+			if !(*seals)[frag] {
+				fl.seals = false
+				break
+			}
+		}
+	}
+	if seals == nil || !fl.seals {
+		b, _, err := d.DecodeBatch(payload[end:])
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		return fl.frags, b, nil, nil
+	}
+	l, _, err := d.DecodeLease(payload[end:])
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return frags, b, nil
+	return fl.frags, l.Batch(), l, nil
 }

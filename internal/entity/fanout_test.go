@@ -546,6 +546,75 @@ func TestIngestAllocations(t *testing.T) {
 	}
 }
 
+// TestLeasedIngestAllocations: when every fragment an entity hosts seals
+// its results, a delivered batch allocates nothing in steady state — the
+// one copy of the rows the relay lends (IngestBatch) is a pooled lease the
+// local engine releases — and an ent.feedb frame allocates nothing either:
+// the remote processor decodes it into a lease too. The queries are a
+// distinct over a window every key of the batch stays in, so after the
+// first batch they emit nothing and cut no result slab. The leases come
+// from a sync.Pool, which drops items at random under -race, so the exact
+// counts hold only without it.
+func TestLeasedIngestAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector empties sync.Pool at random; exact counts only hold without -race")
+	}
+	measure := func(nProcs, nQueries int) (allocs float64, remoteRows int64) {
+		e, _ := newFanoutEntity(t, nProcs, groupedFactory)
+		e.SetResultHandler(nil)
+		var remote []string // the fragments placed away from the delegation processor
+		for i := 0; i < nQueries; i++ {
+			spec := firstFour(fmt.Sprintf("q%d", i))
+			spec.Distinct = &engine.DistinctSpec{Field: "symbol", Window: stream.CountWindow(64)}
+			if err := e.PlaceQuery(spec, 1); err != nil {
+				t.Fatal(err)
+			}
+			if at, _ := e.QueryPlacement(spec.ID); at[0] != 0 {
+				remote = append(remote, spec.ID+"#0")
+			}
+		}
+		b := make(stream.Batch, 16)
+		for i := range b {
+			b[i] = quote(uint64(i+1), fmt.Sprintf("S%02d", i%20), float64(i), int64(i))
+		}
+		drain := func() {
+			for _, p := range e.procs {
+				p.drainer.Drain(10 * time.Second)
+			}
+		}
+		rows := func() (n int64) {
+			for _, id := range remote {
+				m, _ := e.procs[1].reporter.Metrics(id)
+				n += m.Delay.Count
+			}
+			return n
+		}
+		for i := 0; i < 4200; i++ { // fills the histograms' reservoirs, as in TestIngestAllocations
+			e.IngestBatch(b)
+			if i%256 == 0 {
+				drain()
+			}
+		}
+		drain()
+		before := rows()
+		allocs = testing.AllocsPerRun(200, func() {
+			e.IngestBatch(b)
+			drain()
+		})
+		return allocs, rows() - before
+	}
+	if got, _ := measure(1, 4); got != 0 {
+		t.Errorf("local targets only: %v allocations per delivered batch, want 0 (a pooled lease)", got)
+	}
+	got, remoteRows := measure(2, 8)
+	if remoteRows == 0 {
+		t.Fatal("no row reached the remote processor: no ent.feedb frame was measured")
+	}
+	if got != 0 {
+		t.Errorf("one local group and one ent.feedb frame: %v allocations per delivered batch, want 0 (two pooled leases)", got)
+	}
+}
+
 // TestFanoutTraceHops: a sampled tuple still gets one delegate hop and
 // one operator hop per head fragment, local or remote; an unsampled
 // batch records nothing.
@@ -684,9 +753,9 @@ func TestFrameDecodeErrorsCounted(t *testing.T) {
 
 // TestFanoutSharedBatch: the batch a delegation processor is handed is
 // shared by everything it feeds — open gates, a paused gate, a dedup
-// gate, the local engine (which keeps the very slice) and the frame to
-// the other processor — and at the same time by a second entity and by
-// the caller, who goes on reading it. Every query gets what it would have
+// gate, the local engine (which keeps the entity's one copy) and the
+// frame to the other processor — and at the same time by a second entity
+// and by the caller, who goes on reading it. Every query gets what it would have
 // got from a private copy, and the batches come back unwritten; under
 // -race a single write to a shared batch, by anyone, fails the test.
 func TestFanoutSharedBatch(t *testing.T) {

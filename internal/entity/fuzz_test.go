@@ -34,12 +34,12 @@ func FuzzDecodeFeedBatch(f *testing.F) {
 		// One decoder for both frames, as a processor keeps one for every
 		// frame it is sent: the second decode runs on a warm intern table.
 		dec := new(frameDecoder)
-		frags, b, err := dec.decodeFeedBatch(payload)
+		frags, b, _, err := dec.decodeFeedBatch(payload, nil)
 		if err != nil {
 			return
 		}
 		// What decoded must survive a round trip.
-		frags2, b2, err := dec.decodeFeedBatch(encodeFeedBatch(nil, frags, b))
+		frags2, b2, _, err := dec.decodeFeedBatch(encodeFeedBatch(nil, frags, b), nil)
 		if err != nil {
 			t.Fatalf("re-encoded frame does not decode: %v", err)
 		}
@@ -59,17 +59,17 @@ func TestDecodeFeedFramesTruncated(t *testing.T) {
 	dec := new(frameDecoder)
 	for _, frame := range feedBatchSeeds() {
 		for cut := 0; cut < len(frame); cut++ {
-			if _, _, err := dec.decodeFeedBatch(frame[:cut]); err == nil {
+			if _, _, _, err := dec.decodeFeedBatch(frame[:cut], nil); err == nil {
 				t.Fatalf("feed-batch frame cut to %d of %d bytes decoded", cut, len(frame))
 			}
 		}
 	}
 	huge := binary.LittleEndian.AppendUint16(nil, 0xFFFF) // 65535 fragments, no bytes
-	if _, _, err := dec.decodeFeedBatch(huge); err == nil {
+	if _, _, _, err := dec.decodeFeedBatch(huge, nil); err == nil {
 		t.Fatal("a count of 65535 fragments in a 2-byte frame decoded")
 	}
 	huge = binary.LittleEndian.AppendUint16(binary.LittleEndian.AppendUint16(nil, 1), 0xFFFF)
-	if _, _, err := dec.decodeFeedBatch(append(huge, "short"...)); err == nil {
+	if _, _, _, err := dec.decodeFeedBatch(append(huge, "short"...), nil); err == nil {
 		t.Fatal("a 65535-byte fragment id in a 9-byte frame decoded")
 	}
 }
@@ -83,12 +83,12 @@ func TestDecodeFeedFramesReuseIDs(t *testing.T) {
 	ab := encodeFeedBatch(nil, []string{"a#0", "b#0"}, b)
 	c := encodeFeedBatch(nil, []string{"c#0"}, b)
 	dec := new(frameDecoder)
-	first, _, err := dec.decodeFeedBatch(ab)
+	first, _, _, err := dec.decodeFeedBatch(ab, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, frame := range [][]byte{ab, c, ab} {
-		got, _, err := dec.decodeFeedBatch(frame)
+		got, _, _, err := dec.decodeFeedBatch(frame, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -92,7 +92,9 @@ func (g *ingestGate) admit(b stream.Batch, hi uint64) stream.Batch {
 			g.overflow += len(b) - room
 			b = b[:room]
 		}
-		g.buf = append(g.buf, b...)
+		// A copy, not the shared rows: they may live in an arena the
+		// engines release while the gate still holds its buffer.
+		g.buf = append(g.buf, b.Compact(nil)...)
 		return nil
 	case g.dedup:
 		b = g.filterLocked(b)

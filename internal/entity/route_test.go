@@ -38,7 +38,7 @@ type frameLog struct {
 func (n *frameLog) Send(from, to simnet.NodeID, kind string, payload []byte) error {
 	if kind == KindFeedBatch {
 		n.mu.Lock()
-		frags, b, err := n.dec.decodeFeedBatch(payload)
+		frags, b, _, err := n.dec.decodeFeedBatch(payload, nil)
 		if err != nil {
 			n.mu.Unlock()
 			return err

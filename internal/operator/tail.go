@@ -96,3 +96,22 @@ func sealValues(results []stream.Tuple, staged []stream.Value, width int) {
 		results[i].Values = slab[i*width : (i+1)*width : (i+1)*width]
 	}
 }
+
+// sealRows is sealValues for rows that already hold their Values, in the
+// storage of the batch they came from (a sealed Distinct's survivors):
+// the Values are copied into one slab allocated here, exactly sized.
+func sealRows(rows []stream.Tuple) {
+	n := 0
+	for i := range rows {
+		n += len(rows[i].Values)
+	}
+	if n == 0 {
+		return
+	}
+	slab := make([]stream.Value, 0, n)
+	for i := range rows {
+		start := len(slab)
+		slab = append(slab, rows[i].Values...)
+		rows[i].Values = slab[start:len(slab):len(slab)]
+	}
+}

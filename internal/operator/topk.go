@@ -18,6 +18,8 @@ type Distinct struct {
 	counts  map[string]*distinctKey
 	free    []*distinctKey // cells of keys that left the window, for reuse
 	scratch []*distinctKey
+	// seal gives the rows that pass Values of their own (SealResults).
+	seal bool
 }
 
 // distinctKey is one key's count cell: how many window rows hold the
@@ -56,14 +58,25 @@ func (d *Distinct) Process(port int, t stream.Tuple) []stream.Tuple {
 	return d.ProcessBatch([]stream.Tuple{t}, nil)
 }
 
-// ProcessBatch consumes rows in order and appends those that pass,
-// unchanged, to dst, which it returns. It allocates nothing itself.
+// SealResults makes the operator copy the Values of the rows that pass
+// into one slab per batch, as Aggregate and TopK cut their results: an
+// engine seals a distinct that is its query's last stage, so no result
+// shares storage with the rows the query was fed. A distinct feeding
+// another tail stage passes rows unchanged, at no cost.
+func (d *Distinct) SealResults() { d.seal = true }
+
+// ProcessBatch consumes rows in order and appends those that pass to dst,
+// which it returns: unchanged, allocating nothing, or with their Values
+// in one slab allocated by this call when the operator seals.
 func (d *Distinct) ProcessBatch(rows, dst []stream.Tuple) []stream.Tuple {
 	base := len(dst)
 	for i := range rows {
 		if !d.insert(&rows[i]) {
 			dst = append(dst, rows[i])
 		}
+	}
+	if d.seal {
+		sealRows(dst[base:])
 	}
 	d.stats.RecordBatch(len(rows), len(dst)-base)
 	return dst

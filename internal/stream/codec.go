@@ -94,7 +94,7 @@ func clampBatchCap(n, remaining int) int {
 // There is one tuple decoder (DecodeBuffer.decodeTuple) and it writes into
 // a DecodeBuffer: tuples into one Batch, every tuple's values into one
 // flat arena, stream names and short string values through an intern
-// table. Who owns what it wrote is the only difference between the two
+// table. Who owns what it wrote is the only difference between the three
 // ways to call it:
 //
 //   - Borrowed — DecodeBuffer.Decode. The Batch, its Values and nothing
@@ -102,8 +102,15 @@ func clampBatchCap(n, remaining int) int {
 //     the next call on the same buffer (or until it goes back to the
 //     pool); steady-state decoding allocates nothing. For a caller that is
 //     done with the tuples when it returns: the relay (it re-encodes for
-//     its children and clones its local matches out with Batch.Compact
-//     before the entity, which may retain them, sees them).
+//     its children and lends its local matches to the entity for the
+//     length of one call, in which the entity makes its own copy).
+//   - Leased — DecodeBuffer.DecodeLease. The Batch and its Values live in
+//     a pooled arena shared by reference count (Lease), which goes back
+//     to the pool when the last holder releases it; with a warm pool
+//     decoding allocates nothing. For a caller whose holders are done
+//     with the rows when they release them: an entity processor decoding
+//     an ent.feedb frame whose fragments all seal their results, for an
+//     engine that releases each batch once its shard has run it.
 //   - Owned — DecodeBuffer.DecodeBatch, DecodeBatch. The
 //     result is the caller's for good: one fresh Batch and one fresh arena
 //     per call, whatever the tuple count; the buffer keeps only its intern
@@ -112,8 +119,8 @@ func clampBatchCap(n, remaining int) int {
 //     for its engine (through the processor's own buffer, so the table is
 //     warm), an operator restoring a window (through a fresh one).
 //
-// Interned strings outlive both: Go strings are immutable, so a tuple may
-// keep one after the buffer, or the table, is gone.
+// Interned strings outlive all three: Go strings are immutable, so a
+// tuple may keep one after the buffer, the table or the arena is gone.
 
 // maxInternedValueLen bounds which strings are interned; longer ones are
 // assumed unique payloads not worth caching.

@@ -98,6 +98,14 @@ func (b Batch) HasSpan() bool {
 // what it holds. It is how tuples leave borrowed storage for a holder
 // that may keep them.
 func (b Batch) Compact(rows []int32) Batch {
+	out, _ := b.compactInto(nil, nil, rows)
+	return out
+}
+
+// compactInto is Compact into the storage of out and vals, which is
+// reused from its start and replaced, exactly sized, only when short. It
+// returns the clone and the arena its Values live in.
+func (b Batch) compactInto(out Batch, vals []Value, rows []int32) (Batch, []Value) {
 	n := len(rows)
 	if rows == nil {
 		n = len(b)
@@ -112,8 +120,16 @@ func (b Batch) Compact(rows []int32) Batch {
 	for k := 0; k < n; k++ {
 		nvals += len(at(k).Values)
 	}
-	vals := make([]Value, 0, nvals)
-	out := make(Batch, n)
+	// Reserved up front, so no append below moves the arena under the
+	// tuples already pointed into it.
+	if cap(vals) < nvals {
+		vals = make([]Value, 0, nvals)
+	}
+	vals = vals[:0]
+	if cap(out) < n {
+		out = make(Batch, n)
+	}
+	out = out[:n]
 	for k := range out {
 		t := *at(k)
 		start := len(vals)
@@ -121,5 +137,5 @@ func (b Batch) Compact(rows []int32) Batch {
 		t.Values = vals[start:len(vals):len(vals)]
 		out[k] = t
 	}
-	return out
+	return out, vals
 }
