@@ -156,9 +156,11 @@ bench-harness:
 # The crash path's one shipped caller: examples/churn hard-kills an
 # entity with the failure detector and the checkpoint plane on, and exits
 # non-zero unless the detector expels it and every one of its queries
-# is recovered.
+# is recovered. examples/stockticker is the one shipped program that
+# reads QueryGraph and runs Rebalance.
 examples-smoke:
 	timeout 120 $(GO) run ./examples/churn
+	timeout 120 $(GO) run ./examples/stockticker
 
 # Every experiment table/figure (EXPERIMENTS.md).
 bench:

@@ -277,7 +277,7 @@ func main() {
 				fmt.Println("  no matching events")
 			}
 		case line == `\rebalance`:
-			moved, err := fed.Rebalance(sspd.HybridRepartitioner{})
+			moved, err := fed.Rebalance()
 			if err != nil {
 				fmt.Println("  error:", err)
 				continue

@@ -66,7 +66,7 @@ func main() {
 		"quotes": {TuplesPerSec: 1000, BytesPerTuple: 60},
 		"trades": {TuplesPerSec: 500, BytesPerTuple: 40},
 	}
-	g := core.BuildQueryGraph(specs, catalog, rates, 0)
+	g := core.BuildQueryGraph(specs, catalog, rates)
 	edges, weight := 0, 0.0
 	for _, v := range g.Vertices() {
 		g.Neighbors(v, func(nb querygraph.VertexID, w float64) {

@@ -101,7 +101,7 @@ func main() {
 		}
 		fed.Settle(5 * time.Second)
 	}
-	moved, err := fed.Rebalance(sspd.HybridRepartitioner{})
+	moved, err := fed.Rebalance()
 	if err != nil {
 		log.Fatal(err)
 	}

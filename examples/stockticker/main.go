@@ -78,12 +78,12 @@ func main() {
 
 	// The graph partitioner's view: how much duplicate dissemination
 	// does the current allocation cost, and what would rebalancing save?
-	g := fed.QueryGraph(0)
+	g := fed.QueryGraph()
 	before, _ := fed.Assignment()
 	fmt.Printf("query graph: %d vertices, edge cut %.0f B/s under online allocation\n",
 		g.NumVertices(), g.EdgeCut(before))
 
-	moved, err := fed.Rebalance(sspd.HybridRepartitioner{})
+	moved, err := fed.Rebalance()
 	if err != nil {
 		log.Fatal(err)
 	}

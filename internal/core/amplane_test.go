@@ -295,7 +295,7 @@ func TestTupleRoutingFeedbackLoop(t *testing.T) {
 	}
 
 	// AdaptOrdering sweeps count into the shared reorder counter.
-	fed.AdaptOrdering(0)
+	fed.adaptOrdering()
 	sb.Reset()
 	if err := fed.MetricsRegistry().WritePrometheus(&sb); err != nil {
 		t.Fatal(err)

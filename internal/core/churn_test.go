@@ -10,7 +10,6 @@ import (
 
 	"sspd/internal/engine"
 	"sspd/internal/entity"
-	"sspd/internal/querygraph"
 	"sspd/internal/simnet"
 	"sspd/internal/stream"
 	"sspd/internal/workload"
@@ -219,7 +218,7 @@ func TestChurnThenRebalance(t *testing.T) {
 	if err := fed.JoinEntity("e99", simnet.Point{X: 70}, 2, miniFactory); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fed.Rebalance(querygraph.HybridRepartitioner{}); err != nil {
+	if _, err := fed.Rebalance(); err != nil {
 		t.Fatal(err)
 	}
 	// The late joiner should have received some of the load.
@@ -285,7 +284,7 @@ func TestFederationAdaptOrdering(t *testing.T) {
 	if !net.Quiesce(2 * time.Second) {
 		t.Fatal("quiesce")
 	}
-	if n := fed.AdaptOrdering(0); n != 1 {
+	if n := fed.adaptOrdering(); n != 1 {
 		t.Fatalf("federation adapted %d queries, want 1 (q1)", n)
 	}
 }

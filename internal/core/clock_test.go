@@ -14,13 +14,20 @@ import (
 )
 
 // newClockFederation builds a started shard-engine federation (the
-// introspectable engine) with a quiet journal. A test may close it
-// before it ends.
-func newClockFederation(t *testing.T, net *simnet.SimNet, nEntities int, opts Options) *Federation {
+// introspectable engine) with a quiet journal. If opts enables
+// adaptation, the controller decides every adaptEvery with hysteresis
+// 1e-3. A test may close it before it ends.
+func newClockFederation(t *testing.T, net *simnet.SimNet, nEntities int, opts Options,
+	adaptEvery time.Duration) *Federation {
 	t.Helper()
 	opts.Fanout = 3
 	opts.Logger = obslog.New(obslog.NewJournal(obslog.DefaultJournalCapacity), nil)
-	return startFederation(t, net, opts, nEntities, 2, shardFactory)
+	fed := buildFederation(t, net, opts, nEntities, 2, shardFactory)
+	fed.adaptEvery, fed.adaptHysteresis = adaptEvery, 1e-3
+	if err := fed.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return fed
 }
 
 // TestWatchdogsEvaluateOncePerDigestPeriod pins the one-clock rule on
@@ -34,7 +41,7 @@ func newClockFederation(t *testing.T, net *simnet.SimNet, nEntities int, opts Op
 func TestWatchdogsEvaluateOncePerDigestPeriod(t *testing.T) {
 	net := simnet.NewSim(nil)
 	defer net.Close()
-	fed := newClockFederation(t, net, 3, Options{})
+	fed := newClockFederation(t, net, 3, Options{}, 0)
 	defer fed.Close()
 	if err := fed.SubmitQueryTo(priceQuery("q", 0, 1000), "e00", nil); err != nil {
 		t.Fatal(err)
@@ -75,7 +82,7 @@ func TestInterestRefreshRunsOnTheClock(t *testing.T) {
 	net := simnet.NewSim(nil)
 	defer net.Close()
 	const period = 2 * time.Millisecond
-	fed := newClockFederation(t, net, 2, Options{InterestRefresh: period})
+	fed := newClockFederation(t, net, 2, Options{InterestRefresh: period}, 0)
 	defer fed.Close()
 	if err := fed.JoinEntity("e09", simnet.Point{X: 90}, 2, shardFactory); err != nil {
 		t.Fatal(err)
@@ -107,8 +114,7 @@ func TestCloseStopsTheClockUnderLoad(t *testing.T) {
 
 	const period = 2 * time.Millisecond
 	fed := newClockFederation(t, net, 3, Options{
-		EnableAdaptation: true, AdaptationInterval: period, AdaptationHysteresis: 1e-3,
-		InterestRefresh: period})
+		EnableAdaptation: true, InterestRefresh: period}, period)
 	for i := 0; i < 4; i++ {
 		if err := fed.SubmitQueryTo(countQuery(fmt.Sprintf("agg%d", i), 16), "e00", nil); err != nil {
 			t.Fatal(err)

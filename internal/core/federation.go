@@ -50,18 +50,11 @@ type Options struct {
 	// GET /events.
 	Logger *obslog.Logger
 	// EnableAdaptation puts the adaptation controller on the control
-	// clock at Start: it periodically feeds the measured query graph into
-	// the Hybrid repartitioner and executes the moves that clear the
-	// migration-cost hysteresis check through live migration
-	// (DESIGN.md §10).
+	// clock at Start: every adaptationInterval it runs one AdaptOnce
+	// round — the Hybrid repartitioner over the query graph, executing
+	// the moves that clear the migration-cost hysteresis check through
+	// live migration (DESIGN.md §10).
 	EnableAdaptation bool
-	// AdaptationInterval is the controller's decision period (default
-	// 2s when adaptation is enabled).
-	AdaptationInterval time.Duration
-	// AdaptationHysteresis scales the migration-cost threshold a move's
-	// gain must exceed before it is executed (default 1; higher values
-	// move less).
-	AdaptationHysteresis float64
 	// Engine names the engine implementation entities compile queries
 	// with when AddEntity/JoinEntity receive a nil factory: "" or
 	// "shard" (the production shard-per-core vectorized engine,
@@ -94,6 +87,11 @@ const (
 	routingExplore = 32
 	// traceCapacity is how many recent spans the tracer keeps.
 	traceCapacity = 2048
+	// adaptationInterval is the adaptation controller's decision period.
+	adaptationInterval = 2 * time.Second
+	// adaptationHysteresis scales the migration cost a move's gain must
+	// exceed before the controller executes it.
+	adaptationHysteresis = 1.0
 )
 
 // engineFactoryFor resolves an Options.Engine kind to a factory; nil
@@ -119,12 +117,6 @@ func (o Options) normalized() Options {
 	}
 	if o.FragmentsPerQuery <= 0 {
 		o.FragmentsPerQuery = 1
-	}
-	if o.AdaptationInterval <= 0 {
-		o.AdaptationInterval = 2 * time.Second
-	}
-	if o.AdaptationHysteresis <= 0 {
-		o.AdaptationHysteresis = 1
 	}
 	return o
 }
@@ -161,6 +153,11 @@ type Federation struct {
 	clock clock
 	// rebalanceMoves counts queries moved by Rebalance calls.
 	rebalanceMoves metrics.Counter
+	// adaptEvery and adaptHysteresis are the controller's period and
+	// damping: adaptationInterval and adaptationHysteresis, which tests
+	// shorten and vary.
+	adaptEvery      time.Duration
+	adaptHysteresis float64
 	// adaptMoves counts queries moved by adaptation rounds; the migration
 	// counters and history ring back sspd_migrations_total and the
 	// /cluster migration table.
@@ -202,7 +199,7 @@ type Federation struct {
 	// it routes trace-measured per-candidate delays back into the
 	// entities' downstream choosers.
 	am *amPlane
-	// amReorders counts operator reorders applied by AdaptOrdering
+	// amReorders counts operator reorders applied by adaptOrdering
 	// sweeps across the federation (sspd_am_reorders_total).
 	amReorders metrics.Counter
 	// ckpt is the durable-checkpoint plane (nil until
@@ -289,6 +286,9 @@ func New(transport simnet.Transport, catalog *stream.Catalog, opts Options) (*Fe
 		registry:   metrics.NewRegistry(),
 		cluster:    metrics.NewRegistry(),
 		logger:     opts.Logger,
+
+		adaptEvery:      adaptationInterval,
+		adaptHysteresis: adaptationHysteresis,
 	}
 	f.clock.stop = make(chan struct{})
 	if f.logger == nil {
@@ -511,7 +511,7 @@ func (f *Federation) Start() error {
 		f.every(f.opts.InterestRefresh, f.refreshTick)
 	}
 	if f.opts.EnableAdaptation {
-		f.every(f.opts.AdaptationInterval, func() { _, _ = f.AdaptOnce() })
+		f.every(f.adaptEvery, func() { _, _ = f.AdaptOnce() })
 	}
 	return nil
 }
@@ -740,33 +740,6 @@ func (f *Federation) deliverResult(queryID string, b stream.Batch) {
 	}
 }
 
-// QueryGraph builds the current query graph from all active queries.
-func (f *Federation) QueryGraph(minEdge float64) *querygraph.Graph {
-	specs, rates := f.graphInputs()
-	return BuildQueryGraph(specs, f.catalog, rates, 0)
-}
-
-// graphInputs copies what a query graph is built from: the active
-// specs in query-ID order and the nominal stream rates.
-func (f *Federation) graphInputs() ([]engine.QuerySpec, map[string]StreamRate) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	ids := make([]string, 0, len(f.queries))
-	for id := range f.queries {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	specs := make([]engine.QuerySpec, 0, len(ids))
-	for _, id := range ids {
-		specs = append(specs, f.queries[id].spec)
-	}
-	rates := make(map[string]StreamRate, len(f.rates))
-	for s, r := range f.rates {
-		rates[s] = r
-	}
-	return specs, rates
-}
-
 // Assignment returns the current query→entity allocation as a
 // partitioning over the sorted entity list.
 func (f *Federation) Assignment() (querygraph.Partitioning, []string) {
@@ -793,40 +766,21 @@ func (f *Federation) entityIDsLocked() []string {
 	return ids
 }
 
-// Rebalance runs a repartitioner over the live query graph and migrates
-// queries to realize the new assignment. It returns the number of
-// migrations performed.
-func (f *Federation) Rebalance(r querygraph.Repartitioner) (int, error) {
-	g := f.QueryGraph(0)
-	old, ids := f.Assignment()
-	res, err := r.Repartition(g, old, querygraph.Options{
-		K:       len(ids),
-		Epsilon: partitionEpsilon,
-	})
+// Rebalance runs the Hybrid repartitioner over the query graph and
+// migrates every query it moves, one handoff per target entity. It
+// returns the number of migrations performed and the first error.
+func (f *Federation) Rebalance() (int, error) {
+	r, err := f.allocate(nil)
 	if err != nil {
 		return 0, err
 	}
-	// One handoff per target, in a deterministic order.
-	groups := make(map[string][]string)
-	for q, part := range res.Assignment {
-		if part >= 0 && part < len(ids) {
-			groups[ids[part]] = append(groups[ids[part]], string(q))
-		}
-	}
-	moved := 0
-	for _, target := range slices.Sorted(maps.Keys(groups)) {
-		n, err := f.migrate(target, groups[target])
-		moved += n
-		if err != nil {
-			return moved, err
-		}
-	}
+	moved, err := f.execute(r.plan)
 	if moved > 0 {
 		f.rebalanceMoves.Add(int64(moved))
 		f.logger.Info("migration.decide", "", "rebalance migrated queries",
-			"moves", moved, "edge_cut", fmt.Sprintf("%.1f", g.EdgeCut(res.Assignment)))
+			"moves", moved, "edge_cut", fmt.Sprintf("%.1f", r.g.EdgeCut(r.cur)))
 	}
-	return moved, nil
+	return moved, err
 }
 
 // JoinEntity adds an entity to a RUNNING federation (the paper's
@@ -941,13 +895,9 @@ func (f *Federation) LeaveEntity(id string) (int, error) {
 		groups[target] = append(groups[target], fq.spec.ID)
 		pending[target] += fq.spec.EstimatedLoad()
 	}
-	migrated := 0
-	for _, target := range slices.Sorted(maps.Keys(groups)) {
-		n, err := f.migrate(target, groups[target])
-		migrated += n
-		if err != nil {
-			return migrated, err
-		}
+	migrated, err := f.execute(groups)
+	if err != nil {
+		return migrated, err // a query is still here: the entity stays
 	}
 	return migrated, f.removeEntity(en, f.logger.Info, "departed")
 }
@@ -1124,13 +1074,13 @@ func (f *Federation) EnableFailureDetection(interval time.Duration, threshold in
 	return nil
 }
 
-// AdaptOrdering runs the Adaptation Module sweep on every entity's
+// adaptOrdering runs the Adaptation Module sweep on every entity's
 // engines (where supported), returning the number of queries whose
 // operator plan actually changed — the federation-wide form of Section
 // 4.2's runtime re-ordering, run first in every AdaptOnce round. Every
 // engine kind reports applied reorders (not requests), so the sum is
 // comparable across mixed engines.
-func (f *Federation) AdaptOrdering(minGain float64) int {
+func (f *Federation) adaptOrdering() int {
 	f.mu.Lock()
 	entities := make([]*entityNode, 0, len(f.entities))
 	for _, en := range f.entities {
@@ -1139,7 +1089,7 @@ func (f *Federation) AdaptOrdering(minGain float64) int {
 	f.mu.Unlock()
 	n := 0
 	for _, en := range entities {
-		k := en.ent.AdaptOrdering(minGain)
+		k := en.ent.AdaptOrdering()
 		if k > 0 {
 			f.logger.Info("am.reorder", en.id, "operator plans re-ordered", "applied", k)
 		}

@@ -90,6 +90,18 @@ var testSources = map[string]struct {
 func startFederation(t *testing.T, net simnet.Transport, opts Options, n, procs int,
 	factory entity.EngineFactory, streams ...string) *Federation {
 	t.Helper()
+	fed := buildFederation(t, net, opts, n, procs, factory, streams...)
+	if err := fed.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return fed
+}
+
+// buildFederation is startFederation without the Start, for tests that
+// set the federation's unexported tuning first.
+func buildFederation(t *testing.T, net simnet.Transport, opts Options, n, procs int,
+	factory entity.EngineFactory, streams ...string) *Federation {
+	t.Helper()
 	fed, err := New(net, workload.Catalog(100, 20), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -107,9 +119,6 @@ func startFederation(t *testing.T, net simnet.Transport, opts Options, n, procs 
 		if err := fed.AddEntity(fmt.Sprintf("e%02d", i), simnet.Point{X: float64(10 + i*10)}, procs, factory); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := fed.Start(); err != nil {
-		t.Fatal(err)
 	}
 	return fed
 }
@@ -449,7 +458,7 @@ func TestFederationQueryGraphAndRebalance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g := fed.QueryGraph(0)
+	g := fed.QueryGraph()
 	if g.NumVertices() != 6 {
 		t.Fatalf("graph vertices = %d", g.NumVertices())
 	}
@@ -461,7 +470,7 @@ func TestFederationQueryGraphAndRebalance(t *testing.T) {
 	if len(ids) != 3 || len(old) != 6 {
 		t.Fatalf("assignment = %v over %v", old, ids)
 	}
-	moved, err := fed.Rebalance(querygraph.HybridRepartitioner{})
+	moved, err := fed.Rebalance()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -627,7 +636,7 @@ func TestBuildQueryGraphEdges(t *testing.T) {
 		priceQuery("b", 50, 150),
 		priceQuery("c", 500, 600),
 	}
-	g := BuildQueryGraph(specs, catalog, rates, 0)
+	g := BuildQueryGraph(specs, catalog, rates)
 	if g.NumVertices() != 3 {
 		t.Fatalf("vertices = %d", g.NumVertices())
 	}
@@ -639,7 +648,7 @@ func TestBuildQueryGraphEdges(t *testing.T) {
 		t.Errorf("edge a-c = %v, want 0", got)
 	}
 	// Rates missing => no edges.
-	g2 := BuildQueryGraph(specs, catalog, nil, 0)
+	g2 := BuildQueryGraph(specs, catalog, nil)
 	if edgeWeight(g2, "a", "b") != 0 {
 		t.Error("edge without rate info")
 	}

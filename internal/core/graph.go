@@ -1,6 +1,9 @@
 package core
 
 import (
+	"maps"
+	"slices"
+
 	"sspd/internal/engine"
 	"sspd/internal/querygraph"
 	"sspd/internal/stream"
@@ -21,10 +24,10 @@ func (r StreamRate) BytesPerSec() float64 { return r.TuplesPerSec * r.BytesPerTu
 // BuildQueryGraph constructs the weighted query graph of Section 3.2.2
 // from query specs: vertices weighted by estimated load, edges weighted
 // by the byte rate of data interesting to both endpoints (stream rate ×
-// interest-overlap fraction, summed over shared streams). Edges below
-// minEdge are dropped to keep the graph sparse.
+// interest-overlap fraction, summed over shared streams). Pairs with no
+// shared interest get no edge.
 func BuildQueryGraph(specs []engine.QuerySpec, catalog *stream.Catalog,
-	rates map[string]StreamRate, minEdge float64) *querygraph.Graph {
+	rates map[string]StreamRate) *querygraph.Graph {
 	g := querygraph.New()
 	type interestOn struct {
 		spec     engine.QuerySpec
@@ -59,7 +62,7 @@ func BuildQueryGraph(specs []engine.QuerySpec, catalog *stream.Catalog,
 				}
 				w += rate.BytesPerSec() * stream.Overlap(ia, ib, sc)
 			}
-			if w > minEdge {
+			if w > 0 {
 				// Both vertices exist; SetEdge cannot fail here.
 				_ = g.SetEdge(querygraph.VertexID(items[i].spec.ID),
 					querygraph.VertexID(items[j].spec.ID), w)
@@ -67,4 +70,38 @@ func BuildQueryGraph(specs []engine.QuerySpec, catalog *stream.Catalog,
 		}
 	}
 	return g
+}
+
+// QueryGraph builds the query graph of the active queries: the one graph
+// the sspd_edge_cut gauge, GET /stats, Rebalance and the adaptation
+// controller all read. Edges are weighted with the nominal stream rates
+// and vertices with the specs' estimated loads, except where the stats
+// plane has measured better: a measured source arrival rate replaces a
+// stream's nominal tuples/sec (its bytes/tuple stays nominal), and a
+// query load from the root digest replaces a vertex weight.
+func (f *Federation) QueryGraph() *querygraph.Graph {
+	g, _ := f.queryGraph()
+	return g
+}
+
+// queryGraph builds the query graph and returns the stream rates its
+// edges were weighted with, so a migration's cost is priced in the same
+// rates as its gain.
+func (f *Federation) queryGraph() (*querygraph.Graph, map[string]StreamRate) {
+	f.mu.Lock()
+	specs := make([]engine.QuerySpec, 0, len(f.queries))
+	for _, id := range slices.Sorted(maps.Keys(f.queries)) {
+		specs = append(specs, f.queries[id].spec)
+	}
+	rates := maps.Clone(f.rates)
+	f.mu.Unlock()
+	for s, tps := range f.streamRates() {
+		if r, ok := rates[s]; ok && tps > 0 {
+			r.TuplesPerSec = tps
+			rates[s] = r
+		}
+	}
+	g := BuildQueryGraph(specs, f.catalog, rates)
+	querygraph.ApplyLoads(g, f.queryLoads())
+	return g, rates
 }

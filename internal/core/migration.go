@@ -1,6 +1,6 @@
-// Live migration: Federation.MigrateQuery and the grouped form Rebalance,
-// LeaveEntity and the adaptation controller use, plus the migration
-// history and metrics they feed. A migration is a handoff whose source
+// Live migration: Federation.MigrateQuery and the plan executor
+// Rebalance, LeaveEntity and the adaptation controller share, plus the
+// migration history and metrics they feed. A migration is a handoff whose source
 // is alive (handoff.go, DESIGN.md §10 "Handoff"): the source's gate
 // closes, its state is captured and installed on the destination, and
 // what either side buffered meanwhile is replayed there exactly once. A
@@ -9,6 +9,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 )
 
@@ -106,6 +108,22 @@ func (f *Federation) migrate(toEntity string, ids []string) (int, error) {
 	moved, err := f.handoff(toEntity, items)
 	if firstErr == nil {
 		firstErr = err
+	}
+	return moved, firstErr
+}
+
+// execute carries out a migration plan — target entity → queries to move
+// there — one handoff per target, in target order. It tries every
+// target and returns how many queries moved and the first error.
+func (f *Federation) execute(plan map[string][]string) (int, error) {
+	moved := 0
+	var firstErr error
+	for _, target := range slices.Sorted(maps.Keys(plan)) {
+		n, err := f.migrate(target, plan[target])
+		moved += n
+		if firstErr == nil {
+			firstErr = err
+		}
 	}
 	return moved, firstErr
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"testing"
@@ -289,13 +290,20 @@ func TestRemoveQueryBlockedDuringMigration(t *testing.T) {
 	}
 }
 
-// newAdaptFederation is a two-processor MiniEngine federation with
-// caller options — the adaptation tests need the hysteresis knob.
-func newAdaptFederation(t *testing.T, nEntities int, opts Options) *Federation {
+// newAdaptFederation is a two-processor MiniEngine federation whose
+// adaptation controller weighs moves with the given hysteresis and, when
+// enabled, decides every 25ms.
+func newAdaptFederation(t *testing.T, nEntities int, opts Options, hysteresis float64) *Federation {
 	t.Helper()
 	net := simnet.NewSim(nil)
 	t.Cleanup(func() { net.Close() })
-	return startFederation(t, net, opts, nEntities, 2, miniFactory)
+	fed := buildFederation(t, net, opts, nEntities, 2, miniFactory)
+	fed.adaptEvery = 25 * time.Millisecond
+	fed.adaptHysteresis = hysteresis
+	if err := fed.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return fed
 }
 
 // TestAdaptOnceRebalancesByMigration piles disjoint-interest queries on
@@ -305,8 +313,7 @@ func newAdaptFederation(t *testing.T, nEntities int, opts Options) *Federation {
 func TestAdaptOnceRebalancesByMigration(t *testing.T) {
 	fed := newAdaptFederation(t, 2, Options{
 		Strategy: dissemination.Locality, Fanout: 3,
-		AdaptationHysteresis: 1e-3,
-	})
+	}, 1e-3)
 	syms := [][]string{{"s0"}, {"s1"}, {"s2"}, {"s3"}}
 	for i, s := range syms {
 		q := priceQuery("q"+s[0], float64(i*10), float64(i*10+5), s...)
@@ -358,13 +365,12 @@ func TestAdaptOnceRebalancesByMigration(t *testing.T) {
 }
 
 // TestAdaptationHysteresisBlocksMarginalMoves is the damping contract:
-// with the default (high) hysteresis, the same imbalance is left alone
+// with the hysteresis set to 1e6, the same imbalance is left alone
 // because the migration cost outweighs the modeled gain.
 func TestAdaptationHysteresisBlocksMarginalMoves(t *testing.T) {
 	fed := newAdaptFederation(t, 2, Options{
 		Strategy: dissemination.Locality, Fanout: 3,
-		AdaptationHysteresis: 1e6,
-	})
+	}, 1e6)
 	for i := 0; i < 4; i++ {
 		q := priceQuery("q"+string(rune('0'+i)), float64(i*10), float64(i*10+5))
 		if err := fed.SubmitQueryTo(q, "e00", nil); err != nil {
@@ -383,16 +389,70 @@ func TestAdaptationHysteresisBlocksMarginalMoves(t *testing.T) {
 	}
 }
 
+// TestMigrationCostFollowsMeasuredRate: a move's replay is priced at the
+// stream rates the round's query graph was built with, so once the stats
+// plane measures a stream well above its nominal rate the cost follows
+// the measured rate, as the gain it is weighed against does.
+func TestMigrationCostFollowsMeasuredRate(t *testing.T) {
+	net := simnet.NewSim(nil)
+	t.Cleanup(func() { net.Close() })
+	fed, err := New(net, workload.Catalog(100, 20), Options{Fanout: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fed.Close)
+	nominal := StreamRate{TuplesPerSec: 1, BytesPerTuple: 60}
+	if err := fed.AddSource("quotes", simnet.Point{}, nominal); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"e00", "e01"} {
+		if err := fed.AddEntity(id, simnet.Point{X: 10}, 2, miniFactory); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fed.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fed.SubmitQueryTo(countQuery("agg", 16), "e00", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := fed.EnableStatsPlane(0); err != nil {
+		t.Fatal(err)
+	}
+	settleTicks(fed, 1)
+	if err := fed.Publish("quotes", workload.NewTicker(1, 100, 1.2).Batch(200)); err != nil {
+		t.Fatal(err)
+	}
+	fed.Settle(2 * time.Second)
+	settleTicks(fed, 1)
+
+	measured := fed.streamRates()["quotes"]
+	if measured < 100*nominal.TuplesPerSec {
+		t.Fatalf("measured rate %v tuples/s, want well above the nominal %v", measured, nominal.TuplesPerSec)
+	}
+	_, rates := fed.queryGraph()
+	if got := rates["quotes"].TuplesPerSec; got != measured {
+		t.Fatalf("graph weighted with %v tuples/s, want the measured %v", got, measured)
+	}
+	fed.mu.Lock()
+	src := fed.entities["e00"].ent
+	fed.mu.Unlock()
+	stateBytes, _ := src.QueryStateBytes("agg")
+	want := (float64(stateBytes) + measured*nominal.BytesPerTuple*adaptPauseEstimate.Seconds()) /
+		adaptAmortization.Seconds()
+	if got := fed.migrationCostRate("agg", "e00", rates); math.Abs(got-want) > 1e-9*want {
+		t.Fatalf("migration cost %v B/s, want %v at the measured rate", got, want)
+	}
+}
+
 // TestAdaptationControllerBackground exercises the opt-in loop end to
 // end: EnableAdaptation puts the controller on the clock at Start, it
 // notices the imbalance by itself, and Close takes it off.
 func TestAdaptationControllerBackground(t *testing.T) {
 	fed := newAdaptFederation(t, 2, Options{
 		Strategy: dissemination.Locality, Fanout: 3,
-		EnableAdaptation:     true,
-		AdaptationInterval:   25 * time.Millisecond,
-		AdaptationHysteresis: 1e-3,
-	})
+		EnableAdaptation: true,
+	}, 1e-3)
 	syms := [][]string{{"s0"}, {"s1"}, {"s2"}, {"s3"}}
 	for i, s := range syms {
 		q := priceQuery("q"+s[0], float64(i*10), float64(i*10+5), s...)

@@ -286,7 +286,7 @@ func (f *Federation) collectMetrics(emit func(metrics.Sample)) {
 	// entity boundaries (QueryGraph locks internally; must be outside
 	// f.mu).
 	if started && len(queryIDs) > 0 {
-		g := f.QueryGraph(0)
+		g := f.QueryGraph()
 		p, _ := f.Assignment()
 		metrics.EmitGauge(emit, "sspd_edge_cut", "Query-graph edge weight (bytes/sec) crossing entity boundaries.",
 			g.EdgeCut(p))

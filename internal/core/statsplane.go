@@ -7,8 +7,8 @@ package core
 // EntityStats row and pushes it up the coordinator tree. Interior nodes merge child digests,
 // so the tree's root holds the cluster view that backs GET
 // /cluster/metrics, GET /cluster/health, the portal's ops page, and the
-// querygraph.StatsSource hook feeding measured weights to the adaptive
-// repartitioner. The plane has two parts that ride the same rows: latency
+// measured rates and loads the query graph (graph.go) is weighted with.
+// The plane has two parts that ride the same rows: latency
 // attribution (latencyplane.go) and engine introspection
 // (engineplane.go). One digest period is one StatsTick — called by hand,
 // or by the control clock (clock.go) in background mode — and it also
@@ -24,7 +24,6 @@ import (
 
 	"sspd/internal/coordinator"
 	"sspd/internal/metrics"
-	"sspd/internal/querygraph"
 	"sspd/internal/simnet"
 )
 
@@ -235,9 +234,9 @@ func (f *Federation) ClusterHealth() []EntityHealth {
 	return out
 }
 
-// QueryLoads implements querygraph.StatsSource: the measured load per
-// query, merged from the root digest's per-entity rows.
-func (f *Federation) QueryLoads() map[string]float64 {
+// queryLoads is the measured load per query, merged from the root
+// digest's per-entity rows (nil without a root digest).
+func (f *Federation) queryLoads() map[string]float64 {
 	rows, _, ok := f.ClusterStats()
 	if !ok {
 		return nil
@@ -251,10 +250,10 @@ func (f *Federation) QueryLoads() map[string]float64 {
 	return out
 }
 
-// StreamRates implements querygraph.StatsSource: the measured arrival
-// rate per stream in tuples/second, differentiated from the sources'
-// publish counters.
-func (f *Federation) StreamRates() map[string]float64 {
+// streamRates is the measured arrival rate per stream in tuples/second,
+// differentiated from the sources' publish counters (nil without the
+// stats plane).
+func (f *Federation) streamRates() map[string]float64 {
 	f.mu.Lock()
 	p := f.stats
 	f.mu.Unlock()
@@ -268,33 +267,6 @@ func (f *Federation) StreamRates() map[string]float64 {
 		out[s] = r
 	}
 	return out
-}
-
-var _ querygraph.StatsSource = (*Federation)(nil)
-
-// MeasuredQueryGraph builds the query graph with measured statistics
-// (when the stats plane is warmed up) overriding the nominal estimates —
-// the input the adaptive repartitioner is meant to consume. Edge weights
-// use the measured per-stream arrival rate (nominal bytes/tuple); vertex
-// weights use the digest's measured query loads. Anything not yet
-// measured keeps its nominal value.
-func (f *Federation) MeasuredQueryGraph(minEdge float64) *querygraph.Graph {
-	f.mu.Lock()
-	p := f.stats
-	f.mu.Unlock()
-	if p == nil {
-		return f.QueryGraph(minEdge)
-	}
-	specs, rates := f.graphInputs()
-	for s, tps := range f.StreamRates() {
-		if r, ok := rates[s]; ok && tps > 0 {
-			r.TuplesPerSec = tps
-			rates[s] = r
-		}
-	}
-	g := BuildQueryGraph(specs, f.catalog, rates, minEdge)
-	querygraph.ApplyLoads(g, f.QueryLoads())
-	return g
 }
 
 // addNode creates the stats node of one entity.
@@ -609,8 +581,8 @@ func (p *statsPlane) collect(emit func(metrics.Sample)) {
 			b2f(h.Healthy), metrics.L("entity", h.Entity))
 	}
 
-	// Measured source rates (the StatsSource feed).
-	for s, rate := range f.StreamRates() {
+	// Measured source rates (the query graph's edge rates).
+	for s, rate := range f.streamRates() {
 		metrics.EmitGauge(emit, "sspd_cluster_stream_tuples_per_sec", "Measured arrival rate at the stream source.",
 			rate, metrics.L("stream", s))
 	}

@@ -108,7 +108,7 @@ func TestStatsPlaneClusterView(t *testing.T) {
 	}
 	fed.Settle(2 * time.Second)
 	settleTicks(fed, 1)
-	if rate := fed.StreamRates()["quotes"]; rate <= 0 {
+	if rate := fed.streamRates()["quotes"]; rate <= 0 {
 		t.Fatalf("measured stream rate = %v, want > 0", rate)
 	}
 
@@ -142,8 +142,8 @@ func TestStatsPlaneClusterView(t *testing.T) {
 		}
 	}
 
-	// The StatsSource-fed graph keeps every query vertex.
-	g := fed.MeasuredQueryGraph(0)
+	// The measured graph keeps every query vertex.
+	g := fed.QueryGraph()
 	if g.NumVertices() != 3 {
 		t.Fatalf("measured graph has %d vertices, want 3", g.NumVertices())
 	}

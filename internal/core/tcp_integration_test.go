@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"sspd/internal/dissemination"
-	"sspd/internal/querygraph"
 	"sspd/internal/simnet"
 	"sspd/internal/stream"
 	"sspd/internal/workload"
@@ -118,7 +117,7 @@ func TestFederationOverTCP(t *testing.T) {
 	mu.Unlock()
 
 	// Rebalance over TCP, then publish again: everything still works.
-	if _, err := fed.Rebalance(querygraph.HybridRepartitioner{}); err != nil {
+	if _, err := fed.Rebalance(); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(300 * time.Millisecond)

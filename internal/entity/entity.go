@@ -1017,14 +1017,15 @@ func (e *Entity) ProcLoads() []float64 {
 // AdaptOrdering asks every processor engine that supports it (the
 // engine.Adapter capability) to re-order its queries' commutable
 // operators from observed statistics — the entity-wide Adaptation Module
-// sweep. It returns the number of queries whose plan actually changed
-// (both engines' AdaptOrdering report applied reorders, so the sum is
-// comparable across engine kinds).
-func (e *Entity) AdaptOrdering(minGain float64) int {
+// sweep, at the engines' default minimum gain (5%). It returns the
+// number of queries whose plan actually changed (both engines'
+// AdaptOrdering report applied reorders, so the sum is comparable
+// across engine kinds).
+func (e *Entity) AdaptOrdering() int {
 	n := 0
 	for _, p := range e.procs {
 		if p.adapter != nil {
-			n += p.adapter.AdaptOrdering(minGain)
+			n += p.adapter.AdaptOrdering(0)
 		}
 	}
 	return n

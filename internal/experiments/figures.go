@@ -159,7 +159,7 @@ func Table1CooperationModes() Table {
 			}
 		}
 		if m.coopQ {
-			if _, err := fed.Rebalance(querygraph.HybridRepartitioner{}); err != nil {
+			if _, err := fed.Rebalance(); err != nil {
 				panic(err)
 			}
 		}

@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"sspd/internal/core"
+	"sspd/internal/engine"
 	"sspd/internal/metrics"
 	"sspd/internal/obslog"
 	"sspd/internal/simnet"
@@ -214,5 +216,63 @@ func TestTracesBadN(t *testing.T) {
 	}
 	if _, resp := scrape(t, ts.URL+"/traces?n=5"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /traces?n=5: %d", resp.StatusCode)
+	}
+}
+
+// TestEdgeCutReadsMeasuredGraph: once the stats plane measures a stream
+// well above its nominal rate, the sspd_edge_cut gauge and GET /stats'
+// edge_cut both report the cut of the one query graph, QueryGraph(),
+// which is weighted with the measured rate — not the nominal graph's.
+func TestEdgeCutReadsMeasuredGraph(t *testing.T) {
+	ts, fed, net := newTestServer(t)
+	specs := make([]engine.QuerySpec, 3)
+	for i := range specs {
+		specs[i] = engine.QuerySpec{
+			ID: fmt.Sprintf("q%d", i), Source: "quotes", Load: 5,
+			Filters: []engine.FilterSpec{{Field: "price", Lo: float64(100 * i), Hi: float64(100*i + 500), Cost: 1}},
+		}
+		if err := fed.SubmitQueryTo(specs[i], fmt.Sprintf("e%02d", i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !net.Quiesce(2 * time.Second) {
+		t.Fatal("quiesce after submit")
+	}
+	statsTicks(t, fed, net, 1)
+	tick := workload.NewTicker(1, 100, 1.2)
+	if err := fed.Publish("quotes", tick.Batch(200)); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(15 * time.Millisecond) // past the stats plane's 10ms rate guard
+	statsTicks(t, fed, net, 2)
+
+	assign, _ := fed.Assignment()
+	want := fed.QueryGraph().EdgeCut(assign)
+	nominal := core.BuildQueryGraph(specs, workload.Catalog(100, 20),
+		map[string]core.StreamRate{"quotes": {TuplesPerSec: 100, BytesPerTuple: 60}}).EdgeCut(assign)
+	if nominal <= 0 || want < 2*nominal {
+		t.Fatalf("measured-graph cut %v, nominal cut %v: want the measured rate well above the nominal 100 tuples/s", want, nominal)
+	}
+
+	body, _ := scrape(t, ts.URL+"/metrics")
+	fams, err := metrics.ParsePrometheus(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gauge := -1.0
+	for _, f := range fams {
+		if f.Name == "sspd_edge_cut" {
+			gauge = f.Samples[0].Value
+		}
+	}
+	if gauge != want {
+		t.Errorf("sspd_edge_cut = %v, want the query graph's cut %v (nominal %v)", gauge, want, nominal)
+	}
+	var stats struct {
+		EdgeCut float64 `json:"edge_cut"`
+	}
+	getJSON(t, ts.URL+"/stats", &stats)
+	if stats.EdgeCut != want {
+		t.Errorf("GET /stats edge_cut = %v, want the query graph's cut %v (nominal %v)", stats.EdgeCut, want, nominal)
 	}
 }

@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"sspd/internal/core"
-	"sspd/internal/querygraph"
 	"sspd/internal/simnet"
 	"sspd/internal/sspdql"
 	"sspd/internal/stream"
@@ -444,7 +443,7 @@ func (s *Server) migrateQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) rebalance(w http.ResponseWriter, _ *http.Request) {
-	moved, err := s.fed.Rebalance(querygraph.HybridRepartitioner{})
+	moved, err := s.fed.Rebalance()
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
@@ -471,7 +470,7 @@ func (s *Server) listEntities(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) stats(w http.ResponseWriter, _ *http.Request) {
-	g := s.fed.QueryGraph(0)
+	g := s.fed.QueryGraph()
 	assign, _ := s.fed.Assignment()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"entities":   len(s.fed.EntityIDs()),

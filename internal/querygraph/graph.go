@@ -139,15 +139,6 @@ func (g *Graph) TotalVertexWeight() float64 {
 // Partitioning assigns each vertex to a partition index in [0, k).
 type Partitioning map[VertexID]int
 
-// Clone returns a copy of the assignment.
-func (p Partitioning) Clone() Partitioning {
-	out := make(Partitioning, len(p))
-	for v, part := range p {
-		out[v] = part
-	}
-	return out
-}
-
 // EdgeCut returns the total weight of edges whose endpoints lie in
 // different partitions — the duplicate dissemination cost the paper
 // minimizes.

@@ -161,15 +161,6 @@ func TestDiff(t *testing.T) {
 	}
 }
 
-func TestPartitioningClone(t *testing.T) {
-	p := Partitioning{"a": 0}
-	c := p.Clone()
-	c["a"] = 5
-	if p["a"] != 0 {
-		t.Error("Clone shares storage")
-	}
-}
-
 // Property: EdgeCut is invariant under partition renumbering.
 func TestEdgeCutRenumberInvariantProperty(t *testing.T) {
 	g := Figure2Graph()

@@ -2,6 +2,7 @@ package querygraph
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 )
@@ -148,7 +149,7 @@ func TestRepartitionerTradeoff(t *testing.T) {
 	var evalScratch, evalGreedy int
 	rounds := 6
 	gs, gg, gh := g.Clone(), g.Clone(), g.Clone()
-	as, ag, ah := assign.Clone(), assign.Clone(), assign.Clone()
+	as, ag, ah := maps.Clone(assign), maps.Clone(assign), maps.Clone(assign)
 	rngS, rngG, rngH := rand.New(rand.NewSource(1)), rand.New(rand.NewSource(1)), rand.New(rand.NewSource(1))
 	for round := 0; round < rounds; round++ {
 		drift(rngS, gs, round)

@@ -1,21 +1,10 @@
 package querygraph
 
-// StatsSource feeds measured runtime statistics into query-graph
-// construction — the hook through which the cluster stats plane
-// (DESIGN.md §9) replaces the static estimates the graph is otherwise
-// built from. Implementations return only what they have measured; a
-// query or stream absent from the maps keeps its nominal weight, so a
-// partially warmed-up cluster degrades gracefully to the static graph.
-type StatsSource interface {
-	// QueryLoads returns the measured load (vertex weight) per query ID.
-	QueryLoads() map[string]float64
-	// StreamRates returns the measured arrival rate per stream, in
-	// tuples per second.
-	StreamRates() map[string]float64
-}
-
-// ApplyLoads overwrites graph vertex weights with measured query loads.
-// Vertices without a measurement keep their current (nominal) weight.
+// ApplyLoads overwrites graph vertex weights with measured query loads
+// — how the cluster stats plane (DESIGN.md §9) replaces the static
+// estimates the graph is otherwise built from. Vertices without a
+// measurement keep their current (nominal) weight, so a partially
+// warmed-up cluster degrades gracefully to the static graph.
 // It returns the number of vertices updated.
 func ApplyLoads(g *Graph, loads map[string]float64) int {
 	updated := 0

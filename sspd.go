@@ -137,18 +137,6 @@ func NewFederation(t Transport, c *Catalog, o Options) (*Federation, error) {
 	return core.New(t, c, o)
 }
 
-// Repartitioning strategies for Federation.Rebalance.
-type (
-	// Repartitioner adapts a query allocation after workload drift.
-	Repartitioner = querygraph.Repartitioner
-	// ScratchRepartitioner rebuilds the allocation from scratch.
-	ScratchRepartitioner = querygraph.ScratchRepartitioner
-	// GreedyCutRepartitioner rebalances by load only.
-	GreedyCutRepartitioner = querygraph.GreedyCutRepartitioner
-	// HybridRepartitioner is the paper's proposed middle ground.
-	HybridRepartitioner = querygraph.HybridRepartitioner
-)
-
 // Engine constructors: the two bundled engine implementations.
 var (
 	// NewEngine builds the production engine: the shard-per-core
