@@ -37,8 +37,8 @@ const DefaultMaxInterestTerms = 16
 // publishes instead of receiving.
 //
 // A link is a call: the relay sends to each child on the goroutine that
-// handed it the batch (the publisher at the source, the node's inbox
-// elsewhere), in child order, and owns no goroutine of its own. A slow
+// handed it the batch (the publisher at the source, the node's transport
+// runner elsewhere), in child order, and owns no goroutine of its own. A slow
 // link therefore delays the children after it in the same batch — a
 // batch costs the sum of its sends rather than the max — but the batch
 // always waited for its slowest link, and TCP's write deadline still

@@ -232,3 +232,28 @@ func (p *FaultPlan) Injected(kind FaultKind) int64 {
 	}
 	return c.Load()
 }
+
+// TestFaultPlanDelaysOverlap: a FaultPlan delay is a property of the
+// link, not of the receiver, so 50 messages each held 10 ms arrive
+// together, well under the 500 ms a serialized delay would take.
+func TestFaultPlanDelaysOverlap(t *testing.T) {
+	const msgs, hold = 50, 10 * time.Millisecond
+	r := newChaosRig(t, 1)
+	r.plan.SetLinkFaults("a", "b", LinkFaults{Reorder: 1, ReorderDelay: hold})
+	start := time.Now()
+	for i := 0; i < msgs; i++ {
+		if err := r.plan.Send("a", "b", "k", []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r.received("b") < msgs {
+		if time.Since(start) > 5*time.Second {
+			t.Fatalf("delivered %d of %d", r.received("b"), msgs)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if took := time.Since(start); took < hold || took > msgs*hold/2 {
+		t.Errorf("%d messages held %v each all arrived after %v, want >= %v and well under %v",
+			msgs, hold, took, hold, msgs*hold)
+	}
+}

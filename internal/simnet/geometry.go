@@ -1,15 +1,15 @@
 // Package simnet provides the communication substrate of sspd. The paper
 // assumes entities are spread over a wide-area network while processors
 // inside an entity share a fast local network; simnet substitutes a
-// measurable equivalent: nodes carry synthetic 2-D coordinates, link
-// latency grows with distance, and every byte on every link is metered —
-// the currency in which the paper's communication costs are expressed.
+// measurable equivalent: nodes carry synthetic 2-D coordinates that the
+// trees are built by, and every byte on every link is metered — the
+// currency in which the paper's communication costs are expressed.
+// Delay, loss and reordering are per-link FaultPlan rules.
 //
 // Two Transport implementations share one interface: SimNet delivers
-// in-process (deterministic byte accounting, simulated latency) and
-// TCPNet sends over real sockets via the stdlib net package, exercising
-// the identical code paths the paper planned to "deploy onto real
-// network environment".
+// in-process (deterministic byte accounting) and TCPNet sends over real
+// sockets via the stdlib net package, exercising the identical code
+// paths the paper planned to "deploy onto real network environment".
 package simnet
 
 import (

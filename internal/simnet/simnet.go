@@ -7,28 +7,17 @@ import (
 	"time"
 )
 
-// LatencyModel maps a link to a one-way delivery delay.
+// LatencyModel is the parameter NewSim still takes; only nil is
+// accepted. Link delay, loss and reordering are FaultPlan rules.
 type LatencyModel func(from, to Point) time.Duration
 
-// ConstantLatency returns d for every link.
-func ConstantLatency(d time.Duration) LatencyModel {
-	return func(_, _ Point) time.Duration { return d }
-}
-
-// DistanceLatency returns base plus perUnit per unit of Euclidean
-// distance — the wide-area model (locality matters).
-func DistanceLatency(base time.Duration, perUnit time.Duration) LatencyModel {
-	return func(from, to Point) time.Duration {
-		return base + time.Duration(from.Distance(to)*float64(perUnit))
-	}
-}
-
-// SimNet is the in-process Transport. Each node has a position and an
-// inbox goroutine; Send enqueues the message and the inbox delivers it
-// after the modeled latency. With a zero latency model delivery is still
-// asynchronous but immediate.
+// SimNet is the in-process Transport: a wire that meters every byte.
+// Each node queues only what is pending for it, and one runner goroutine
+// per node hands the queue to the handler in FIFO order. A sender
+// blocks while the receiver holds simQueueBytes or more of undelivered
+// messages (backpressure on a congested receiver). Delivery is
+// asynchronous but immediate: a link delay is a FaultPlan rule.
 type SimNet struct {
-	latency LatencyModel
 	traffic *Traffic
 
 	mu     sync.RWMutex
@@ -37,16 +26,19 @@ type SimNet struct {
 }
 
 type simNode struct {
-	id      NodeID
-	pos     Point
 	handler Handler
-	inbox   chan delivery
 	done    chan struct{}
-	// sendMu serializes sends against inbox closure: senders hold the
-	// read side across the channel send; Deregister/Close take the
-	// write side before closing. The inbox consumer keeps draining
-	// until the close, so blocked senders always make progress.
-	sendMu sync.RWMutex
+
+	mu sync.Mutex
+	// ready parks the runner while the queue is empty; room parks
+	// senders while bytes is at or above simQueueBytes.
+	ready, room sync.Cond
+	// queue holds what is pending; spare is the runner's last drained
+	// batch, handed back so steady state allocates nothing.
+	queue, spare []Message
+	// bytes is the wire size of every message accepted and not yet
+	// delivered: the queue plus the batch the runner is handling.
+	bytes  int
 	closed bool
 	// pending counts messages from the moment a sender commits to this
 	// node until the handler for them returns. Incremented at enqueue
@@ -56,61 +48,24 @@ type simNode struct {
 	pending atomic.Int64
 }
 
-// trySend delivers d unless the node is closing. It reports whether the
-// message was accepted.
-func (n *simNode) trySend(d delivery) bool {
-	n.sendMu.RLock()
-	defer n.sendMu.RUnlock()
-	if n.closed {
-		return false
-	}
-	n.pending.Add(1)
-	n.inbox <- d
-	return true
-}
+// simQueueBytes bounds each node's undelivered bytes; senders block at
+// it, modeling backpressure on a congested receiver.
+const simQueueBytes = 4 << 20
 
-// shutdown marks the node closed and closes its inbox exactly once.
-func (n *simNode) shutdown() {
-	n.sendMu.Lock()
-	alreadyClosed := n.closed
-	n.closed = true
-	n.sendMu.Unlock()
-	if !alreadyClosed {
-		close(n.inbox)
-	}
-	<-n.done
-}
-
-type delivery struct {
-	msg   Message
-	delay time.Duration
-}
-
-// simInboxDepth bounds each node's inbox; senders block when it is full,
-// modeling backpressure on a congested receiver.
-const simInboxDepth = 4096
-
-// NewSim returns a simulated network with the given latency model (nil
-// means zero latency).
+// NewSim returns a simulated network. latency must be nil: link delay,
+// loss and reordering are FaultPlan rules (NewFaultPlan, SetLinkFaults).
 func NewSim(latency LatencyModel) *SimNet {
-	if latency == nil {
-		latency = ConstantLatency(0)
+	if latency != nil {
+		panic("simnet: NewSim takes no latency model; link delay is a FaultPlan rule (LinkFaults.Jitter, ReorderDelay)")
 	}
 	return &SimNet{
-		latency: latency,
 		traffic: NewTraffic(),
 		nodes:   make(map[NodeID]*simNode),
 	}
 }
 
-// Register implements Transport with the node at the origin. Use
-// RegisterAt to place it.
+// Register implements Transport.
 func (s *SimNet) Register(id NodeID, h Handler) error {
-	return s.RegisterAt(id, Point{}, h)
-}
-
-// RegisterAt creates an endpoint at a position in the coordinate space.
-func (s *SimNet) RegisterAt(id NodeID, at Point, h Handler) error {
 	if h == nil {
 		return fmt.Errorf("simnet: node %q needs a handler", id)
 	}
@@ -122,27 +77,71 @@ func (s *SimNet) RegisterAt(id NodeID, at Point, h Handler) error {
 	if _, dup := s.nodes[id]; dup {
 		return fmt.Errorf("simnet: node %q already registered", id)
 	}
-	n := &simNode{
-		id:      id,
-		pos:     at,
-		handler: h,
-		inbox:   make(chan delivery, simInboxDepth),
-		done:    make(chan struct{}),
-	}
+	n := &simNode{handler: h, done: make(chan struct{})}
+	n.ready.L = &n.mu
+	n.room.L = &n.mu
 	s.nodes[id] = n
 	go n.run()
 	return nil
 }
 
+// enqueue appends msg to the node's queue, waiting while the node holds
+// simQueueBytes or more. A node that closes first takes nothing.
+func (n *simNode) enqueue(msg Message, size int) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for n.bytes >= simQueueBytes && !n.closed {
+		n.room.Wait()
+	}
+	if n.closed {
+		return
+	}
+	n.pending.Add(1)
+	n.queue = append(n.queue, msg)
+	n.bytes += size
+	if len(n.queue) == 1 {
+		n.ready.Signal()
+	}
+}
+
+// run delivers the queue until the node closes and what it had queued is
+// delivered. It swaps the whole queue out, runs the handlers outside the
+// lock, and keeps the drained slice as the next spare.
 func (n *simNode) run() {
 	defer close(n.done)
-	for d := range n.inbox {
-		if d.delay > 0 {
-			time.Sleep(d.delay)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for {
+		for len(n.queue) == 0 && !n.closed {
+			n.ready.Wait()
 		}
-		n.handler(d.msg)
-		n.pending.Add(-1)
+		if len(n.queue) == 0 {
+			return
+		}
+		batch, size := n.queue, n.bytes
+		n.queue, n.spare = n.spare, nil
+		n.mu.Unlock()
+		for _, m := range batch {
+			n.handler(m)
+		}
+		n.pending.Add(-int64(len(batch)))
+		clear(batch) // the spare must not keep payloads alive
+		n.mu.Lock()
+		n.spare = batch[:0]
+		n.bytes -= size
+		n.room.Broadcast()
 	}
+}
+
+// shutdown closes the node: waiting senders give up, and the runner
+// delivers what is already queued, then exits.
+func (n *simNode) shutdown() {
+	n.mu.Lock()
+	n.closed = true
+	n.ready.Signal()
+	n.room.Broadcast()
+	n.mu.Unlock()
+	<-n.done
 }
 
 // Deregister implements Transport.
@@ -159,32 +158,31 @@ func (s *SimNet) Deregister(id NodeID) error {
 	return nil
 }
 
-// Send implements Transport. It blocks when the destination inbox is
-// full (backpressure) and fails if either endpoint is unknown.
+// Send implements Transport. It blocks while the destination holds
+// simQueueBytes of undelivered messages (backpressure) and fails if
+// either endpoint is unknown.
 func (s *SimNet) Send(from, to NodeID, kind string, payload []byte) error {
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
 		return fmt.Errorf("simnet: closed")
 	}
-	src, ok := s.nodes[from]
-	if !ok {
+	if _, ok := s.nodes[from]; !ok {
 		s.mu.RUnlock()
 		return ErrUnknownNode{ID: from}
 	}
 	dst, ok := s.nodes[to]
+	s.mu.RUnlock()
 	if !ok {
-		s.mu.RUnlock()
 		return ErrUnknownNode{ID: to}
 	}
-	delay := s.latency(src.pos, dst.pos)
-	s.mu.RUnlock()
 
 	msg := Message{From: from, To: to, Kind: kind, Payload: payload}
-	s.traffic.Record(from, to, msg.Size())
+	size := msg.Size()
+	s.traffic.Record(from, to, size)
 	// Delivery is asynchronous, but the Transport.Send contract lets the
 	// caller reuse the payload buffer as soon as Send returns — so the
-	// inbox gets its own copy, which the handler then owns outright.
+	// queue gets its own copy, which the handler then owns outright.
 	if len(payload) > 0 {
 		cp := make([]byte, len(payload))
 		copy(cp, payload)
@@ -192,14 +190,14 @@ func (s *SimNet) Send(from, to NodeID, kind string, payload []byte) error {
 	}
 	// A concurrent deregistration makes this a send-to-nobody: the
 	// message was on the wire when the node vanished.
-	dst.trySend(delivery{msg: msg, delay: delay})
+	dst.enqueue(msg, size)
 	return nil
 }
 
 // Traffic implements Transport.
 func (s *SimNet) Traffic() *Traffic { return s.traffic }
 
-// Quiesce waits until every inbox is empty AND every handler has
+// Quiesce waits until every queue is empty AND every handler has
 // returned (two consecutive observations, so a handler that sends new
 // messages re-arms the wait), or the timeout expires.
 func (s *SimNet) Quiesce(timeout time.Duration) bool {

@@ -1,7 +1,10 @@
 package simnet
 
 import (
+	"encoding/binary"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -119,6 +122,14 @@ func TestSimNetErrors(t *testing.T) {
 	if err := n.Deregister("missing"); err == nil {
 		t.Error("deregister unknown accepted")
 	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("NewSim accepted a latency model")
+			}
+		}()
+		NewSim(func(_, _ Point) time.Duration { return time.Millisecond })
+	}()
 }
 
 func TestSimNetTrafficAccounting(t *testing.T) {
@@ -163,29 +174,6 @@ func TestSimNetTrafficAccounting(t *testing.T) {
 	}
 }
 
-func TestSimNetPositionsAndLatency(t *testing.T) {
-	n := NewSim(DistanceLatency(0, time.Millisecond))
-	defer n.Close()
-	n.RegisterAt("a", Point{0, 0}, func(Message) {})
-	arrived := make(chan time.Time, 1)
-	n.RegisterAt("b", Point{30, 40}, func(Message) { arrived <- time.Now() })
-	if p, ok := n.Position("a"); !ok || p != (Point{0, 0}) {
-		t.Error("position a")
-	}
-	if _, ok := n.Position("zz"); ok {
-		t.Error("position of unknown node")
-	}
-	start := time.Now()
-	if err := n.Send("a", "b", "k", nil); err != nil {
-		t.Fatal(err)
-	}
-	at := <-arrived
-	// Distance 50 → 50ms modeled latency; allow generous slack.
-	if got := at.Sub(start); got < 40*time.Millisecond {
-		t.Errorf("latency = %v, want >= ~50ms", got)
-	}
-}
-
 func TestSimNetDeregisterStopsDelivery(t *testing.T) {
 	n := NewSim(nil)
 	defer n.Close()
@@ -219,10 +207,150 @@ func TestSimNetCloseIdempotent(t *testing.T) {
 	}
 }
 
-func TestConstantLatency(t *testing.T) {
-	m := ConstantLatency(5 * time.Millisecond)
-	if d := m(Point{}, Point{100, 100}); d != 5*time.Millisecond {
-		t.Errorf("constant latency = %v", d)
+// TestSimNetFIFOPerSender: messages from one sender reach a receiver in
+// the order they were sent, while other senders race it on the same
+// receiver.
+func TestSimNetFIFOPerSender(t *testing.T) {
+	const senders, perSender = 8, 1000
+	n := NewSim(nil)
+	defer n.Close()
+	var mu sync.Mutex
+	next := make(map[NodeID]uint32)
+	if err := n.Register("dst", func(m Message) {
+		seq := binary.BigEndian.Uint32(m.Payload)
+		mu.Lock()
+		defer mu.Unlock()
+		if seq != next[m.From] {
+			t.Errorf("%s: got #%d, want #%d", m.From, seq, next[m.From])
+		}
+		next[m.From] = seq + 1
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < senders; i++ {
+		id := NodeID(fmt.Sprintf("s%d", i))
+		if err := n.Register(id, func(Message) {}); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf [4]byte
+			for seq := uint32(0); seq < perSender; seq++ {
+				binary.BigEndian.PutUint32(buf[:], seq)
+				if err := n.Send(id, "dst", "k", buf[:]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if !n.Quiesce(5 * time.Second) {
+		t.Fatal("quiesce timeout")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for id, got := range next {
+		if got != perSender {
+			t.Errorf("%s: delivered %d, want %d", id, got, perSender)
+		}
+	}
+	if len(next) != senders {
+		t.Errorf("heard from %d senders, want %d", len(next), senders)
+	}
+}
+
+// TestSimNetSenderBlocksOnQueuedBytes: once a receiver holds
+// simQueueBytes of undelivered messages the next send waits, and it
+// resumes when the handler drains them.
+func TestSimNetSenderBlocksOnQueuedBytes(t *testing.T) {
+	n := NewSim(nil)
+	defer n.Close()
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // before Close, which waits for the blocked handler
+	var delivered atomic.Int64
+	n.Register("a", func(Message) {})
+	n.Register("b", func(Message) {
+		<-gate
+		delivered.Add(1)
+	})
+	// Four quarter-bound payloads plus their headers reach the bound.
+	payload := make([]byte, simQueueBytes/4)
+	for i := 0; i < 4; i++ {
+		if err := n.Send("a", "b", "k", payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sent := make(chan error, 1)
+	go func() { sent <- n.Send("a", "b", "k", payload) }()
+	select {
+	case err := <-sent:
+		t.Fatalf("send past the byte bound returned (%v) before the receiver drained", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	select {
+	case err := <-sent:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("blocked send never resumed after the handler drained")
+	}
+	if !n.Quiesce(5 * time.Second) {
+		t.Fatal("quiesce timeout")
+	}
+	if got := delivered.Load(); got != 5 {
+		t.Errorf("delivered %d, want 5", got)
+	}
+}
+
+// TestSimNetDeregisterDeliversQueued: what was queued for a node before
+// it deregistered is delivered before Deregister returns.
+func TestSimNetDeregisterDeliversQueued(t *testing.T) {
+	const queued = 100
+	n := NewSim(nil)
+	defer n.Close()
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // before Close, which waits for the blocked handler
+	entered := make(chan struct{}, queued)
+	var delivered atomic.Int64
+	n.Register("a", func(Message) {})
+	n.Register("b", func(Message) {
+		entered <- struct{}{}
+		<-gate
+		delivered.Add(1)
+	})
+	n.mu.RLock()
+	node := n.nodes["b"]
+	n.mu.RUnlock()
+	// The runner holds the first message in its handler while the rest
+	// queue up behind it.
+	for i := 0; i < queued; i++ {
+		if err := n.Send("a", "b", "k", []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			<-entered
+		}
+	}
+	done := make(chan error, 1)
+	go func() { done <- n.Deregister("b") }()
+	for closed := false; !closed; time.Sleep(time.Millisecond) {
+		node.mu.Lock()
+		closed = node.closed
+		node.mu.Unlock()
+	}
+	release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := delivered.Load(); got != queued {
+		t.Errorf("delivered %d of the %d queued before Deregister", got, queued)
 	}
 }
 
@@ -366,17 +494,6 @@ func TestTCPNetErrors(t *testing.T) {
 	if err := n.Register("b", func(Message) {}); err == nil {
 		t.Error("register after close accepted")
 	}
-}
-
-// Position returns a node's location.
-func (s *SimNet) Position(id NodeID) (Point, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n, ok := s.nodes[id]
-	if !ok {
-		return Point{}, false
-	}
-	return n.pos, true
 }
 
 // Nodes returns the number of registered endpoints.

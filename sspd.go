@@ -93,16 +93,12 @@ type (
 	SimNet = simnet.SimNet
 	// TCPNet is the real-socket transport.
 	TCPNet = simnet.TCPNet
-	// LatencyModel maps a link to a delivery delay.
-	LatencyModel = simnet.LatencyModel
 )
 
 // Transport constructors.
 var (
-	NewSimNet       = simnet.NewSim
-	NewTCPNet       = simnet.NewTCP
-	ConstantLatency = simnet.ConstantLatency
-	DistanceLatency = simnet.DistanceLatency
+	NewSimNet = simnet.NewSim
+	NewTCPNet = simnet.NewTCP
 )
 
 // Federation surface (the inter-entity layer).
