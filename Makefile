@@ -111,7 +111,12 @@ test:
 # send counts as nothing relayed. And so does the transport's contract
 # under it: SimNet keeps each sender's order under racing senders, blocks
 # a sender on the receiver's queued bytes until the handler drains, and
-# delivers what was queued before a Deregister.
+# delivers what was queued before a Deregister. So do the proofs of who
+# owns a payload on the wire: a handed payload arrives in the sender's
+# backing array (also twice under duplicate and reorder faults), a lent
+# one arrives intact after the caller overwrites its buffer, and a relay
+# hands a fully matched batch on verbatim while its own encodes arrive
+# as copies.
 # And so do the grouped feed's: a resolved id list is reused only while
 # it holds the same ids and no registration has changed, and a
 # steady-state grouped feed of keyed queries allocates nothing
@@ -136,19 +141,23 @@ test:
 # overwrites every arena on its last Release (stream.Lease): the lease
 # itself, lent feeds on both engines (TestLeasedFeed…), the fan-out and
 # routing differentials, the fragment chain, the engine's tail and shard
-# differentials, the handoffs and migration chaos.
+# differentials, the handoffs and migration chaos. The same tag makes
+# PutEncodeBuffer overwrite every pooled encode buffer, so one wrongly
+# handed to a transport that keeps it corrupts a delivery: the
+# differentials above, the relay's verbatim forward and the transport's
+# ownership tests catch it.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -run 'TestShardEngine|TestEngineContract' ./internal/engine/
 	$(GO) test -race -count=1 -run 'TestCompiledInterestEquivalence|TestColumnEvaluator|TestMatchIndexEquivalence|TestFederationMatchesBareEngineOnNaN' ./internal/stream/ ./internal/operator/ ./internal/core/
 	$(GO) test -race -count=1 -run 'TestTupleRoutingDifferential|TestFragmentChainMatchesBareEngine|TestFederationJoinInterest' ./internal/core/
-	$(GO) test -race -count=1 -run 'TestRelayIndexFollowsRegistrations|TestRelayRegistrationsRaceBatches|TestRelayPublishReturnsAfterEverySend|TestRelayLinkKeepsPublishOrder|TestRelayPublishersRaceDropRewireClose|TestRelayFailedSendCountsNothingRelayed|TestSimNetFIFOPerSender|TestSimNetSenderBlocksOnQueuedBytes|TestSimNetDeregisterDeliversQueued' ./internal/dissemination/ ./internal/simnet/
+	$(GO) test -race -count=1 -run 'TestRelayIndexFollowsRegistrations|TestRelayRegistrationsRaceBatches|TestRelayPublishReturnsAfterEverySend|TestRelayLinkKeepsPublishOrder|TestRelayPublishersRaceDropRewireClose|TestRelayFailedSendCountsNothingRelayed|TestSimNetFIFOPerSender|TestSimNetSenderBlocksOnQueuedBytes|TestSimNetDeregisterDeliversQueued|TestSimNetHand|TestSimNetSend|TestRelayForwardsVerbatimWithoutCopy' ./internal/dissemination/ ./internal/simnet/
 	$(GO) test -race -count=1 -run 'TestFanout|TestIngestAllocations|TestFrameDecodeErrorsCounted|TestFragmentBoundaryFramesPerBatch' ./internal/entity/
 	$(GO) test -race -count=1 -run 'FuzzDecodeBatch|TestDecodeBatch' ./internal/stream/
 	$(GO) test -race -count=1 -run 'TestHandoff|TestResumeInPlaceKeepsReorderedBuffer|TestNoCutIsNotCutZero|TestDrainQueryWaitsForAdmittedBatches' ./internal/core/ ./internal/entity/
 	$(GO) test -race -count=1 -run 'TestTopK|TestTail' ./internal/operator/ ./internal/engine/
 	$(GO) test -race -count=1 -run 'TestChaosEndToEndRecovery|TestHardKillRecoveryZeroLoss|TestRecoveryReemitsResultsAfterTheCut|TestMigrationChaosStatefulZeroLoss|TestMigrationWaitsForCheckpointInFlight|TestLatencyAttributionFederation|TestTupleRoutingAvoidsJitteredReplica' ./internal/core/
-	$(GO) test -race -tags arenapoison -count=1 -run 'TestLease|TestTupleRoutingDifferential|TestFragmentChainMatchesBareEngine|TestFanout|TestTail|TestShardEngineDifferential|TestHandoff|TestMigrationChaosStatefulZeroLoss' ./internal/stream/ ./internal/engine/ ./internal/entity/ ./internal/core/
+	$(GO) test -race -tags arenapoison -count=1 -run 'TestLease|TestEncodeBufferPoisonedOnPut|TestTupleRoutingDifferential|TestFragmentChainMatchesBareEngine|TestFanout|TestTail|TestShardEngineDifferential|TestHandoff|TestMigrationChaosStatefulZeroLoss|TestRelayForwardsVerbatimWithoutCopy|TestSimNet' ./internal/stream/ ./internal/engine/ ./internal/entity/ ./internal/core/ ./internal/dissemination/ ./internal/simnet/
 
 # benchmark/ is a nested module, so ./... above never compiles it: vet
 # and test it here, or an engine API change breaks the end-to-end

@@ -261,12 +261,14 @@ func (r *Relay) registerUpward() error {
 
 // sendControl dispatches one interest registration, reliably when the
 // relay has a reliable endpoint, and accounts the failure either way.
+// The payload is encoded per registration and never reused, so it is
+// handed over.
 func (r *Relay) sendControl(to simnet.NodeID, payload []byte) error {
 	var err error
 	if r.rel != nil {
 		err = r.rel.Send(to, KindInterest, payload)
 	} else {
-		err = r.transport.Send(r.self, to, KindInterest, payload)
+		err = simnet.Hand(r.transport, r.self, to, KindInterest, payload)
 	}
 	if err != nil {
 		r.noteSendError(to, err)
@@ -365,7 +367,9 @@ func (r *Relay) Publish(batch stream.Batch) error {
 
 // HandleTuples processes one encoded tuple batch as if it had arrived
 // from the relay's parent — the wire-level entry point benchmarks and
-// bridge transports feed directly.
+// bridge transports feed directly. Like a delivered Message.Payload,
+// payload is read-only from the call on: the relay may hand it on to its
+// children (simnet.Hand).
 func (r *Relay) HandleTuples(payload []byte) {
 	r.handle(simnet.Message{From: r.tree.Parent(r.self), To: r.self, Kind: KindTuples, Payload: payload})
 }
@@ -461,14 +465,15 @@ var scratchPool = sync.Pool{New: func() any { return new(dissemScratch) }}
 // the children. The batch is matched once, against the local set and
 // every child's registration together (MatchIndex.Route); local delivery
 // and the fan-out then read their rows. wire, when non-nil, is the
-// still-live incoming encoded payload: a child that matched the whole
-// batch (or that has no registration yet) is forwarded that payload
-// verbatim, so a pure-relay hop never re-encodes. Each child's Send runs
-// here, in child order, so disseminate returns only after every one has
-// returned: that keeps transport quiescence sound (every message this
-// batch causes is on the wire before the handler that received the batch
-// returns), and since Transport.Send consumes its payload before
-// returning, every pooled buffer is released here.
+// incoming encoded payload, read-only by the transport's contract: a
+// child that matched the whole batch (or that has no registration yet)
+// is handed that payload verbatim (simnet.Hand), so a pure-relay hop
+// neither re-encodes nor copies. Each child's send runs here, in child
+// order, so disseminate returns only after every one has returned: that
+// keeps transport quiescence sound (every message this batch causes is
+// on the wire before the handler that received the batch returns), and
+// since Transport.Send is only lent its payload, every pooled buffer is
+// released here.
 func (r *Relay) disseminate(batch stream.Batch, wire []byte) {
 	if len(batch) == 0 {
 		return
@@ -488,7 +493,9 @@ func (r *Relay) disseminate(batch stream.Batch, wire []byte) {
 
 	// Fan-out. The incoming payload (or one pooled full-batch encoding)
 	// is shared by every pass-through child; partial matches re-encode
-	// just the matched tuples into a pooled buffer. Relayed and the link
+	// just the matched tuples into a pooled buffer. Only the incoming
+	// payload is handed over: a pooled buffer is lent to Send, which
+	// copies it or writes it out before returning. Relayed and the link
 	// meter count what a link accepted, never a failed send.
 	n := len(batch)
 	var fullPayload []byte
@@ -500,6 +507,7 @@ func (r *Relay) disseminate(batch stream.Batch, wire []byte) {
 			continue
 		}
 		var payload []byte
+		handed := matched == n && wire != nil
 		if matched == n {
 			// Everything matched (or no registration yet: forward all,
 			// which is safe): reuse the incoming wire bytes verbatim.
@@ -525,7 +533,13 @@ func (r *Relay) disseminate(batch stream.Batch, wire []byte) {
 			payload = *buf
 		}
 		r.Suppressed.Add(int64(n - matched))
-		if err := r.transport.Send(r.self, c, KindTuples, payload); err != nil {
+		var err error
+		if handed {
+			err = simnet.Hand(r.transport, r.self, c, KindTuples, payload)
+		} else {
+			err = r.transport.Send(r.self, c, KindTuples, payload)
+		}
+		if err != nil {
 			r.noteSendError(c, err)
 			continue
 		}

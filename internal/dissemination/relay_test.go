@@ -465,3 +465,140 @@ func TestRelayLinkBytesMeter(t *testing.T) {
 
 // ID returns the relay's transport endpoint.
 func (r *Relay) ID() simnet.NodeID { return r.self }
+
+// tapNet is a SimNet that records, for every tuple batch, whether it was
+// sent (lent) or handed over and which backing array it carried, and
+// what each node received.
+type tapNet struct {
+	*simnet.SimNet
+	mu   sync.Mutex
+	out  []tapSend
+	recv map[simnet.NodeID][][]byte
+}
+
+type tapSend struct {
+	from, to simnet.NodeID
+	payload  []byte
+	handed   bool
+}
+
+func (n *tapNet) Register(id simnet.NodeID, h simnet.Handler) error {
+	return n.SimNet.Register(id, func(m simnet.Message) {
+		if m.Kind == KindTuples {
+			n.mu.Lock()
+			n.recv[id] = append(n.recv[id], m.Payload)
+			n.mu.Unlock()
+		}
+		h(m)
+	})
+}
+
+func (n *tapNet) note(from, to simnet.NodeID, kind string, payload []byte, handed bool) {
+	if kind == KindTuples {
+		n.mu.Lock()
+		n.out = append(n.out, tapSend{from, to, payload, handed})
+		n.mu.Unlock()
+	}
+}
+
+func (n *tapNet) Send(from, to simnet.NodeID, kind string, payload []byte) error {
+	n.note(from, to, kind, payload, false)
+	return n.SimNet.Send(from, to, kind, payload)
+}
+
+func (n *tapNet) Hand(from, to simnet.NodeID, kind string, payload []byte) error {
+	n.note(from, to, kind, payload, true)
+	return n.SimNet.Hand(from, to, kind, payload)
+}
+
+// take returns and clears what was sent and received since the last call.
+func (n *tapNet) take() ([]tapSend, map[simnet.NodeID][][]byte) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	out, recv := n.out, n.recv
+	n.out, n.recv = nil, make(map[simnet.NodeID][][]byte)
+	return out, recv
+}
+
+// TestRelayForwardsVerbatimWithoutCopy: on a src → e00 → e01 chain, the
+// middle relay hands a fully matched batch on, so e01 reads the very
+// backing array e00 received. The source's own encode and a partially
+// matched batch are re-encoded into pooled buffers, lent to Send, and
+// arrive as copies.
+func TestRelayForwardsVerbatimWithoutCopy(t *testing.T) {
+	net := &tapNet{SimNet: simnet.NewSim(nil), recv: make(map[simnet.NodeID][][]byte)}
+	t.Cleanup(func() { net.Close() })
+	tr, err := Build("quotes", testSource, []Member{
+		{ID: "e00", Pos: simnet.Point{X: 10}},
+		{ID: "e01", Pos: simnet.Point{X: 20}},
+	}, Balanced, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := quotesSchema()
+	src, err := NewRelay(tr, "src", sc, net, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s0, s1 := &deliverySink{}, &deliverySink{}
+	r0, err := NewRelay(tr, "e00", sc, net, s0.deliver, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, err := NewRelay(tr, "e01", sc, net, s1.deliver, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	publish := func(batch stream.Batch) ([]tapSend, map[simnet.NodeID][][]byte) {
+		t.Helper()
+		if !net.Quiesce(time.Second) {
+			t.Fatal("quiesce (registrations)")
+		}
+		net.take()
+		if err := src.Publish(batch); err != nil {
+			t.Fatal(err)
+		}
+		if !net.Quiesce(time.Second) {
+			t.Fatal("quiesce (tuples)")
+		}
+		out, recv := net.take()
+		if len(out) != 2 || out[0].to != "e00" || out[1].to != "e01" || len(recv["e00"]) != 1 || len(recv["e01"]) != 1 {
+			t.Fatalf("one batch should cross each link once: sent %v, received %v", out, recv)
+		}
+		if out[0].handed || &recv["e00"][0][0] == &out[0].payload[0] {
+			t.Fatal("the source's own encode was handed over, not lent to Send and copied")
+		}
+		return out, recv
+	}
+
+	// e01 wants every quote, e00 nothing: e00 forwards the whole batch.
+	if err := r1.SetLocalInterest([]stream.Interest{stream.NewInterest("quotes")}); err != nil {
+		t.Fatal(err)
+	}
+	out, recv := publish(stream.Batch{quote(1, "ibm", 10), quote(2, "msft", 20)})
+	if !out[1].handed || &recv["e01"][0][0] != &recv["e00"][0][0] || len(recv["e01"][0]) != len(recv["e00"][0]) {
+		t.Fatal("e00 should hand the payload it received on to e01 verbatim, in the same backing array")
+	}
+	if s0.count() != 0 || s1.count() != 2 {
+		t.Fatalf("delivered %d/%d, want 0/2", s0.count(), s1.count())
+	}
+
+	// e00 wants every quote, e01 only msft: e00 re-encodes e01's row.
+	if err := r0.SetLocalInterest([]stream.Interest{stream.NewInterest("quotes")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r1.SetLocalInterest([]stream.Interest{stream.NewInterest("quotes").WithKeys("symbol", "msft")}); err != nil {
+		t.Fatal(err)
+	}
+	out, recv = publish(stream.Batch{quote(3, "ibm", 10), quote(4, "msft", 20)})
+	if out[1].handed || &recv["e01"][0][0] == &out[1].payload[0] || &recv["e01"][0][0] == &recv["e00"][0][0] {
+		t.Fatal("a partially matched batch should be re-encoded, lent to Send and arrive as a copy")
+	}
+	dec, _, err := stream.DecodeBatch(recv["e01"][0])
+	if err != nil || len(dec) != 1 || dec[0].Values[0].AsString() != "msft" {
+		t.Fatalf("e01 received %v (%v), want the msft row only", dec, err)
+	}
+	if s0.count() != 2 || s1.count() != 3 {
+		t.Fatalf("delivered %d/%d, want 2/3", s0.count(), s1.count())
+	}
+}

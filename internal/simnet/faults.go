@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"bytes"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -60,7 +61,7 @@ func (f LinkFaults) zero() bool {
 //
 // The wrapped transport is embedded: Register, Deregister and Traffic are
 // its own (bytes are accounted by it at actual delivery, so dropped
-// messages are never counted); FaultPlan overrides Send and Close.
+// messages are never counted); FaultPlan overrides Send, Hand and Close.
 type FaultPlan struct {
 	Transport
 
@@ -193,10 +194,31 @@ func (p *FaultPlan) count(kind FaultKind, from, to NodeID, reg *metrics.Registry
 	}
 }
 
-// Send implements Transport, applying the configured fault rules.
+// Send implements Transport, applying the configured fault rules. A
+// lent payload is copied once, only when a delivery outlives the call (a
+// delay or a duplicate); the copy is then handed on like Hand's.
 func (p *FaultPlan) Send(from, to NodeID, kind string, payload []byte) error {
+	return p.send(from, to, kind, payload, false)
+}
+
+// Hand implements simnet.Hand, applying the same fault rules as Send: the
+// read-only payload is never copied, and a duplicate or a deferred
+// delivery shares it.
+func (p *FaultPlan) Hand(from, to NodeID, kind string, payload []byte) error {
+	return p.send(from, to, kind, payload, true)
+}
+
+// forward passes one delivery to the wrapped transport, handed or lent.
+func (p *FaultPlan) forward(from, to NodeID, kind string, payload []byte, handed bool) error {
+	if handed {
+		return Hand(p.Transport, from, to, kind, payload)
+	}
+	return p.Transport.Send(from, to, kind, payload)
+}
+
+func (p *FaultPlan) send(from, to NodeID, kind string, payload []byte, handed bool) error {
 	if !p.enabled.Load() {
-		return p.Transport.Send(from, to, kind, payload)
+		return p.forward(from, to, kind, payload, handed)
 	}
 
 	// All probabilistic decisions are drawn under one lock from the
@@ -220,7 +242,7 @@ func (p *FaultPlan) Send(from, to NodeID, kind string, payload []byte) error {
 	}
 	if rule.zero() {
 		p.mu.Unlock()
-		return p.Transport.Send(from, to, kind, payload)
+		return p.forward(from, to, kind, payload, handed)
 	}
 	drop := rule.Drop > 0 && p.rng.Float64() < rule.Drop
 	var dup, reorder bool
@@ -249,6 +271,9 @@ func (p *FaultPlan) Send(from, to NodeID, kind string, payload []byte) error {
 		}
 		delay += rd
 	}
+	if (dup || delay > 0) && !handed {
+		payload, handed = bytes.Clone(payload), true
+	}
 	if dup {
 		p.count(FaultDuplicate, from, to, reg)
 		p.sendAfter(delay+time.Millisecond, from, to, kind, payload)
@@ -257,19 +282,14 @@ func (p *FaultPlan) Send(from, to NodeID, kind string, payload []byte) error {
 		p.sendAfter(delay, from, to, kind, payload)
 		return nil
 	}
-	return p.Transport.Send(from, to, kind, payload)
+	return p.forward(from, to, kind, payload, handed)
 }
 
-// sendAfter delivers a message through the wrapped transport after a
-// delay; the in-flight count keeps Quiesce honest.
+// sendAfter hands a read-only payload to the wrapped transport after a
+// delay; the in-flight count keeps Quiesce honest. The payload is shared
+// as it is: Hand's is read-only by contract, and Send cloned its lent
+// one once before deferring any delivery.
 func (p *FaultPlan) sendAfter(d time.Duration, from, to NodeID, kind string, payload []byte) {
-	// The delivery outlives this call, but Transport.Send lets the caller
-	// reuse the payload buffer once Send returns — copy before deferring.
-	if len(payload) > 0 {
-		cp := make([]byte, len(payload))
-		copy(cp, payload)
-		payload = cp
-	}
 	p.inflight.Add(1)
 	go func() {
 		defer p.inflight.Add(-1)
@@ -280,7 +300,7 @@ func (p *FaultPlan) sendAfter(d time.Duration, from, to NodeID, kind string, pay
 		case <-p.closed:
 			return
 		}
-		_ = p.Transport.Send(from, to, kind, payload)
+		_ = Hand(p.Transport, from, to, kind, payload)
 	}()
 }
 

@@ -127,7 +127,8 @@ func NewReliable(t Transport, self NodeID, h Handler, cfg ReliableConfig) (*Reli
 
 // Send queues one reliable delivery and returns immediately; retries run
 // in the background and exhaustion is reported through OnGiveUp, never
-// by blocking the caller.
+// by blocking the caller. payload is only lent: it is copied into the
+// envelope, which is what every attempt hands to the transport.
 func (e *ReliableEndpoint) Send(to NodeID, kind string, payload []byte) error {
 	select {
 	case <-e.closed:
@@ -158,8 +159,10 @@ func (e *ReliableEndpoint) deliver(to NodeID, kind string, seq uint64, env []byt
 			e.Retries.Inc()
 		}
 		// A transport error (unknown peer during a repair window) is
-		// treated exactly like a lost message: retry, then give up.
-		_ = e.transport.Send(e.self, to, KindReliable, env)
+		// treated exactly like a lost message: retry, then give up. The
+		// envelope is built per Send and never written again, so every
+		// attempt hands the same one over.
+		_ = Hand(e.transport, e.self, to, KindReliable, env)
 		t := time.NewTimer(e.jittered(backoff))
 		select {
 		case <-ack:

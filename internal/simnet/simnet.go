@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -158,10 +159,17 @@ func (s *SimNet) Deregister(id NodeID) error {
 	return nil
 }
 
-// Send implements Transport. It blocks while the destination holds
-// simQueueBytes of undelivered messages (backpressure) and fails if
-// either endpoint is unknown.
+// Send implements Transport: it copies the lent payload and hands the
+// copy over (Hand).
 func (s *SimNet) Send(from, to NodeID, kind string, payload []byte) error {
+	return s.Hand(from, to, kind, bytes.Clone(payload))
+}
+
+// Hand delivers a handed payload (simnet.Hand): the queue keeps the
+// caller's slice, and the handler reads that same backing array. It
+// blocks while the destination holds simQueueBytes of undelivered
+// messages (backpressure) and fails if either endpoint is unknown.
+func (s *SimNet) Hand(from, to NodeID, kind string, payload []byte) error {
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
@@ -180,14 +188,6 @@ func (s *SimNet) Send(from, to NodeID, kind string, payload []byte) error {
 	msg := Message{From: from, To: to, Kind: kind, Payload: payload}
 	size := msg.Size()
 	s.traffic.Record(from, to, size)
-	// Delivery is asynchronous, but the Transport.Send contract lets the
-	// caller reuse the payload buffer as soon as Send returns — so the
-	// queue gets its own copy, which the handler then owns outright.
-	if len(payload) > 0 {
-		cp := make([]byte, len(payload))
-		copy(cp, payload)
-		msg.Payload = cp
-	}
 	// A concurrent deregistration makes this a send-to-nobody: the
 	// message was on the wire when the node vanished.
 	dst.enqueue(msg, size)

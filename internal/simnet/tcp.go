@@ -182,6 +182,12 @@ func (t *TCPNet) Send(from, to NodeID, kind string, payload []byte) error {
 	return nil
 }
 
+// Hand implements simnet.Hand: a write consumes the payload before it
+// returns, so a handed payload is sent like a lent one.
+func (t *TCPNet) Hand(from, to NodeID, kind string, payload []byte) error {
+	return t.Send(from, to, kind, payload)
+}
+
 // framePool holds Send's frame buffers.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 

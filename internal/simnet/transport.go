@@ -47,16 +47,36 @@ type Transport interface {
 	Deregister(id NodeID) error
 	// Send delivers a message from one endpoint to another.
 	//
-	// Ownership: Send must fully consume payload before returning — the
-	// caller may overwrite or pool the backing array the moment Send
-	// returns (the relay hot path reuses encode buffers on exactly this
-	// guarantee). Implementations that deliver, retry, or delay
-	// asynchronously must copy the payload first.
+	// Ownership: Send is lent payload for the call. The caller may
+	// overwrite or pool the backing array the moment Send returns (the
+	// relay and the entity encode into pooled buffers on exactly this
+	// guarantee), so an implementation that delivers, retries or delays
+	// asynchronously copies the payload first. Hand is the other way in:
+	// a payload handed over is never written again by anyone, so a
+	// transport that has Hand may keep it instead of a copy. A received
+	// Message.Payload is read-only for its handler, which may hand it
+	// on. Passing a read-only payload to Send is always safe.
 	Send(from, to NodeID, kind string, payload []byte) error
 	// Traffic exposes the transport's byte accounting.
 	Traffic() *Traffic
 	// Close shuts the transport down.
 	Close() error
+}
+
+// Hand delivers payload on t like Send, but hands it over rather than
+// lending it: from the call on, payload is read-only for the caller, the
+// transport and every receiver, so the transport may keep it instead of
+// a copy (SimNet does; a FaultPlan shares it among a message's
+// duplicate and deferred deliveries). A received Message.Payload is
+// already read-only, so a handler may hand it on. A transport without a
+// Hand method gets Send, which is always safe for a read-only payload.
+func Hand(t Transport, from, to NodeID, kind string, payload []byte) error {
+	if h, ok := t.(interface {
+		Hand(from, to NodeID, kind string, payload []byte) error
+	}); ok {
+		return h.Hand(from, to, kind, payload)
+	}
+	return t.Send(from, to, kind, payload)
 }
 
 // Settle waits for t's in-flight messages to land: exactly as long as

@@ -363,13 +363,21 @@ var encodeBufPool = sync.Pool{
 // AppendBatch/AppendTuple on the hot path.
 func GetEncodeBuffer() *[]byte { return encodeBufPool.Get().(*[]byte) }
 
-// PutEncodeBuffer returns a buffer to the pool. The caller must no longer
-// reference any payload sliced from it — on send paths that is guaranteed
-// by the Transport.Send contract (payload fully consumed before Send
-// returns).
+// PutEncodeBuffer returns a buffer to the pool. Nobody may still read a
+// payload sliced from it, so a pooled buffer is only ever lent to a
+// transport (simnet.Transport's Send, which copies it or writes it out
+// before returning), never handed over (simnet.Hand, whose transport may
+// keep the slice). Built with -tags arenapoison, the buffer's bytes are
+// overwritten here, as Lease does for arenas, so a delivery that still
+// holds them fails to decode instead of reading a later batch.
 func PutEncodeBuffer(b *[]byte) {
 	if b == nil {
 		return
+	}
+	if poisonArenas {
+		for i := range *b {
+			(*b)[i] = 0xff
+		}
 	}
 	*b = (*b)[:0]
 	encodeBufPool.Put(b)

@@ -90,3 +90,27 @@ func TestLeasePoisonedOnLastRelease(t *testing.T) {
 		t.Fatalf("after the last Release the rows read %v and %v, want the poison", rows[0], kept)
 	}
 }
+
+// TestEncodeBufferPoisonedOnPut: built with -tags arenapoison,
+// PutEncodeBuffer overwrites the bytes it pools, so a payload still held
+// past the Put no longer decodes.
+func TestEncodeBufferPoisonedOnPut(t *testing.T) {
+	if !poisonArenas {
+		t.Skip("arena poisoning is off; run with -tags arenapoison")
+	}
+	buf := GetEncodeBuffer()
+	*buf = AppendBatch((*buf)[:0], zipfQuotes(4))
+	kept := *buf // a holder that kept the payload past the Put
+	if _, _, err := DecodeBatch(kept); err != nil {
+		t.Fatalf("the encoded payload does not decode before the Put: %v", err)
+	}
+	PutEncodeBuffer(buf)
+	for i, c := range kept {
+		if c != 0xff {
+			t.Fatalf("byte %d reads %#x after the Put, want the poison 0xff", i, c)
+		}
+	}
+	if _, _, err := DecodeBatch(kept); err == nil {
+		t.Fatal("a poisoned payload still decodes")
+	}
+}
