@@ -103,7 +103,8 @@ test:
 # the contract test (a shard engine keeps the slice it is fed and only
 # reads it, a reader beside it stays race-clean), the shared-batch test
 # (one batch through gates, two engines and a frame at once), and the
-# allocation gate, whose counts must be the same numbers under -race.
+# allocation gate, whose frameless counts must be the same numbers under
+# -race (a frame decodes into a pooled lease, which -race drops at random).
 # And so do the relay's link contract: Publish returns after every
 # matched child's Send has (quiescence rests on it), one publisher's
 # batches keep their order on every link, publishers racing DropChild, a
@@ -138,9 +139,11 @@ test:
 # checkpoint, the federated P99, and routing around a jittered replica.
 # And the proofs that a recycled arena is read by nobody once its last
 # holder has released it, run again with -tags arenapoison, which
-# overwrites every arena on its last Release (stream.Lease): the lease
-# itself, lent feeds on both engines (TestLeasedFeed…), the fan-out and
-# routing differentials, the fragment chain, the engine's tail and shard
+# overwrites every arena on its last Release (stream.Lease) and every
+# tail's result slab once its emit returns: the lease itself, the
+# lent-result contract on both engines (TestLeasedFeed…), the
+# fan-out and routing differentials, the fragment chain (whose
+# boundaries feed results on lent), the engine's tail and shard
 # differentials, the handoffs and migration chaos. The same tag makes
 # PutEncodeBuffer overwrite every pooled encode buffer, so one wrongly
 # handed to a transport that keeps it corrupts a delivery: the

@@ -30,4 +30,10 @@
 //	fed.AddEntity("acme", sspd.Point{X: 10}, 4, nil)
 //	fed.Start()
 //	fed.SubmitQuery(spec, sspd.Point{X: 12}, func(t sspd.Tuple) { fmt.Println(t) })
+//
+// A result is lent to the callback: the tuple and its Values are valid
+// for the length of the call, and a callback that keeps one keeps
+// t.Clone(). The rule is engine.Processor's point 6; it lets an engine
+// run every query but a join over a pooled copy of its input and hand
+// out results without copying them.
 package sspd

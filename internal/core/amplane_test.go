@@ -64,12 +64,12 @@ func bareChainResults(t *testing.T, spec engine.QuerySpec) map[string]int {
 }
 
 // runChain drives one federation through the chain workload — spec split
-// into three fragments over four processors running factory's engine,
+// into three fragments over procs processors running factory's engine,
 // the middle one replicated and tuple-routed when routed is set — and
 // returns spec's results as a multiset. setup, when not nil, runs once
 // the query is placed and before the first batch; the FaultPlan it is
 // handed passes everything through until setup gives it rules.
-func runChain(t *testing.T, spec engine.QuerySpec, factory entity.EngineFactory, routed bool,
+func runChain(t *testing.T, spec engine.QuerySpec, procs int, factory entity.EngineFactory, routed bool,
 	setup func(*Federation, *simnet.FaultPlan, *entity.Entity)) map[string]int {
 	t.Helper()
 	plan := simnet.NewFaultPlan(simnet.NewSim(nil), 11)
@@ -78,7 +78,7 @@ func runChain(t *testing.T, spec engine.QuerySpec, factory entity.EngineFactory,
 	if routed {
 		opts.EnableTupleRouting = true
 	}
-	fed := startFederation(t, plan, opts, 1, 4, factory)
+	fed := startFederation(t, plan, opts, 1, procs, factory)
 	var mu sync.Mutex
 	got := make(map[string]int)
 	if err := fed.SubmitQueryTo(spec, "e00", func(tu stream.Tuple) {
@@ -131,7 +131,9 @@ func settleEntity(t *testing.T, net interface{ Quiesce(time.Duration) bool }, en
 // links, tuple-routed execution must produce a result multiset
 // IDENTICAL to the static-ordering baseline — routing changes where
 // tuples run, never what they compute — and both must be what one bare
-// engine computes, on either engine.
+// engine computes, on either engine. Routed over two processors, one
+// replica shares the head's processor, so that boundary is a lent feed
+// into the same engine.
 func TestTupleRoutingDifferential(t *testing.T) {
 	want := bareChainResults(t, chainQuery("q"))
 	if len(want) == 0 {
@@ -139,9 +141,13 @@ func TestTupleRoutingDifferential(t *testing.T) {
 	}
 	for name, factory := range map[string]entity.EngineFactory{"mini": miniFactory, "shard": fullFactory} {
 		t.Run(name, func(t *testing.T) {
-			for _, routed := range []bool{false, true} {
-				if got := runChain(t, chainQuery("q"), factory, routed, nil); !maps.Equal(got, want) {
-					t.Fatalf("routed=%v: %d distinct results, the bare engine %d (or other counts)", routed, len(got), len(want))
+			for _, c := range []struct {
+				procs  int
+				routed bool
+			}{{4, false}, {4, true}, {2, true}} {
+				if got := runChain(t, chainQuery("q"), c.procs, factory, c.routed, nil); !maps.Equal(got, want) {
+					t.Fatalf("%d processors, routed=%v: %d distinct results, the bare engine %d (or other counts)",
+						c.procs, c.routed, len(got), len(want))
 				}
 			}
 		})
@@ -160,7 +166,7 @@ func TestTupleRoutingAvoidsJitteredReplica(t *testing.T) {
 		t.Run(eng.name, func(t *testing.T) {
 			var fed *Federation
 			var clean entity.RouteBinding
-			got := runChain(t, chainQuery("q"), eng.factory, true, func(f *Federation, plan *simnet.FaultPlan, ent *entity.Entity) {
+			got := runChain(t, chainQuery("q"), 4, eng.factory, true, func(f *Federation, plan *simnet.FaultPlan, ent *entity.Entity) {
 				fed = f
 				if _, err := f.EnableTracing(1); err != nil {
 					t.Fatal(err)
@@ -196,10 +202,12 @@ func TestTupleRoutingAvoidsJitteredReplica(t *testing.T) {
 	}
 }
 
-// TestFragmentChainMatchesBareEngine: a static three-fragment chain on
-// the production engine, its aggregate in the last fragment, delivers
-// what one bare engine computes — every boundary hands over whole
-// batches, in order, and loses nothing.
+// TestFragmentChainMatchesBareEngine: a three-fragment chain on the
+// production engine, its aggregate in the last fragment, delivers what
+// one bare engine computes — every boundary hands over whole batches, in
+// order, and loses nothing. Over four processors every boundary is a
+// frame; on one every boundary feeds the previous fragment's results,
+// which it is only lent, into the same engine.
 func TestFragmentChainMatchesBareEngine(t *testing.T) {
 	spec := chainQuery("agg")
 	spec.Agg = &engine.AggSpec{Fn: operator.AggMax, ValueField: "price", GroupField: "symbol", Window: stream.CountWindow(8)}
@@ -207,8 +215,12 @@ func TestFragmentChainMatchesBareEngine(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("the bare engine produced no results")
 	}
-	if got := runChain(t, spec, fullFactory, false, nil); !maps.Equal(got, want) {
-		t.Fatalf("chain delivered %d distinct results, the bare engine %d (or other counts)", len(got), len(want))
+	for _, procs := range []int{4, 1} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			if got := runChain(t, spec, procs, fullFactory, false, nil); !maps.Equal(got, want) {
+				t.Fatalf("chain delivered %d distinct results, the bare engine %d (or other counts)", len(got), len(want))
+			}
+		})
 	}
 }
 

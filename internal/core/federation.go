@@ -583,6 +583,10 @@ func (f *Federation) Publish(streamName string, batch stream.Batch) error {
 // the closest leaf cluster, and is placed there. onResult may be nil.
 // It returns the chosen entity.
 //
+// onResult is called once per result, which it is lent: the tuple and
+// its Values are valid for the call alone, and a callback that keeps one
+// keeps Clone() of it (engine.Processor point 6).
+//
 // The query's interest goes live asynchronously: its registration
 // travels up the dissemination tree after SubmitQuery returns, and an
 // ancestor that has not heard of it yet filters its tuples away. Call
@@ -610,8 +614,9 @@ func (f *Federation) SubmitQuery(spec engine.QuerySpec, origin simnet.Point,
 }
 
 // SubmitQueryTo places a query on a specific entity (the batch
-// allocator's path). Its interest goes live asynchronously, as with
-// SubmitQuery: Settle before publishing.
+// allocator's path). Its interest goes live asynchronously, and its
+// results are lent to onResult, as with SubmitQuery: Settle before
+// publishing, and keep Clone() of a result.
 func (f *Federation) SubmitQueryTo(spec engine.QuerySpec, entityID string,
 	onResult func(stream.Tuple)) error {
 	f.mu.Lock()

@@ -36,10 +36,11 @@ import (
 //     returns. A lent feed (GroupFeeder.FeedGroupLent) is the one
 //     exception: the batch is the caller's again when the call returns,
 //     because the engine copies it first — into a pooled stream.Lease
-//     when every query named seals its results (done with its rows once
-//     it has run them), which ShardEngine releases after the ring item's
-//     last query and MiniEngine when the call returns; else into storage
-//     of its own (Batch.Compact).
+//     when no query named is a join (whose window keeps rows; every
+//     other query is done with its rows once it has run them, point 6),
+//     which ShardEngine releases after the ring item's last query and
+//     MiniEngine when the call returns; else into storage of its own
+//     (Batch.Compact).
 //  3. Never block: no feed call waits for processing. An engine that
 //     cannot take a tuple drops it and counts the drop (Reporter exposes
 //     the counts); a synchronous engine never drops.
@@ -55,10 +56,16 @@ import (
 //     (Register, Unregister, state snapshots, Drain) wait for that
 //     goroutine, so emit must not wait for a lock that a caller holds
 //     across a call into an engine — in particular no entity lock (see
-//     the rule at the top of entity.go). A result tuple is the
-//     receiver's to keep: the engine never writes to it or its Values
-//     again (and, like every tuple, it is never mutated in place). A
-//     batch emit (BatchRegistrar) only borrows the slice that holds them.
+//     the rule at the top of entity.go). A result is lent: the tuple
+//     and its Values are the receiver's to read for the length of the
+//     emit call and no longer, and are read-only for it. A filter or
+//     distinct result is the very row the query was fed, which lives in
+//     the caller's batch or the engine's lease of it; an aggregate or
+//     top-k result's Values live in a slab the next run reuses. A
+//     receiver that keeps a result past the call keeps a copy
+//     (stream.Tuple.Clone; Batch.Compact for a whole batch), and one
+//     that feeds results to an engine feeds them lent (FeedGroupLent),
+//     so that engine makes the copy it keeps.
 type Processor interface {
 	// Register compiles and starts a query; emit receives its results.
 	Register(spec QuerySpec, emit func(stream.Tuple)) error
@@ -91,11 +98,12 @@ type BatchFeeder interface {
 //
 // FeedGroupLent is FeedGroupBatch for a batch only lent for the call —
 // rows the caller reuses once the call returns, such as a relay's decode
-// arena. The engine makes the one copy it keeps (contract point 2): a
-// pooled lease when every id's query seals its results — whether they do
-// was settled when the query compiled, so the feed probes nothing per
-// batch — else an owned Batch.Compact. The caller therefore need not
-// know what seals. l, when non-nil, is a lease b's rows already live in
+// arena or another query's results (contract point 6). The engine makes
+// the one copy it keeps (contract point 2): a pooled lease when no id's
+// query is a join — settled when the query compiled, so the feed probes
+// nothing per batch — else an owned Batch.Compact. The caller therefore
+// need not know what the queries are. l, when non-nil, is a lease b's
+// rows already live in
 // (b is l's batch), held by the caller for the call: the engine then
 // takes references to it instead of copying. A lease is held by every
 // ring item that carries its rows and released once the item's last
@@ -103,7 +111,8 @@ type BatchFeeder interface {
 // it.
 //
 // Seals reports whether a lent feed of ids would be kept in a lease:
-// whether every registered query named seals. A caller that can fill an
+// whether every registered query named is done with its rows once it
+// has run them (is not a join). A caller that can fill an
 // arena itself as cheaply as a batch of its own — a frame decoder — asks
 // first, and decodes into a lease it lends or into a batch it hands over.
 type GroupFeeder interface {
@@ -141,11 +150,11 @@ func GroupFeederOf(p Processor) GroupFeeder {
 // BatchRegistrar is the optional capability of registering a query whose
 // results leave it a batch at a time: emit is called once per run — per
 // batch the engine serves the query — with that run's results in order.
-// The batch is borrowed for the call: the slice is the engine's and is
-// reused by the next run, so a receiver that keeps the batch past the
-// call keeps a copy of the slice. The tuples in it are the receiver's to
-// keep, as point 6 says, so a copy of the slice is a copy of the batch.
-// Points 1 and 6 hold as for Register. ShardEngine implements it.
+// The batch is lent for the call, the slice and the tuples in it alike
+// (point 6): the engine reuses the slice, and the storage the results'
+// Values live in, after the call. A receiver that keeps the batch keeps
+// Batch.Compact of it. Points 1 and 6 hold as for Register. ShardEngine
+// implements it.
 type BatchRegistrar interface {
 	RegisterBatch(spec QuerySpec, emit func(stream.Batch)) error
 }

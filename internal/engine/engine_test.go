@@ -69,7 +69,7 @@ func TestEngineContract(t *testing.T) {
 			var got []stream.Tuple
 			if err := e.Register(simpleSpec("q1"), func(t stream.Tuple) {
 				mu.Lock()
-				got = append(got, t)
+				got = append(got, t.Clone())
 				mu.Unlock()
 			}); err != nil {
 				t.Fatal(err)

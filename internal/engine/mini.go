@@ -28,7 +28,10 @@ type MiniEngine struct {
 	// once mu is released (unlockAndEmit), still before the feed call
 	// returns, so an emit may feed this engine again — two chained
 	// fragments on one processor do — and may wait for a lock whose
-	// holder is calling into this engine.
+	// holder is calling into this engine. A buffered result is still
+	// valid then: a filter's or distinct's is a row of the batch the feed
+	// is running, and an aggregate's or top-k's comes from a row run,
+	// which gives its results Values of their own (operator Process).
 	out []miniResult
 }
 
@@ -70,14 +73,14 @@ func (m *MiniEngine) Register(spec QuerySpec, emit func(stream.Tuple)) error {
 		return fmt.Errorf("miniengine %s: query %s already registered", m.name, spec.ID)
 	}
 	id := spec.ID
-	q, err := compile(spec, m.catalog, func(b stream.Batch) {
+	q, err := Compile(spec, m.catalog, func(b stream.Batch) {
 		m.results[id] += int64(len(b))
 		if emit != nil {
 			for _, t := range b {
 				m.out = append(m.out, miniResult{emit, t})
 			}
 		}
-	}, true)
+	})
 	if err != nil {
 		return err
 	}
@@ -151,20 +154,20 @@ func (m *MiniEngine) FeedGroupBatch(ids []string, b stream.Batch) {
 }
 
 // FeedGroupLent implements GroupFeeder. The engine is done with the rows
-// when the call returns, so it takes no reference to l, and a query that
-// seals reads the rows where they are; one that does not, whose results
-// are its input rows, runs an owned copy.
+// when the call returns — it emits what it buffered before then — so it
+// takes no reference to l, and a query reads the rows where they are;
+// only a join, whose window keeps rows, runs an owned copy.
 func (m *MiniEngine) FeedGroupLent(ids []string, b stream.Batch, _ *stream.Lease) {
 	m.feedGroup(ids, b, true)
 }
 
-// Seals implements GroupFeeder: whether every registered query named
-// seals, so a lent feed copies nothing.
+// Seals implements GroupFeeder: whether no registered query named keeps
+// rows, so a lent feed copies nothing.
 func (m *MiniEngine) Seals(ids []string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, id := range ids {
-		if q, ok := m.queries[id]; ok && !q.seals {
+		if q, ok := m.queries[id]; ok && q.keepsRows() {
 			return false
 		}
 	}
@@ -181,7 +184,7 @@ func (m *MiniEngine) feedGroup(ids []string, b stream.Batch, lent bool) {
 			continue
 		}
 		in := b
-		if lent && !q.seals {
+		if lent && q.keepsRows() {
 			if owned == nil {
 				owned = b.Compact(nil)
 			}

@@ -7,13 +7,15 @@
 // reuses and the stateful tail (distinct/aggregate/top-k) runs over
 // them, each operator's ProcessBatch consuming the previous stage's
 // batch: one virtual dispatch and one stats lock per (operator, batch).
-// Aggregate and top-k cut their results' Values from one slab per
-// batch, which is never reused — results escape to user callbacks — and
-// in an engine's query a last-stage distinct copies its survivors into
-// one too, so a stateful query is done with its input once it has run.
 // Results leave the way tuples came in, a batch at a time: emit is
 // called once per run — per batch in runTail, per post-join row in
-// runRow — and borrows the results' slice for the length of the call.
+// runRow — and the results are lent for the length of the call
+// (Processor point 6). A filter or distinct result is the very row the
+// query was fed; an aggregate or top-k result of a batch run has its
+// Values in a slab the operator reuses from run to run, poisoned once
+// emit returns under -tags arenapoison (resultSlab). So no query but a
+// join — whose window keeps rows — reads a row it was fed once a run
+// has returned, and an engine may release a lent batch's copy then.
 //
 // Nothing here reads the clock: the shard stamps the boundaries between
 // the queries of a ring item, one clock read per (query, batch), and
@@ -48,11 +50,11 @@ type Query struct {
 	// rows are copied in, emit borrows the last stage's — and so keep the
 	// last batch's rows reachable until the next one.
 	buf [2][]stream.Tuple
+	// slab is the tail's last stage when it lends its results from a
+	// slab it reuses, else nil.
+	slab resultSlab
 	// emit receives each run's results (BatchRegistrar has the rule).
 	emit func(stream.Batch)
-	// seals says the query reads no row it was fed once a run returns:
-	// an engine compiled it sealed and its spec seals its results.
-	seals bool
 }
 
 // tailOp is a stateful tail operator: ProcessBatch consumes rows in
@@ -62,20 +64,18 @@ type tailOp interface {
 	ProcessBatch(rows, dst []stream.Tuple) []stream.Tuple
 }
 
+// resultSlab is a tail operator whose batch run lends its results'
+// Values from a slab it reuses (Aggregate, TopK). ReleaseResults ends the
+// loan once emit has returned.
+type resultSlab interface {
+	ReleaseResults()
+}
+
 // Compile turns a spec into a runnable Query against the global schema
 // catalog. emit receives the query's results, once per run that has any,
 // on the terms BatchRegistrar states; a nil emit discards results
-// (useful in benchmarks). A last-stage distinct emits the rows it was fed;
-// the engines compile sealed instead (compile).
+// (useful in benchmarks).
 func Compile(spec QuerySpec, catalog *stream.Catalog, emit func(stream.Batch)) (*Query, error) {
-	return compile(spec, catalog, emit, false)
-}
-
-// compile is Compile for an engine. sealed makes a distinct that is the
-// tail's last stage seal its results (Distinct.SealResults), so no result
-// of a query whose spec seals its results shares storage with its input,
-// and the engine may release the batch it ran once the run returns.
-func compile(spec QuerySpec, catalog *stream.Catalog, emit func(stream.Batch), sealed bool) (*Query, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -83,7 +83,7 @@ func compile(spec QuerySpec, catalog *stream.Catalog, emit func(stream.Batch), s
 	if !ok {
 		return nil, fmt.Errorf("engine: query %s: unknown stream %q", spec.ID, spec.Source)
 	}
-	q := &Query{spec: spec, emit: emit, seals: sealed && spec.sealsResults()}
+	q := &Query{spec: spec, emit: emit}
 
 	cur := src
 	if spec.Join != nil {
@@ -118,9 +118,6 @@ func compile(spec QuerySpec, catalog *stream.Catalog, emit func(stream.Batch), s
 		if err != nil {
 			return nil, err
 		}
-		if sealed && spec.Agg == nil && spec.TopK == nil {
-			d.SealResults()
-		}
 		q.tail = append(q.tail, d)
 	}
 	if spec.Agg != nil {
@@ -146,6 +143,9 @@ func compile(spec QuerySpec, catalog *stream.Catalog, emit func(stream.Batch), s
 			return nil, err
 		}
 		q.tail = append(q.tail, tk)
+	}
+	if n := len(q.tail); n > 0 {
+		q.slab, _ = q.tail[n-1].(resultSlab)
 	}
 	return q, nil
 }
@@ -184,6 +184,12 @@ func compileFilter(name string, f FilterSpec, sc *stream.Schema) (*operator.Filt
 	}
 	return operator.NewFilter(name, sc, f.Interest(sc.Name(), sc), f.Cost)
 }
+
+// keepsRows reports whether the query keeps rows it was fed past the run
+// that read them: a join's window does; nothing else keeps a row, so an
+// engine may release a lent batch's copy once every query it fed has
+// run it (GroupFeeder.FeedGroupLent).
+func (q *Query) keepsRows() bool { return q.join != nil }
 
 // Spec returns the spec the query was compiled from.
 func (q *Query) Spec() QuerySpec { return q.spec }
@@ -290,6 +296,9 @@ func (q *Query) runTail() int {
 	out := q.buf[cur]
 	if len(out) > 0 && q.emit != nil {
 		q.emit(out)
+	}
+	if q.slab != nil {
+		q.slab.ReleaseResults()
 	}
 	return len(out)
 }

@@ -190,7 +190,7 @@ func (e *ShardEngine) Register(spec QuerySpec, emit func(stream.Tuple)) error {
 func (e *ShardEngine) RegisterBatch(spec QuerySpec, emit func(stream.Batch)) error {
 	e.ctlMu.Lock()
 	defer e.ctlMu.Unlock()
-	q, err := compile(spec, e.catalog, emit, true)
+	q, err := Compile(spec, e.catalog, emit)
 	if err != nil {
 		return err
 	}
@@ -294,7 +294,7 @@ func (e *ShardEngine) FeedQueryBatch(id string, b stream.Batch) error {
 
 // resolvedGroup is one grouped feed's id list resolved: ids is a copy of
 // the list, qs its registered queries sorted byShard, and seals whether
-// every one of them seals its results (Query.seals).
+// none of them keeps rows (Query.keepsRows), so a lent feed is leased.
 type resolvedGroup struct {
 	ids   []string
 	qs    []*shardQuery
@@ -321,11 +321,11 @@ func (e *ShardEngine) FeedGroupBatch(ids []string, b stream.Batch) {
 }
 
 // FeedGroupLent implements GroupFeeder: FeedGroupBatch of the one copy
-// the engine makes of a lent batch — a pooled lease when every query
-// named seals (l itself, when the rows are in one already), each ring
-// item holding a reference until its shard has run it; otherwise an
-// owned Compact. Whether they seal was settled when the list was
-// resolved, so the feed itself probes nothing.
+// the engine makes of a lent batch — a pooled lease unless a query named
+// is a join (l itself, when the rows are in one already), each ring item
+// holding a reference until its shard has run it; otherwise an owned
+// Compact. Which it is was settled when the list was resolved, so the
+// feed itself probes nothing.
 func (e *ShardEngine) FeedGroupLent(ids []string, b stream.Batch, l *stream.Lease) {
 	qs, seals := e.group(ids) // an empty list seals
 	if len(b) == 0 || len(qs) == 0 {
@@ -350,8 +350,9 @@ func (e *ShardEngine) Seals(ids []string) bool {
 }
 
 // group resolves a grouped feed's ids into the queries to ship to and
-// whether every one of them seals. A list of one is looked up; a longer
-// one is resolved once and reused while it holds the same ids.
+// whether a lent feed of them is leased (none keeps rows). A list of one
+// is looked up; a longer one is resolved once and reused while it holds
+// the same ids.
 func (e *ShardEngine) group(ids []string) ([]*shardQuery, bool) {
 	switch len(ids) {
 	case 0:
@@ -363,7 +364,7 @@ func (e *ShardEngine) group(ids []string) ([]*shardQuery, bool) {
 		if !ok {
 			return nil, true // an unknown id is skipped
 		}
-		return sq.self, sq.q.seals
+		return sq.self, !sq.q.keepsRows()
 	}
 	e.mu.RLock()
 	g, ok := e.groups[&ids[0]]
@@ -383,7 +384,7 @@ func (e *ShardEngine) resolveGroup(ids []string) resolvedGroup {
 	for _, id := range ids {
 		if sq, ok := e.queries[id]; ok {
 			g.qs = append(g.qs, sq)
-			g.seals = g.seals && sq.q.seals
+			g.seals = g.seals && !sq.q.keepsRows()
 		}
 	}
 	slices.SortFunc(g.qs, byShard)
@@ -730,7 +731,8 @@ func (sh *shard) run() {
 // names run back to back, and one clock read marks each boundary: the
 // end of one query's run is the start of the next one's, so an item of
 // n queries reads the clock n+1 times. A leased item's reference is
-// released after its last query has run: they all seal, so nothing reads
+// released after its last query has run: none is a join, and results
+// are lent for the emit call alone (Processor point 6), so nothing reads
 // its rows after that (the shard's columns and the queries' row buffers
 // keep them reachable until the next item, but never read them again).
 func (sh *shard) process(item ringItem) {

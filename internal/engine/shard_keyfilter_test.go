@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"sspd/internal/operator"
 	"sspd/internal/stream"
 )
 
@@ -82,6 +84,65 @@ func TestShardEngineGroupedFeedAllocFree(t *testing.T) {
 		drain()
 	}); got != 0 {
 		t.Fatalf("a steady-state grouped feed of %d keyed queries allocates %v times, want 0", len(ids), got)
+	}
+	if eng.TotalDropped() != 0 {
+		t.Fatalf("%d tuples dropped: the gate measured shed batches", eng.TotalDropped())
+	}
+}
+
+// TestShardEngineLentFeedAllocFree is the allocation gate of the lent
+// feed: a group of stateless filters and a grouped aggregate, fed a batch
+// only lent for the call, allocates nothing once warm — the engine's one
+// copy is a pooled lease, the filters' results are rows of it, and the
+// aggregate's batch run lends its results from a slab it reuses. Every
+// query emits. The leases come from a sync.Pool, which drops items at
+// random under -race, so the count holds only without it.
+func TestShardEngineLentFeedAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector empties sync.Pool at random; exact counts only hold without -race")
+	}
+	eng := NewShard("alloc", testCatalog(t), 2)
+	defer eng.Close()
+	var results atomic.Int64
+	emit := func(b stream.Batch) { results.Add(int64(len(b))) }
+	rng := rand.New(rand.NewSource(3))
+	syms := keyFilterSymbols()
+	ids := make([]string, 8)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("q%d", i)
+		spec := QuerySpec{ID: ids[i], Source: "quotes", Filters: []FilterSpec{{Field: "volume", Lo: 0, Hi: 6e5}}}
+		if i == 0 {
+			spec.Filters = nil
+			spec.Agg = &AggSpec{Fn: operator.AggMax, ValueField: "price", GroupField: "symbol", Window: stream.CountWindow(256)}
+		}
+		if err := eng.RegisterBatch(spec, emit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := keyedBatches(rng, syms, 1, 64)[0]
+	drain := func() {
+		if !eng.Drain(10 * time.Second) {
+			t.Fatal("drain timed out")
+		}
+	}
+	// Warm the histograms' reservoirs, the pool, the slab and the tail's
+	// state cells, as in TestShardEngineGroupedFeedAllocFree.
+	for i := 0; i < 4200; i++ {
+		eng.FeedGroupLent(ids, b, nil)
+		if i%256 == 0 {
+			drain()
+		}
+	}
+	drain()
+	before := results.Load()
+	if got := testing.AllocsPerRun(200, func() {
+		eng.FeedGroupLent(ids, b, nil)
+		drain()
+	}); got != 0 {
+		t.Fatalf("a steady-state lent feed of %d filters and an aggregate allocates %v times, want 0", len(ids)-1, got)
+	}
+	if results.Load() == before {
+		t.Fatal("no results: the gate measured queries that emit nothing")
 	}
 	if eng.TotalDropped() != 0 {
 		t.Fatalf("%d tuples dropped: the gate measured shed batches", eng.TotalDropped())

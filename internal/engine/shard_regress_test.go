@@ -42,7 +42,7 @@ func TestShardEnginePerProducerOrderPreserved(t *testing.T) {
 	spec := QuerySpec{ID: "ord", Source: "events"}
 	if err := eng.Register(spec, func(tu stream.Tuple) {
 		mu.Lock()
-		got = append(got, tu)
+		got = append(got, tu.Clone())
 		mu.Unlock()
 	}); err != nil {
 		t.Fatal(err)

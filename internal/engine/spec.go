@@ -181,17 +181,6 @@ func (q QuerySpec) Streams() []string {
 	return out
 }
 
-// sealsResults reports whether the query, as an engine compiles it, is
-// done with its input rows once it has run them: it has a stateful tail,
-// whose last stage gives every result Values of its own and whose
-// windows keep slots, not rows, and no join, whose window keeps rows. A
-// query that does not seal emits (stateless filters) or keeps (a join)
-// the very rows it was fed. A lent batch (GroupFeeder.FeedGroupLent) is
-// copied into a pooled lease only for queries that seal.
-func (q QuerySpec) sealsResults() bool {
-	return q.Join == nil && (q.Distinct != nil || q.Agg != nil || q.TopK != nil)
-}
-
 // Interest derives the query's data interest in the named input stream:
 // the conjunction of its filter steps' interests in that stream
 // (FilterSpec.Interest). Two steps on one field intersect, so the

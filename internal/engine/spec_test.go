@@ -235,7 +235,7 @@ func TestCompileSimpleFilterQuery(t *testing.T) {
 			{Field: "price", Lo: 50, Hi: 150},
 			{KeyField: "symbol", Keys: []string{"ibm", "msft"}},
 		},
-	}, c, func(b stream.Batch) { results = append(results, b...) })
+	}, c, func(b stream.Batch) { results = append(results, b.Compact(nil)...) })
 	if err != nil {
 		t.Fatal(err)
 	}

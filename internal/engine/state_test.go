@@ -40,7 +40,7 @@ func engineStateRoundtrip(t *testing.T, src, dst shippedEngine) {
 	register := func(p Processor, key string) {
 		if err := p.Register(statefulSpec("q1"), func(tu stream.Tuple) {
 			mu.Lock()
-			results[key] = append(results[key], tu)
+			results[key] = append(results[key], tu.Clone())
 			mu.Unlock()
 		}); err != nil {
 			t.Fatal(err)

@@ -129,12 +129,12 @@ type procNode struct {
 	scratch atomic.Pointer[routeScratch]
 	// dec decodes the frames other processors send this one into batches
 	// the engine keeps (stream.DecodeBuffer's owned form) or releases (its
-	// leased form, when the engine says the frame's fragments all seal:
-	// engine.GroupFeeder's Seals). It is the processor's own, not a pooled
-	// one, because its intern table and its fragment lists are what must
-	// last from frame to frame. decMu is taken once per frame and is all
-	// but uncontended: SimNet runs a node's handler serially, TCP on one
-	// goroutine per connection.
+	// leased form, when the engine says none of the frame's fragments
+	// keeps rows: engine.GroupFeeder's Seals). It is the processor's own,
+	// not a pooled one, because its intern table and its fragment lists
+	// are what must last from frame to frame. decMu is taken once per
+	// frame and is all but uncontended: SimNet runs a node's handler
+	// serially, TCP on one goroutine per connection.
 	decMu sync.Mutex
 	dec   frameDecoder
 	// feedErrs and ingestErrs count the ent.feedb and ent.ingest frames
@@ -371,8 +371,9 @@ func (e *Entity) Proc(i int) engine.Processor { return e.procs[i].eng }
 
 // SetResultHandler installs the sink for final query results: fn is
 // called once per run of a query's final fragment that has results, with
-// the batch borrowed for the call (engine.BatchRegistrar) — fn may keep
-// its tuples, not the slice.
+// the batch lent for the call (engine.Processor point 6): fn keeps
+// nothing of it past the call but a copy (stream.Tuple.Clone,
+// Batch.Compact).
 func (e *Entity) SetResultHandler(fn func(queryID string, b stream.Batch)) {
 	if fn == nil {
 		e.results.Store(nil)
@@ -666,9 +667,10 @@ func (e *Entity) placeWith(spec engine.QuerySpec, nFrags int, cfg placeConfig) e
 		return c, nil
 	}
 	// emitFor builds the emit closure for one instance of stage i. A
-	// closure is handed one run's results, borrowed (engine.BatchRegistrar):
-	// a boundary that hands them to an engine, which keeps what it is fed,
-	// hands over a slice of its own; a frame only reads them.
+	// closure is handed one run's results, lent for the call
+	// (engine.Processor point 6): a boundary feeds them on lent, so the
+	// next fragment's engine makes the copy it keeps, and a frame only
+	// reads them.
 	emitFor := func(i int, from *procNode) (func(stream.Batch), error) {
 		if i == len(frags)-1 {
 			return func(b stream.Batch) {
@@ -685,12 +687,9 @@ func (e *Entity) placeWith(spec engine.QuerySpec, nFrags int, cfg placeConfig) e
 		}
 		next := stages[i+1]
 		if len(next) == 1 {
+			// On the same processor one lent feed, no network hop.
 			to, nextFrag := e.procs[next[0].proc], []string{next[0].spec.ID}
-			if to == from {
-				// Same processor: one feed, no network hop.
-				return func(b stream.Batch) { _ = from.eng.FeedQueryBatch(nextFrag[0], slices.Clone(b)) }, nil
-			}
-			return func(b stream.Batch) { from.feed(to.id, nextFrag, b, false, false) }, nil
+			return func(b stream.Batch) { from.feed(to.id, nextFrag, b, true, false) }, nil
 		}
 		// Routed boundary: per-tuple adaptive choice among the next
 		// stage's replicas (Section 4.2), then one hand-over per chosen
@@ -712,8 +711,7 @@ func (e *Entity) placeWith(spec engine.QuerySpec, nFrags int, cfg placeConfig) e
 		probe := cfg.probe
 		return func(b stream.Batch) {
 			// The sub-batches are this call's own: an engine may run the
-			// closure on several goroutines at once, and the engine fed
-			// one keeps it.
+			// closure on several goroutines at once.
 			parts := make([]stream.Batch, len(ids))
 			for _, t := range b {
 				pick := chooser.Choose()
@@ -729,12 +727,8 @@ func (e *Entity) placeWith(spec engine.QuerySpec, nFrags int, cfg placeConfig) e
 				parts[k] = append(parts[k], t)
 			}
 			for k, part := range parts {
-				switch {
-				case len(part) == 0:
-				case targets[k] == from:
-					_ = from.eng.FeedQueryBatch(ids[k], part)
-				default:
-					from.feed(targets[k].id, ids[k:k+1], part, false, false)
+				if len(part) > 0 {
+					from.feed(targets[k].id, ids[k:k+1], part, true, false)
 				}
 			}
 		}, nil
@@ -1073,9 +1067,9 @@ func (p *procNode) ingest(b stream.Batch) { p.ingestFrom(b, false) }
 // relay's delivery). Only the local engine keeps rows past the call —
 // frames are encoded before ingest returns, and gates copy — so its
 // grouped feed is the lent one (engine.GroupFeeder's FeedGroupLent), and
-// the engine makes the one copy: into a pooled arena when every local
-// head fragment seals its results, else an owned Batch.Compact. With no
-// local head fragment nothing is copied.
+// the engine makes the one copy: into a pooled arena unless a local head
+// fragment is a join, else an owned Batch.Compact. With no local head
+// fragment nothing is copied.
 func (p *procNode) ingestLent(b stream.Batch) { p.ingestFrom(b, true) }
 
 func (p *procNode) ingestFrom(b stream.Batch, lent bool) {
@@ -1161,9 +1155,10 @@ func (p *procNode) ingestFrom(b stream.Batch, lent bool) {
 
 // feed hands a batch to the fragments frags on node: the fan-out's
 // admitted batches to head fragments, and a fragment boundary's results
-// to the next fragment on another processor. lent says b is only lent
-// for the call, so the local engine copies what it keeps. A remote node
-// gets one frame, encoded before feed returns, so b is only read.
+// (lent) to the next fragment, on this processor or another. lent says b
+// is only lent for the call, so the local engine copies what it keeps. A
+// remote node gets one frame, encoded before feed returns, so b is only
+// read.
 func (p *procNode) feed(node simnet.NodeID, frags []string, b stream.Batch, lent, traced bool) {
 	if node == p.id {
 		p.feedLocal(frags, b, lent, traced)
@@ -1204,10 +1199,10 @@ func operatorHops(frags []string, b stream.Batch) {
 }
 
 // handle is the processor's transport callback. A frame that does not
-// decode is dropped whole, and counted by kind. An ent.feedb frame whose
-// fragments all seal here is decoded into a lease lent to the engine,
-// which keeps it instead of a copy; any other frame is decoded into a
-// batch the engine keeps.
+// decode is dropped whole, and counted by kind. An ent.feedb frame none
+// of whose fragments keeps rows here (none is a join) is decoded into a
+// lease lent to the engine, which keeps it instead of a copy; any other
+// frame is decoded into a batch the engine keeps.
 func (p *procNode) handle(m simnet.Message) {
 	switch m.Kind {
 	case KindFeedBatch:
@@ -1307,7 +1302,7 @@ const maxFrameLists = 64
 // bytes that are left, and only then sizes anything from the count. The
 // IDs share one string, so reading the list allocates the same number of
 // objects for any count, and none for a section read before. When the
-// engine the frame is for, g, would keep a lent batch for every fragment
+// engine the frame is for, g, would keep a lent batch of the fragments
 // on the list in a lease (g.Seals) the batch is decoded into one, held
 // once by the caller; else — always, for a nil g — into an owned batch.
 func (d *frameDecoder) decodeFeedBatch(payload []byte, g engine.GroupFeeder) ([]string, stream.Batch, *stream.Lease, error) {

@@ -66,7 +66,8 @@ type Aggregate struct {
 	// enter the window and of the oldest one in it.
 	next, oldest uint64
 	scratch      []aggSlot
-	staged       []stream.Value
+	// staged is the slab a batch run lends its results' Values from.
+	staged []stream.Value
 }
 
 // aggSlot is what the window keeps of a row: its group's state and the
@@ -143,12 +144,13 @@ func (a *Aggregate) Process(port int, t stream.Tuple) []stream.Tuple {
 	if port != 0 {
 		panic(badPort(a.name, port, 1))
 	}
-	return a.ProcessBatch([]stream.Tuple{t}, nil)
+	return keep(a.ProcessBatch([]stream.Tuple{t}, nil))
 }
 
 // ProcessBatch consumes rows in order and appends each row's result —
 // the updated aggregate of its group — to dst, which it returns. The
-// results' Values share one slab allocated by this call.
+// results' Values are lent: they live in a slab the next call reuses
+// (lendValues), so this call allocates nothing once the slab has grown.
 func (a *Aggregate) ProcessBatch(rows, dst []stream.Tuple) []stream.Tuple {
 	base := len(dst)
 	a.staged = a.staged[:0]
@@ -161,10 +163,14 @@ func (a *Aggregate) ProcessBatch(rows, dst []stream.Tuple) []stream.Tuple {
 		dst = append(dst, stream.Tuple{Stream: a.name, Seq: rows[i].Seq, Ts: rows[i].Ts})
 		a.staged = append(a.staged, stream.String(st.name), stream.Float(val))
 	}
-	sealValues(dst[base:], a.staged, 2)
+	lendValues(dst[base:], a.staged, 2)
 	a.stats.RecordBatch(len(rows), len(dst)-base)
 	return dst
 }
+
+// ReleaseResults ends the loan of the last batch run's results: under
+// -tags arenapoison their slab reads "\x00released" (stream.Poison).
+func (a *Aggregate) ReleaseResults() { stream.Poison(a.staged) }
 
 // insert takes the rows t pushes out of the window out of their groups,
 // then adds t to its group and the window (evictions first: sums round

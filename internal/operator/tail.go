@@ -81,37 +81,23 @@ func reuse[T any](free *[]*T) *T {
 	return new(T)
 }
 
-// sealValues gives a batch's results their Values. staged holds width
-// values per result, collected in a buffer the operator reuses; they are
-// copied into one slab allocated here, exactly sized, and each result
-// is pointed at its stride. The slab is never reused: results escape to
-// user callbacks, which may keep them.
-func sealValues(results []stream.Tuple, staged []stream.Value, width int) {
-	if len(results) == 0 {
-		return
-	}
-	slab := make([]stream.Value, len(staged))
-	copy(slab, staged)
+// lendValues points a batch run's results at their Values: staged
+// holds width values per result, in a slab the operator reuses from run
+// to run, so the results are lent — valid until the next run, or, under
+// -tags arenapoison, until ReleaseResults. Nothing is allocated. A row
+// run (Process) gives its results a slab of their own instead (keep).
+func lendValues(results []stream.Tuple, staged []stream.Value, width int) {
 	for i := range results {
-		results[i].Values = slab[i*width : (i+1)*width : (i+1)*width]
+		results[i].Values = staged[i*width : (i+1)*width : (i+1)*width]
 	}
 }
 
-// sealRows is sealValues for rows that already hold their Values, in the
-// storage of the batch they came from (a sealed Distinct's survivors):
-// the Values are copied into one slab allocated here, exactly sized.
-func sealRows(rows []stream.Tuple) {
-	n := 0
-	for i := range rows {
-		n += len(rows[i].Values)
+// keep gives a row run's results Values of their own: Process's results
+// are the caller's to keep, because MiniEngine buffers a whole feed's
+// results until it unlocks.
+func keep(results []stream.Tuple) []stream.Tuple {
+	for i := range results {
+		results[i] = results[i].Clone()
 	}
-	if n == 0 {
-		return
-	}
-	slab := make([]stream.Value, 0, n)
-	for i := range rows {
-		start := len(slab)
-		slab = append(slab, rows[i].Values...)
-		rows[i].Values = slab[start:len(slab):len(slab)]
-	}
+	return results
 }

@@ -18,8 +18,6 @@ type Distinct struct {
 	counts  map[string]*distinctKey
 	free    []*distinctKey // cells of keys that left the window, for reuse
 	scratch []*distinctKey
-	// seal gives the rows that pass Values of their own (SealResults).
-	seal bool
 }
 
 // distinctKey is one key's count cell: how many window rows hold the
@@ -58,25 +56,15 @@ func (d *Distinct) Process(port int, t stream.Tuple) []stream.Tuple {
 	return d.ProcessBatch([]stream.Tuple{t}, nil)
 }
 
-// SealResults makes the operator copy the Values of the rows that pass
-// into one slab per batch, as Aggregate and TopK cut their results: an
-// engine seals a distinct that is its query's last stage, so no result
-// shares storage with the rows the query was fed. A distinct feeding
-// another tail stage passes rows unchanged, at no cost.
-func (d *Distinct) SealResults() { d.seal = true }
-
 // ProcessBatch consumes rows in order and appends those that pass to dst,
-// which it returns: unchanged, allocating nothing, or with their Values
-// in one slab allocated by this call when the operator seals.
+// which it returns: unchanged, sharing the rows' Values, so it allocates
+// nothing.
 func (d *Distinct) ProcessBatch(rows, dst []stream.Tuple) []stream.Tuple {
 	base := len(dst)
 	for i := range rows {
 		if !d.insert(&rows[i]) {
 			dst = append(dst, rows[i])
 		}
-	}
-	if d.seal {
-		sealRows(dst[base:])
 	}
 	d.stats.RecordBatch(len(rows), len(dst)-base)
 	return dst
@@ -132,7 +120,8 @@ type TopK struct {
 	// enter the window and of the oldest one in it.
 	next, oldest uint64
 	scratch      []topSlot
-	staged       []stream.Value
+	// staged is the slab a batch run lends its results' Values from.
+	staged []stream.Value
 }
 
 // topKey is one key's entry: the deque of its window maximum, the key as
@@ -204,13 +193,13 @@ func (t *TopK) Process(port int, tu stream.Tuple) []stream.Tuple {
 	if port != 0 {
 		panic(badPort(t.name, port, 1))
 	}
-	return t.ProcessBatch([]stream.Tuple{tu}, nil)
+	return keep(t.ProcessBatch([]stream.Tuple{tu}, nil))
 }
 
 // ProcessBatch consumes rows in order and, for each row whose key ranks
 // in the top k once the row is in the window, appends (key, the key's
 // window maximum, 1-based rank) to dst, which it returns. The results'
-// Values share one slab allocated by this call.
+// Values are lent, as Aggregate's are: the next call reuses their slab.
 func (t *TopK) ProcessBatch(rows, dst []stream.Tuple) []stream.Tuple {
 	base := len(dst)
 	t.staged = t.staged[:0]
@@ -222,10 +211,14 @@ func (t *TopK) ProcessBatch(rows, dst []stream.Tuple) []stream.Tuple {
 			t.staged = append(t.staged, stream.String(k.name), stream.Float(m), stream.Int(int64(r+1)))
 		}
 	}
-	sealValues(dst[base:], t.staged, 3)
+	lendValues(dst[base:], t.staged, 3)
 	t.stats.RecordBatch(len(rows), len(dst)-base)
 	return dst
 }
+
+// ReleaseResults ends the loan of the last batch run's results, as
+// Aggregate's does.
+func (t *TopK) ReleaseResults() { stream.Poison(t.staged) }
 
 // insert enters tu into its key's deque, moving the key in the ranking
 // if its maximum changed, then takes the rows tu pushes out of the

@@ -110,9 +110,9 @@ func clampBatchCap(n, remaining int) int {
 //     to the pool when the last holder releases it; with a warm pool
 //     decoding allocates nothing. For a caller whose holders are done
 //     with the rows when they release them: an entity processor decoding
-//     an ent.feedb frame whose fragments all seal their results (its
-//     engine says so: engine.GroupFeeder's Seals), for an engine that
-//     releases each batch once its shard has run it.
+//     an ent.feedb frame none of whose fragments keeps rows (none is a
+//     join; its engine says so: engine.GroupFeeder's Seals), for an
+//     engine that releases each batch once its shard has run it.
 //   - Owned — DecodeBuffer.DecodeBatch, DecodeBatch. The
 //     result is the caller's for good: one fresh Batch and one fresh arena
 //     per call, whatever the tuple count; the buffer keeps only its intern

@@ -84,13 +84,24 @@ func (l *Lease) Release() {
 		panic("stream: lease released more often than it was held")
 	}
 	if poisonArenas {
-		all := l.vals[:cap(l.vals)]
-		for i := range all {
-			all[i] = String("\x00released")
-		}
+		Poison(l.vals[:cap(l.vals)])
 		for i := range l.b {
 			l.b[i] = Tuple{Stream: "\x00released", Seq: math.MaxUint64, Values: l.vals[:0]}
 		}
 	}
 	leasePool.Put(l)
+}
+
+// Poison overwrites vals with "\x00released" under -tags arenapoison, as
+// the last Release of a lease does its arena, and does nothing in a
+// shipped build. A holder that lends storage it reuses — a tail's result
+// slab — poisons it when the loan ends, so a reader that kept it fails
+// loudly instead of reading what comes next.
+func Poison(vals []Value) {
+	if !poisonArenas {
+		return
+	}
+	for i := range vals {
+		vals[i] = String("\x00released")
+	}
 }

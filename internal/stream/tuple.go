@@ -2,13 +2,15 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 )
 
 // Tuple is one data item on a stream. Tuples are value types, but Values
 // is shared storage: a holder that modifies or keeps tuples from
-// borrowed storage copies them first (see Batch.Compact).
+// borrowed storage copies them first (Clone, or Batch.Compact for a
+// batch).
 type Tuple struct {
 	// Stream names the stream the tuple belongs to.
 	Stream string
@@ -37,6 +39,14 @@ func (t *Tuple) Value(i int) Value {
 		return Value{}
 	}
 	return t.Values[i]
+}
+
+// Clone returns t with Values of its own; strings are shared, being
+// immutable. It is the one way to keep a tuple that is only lent, such
+// as a query result (engine.Processor point 6).
+func (t Tuple) Clone() Tuple {
+	t.Values = slices.Clone(t.Values)
+	return t
 }
 
 // Size returns the tuple's encoded size in bytes. It is the unit of the

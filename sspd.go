@@ -21,7 +21,8 @@ import (
 
 // Data-model surface.
 type (
-	// Tuple is one data item on a stream.
+	// Tuple is one data item on a stream. A query result is lent to its
+	// callback: keep Clone() of it, not the tuple (see the package doc).
 	Tuple = stream.Tuple
 	// Batch is a slice of tuples shipped together.
 	Batch = stream.Batch
