@@ -117,7 +117,11 @@ test:
 # backing array (also twice under duplicate and reorder faults), a lent
 # one arrives intact after the caller overwrites its buffer, and a relay
 # hands a fully matched batch on verbatim while its own encodes arrive
-# as copies.
+# as copies. And so do the control plane's: a reliable Send has its
+# first transmission on the transport when it returns (Settle sees it),
+# an endpoint re-created under an old ID is heard rather than taken for
+# its predecessor's duplicates, and a relay that receives its child's
+# unchanged registration neither re-registers nor rebuilds its index.
 # And so do the grouped feed's: a resolved id list is reused only while
 # it holds the same ids and no registration has changed, and a
 # steady-state grouped feed of keyed queries allocates nothing
@@ -154,7 +158,7 @@ race:
 	$(GO) test -race -count=1 -run 'TestShardEngine|TestEngineContract' ./internal/engine/
 	$(GO) test -race -count=1 -run 'TestCompiledInterestEquivalence|TestColumnEvaluator|TestMatchIndexEquivalence|TestFederationMatchesBareEngineOnNaN' ./internal/stream/ ./internal/operator/ ./internal/core/
 	$(GO) test -race -count=1 -run 'TestTupleRoutingDifferential|TestFragmentChainMatchesBareEngine|TestFederationJoinInterest' ./internal/core/
-	$(GO) test -race -count=1 -run 'TestRelayIndexFollowsRegistrations|TestRelayRegistrationsRaceBatches|TestRelayPublishReturnsAfterEverySend|TestRelayLinkKeepsPublishOrder|TestRelayPublishersRaceDropRewireClose|TestRelayFailedSendCountsNothingRelayed|TestSimNetFIFOPerSender|TestSimNetSenderBlocksOnQueuedBytes|TestSimNetDeregisterDeliversQueued|TestSimNetHand|TestSimNetSend|TestRelayForwardsVerbatimWithoutCopy' ./internal/dissemination/ ./internal/simnet/
+	$(GO) test -race -count=1 -run 'TestRelayIndexFollowsRegistrations|TestRelayRegistrationsRaceBatches|TestRelayPublishReturnsAfterEverySend|TestRelayLinkKeepsPublishOrder|TestRelayPublishersRaceDropRewireClose|TestRelayFailedSendCountsNothingRelayed|TestSimNetFIFOPerSender|TestSimNetSenderBlocksOnQueuedBytes|TestSimNetDeregisterDeliversQueued|TestSimNetHand|TestSimNetSend|TestRelayForwardsVerbatimWithoutCopy|TestReliableSendIsOnTheWireWhenItReturns|TestReliableNewIncarnationResetsReceiver|TestRelayRepeatedRegistrationChangesNothing' ./internal/dissemination/ ./internal/simnet/
 	$(GO) test -race -count=1 -run 'TestFanout|TestIngestAllocations|TestFrameDecodeErrorsCounted|TestFragmentBoundaryFramesPerBatch' ./internal/entity/
 	$(GO) test -race -count=1 -run 'FuzzDecodeBatch|TestDecodeBatch' ./internal/stream/
 	$(GO) test -race -count=1 -run 'TestHandoff|TestResumeInPlaceKeepsReorderedBuffer|TestNoCutIsNotCutZero|TestDrainQueryWaitsForAdmittedBatches' ./internal/core/ ./internal/entity/

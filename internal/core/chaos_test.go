@@ -21,11 +21,25 @@ func (f *Federation) ControlGiveUps() int64 { return f.controlGiveUps.Value() }
 // newChaosFederation builds a started federation whose transport is a
 // seeded FaultPlan: one quotes source, n entities on a line, engines
 // from factory.
-func newChaosFederation(t *testing.T, seed int64, n int, opts Options, factory entity.EngineFactory) (*Federation, *simnet.FaultPlan) {
+func newChaosFederation(t *testing.T, seed int64, n int, opts Options, refresh time.Duration,
+	factory entity.EngineFactory) (*Federation, *simnet.FaultPlan) {
 	t.Helper()
 	plan := simnet.NewFaultPlan(simnet.NewSim(nil), seed)
 	t.Cleanup(func() { plan.Close() })
-	return startFederation(t, plan, opts, n, 2, factory), plan
+	return startRefreshing(t, buildFederation(t, plan, opts, n, 2, factory), refresh), plan
+}
+
+// startRefreshing starts fed with its interest refresh every `refresh`
+// (0 keeps the shipped interestRefresh).
+func startRefreshing(t *testing.T, fed *Federation, refresh time.Duration) *Federation {
+	t.Helper()
+	if refresh > 0 {
+		fed.refreshEvery = refresh
+	}
+	if err := fed.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return fed
 }
 
 // TestChaosEndToEndRecovery is the headline robustness property: under
@@ -43,11 +57,9 @@ func TestChaosEndToEndRecovery(t *testing.T) {
 func chaosEndToEndRecovery(t *testing.T, factory entity.EngineFactory) {
 	const n = 4
 	fed, plan := newChaosFederation(t, 42, n, Options{
-		Strategy:        dissemination.Balanced,
-		Fanout:          2,
-		ReliableControl: true,
-		InterestRefresh: 25 * time.Millisecond,
-	}, factory)
+		Strategy: dissemination.Balanced,
+		Fanout:   2,
+	}, 25*time.Millisecond, factory)
 	var counts [n]atomic.Int64
 	for i := 0; i < n; i++ {
 		c := &counts[i]
@@ -165,7 +177,7 @@ func chaosEndToEndRecovery(t *testing.T, factory entity.EngineFactory) {
 // a reachable entity (e.g. the reporter was the partitioned side) must
 // not get it expelled — the detector's confirmation probe clears it.
 func TestControlGiveUpDoesNotExpelHealthyEntity(t *testing.T) {
-	fed, _ := newChaosFederation(t, 1, 3, Options{ReliableControl: true}, miniFactory)
+	fed, _ := newChaosFederation(t, 1, 3, Options{}, 0, miniFactory)
 	if err := fed.EnableFailureDetection(20*time.Millisecond, 3); err != nil {
 		t.Fatal(err)
 	}

@@ -54,6 +54,63 @@ func TestJoinEntityLive(t *testing.T) {
 	}
 }
 
+// TestRejoinUnderOldIDReceivesResults: an entity that leaves and
+// re-joins under its old ID registers through a new reliable endpoint,
+// which restarts at seq 1. Its parent must take those registrations
+// (the new incarnation resets its record of the ID) rather than ack and
+// suppress them as duplicates of the old entity's. Suppressed, they
+// never reach the parent's aggregate, so the source keeps filtering the
+// parent's link by its narrow interest and the rejoined entity's wide
+// query receives almost nothing.
+func TestRejoinUnderOldIDReceivesResults(t *testing.T) {
+	fed, net := newTestFederation(t, 3) // Locality: src → e00 → e01 → e02
+	narrow := func(id, host string) {
+		t.Helper()
+		if err := fed.SubmitQueryTo(priceQuery(id, 0, 1), host, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	narrow("q-e00", "e00")
+	narrow("q-e02", "e02")
+	for i := 0; i < 3; i++ {
+		narrow(fmt.Sprintf("old%d", i), "e01")
+	}
+	if !net.Quiesce(2 * time.Second) {
+		t.Fatal("quiesce")
+	}
+	if _, err := fed.LeaveEntity("e01"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fed.JoinEntity("e01", simnet.Point{X: 20}, 2, miniFactory); err != nil {
+		t.Fatal(err)
+	}
+	tree := fed.DisseminationTree("quotes")
+	if p := tree.Parent(relayID("e01", "quotes")); p != relayID("e00", "quotes") {
+		t.Fatalf("rejoined e01 hangs under %s, want e00 (an entity relay whose aggregate is narrow)", p)
+	}
+	var mu sync.Mutex
+	results := 0
+	if err := fed.SubmitQueryTo(priceQuery("rejoined", 0, 1000), "e01",
+		func(stream.Tuple) { mu.Lock(); results++; mu.Unlock() }); err != nil {
+		t.Fatal(err)
+	}
+	if !net.Quiesce(2 * time.Second) {
+		t.Fatal("quiesce")
+	}
+	tick := workload.NewTicker(5, 100, 1.2)
+	if err := fed.Publish("quotes", tick.Batch(30)); err != nil {
+		t.Fatal(err)
+	}
+	if !net.Quiesce(2 * time.Second) {
+		t.Fatal("quiesce")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if results != 30 {
+		t.Fatalf("rejoined entity results = %d, want 30", results)
+	}
+}
+
 func TestJoinEntityRequiresStart(t *testing.T) {
 	net := simnet.NewSim(nil)
 	defer net.Close()

@@ -16,18 +16,16 @@ import (
 // newClockFederation builds a started shard-engine federation (the
 // introspectable engine) with a quiet journal. If opts enables
 // adaptation, the controller decides every adaptEvery with hysteresis
-// 1e-3. A test may close it before it ends.
+// 1e-3. Relays refresh their interest every refreshEvery (0 keeps the
+// shipped period). A test may close it before it ends.
 func newClockFederation(t *testing.T, net *simnet.SimNet, nEntities int, opts Options,
-	adaptEvery time.Duration) *Federation {
+	adaptEvery, refreshEvery time.Duration) *Federation {
 	t.Helper()
 	opts.Fanout = 3
 	opts.Logger = obslog.New(obslog.NewJournal(obslog.DefaultJournalCapacity), nil)
 	fed := buildFederation(t, net, opts, nEntities, 2, shardFactory)
 	fed.adaptEvery, fed.adaptHysteresis = adaptEvery, 1e-3
-	if err := fed.Start(); err != nil {
-		t.Fatal(err)
-	}
-	return fed
+	return startRefreshing(t, fed, refreshEvery)
 }
 
 // TestWatchdogsEvaluateOncePerDigestPeriod pins the one-clock rule on
@@ -41,7 +39,7 @@ func newClockFederation(t *testing.T, net *simnet.SimNet, nEntities int, opts Op
 func TestWatchdogsEvaluateOncePerDigestPeriod(t *testing.T) {
 	net := simnet.NewSim(nil)
 	defer net.Close()
-	fed := newClockFederation(t, net, 3, Options{}, 0)
+	fed := newClockFederation(t, net, 3, Options{}, 0, 0)
 	defer fed.Close()
 	if err := fed.SubmitQueryTo(priceQuery("q", 0, 1000), "e00", nil); err != nil {
 		t.Fatal(err)
@@ -73,8 +71,8 @@ func TestWatchdogsEvaluateOncePerDigestPeriod(t *testing.T) {
 	}
 }
 
-// TestInterestRefreshRunsOnTheClock: Options.InterestRefresh is one job
-// on the control clock. A relay of an entity that joined after Start is
+// TestInterestRefreshRunsOnTheClock: the interest refresh is one job on
+// the control clock. A relay of an entity that joined after Start is
 // covered — it re-announces its interest upward on every tick although
 // no placement asked it to — and once Close has returned nothing more
 // is sent.
@@ -82,7 +80,7 @@ func TestInterestRefreshRunsOnTheClock(t *testing.T) {
 	net := simnet.NewSim(nil)
 	defer net.Close()
 	const period = 2 * time.Millisecond
-	fed := newClockFederation(t, net, 2, Options{InterestRefresh: period}, 0)
+	fed := newClockFederation(t, net, 2, Options{}, 0, period)
 	defer fed.Close()
 	if err := fed.JoinEntity("e09", simnet.Point{X: 90}, 2, shardFactory); err != nil {
 		t.Fatal(err)
@@ -113,8 +111,7 @@ func TestCloseStopsTheClockUnderLoad(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	const period = 2 * time.Millisecond
-	fed := newClockFederation(t, net, 3, Options{
-		EnableAdaptation: true, InterestRefresh: period}, period)
+	fed := newClockFederation(t, net, 3, Options{EnableAdaptation: true}, period, period)
 	for i := 0; i < 4; i++ {
 		if err := fed.SubmitQueryTo(countQuery(fmt.Sprintf("agg%d", i), 16), "e00", nil); err != nil {
 			t.Fatal(err)

@@ -35,15 +35,6 @@ type Options struct {
 	// FragmentsPerQuery is how many fragments each query splits into
 	// inside its entity (default 1; joins never split).
 	FragmentsPerQuery int
-	// ReliableControl delivers interest registrations through reliable
-	// endpoints (acks, bounded retries, exponential backoff); exhausted
-	// retries feed the failure detector. Tuple traffic is unaffected.
-	ReliableControl bool
-	// InterestRefresh, when positive, re-announces every relay's
-	// aggregate interest upward on this period — soft state that
-	// re-converges ancestor filters after loss or tree repair. It is one
-	// job on the control clock, started by Start.
-	InterestRefresh time.Duration
 	// Logger receives the federation's structured events (obslog). Nil
 	// builds a default logger: warnings and errors as slog text on
 	// stderr, every event recorded in a bounded journal served at
@@ -89,6 +80,9 @@ const (
 	traceCapacity = 2048
 	// adaptationInterval is the adaptation controller's decision period.
 	adaptationInterval = 2 * time.Second
+	// interestRefresh is the soft-state refresh period: every relay
+	// re-announces its aggregate interest upward this often.
+	interestRefresh = time.Second
 	// adaptationHysteresis scales the migration cost a move's gain must
 	// exceed before the controller executes it.
 	adaptationHysteresis = 1.0
@@ -158,6 +152,9 @@ type Federation struct {
 	// shorten and vary.
 	adaptEvery      time.Duration
 	adaptHysteresis float64
+	// refreshEvery is the interest refresh period: interestRefresh,
+	// which tests shorten.
+	refreshEvery time.Duration
 	// adaptMoves counts queries moved by adaptation rounds; the migration
 	// counters and history ring back sspd_migrations_total and the
 	// /cluster migration table.
@@ -289,6 +286,7 @@ func New(transport simnet.Transport, catalog *stream.Catalog, opts Options) (*Fe
 
 		adaptEvery:      adaptationInterval,
 		adaptHysteresis: adaptationHysteresis,
+		refreshEvery:    interestRefresh,
 	}
 	f.clock.stop = make(chan struct{})
 	if f.logger == nil {
@@ -316,13 +314,14 @@ func New(transport simnet.Transport, catalog *stream.Catalog, opts Options) (*Fe
 }
 
 // relayOptions builds the dissemination options every relay in this
-// federation is constructed with.
+// federation is constructed with: interest registrations ride reliable
+// endpoints (acks, bounded retries, exponential backoff), and exhausted
+// retries feed the failure detector. Tuple traffic is unaffected.
 func (f *Federation) relayOptions() dissemination.RelayOptions {
-	opts := dissemination.RelayOptions{Log: f.logger}
-	if f.opts.ReliableControl {
-		opts.Reliable = &simnet.ReliableConfig{OnGiveUp: f.controlGiveUp}
+	return dissemination.RelayOptions{
+		Log:      f.logger,
+		Reliable: &simnet.ReliableConfig{OnGiveUp: f.controlGiveUp},
 	}
-	return opts
 }
 
 // Journal returns the bounded event flight recorder backing GET /events.
@@ -507,9 +506,7 @@ func (f *Federation) Start() error {
 		}
 	}
 	f.started = true
-	if f.opts.InterestRefresh > 0 {
-		f.every(f.opts.InterestRefresh, f.refreshTick)
-	}
+	f.every(f.refreshEvery, f.refreshTick)
 	if f.opts.EnableAdaptation {
 		f.every(f.adaptEvery, func() { _, _ = f.AdaptOnce() })
 	}

@@ -81,7 +81,7 @@ func (q *quoteFeed) publish(k int) {
 // and in the destination's buffer; it must be delivered once.
 func TestHandoffHeldLinkDeliversOnce(t *testing.T) {
 	const window = 8
-	fed, plan := newChaosFederation(t, 3, 2, Options{Strategy: dissemination.Locality, Fanout: 3}, miniFactory)
+	fed, plan := newChaosFederation(t, 3, 2, Options{Strategy: dissemination.Locality, Fanout: 3}, 0, miniFactory)
 	agg, resident := &seqLog{}, &seqLog{}
 	if err := fed.SubmitQueryTo(countQuery("agg", window), "e00", agg.observe); err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestHandoffHeldLinkDeliversOnce(t *testing.T) {
 // carry over, and the history shows eight commits.
 func TestHandoffGroupLeave(t *testing.T) {
 	const window, hosted = 16, 8
-	fed, plan := newChaosFederation(t, 5, 3, Options{Strategy: dissemination.Locality, Fanout: 3}, miniFactory)
+	fed, plan := newChaosFederation(t, 5, 3, Options{Strategy: dissemination.Locality, Fanout: 3}, 0, miniFactory)
 	logs := make(map[string]*seqLog)
 	submit := func(id, entityID string) {
 		t.Helper()
@@ -247,7 +247,7 @@ func TestHandoffGroupPartialFailure(t *testing.T) {
 // tuples are in flight on a reordering transport.
 func TestHandoffGroupFromTwoSources(t *testing.T) {
 	const window = 16
-	fed, plan := newChaosFederation(t, 9, 3, Options{Strategy: dissemination.Balanced, Fanout: 2}, miniFactory)
+	fed, plan := newChaosFederation(t, 9, 3, Options{Strategy: dissemination.Balanced, Fanout: 2}, 0, miniFactory)
 	logs := map[string]*seqLog{"a": {}, "b": {}, "c": {}}
 	for id, host := range map[string]string{"a": "e00", "b": "e01", "c": "e01"} {
 		if err := fed.SubmitQueryTo(countQuery(id, window), host, logs[id].observe); err != nil {

@@ -28,11 +28,9 @@ func TestMigrationChaosStatefulZeroLoss(t *testing.T) {
 func migrationChaosStatefulZeroLoss(t *testing.T, factory entity.EngineFactory) {
 	const window = 64
 	fed, plan := newChaosFederation(t, 7, 3, Options{
-		Strategy:        dissemination.Balanced,
-		Fanout:          2,
-		ReliableControl: true,
-		InterestRefresh: 25 * time.Millisecond,
-	}, factory)
+		Strategy: dissemination.Balanced,
+		Fanout:   2,
+	}, 25*time.Millisecond, factory)
 
 	log := &seqLog{}
 	if err := fed.SubmitQueryTo(countQuery("agg", window), "e00", log.observe); err != nil {

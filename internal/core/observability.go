@@ -145,10 +145,9 @@ func (f *Federation) collectMetrics(emit func(metrics.Sample)) {
 		for kind, n := range r.DecodeErrorsByKind() {
 			decodeErrs[kind] += n
 		}
-		if rel := r.Reliable(); rel != nil {
-			relRetries += rel.Retries.Value()
-			relSuppressed += rel.Suppressed.Value()
-		}
+		rel := r.Reliable() // every federation relay has one (relayOptions)
+		relRetries += rel.Retries.Value()
+		relSuppressed += rel.Suppressed.Value()
 	}
 
 	metrics.EmitGauge(emit, "sspd_entities", "Number of entities in the federation.", float64(len(entityIDs)))

@@ -243,12 +243,10 @@ func hardKillManyQueriesZeroLoss(t *testing.T, factory entity.EngineFactory) {
 	)
 	net := simnet.NewSim(nil)
 	t.Cleanup(func() { net.Close() })
-	fed := startFederation(t, net, Options{
-		Strategy:        dissemination.Balanced,
-		Fanout:          2,
-		ReliableControl: true,
-		InterestRefresh: 25 * time.Millisecond,
-	}, 3, 4, factory)
+	fed := startRefreshing(t, buildFederation(t, net, Options{
+		Strategy: dissemination.Balanced,
+		Fanout:   2,
+	}, 3, 4, factory), 25*time.Millisecond)
 	logs := make([]*seqLog, nQueries)
 	for i := range logs {
 		logs[i] = &seqLog{}

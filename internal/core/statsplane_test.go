@@ -191,11 +191,9 @@ func TestStatsPlaneChurn(t *testing.T) {
 func TestJournalCausalChainUnderChaos(t *testing.T) {
 	const n = 5
 	fed, plan := newChaosFederation(t, 11, n, Options{
-		Strategy:        dissemination.Balanced,
-		Fanout:          2,
-		ReliableControl: true,
-		InterestRefresh: 25 * time.Millisecond,
-	}, miniFactory)
+		Strategy: dissemination.Balanced,
+		Fanout:   2,
+	}, 25*time.Millisecond, miniFactory)
 
 	// Pick a victim that relays for at least one other entity, so a
 	// healthy child's interest refresh will hit the blackhole and feed

@@ -1,6 +1,7 @@
 package dissemination
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -60,10 +61,10 @@ type Relay struct {
 	rel *simnet.ReliableEndpoint
 
 	mu sync.Mutex
-	// local and childSets hold the registrations. A stored set is never
+	// local and children hold the registrations. A stored set is never
 	// modified, only replaced, so a pointer read under mu is a snapshot.
-	local     *stream.InterestSet
-	childSets map[simnet.NodeID]*stream.InterestSet
+	local    *stream.InterestSet
+	children map[simnet.NodeID]childReg
 	// index is what disseminate matches with: every registration and the
 	// child list compiled into one immutable structure. A registration,
 	// DropChild or a tree change makes it stale — the first two set it to
@@ -118,6 +119,13 @@ type Relay struct {
 	// links accepted — the per-link traffic signal the observability
 	// layer aggregates per stream. A failed send is in SendErrors only.
 	LinkBytes metrics.ByteMeter
+}
+
+// childReg is one child's registration: the set it registered and the
+// payload it arrived in, which a repeated registration is compared to.
+type childReg struct {
+	set  *stream.InterestSet
+	wire []byte
 }
 
 // RelayOptions configures the robustness features of a relay. The zero
@@ -175,7 +183,7 @@ func NewRelayWith(tree *Tree, self simnet.NodeID, schema *stream.Schema,
 		deliverBatch: opts.DeliverBatch,
 		maxTerms:     maxTerms,
 		local:        stream.NewInterestSet(tree.Stream()),
-		childSets:    make(map[simnet.NodeID]*stream.InterestSet),
+		children:     make(map[simnet.NodeID]childReg),
 		linkErrs:     make(map[simnet.NodeID]int64),
 		linkDown:     make(map[simnet.NodeID]bool),
 		decodeErrs:   make(map[string]int64),
@@ -220,15 +228,15 @@ func (r *Relay) SetLocalInterest(terms []stream.Interest) error {
 // outside it (regMu, held by every caller, already orders registrations).
 func (r *Relay) aggregate() *stream.InterestSet {
 	r.mu.Lock()
-	ids := make([]simnet.NodeID, 0, len(r.childSets))
-	for id := range r.childSets {
+	ids := make([]simnet.NodeID, 0, len(r.children))
+	for id := range r.children {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	sets := make([]*stream.InterestSet, 0, 1+len(ids))
 	sets = append(sets, r.local)
 	for _, id := range ids {
-		sets = append(sets, r.childSets[id])
+		sets = append(sets, r.children[id].set)
 	}
 	r.mu.Unlock()
 	agg := stream.NewInterestSet(r.tree.Stream())
@@ -347,10 +355,11 @@ func (r *Relay) PreRegister(target simnet.NodeID) error {
 }
 
 // DropChild discards a former child's registered interest, e.g. after
-// the tree rewired that child elsewhere.
+// the tree rewired that child elsewhere, so its next registration is
+// taken whatever it holds.
 func (r *Relay) DropChild(id simnet.NodeID) {
 	r.mu.Lock()
-	delete(r.childSets, id)
+	delete(r.children, id)
 	r.index = nil
 	r.mu.Unlock()
 }
@@ -393,6 +402,17 @@ func (r *Relay) handle(m simnet.Message) {
 		r.disseminate(batch, m.Payload)
 		stream.PutDecodeBuffer(db)
 	case KindInterest:
+		// A registration byte-identical to the child's last one (a
+		// refresh of unchanged state) changes nothing: no decode, no
+		// index rebuild, no upward send. The relay's own refresh keeps
+		// its parent current. The payload is read-only, so it is kept
+		// as it arrived.
+		r.mu.Lock()
+		last, ok := r.children[m.From]
+		r.mu.Unlock()
+		if ok && bytes.Equal(last.wire, m.Payload) {
+			return
+		}
 		set, err := decodeInterestSet(m.Payload, r.tree.Stream())
 		if err != nil {
 			r.noteDecodeError("interest", err)
@@ -400,7 +420,7 @@ func (r *Relay) handle(m simnet.Message) {
 		}
 		r.noteDecodeOK("interest")
 		r.mu.Lock()
-		r.childSets[m.From] = set
+		r.children[m.From] = childReg{set: set, wire: m.Payload}
 		r.index = nil
 		r.mu.Unlock()
 		// Propagate the updated aggregate toward the source.
@@ -438,7 +458,7 @@ func (r *Relay) currentIndex() *relayIndex {
 	}
 	for i, c := range children {
 		// nil when the child has not registered yet: forward everything.
-		owners[1+i] = r.childSets[c]
+		owners[1+i] = r.children[c].set
 	}
 	r.index = &relayIndex{
 		ix:       stream.NewMatchIndex(r.tree.Stream(), r.schema, owners),

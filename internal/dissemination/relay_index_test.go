@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"sspd/internal/simnet"
 	"sspd/internal/stream"
@@ -430,5 +431,123 @@ func TestRelayRegistrationsRaceBatches(t *testing.T) {
 	}
 	if len(want[0])+len(want[1])+len(want[2]) == 0 || len(want[children]) == 0 {
 		t.Fatal("degenerate run: the final registrations accept nothing")
+	}
+}
+
+// interestCounter is a SimNet that counts the interest registrations
+// each node sends.
+type interestCounter struct {
+	*simnet.SimNet
+	mu   sync.Mutex
+	sent map[simnet.NodeID]int
+}
+
+func (c *interestCounter) count(from simnet.NodeID, kind string) {
+	if kind == KindInterest {
+		c.mu.Lock()
+		c.sent[from]++
+		c.mu.Unlock()
+	}
+}
+
+func (c *interestCounter) Send(from, to simnet.NodeID, kind string, payload []byte) error {
+	c.count(from, kind)
+	return c.SimNet.Send(from, to, kind, payload)
+}
+
+func (c *interestCounter) Hand(from, to simnet.NodeID, kind string, payload []byte) error {
+	c.count(from, kind)
+	return c.SimNet.Hand(from, to, kind, payload)
+}
+
+func (c *interestCounter) take() map[simnet.NodeID]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := c.sent
+	c.sent = map[simnet.NodeID]int{}
+	return out
+}
+
+// TestRelayRepeatedRegistrationChangesNothing: on a Locality chain at
+// rest, a refresh round (every relay's Refresh, as the federation's
+// tick makes it) sends one upward registration per relay — a parent
+// that receives its child's unchanged registration neither re-registers
+// nor rebuilds its match index. DropChild forgets the child's last
+// registration, so the same one is taken again after it.
+func TestRelayRepeatedRegistrationChangesNothing(t *testing.T) {
+	net := &interestCounter{SimNet: simnet.NewSim(nil), sent: map[simnet.NodeID]int{}}
+	defer net.Close()
+	ids := []simnet.NodeID{"e00", "e01", "e02"}
+	members := make([]Member, len(ids))
+	for i, id := range ids {
+		members[i] = Member{ID: id, Pos: simnet.Point{X: float64(10 * (i + 1))}}
+	}
+	tr, err := Build("quotes", testSource, members, Locality, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Parent("e02") != "e01" || tr.Parent("e01") != "e00" {
+		t.Fatalf("test tree is not the chain src -> e00 -> e01 -> e02: %v", tr)
+	}
+	sc := quotesSchema()
+	relays := make([]*Relay, len(ids))
+	for i, id := range ids {
+		if relays[i], err = NewRelay(tr, id, sc, net, func(stream.Tuple) {}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src, err := NewRelay(tr, testSource.ID, sc, net, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rel := range relays {
+		if err := rel.SetLocalInterest([]stream.Interest{
+			stream.NewInterest("quotes").WithRange("price", float64(100*i), float64(100*i+50)),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net.Quiesce(time.Second)
+	parents := append([]*Relay{src}, relays[:len(relays)-1]...)
+	indexes := make([]*relayIndex, len(parents))
+	for i, p := range parents {
+		indexes[i] = p.currentIndex()
+	}
+	net.take()
+
+	for round := 0; round < 3; round++ {
+		for _, rel := range relays {
+			if err := rel.Refresh(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		net.Quiesce(time.Second)
+		sent := net.take()
+		for _, id := range ids {
+			if sent[id] != 1 {
+				t.Fatalf("round %d: %s sent %d registrations, want 1 (%v)", round, id, sent[id], sent)
+			}
+		}
+		for i, p := range parents {
+			if p.currentIndex() != indexes[i] {
+				t.Fatalf("round %d: %s rebuilt its index for an unchanged registration", round, p.self)
+			}
+		}
+	}
+
+	leafWants := func() bool { return relays[1].aggregate().Matches(sc, quote(1, "ibm", 225)) }
+	if !leafWants() {
+		t.Fatal("e01's aggregate lacks e02's interest")
+	}
+	relays[1].DropChild("e02")
+	if leafWants() {
+		t.Fatal("e01 kept e02's interest after DropChild")
+	}
+	if err := relays[2].Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	net.Quiesce(time.Second)
+	if !leafWants() {
+		t.Fatal("e01 ignored e02's registration after DropChild forgot the last one")
 	}
 }

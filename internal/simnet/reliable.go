@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sspd/internal/metrics"
@@ -20,6 +21,14 @@ const (
 	KindReliableAck = "rel.ack"
 )
 
+// Backoff jitter: each backoff is randomized by ±reliableJitter,
+// decorrelating retry storms. Jitter only affects timing, never
+// correctness, so every endpoint draws it from one fixed seed.
+const (
+	reliableJitter = 0.2
+	reliableSeed   = 1
+)
+
 // ReliableConfig tunes a ReliableEndpoint. The zero value gets sane
 // defaults from normalized().
 type ReliableConfig struct {
@@ -31,12 +40,6 @@ type ReliableConfig struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the doubling (default 500ms).
 	MaxBackoff time.Duration
-	// JitterFrac randomizes each backoff by ±this fraction, decorrelating
-	// retry storms (default 0.2).
-	JitterFrac float64
-	// Seed seeds the backoff jitter generator (0 = fixed default seed;
-	// jitter only affects timing, never correctness).
-	Seed int64
 	// InOrder makes the receiver suppress messages older than the newest
 	// already delivered from the same sender (acked but not handed to
 	// the handler). Correct for full-state control messages — an interest
@@ -59,12 +62,6 @@ func (c ReliableConfig) normalized() ReliableConfig {
 	if c.MaxBackoff <= 0 {
 		c.MaxBackoff = 500 * time.Millisecond
 	}
-	if c.JitterFrac <= 0 {
-		c.JitterFrac = 0.2
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 	return c
 }
 
@@ -74,11 +71,19 @@ func (c ReliableConfig) normalized() ReliableConfig {
 // exponential backoff and jitter, and an explicit give-up callback.
 // Non-reliable kinds (tuple traffic) pass through to the inner handler
 // untouched, so one endpoint serves both planes.
+//
+// Every envelope and ack carries the endpoint's incarnation, drawn at
+// NewReliable and larger than any drawn before it. An entity that
+// re-joins under its old ID gets a new endpoint that restarts at seq 1:
+// its newer incarnation resets the receiver's record of that sender, so
+// its first messages are delivered, not taken for duplicates of the old
+// incarnation's.
 type ReliableEndpoint struct {
 	transport Transport
 	self      NodeID
 	inner     Handler
 	cfg       ReliableConfig
+	inc       uint64
 
 	mu      sync.Mutex
 	nextSeq uint64
@@ -95,13 +100,21 @@ type ReliableEndpoint struct {
 	Suppressed metrics.Counter
 }
 
-// dedupState tracks which sequence numbers from one sender were already
-// delivered. In InOrder mode only the newest delivered seq matters;
-// otherwise a floor plus a sparse set above it survives reordering.
+// dedupState tracks which sequence numbers from one incarnation of a
+// sender were already delivered. In InOrder mode only the newest
+// delivered seq matters; otherwise a floor plus a sparse set above it
+// survives reordering.
 type dedupState struct {
+	inc   uint64
 	floor uint64
 	above map[uint64]struct{}
 }
+
+// incarnations counts endpoint incarnations up from the wall clock at
+// start-up, so a restarted process draws past its predecessor.
+var incarnations atomic.Uint64
+
+func init() { incarnations.Store(uint64(time.Now().UnixNano())) }
 
 // NewReliable registers `self` on the transport. h receives both
 // unwrapped reliable messages and ordinary messages of other kinds.
@@ -114,21 +127,26 @@ func NewReliable(t Transport, self NodeID, h Handler, cfg ReliableConfig) (*Reli
 		self:      self,
 		inner:     h,
 		cfg:       cfg.normalized(),
+		inc:       incarnations.Add(1),
 		pending:   make(map[uint64]chan struct{}),
 		seen:      make(map[NodeID]*dedupState),
+		rng:       rand.New(rand.NewSource(reliableSeed)),
 		closed:    make(chan struct{}),
 	}
-	e.rng = rand.New(rand.NewSource(e.cfg.Seed))
 	if err := t.Register(self, e.handle); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
 
-// Send queues one reliable delivery and returns immediately; retries run
-// in the background and exhaustion is reported through OnGiveUp, never
-// by blocking the caller. payload is only lent: it is copied into the
-// envelope, which is what every attempt hands to the transport.
+// Send makes one reliable delivery. The first transmission is handed to
+// the transport on the caller's goroutine, before Send returns, so a
+// transport's Quiesce (Federation.Settle) sees it; on TCP that means a
+// first attempt to a wedged peer waits for the write deadline here.
+// Retries run in the background, and exhaustion is reported through
+// OnGiveUp, never by blocking the caller. payload is only lent: it is
+// copied into the envelope, which is what every attempt hands to the
+// transport.
 func (e *ReliableEndpoint) Send(to NodeID, kind string, payload []byte) error {
 	select {
 	case <-e.closed:
@@ -141,28 +159,26 @@ func (e *ReliableEndpoint) Send(to NodeID, kind string, payload []byte) error {
 	ack := make(chan struct{})
 	e.pending[seq] = ack
 	e.mu.Unlock()
-	env := encodeReliable(seq, kind, payload)
-	go e.deliver(to, kind, seq, env, ack)
+	env := encodeReliable(e.inc, seq, kind, payload)
+	// A transport error (unknown peer during a repair window) is treated
+	// exactly like a lost message: retry, then give up. The envelope is
+	// built per Send and never written again, so every attempt hands the
+	// same one over.
+	_ = Hand(e.transport, e.self, to, KindReliable, env)
+	go e.retry(to, kind, seq, env, ack)
 	return nil
 }
 
-// deliver transmits until acked, the endpoint closes, or attempts run out.
-func (e *ReliableEndpoint) deliver(to NodeID, kind string, seq uint64, env []byte, ack chan struct{}) {
+// retry retransmits after each backoff until acked, the endpoint
+// closes, or attempts run out.
+func (e *ReliableEndpoint) retry(to NodeID, kind string, seq uint64, env []byte, ack chan struct{}) {
 	defer func() {
 		e.mu.Lock()
 		delete(e.pending, seq)
 		e.mu.Unlock()
 	}()
 	backoff := e.cfg.BaseBackoff
-	for attempt := 0; attempt < e.cfg.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			e.Retries.Inc()
-		}
-		// A transport error (unknown peer during a repair window) is
-		// treated exactly like a lost message: retry, then give up. The
-		// envelope is built per Send and never written again, so every
-		// attempt hands the same one over.
-		_ = Hand(e.transport, e.self, to, KindReliable, env)
+	for attempt := 1; ; attempt++ {
 		t := time.NewTimer(e.jittered(backoff))
 		select {
 		case <-ack:
@@ -173,10 +189,12 @@ func (e *ReliableEndpoint) deliver(to NodeID, kind string, seq uint64, env []byt
 			return
 		case <-t.C:
 		}
-		backoff *= 2
-		if backoff > e.cfg.MaxBackoff {
-			backoff = e.cfg.MaxBackoff
+		if attempt == e.cfg.MaxAttempts {
+			break
 		}
+		e.Retries.Inc()
+		_ = Hand(e.transport, e.self, to, KindReliable, env)
+		backoff = min(2*backoff, e.cfg.MaxBackoff)
 	}
 	e.GiveUps.Inc()
 	if e.cfg.OnGiveUp != nil {
@@ -184,10 +202,10 @@ func (e *ReliableEndpoint) deliver(to NodeID, kind string, seq uint64, env []byt
 	}
 }
 
-// jittered spreads a backoff by ±JitterFrac.
+// jittered spreads a backoff by ±reliableJitter.
 func (e *ReliableEndpoint) jittered(d time.Duration) time.Duration {
 	e.mu.Lock()
-	f := 1 + e.cfg.JitterFrac*(2*e.rng.Float64()-1)
+	f := 1 + reliableJitter*(2*e.rng.Float64()-1)
 	e.mu.Unlock()
 	out := time.Duration(float64(d) * f)
 	if out <= 0 {
@@ -201,21 +219,24 @@ func (e *ReliableEndpoint) jittered(d time.Duration) time.Duration {
 func (e *ReliableEndpoint) handle(m Message) {
 	switch m.Kind {
 	case KindReliable:
-		seq, kind, body, err := decodeReliable(m.Payload)
+		inc, seq, kind, body, err := decodeReliable(m.Payload)
 		if err != nil {
 			return // corrupt envelope; drop (sender will retry)
 		}
 		// Always ack — the lost message may have been our previous ack.
-		var sb [8]byte
-		binary.LittleEndian.PutUint64(sb[:], seq)
-		_ = e.transport.Send(e.self, m.From, KindReliableAck, sb[:])
-		if e.shouldDeliver(m.From, seq) {
+		var ab [16]byte
+		binary.LittleEndian.PutUint64(ab[:], seq)
+		binary.LittleEndian.PutUint64(ab[8:], inc)
+		_ = e.transport.Send(e.self, m.From, KindReliableAck, ab[:])
+		if e.shouldDeliver(m.From, inc, seq) {
 			e.inner(Message{From: m.From, To: m.To, Kind: kind, Payload: body})
 		} else {
 			e.Suppressed.Inc()
 		}
 	case KindReliableAck:
-		if len(m.Payload) != 8 {
+		// An ack meant for an earlier incarnation of this endpoint's ID
+		// names a seq of that incarnation, not of this one.
+		if len(m.Payload) != 16 || binary.LittleEndian.Uint64(m.Payload[8:]) != e.inc {
 			return
 		}
 		seq := binary.LittleEndian.Uint64(m.Payload)
@@ -232,13 +253,17 @@ func (e *ReliableEndpoint) handle(m Message) {
 }
 
 // shouldDeliver applies per-sender dedup (and ordering, when configured)
-// and records delivery.
-func (e *ReliableEndpoint) shouldDeliver(from NodeID, seq uint64) bool {
+// and records delivery. A newer incarnation of the sender starts its
+// record afresh; an older one is suppressed.
+func (e *ReliableEndpoint) shouldDeliver(from NodeID, inc, seq uint64) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := e.seen[from]
-	if st == nil {
-		st = &dedupState{above: make(map[uint64]struct{})}
+	if st != nil && inc < st.inc {
+		return false
+	}
+	if st == nil || inc > st.inc {
+		st = &dedupState{inc: inc, above: make(map[uint64]struct{})}
 		e.seen[from] = st
 	}
 	if e.cfg.InOrder {
@@ -273,9 +298,11 @@ func (e *ReliableEndpoint) Close() error {
 	return e.transport.Deregister(e.self)
 }
 
-// encodeReliable frames seq + inner kind + payload into an envelope.
-func encodeReliable(seq uint64, kind string, payload []byte) []byte {
-	buf := make([]byte, 0, 8+2+len(kind)+len(payload))
+// encodeReliable frames incarnation + seq + inner kind + payload into an
+// envelope.
+func encodeReliable(inc, seq uint64, kind string, payload []byte) []byte {
+	buf := make([]byte, 0, 16+2+len(kind)+len(payload))
+	buf = binary.LittleEndian.AppendUint64(buf, inc)
 	buf = binary.LittleEndian.AppendUint64(buf, seq)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(kind)))
 	buf = append(buf, kind...)
@@ -283,14 +310,15 @@ func encodeReliable(seq uint64, kind string, payload []byte) []byte {
 }
 
 // decodeReliable splits an envelope back into its parts.
-func decodeReliable(env []byte) (seq uint64, kind string, payload []byte, err error) {
-	if len(env) < 10 {
-		return 0, "", nil, errors.New("simnet: truncated reliable envelope")
+func decodeReliable(env []byte) (inc, seq uint64, kind string, payload []byte, err error) {
+	if len(env) < 18 {
+		return 0, 0, "", nil, errors.New("simnet: truncated reliable envelope")
 	}
-	seq = binary.LittleEndian.Uint64(env)
-	n := int(binary.LittleEndian.Uint16(env[8:]))
-	if len(env) < 10+n {
-		return 0, "", nil, errors.New("simnet: truncated reliable kind")
+	inc = binary.LittleEndian.Uint64(env)
+	seq = binary.LittleEndian.Uint64(env[8:])
+	n := int(binary.LittleEndian.Uint16(env[16:]))
+	if len(env) < 18+n {
+		return 0, 0, "", nil, errors.New("simnet: truncated reliable kind")
 	}
-	return seq, string(env[10 : 10+n]), env[10+n:], nil
+	return inc, seq, string(env[18 : 18+n]), env[18+n:], nil
 }

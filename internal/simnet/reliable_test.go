@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"encoding/binary"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -146,8 +147,8 @@ func TestReliableInOrderSuppressesStale(t *testing.T) {
 	p := newReliablePair(t, 14, cfg)
 	// Craft envelopes out of order, as a retried old registration would
 	// arrive after a newer one.
-	newer := encodeReliable(5, "ctl", []byte("new"))
-	stale := encodeReliable(3, "ctl", []byte("old"))
+	newer := encodeReliable(1, 5, "ctl", []byte("new"))
+	stale := encodeReliable(1, 3, "ctl", []byte("old"))
 	if err := p.plan.Send("a", "b", KindReliable, newer); err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestReliableAcksEvenWhenSuppressing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer end.Close()
-	env := encodeReliable(9, "ctl", nil)
+	env := encodeReliable(1, 9, "ctl", nil)
 	for i := 0; i < 2; i++ { // original + duplicate
 		if err := net.Send("probe", "b", KindReliable, env); err != nil {
 			t.Fatal(err)
@@ -201,15 +202,15 @@ func TestReliableAcksEvenWhenSuppressing(t *testing.T) {
 }
 
 func TestReliableEnvelopeRoundTrip(t *testing.T) {
-	env := encodeReliable(1<<40, "diss.interest", []byte("payload"))
-	seq, kind, body, err := decodeReliable(env)
+	env := encodeReliable(7, 1<<40, "diss.interest", []byte("payload"))
+	inc, seq, kind, body, err := decodeReliable(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq != 1<<40 || kind != "diss.interest" || string(body) != "payload" {
-		t.Fatalf("round trip: %d %q %q", seq, kind, body)
+	if inc != 7 || seq != 1<<40 || kind != "diss.interest" || string(body) != "payload" {
+		t.Fatalf("round trip: %d %d %q %q", inc, seq, kind, body)
 	}
-	if _, _, _, err := decodeReliable(env[:5]); err == nil {
+	if _, _, _, _, err := decodeReliable(env[:5]); err == nil {
 		t.Error("truncated envelope accepted")
 	}
 }
@@ -219,4 +220,122 @@ func (e *ReliableEndpoint) Pending() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return len(e.pending)
+}
+
+// TestReliableSendIsOnTheWireWhenItReturns: Send hands its first
+// transmission to the transport before it returns, so Quiesce right
+// after it waits for that delivery instead of reporting idle while the
+// envelope is still on its way to the wire.
+func TestReliableSendIsOnTheWireWhenItReturns(t *testing.T) {
+	net := NewSim(nil)
+	defer net.Close()
+	var mu sync.Mutex
+	var got []byte
+	a, err := NewReliable(net, "a", func(Message) {}, ReliableConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := NewReliable(net, "b", func(m Message) {
+		mu.Lock()
+		got = append(got, m.Payload[0])
+		mu.Unlock()
+	}, ReliableConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	for i := 0; i < 100; i++ {
+		before := net.Traffic().LinkBytes("a", "b")
+		if err := a.Send("b", "ctl", []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if net.Traffic().LinkBytes("a", "b") == before {
+			t.Fatalf("send %d: Send returned before its envelope was on the transport", i)
+		}
+		if !net.Quiesce(time.Second) {
+			t.Fatal("quiesce")
+		}
+		mu.Lock()
+		n := len(got)
+		mu.Unlock()
+		if n != i+1 {
+			t.Fatalf("send %d: Quiesce returned with %d deliveries, want %d", i, n, i+1)
+		}
+	}
+}
+
+// TestReliableNewIncarnationResetsReceiver: an endpoint re-created under
+// an ID its peer has heard from restarts at seq 1. Its newer incarnation
+// must reset the peer's record of that ID, so the new messages are
+// delivered, and an envelope the old incarnation still has on the wire
+// must be acked and suppressed, in both receiver modes.
+func TestReliableNewIncarnationResetsReceiver(t *testing.T) {
+	for _, inOrder := range []bool{true, false} {
+		t.Run(map[bool]string{true: "in-order", false: "unordered"}[inOrder], func(t *testing.T) {
+			net := NewSim(nil)
+			defer net.Close()
+			cfg := ReliableConfig{InOrder: inOrder}
+			var mu sync.Mutex
+			var got []string
+			b, err := NewReliable(net, "b", func(m Message) {
+				mu.Lock()
+				got = append(got, string(m.Payload))
+				mu.Unlock()
+			}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			old, err := NewReliable(net, "a", func(Message) {}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range []string{"old1", "old2", "old3"} {
+				if err := old.Send("b", "ctl", []byte(p)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			net.Quiesce(time.Second)
+			if err := old.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			rejoined, err := NewReliable(net, "a", func(Message) {}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rejoined.Close()
+			if rejoined.inc <= old.inc {
+				t.Fatalf("incarnation %d drawn after %d", rejoined.inc, old.inc)
+			}
+			if err := rejoined.Send("b", "ctl", []byte("new1")); err != nil {
+				t.Fatal(err)
+			}
+			net.Quiesce(time.Second)
+			// The old incarnation's retry of a seq the new one has not
+			// reached yet arrives late.
+			if err := net.Send("a", "b", KindReliable, encodeReliable(old.inc, 4, "ctl", []byte("old4"))); err != nil {
+				t.Fatal(err)
+			}
+			net.Quiesce(time.Second)
+			if err := rejoined.Send("b", "ctl", []byte("new2")); err != nil {
+				t.Fatal(err)
+			}
+			net.Quiesce(time.Second)
+
+			mu.Lock()
+			defer mu.Unlock()
+			want := []string{"old1", "old2", "old3", "new1", "new2"}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("delivered %v, want %v", got, want)
+			}
+			if b.Suppressed.Value() != 1 {
+				t.Fatalf("Suppressed = %d, want 1 (the old incarnation's late envelope)", b.Suppressed.Value())
+			}
+			if rejoined.Pending() != 0 {
+				t.Fatalf("pending = %d: the new incarnation's sends were not acked", rejoined.Pending())
+			}
+		})
+	}
 }
