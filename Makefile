@@ -122,6 +122,11 @@ test:
 # an endpoint re-created under an old ID is heard rather than taken for
 # its predecessor's duplicates, and a relay that receives its child's
 # unchanged registration neither re-registers nor rebuilds its index.
+# And so do the registration's: a change an ancestor's aggregate already
+# covers sends nothing above that ancestor (a relay does not resend an
+# unchanged aggregate, while Refresh always sends), the interest codec's
+# fuzzer seeds decode to the bytes they came from, and the compiled
+# Simplify leaves the very terms the map-based reference does.
 # And so do the grouped feed's: a resolved id list is reused only while
 # it holds the same ids and no registration has changed, and a
 # steady-state grouped feed of keyed queries allocates nothing
@@ -158,9 +163,9 @@ race:
 	$(GO) test -race -count=1 -run 'TestShardEngine|TestEngineContract' ./internal/engine/
 	$(GO) test -race -count=1 -run 'TestCompiledInterestEquivalence|TestColumnEvaluator|TestMatchIndexEquivalence|TestFederationMatchesBareEngineOnNaN' ./internal/stream/ ./internal/operator/ ./internal/core/
 	$(GO) test -race -count=1 -run 'TestTupleRoutingDifferential|TestFragmentChainMatchesBareEngine|TestFederationJoinInterest' ./internal/core/
-	$(GO) test -race -count=1 -run 'TestRelayIndexFollowsRegistrations|TestRelayRegistrationsRaceBatches|TestRelayPublishReturnsAfterEverySend|TestRelayLinkKeepsPublishOrder|TestRelayPublishersRaceDropRewireClose|TestRelayFailedSendCountsNothingRelayed|TestSimNetFIFOPerSender|TestSimNetSenderBlocksOnQueuedBytes|TestSimNetDeregisterDeliversQueued|TestSimNetHand|TestSimNetSend|TestRelayForwardsVerbatimWithoutCopy|TestReliableSendIsOnTheWireWhenItReturns|TestReliableNewIncarnationResetsReceiver|TestRelayRepeatedRegistrationChangesNothing' ./internal/dissemination/ ./internal/simnet/
+	$(GO) test -race -count=1 -run 'TestRelayIndexFollowsRegistrations|TestRelayRegistrationsRaceBatches|TestRelayCoveredInterestStopsAtAncestor|TestRelayPublishReturnsAfterEverySend|TestRelayLinkKeepsPublishOrder|TestRelayPublishersRaceDropRewireClose|TestRelayFailedSendCountsNothingRelayed|TestSimNetFIFOPerSender|TestSimNetSenderBlocksOnQueuedBytes|TestSimNetDeregisterDeliversQueued|TestSimNetHand|TestSimNetSend|TestRelayForwardsVerbatimWithoutCopy|TestReliableSendIsOnTheWireWhenItReturns|TestReliableNewIncarnationResetsReceiver|TestRelayRepeatedRegistrationChangesNothing' ./internal/dissemination/ ./internal/simnet/
 	$(GO) test -race -count=1 -run 'TestFanout|TestIngestAllocations|TestFrameDecodeErrorsCounted|TestFragmentBoundaryFramesPerBatch' ./internal/entity/
-	$(GO) test -race -count=1 -run 'FuzzDecodeBatch|TestDecodeBatch' ./internal/stream/
+	$(GO) test -race -count=1 -run 'FuzzDecodeBatch|TestDecodeBatch|FuzzDecodeInterestSet|TestDecodeInterestSet|TestSimplifyMatchesReference' ./internal/stream/
 	$(GO) test -race -count=1 -run 'TestHandoff|TestResumeInPlaceKeepsReorderedBuffer|TestNoCutIsNotCutZero|TestDrainQueryWaitsForAdmittedBatches' ./internal/core/ ./internal/entity/
 	$(GO) test -race -count=1 -run 'TestTopK|TestTail' ./internal/operator/ ./internal/engine/
 	$(GO) test -race -count=1 -run 'TestChaosEndToEndRecovery|TestHardKillRecoveryZeroLoss|TestRecoveryReemitsResultsAfterTheCut|TestMigrationChaosStatefulZeroLoss|TestMigrationWaitsForCheckpointInFlight|TestLatencyAttributionFederation|TestTupleRoutingAvoidsJitteredReplica' ./internal/core/

@@ -2,7 +2,6 @@ package dissemination
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
@@ -19,7 +18,8 @@ import (
 const (
 	// KindTuples carries a binary-encoded stream.Batch down the tree.
 	KindTuples = "diss.tuples"
-	// KindInterest carries a JSON interest registration up the tree.
+	// KindInterest carries an interest registration up the tree: a
+	// binary-encoded stream.InterestSet (stream.AppendInterestSet).
 	KindInterest = "diss.interest"
 )
 
@@ -85,6 +85,13 @@ type Relay struct {
 	// has begun: a refresh tick that picked the relay up just before its
 	// entity left sends nothing instead of failing on a dead endpoint.
 	closed bool
+	// sent and sentTo, under regMu, are the payload of the last
+	// registration registerUpward sent and the parent it went to. An
+	// aggregate byte-identical to it is not sent to that parent again
+	// (only Refresh sends it), so a change that does not move this
+	// relay's aggregate stops here.
+	sent   []byte
+	sentTo simnet.NodeID
 
 	// errMu guards the send-failure bookkeeping: per-link error counts
 	// plus the down/up state used to log once per transition instead of
@@ -108,6 +115,11 @@ type Relay struct {
 	Delivered  metrics.Counter
 	Relayed    metrics.Counter
 	Suppressed metrics.Counter
+	// Registrations counts the interest registrations this relay sent
+	// upward, one per registration however often the reliable endpoint
+	// retransmits it; an unchanged aggregate it did not resend is not
+	// counted.
+	Registrations metrics.Counter
 	// SendErrors counts transport sends this relay could not complete
 	// (tuples and interest registrations alike) — the signal that was
 	// silently discarded before the chaos layer existed.
@@ -209,7 +221,8 @@ func NewRelayWith(tree *Tree, self simnet.NodeID, schema *stream.Schema,
 
 // SetLocalInterest replaces the entity's own data interest (the union of
 // its allocated queries' interests) and re-registers the aggregate with
-// the parent.
+// the parent if that moved it. The relay keeps the terms, which are
+// immutable (stream.Interest), without copying them.
 func (r *Relay) SetLocalInterest(terms []stream.Interest) error {
 	set := stream.NewInterestSet(r.tree.Stream())
 	for _, in := range terms {
@@ -219,13 +232,15 @@ func (r *Relay) SetLocalInterest(terms []stream.Interest) error {
 	r.local = set
 	r.index = nil
 	r.mu.Unlock()
-	return r.registerUpward()
+	return r.registerUpward(false)
 }
 
 // aggregate returns the union of local and child interests, simplified.
-// Only the snapshot of the registered sets is taken under mu — the lock
-// every disseminate takes per batch; cloning and simplifying them run
-// outside it (regMu, held by every caller, already orders registrations).
+// It shares the registered terms (Simplify replaces the ones it merges
+// in its own slice). Only the snapshot of the registered sets is taken
+// under mu — the lock every disseminate takes per batch; simplifying
+// runs outside it (regMu, held by every caller, already orders
+// registrations).
 func (r *Relay) aggregate() *stream.InterestSet {
 	r.mu.Lock()
 	ids := make([]simnet.NodeID, 0, len(r.children))
@@ -239,19 +254,22 @@ func (r *Relay) aggregate() *stream.InterestSet {
 		sets = append(sets, r.children[id].set)
 	}
 	r.mu.Unlock()
-	agg := stream.NewInterestSet(r.tree.Stream())
+	n := 0
 	for _, set := range sets {
-		for _, term := range set.Terms {
-			agg.Add(term)
-		}
+		n += len(set.Terms)
+	}
+	agg := &stream.InterestSet{Stream: r.tree.Stream(), Terms: make([]stream.Interest, 0, n)}
+	for _, set := range sets {
+		agg.Terms = append(agg.Terms, set.Terms...)
 	}
 	agg.Simplify(r.schema, r.maxTerms)
 	return agg
 }
 
-// registerUpward sends the node's aggregate interest to its parent. The
-// source has no parent; registration stops there.
-func (r *Relay) registerUpward() error {
+// registerUpward sends the node's aggregate interest to its parent,
+// unless always is false and the parent was last sent these very bytes.
+// The source has no parent; registration stops there.
+func (r *Relay) registerUpward(always bool) error {
 	if r.self == r.tree.Source() {
 		return nil
 	}
@@ -260,17 +278,24 @@ func (r *Relay) registerUpward() error {
 	if r.closed {
 		return nil
 	}
-	payload, err := encodeInterestSet(r.aggregate())
-	if err != nil {
+	parent := r.tree.Parent(r.self)
+	payload := stream.AppendInterestSet(nil, r.aggregate())
+	if !always && parent == r.sentTo && bytes.Equal(payload, r.sent) {
+		return nil
+	}
+	if err := r.sendControl(parent, payload); err != nil {
+		r.sent = nil // the next registration sends whatever it holds
 		return err
 	}
-	return r.sendControl(r.tree.Parent(r.self), payload)
+	r.sent, r.sentTo = payload, parent
+	return nil
 }
 
 // sendControl dispatches one interest registration, reliably when the
 // relay has a reliable endpoint, and accounts the failure either way.
-// The payload is encoded per registration and never reused, so it is
-// handed over.
+// The payload is encoded per registration and never written again (the
+// relay keeps it only to compare the next one with), so it is handed
+// over.
 func (r *Relay) sendControl(to simnet.NodeID, payload []byte) error {
 	var err error
 	if r.rel != nil {
@@ -280,17 +305,20 @@ func (r *Relay) sendControl(to simnet.NodeID, payload []byte) error {
 	}
 	if err != nil {
 		r.noteSendError(to, err)
+		return err
 	}
-	return err
+	r.Registrations.Inc()
+	return nil
 }
 
 // Refresh re-registers the relay's aggregate interest with its current
-// parent. The federation calls it on every relay rewired by a dynamic
-// tree operation (AddMember, RemoveMember, Reorganize), and periodically
-// from its control clock as soft state that re-converges ancestor
-// filters after a lost registration or a tree repair. A source relay has
-// nowhere to refresh to; the call is a no-op there.
-func (r *Relay) Refresh() error { return r.registerUpward() }
+// parent, whether or not it changed since the last registration. The
+// federation calls it on every relay rewired by a dynamic tree operation
+// (AddMember, RemoveMember, Reorganize), and periodically from its
+// control clock as soft state that re-converges ancestor filters after a
+// lost registration or a tree repair. A source relay has nowhere to
+// refresh to; the call is a no-op there.
+func (r *Relay) Refresh() error { return r.registerUpward(true) }
 
 // Reliable exposes the relay's control-plane endpoint (nil when the
 // relay sends fire-and-forget).
@@ -347,11 +375,7 @@ func (r *Relay) SendErrorsByLink() map[simnet.NodeID]int64 {
 func (r *Relay) PreRegister(target simnet.NodeID) error {
 	r.regMu.Lock()
 	defer r.regMu.Unlock()
-	payload, err := encodeInterestSet(r.aggregate())
-	if err != nil {
-		return err
-	}
-	return r.sendControl(target, payload)
+	return r.sendControl(target, stream.AppendInterestSet(nil, r.aggregate()))
 }
 
 // DropChild discards a former child's registered interest, e.g. after
@@ -423,8 +447,8 @@ func (r *Relay) handle(m simnet.Message) {
 		r.children[m.From] = childReg{set: set, wire: m.Payload}
 		r.index = nil
 		r.mu.Unlock()
-		// Propagate the updated aggregate toward the source.
-		_ = r.registerUpward()
+		// Propagate the updated aggregate toward the source, if it moved.
+		_ = r.registerUpward(false)
 	}
 }
 
@@ -674,58 +698,14 @@ func (r *Relay) Close() error {
 	return r.transport.Deregister(r.self)
 }
 
-// wireInterest is the JSON form of one interest term.
-type wireInterest struct {
-	Ranges map[string]stream.Range `json:"ranges,omitempty"`
-	Keys   map[string][]string     `json:"keys,omitempty"`
-}
-
-type wireInterestSet struct {
-	Stream string         `json:"stream"`
-	Terms  []wireInterest `json:"terms"`
-}
-
-func encodeInterestSet(set *stream.InterestSet) ([]byte, error) {
-	w := wireInterestSet{Stream: set.Stream}
-	for _, term := range set.Terms {
-		wi := wireInterest{}
-		if len(term.Ranges) > 0 {
-			wi.Ranges = term.Ranges
-		}
-		if len(term.Keys) > 0 {
-			wi.Keys = make(map[string][]string, len(term.Keys))
-			for f, ks := range term.Keys {
-				list := make([]string, 0, len(ks))
-				for k := range ks {
-					list = append(list, k)
-				}
-				sort.Strings(list)
-				wi.Keys[f] = list
-			}
-		}
-		w.Terms = append(w.Terms, wi)
-	}
-	return json.Marshal(w)
-}
-
+// decodeInterestSet decodes a registration for the relay's tree.
 func decodeInterestSet(payload []byte, wantStream string) (*stream.InterestSet, error) {
-	var w wireInterestSet
-	if err := json.Unmarshal(payload, &w); err != nil {
+	set, err := stream.DecodeInterestSet(payload)
+	if err != nil {
 		return nil, err
 	}
-	if w.Stream != wantStream {
-		return nil, fmt.Errorf("dissemination: interest for %q on %q tree", w.Stream, wantStream)
-	}
-	set := stream.NewInterestSet(w.Stream)
-	for _, wi := range w.Terms {
-		in := stream.NewInterest(w.Stream)
-		for f, rg := range wi.Ranges {
-			in = in.WithRange(f, rg.Lo, rg.Hi)
-		}
-		for f, ks := range wi.Keys {
-			in = in.WithKeys(f, ks...)
-		}
-		set.Add(in)
+	if set.Stream != wantStream {
+		return nil, fmt.Errorf("dissemination: interest for %q on %q tree", set.Stream, wantStream)
 	}
 	return set, nil
 }

@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -104,5 +105,94 @@ func TestDecodeFlaggedZeroSpan(t *testing.T) {
 	clear(enc[len(enc)-8:])
 	if _, _, err := DecodeTuple(enc); err == nil {
 		t.Fatal("a flagged zero span decoded")
+	}
+}
+
+// The interest codec's fuzzer. A registration comes off the network from
+// a child relay, so DecodeInterestSet answers any bytes with a set or an
+// error, sizes nothing from a count it has not checked against the bytes
+// left, and accepts only the one encoding a set has.
+
+// interestSeeds are valid encoded sets, one per shape the decoder treats
+// differently.
+func interestSeeds() [][]byte {
+	set := func(terms ...Interest) []byte {
+		s := NewInterestSet("quotes")
+		for _, in := range terms {
+			s.Add(in)
+		}
+		return AppendInterestSet(nil, s)
+	}
+	q := NewInterest("quotes")
+	return [][]byte{
+		set(q.WithRange("price", 5, 10), q.WithRange("volume", 0, 1e6).WithRange("price", 60, 50)),    // ranges only
+		set(q.WithKeys("symbol", "ibm", "hp"), q.WithKeys("symbol", "a").WithKeys("venue", "x", "y")), // keys only
+		set(q.WithRange("price", 5, 10).WithKeys("symbol", "a", "b").WithRange("symbol", 0, 1)),       // both
+		set(q.WithKeys("symbol")), // an empty key set
+		set(q),                    // an unconstrained term
+		set(),                     // an empty set
+	}
+}
+
+func FuzzDecodeInterestSet(f *testing.F) {
+	for _, seed := range interestSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		set, err := DecodeInterestSet(buf)
+		if err != nil {
+			return
+		}
+		if cap(set.Terms) > len(buf)/minTermWire {
+			t.Fatalf("%d bytes sized %d terms", len(buf), cap(set.Terms))
+		}
+		if enc := AppendInterestSet(nil, set); !bytes.Equal(enc, buf) {
+			t.Fatalf("%x decoded to %v, which encodes to %x", buf, set.Terms, enc)
+		}
+	})
+}
+
+// TestDecodeInterestSet: a set round-trips to an equal set, and a proper
+// prefix of one, a trailing byte, a count larger than the bytes left, an
+// overlong varint and fields out of order are errors.
+func TestDecodeInterestSet(t *testing.T) {
+	for i, full := range interestSeeds() {
+		if _, err := DecodeInterestSet(full); err != nil {
+			t.Fatalf("seed %d: %v", i, err)
+		}
+		for cut := 0; cut < len(full); cut++ {
+			if _, err := DecodeInterestSet(full[:cut]); err == nil {
+				t.Fatalf("seed %d cut to %d of %d bytes decoded", i, cut, len(full))
+			}
+		}
+		if _, err := DecodeInterestSet(append(full[:len(full):len(full)], 0)); err == nil {
+			t.Fatalf("seed %d with a trailing byte decoded", i)
+		}
+	}
+	in := NewInterest("quotes").WithRange("price", 5, 10).WithKeys("symbol", "b", "a").WithKeys("venue")
+	set := NewInterestSet("quotes")
+	set.Add(in)
+	set.Add(NewInterest("quotes"))
+	got, err := DecodeInterestSet(AppendInterestSet(nil, set))
+	if err != nil || !reflect.DeepEqual(got, set) {
+		t.Fatalf("decoded %v (%v), want %v", got, err, set)
+	}
+	huge := binary.AppendUvarint(appendWireString(nil, "quotes"), 1<<62) // terms, no bytes
+	if _, err := DecodeInterestSet(huge); err == nil {
+		t.Fatal("a count of 2^62 terms in 8 bytes decoded")
+	}
+	overlong := append(appendWireString(nil, "quotes"), 0x80, 0x00) // zero terms, two bytes
+	if _, err := DecodeInterestSet(overlong); err == nil {
+		t.Fatal("an overlong varint decoded")
+	}
+	swapped := appendWireString(nil, "quotes")
+	swapped = binary.AppendUvarint(swapped, 1)    // one term
+	swapped = binary.AppendUvarint(swapped, 0)    // no ranges
+	swapped = binary.AppendUvarint(swapped, 1)    // one key set
+	swapped = appendWireString(swapped, "symbol") //
+	swapped = binary.AppendUvarint(swapped, 2)    // two keys
+	swapped = appendWireString(appendWireString(swapped, "b"), "a")
+	if _, err := DecodeInterestSet(swapped); err == nil {
+		t.Fatal("keys out of order decoded")
 	}
 }

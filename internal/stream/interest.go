@@ -3,6 +3,7 @@ package stream
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -50,6 +51,14 @@ func (r Range) Union(o Range) Range {
 // Interests are the vocabulary with which entities express requirements
 // to their dissemination-tree ancestors (early filtering, Section 3.1) and
 // from which query-graph edge weights are estimated (Section 3.2.2).
+//
+// An Interest is immutable once built. WithRange, WithKeys, Intersect and
+// Cover return an interest with fresh maps and never write the maps of
+// their receiver or arguments, and nobody writes the maps of an interest
+// after building it. Interests may therefore share maps, and sets share
+// terms: InterestSet.Add keeps the interest it is given, and a relay's
+// aggregate holds the very terms its entity and children registered.
+// A caller that wants to edit maps in place edits a Clone.
 type Interest struct {
 	// Stream names the stream this interest applies to.
 	Stream string
@@ -293,6 +302,12 @@ func (in Interest) String() string {
 // registration size — widening is always safe. (The limit no longer
 // bounds per-tuple cost: MatchIndex hashes a tuple once however many
 // keyed terms are registered.)
+//
+// A stored set (a relay's registration, a set compiled into a match
+// index) is never modified, only replaced, and its terms are immutable
+// (see Interest), so readers share it without copying. Add and Simplify
+// write the set they are called on: they build a fresh set, never edit a
+// stored one.
 type InterestSet struct {
 	// Stream names the stream all terms apply to.
 	Stream string
@@ -305,12 +320,13 @@ func NewInterestSet(streamName string) *InterestSet {
 	return &InterestSet{Stream: streamName}
 }
 
-// Add inserts one interest. Interests for other streams are ignored.
+// Add inserts one interest, sharing its maps (interests are immutable).
+// Interests for other streams are ignored.
 func (s *InterestSet) Add(in Interest) {
 	if in.Stream != s.Stream {
 		return
 	}
-	s.Terms = append(s.Terms, in.Clone())
+	s.Terms = append(s.Terms, in)
 }
 
 // Matches reports whether any term matches the tuple.
@@ -326,15 +342,17 @@ func (s *InterestSet) Matches(sc *Schema, t Tuple) bool {
 // Simplify reduces the set to at most maxTerms terms by repeatedly
 // merging the pair of terms whose cover has the least selectivity
 // increase over the schema (the first such pair, in term order, on a
-// tie). maxTerms < 1 collapses to a single cover.
+// tie). maxTerms < 1 collapses to a single cover. Terms it does not merge
+// stay in the set as they were, shared; a merged one is a fresh Cover.
 //
-// A pair's cost is computed without building its cover
-// (coverSelectivity) and kept across merge rounds: a merge changes one
-// term, so only that term's pairs are computed again. One call is
-// therefore O(n²) allocation-free evaluations plus one Cover per merge,
-// where rebuilding every pair's cover in every round was O(n³)
-// allocating ones — the set-up wall that every SubmitQuery on an entity
-// with many queries ran into.
+// A pair's cost is computed without building its cover and kept across
+// merge rounds: a merge changes one term, so only that term's pairs are
+// computed again. Each term is first compiled against the schema
+// (termForm), so a pair's cost is a merge of two sorted constraint lists
+// with no map access; a term that constrains a field the schema lacks,
+// or names another stream, is costed on its maps (coverSelectivity). Both
+// multiply the same factors in the same order, so the merges chosen are
+// the same either way.
 func (s *InterestSet) Simplify(sc *Schema, maxTerms int) {
 	if maxTerms < 1 {
 		maxTerms = 1
@@ -343,16 +361,25 @@ func (s *InterestSet) Simplify(sc *Schema, maxTerms int) {
 	if n <= maxTerms {
 		return
 	}
+	tc := termCompiler{sc: sc, stream: s.Stream, ids: make(map[string]int32)}
+	forms := make([]termForm, n)
 	sels := make([]float64, n)
 	for i := range s.Terms {
+		forms[i] = tc.compile(s.Terms[i])
 		sels[i] = s.Terms[i].Selectivity(sc)
+	}
+	coverSel := func(i, j int) float64 {
+		if forms[i].other || forms[j].other {
+			return coverSelectivity(s.Terms[i], s.Terms[j], sc)
+		}
+		return forms[i].coverSelectivity(&forms[j], sc)
 	}
 	// cost[i*n+j], i < j, is the selectivity the set gains if terms i and
 	// j are replaced by their cover. Terms keep their slot for the whole
 	// call; live lists the slots still in the set, in order.
 	cost := make([]float64, n*n)
 	pairCost := func(i, j int) float64 {
-		return coverSelectivity(s.Terms[i], s.Terms[j], sc) - sels[i] - sels[j]
+		return coverSel(i, j) - sels[i] - sels[j]
 	}
 	live := make([]int, n)
 	for i := range live {
@@ -372,8 +399,9 @@ func (s *InterestSet) Simplify(sc *Schema, maxTerms int) {
 			}
 		}
 		i, j := live[bestA], live[bestB]
-		sels[i] = coverSelectivity(s.Terms[i], s.Terms[j], sc)
+		sels[i] = coverSel(i, j)
 		s.Terms[i] = Cover(s.Terms[i], s.Terms[j])
+		forms[i] = tc.compile(s.Terms[i])
 		live = append(live[:bestB], live[bestB+1:]...)
 		for _, k := range live {
 			switch {
@@ -388,6 +416,116 @@ func (s *InterestSet) Simplify(sc *Schema, maxTerms int) {
 		s.Terms[a] = s.Terms[i]
 	}
 	s.Terms = s.Terms[:len(live)]
+}
+
+// termForm is a term compiled by a termCompiler: its constraints in
+// schema field order, a field's range before its key set. other marks a
+// term costed on its maps instead: one that constrains a field the schema
+// lacks or names another stream.
+type termForm struct {
+	cons  []fieldCons
+	other bool
+}
+
+// fieldCons is one constraint of a termForm. pos orders the constraints:
+// twice the schema field index, plus one for a key set. keys holds a key
+// set as ascending key ids.
+type fieldCons struct {
+	pos  int
+	r    Range
+	keys []int32
+}
+
+func (c *fieldCons) isKeys() bool { return c.pos&1 == 1 }
+
+// termCompiler compiles the terms of one Simplify call. It numbers every
+// key it meets, the same key with the same id in every term, so a key set
+// is a sorted list of small integers.
+type termCompiler struct {
+	sc     *Schema
+	stream string
+	ids    map[string]int32
+}
+
+func (tc *termCompiler) compile(in Interest) termForm {
+	if in.Stream != tc.stream {
+		return termForm{other: true}
+	}
+	cons := make([]fieldCons, 0, len(in.Ranges)+len(in.Keys))
+	for field, r := range in.Ranges {
+		i, ok := tc.sc.FieldIndex(field)
+		if !ok {
+			return termForm{other: true}
+		}
+		cons = append(cons, fieldCons{pos: 2 * i, r: r})
+	}
+	for field, set := range in.Keys {
+		i, ok := tc.sc.FieldIndex(field)
+		if !ok {
+			return termForm{other: true}
+		}
+		keys := make([]int32, 0, len(set))
+		for k := range set {
+			keys = append(keys, tc.id(k))
+		}
+		slices.Sort(keys)
+		cons = append(cons, fieldCons{pos: 2*i + 1, keys: keys})
+	}
+	slices.SortFunc(cons, func(a, b fieldCons) int { return a.pos - b.pos })
+	return termForm{cons: cons}
+}
+
+func (tc *termCompiler) id(key string) int32 {
+	id, ok := tc.ids[key]
+	if !ok {
+		id = int32(len(tc.ids))
+		tc.ids[key] = id
+	}
+	return id
+}
+
+// coverSelectivity is coverSelectivity for two compiled terms: the
+// factors of the constraints both terms hold, multiplied in schema field
+// order, a field's range before its key set.
+func (a *termForm) coverSelectivity(b *termForm, sc *Schema) float64 {
+	sel := 1.0
+	for i, j := 0, 0; i < len(a.cons) && j < len(b.cons); {
+		ca, cb := &a.cons[i], &b.cons[j]
+		switch {
+		case ca.pos < cb.pos:
+			i++
+		case ca.pos > cb.pos:
+			j++
+		default:
+			f := &sc.fields[ca.pos/2]
+			if ca.isKeys() {
+				sel *= keyFraction(unionLen(ca.keys, cb.keys), f)
+			} else {
+				sel *= rangeFraction(ca.r.Union(cb.r), f)
+			}
+			i++
+			j++
+		}
+	}
+	return sel
+}
+
+// unionLen is the size of the union of two ascending id lists.
+func unionLen(a, b []int32) int {
+	n := len(a) + len(b)
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			n--
+			i++
+			j++
+		}
+	}
+	return n
 }
 
 // coverSelectivity returns Cover(a, b).Selectivity(sc) without building

@@ -3,6 +3,8 @@ package stream
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -350,6 +352,133 @@ func TestSimplifyNeverLosesCoverageProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// simplifyReference is Simplify as it was before terms were compiled:
+// every pair costed on the terms' maps (coverSelectivity), every merge a
+// Cover. TestSimplifyMatchesReference holds Simplify to it.
+func simplifyReference(s *InterestSet, sc *Schema, maxTerms int) {
+	if maxTerms < 1 {
+		maxTerms = 1
+	}
+	n := len(s.Terms)
+	if n <= maxTerms {
+		return
+	}
+	sels := make([]float64, n)
+	for i := range s.Terms {
+		sels[i] = s.Terms[i].Selectivity(sc)
+	}
+	cost := make([]float64, n*n)
+	pairCost := func(i, j int) float64 {
+		return coverSelectivity(s.Terms[i], s.Terms[j], sc) - sels[i] - sels[j]
+	}
+	live := make([]int, n)
+	for i := range live {
+		live[i] = i
+		for j := i + 1; j < n; j++ {
+			cost[i*n+j] = pairCost(i, j)
+		}
+	}
+	for len(live) > maxTerms {
+		bestA, bestB := 0, 1
+		bestCost := math.Inf(1)
+		for a, i := range live {
+			for b := a + 1; b < len(live); b++ {
+				if c := cost[i*n+live[b]]; c < bestCost {
+					bestCost, bestA, bestB = c, a, b
+				}
+			}
+		}
+		i, j := live[bestA], live[bestB]
+		sels[i] = coverSelectivity(s.Terms[i], s.Terms[j], sc)
+		s.Terms[i] = Cover(s.Terms[i], s.Terms[j])
+		live = append(live[:bestB], live[bestB+1:]...)
+		for _, k := range live {
+			switch {
+			case k < i:
+				cost[k*n+i] = pairCost(k, i)
+			case k > i:
+				cost[i*n+k] = pairCost(i, k)
+			}
+		}
+	}
+	for a, i := range live {
+		s.Terms[a] = s.Terms[i]
+	}
+	s.Terms = s.Terms[:len(live)]
+}
+
+// randomTerm draws one term over the quotes schema and a few fields it
+// lacks: overlapping or disjoint price and volume bands, symbol sets drawn
+// from a small pool (so terms share keys, or not), empty ranges and key
+// sets, a range on the string field, and now and then a constraint on a
+// field the schema does not declare.
+func randomTerm(rng *rand.Rand) Interest {
+	in := NewInterest("quotes")
+	band := func(width float64) (float64, float64) {
+		lo := math.Floor(rng.Float64()*20) * width / 4 // a grid, so bands repeat and touch
+		return lo, lo + width*float64(1+rng.Intn(3))
+	}
+	if rng.Intn(3) > 0 {
+		lo, hi := band(50)
+		if rng.Intn(12) == 0 {
+			lo, hi = hi, lo // empty
+		}
+		in = in.WithRange("price", lo, hi)
+	}
+	if rng.Intn(3) == 0 {
+		lo, hi := band(5e4)
+		in = in.WithRange("volume", lo, hi)
+	}
+	if rng.Intn(2) == 0 {
+		var keys []string
+		for k := rng.Intn(5); k > 0; k-- { // zero keys: the empty set
+			keys = append(keys, fmt.Sprintf("S%d", rng.Intn(8)))
+		}
+		in = in.WithKeys("symbol", keys...)
+	}
+	if rng.Intn(16) == 0 {
+		in = in.WithRange("symbol", 0, 1)
+	}
+	switch rng.Intn(12) {
+	case 0:
+		in = in.WithRange("ghost", 0, float64(rng.Intn(3)))
+	case 1:
+		in = in.WithKeys("phantom", fmt.Sprintf("p%d", rng.Intn(2)))
+	}
+	return in
+}
+
+// TestSimplifyMatchesReference: over random sets of 1–64 terms and every
+// cap from 1 to the set's size, Simplify leaves exactly the terms the
+// map-based reference does, and writes no term it was given.
+func TestSimplifyMatchesReference(t *testing.T) {
+	sc := quotesSchema(t)
+	rng := rand.New(rand.NewSource(40))
+	sizes := []int{1, 2, 3, 64}
+	for len(sizes) < 28 {
+		sizes = append(sizes, 1+rng.Intn(64))
+	}
+	for _, n := range sizes {
+		in := NewInterestSet("quotes")
+		for i := 0; i < n; i++ {
+			in.Add(randomTerm(rng))
+		}
+		before := in.Clone()
+		for limit := 1; limit <= n; limit++ {
+			got := &InterestSet{Stream: "quotes", Terms: append([]Interest(nil), in.Terms...)}
+			want := &InterestSet{Stream: "quotes", Terms: append([]Interest(nil), in.Terms...)}
+			got.Simplify(sc, limit)
+			simplifyReference(want, sc, limit)
+			if !reflect.DeepEqual(got.Terms, want.Terms) {
+				t.Fatalf("%d terms, cap %d:\n got  %v\n want %v", n, limit, got.Terms, want.Terms)
+			}
+		}
+		if !reflect.DeepEqual(in, before) {
+			t.Fatalf("%d terms: Simplify wrote a term it was given", n)
+		}
 	}
 }
 
