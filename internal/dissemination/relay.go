@@ -42,8 +42,9 @@ const DefaultMaxInterestTerms = 16
 // runner elsewhere), in child order, and owns no goroutine of its own. A slow
 // link therefore delays the children after it in the same batch — a
 // batch costs the sum of its sends rather than the max — but the batch
-// always waited for its slowest link, and TCP's write deadline still
-// bounds a wedged peer.
+// always waited for its slowest link. A send is a queue append on either
+// transport, so a wedged peer holds the relay only once its link is full
+// (4 MiB), and on TCP then only until the link's write deadline fails it.
 type Relay struct {
 	self      simnet.NodeID
 	tree      *Tree

@@ -141,8 +141,9 @@ func NewReliable(t Transport, self NodeID, h Handler, cfg ReliableConfig) (*Reli
 
 // Send makes one reliable delivery. The first transmission is handed to
 // the transport on the caller's goroutine, before Send returns, so a
-// transport's Quiesce (Federation.Settle) sees it; on TCP that means a
-// first attempt to a wedged peer waits for the write deadline here.
+// transport's Quiesce (Federation.Settle) sees it. That is a queue append
+// on either transport: a first attempt to a wedged peer waits here only
+// while the peer's link is full.
 // Retries run in the background, and exhaustion is reported through
 // OnGiveUp, never by blocking the caller. payload is only lent: it is
 // copied into the envelope, which is what every attempt hands to the

@@ -15,7 +15,7 @@ type LatencyModel func(from, to Point) time.Duration
 // SimNet is the in-process Transport: a wire that meters every byte.
 // Each node queues only what is pending for it, and one runner goroutine
 // per node hands the queue to the handler in FIFO order. A sender
-// blocks while the receiver holds simQueueBytes or more of undelivered
+// blocks while the receiver holds linkQueueBytes or more of undelivered
 // messages (backpressure on a congested receiver). Delivery is
 // asynchronous but immediate: a link delay is a FaultPlan rule.
 type SimNet struct {
@@ -32,7 +32,7 @@ type simNode struct {
 
 	mu sync.Mutex
 	// ready parks the runner while the queue is empty; room parks
-	// senders while bytes is at or above simQueueBytes.
+	// senders while bytes is at or above linkQueueBytes.
 	ready, room sync.Cond
 	// queue holds what is pending; spare is the runner's last drained
 	// batch, handed back so steady state allocates nothing.
@@ -48,10 +48,6 @@ type simNode struct {
 	// before returning), which is what makes Quiesce sound.
 	pending atomic.Int64
 }
-
-// simQueueBytes bounds each node's undelivered bytes; senders block at
-// it, modeling backpressure on a congested receiver.
-const simQueueBytes = 4 << 20
 
 // NewSim returns a simulated network. latency must be nil: link delay,
 // loss and reordering are FaultPlan rules (NewFaultPlan, SetLinkFaults).
@@ -87,11 +83,11 @@ func (s *SimNet) Register(id NodeID, h Handler) error {
 }
 
 // enqueue appends msg to the node's queue, waiting while the node holds
-// simQueueBytes or more. A node that closes first takes nothing.
+// linkQueueBytes or more. A node that closes first takes nothing.
 func (n *simNode) enqueue(msg Message, size int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for n.bytes >= simQueueBytes && !n.closed {
+	for n.bytes >= linkQueueBytes && !n.closed {
 		n.room.Wait()
 	}
 	if n.closed {
@@ -167,7 +163,7 @@ func (s *SimNet) Send(from, to NodeID, kind string, payload []byte) error {
 
 // Hand delivers a handed payload (simnet.Hand): the queue keeps the
 // caller's slice, and the handler reads that same backing array. It
-// blocks while the destination holds simQueueBytes of undelivered
+// blocks while the destination holds linkQueueBytes of undelivered
 // messages (backpressure) and fails if either endpoint is unknown.
 func (s *SimNet) Hand(from, to NodeID, kind string, payload []byte) error {
 	s.mu.RLock()

@@ -263,7 +263,7 @@ func TestSimNetFIFOPerSender(t *testing.T) {
 }
 
 // TestSimNetSenderBlocksOnQueuedBytes: once a receiver holds
-// simQueueBytes of undelivered messages the next send waits, and it
+// linkQueueBytes of undelivered messages the next send waits, and it
 // resumes when the handler drains them.
 func TestSimNetSenderBlocksOnQueuedBytes(t *testing.T) {
 	n := NewSim(nil)
@@ -278,7 +278,7 @@ func TestSimNetSenderBlocksOnQueuedBytes(t *testing.T) {
 		delivered.Add(1)
 	})
 	// Four quarter-bound payloads plus their headers reach the bound.
-	payload := make([]byte, simQueueBytes/4)
+	payload := make([]byte, linkQueueBytes/4)
 	for i := 0; i < 4; i++ {
 		if err := n.Send("a", "b", "k", payload); err != nil {
 			t.Fatal(err)
@@ -370,7 +370,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		}
 		msg := Message{From: NodeID(from), To: NodeID(to), Kind: kind, Payload: payload}
 		frame := appendFrame(nil, msg)
-		got, err := readFrame(byteReader(frame))
+		got, err := newFrameReader(byteReader(frame)).next()
 		if err != nil {
 			return false
 		}

@@ -7,15 +7,19 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // TCPNet is the Transport implementation over real sockets. Every node
-// gets a listener on 127.0.0.1; Send frames the message and writes it on
-// a cached connection. The wire framing matches Message.Size exactly so
-// byte accounting agrees with SimNet:
+// gets a listener on 127.0.0.1. The cached connection to a destination is
+// a link: one queue of pending frames and one writer goroutine. Send
+// frames the message into the queue, and the writer writes everything
+// that accumulated while its previous write was in flight in one call.
+// The wire framing matches Message.Size exactly so byte accounting agrees
+// with SimNet:
 //
 //	uint32 frame length (excluding itself)
 //	uint16 len(from) | from
@@ -26,16 +30,20 @@ type TCPNet struct {
 	traffic *Traffic
 
 	// dialTimeout bounds outbound connection attempts; writeTimeout
-	// bounds each frame write. A write that hits its deadline evicts the
-	// cached connection, so a hung or unresponsive peer can never wedge
-	// a sender indefinitely.
+	// bounds each write a link makes. A write that fails (its deadline
+	// passed, or the peer is gone) fails the link: the link discards
+	// what it holds (discarded counts those frames), and the next Send
+	// to that destination evicts it and dials a fresh one, so a hung or
+	// unresponsive peer can never wedge a sender indefinitely.
 	dialTimeout  time.Duration
 	writeTimeout time.Duration
 	evictions    atomic.Int64
+	discarded    atomic.Int64
+	writes       atomic.Int64 // write calls made by every link
 
 	mu     sync.RWMutex
 	nodes  map[NodeID]*tcpNode
-	conns  map[NodeID]net.Conn // outbound connection cache by destination
+	links  map[NodeID]*tcpLink // outbound link by destination
 	closed bool
 }
 
@@ -55,7 +63,7 @@ func NewTCP() *TCPNet {
 		dialTimeout:  5 * time.Second,
 		writeTimeout: 5 * time.Second,
 		nodes:        make(map[NodeID]*tcpNode),
-		conns:        make(map[NodeID]net.Conn),
+		links:        make(map[NodeID]*tcpLink),
 	}
 }
 
@@ -100,9 +108,9 @@ func (n *tcpNode) serve() {
 		go func() {
 			defer n.wg.Done()
 			defer conn.Close()
-			r := bufio.NewReader(conn)
+			fr := newFrameReader(conn)
 			for {
-				msg, err := readFrame(r)
+				msg, err := fr.next()
 				if err != nil {
 					return
 				}
@@ -112,7 +120,10 @@ func (n *tcpNode) serve() {
 	}
 }
 
-// Deregister implements Transport.
+// Deregister implements Transport. The link to id writes what it already
+// queued (under the write deadline) before its connection closes, and the
+// node's handler has seen every frame that arrived when Deregister
+// returns.
 func (t *TCPNet) Deregister(id NodeID) error {
 	t.mu.Lock()
 	n, ok := t.nodes[id]
@@ -121,121 +132,230 @@ func (t *TCPNet) Deregister(id NodeID) error {
 		return ErrUnknownNode{ID: id}
 	}
 	delete(t.nodes, id)
-	if c, ok := t.conns[id]; ok {
-		c.Close()
-		delete(t.conns, id)
-	}
+	l := t.links[id]
+	delete(t.links, id)
 	t.mu.Unlock()
+	if l != nil {
+		l.stop()
+		<-l.done
+	}
 	n.listener.Close()
 	n.wg.Wait()
 	return nil
 }
 
-// Send implements Transport.
+// Send implements Transport. A nil return means the link to `to` took
+// the frame; the link's writer writes it. A write failure fails the
+// link, and the next Send to that destination evicts it and retries once
+// on a fresh one.
 func (t *TCPNet) Send(from, to NodeID, kind string, payload []byte) error {
-	t.mu.RLock()
-	if t.closed {
-		t.mu.RUnlock()
-		return fmt.Errorf("simnet: closed")
-	}
-	if _, ok := t.nodes[from]; !ok {
-		t.mu.RUnlock()
-		return ErrUnknownNode{ID: from}
-	}
-	dst, ok := t.nodes[to]
-	if !ok {
-		t.mu.RUnlock()
-		return ErrUnknownNode{ID: to}
-	}
-	conn := t.conns[to]
-	addr := dst.addr
-	wt := t.writeTimeout
-	t.mu.RUnlock()
-
-	if conn == nil {
-		var err error
-		conn, err = t.dial(to, addr)
-		if err != nil {
+	msg := Message{From: from, To: to, Kind: kind, Payload: payload}
+	var err error
+	for try := 0; try < 2; try++ {
+		var l *tcpLink
+		if l, err = t.link(from, to); err != nil {
 			return err
 		}
-	}
-	// The frame is built in a pooled buffer: a write consumes it before
-	// returning, so it goes back to the pool once Send is done with it.
-	buf := framePool.Get().(*[]byte)
-	defer framePool.Put(buf)
-	*buf = appendFrame((*buf)[:0], Message{From: from, To: to, Kind: kind, Payload: payload})
-	frame := *buf
-	t.traffic.Record(from, to, len(frame))
-	if err := writeDeadlined(conn, frame, wt); err != nil {
-		// Connection went stale (peer gone, or unresponsive past the
-		// write deadline); evict it and retry once on a fresh one.
-		t.dropConn(to, conn)
-		conn, derr := t.dial(to, addr)
-		if derr != nil {
-			return derr
+		if err = l.enqueue(msg); err == nil {
+			t.traffic.Record(from, to, msg.Size())
+			return nil
 		}
-		if err := writeDeadlined(conn, frame, wt); err != nil {
-			t.dropConn(to, conn)
-			return fmt.Errorf("simnet: send %s→%s: %w", from, to, err)
-		}
+		t.evict(to, l)
 	}
-	return nil
+	return fmt.Errorf("simnet: send %s→%s: %w", from, to, err)
 }
 
-// Hand implements simnet.Hand: a write consumes the payload before it
-// returns, so a handed payload is sent like a lent one.
+// Hand implements simnet.Hand: Send frames the payload into the link's
+// queue before it returns, so a handed payload is sent like a lent one.
 func (t *TCPNet) Hand(from, to NodeID, kind string, payload []byte) error {
 	return t.Send(from, to, kind, payload)
 }
 
-// framePool holds Send's frame buffers.
-var framePool = sync.Pool{New: func() any { return new([]byte) }}
+// link returns the cached link to `to`, dialing one on first use. Both
+// endpoints must be registered.
+func (t *TCPNet) link(from, to NodeID) (*tcpLink, error) {
+	t.mu.RLock()
+	if t.closed {
+		t.mu.RUnlock()
+		return nil, fmt.Errorf("simnet: closed")
+	}
+	if _, ok := t.nodes[from]; !ok {
+		t.mu.RUnlock()
+		return nil, ErrUnknownNode{ID: from}
+	}
+	dst, ok := t.nodes[to]
+	if !ok {
+		t.mu.RUnlock()
+		return nil, ErrUnknownNode{ID: to}
+	}
+	l := t.links[to]
+	dt, wt := t.dialTimeout, t.writeTimeout
+	t.mu.RUnlock()
+	if l != nil {
+		return l, nil
+	}
 
-// writeDeadlined writes one frame under the transport's write deadline.
-func writeDeadlined(conn net.Conn, frame []byte, timeout time.Duration) error {
+	conn, err := net.DialTimeout("tcp", dst.addr, dt)
+	if err != nil {
+		return nil, fmt.Errorf("simnet: dial %q: %w", to, err)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed || t.nodes[to] != dst {
+		// Closed or deregistered while dialing: a link now would
+		// outlive its destination.
+		conn.Close()
+		return nil, ErrUnknownNode{ID: to}
+	}
+	if l := t.links[to]; l != nil {
+		// Lost a dial race; use the cached link.
+		conn.Close()
+		return l, nil
+	}
+	l = newLink(t, conn, wt)
+	t.links[to] = l
+	return l, nil
+}
+
+// evict drops a failed link from the cache, unless a newer one has
+// replaced it already.
+func (t *TCPNet) evict(to NodeID, l *tcpLink) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.links[to] == l {
+		delete(t.links, to)
+		t.evictions.Add(1)
+	}
+}
+
+// tcpLink is one cached outbound connection: senders frame messages into
+// its queue, and one writer goroutine writes whatever accumulated while
+// its previous write was in flight, in one call. It is the shard ring's
+// drain-what-accumulated rule one layer out: no timer and no size knob.
+type tcpLink struct {
+	tcp     *TCPNet
+	conn    net.Conn
+	timeout time.Duration
+	done    chan struct{} // closed once the writer has closed conn
+
+	mu sync.Mutex
+	// ready parks the writer while the queue is empty; room parks
+	// senders while bytes is at or above linkQueueBytes.
+	ready, room sync.Cond
+	// queue holds the pending frames back to back; spare is the
+	// writer's last written buffer, handed back so steady state
+	// allocates nothing.
+	queue, spare []byte
+	frames       int // frames in queue
+	// bytes is what the link holds: the queue plus the write in flight.
+	bytes int
+	// err is the write error that failed the link; a failed link takes
+	// nothing more.
+	err error
+	// closing is set by Deregister and Close: the link takes nothing
+	// more, and the writer writes what is queued, then exits.
+	closing bool
+}
+
+func newLink(t *TCPNet, conn net.Conn, timeout time.Duration) *tcpLink {
+	l := &tcpLink{tcp: t, conn: conn, timeout: timeout, done: make(chan struct{})}
+	l.ready.L = &l.mu
+	l.room.L = &l.mu
+	go l.run()
+	return l
+}
+
+// errLinkClosed is what a send racing Deregister or Close gets from the
+// link; Send then finds the destination gone.
+var errLinkClosed = errors.New("simnet: link closed")
+
+// enqueue frames msg onto the queue, waiting while the link holds
+// linkQueueBytes or more. It wakes the writer only when the queue was
+// empty, and fails once the link has failed or is closing.
+func (l *tcpLink) enqueue(msg Message) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.bytes >= linkQueueBytes && l.err == nil && !l.closing {
+		l.room.Wait()
+	}
+	if l.err != nil {
+		return l.err
+	}
+	if l.closing {
+		return errLinkClosed
+	}
+	n := len(l.queue)
+	l.queue = appendFrame(l.queue, msg)
+	l.bytes += len(l.queue) - n
+	l.frames++
+	if n == 0 {
+		l.ready.Signal()
+	}
+	return nil
+}
+
+// run is the link's writer. It swaps the whole queue out, writes it in
+// one call outside the lock, and keeps the written buffer as the next
+// spare. A failed write fails the link: the writer discards what is
+// pending, counting its frames, and wakes blocked senders with the
+// error. Either way the writer closes the connection when it exits.
+func (l *tcpLink) run() {
+	defer close(l.done)
+	defer l.conn.Close()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for {
+		for len(l.queue) == 0 && !l.closing {
+			l.ready.Wait()
+		}
+		if len(l.queue) == 0 {
+			return // closing, and everything queued is written
+		}
+		buf, frames := l.queue, l.frames
+		l.queue, l.spare, l.frames = l.spare, nil, 0
+		l.mu.Unlock()
+		err := writeDeadlined(l.conn, buf, l.timeout)
+		l.tcp.writes.Add(1)
+		l.mu.Lock()
+		l.bytes -= len(buf)
+		l.spare = buf[:0]
+		l.room.Broadcast()
+		if err != nil {
+			l.err = err
+			l.tcp.discarded.Add(int64(frames + l.frames))
+			l.queue, l.spare, l.frames, l.bytes = nil, nil, 0, 0
+			return
+		}
+	}
+}
+
+// stop closes the link to new frames and wakes its writer, which writes
+// what is queued and exits; done closes once the connection has closed.
+// Waiting senders give up.
+func (l *tcpLink) stop() {
+	l.mu.Lock()
+	l.closing = true
+	l.ready.Signal()
+	l.room.Broadcast()
+	l.mu.Unlock()
+}
+
+// writeDeadlined writes buf under the transport's write deadline.
+func writeDeadlined(conn net.Conn, buf []byte, timeout time.Duration) error {
 	if timeout > 0 {
 		if err := conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
 			return err
 		}
 	}
-	_, err := conn.Write(frame)
+	_, err := conn.Write(buf)
 	return err
-}
-
-func (t *TCPNet) dial(to NodeID, addr string) (net.Conn, error) {
-	t.mu.RLock()
-	dt := t.dialTimeout
-	t.mu.RUnlock()
-	conn, err := net.DialTimeout("tcp", addr, dt)
-	if err != nil {
-		return nil, fmt.Errorf("simnet: dial %q: %w", to, err)
-	}
-	t.mu.Lock()
-	if existing, ok := t.conns[to]; ok {
-		// Lost a dial race; use the cached connection.
-		t.mu.Unlock()
-		conn.Close()
-		return existing, nil
-	}
-	t.conns[to] = conn
-	t.mu.Unlock()
-	return conn, nil
-}
-
-func (t *TCPNet) dropConn(to NodeID, conn net.Conn) {
-	conn.Close()
-	t.evictions.Add(1)
-	t.mu.Lock()
-	if t.conns[to] == conn {
-		delete(t.conns, to)
-	}
-	t.mu.Unlock()
 }
 
 // Traffic implements Transport.
 func (t *TCPNet) Traffic() *Traffic { return t.traffic }
 
-// Close implements Transport.
+// Close implements Transport. Every link writes what it already queued
+// (under the write deadline) before its connection closes.
 func (t *TCPNet) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -248,11 +368,14 @@ func (t *TCPNet) Close() error {
 		nodes = append(nodes, n)
 	}
 	t.nodes = make(map[NodeID]*tcpNode)
-	conns := t.conns
-	t.conns = make(map[NodeID]net.Conn)
+	links := t.links
+	t.links = make(map[NodeID]*tcpLink)
 	t.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
+	for _, l := range links {
+		l.stop()
+	}
+	for _, l := range links {
+		<-l.done
 	}
 	for _, n := range nodes {
 		n.listener.Close()
@@ -274,50 +397,66 @@ func appendFrame(dst []byte, msg Message) []byte {
 	return append(dst, msg.Payload...)
 }
 
-// readFrame decodes one frame from r.
-func readFrame(r io.Reader) (Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// frameReader decodes the frames of one connection. It keeps the last
+// frame's From, To and Kind and reuses them while the next frame's bytes
+// are equal, so a warm frame allocates only its payload.
+type frameReader struct {
+	r        *bufio.Reader
+	hdr      [4]byte
+	str      []byte // one header string's bytes, reused
+	from, to string
+	kind     string
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{r: bufio.NewReader(r)}
+}
+
+// next decodes one frame.
+func (fr *frameReader) next() (Message, error) {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:4]); err != nil {
 		return Message{}, err
 	}
-	body := binary.LittleEndian.Uint32(hdr[:])
-	if body > maxFrame {
+	left := binary.LittleEndian.Uint32(fr.hdr[:4])
+	if left > maxFrame {
 		return Message{}, errors.New("simnet: frame exceeds bound")
 	}
-	buf := make([]byte, body)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return Message{}, err
-	}
-	var msg Message
-	off := 0
-	readStr := func() (string, error) {
-		if len(buf)-off < 2 {
-			return "", errors.New("simnet: truncated frame")
+	var err error
+	for _, s := range [...]*string{&fr.from, &fr.to, &fr.kind} {
+		if left, err = fr.readString(left, s); err != nil {
+			return Message{}, err
 		}
-		n := int(binary.LittleEndian.Uint16(buf[off:]))
-		off += 2
-		if len(buf)-off < n {
-			return "", errors.New("simnet: truncated frame string")
-		}
-		s := string(buf[off : off+n])
-		off += n
-		return s, nil
 	}
-	from, err := readStr()
-	if err != nil {
+	payload := make([]byte, left)
+	if _, err := io.ReadFull(fr.r, payload); err != nil {
 		return Message{}, err
 	}
-	to, err := readStr()
-	if err != nil {
-		return Message{}, err
+	return Message{From: NodeID(fr.from), To: NodeID(fr.to), Kind: fr.kind, Payload: payload}, nil
+}
+
+// readString reads one length-prefixed header string of a frame with
+// left body bytes to go into *last, allocating only when it differs from
+// the string already there. It returns the body bytes left after it.
+func (fr *frameReader) readString(left uint32, last *string) (uint32, error) {
+	if left < 2 {
+		return 0, errors.New("simnet: truncated frame")
 	}
-	kind, err := readStr()
-	if err != nil {
-		return Message{}, err
+	if _, err := io.ReadFull(fr.r, fr.hdr[:2]); err != nil {
+		return 0, err
 	}
-	msg.From, msg.To, msg.Kind = NodeID(from), NodeID(to), kind
-	msg.Payload = buf[off:]
-	return msg, nil
+	n := uint32(binary.LittleEndian.Uint16(fr.hdr[:2]))
+	left -= 2
+	if left < n {
+		return 0, errors.New("simnet: truncated frame string")
+	}
+	fr.str = slices.Grow(fr.str[:0], int(n))[:n]
+	if _, err := io.ReadFull(fr.r, fr.str); err != nil {
+		return 0, err
+	}
+	if string(fr.str) != *last {
+		*last = string(fr.str)
+	}
+	return left - n, nil
 }
 
 var _ Transport = (*TCPNet)(nil)

@@ -34,6 +34,12 @@ func frameOverhead(fromLen, toLen, kindLen int) int {
 	return 4 + 2 + fromLen + 2 + toLen + 2 + kindLen
 }
 
+// linkQueueBytes bounds what one link holds undelivered, on either
+// transport: a SimNet receiver's queue, and a TCP link's pending frames
+// plus the write in flight. A sender blocks at it, so a congested
+// receiver or a slow socket pushes back on its senders.
+const linkQueueBytes = 4 << 20
+
 // Handler consumes delivered messages. Handlers run on transport
 // goroutines and must not block for long.
 type Handler func(Message)
@@ -45,7 +51,19 @@ type Transport interface {
 	Register(id NodeID, h Handler) error
 	// Deregister removes an endpoint; messages to it start failing.
 	Deregister(id NodeID) error
-	// Send delivers a message from one endpoint to another.
+	// Send delivers a message from one endpoint to another. What a nil
+	// return promises:
+	//   1. The link to `to` accepted the message. It does not mean the
+	//      message was written or delivered.
+	//   2. It is behind every earlier Send from the same sender to the
+	//      same destination: a link is FIFO per sender (a FaultPlan's
+	//      jitter and reorder rules break this on purpose). Messages from
+	//      different senders to one destination interleave in any order.
+	//   3. A failure to write it surfaces on a later Send to the same
+	//      destination, not on this one (TCPNet counts the frames a
+	//      failed link discarded).
+	// A sender blocks while the link to `to` holds 4 MiB or more
+	// undelivered (linkQueueBytes), so a slow receiver pushes back.
 	//
 	// Ownership: Send is lent payload for the call. The caller may
 	// overwrite or pool the backing array the moment Send returns (the
