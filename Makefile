@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check vet staticcheck lint-obslog lint-reach build test race bench-harness examples-smoke bench
+.PHONY: check vet staticcheck lint-obslog lint-reach build test race fuzz bench-harness examples-smoke bench
 
-check: vet staticcheck lint-obslog lint-reach build bench-harness race examples-smoke
+check: vet staticcheck lint-obslog lint-reach build bench-harness race fuzz examples-smoke
 
 vet:
 	$(GO) vet ./...
@@ -127,7 +127,9 @@ test:
 # And so do the registration's: a change an ancestor's aggregate already
 # covers sends nothing above that ancestor (a relay does not resend an
 # unchanged aggregate, while Refresh always sends), the interest codec's
-# fuzzer seeds decode to the bytes they came from, and the compiled
+# and the tuple codec's fuzzer seeds decode to the bytes they came from
+# (a frame one step from a valid one is an error, and the frame layout is
+# pinned), and the compiled
 # Simplify leaves the very terms the map-based reference does.
 # And so do the grouped feed's: a resolved id list is reused only while
 # it holds the same ids and no registration has changed, and a
@@ -167,11 +169,22 @@ race:
 	$(GO) test -race -count=1 -run 'TestTupleRoutingDifferential|TestFragmentChainMatchesBareEngine|TestFederationJoinInterest' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestRelayIndexFollowsRegistrations|TestRelayRegistrationsRaceBatches|TestRelayCoveredInterestStopsAtAncestor|TestRelayPublishReturnsAfterEverySend|TestRelayLinkKeepsPublishOrder|TestRelayPublishersRaceDropRewireClose|TestRelayFailedSendCountsNothingRelayed|TestSimNetFIFOPerSender|TestSimNetSenderBlocksOnQueuedBytes|TestSimNetDeregisterDeliversQueued|TestTCPNetFIFOPerSender|TestTCPNetSenderBlocksOnQueuedBytes|TestTCPNetDeregisterWritesQueued|TestTCPNetCoalescesWhileWriting|TestTCPNetFailedLinkAccountsEveryFrame|TestSimNetHand|TestSimNetSend|TestRelayForwardsVerbatimWithoutCopy|TestReliableSendIsOnTheWireWhenItReturns|TestReliableNewIncarnationResetsReceiver|TestRelayRepeatedRegistrationChangesNothing' ./internal/dissemination/ ./internal/simnet/
 	$(GO) test -race -count=1 -run 'TestFanout|TestIngestAllocations|TestFrameDecodeErrorsCounted|TestFragmentBoundaryFramesPerBatch' ./internal/entity/
-	$(GO) test -race -count=1 -run 'FuzzDecodeBatch|TestDecodeBatch|FuzzDecodeInterestSet|TestDecodeInterestSet|TestSimplifyMatchesReference' ./internal/stream/
+	$(GO) test -race -count=1 -run 'FuzzDecodeBatch|TestDecodeBatch|TestDecodeFrameMalformed|TestFrameWireFormatPinned|FuzzDecodeInterestSet|TestDecodeInterestSet|TestSimplifyMatchesReference' ./internal/stream/
 	$(GO) test -race -count=1 -run 'TestHandoff|TestResumeInPlaceKeepsReorderedBuffer|TestNoCutIsNotCutZero|TestDrainQueryWaitsForAdmittedBatches' ./internal/core/ ./internal/entity/
 	$(GO) test -race -count=1 -run 'TestTopK|TestTail' ./internal/operator/ ./internal/engine/
 	$(GO) test -race -count=1 -run 'TestChaosEndToEndRecovery|TestHardKillRecoveryZeroLoss|TestRecoveryReemitsResultsAfterTheCut|TestMigrationChaosStatefulZeroLoss|TestMigrationWaitsForCheckpointInFlight|TestLatencyAttributionFederation|TestTupleRoutingAvoidsJitteredReplica' ./internal/core/
 	$(GO) test -race -tags arenapoison -count=1 -run 'TestLease|TestEncodeBufferPoisonedOnPut|TestTupleRoutingDifferential|TestFragmentChainMatchesBareEngine|TestFanout|TestTail|TestShardEngineDifferential|TestHandoff|TestMigrationChaosStatefulZeroLoss|TestRelayForwardsVerbatimWithoutCopy|TestSimNet' ./internal/stream/ ./internal/engine/ ./internal/entity/ ./internal/core/ ./internal/dissemination/ ./internal/simnet/
+
+# The decoders of what comes off the network, fuzzed for 10 s each: a
+# tuple batch (a frame, or the row form a checkpoint holds), an interest
+# registration and an entity's addressed frame. Each must answer any
+# bytes with a value or an error, and what decodes must re-encode to the
+# bytes it came from. A failing input is written under the package's
+# testdata/fuzz, where it stays as a regression seed.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 10s ./internal/stream/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInterestSet$$' -fuzztime 10s ./internal/stream/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFeedBatch$$' -fuzztime 10s ./internal/entity/
 
 # benchmark/ is a nested module, so ./... above never compiles it: vet
 # and test it here, or an engine API change breaks the end-to-end

@@ -495,9 +495,8 @@ func (r *Relay) currentIndex() *relayIndex {
 
 // dissemScratch holds all per-batch fan-out state so a steady-state
 // disseminate allocates nothing: the per-owner matched rows, a sub-batch
-// that gathers the rows lent to the entity and then those of each child
-// that needs re-encoding, and the pooled encode buffers to release after
-// the sends.
+// that gathers the rows lent to the entity, and the pooled encode
+// buffers to release after the sends.
 type dissemScratch struct {
 	routed stream.Routed
 	sub    stream.Batch
@@ -537,11 +536,11 @@ func (r *Relay) disseminate(batch stream.Batch, wire []byte) {
 	r.deliverLocal(batch, sc.routed.Rows(0), sc, traced)
 
 	// Fan-out. The incoming payload (or one pooled full-batch encoding)
-	// is shared by every pass-through child; partial matches re-encode
-	// just the matched tuples into a pooled buffer. Only the incoming
-	// payload is handed over: a pooled buffer is lent to Send, which
-	// copies it or writes it out before returning. Relayed and the link
-	// meter count what a link accepted, never a failed send.
+	// is shared by every pass-through child; partial matches encode just
+	// the matched rows, where they stand, into a pooled buffer. Only the
+	// incoming payload is handed over: a pooled buffer is lent to Send,
+	// which copies it or writes it out before returning. Relayed and the
+	// link meter count what a link accepted, never a failed send.
 	n := len(batch)
 	var fullPayload []byte
 	for ci, c := range ri.children {
@@ -568,12 +567,8 @@ func (r *Relay) disseminate(batch stream.Batch, wire []byte) {
 			}
 			payload = fullPayload
 		} else {
-			sc.sub = sc.sub[:0]
-			for _, i := range rows {
-				sc.sub = append(sc.sub, batch[i])
-			}
 			buf := stream.GetEncodeBuffer()
-			*buf = stream.AppendBatch((*buf)[:0], sc.sub)
+			*buf = stream.AppendBatchRows((*buf)[:0], batch, rows)
 			sc.bufs = append(sc.bufs, buf)
 			payload = *buf
 		}

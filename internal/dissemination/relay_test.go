@@ -436,7 +436,7 @@ func TestRelaySpanPropagation(t *testing.T) {
 }
 
 // TestRelayLinkBytesMeter checks the downstream link byte meter counts
-// encoded sub-batch bytes.
+// the bytes of the frame the link carried.
 func TestRelayLinkBytesMeter(t *testing.T) {
 	net, src, _, r1, _, _ := buildChain(t)
 	if err := r1.SetLocalInterest([]stream.Interest{
@@ -457,7 +457,7 @@ func TestRelayLinkBytesMeter(t *testing.T) {
 	if src.LinkBytes.Messages() != 1 {
 		t.Fatalf("source sent %d link messages, want 1", src.LinkBytes.Messages())
 	}
-	want := int64(batch.Size())
+	want := int64(len(stream.AppendBatch(nil, batch)))
 	if src.LinkBytes.Bytes() != want {
 		t.Fatalf("source link bytes = %d, want %d", src.LinkBytes.Bytes(), want)
 	}

@@ -175,7 +175,7 @@ type fanoutRoute struct {
 }
 
 // routeScratch is what routing a batch needs besides the index: each
-// owner's matched rows and the gathered rows of one frame.
+// owner's matched rows and the gathered rows of one local feed.
 type routeScratch struct {
 	routed stream.Routed
 	sub    stream.Batch
@@ -1059,7 +1059,8 @@ func (e *Entity) Close() {
 // the local engine (which keeps it, engine.Processor point 2) and into
 // every remote frame, so nothing below may write to it. A paused gate
 // copies the rows into its buffer (admit), the dedup filter builds a new
-// slice (filterLocked), and a routed frame is gathered into the scratch.
+// slice (filterLocked), a routed local feed is gathered into the scratch
+// and a routed remote frame is encoded from the rows where they stand.
 // Rows only lent for the call go through ingestLent.
 func (p *procNode) ingest(b stream.Batch) { p.ingestFrom(b, false) }
 
@@ -1132,7 +1133,16 @@ func (p *procNode) ingestFrom(b stream.Batch, lent bool) {
 			}
 			rows := sc.routed.Rows(o)
 			suppressed += len(b) - len(rows)
-			if len(rows) < len(b) {
+			switch {
+			case len(rows) == len(b):
+			case g.node != p.id:
+				// A remote group's frame is encoded from the rows where
+				// they stand.
+				if len(rows) > 0 {
+					p.send(g.node, frags, b, rows)
+				}
+				fed = nil
+			default:
 				sc.sub = sc.sub[:0]
 				for _, r := range rows {
 					sc.sub = append(sc.sub, b[r])
@@ -1164,10 +1174,17 @@ func (p *procNode) feed(node simnet.NodeID, frags []string, b stream.Batch, lent
 		p.feedLocal(frags, b, lent, traced)
 		return
 	}
+	p.send(node, frags, b, nil)
+}
+
+// send frames the given rows of b — every row when rows is nil — for the
+// fragments frags on the remote node. The frames are encoded before
+// send returns, so b is only read.
+func (p *procNode) send(node simnet.NodeID, frags []string, b stream.Batch, rows []int32) {
 	buf := stream.GetEncodeBuffer()
 	for len(frags) > 0 {
 		n := min(len(frags), math.MaxUint16) // the frame counts fragments in a uint16
-		*buf = encodeFeedBatch((*buf)[:0], frags[:n], b)
+		*buf = encodeFeedBatch((*buf)[:0], frags[:n], b, rows)
 		_ = p.entity.transport.Send(p.id, node, KindFeedBatch, *buf)
 		frags = frags[n:]
 	}
@@ -1270,15 +1287,16 @@ func (e *Entity) FrameDecodeErrors() map[string]int64 {
 	return out
 }
 
-// encodeFeedBatch frames an addressed batch onto dst:
+// encodeFeedBatch frames an addressed batch — the given rows of b, every
+// row when rows is nil — onto dst:
 // uint16 n | n × (uint16 len(frag) | frag) | batch.
-func encodeFeedBatch(dst []byte, frags []string, b stream.Batch) []byte {
+func encodeFeedBatch(dst []byte, frags []string, b stream.Batch, rows []int32) []byte {
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(frags)))
 	for _, frag := range frags {
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(frag)))
 		dst = append(dst, frag...)
 	}
-	return stream.AppendBatch(dst, b)
+	return stream.AppendBatchRows(dst, b, rows)
 }
 
 // frameDecoder is a processor's decoder for the frames it is sent: the

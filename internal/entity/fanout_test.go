@@ -718,7 +718,7 @@ func TestFrameDecodeErrorsCounted(t *testing.T) {
 	}
 	b := stream.Batch{quote(1, "ibm", 50, 1), quote(2, "hp", 60, 1)}
 	frames := map[string][]byte{
-		KindFeedBatch: encodeFeedBatch(nil, []string{"q#0"}, b),
+		KindFeedBatch: encodeFeedBatch(nil, []string{"q#0"}, b, nil),
 		KindIngest:    stream.AppendBatch(nil, b),
 	}
 	placed, _ := e.QueryPlacement("q")

@@ -16,13 +16,21 @@ import (
 // length it has not checked against the bytes that are left.
 
 func feedBatchSeeds() [][]byte {
-	b := stream.Batch{quote(1, "ibm", 50, 1), quote(2, "hp", 60.5, 7)}
+	b := stream.Batch{quote(1, "ibm", 50, 1), quote(2, "hp", 60.5, 7), quote(3, "ibm", 51, 2)}
+	// A frame's batch in the row form, which the decoder reads too.
+	rowForm := encodeFeedBatch(nil, []string{"q1#0"}, nil, nil)
+	rowForm = binary.LittleEndian.AppendUint32(rowForm[:len(rowForm)-5], uint32(len(b)))
+	for _, t := range b {
+		rowForm = stream.AppendTuple(rowForm, t)
+	}
 	return [][]byte{
-		encodeFeedBatch(nil, []string{"q1#0"}, b),
-		encodeFeedBatch(nil, []string{"q1#0", "q2#0", "a-much-longer-fragment-id#0@r1"}, b),
-		encodeFeedBatch(nil, []string{""}, b[:1]),
-		encodeFeedBatch(nil, nil, b),
-		encodeFeedBatch(nil, []string{"q"}, nil),
+		encodeFeedBatch(nil, []string{"q1#0"}, b, nil),
+		encodeFeedBatch(nil, []string{"q1#0", "q2#0", "a-much-longer-fragment-id#0@r1"}, b, nil),
+		encodeFeedBatch(nil, []string{""}, b[:1], nil),
+		encodeFeedBatch(nil, nil, b, nil),
+		encodeFeedBatch(nil, []string{"q"}, nil, nil),
+		encodeFeedBatch(nil, []string{"q1#0", "q2#0"}, b, []int32{0, 2}), // a routed frame's rows
+		rowForm,
 	}
 }
 
@@ -39,7 +47,7 @@ func FuzzDecodeFeedBatch(f *testing.F) {
 			return
 		}
 		// What decoded must survive a round trip.
-		frags2, b2, _, err := dec.decodeFeedBatch(encodeFeedBatch(nil, frags, b), nil)
+		frags2, b2, _, err := dec.decodeFeedBatch(encodeFeedBatch(nil, frags, b, nil), nil)
 		if err != nil {
 			t.Fatalf("re-encoded frame does not decode: %v", err)
 		}
@@ -80,8 +88,8 @@ func TestDecodeFeedFramesTruncated(t *testing.T) {
 // interleave with them, and those into their own ids.
 func TestDecodeFeedFramesReuseIDs(t *testing.T) {
 	b := stream.Batch{quote(1, "ibm", 50, 1)}
-	ab := encodeFeedBatch(nil, []string{"a#0", "b#0"}, b)
-	c := encodeFeedBatch(nil, []string{"c#0"}, b)
+	ab := encodeFeedBatch(nil, []string{"a#0", "b#0"}, b, nil)
+	c := encodeFeedBatch(nil, []string{"c#0"}, b, nil)
 	dec := new(frameDecoder)
 	first, _, _, err := dec.decodeFeedBatch(ab, nil)
 	if err != nil {

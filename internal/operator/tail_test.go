@@ -263,7 +263,12 @@ func TestTailRestoresRecordedSnapshots(t *testing.T) {
 	if strings.Count(wantOut, ";") == len(vsuffix) {
 		t.Fatal("distinct-volume passed every row: keys too sparse")
 	}
-	wholeTuples := statsLen + len(stream.AppendBatch(nil, vprefix[len(vprefix)-24:]))
+	// The reference is the window as whole tuples in the row form a
+	// snapshot writes: a count, then each tuple.
+	wholeTuples := statsLen + 4
+	for _, tu := range vprefix[len(vprefix)-24:] {
+		wholeTuples += len(stream.AppendTuple(nil, tu))
+	}
 	if got := resume("distinct-volume", mk, vprefix, vsuffix, wholeTuples); got != wantOut {
 		t.Errorf("distinct-volume: outputs after restoring its snapshot diverge:\n got %s\nwant %s", got, wantOut)
 	}

@@ -1,9 +1,13 @@
 package stream
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -184,6 +188,64 @@ func BenchmarkDecodeBatch(b *testing.B) {
 	}
 }
 
+// benchQuotes returns a batch of n quotes shaped like the end-to-end
+// benchmark's (benchmark/gen.go): symbols zipf-1.2 over 100 names,
+// consecutive seqs and one ts for the batch, the symbols drawn from one
+// table as the generator draws them.
+func benchQuotes(n int) Batch {
+	rng := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rng, 1.2, 1, 99)
+	symbols := make([]string, 100)
+	for i := range symbols {
+		symbols[i] = fmt.Sprintf("S%04d", i)
+	}
+	ts := time.Unix(1_000_000, 0).UTC()
+	b := make(Batch, n)
+	for i := range b {
+		b[i] = NewTuple("quotes", uint64(4096+i), ts, String(symbols[zipf.Uint64()]),
+			Float(100+800*rng.Float64()), Int(int64(rng.Intn(1e6))))
+	}
+	return b
+}
+
+// benchFrameRows is the frame sizes the codec benchmarks run at: a
+// published batch, and the few rows of a typical child frame in a star.
+var benchFrameRows = []int{64, 3}
+
+// BenchmarkAppendBatch: encoding one benchmark-shaped frame into a
+// reused buffer, as a relay or a fan-out encodes each frame it sends.
+func BenchmarkAppendBatch(b *testing.B) {
+	for _, n := range benchFrameRows {
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			batch := benchQuotes(n)
+			buf := AppendBatch(nil, batch)
+			b.ReportAllocs()
+			b.SetBytes(int64(len(buf)))
+			for b.Loop() {
+				buf = AppendBatch(buf[:0], batch)
+			}
+		})
+	}
+}
+
+// BenchmarkDecodeFrame: the owned decode of one benchmark-shaped frame
+// through a warm buffer.
+func BenchmarkDecodeFrame(b *testing.B) {
+	for _, n := range benchFrameRows {
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			enc := AppendBatch(nil, benchQuotes(n))
+			var d DecodeBuffer
+			b.ReportAllocs()
+			b.SetBytes(int64(len(enc)))
+			for b.Loop() {
+				if _, _, err := d.DecodeBatch(enc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestDecodeBatchOwnedAllocations: a warm buffer's owned decode costs one
 // Batch and one arena whatever the tuple count, and the result is exactly
 // sized, shares nothing with the buffer, and survives its reuse.
@@ -286,8 +348,10 @@ func TestBatchSpanRoundTrip(t *testing.T) {
 	traced.Span = 77
 	b := Batch{NewTuple("s", 1, time.Unix(5, 0).UTC(), Int(3)), traced}
 	enc := AppendBatch(nil, b)
-	if len(enc) != b.Size() {
-		t.Fatalf("encoded %d bytes, Size() says %d", len(enc), b.Size())
+	untraced := Batch{b[0], b[1]}
+	untraced[1].Span = 0
+	if got, want := len(enc), len(AppendBatch(nil, untraced))+8; got != want {
+		t.Fatalf("encoded %d bytes, want the untraced frame's and an 8-byte span: %d", got, want)
 	}
 	dec, _, err := DecodeBatch(enc)
 	if err != nil {
@@ -313,10 +377,10 @@ func TestDecodeBatchCorruptCountClamped(t *testing.T) {
 	if allocs > 8 {
 		t.Fatalf("corrupt header cost %.0f allocs per decode, want a small constant", allocs)
 	}
-	if got := clampBatchCap(1<<24, 0); got != 1 {
-		t.Fatalf("clampBatchCap(1<<24, 0) = %d, want 1", got)
+	if got := clampBatchCap(1<<24, 0, minTupleWire); got != 1 {
+		t.Fatalf("clampBatchCap(1<<24, 0, minTupleWire) = %d, want 1", got)
 	}
-	if got := clampBatchCap(3, 1<<20); got != 3 {
+	if got := clampBatchCap(3, 1<<20, minTupleWire); got != 3 {
 		t.Fatalf("clampBatchCap must not clamp plausible counts: got %d, want 3", got)
 	}
 }
@@ -412,4 +476,98 @@ func DecodeTuple(buf []byte) (Tuple, int, error) {
 	}
 	t.Values = d.vals[:len(d.vals):len(d.vals)]
 	return t, used, nil
+}
+
+// TestFrameWireFormatPinned records the frame of a batch with rows of two
+// streams, a string repeated across them, a string past the intern bound
+// and a traced row, so a change of the wire format — which every link
+// carries — cannot pass unseen.
+func TestFrameWireFormatPinned(t *testing.T) {
+	ts := time.Unix(1_700_000_000, 123_456_789).UTC()
+	long := strings.Repeat("x", maxInternedValueLen+1)
+	traced := NewTuple("trades", 9, ts, String("IBM"), Int(-3))
+	traced.Span = 0xabcdef
+	b := Batch{
+		NewTuple("quotes", 7, ts, String("IBM"), Float(-1.5)),
+		NewTuple("quotes", 8, ts.Add(time.Millisecond), String(long), Float(math.Copysign(0, -1))),
+		traced,
+	}
+	want := "03000080" + // three rows, a frame
+		"04" + "0671756f746573" + "0349424d" + "41" + strings.Repeat("78", maxInternedValueLen+1) + "06747261646573" + // quotes, IBM, the long string, trades
+		"00" + "0e" + "aab4aed8c7bfce972f" + "04" + "0301" + "02000000000000f8bf" + // quotes, seq 7, ts, two values: IBM, -1.5
+		"00" + "02" + "80897a" + "04" + "0302" + "020000000000000080" + // quotes, seq +1, ts +1ms: the long string, -0
+		"03" + "02" + "ff887a" + "05" + "0301" + "01fdffffffffffffff" + "efcdab0000000000" // trades, seq +1, ts -1ms, traced: IBM, -3, its span
+	if got := hex.EncodeToString(AppendBatch(nil, b)); got != want {
+		t.Errorf("frame bytes changed:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestFrameBytesPerTuple: a published batch of the benchmark's shape — 64
+// quotes of one stream and one stamp, symbols from 100 — travels in at
+// most 30 bytes a tuple, about half its row form.
+func TestFrameBytesPerTuple(t *testing.T) {
+	b := benchQuotes(64)
+	frame, rows := len(AppendBatch(nil, b)), len(appendRows(nil, b))
+	if perTuple := float64(frame) / float64(len(b)); perTuple > 30 {
+		t.Errorf("frame of %d quotes takes %d bytes (%.1f B/tuple; row form %.1f), want at most 30 B/tuple",
+			len(b), frame, perTuple, float64(rows)/float64(len(b)))
+	}
+}
+
+// TestAppendBatchRows: a frame of some rows of a batch is the frame of
+// those rows gathered, and a frame decodes to its batch, on both sides
+// of the encoder's stack/scratch split — few strings and rows, and more
+// than the scan and the stack's row bytes hold.
+func TestAppendBatchRows(t *testing.T) {
+	wide := benchQuotes(64)
+	for i := range wide {
+		if i%5 == 0 {
+			wide[i].Values[0] = String(fmt.Sprintf("K%d", i)) // more distinct strings
+		}
+		if i%7 == 0 {
+			wide[i].Span = uint64(i + 1)
+		}
+	}
+	var d DecodeBuffer
+	for _, b := range []Batch{benchQuotes(3), benchQuotes(64), wide} {
+		all := make([]int32, len(b))
+		for i := range all {
+			all[i] = int32(i)
+		}
+		for _, rows := range [][]int32{nil, {}, all, all[1:2], all[len(all)/2:], {0, int32(len(b) - 1)}} {
+			var gathered Batch
+			if rows == nil {
+				gathered = b
+			}
+			for _, r := range rows {
+				gathered = append(gathered, b[r])
+			}
+			enc := AppendBatchRows(nil, b, rows)
+			if want := AppendBatch(nil, gathered); !bytes.Equal(enc, want) {
+				t.Fatalf("%d rows of %d: AppendBatchRows wrote %x, the gathered frame is %x", len(gathered), len(b), enc, want)
+			}
+			distinct := map[string]bool{}
+			for _, tu := range gathered {
+				distinct[tu.Stream] = true
+				for _, v := range tu.Values {
+					if v.Kind() == KindString {
+						distinct[v.AsString()] = true
+					}
+				}
+			}
+			if nd, _ := binary.Uvarint(enc[4:]); nd != uint64(len(distinct)) {
+				t.Fatalf("%d rows of %d: a dictionary of %d strings, want the %d distinct", len(gathered), len(b), nd, len(distinct))
+			}
+			dec, used, err := d.Decode(enc)
+			if err != nil || used != len(enc) || len(dec) != len(gathered) {
+				t.Fatalf("%d rows of %d: decoded %d from %d of %d bytes: %v", len(gathered), len(b), len(dec), used, len(enc), err)
+			}
+			for i := range gathered {
+				assertTupleEqual(t, gathered[i], dec[i])
+				if dec[i].Span != gathered[i].Span {
+					t.Fatalf("row %d: span %d, want %d", i, dec[i].Span, gathered[i].Span)
+				}
+			}
+		}
+	}
 }

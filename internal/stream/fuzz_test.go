@@ -10,39 +10,83 @@ import (
 )
 
 // The tuple codec's fuzzer. A batch comes off the network (a relay link,
-// an intra-entity frame) or out of a checkpoint, so the decoder must
-// answer any bytes with a value or an error: no panic, and nothing sized
-// from a count it has not checked against the bytes that are left.
+// an intra-entity frame: both frames) or out of a checkpoint (the row
+// form), so the decoder must answer any bytes with a value or an error:
+// no panic, and nothing sized from a count it has not checked against
+// the bytes that are left. What decodes re-encodes, in the form it came
+// in, to the bytes it was decoded from.
+
+// appendRows encodes b in the row form — a count, then each tuple — as
+// operator state and checkpoints hold it.
+func appendRows(dst []byte, b Batch) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b)))
+	for _, t := range b {
+		dst = AppendTuple(dst, t)
+	}
+	return dst
+}
+
+// reencode encodes b in the form buf, which decoded to it, holds.
+func reencode(buf []byte, b Batch) []byte {
+	if binary.LittleEndian.Uint32(buf)&frameFlag != 0 {
+		return AppendBatch(nil, b)
+	}
+	return appendRows(nil, b)
+}
 
 // batchSeeds are valid encoded batches, one per shape the decoder treats
-// differently.
+// differently, as frames and then in the row form.
 func batchSeeds() [][]byte {
 	ts := time.Unix(1754000000, 123).UTC()
 	traced := NewTuple("quotes", 7, ts, String("ibm"), Float(90.25), Int(-7))
 	traced.Span = 0xDEADBEEF
 	untraced := NewTuple("quotes", 8, ts, String("hp"), Float(60.5), Int(3))
 	long := NewTuple("quotes", 9, ts, String(strings.Repeat("x", maxInternedValueLen+1)), Float(1), Int(1))
-	return [][]byte{
-		AppendBatch(nil, Batch{untraced}),
-		AppendBatch(nil, Batch{traced, untraced, traced}),
-		AppendBatch(nil, nil), // an empty batch
-		AppendBatch(nil, Batch{untraced, NewTuple("trades", 1, ts, String("hp"), Int(5)), NewTuple("", 0, ts), traced}), // mixed streams and shapes
-		AppendBatch(nil, Batch{long, long}), // past the intern bound
+	early := NewTuple("quotes", 2, time.Unix(-5, 0).UTC(), String("ibm"), String("quotes"))
+	batches := []Batch{
+		{untraced},
+		{traced, untraced, traced},
+		nil, // an empty batch
+		{untraced, NewTuple("trades", 1, ts, String("hp"), Int(5)), NewTuple("", 0, ts), traced}, // mixed streams and shapes
+		{long, long},           // past the intern bound
+		{untraced, early},      // seq and ts going back; a value naming a stream
+		benchQuotes(8),         // a published batch, shortened
+		benchQuotes(64)[20:23], // a child's frame
 	}
+	var seeds [][]byte
+	for _, b := range batches {
+		seeds = append(seeds, AppendBatch(nil, b))
+	}
+	for _, b := range batches {
+		seeds = append(seeds, appendRows(nil, b))
+	}
+	return seeds
 }
+
+// mixedSeed is the frame of mixed streams and shapes among batchSeeds.
+const mixedSeed = 3
 
 func FuzzDecodeBatch(f *testing.F) {
 	for _, seed := range batchSeeds() {
 		f.Add(seed)
 	}
-	f.Add(binary.LittleEndian.AppendUint32(nil, 1<<24))   // the largest count, no body
-	f.Add(binary.LittleEndian.AppendUint32(nil, 1<<24+1)) // over the bound
+	for _, seed := range malformedFrames() {
+		f.Add(seed.frame)
+	}
+	f.Add(binary.LittleEndian.AppendUint32(nil, 1<<24))             // the largest count, no body
+	f.Add(binary.LittleEndian.AppendUint32(nil, 1<<24+1))           // over the bound
+	f.Add(binary.LittleEndian.AppendUint32(nil, frameFlag|1<<24))   // a frame of the largest count, no body
+	f.Add(binary.LittleEndian.AppendUint32(nil, frameFlag|1<<24+1)) // over the bound
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		// One buffer, borrowed form first, so the owned decode runs on the
-		// intern table the borrowed one filled — and must not disturb it.
+		// intern table and the dictionary the borrowed one filled — and
+		// must not disturb them.
 		var d DecodeBuffer
 		borrowed, usedB, errB := d.Decode(buf)
-		encB := AppendBatch(nil, borrowed)
+		var encB []byte
+		if errB == nil {
+			encB = reencode(buf, borrowed)
+		}
 		owned, usedO, errO := d.DecodeBatch(buf)
 		if (errB == nil) != (errO == nil) {
 			t.Fatalf("borrowed decode: %v; owned decode: %v", errB, errO)
@@ -56,14 +100,14 @@ func FuzzDecodeBatch(f *testing.F) {
 		// What decodes re-encodes to exactly the bytes it was decoded
 		// from: tuples, values (NaN payloads included) and spans agree
 		// between the two forms, and with the wire.
-		if encO := AppendBatch(nil, owned); !bytes.Equal(encO, buf[:usedO]) || !bytes.Equal(encB, encO) {
+		if encO := reencode(buf, owned); !bytes.Equal(encO, buf[:usedO]) || !bytes.Equal(encB, encO) {
 			t.Fatalf("%x decoded (owned) to %x, (borrowed) to %x", buf[:usedO], encO, encB)
 		}
 		// The owned batch is the caller's: reusing the buffer leaves it be.
-		if _, _, err := d.Decode(batchSeeds()[3]); err != nil {
+		if _, _, err := d.Decode(batchSeeds()[mixedSeed]); err != nil {
 			t.Fatal(err)
 		}
-		if encO := AppendBatch(nil, owned); !bytes.Equal(encO, buf[:usedO]) {
+		if encO := reencode(buf, owned); !bytes.Equal(encO, buf[:usedO]) {
 			t.Fatalf("the owned batch changed when its buffer was reused: %x, was %x", encO, buf[:usedO])
 		}
 		for i := range owned {
@@ -72,6 +116,66 @@ func FuzzDecodeBatch(f *testing.F) {
 			}
 		}
 	})
+}
+
+// frameBytes builds a frame by hand: its count word, its dictionary,
+// then row bytes as given.
+func frameBytes(n uint32, dict []string, rows ...byte) []byte {
+	buf := binary.LittleEndian.AppendUint32(nil, frameFlag|n)
+	buf = binary.AppendUvarint(buf, uint64(len(dict)))
+	for _, s := range dict {
+		buf = appendWireString(buf, s)
+	}
+	return append(buf, rows...)
+}
+
+type malformedFrame struct {
+	name  string
+	frame []byte
+}
+
+// malformedFrames are frames no batch encodes to, each a step away from
+// a valid one.
+func malformedFrames() []malformedFrame {
+	const str = byte(KindString)
+	// A row of stream id sid, a zigzag seq delta, a zero ts delta and
+	// one value: the string of dictionary id id.
+	row := func(sid, seq, id byte) []byte { return []byte{sid, seq, 0, 1 << 1, str, id} }
+	return []malformedFrame{
+		{"an unused dictionary entry", frameBytes(1, []string{"s", "x", "y"}, row(0, 2, 1)...)},
+		{"entries out of first-use order", frameBytes(1, []string{"x", "s"}, row(1, 2, 0)...)},
+		{"an id past the dictionary", frameBytes(1, []string{"s", "x"}, row(0, 2, 2)...)},
+		{"a repeated entry", frameBytes(1, []string{"s", "s"}, row(0, 2, 1)...)},
+		{"a repeated entry past the scanned ones", frameBytes(1, []string{"s", "a", "b", "c", "d", "e", "f", "g", "h", "s"},
+			0, 2, 0, 9<<1, str, 1, str, 2, str, 3, str, 4, str, 5, str, 6, str, 7, str, 8, str, 9)},
+		{"an overlong varint", frameBytes(1, []string{"s", "x"}, 0, 0x82, 0x00, 0, 1<<1, str, 1)},
+		{"an overlong dictionary count", append(binary.LittleEndian.AppendUint32(nil, frameFlag|1), 0x80, 0x00)},
+		{"a row count the bytes cannot hold", frameBytes(1<<20, []string{"s", "x"}, row(0, 2, 1)...)},
+		{"a dictionary count the bytes cannot hold", binary.AppendUvarint(binary.LittleEndian.AppendUint32(nil, frameFlag|1), 1<<40)},
+		{"a string length the bytes cannot hold", append(binary.LittleEndian.AppendUint32(nil, frameFlag|1), 1, 5, 's', 0, 2, 0, 0)},
+		{"a value count the bytes cannot hold", frameBytes(1, []string{"s"}, 0, 2, 0, 0xfe, 0xff, 0x03)},
+		{"a flagged zero span", frameBytes(1, []string{"s"}, append([]byte{0, 2, 0, 1}, make([]byte, 8)...)...)},
+		{"an unknown value kind", frameBytes(1, []string{"s"}, 0, 2, 0, 1<<1, 0xee, 0)},
+	}
+}
+
+// TestDecodeFrameMalformed: a frame one step from a valid one — the
+// valid one decodes — is an error, not a second encoding of a batch.
+func TestDecodeFrameMalformed(t *testing.T) {
+	valid := frameBytes(1, []string{"s", "x"}, 0, 2, 0, 1<<1, byte(KindString), 1)
+	b, used, err := DecodeBatch(valid)
+	if err != nil || used != len(valid) || len(b) != 1 || b[0].String() != "s#1[x]" {
+		t.Fatalf("%x: decoded %v from %d bytes: %v", valid, b, used, err)
+	}
+	if enc := AppendBatch(nil, b); !bytes.Equal(enc, valid) {
+		t.Fatalf("%x re-encodes to %x", valid, enc)
+	}
+	var d DecodeBuffer
+	for _, m := range malformedFrames() {
+		if b, _, err := d.Decode(m.frame); err == nil {
+			t.Errorf("%s: %x decoded to %v", m.name, m.frame, b)
+		}
+	}
 }
 
 // TestDecodeBatchTruncated: every proper prefix of a valid batch is an

@@ -164,16 +164,32 @@ func TestTupleAndBatchSize(t *testing.T) {
 	if got := tu.Size(); got != want {
 		t.Errorf("Size = %d, want %d", got, want)
 	}
-	b := Batch{tu, tu}
-	if got := b.Size(); got != 4+2*want {
-		t.Errorf("batch Size = %d, want %d", got, 4+2*want)
-	}
-	// Size must agree exactly with the wire encoding.
+	// Size must agree exactly with the row form.
 	if enc := AppendTuple(nil, tu); len(enc) != tu.Size() {
 		t.Errorf("encoded size %d != Size() %d", len(enc), tu.Size())
 	}
-	if enc := AppendBatch(nil, b); len(enc) != b.Size() {
-		t.Errorf("encoded batch size %d != Size() %d", len(enc), b.Size())
+	// A batch in the row form — what operator state holds — is a count
+	// and its rows. On the wire it is a frame, which writes what its rows
+	// share once; both decode to the batch.
+	b := Batch{tu, tu}
+	rows := appendRows(nil, b)
+	if len(rows) != 4+2*want {
+		t.Errorf("row-form batch of %d bytes, want %d", len(rows), 4+2*want)
+	}
+	frame := AppendBatch(nil, b)
+	if len(frame) >= len(rows) {
+		t.Errorf("frame of %d bytes, no smaller than the %d of the row form", len(frame), len(rows))
+	}
+	for _, enc := range [][]byte{rows, frame} {
+		dec, used, err := DecodeBatch(enc)
+		if err != nil || used != len(enc) || len(dec) != len(b) {
+			t.Fatalf("%x: decoded %d tuples from %d of %d bytes: %v", enc, len(dec), used, len(enc), err)
+		}
+		for i := range b {
+			if dec[i].String() != b[i].String() || !dec[i].Ts.Equal(b[i].Ts) {
+				t.Errorf("%x: tuple %d decoded to %v, want %v", enc, i, dec[i], b[i])
+			}
+		}
 	}
 }
 

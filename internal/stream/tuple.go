@@ -49,9 +49,9 @@ func (t Tuple) Clone() Tuple {
 	return t
 }
 
-// Size returns the tuple's encoded size in bytes. It is the unit of the
-// communication-cost accounting throughout the system (the paper weighs
-// query-graph edges in bytes/second).
+// Size returns the length of the tuple's row-form encoding (AppendTuple):
+// what a row of an operator's state takes (Stateful.StateBytes). On the
+// wire a tuple travels in a frame, which costs less (AppendBatch).
 func (t Tuple) Size() int {
 	n := 4 + len(t.Stream) + 8 + 8 + 2 // stream, seq, ts(unixnano), nvalues
 	for _, v := range t.Values {
@@ -80,15 +80,6 @@ func (t Tuple) String() string {
 // Batch is a slice of tuples shipped as one message. Batching amortizes
 // per-message transport overhead on high-rate streams.
 type Batch []Tuple
-
-// Size returns the total encoded size of the batch in bytes.
-func (b Batch) Size() int {
-	n := 4 // count prefix
-	for _, t := range b {
-		n += t.Size()
-	}
-	return n
-}
 
 // HasSpan reports whether any tuple of b is sampled, so a hop asks once
 // per batch before its per-tuple trace.Record loop: an untraced batch —

@@ -105,8 +105,8 @@ func (v Value) Equal(o Value) bool {
 	}
 }
 
-// wireSize returns the encoded size of the value in bytes, used for
-// communication-cost accounting and the binary codec.
+// wireSize returns the length of the value's row-form encoding
+// (AppendTuple), for Tuple.Size.
 func (v Value) wireSize() int {
 	switch v.kind {
 	case KindInt, KindFloat:
