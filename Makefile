@@ -115,11 +115,11 @@ test:
 # delivers what was queued before a Deregister; a TCP link does the same
 # on its pending bytes, ships what queued during a write in the next
 # write, and accounts every frame of a failed link as discarded. So do the proofs of who
-# owns a payload on the wire: a handed payload arrives in the sender's
-# backing array (also twice under duplicate and reorder faults), a lent
-# one arrives intact after the caller overwrites its buffer, and a relay
-# hands a fully matched batch on verbatim while its own encodes arrive
-# as copies. And so do the control plane's: a reliable Send has its
+# owns a payload on the wire, which is lent both ways: a sent payload
+# arrives intact after the caller overwrites its buffer (also twice under
+# duplicate and reorder faults), a delivered one is read from an arena
+# the node reuses, and a relay forwards a fully matched batch from the
+# bytes it received, without re-encoding it. And so do the control plane's: a reliable Send has its
 # first transmission on the transport when it returns (Settle sees it),
 # an endpoint re-created under an old ID is heard rather than taken for
 # its predecessor's duplicates, and a relay that receives its child's
@@ -158,22 +158,27 @@ test:
 # fan-out and routing differentials, the fragment chain (whose
 # boundaries feed results on lent), the engine's tail and shard
 # differentials, the handoffs and migration chaos. The same tag makes
-# PutEncodeBuffer overwrite every pooled encode buffer, so one wrongly
-# handed to a transport that keeps it corrupts a delivery: the
-# differentials above, the relay's verbatim forward and the transport's
-# ownership tests catch it.
+# PutEncodeBuffer overwrite every pooled encode buffer, so a transport
+# that kept one corrupts a delivery: the differentials above, the relay's
+# verbatim forward and the transport's ownership tests catch it. And the
+# same tag makes SimNet overwrite a drained batch's arena once its
+# handlers return, and a TCP reader its payload buffer before the next
+# frame, so the last line runs the whole internal suite under it,
+# without -race: any handler, in a test or not, that keeps a delivered
+# payload past its call fails there.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -run 'TestShardEngine|TestEngineContract' ./internal/engine/
 	$(GO) test -race -count=1 -run 'TestCompiledInterestEquivalence|TestColumnEvaluator|TestMatchIndexEquivalence|TestFederationMatchesBareEngineOnNaN' ./internal/stream/ ./internal/operator/ ./internal/core/
 	$(GO) test -race -count=1 -run 'TestTupleRoutingDifferential|TestFragmentChainMatchesBareEngine|TestFederationJoinInterest' ./internal/core/
-	$(GO) test -race -count=1 -run 'TestRelayIndexFollowsRegistrations|TestRelayRegistrationsRaceBatches|TestRelayCoveredInterestStopsAtAncestor|TestRelayPublishReturnsAfterEverySend|TestRelayLinkKeepsPublishOrder|TestRelayPublishersRaceDropRewireClose|TestRelayFailedSendCountsNothingRelayed|TestSimNetFIFOPerSender|TestSimNetSenderBlocksOnQueuedBytes|TestSimNetDeregisterDeliversQueued|TestTCPNetFIFOPerSender|TestTCPNetSenderBlocksOnQueuedBytes|TestTCPNetDeregisterWritesQueued|TestTCPNetCoalescesWhileWriting|TestTCPNetFailedLinkAccountsEveryFrame|TestSimNetHand|TestSimNetSend|TestRelayForwardsVerbatimWithoutCopy|TestReliableSendIsOnTheWireWhenItReturns|TestReliableNewIncarnationResetsReceiver|TestRelayRepeatedRegistrationChangesNothing' ./internal/dissemination/ ./internal/simnet/
+	$(GO) test -race -count=1 -run 'TestRelayIndexFollowsRegistrations|TestRelayRegistrationsRaceBatches|TestRelayCoveredInterestStopsAtAncestor|TestRelayPublishReturnsAfterEverySend|TestRelayLinkKeepsPublishOrder|TestRelayPublishersRaceDropRewireClose|TestRelayFailedSendCountsNothingRelayed|TestSimNetFIFOPerSender|TestSimNetSenderBlocksOnQueuedBytes|TestSimNetDeregisterDeliversQueued|TestTCPNetFIFOPerSender|TestTCPNetSenderBlocksOnQueuedBytes|TestTCPNetDeregisterWritesQueued|TestTCPNetCoalescesWhileWriting|TestTCPNetFailedLinkAccountsEveryFrame|TestSimNetSend|TestSimNetReceivedPayloadIsLent|TestRelayForwardsVerbatim|TestReliableSendIsOnTheWireWhenItReturns|TestReliableNewIncarnationResetsReceiver|TestRelayRepeatedRegistrationChangesNothing' ./internal/dissemination/ ./internal/simnet/
 	$(GO) test -race -count=1 -run 'TestFanout|TestIngestAllocations|TestFrameDecodeErrorsCounted|TestFragmentBoundaryFramesPerBatch' ./internal/entity/
 	$(GO) test -race -count=1 -run 'FuzzDecodeBatch|TestDecodeBatch|TestDecodeFrameMalformed|TestFrameWireFormatPinned|FuzzDecodeInterestSet|TestDecodeInterestSet|TestSimplifyMatchesReference' ./internal/stream/
 	$(GO) test -race -count=1 -run 'TestHandoff|TestResumeInPlaceKeepsReorderedBuffer|TestNoCutIsNotCutZero|TestDrainQueryWaitsForAdmittedBatches' ./internal/core/ ./internal/entity/
 	$(GO) test -race -count=1 -run 'TestTopK|TestTail' ./internal/operator/ ./internal/engine/
 	$(GO) test -race -count=1 -run 'TestChaosEndToEndRecovery|TestHardKillRecoveryZeroLoss|TestRecoveryReemitsResultsAfterTheCut|TestMigrationChaosStatefulZeroLoss|TestMigrationWaitsForCheckpointInFlight|TestLatencyAttributionFederation|TestTupleRoutingAvoidsJitteredReplica' ./internal/core/
-	$(GO) test -race -tags arenapoison -count=1 -run 'TestLease|TestEncodeBufferPoisonedOnPut|TestTupleRoutingDifferential|TestFragmentChainMatchesBareEngine|TestFanout|TestTail|TestShardEngineDifferential|TestHandoff|TestMigrationChaosStatefulZeroLoss|TestRelayForwardsVerbatimWithoutCopy|TestSimNet' ./internal/stream/ ./internal/engine/ ./internal/entity/ ./internal/core/ ./internal/dissemination/ ./internal/simnet/
+	$(GO) test -race -tags arenapoison -count=1 -run 'TestLease|TestEncodeBufferPoisonedOnPut|TestTupleRoutingDifferential|TestFragmentChainMatchesBareEngine|TestFanout|TestTail|TestShardEngineDifferential|TestHandoff|TestMigrationChaosStatefulZeroLoss|TestRelayForwardsVerbatim|TestSimNet' ./internal/stream/ ./internal/engine/ ./internal/entity/ ./internal/core/ ./internal/dissemination/ ./internal/simnet/
+	$(GO) test -tags arenapoison -count=1 ./internal/...
 
 # The decoders of what comes off the network, fuzzed for 10 s each: a
 # tuple batch (a frame, or the row form a checkpoint holds), an interest

@@ -232,8 +232,7 @@ func (n *StatsNode) Tick() {
 	n.mu.Unlock()
 
 	if hasParent && payload != nil {
-		// The digest is encoded per tick and never reused: hand it over.
-		if err := simnet.Hand(n.net, n.endpoint, parent, KindStats, payload); err == nil {
+		if err := n.net.Send(n.endpoint, parent, KindStats, payload); err == nil {
 			n.Pushes.Inc()
 		}
 	}

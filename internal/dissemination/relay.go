@@ -134,8 +134,9 @@ type Relay struct {
 	LinkBytes metrics.ByteMeter
 }
 
-// childReg is one child's registration: the set it registered and the
-// payload it arrived in, which a repeated registration is compared to.
+// childReg is one child's registration: the set it registered and a
+// copy of the payload it arrived in, which a repeated registration is
+// compared to.
 type childReg struct {
 	set  *stream.InterestSet
 	wire []byte
@@ -294,15 +295,12 @@ func (r *Relay) registerUpward(always bool) error {
 
 // sendControl dispatches one interest registration, reliably when the
 // relay has a reliable endpoint, and accounts the failure either way.
-// The payload is encoded per registration and never written again (the
-// relay keeps it only to compare the next one with), so it is handed
-// over.
 func (r *Relay) sendControl(to simnet.NodeID, payload []byte) error {
 	var err error
 	if r.rel != nil {
 		err = r.rel.Send(to, KindInterest, payload)
 	} else {
-		err = simnet.Hand(r.transport, r.self, to, KindInterest, payload)
+		err = r.transport.Send(r.self, to, KindInterest, payload)
 	}
 	if err != nil {
 		r.noteSendError(to, err)
@@ -402,8 +400,8 @@ func (r *Relay) Publish(batch stream.Batch) error {
 // HandleTuples processes one encoded tuple batch as if it had arrived
 // from the relay's parent — the wire-level entry point benchmarks and
 // bridge transports feed directly. Like a delivered Message.Payload,
-// payload is read-only from the call on: the relay may hand it on to its
-// children (simnet.Hand).
+// payload is lent for the call: the relay may forward it to its children
+// through Send, which copies it.
 func (r *Relay) HandleTuples(payload []byte) {
 	r.handle(simnet.Message{From: r.tree.Parent(r.self), To: r.self, Kind: KindTuples, Payload: payload})
 }
@@ -430,8 +428,8 @@ func (r *Relay) handle(m simnet.Message) {
 		// A registration byte-identical to the child's last one (a
 		// refresh of unchanged state) changes nothing: no decode, no
 		// index rebuild, no upward send. The relay's own refresh keeps
-		// its parent current. The payload is read-only, so it is kept
-		// as it arrived.
+		// its parent current. The payload is only lent, so a changed
+		// registration keeps a copy.
 		r.mu.Lock()
 		last, ok := r.children[m.From]
 		r.mu.Unlock()
@@ -445,7 +443,7 @@ func (r *Relay) handle(m simnet.Message) {
 		}
 		r.noteDecodeOK("interest")
 		r.mu.Lock()
-		r.children[m.From] = childReg{set: set, wire: m.Payload}
+		r.children[m.From] = childReg{set: set, wire: bytes.Clone(m.Payload)}
 		r.index = nil
 		r.mu.Unlock()
 		// Propagate the updated aggregate toward the source, if it moved.
@@ -509,15 +507,15 @@ var scratchPool = sync.Pool{New: func() any { return new(dissemScratch) }}
 // the children. The batch is matched once, against the local set and
 // every child's registration together (MatchIndex.Route); local delivery
 // and the fan-out then read their rows. wire, when non-nil, is the
-// incoming encoded payload, read-only by the transport's contract: a
-// child that matched the whole batch (or that has no registration yet)
-// is handed that payload verbatim (simnet.Hand), so a pure-relay hop
-// neither re-encodes nor copies. Each child's send runs here, in child
+// incoming encoded payload, lent for the handler's call: a child that
+// matched the whole batch (or that has no registration yet) is sent
+// those bytes verbatim, so a pure-relay hop does not re-encode; the
+// transport's copy is a memcpy. Each child's send runs here, in child
 // order, so disseminate returns only after every one has returned: that
 // keeps transport quiescence sound (every message this batch causes is
 // on the wire before the handler that received the batch returns), and
-// since Transport.Send is only lent its payload, every pooled buffer is
-// released here.
+// since Transport.Send is only lent its payload, every pooled buffer and
+// the incoming payload are free once it returns.
 func (r *Relay) disseminate(batch stream.Batch, wire []byte) {
 	if len(batch) == 0 {
 		return
@@ -537,10 +535,10 @@ func (r *Relay) disseminate(batch stream.Batch, wire []byte) {
 
 	// Fan-out. The incoming payload (or one pooled full-batch encoding)
 	// is shared by every pass-through child; partial matches encode just
-	// the matched rows, where they stand, into a pooled buffer. Only the
-	// incoming payload is handed over: a pooled buffer is lent to Send,
-	// which copies it or writes it out before returning. Relayed and the
-	// link meter count what a link accepted, never a failed send.
+	// the matched rows, where they stand, into a pooled buffer. Every
+	// payload is lent to Send, which copies it or writes it out before
+	// returning. Relayed and the link meter count what a link accepted,
+	// never a failed send.
 	n := len(batch)
 	var fullPayload []byte
 	for ci, c := range ri.children {
@@ -551,7 +549,6 @@ func (r *Relay) disseminate(batch stream.Batch, wire []byte) {
 			continue
 		}
 		var payload []byte
-		handed := matched == n && wire != nil
 		if matched == n {
 			// Everything matched (or no registration yet: forward all,
 			// which is safe): reuse the incoming wire bytes verbatim.
@@ -573,13 +570,7 @@ func (r *Relay) disseminate(batch stream.Batch, wire []byte) {
 			payload = *buf
 		}
 		r.Suppressed.Add(int64(n - matched))
-		var err error
-		if handed {
-			err = simnet.Hand(r.transport, r.self, c, KindTuples, payload)
-		} else {
-			err = r.transport.Send(r.self, c, KindTuples, payload)
-		}
-		if err != nil {
+		if err := r.transport.Send(r.self, c, KindTuples, payload); err != nil {
 			r.noteSendError(c, err)
 			continue
 		}

@@ -119,9 +119,9 @@ func quoteBatch(n int) stream.Batch {
 	return b
 }
 
-// TestRelayPassThroughForwardsWireVerbatim proves the zero-copy claim:
-// a child whose registration matched the whole batch receives the exact
-// incoming payload slice, not a re-encoding.
+// TestRelayPassThroughForwardsWireVerbatim: a child whose registration
+// matched the whole batch is sent the exact incoming payload slice, not
+// a re-encoding.
 func TestRelayPassThroughForwardsWireVerbatim(t *testing.T) {
 	cap := newCaptureTransport()
 	rel := midRelay(t, cap)
@@ -161,7 +161,7 @@ func TestRelayPassThroughForwardsWireVerbatim(t *testing.T) {
 		t.Fatal("both children should have received tuples")
 	}
 	if &toLeaf0.payload[0] != &wire[0] || len(toLeaf0.payload) != len(wire) {
-		t.Fatal("match-all child should receive the incoming wire payload verbatim (zero-copy)")
+		t.Fatal("match-all child should be sent the incoming wire payload verbatim")
 	}
 	dec, _, err := stream.DecodeBatch(toLeaf1.snapshot)
 	if err != nil {

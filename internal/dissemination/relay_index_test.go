@@ -442,22 +442,13 @@ type interestCounter struct {
 	sent map[simnet.NodeID]int
 }
 
-func (c *interestCounter) count(from simnet.NodeID, kind string) {
+func (c *interestCounter) Send(from, to simnet.NodeID, kind string, payload []byte) error {
 	if kind == KindInterest {
 		c.mu.Lock()
 		c.sent[from]++
 		c.mu.Unlock()
 	}
-}
-
-func (c *interestCounter) Send(from, to simnet.NodeID, kind string, payload []byte) error {
-	c.count(from, kind)
 	return c.SimNet.Send(from, to, kind, payload)
-}
-
-func (c *interestCounter) Hand(from, to simnet.NodeID, kind string, payload []byte) error {
-	c.count(from, kind)
-	return c.SimNet.Hand(from, to, kind, payload)
 }
 
 func (c *interestCounter) take() map[simnet.NodeID]int {

@@ -1,7 +1,9 @@
 package dissemination
 
 import (
+	"bytes"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -466,67 +468,63 @@ func TestRelayLinkBytesMeter(t *testing.T) {
 // ID returns the relay's transport endpoint.
 func (r *Relay) ID() simnet.NodeID { return r.self }
 
-// tapNet is a SimNet that records, for every tuple batch, whether it was
-// sent (lent) or handed over and which backing array it carried, and
-// what each node received.
+// tapNet is a SimNet that records every tuple batch sent and received:
+// a copy of its bytes, and the backing array it was read from. The
+// array is kept for identity only: a sent payload is lent to Send and a
+// received one to the handler, each for the call.
 type tapNet struct {
 	*simnet.SimNet
 	mu   sync.Mutex
-	out  []tapSend
-	recv map[simnet.NodeID][][]byte
+	out  []tapMsg
+	recv map[simnet.NodeID][]tapMsg
 }
 
-type tapSend struct {
-	from, to simnet.NodeID
-	payload  []byte
-	handed   bool
+type tapMsg struct {
+	to    simnet.NodeID
+	bytes []byte
+	array *byte
+}
+
+func tap(to simnet.NodeID, payload []byte) tapMsg {
+	return tapMsg{to: to, bytes: bytes.Clone(payload), array: &payload[0]}
 }
 
 func (n *tapNet) Register(id simnet.NodeID, h simnet.Handler) error {
 	return n.SimNet.Register(id, func(m simnet.Message) {
 		if m.Kind == KindTuples {
 			n.mu.Lock()
-			n.recv[id] = append(n.recv[id], m.Payload)
+			n.recv[id] = append(n.recv[id], tap(id, m.Payload))
 			n.mu.Unlock()
 		}
 		h(m)
 	})
 }
 
-func (n *tapNet) note(from, to simnet.NodeID, kind string, payload []byte, handed bool) {
+func (n *tapNet) Send(from, to simnet.NodeID, kind string, payload []byte) error {
 	if kind == KindTuples {
 		n.mu.Lock()
-		n.out = append(n.out, tapSend{from, to, payload, handed})
+		n.out = append(n.out, tap(to, payload))
 		n.mu.Unlock()
 	}
-}
-
-func (n *tapNet) Send(from, to simnet.NodeID, kind string, payload []byte) error {
-	n.note(from, to, kind, payload, false)
 	return n.SimNet.Send(from, to, kind, payload)
 }
 
-func (n *tapNet) Hand(from, to simnet.NodeID, kind string, payload []byte) error {
-	n.note(from, to, kind, payload, true)
-	return n.SimNet.Hand(from, to, kind, payload)
-}
-
 // take returns and clears what was sent and received since the last call.
-func (n *tapNet) take() ([]tapSend, map[simnet.NodeID][][]byte) {
+func (n *tapNet) take() ([]tapMsg, map[simnet.NodeID][]tapMsg) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	out, recv := n.out, n.recv
-	n.out, n.recv = nil, make(map[simnet.NodeID][][]byte)
+	n.out, n.recv = nil, make(map[simnet.NodeID][]tapMsg)
 	return out, recv
 }
 
-// TestRelayForwardsVerbatimWithoutCopy: on a src → e00 → e01 chain, the
-// middle relay hands a fully matched batch on, so e01 reads the very
-// backing array e00 received. The source's own encode and a partially
-// matched batch are re-encoded into pooled buffers, lent to Send, and
-// arrive as copies.
-func TestRelayForwardsVerbatimWithoutCopy(t *testing.T) {
-	net := &tapNet{SimNet: simnet.NewSim(nil), recv: make(map[simnet.NodeID][][]byte)}
+// TestRelayForwardsVerbatim: on a src → e00 → e01 chain, the middle
+// relay forwards a fully matched batch from the very bytes it received,
+// taking no encode buffer for it, and e01 receives them byte-identical.
+// A partially matched batch is re-encoded. Every send arrives as a copy:
+// Send is lent its payload.
+func TestRelayForwardsVerbatim(t *testing.T) {
+	net := &tapNet{SimNet: simnet.NewSim(nil), recv: make(map[simnet.NodeID][]tapMsg)}
 	t.Cleanup(func() { net.Close() })
 	tr, err := Build("quotes", testSource, []Member{
 		{ID: "e00", Pos: simnet.Point{X: 10}},
@@ -549,7 +547,7 @@ func TestRelayForwardsVerbatimWithoutCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	publish := func(batch stream.Batch) ([]tapSend, map[simnet.NodeID][][]byte) {
+	publish := func(batch stream.Batch) (sent, atE00, atE01 tapMsg) {
 		t.Helper()
 		if !net.Quiesce(time.Second) {
 			t.Fatal("quiesce (registrations)")
@@ -565,19 +563,21 @@ func TestRelayForwardsVerbatimWithoutCopy(t *testing.T) {
 		if len(out) != 2 || out[0].to != "e00" || out[1].to != "e01" || len(recv["e00"]) != 1 || len(recv["e01"]) != 1 {
 			t.Fatalf("one batch should cross each link once: sent %v, received %v", out, recv)
 		}
-		if out[0].handed || &recv["e00"][0][0] == &out[0].payload[0] {
-			t.Fatal("the source's own encode was handed over, not lent to Send and copied")
+		for i, m := range []tapMsg{recv["e00"][0], recv["e01"][0]} {
+			if m.array == out[i].array || !bytes.Equal(m.bytes, out[i].bytes) {
+				t.Fatalf("the batch to %s should arrive as a byte-identical copy of what was sent", out[i].to)
+			}
 		}
-		return out, recv
+		return out[1], recv["e00"][0], recv["e01"][0]
 	}
 
 	// e01 wants every quote, e00 nothing: e00 forwards the whole batch.
 	if err := r1.SetLocalInterest([]stream.Interest{stream.NewInterest("quotes")}); err != nil {
 		t.Fatal(err)
 	}
-	out, recv := publish(stream.Batch{quote(1, "ibm", 10), quote(2, "msft", 20)})
-	if !out[1].handed || &recv["e01"][0][0] != &recv["e00"][0][0] || len(recv["e01"][0]) != len(recv["e00"][0]) {
-		t.Fatal("e00 should hand the payload it received on to e01 verbatim, in the same backing array")
+	sent, atE00, atE01 := publish(stream.Batch{quote(1, "ibm", 10), quote(2, "msft", 20)})
+	if sent.array != atE00.array || !bytes.Equal(atE01.bytes, atE00.bytes) {
+		t.Fatal("e00 should send e01 the very bytes it received, and e01 receive them verbatim")
 	}
 	if s0.count() != 0 || s1.count() != 2 {
 		t.Fatalf("delivered %d/%d, want 0/2", s0.count(), s1.count())
@@ -590,15 +590,79 @@ func TestRelayForwardsVerbatimWithoutCopy(t *testing.T) {
 	if err := r1.SetLocalInterest([]stream.Interest{stream.NewInterest("quotes").WithKeys("symbol", "msft")}); err != nil {
 		t.Fatal(err)
 	}
-	out, recv = publish(stream.Batch{quote(3, "ibm", 10), quote(4, "msft", 20)})
-	if out[1].handed || &recv["e01"][0][0] == &out[1].payload[0] || &recv["e01"][0][0] == &recv["e00"][0][0] {
-		t.Fatal("a partially matched batch should be re-encoded, lent to Send and arrive as a copy")
+	sent, atE00, atE01 = publish(stream.Batch{quote(3, "ibm", 10), quote(4, "msft", 20)})
+	if sent.array == atE00.array {
+		t.Fatal("a partially matched batch should be re-encoded, not sent from the received bytes")
 	}
-	dec, _, err := stream.DecodeBatch(recv["e01"][0])
+	dec, _, err := stream.DecodeBatch(atE01.bytes)
 	if err != nil || len(dec) != 1 || dec[0].Values[0].AsString() != "msft" {
 		t.Fatalf("e01 received %v (%v), want the msft row only", dec, err)
 	}
 	if s0.count() != 2 || s1.count() != 3 {
 		t.Fatalf("delivered %d/%d, want 2/3", s0.count(), s1.count())
+	}
+}
+
+// TestRelayChainAllocatesNothingWarm: a batch published into a src →
+// e00 → e01 chain over SimNet allocates nothing in steady state, on
+// either link: the source's pooled encode and e00's verbatim forward are
+// both copied into the receiving node's reused arena, and each relay
+// decodes into a pooled buffer and lends its rows to DeliverBatch. The
+// pools are sync.Pools, which drop items at random under -race, so the
+// exact count holds only without it.
+func TestRelayChainAllocatesNothingWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector empties sync.Pool at random; exact counts only hold without -race")
+	}
+	net := simnet.NewSim(nil)
+	t.Cleanup(func() { net.Close() })
+	tr, err := Build("quotes", testSource, []Member{
+		{ID: "e00", Pos: simnet.Point{X: 10}},
+		{ID: "e01", Pos: simnet.Point{X: 20}},
+	}, Balanced, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := quotesSchema()
+	var delivered [2]atomic.Int64
+	relay := func(id simnet.NodeID, rows *atomic.Int64) *Relay {
+		r, err := NewRelayWith(tr, id, sc, net, nil, RelayOptions{
+			DeliverBatch: func(b stream.Batch) { rows.Add(int64(len(b))) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	src, err := NewRelay(tr, "src", sc, net, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r0, r1 := relay("e00", &delivered[0]), relay("e01", &delivered[1])
+	// e00 keeps the ibm half; e01 wants every quote, so e00 forwards the
+	// whole batch verbatim.
+	if err := r0.SetLocalInterest([]stream.Interest{stream.NewInterest("quotes").WithKeys("symbol", "ibm")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r1.SetLocalInterest([]stream.Interest{stream.NewInterest("quotes")}); err != nil {
+		t.Fatal(err)
+	}
+	batch := quoteBatch(64)
+	publish := func() {
+		if err := src.Publish(batch); err != nil {
+			t.Fatal(err)
+		}
+		if !net.Quiesce(5 * time.Second) {
+			t.Fatal("quiesce timeout")
+		}
+	}
+	for i := 0; i < 10; i++ { // warm up: pools, decode buffers, arenas
+		publish()
+	}
+	if d0, d1 := delivered[0].Load(), delivered[1].Load(); d0 != 10*32 || d1 != 10*64 {
+		t.Fatalf("delivered %d/%d rows, want %d/%d", d0, d1, 10*32, 10*64)
+	}
+	if allocs := testing.AllocsPerRun(200, publish); allocs != 0 {
+		t.Fatalf("a warm published batch allocated %.2f times on its way through the chain, want 0", allocs)
 	}
 }

@@ -496,14 +496,21 @@ func firstFour(id string) engine.QuerySpec { return filterSpec(id, 0, 3) }
 // engine keeps no row of its filters' (engine.GroupFeeder's Seals), so
 // its one ent.feedb frame decodes into a pooled lease — and the routing
 // that gathered the frame's rows costs nothing; a remote processor no
-// row is routed to is sent no frame. The lease and the frame's encode
-// buffer come from a sync.Pool, which drops items at random under -race,
-// so the frame's count holds only without it; the frameless counts hold
-// under -race too (the routing scratch is not a sync.Pool).
+// row is routed to is sent no frame. Over SimNet rather than the
+// synchronous loop transport, the frame costs nothing more: SimNet
+// copies it into the remote node's reused arena. The lease and the
+// frame's encode buffer come from a sync.Pool, which drops items at
+// random under -race, so the frame's count holds only without it; the
+// frameless counts hold under -race too (the routing scratch is not a
+// sync.Pool).
 func TestIngestAllocations(t *testing.T) {
-	measure := func(nProcs, nQueries, nTuples int, spec func(string) engine.QuerySpec) float64 {
-		e, _ := newFanoutEntity(t, nProcs, groupedFactory)
-		e.SetResultHandler(nil)
+	measure := func(net simnet.Transport, nProcs, nQueries, nTuples int, spec func(string) engine.QuerySpec) float64 {
+		e, err := New("e1", net, testCatalog(t), nProcs, groupedFactory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(e.Close)
+		sim, _ := net.(*simnet.SimNet)
 		for i := 0; i < nQueries; i++ {
 			if err := e.PlaceQuery(spec(fmt.Sprintf("q%d", i)), 1); err != nil {
 				t.Fatal(err)
@@ -515,6 +522,9 @@ func TestIngestAllocations(t *testing.T) {
 		}
 		dp := e.procs[0]
 		drain := func() {
+			if sim != nil {
+				sim.Quiesce(10 * time.Second) // the frame is on the remote processor's ring
+			}
 			for _, p := range e.procs {
 				p.drainer.Drain(10 * time.Second)
 			}
@@ -533,10 +543,10 @@ func TestIngestAllocations(t *testing.T) {
 			drain()
 		})
 	}
-	if got := measure(1, 1, 16, rejectAll); got != 0 {
+	if got := measure(newLoopNet(), 1, 1, 16, rejectAll); got != 0 {
 		t.Errorf("one local target: %v allocations per batch, want 0 (the engine keeps the batch it is handed)", got)
 	}
-	if got := measure(2, 32, 64, rejectAll); got != 0 {
+	if got := measure(newLoopNet(), 2, 32, 64, rejectAll); got != 0 {
 		t.Errorf("a remote group no row is routed to: %v allocations per batch, want 0 (no frame is sent)", got)
 	}
 	if raceEnabled {
@@ -545,10 +555,17 @@ func TestIngestAllocations(t *testing.T) {
 	// Two processors: half the queries are local, half behind one frame
 	// of the batch's first four rows.
 	for _, c := range []struct{ queries, tuples int }{{8, 8}, {8, 64}, {32, 8}, {32, 64}} {
-		if got := measure(2, c.queries, c.tuples, firstFour); got != 0 {
+		if got := measure(newLoopNet(), 2, c.queries, c.tuples, firstFour); got != 0 {
 			t.Errorf("one local group and one ent.feedb frame: %v allocations per batch for %d queries and %d tuples, want 0 (the frame decodes into a pooled lease)",
 				got, c.queries, c.tuples)
 		}
+	}
+	// The same frame over SimNet, which copies it into the remote
+	// processor's reused arena and lends it to the handler from there.
+	sim := simnet.NewSim(nil)
+	t.Cleanup(func() { sim.Close() })
+	if got := measure(sim, 2, 8, 64, firstFour); got != 0 {
+		t.Errorf("one ent.feedb frame over SimNet: %v allocations per batch, want 0 (the node's arena is reused)", got)
 	}
 }
 

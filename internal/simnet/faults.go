@@ -61,7 +61,7 @@ func (f LinkFaults) zero() bool {
 //
 // The wrapped transport is embedded: Register, Deregister and Traffic are
 // its own (bytes are accounted by it at actual delivery, so dropped
-// messages are never counted); FaultPlan overrides Send, Hand and Close.
+// messages are never counted); FaultPlan overrides Send and Close.
 type FaultPlan struct {
 	Transport
 
@@ -196,29 +196,11 @@ func (p *FaultPlan) count(kind FaultKind, from, to NodeID, reg *metrics.Registry
 
 // Send implements Transport, applying the configured fault rules. A
 // lent payload is copied once, only when a delivery outlives the call (a
-// delay or a duplicate); the copy is then handed on like Hand's.
+// delay or a duplicate); every delivery of the copy lends it to the
+// wrapped transport in turn.
 func (p *FaultPlan) Send(from, to NodeID, kind string, payload []byte) error {
-	return p.send(from, to, kind, payload, false)
-}
-
-// Hand implements simnet.Hand, applying the same fault rules as Send: the
-// read-only payload is never copied, and a duplicate or a deferred
-// delivery shares it.
-func (p *FaultPlan) Hand(from, to NodeID, kind string, payload []byte) error {
-	return p.send(from, to, kind, payload, true)
-}
-
-// forward passes one delivery to the wrapped transport, handed or lent.
-func (p *FaultPlan) forward(from, to NodeID, kind string, payload []byte, handed bool) error {
-	if handed {
-		return Hand(p.Transport, from, to, kind, payload)
-	}
-	return p.Transport.Send(from, to, kind, payload)
-}
-
-func (p *FaultPlan) send(from, to NodeID, kind string, payload []byte, handed bool) error {
 	if !p.enabled.Load() {
-		return p.forward(from, to, kind, payload, handed)
+		return p.Transport.Send(from, to, kind, payload)
 	}
 
 	// All probabilistic decisions are drawn under one lock from the
@@ -242,7 +224,7 @@ func (p *FaultPlan) send(from, to NodeID, kind string, payload []byte, handed bo
 	}
 	if rule.zero() {
 		p.mu.Unlock()
-		return p.forward(from, to, kind, payload, handed)
+		return p.Transport.Send(from, to, kind, payload)
 	}
 	drop := rule.Drop > 0 && p.rng.Float64() < rule.Drop
 	var dup, reorder bool
@@ -271,8 +253,8 @@ func (p *FaultPlan) send(from, to NodeID, kind string, payload []byte, handed bo
 		}
 		delay += rd
 	}
-	if (dup || delay > 0) && !handed {
-		payload, handed = bytes.Clone(payload), true
+	if dup || delay > 0 {
+		payload = bytes.Clone(payload)
 	}
 	if dup {
 		p.count(FaultDuplicate, from, to, reg)
@@ -282,13 +264,12 @@ func (p *FaultPlan) send(from, to NodeID, kind string, payload []byte, handed bo
 		p.sendAfter(delay, from, to, kind, payload)
 		return nil
 	}
-	return p.forward(from, to, kind, payload, handed)
+	return p.Transport.Send(from, to, kind, payload)
 }
 
-// sendAfter hands a read-only payload to the wrapped transport after a
-// delay; the in-flight count keeps Quiesce honest. The payload is shared
-// as it is: Hand's is read-only by contract, and Send cloned its lent
-// one once before deferring any delivery.
+// sendAfter lends payload to the wrapped transport after a delay; the
+// in-flight count keeps Quiesce honest. payload is Send's copy, which
+// nobody writes: a duplicate and a deferred delivery share it.
 func (p *FaultPlan) sendAfter(d time.Duration, from, to NodeID, kind string, payload []byte) {
 	p.inflight.Add(1)
 	go func() {
@@ -300,7 +281,7 @@ func (p *FaultPlan) sendAfter(d time.Duration, from, to NodeID, kind string, pay
 		case <-p.closed:
 			return
 		}
-		_ = Hand(p.Transport, from, to, kind, payload)
+		_ = p.Transport.Send(from, to, kind, payload)
 	}()
 }
 

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"bytes"
 	"strings"
 	"sync"
 	"testing"
@@ -26,6 +27,7 @@ func newChaosRig(t *testing.T, seed int64) *chaosRig {
 	for _, id := range []NodeID{"a", "b"} {
 		id := id
 		if err := r.plan.Register(id, func(m Message) {
+			m.Payload = bytes.Clone(m.Payload) // lent for the call
 			r.mu.Lock()
 			r.got[id] = append(r.got[id], m)
 			r.mu.Unlock()

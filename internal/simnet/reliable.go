@@ -139,15 +139,14 @@ func NewReliable(t Transport, self NodeID, h Handler, cfg ReliableConfig) (*Reli
 	return e, nil
 }
 
-// Send makes one reliable delivery. The first transmission is handed to
+// Send makes one reliable delivery. The first transmission is sent on
 // the transport on the caller's goroutine, before Send returns, so a
 // transport's Quiesce (Federation.Settle) sees it. That is a queue append
 // on either transport: a first attempt to a wedged peer waits here only
 // while the peer's link is full.
 // Retries run in the background, and exhaustion is reported through
 // OnGiveUp, never by blocking the caller. payload is only lent: it is
-// copied into the envelope, which is what every attempt hands to the
-// transport.
+// copied into the envelope, which every attempt lends to the transport.
 func (e *ReliableEndpoint) Send(to NodeID, kind string, payload []byte) error {
 	select {
 	case <-e.closed:
@@ -162,10 +161,8 @@ func (e *ReliableEndpoint) Send(to NodeID, kind string, payload []byte) error {
 	e.mu.Unlock()
 	env := encodeReliable(e.inc, seq, kind, payload)
 	// A transport error (unknown peer during a repair window) is treated
-	// exactly like a lost message: retry, then give up. The envelope is
-	// built per Send and never written again, so every attempt hands the
-	// same one over.
-	_ = Hand(e.transport, e.self, to, KindReliable, env)
+	// exactly like a lost message: retry, then give up.
+	_ = e.transport.Send(e.self, to, KindReliable, env)
 	go e.retry(to, kind, seq, env, ack)
 	return nil
 }
@@ -194,7 +191,7 @@ func (e *ReliableEndpoint) retry(to NodeID, kind string, seq uint64, env []byte,
 			break
 		}
 		e.Retries.Inc()
-		_ = Hand(e.transport, e.self, to, KindReliable, env)
+		_ = e.transport.Send(e.self, to, KindReliable, env)
 		backoff = min(2*backoff, e.cfg.MaxBackoff)
 	}
 	e.GiveUps.Inc()

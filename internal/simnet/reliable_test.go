@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -26,6 +27,7 @@ func newReliablePair(t *testing.T, seed int64, cfg ReliableConfig) *reliablePair
 		t.Fatal(err)
 	}
 	p.b, err = NewReliable(p.plan, "b", func(m Message) {
+		m.Payload = bytes.Clone(m.Payload) // lent for the call
 		p.mu.Lock()
 		p.got = append(p.got, m)
 		p.mu.Unlock()

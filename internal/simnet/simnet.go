@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -14,7 +13,9 @@ type LatencyModel func(from, to Point) time.Duration
 
 // SimNet is the in-process Transport: a wire that meters every byte.
 // Each node queues only what is pending for it, and one runner goroutine
-// per node hands the queue to the handler in FIFO order. A sender
+// per node hands the queue to the handler in FIFO order. Like a TCP
+// link's queue, a node's queue is bytes: Send copies the lent payload
+// into the node's arena, and the handler is lent it from there. A sender
 // blocks while the receiver holds linkQueueBytes or more of undelivered
 // messages (backpressure on a congested receiver). Delivery is
 // asynchronous but immediate: a link delay is a FaultPlan rule.
@@ -34,9 +35,12 @@ type simNode struct {
 	// ready parks the runner while the queue is empty; room parks
 	// senders while bytes is at or above linkQueueBytes.
 	ready, room sync.Cond
-	// queue holds what is pending; spare is the runner's last drained
-	// batch, handed back so steady state allocates nothing.
-	queue, spare []Message
+	// queue holds what is pending, and arena its payloads back to back,
+	// in queue order. spare and spareArena are the runner's last drained
+	// batch and its arena, handed back so steady state allocates
+	// nothing; an arena above keptPayloadBytes is dropped instead.
+	queue, spare      []Message
+	arena, spareArena []byte
 	// bytes is the wire size of every message accepted and not yet
 	// delivered: the queue plus the batch the runner is handling.
 	bytes  int
@@ -82,8 +86,9 @@ func (s *SimNet) Register(id NodeID, h Handler) error {
 	return nil
 }
 
-// enqueue appends msg to the node's queue, waiting while the node holds
-// linkQueueBytes or more. A node that closes first takes nothing.
+// enqueue appends msg to the node's queue and copies its lent payload
+// into the arena, waiting while the node holds linkQueueBytes or more. A
+// node that closes first takes nothing.
 func (n *simNode) enqueue(msg Message, size int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -94,6 +99,9 @@ func (n *simNode) enqueue(msg Message, size int) {
 		return
 	}
 	n.pending.Add(1)
+	start := len(n.arena)
+	n.arena = append(n.arena, msg.Payload...)
+	msg.Payload = n.arena[start:]
 	n.queue = append(n.queue, msg)
 	n.bytes += size
 	if len(n.queue) == 1 {
@@ -102,8 +110,11 @@ func (n *simNode) enqueue(msg Message, size int) {
 }
 
 // run delivers the queue until the node closes and what it had queued is
-// delivered. It swaps the whole queue out, runs the handlers outside the
-// lock, and keeps the drained slice as the next spare.
+// delivered. It swaps the whole queue and its arena out, runs the
+// handlers outside the lock, and keeps the drained slice and arena as
+// the next spares. Each handler is lent its payload for the call, from
+// the arena's final backing array (an append that grew it copied the
+// payloads over): the arena is written again once it is the spare.
 func (n *simNode) run() {
 	defer close(n.done)
 	n.mu.Lock()
@@ -115,16 +126,29 @@ func (n *simNode) run() {
 		if len(n.queue) == 0 {
 			return
 		}
-		batch, size := n.queue, n.bytes
+		batch, arena, size := n.queue, n.arena, n.bytes
 		n.queue, n.spare = n.spare, nil
+		n.arena, n.spareArena = n.spareArena, nil
 		n.mu.Unlock()
+		off := 0
 		for _, m := range batch {
+			end := off + len(m.Payload)
+			m.Payload = arena[off:end:end]
+			off = end
 			n.handler(m)
 		}
 		n.pending.Add(-int64(len(batch)))
-		clear(batch) // the spare must not keep payloads alive
+		clear(batch) // the spare must not keep a dropped arena alive
+		if poisonArenas {
+			for i := range arena {
+				arena[i] = 0xff
+			}
+		}
+		if cap(arena) > keptPayloadBytes {
+			arena = nil
+		}
 		n.mu.Lock()
-		n.spare = batch[:0]
+		n.spare, n.spareArena = batch[:0], arena[:0]
 		n.bytes -= size
 		n.room.Broadcast()
 	}
@@ -155,17 +179,11 @@ func (s *SimNet) Deregister(id NodeID) error {
 	return nil
 }
 
-// Send implements Transport: it copies the lent payload and hands the
-// copy over (Hand).
+// Send implements Transport: it copies the lent payload into the
+// destination's arena. It blocks while the destination holds
+// linkQueueBytes of undelivered messages (backpressure) and fails if
+// either endpoint is unknown.
 func (s *SimNet) Send(from, to NodeID, kind string, payload []byte) error {
-	return s.Hand(from, to, kind, bytes.Clone(payload))
-}
-
-// Hand delivers a handed payload (simnet.Hand): the queue keeps the
-// caller's slice, and the handler reads that same backing array. It
-// blocks while the destination holds linkQueueBytes of undelivered
-// messages (backpressure) and fails if either endpoint is unknown.
-func (s *SimNet) Hand(from, to NodeID, kind string, payload []byte) error {
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()

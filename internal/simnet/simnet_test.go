@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -72,6 +73,7 @@ func TestSimNetDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := n.Register("b", func(m Message) {
+		m.Payload = bytes.Clone(m.Payload) // lent for the call
 		mu.Lock()
 		got = append(got, m)
 		mu.Unlock()
@@ -420,6 +422,7 @@ func TestTCPNetEndToEnd(t *testing.T) {
 	var mu sync.Mutex
 	var got []Message
 	if err := n.Register("server", func(m Message) {
+		m.Payload = bytes.Clone(m.Payload) // lent for the call
 		mu.Lock()
 		got = append(got, m)
 		mu.Unlock()

@@ -165,12 +165,6 @@ func (t *TCPNet) Send(from, to NodeID, kind string, payload []byte) error {
 	return fmt.Errorf("simnet: send %s→%s: %w", from, to, err)
 }
 
-// Hand implements simnet.Hand: Send frames the payload into the link's
-// queue before it returns, so a handed payload is sent like a lent one.
-func (t *TCPNet) Hand(from, to NodeID, kind string, payload []byte) error {
-	return t.Send(from, to, kind, payload)
-}
-
 // link returns the cached link to `to`, dialing one on first use. Both
 // endpoints must be registered.
 func (t *TCPNet) link(from, to NodeID) (*tcpLink, error) {
@@ -399,11 +393,14 @@ func appendFrame(dst []byte, msg Message) []byte {
 
 // frameReader decodes the frames of one connection. It keeps the last
 // frame's From, To and Kind and reuses them while the next frame's bytes
-// are equal, so a warm frame allocates only its payload.
+// are equal, and it reads every payload into one buffer, so a warm frame
+// allocates nothing. The connection's handler runs on the reader's
+// goroutine, so a payload is lent to it until the next frame is read.
 type frameReader struct {
 	r        *bufio.Reader
 	hdr      [4]byte
 	str      []byte // one header string's bytes, reused
+	payload  []byte // the last frame's payload, reused up to keptPayloadBytes
 	from, to string
 	kind     string
 }
@@ -412,8 +409,18 @@ func newFrameReader(r io.Reader) *frameReader {
 	return &frameReader{r: bufio.NewReader(r)}
 }
 
-// next decodes one frame.
+// next decodes one frame. The last frame's payload is written over, or
+// dropped first if a large frame grew it beyond keptPayloadBytes, so an
+// idle connection keeps no more than that.
 func (fr *frameReader) next() (Message, error) {
+	if poisonArenas {
+		for i := range fr.payload {
+			fr.payload[i] = 0xff
+		}
+	}
+	if cap(fr.payload) > keptPayloadBytes {
+		fr.payload = nil
+	}
 	if _, err := io.ReadFull(fr.r, fr.hdr[:4]); err != nil {
 		return Message{}, err
 	}
@@ -427,11 +434,11 @@ func (fr *frameReader) next() (Message, error) {
 			return Message{}, err
 		}
 	}
-	payload := make([]byte, left)
-	if _, err := io.ReadFull(fr.r, payload); err != nil {
+	fr.payload = slices.Grow(fr.payload[:0], int(left))[:left]
+	if _, err := io.ReadFull(fr.r, fr.payload); err != nil {
 		return Message{}, err
 	}
-	return Message{From: NodeID(fr.from), To: NodeID(fr.to), Kind: fr.kind, Payload: payload}, nil
+	return Message{From: NodeID(fr.from), To: NodeID(fr.to), Kind: fr.kind, Payload: fr.payload[:left:left]}, nil
 }
 
 // readString reads one length-prefixed header string of a frame with

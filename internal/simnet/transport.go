@@ -40,6 +40,13 @@ func frameOverhead(fromLen, toLen, kindLen int) int {
 // receiver or a slow socket pushes back on its senders.
 const linkQueueBytes = 4 << 20
 
+// keptPayloadBytes bounds each payload buffer a receiver keeps for reuse:
+// a SimNet node's two arenas (one filling, one being delivered) and a
+// TCP connection's payload buffer. Steady traffic fits well under it, so
+// a delivery allocates nothing; a buffer a burst grew beyond it is
+// dropped once delivered, so a burst does not pin memory for good.
+const keptPayloadBytes = 1 << 20
+
 // Handler consumes delivered messages. Handlers run on transport
 // goroutines and must not block for long.
 type Handler func(Message)
@@ -65,36 +72,21 @@ type Transport interface {
 	// A sender blocks while the link to `to` holds 4 MiB or more
 	// undelivered (linkQueueBytes), so a slow receiver pushes back.
 	//
-	// Ownership: Send is lent payload for the call. The caller may
-	// overwrite or pool the backing array the moment Send returns (the
-	// relay and the entity encode into pooled buffers on exactly this
-	// guarantee), so an implementation that delivers, retries or delays
-	// asynchronously copies the payload first. Hand is the other way in:
-	// a payload handed over is never written again by anyone, so a
-	// transport that has Hand may keep it instead of a copy. A received
-	// Message.Payload is read-only for its handler, which may hand it
-	// on. Passing a read-only payload to Send is always safe.
+	// Ownership is lent both ways. Send is lent payload for the call:
+	// the caller may overwrite or pool the backing array the moment Send
+	// returns (the relay and the entity encode into pooled buffers on
+	// exactly this guarantee), so a transport copies it into storage of
+	// its own before returning (a SimNet node's arena, a TCP link's
+	// queue). A delivered Message.Payload is lent to its handler for the
+	// duration of the call: the transport writes the next payloads into
+	// the same storage once the handler returns. A handler that keeps
+	// bytes past the call copies them; one that passes them on lends them
+	// to Send like any other payload.
 	Send(from, to NodeID, kind string, payload []byte) error
 	// Traffic exposes the transport's byte accounting.
 	Traffic() *Traffic
 	// Close shuts the transport down.
 	Close() error
-}
-
-// Hand delivers payload on t like Send, but hands it over rather than
-// lending it: from the call on, payload is read-only for the caller, the
-// transport and every receiver, so the transport may keep it instead of
-// a copy (SimNet does; a FaultPlan shares it among a message's
-// duplicate and deferred deliveries). A received Message.Payload is
-// already read-only, so a handler may hand it on. A transport without a
-// Hand method gets Send, which is always safe for a read-only payload.
-func Hand(t Transport, from, to NodeID, kind string, payload []byte) error {
-	if h, ok := t.(interface {
-		Hand(from, to NodeID, kind string, payload []byte) error
-	}); ok {
-		return h.Hand(from, to, kind, payload)
-	}
-	return t.Send(from, to, kind, payload)
 }
 
 // Settle waits for t's in-flight messages to land: exactly as long as

@@ -920,12 +920,11 @@ var encodeBufPool = sync.Pool{
 func GetEncodeBuffer() *[]byte { return encodeBufPool.Get().(*[]byte) }
 
 // PutEncodeBuffer returns a buffer to the pool. Nobody may still read a
-// payload sliced from it, so a pooled buffer is only ever lent to a
-// transport (simnet.Transport's Send, which copies it or writes it out
-// before returning), never handed over (simnet.Hand, whose transport may
-// keep the slice). Built with -tags arenapoison, the buffer's bytes are
-// overwritten here, as Lease does for arenas, so a delivery that still
-// holds them fails to decode instead of reading a later batch.
+// payload sliced from it: a transport is only lent one (simnet.Transport's
+// Send copies it or writes it out before returning). Built with -tags
+// arenapoison, the buffer's bytes are overwritten here, as Lease does for
+// arenas, so a delivery that still holds them fails to decode instead of
+// reading a later batch.
 func PutEncodeBuffer(b *[]byte) {
 	if b == nil {
 		return
